@@ -9,8 +9,16 @@
 
 use crate::error::{LinalgError, Result};
 use crate::matrix::Matrix;
-use crate::triangular::{solve_lower_triangular, solve_upper_triangular};
+use crate::triangular::{solve_lower_triangular, SINGULARITY_TOLERANCE};
 use crate::vector::Vector;
+
+/// A substitution pivot, or the error the triangular solvers report for it.
+fn checked_pivot(pivot: f64, index: usize) -> Result<f64> {
+    if pivot.abs() < SINGULARITY_TOLERANCE {
+        return Err(LinalgError::Singular { pivot: index });
+    }
+    Ok(pivot)
+}
 
 /// The lower-triangular Cholesky factor `L` with `A = L * L^T`.
 #[derive(Debug, Clone)]
@@ -120,9 +128,48 @@ impl Cholesky {
     }
 
     /// Solves `A x = b` using the factorisation (forward then backward substitution).
+    ///
+    /// Allocates only the returned vector; the arithmetic is
+    /// [`Cholesky::solve_in_place`]'s.
     pub fn solve(&self, b: &Vector) -> Result<Vector> {
-        let y = solve_lower_triangular(&self.l, b)?;
-        solve_upper_triangular(&self.l.transpose(), &y)
+        let mut x = b.clone();
+        self.solve_in_place(x.as_mut_slice())?;
+        Ok(x)
+    }
+
+    /// Solves `A x = b` in place: `x` holds `b` on entry and the solution on
+    /// return. Allocation-free.
+    ///
+    /// The forward pass is [`solve_lower_triangular`] on `L`, the backward pass
+    /// [`solve_upper_triangular`](crate::triangular::solve_upper_triangular)
+    /// on `L^T` read through `L[(j, i)]` instead of a
+    /// transposed copy, so every floating-point operation happens in the same
+    /// order and the result is bit-identical to solving through both routines.
+    pub fn solve_in_place(&self, x: &mut [f64]) -> Result<()> {
+        let n = self.dim();
+        if x.len() != n {
+            return Err(LinalgError::DimensionMismatch {
+                op: "cholesky solve",
+                left: (n, n),
+                right: (x.len(), 1),
+            });
+        }
+        let l = &self.l;
+        for i in 0..n {
+            let mut sum = x[i];
+            for j in 0..i {
+                sum -= l[(i, j)] * x[j];
+            }
+            x[i] = sum / checked_pivot(l[(i, i)], i)?;
+        }
+        for i in (0..n).rev() {
+            let mut sum = x[i];
+            for j in (i + 1)..n {
+                sum -= l[(j, i)] * x[j];
+            }
+            x[i] = sum / checked_pivot(l[(i, i)], i)?;
+        }
+        Ok(())
     }
 
     /// Solves `A X = B` column by column.
@@ -247,6 +294,36 @@ mod tests {
         let x = chol.solve(&b).unwrap();
         let back = a.matvec(&x).unwrap();
         assert!(back.max_abs_diff(&b).unwrap() < 1e-10);
+    }
+
+    #[test]
+    fn in_place_solve_is_bit_identical_to_the_transposed_copy_route() {
+        use crate::triangular::solve_upper_triangular;
+        let a = Matrix::from_rows(&[
+            vec![0.031, 0.012, -0.004, 0.007],
+            vec![0.012, 0.027, 0.003, -0.001],
+            vec![-0.004, 0.003, 0.045, 0.011],
+            vec![0.007, -0.001, 0.011, 0.019],
+        ])
+        .unwrap();
+        for m in [spd3(), a] {
+            let chol = Cholesky::new(&m).unwrap();
+            let n = chol.dim();
+            for seed in 0..5 {
+                let b = Vector::from_fn(n, |i| ((seed * 7 + i * 3) % 11) as f64 * 0.137 - 0.61);
+                let y = solve_lower_triangular(chol.l(), &b).unwrap();
+                let expected = solve_upper_triangular(&chol.l().transpose(), &y).unwrap();
+                let mut x = b.as_slice().to_vec();
+                chol.solve_in_place(&mut x).unwrap();
+                assert_eq!(x, expected.as_slice());
+                assert_eq!(chol.solve(&b).unwrap(), expected);
+            }
+        }
+        let chol = Cholesky::new(&spd3()).unwrap();
+        assert!(matches!(
+            chol.solve_in_place(&mut [1.0, 2.0]),
+            Err(LinalgError::DimensionMismatch { .. })
+        ));
     }
 
     #[test]

@@ -27,7 +27,9 @@
 //! Eq. 6–7 goes through the [`c4u_optim::GradientOracle`] seam, selected by
 //! [`CpeConfig::gradient_oracle`]: by default the closed-form
 //! [`kernel::gradient::AnalyticCpeOracle`] (one vectorised quadrature sweep
-//! per unique mask per epoch), with the historical
+//! per block of ≤ 1024 members of a mask group per epoch; a group spanning
+//! several blocks fans them out over the machine's threads, bit-identically
+//! for every thread count), with the historical
 //! [`c4u_optim::FiniteDifference`] stencil retained as a cross-check
 //! ([`CpeGradient::FiniteDifference`], pinned bit-for-bit by
 //! `tests/fd_pinned.rs` and `tests/kernel_equivalence.rs`). The
@@ -65,8 +67,9 @@ pub(crate) const OBJECTIVE_PENALTY: f64 = 1e12;
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum CpeGradient {
     /// Closed-form Eq. 6–7 gradients ([`kernel::gradient::AnalyticCpeOracle`]):
-    /// one vectorised quadrature sweep per unique missing-domain mask per
-    /// epoch, backpropagated through the conditioning map. The default — it
+    /// one vectorised quadrature sweep per block of ≤ 1024 members of a
+    /// missing-domain mask group per epoch, backpropagated through the
+    /// conditioning map. The default — it
     /// agrees with the central-difference stencil to stencil accuracy
     /// (`tests/proptest_gradient.rs`) at `O(1)` likelihood sweeps per epoch
     /// instead of `2 x (D+1)(D+4)/2`.

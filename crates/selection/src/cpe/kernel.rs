@@ -29,9 +29,15 @@
 //! `O(epochs x params x workers)` to `O(epochs x params x unique_masks)` —
 //! and with the closed-form Eq. 6–7 oracle of the [`gradient`] sub-layer (the
 //! default), the `params` factor disappears entirely: one vectorised sweep
-//! per unique mask per epoch. The batched-sweep count obeys the same contract
-//! (`O(unique_masks)` per likelihood or prediction pass, pinned by
-//! `tests/quadrature_batching.rs` through the `c4u_stats` sweep counters).
+//! per block of ≤ 1024 members of a mask group per epoch. Groups larger than
+//! one block fan their blocks out over the machine's threads; the reduction
+//! over members stays serial and in member order, so the result is
+//! bit-identical for every thread count. The batched-sweep count obeys the
+//! same contract (`O(unique_masks)` per likelihood or prediction pass, pinned
+//! by `tests/quadrature_batching.rs` through the `c4u_stats` sweep counters).
+//! Those counters are thread-local: sweeps of a blocked group that run on a
+//! worker thread are not counted on the calling thread, and will not be
+//! until the kernel counts into an explicit per-run counter instead.
 //! Results are **bit-for-bit identical** to the per-observation loop: the
 //! cached factorisation and the batched sweep perform exactly the same
 //! floating-point operations, per-observation terms are accumulated in the
@@ -75,13 +81,14 @@ pub mod gradient;
 
 use super::CpeObservation;
 use crate::SelectionError;
-use c4u_linalg::Vector;
+use c4u_crowd_sim::parallel::available_threads;
 use c4u_stats::{
     BinomialNormalBatch, Conditioner, GaussLegendre, LogZGradient, MultivariateNormal,
     QuadratureMath, QuadratureScratch,
 };
-use std::cell::RefCell;
+use std::cell::{OnceCell, RefCell};
 use std::collections::HashMap;
+use std::sync::Mutex;
 
 /// The observations sharing one observed-domain mask.
 #[derive(Debug, Clone, PartialEq)]
@@ -188,7 +195,20 @@ pub struct CpeLikelihoodKernel<'a> {
     /// once and the hot loops stay allocation-free afterwards (the `c4u-stats`
     /// `alloc_free` suite pins the sweep side of that contract).
     scratch: RefCell<KernelScratch>,
+    /// Thread cap of the blocked gradient sweep, read from the machine on the
+    /// first group that spans more than one block (never for pools that fit
+    /// in one block per group) and kept for every later epoch: the query
+    /// reads cgroup files, about 19 µs a call on a 2-vCPU x86-64 VM.
+    threads: OnceCell<usize>,
 }
+
+/// Members per block of the gradient sweep. Groups larger than this are
+/// split into fixed blocks that run on
+/// [`run_indexed_jobs`](c4u_crowd_sim::parallel::run_indexed_jobs); the block size
+/// is independent of the thread count, and only the per-member work is
+/// blocked (the reduction stays serial in member order), so results never
+/// depend on it.
+const GRADIENT_BLOCK: usize = 1024;
 
 /// The reusable buffers of one kernel: grown on first use, then recycled by
 /// every subsequent group sweep and model evaluation.
@@ -198,20 +218,35 @@ struct KernelScratch {
     quad: QuadratureScratch,
     /// Per-member conditional means of the current group.
     mu: Vec<f64>,
+    /// One member's observed-block solve (likelihood and prediction paths).
+    w: Vec<f64>,
     /// Per-member `log Z` sweep output.
     log_z: Vec<f64>,
     /// Per-member posterior-mean sweep output (prediction path).
     mean: Vec<f64>,
     /// All-zero counts stand-in for posterior-free prediction.
     zeros: Vec<f64>,
-    /// Per-member `(mu, correct, wrong)` triples (gradient path).
-    obs: Vec<(f64, f64, f64)>,
-    /// Per-member `log Z` gradients (gradient path).
-    grads: Vec<LogZGradient>,
-    /// Per-member observed-block solves `w_i` (gradient path).
-    solves: Vec<Vector>,
+    /// One scratch per [`GRADIENT_BLOCK`] of the largest group (gradient
+    /// path). Each block job locks only its own entry, so the locks are never
+    /// contended; they exist to hand one `&mut` per block to the fan-out.
+    blocks: Vec<Mutex<BlockScratch>>,
+    /// Per-observation `log Z` in original observation order (gradient path).
+    per_obs_log_z: Vec<f64>,
     /// Group-level `Σ_i (∂L/∂m_i) w_i` accumulator (gradient path).
     dm_w: Vec<f64>,
+}
+
+/// The buffers of one gradient-sweep block.
+#[derive(Debug, Default)]
+struct BlockScratch {
+    /// Node-sized scratch of the block's quadrature sweep.
+    quad: QuadratureScratch,
+    /// Per-member `(mu, correct, wrong)` triples.
+    obs: Vec<(f64, f64, f64)>,
+    /// Per-member `log Z` gradients.
+    grads: Vec<LogZGradient>,
+    /// Per-member observed-block solves `w_i`, flat `members x g`.
+    w: Vec<f64>,
 }
 
 /// The model-independent per-member answer counts of one mask group, laid out
@@ -276,6 +311,7 @@ impl<'a> CpeLikelihoodKernel<'a> {
             batch: BinomialNormalBatch::new_with_math(quadrature, math),
             counts,
             scratch: RefCell::new(KernelScratch::default()),
+            threads: OnceCell::new(),
         }
     }
 
@@ -295,7 +331,7 @@ impl<'a> CpeLikelihoodKernel<'a> {
         let mut scratch = self.scratch.borrow_mut();
         let s = &mut *scratch;
         for (group, counts) in self.groups.groups().iter().zip(&self.counts) {
-            let sigma = self.conditional_means(model, group, &mut s.mu)?;
+            let sigma = self.conditional_means(model, group, &mut s.mu, &mut s.w)?;
             s.log_z.clear();
             s.log_z.resize(s.mu.len(), 0.0);
             // log-Z only: the posterior-mean integral is prediction-side work,
@@ -342,7 +378,7 @@ impl<'a> CpeLikelihoodKernel<'a> {
         let mut scratch = self.scratch.borrow_mut();
         let s = &mut *scratch;
         for (group, counts) in self.groups.groups().iter().zip(&self.counts) {
-            let sigma = self.conditional_means(model, group, &mut s.mu)?;
+            let sigma = self.conditional_means(model, group, &mut s.mu, &mut s.w)?;
             s.log_z.clear();
             s.log_z.resize(s.mu.len(), 0.0);
             s.mean.clear();
@@ -378,24 +414,33 @@ impl<'a> CpeLikelihoodKernel<'a> {
     }
 
     /// Conditions `model` on one group's mask: **one** [`Conditioner`] per
-    /// unique mask, one `O(g^2)` triangular solve per member. The per-member
-    /// conditional means land in `mu` (cleared first); the returned value is
-    /// the group's shared conditional standard deviation (value-independent,
-    /// and bit-identical to the historical per-member
-    /// `Conditional1D::std_dev()` — both are `conditioner.variance().sqrt()`).
+    /// unique mask, one allocation-free `O(g^2)` triangular solve per member
+    /// (staged through `w`). The per-member conditional means land in `mu`
+    /// (cleared first); the returned value is the group's shared conditional
+    /// standard deviation (value-independent, and bit-identical to the
+    /// historical per-member `Conditional1D::std_dev()` — both are
+    /// `conditioner.variance().sqrt()`).
     fn conditional_means(
         &self,
         model: &MultivariateNormal,
         group: &MaskGroup,
         mu: &mut Vec<f64>,
+        w: &mut Vec<f64>,
     ) -> Result<f64, SelectionError> {
         let conditioner: Conditioner = model.conditioner(self.target, group.observed_idx())?;
         let sigma = conditioner.variance().sqrt();
+        w.clear();
+        w.resize(conditioner.num_given(), 0.0);
         mu.clear();
         for values in group.values() {
-            mu.push(conditioner.condition(values)?.mean);
+            mu.push(conditioner.condition_into(values, w)?);
         }
         Ok(sigma)
+    }
+
+    /// Thread cap of the blocked gradient sweep (see [`GRADIENT_BLOCK`]).
+    fn threads(&self) -> usize {
+        *self.threads.get_or_init(available_threads)
     }
 }
 

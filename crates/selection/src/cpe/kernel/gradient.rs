@@ -6,9 +6,9 @@
 //! conditional mean and variance of the target accuracy given worker `i`'s
 //! observed prior domains. [`c4u_stats::BinomialNormalBatch::log_z_gradients`]
 //! (over the kernel's shared SoA node tables) supplies `∂ log Z_i / ∂ m_i` and
-//! `∂ log Z_i / ∂ v` in one vectorised sweep per mask group (the variance —
-//! and therefore the quadrature tables — is shared by every member of a
-//! group); this module backpropagates those two
+//! `∂ log Z_i / ∂ v` in one vectorised sweep per block of a mask group (the
+//! variance — and therefore the quadrature tables — is shared by every member
+//! of a group); this module backpropagates those two
 //! scalars through the conditioning map onto the model parameters the
 //! estimator actually optimises: the mean vector and the packed lower triangle
 //! of the covariance.
@@ -39,13 +39,15 @@
 //! is exactly the poisoning the penalty mapping in
 //! `CrossDomainEstimator::update` guards against.
 
-use super::CpeLikelihoodKernel;
+use super::{BlockScratch, CpeLikelihoodKernel, GRADIENT_BLOCK};
 use crate::cpe::{from_lower_triangle, OBJECTIVE_PENALTY};
 use crate::SelectionError;
+use c4u_crowd_sim::parallel::run_indexed_jobs;
 use c4u_linalg::{packed_length, PackedLowerTriangle, Vector};
 use c4u_optim::GradientOracle;
 use c4u_stats::{nearest_positive_definite, Conditioner, LogZGradient, MultivariateNormal};
 use std::cell::RefCell;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// The Eq. 5 log-likelihood together with its closed-form Eq. 6–7 gradient in
 /// model coordinates.
@@ -77,10 +79,18 @@ impl CpeLikelihoodKernel<'_> {
     /// closed-form gradient with respect to the model parameters, accumulated
     /// per mask group.
     ///
-    /// Cost per model evaluation: one conditioning factorisation and one
-    /// vectorised quadrature sweep per unique mask — `O(1)` likelihood sweeps
-    /// per gradient, against the `2 x (D+1)(D+4)/2` full sweeps of the
-    /// central-difference oracle.
+    /// Cost per model evaluation: one conditioning factorisation per unique
+    /// mask and one vectorised quadrature sweep per block of ≤ 1024 members
+    /// of a mask group — `O(1)` likelihood sweeps per gradient, against the
+    /// `2 x (D+1)(D+4)/2` full sweeps of the central-difference oracle.
+    ///
+    /// The per-member phase (conditional mean, observed-block solve, sweep) of
+    /// a group with more than one block fans its blocks out over
+    /// `min(available_threads(), blocks)` threads; the reduction over members
+    /// runs afterwards on the calling thread, in member order. Only the cost
+    /// per member is shared out, never a sum, so the result is bit-identical
+    /// for every thread count. An error is the one the serial member loop
+    /// would hit first.
     pub fn log_likelihood_gradient(
         &self,
         model: &MultivariateNormal,
@@ -88,54 +98,71 @@ impl CpeLikelihoodKernel<'_> {
         let dim = self.target + 1;
         let mut d_mean = vec![0.0; dim];
         let mut d_cov = PackedLowerTriangle::zeros(dim);
-        // Per-observation log Z in original observation order, so the reported
-        // likelihood sums exactly like CpeLikelihoodKernel::log_likelihood.
-        let mut per_obs_log_z = vec![0.0; self.observations.len()];
         let mut scratch = self.scratch.borrow_mut();
         let s = &mut *scratch;
+        // Per-observation log Z in original observation order, so the reported
+        // likelihood sums exactly like CpeLikelihoodKernel::log_likelihood.
+        s.per_obs_log_z.clear();
+        s.per_obs_log_z.resize(self.observations.len(), 0.0);
 
-        for group in self.groups.groups() {
+        for (group, counts) in self.groups.groups().iter().zip(&self.counts) {
             let conditioner: Conditioner = model.conditioner(self.target, group.observed_idx())?;
             let sigma = conditioner.variance().sqrt();
             let idx = group.observed_idx();
             let alpha = conditioner.weights();
+            let g = idx.len();
 
-            // Conditional means and observed-block solves for every member,
-            // staged into the kernel's reused buffers.
-            s.obs.clear();
-            s.solves.clear();
-            for (&position, values) in group.members().iter().zip(group.values()) {
-                let (cond, w) = conditioner.condition_full(values)?;
-                let obs = &self.observations[position];
-                s.obs
-                    .push((cond.mean, obs.correct as f64, obs.wrong as f64));
-                s.solves.push(w);
+            // Per-member phase, one job per block: conditional means and
+            // observed-block solves staged into the block's reused buffers,
+            // then one vectorised sweep (log Z, ∂/∂m, ∂/∂v) over the kernel's
+            // shared SoA node tables.
+            let members = group.members().len();
+            let num_blocks = members.div_ceil(GRADIENT_BLOCK);
+            if s.blocks.len() < num_blocks {
+                s.blocks.resize_with(num_blocks, Default::default);
             }
+            let blocks = &s.blocks[..num_blocks];
+            let threads = if num_blocks > 1 { self.threads() } else { 1 };
+            // The jobs borrow fields, not `self`: the kernel is `!Sync`.
+            let (batch, values, conditioner) = (&self.batch, group.values(), &conditioner);
+            run_indexed_jobs(threads, num_blocks, |b| -> Result<(), SelectionError> {
+                let range = b * GRADIENT_BLOCK..((b + 1) * GRADIENT_BLOCK).min(members);
+                let mut block = lock(&blocks[b]);
+                let block = &mut *block;
+                block.obs.clear();
+                block.w.clear();
+                block.w.resize(range.len() * g, 0.0);
+                for (k, m) in range.clone().enumerate() {
+                    let w = &mut block.w[k * g..(k + 1) * g];
+                    let mean = conditioner.condition_into(&values[m], w)?;
+                    block.obs.push((mean, counts.correct[m], counts.wrong[m]));
+                }
+                block.grads.clear();
+                block.grads.resize(range.len(), LogZGradient::default());
+                batch.log_z_gradients_into(sigma, &block.obs, &mut block.grads, &mut block.quad);
+                Ok(())
+            })?;
 
-            // One vectorised sweep: log Z, ∂/∂m, ∂/∂v for the whole group,
-            // over the kernel's shared SoA node tables (built once per kernel,
-            // not once per group per evaluation) and into the reused gradient
-            // buffer — the sweep itself allocates nothing.
-            s.grads.clear();
-            s.grads.resize(s.obs.len(), LogZGradient::default());
-            self.batch
-                .log_z_gradients_into(sigma, &s.obs, &mut s.grads, &mut s.quad);
-
-            // Group-level sufficient statistics of the backpropagation.
+            // Group-level sufficient statistics of the backpropagation,
+            // accumulated serially in member order.
             let mut sum_d_mean = 0.0;
             let mut sum_d_var = 0.0;
             s.dm_w.clear();
-            s.dm_w.resize(idx.len(), 0.0);
-            for ((&position, grad), w) in group.members().iter().zip(&s.grads).zip(&s.solves) {
-                per_obs_log_z[position] = grad.log_z;
-                if !grad.is_finite() {
-                    // Underflowed normaliser: zero contribution, never NaN.
-                    continue;
-                }
-                sum_d_mean += grad.d_mean;
-                sum_d_var += grad.d_variance;
-                for (acc, &wi) in s.dm_w.iter_mut().zip(w.as_slice()) {
-                    *acc += grad.d_mean * wi;
+            s.dm_w.resize(g, 0.0);
+            let mut positions = group.members().iter();
+            for block in blocks {
+                let block = lock(block);
+                for (k, (grad, &position)) in block.grads.iter().zip(&mut positions).enumerate() {
+                    s.per_obs_log_z[position] = grad.log_z;
+                    if !grad.is_finite() {
+                        // Underflowed normaliser: zero contribution, never NaN.
+                        continue;
+                    }
+                    sum_d_mean += grad.d_mean;
+                    sum_d_var += grad.d_variance;
+                    for (acc, &wi) in s.dm_w.iter_mut().zip(&block.w[k * g..(k + 1) * g]) {
+                        *acc += grad.d_mean * wi;
+                    }
                 }
             }
 
@@ -166,7 +193,7 @@ impl CpeLikelihoodKernel<'_> {
         }
 
         let mut log_likelihood = 0.0;
-        for term in &per_obs_log_z {
+        for term in &s.per_obs_log_z {
             log_likelihood += term;
         }
         Ok(LikelihoodGradient {
@@ -179,6 +206,12 @@ impl CpeLikelihoodKernel<'_> {
 
 fn cpe_linalg_error(e: c4u_linalg::LinalgError) -> SelectionError {
     SelectionError::Numerical(e.to_string())
+}
+
+/// Locks one block's scratch. A poisoned lock is recovered: every block job
+/// overwrites its buffers before reading them.
+fn lock(block: &Mutex<BlockScratch>) -> MutexGuard<'_, BlockScratch> {
+    block.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The closed-form Eq. 6–7 [`GradientOracle`] over the packed CPE parameters —

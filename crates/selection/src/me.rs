@@ -25,12 +25,23 @@ impl ScoredWorker {
 
 /// Sorts workers in non-increasing score order (ties broken by worker id so that the
 /// process is fully deterministic).
+///
+/// NaN scores rank last (among themselves by worker id). Every other score
+/// compares by value, so `-0.0` and `0.0` tie and fall to the id tie-break.
+/// This is a total order, which the standard sort requires: comparing NaN as
+/// "equal" to everything is not, and the sort may panic on it.
 pub fn sort_by_score(scored: &[ScoredWorker]) -> Vec<ScoredWorker> {
     let mut sorted = scored.to_vec();
     sorted.sort_by(|a, b| {
-        b.score
-            .partial_cmp(&a.score)
-            .unwrap_or(std::cmp::Ordering::Equal)
+        a.score
+            .is_nan()
+            .cmp(&b.score.is_nan())
+            .then_with(|| {
+                // Only reached with both scores NaN (Equal) or both not NaN.
+                b.score
+                    .partial_cmp(&a.score)
+                    .unwrap_or(std::cmp::Ordering::Equal)
+            })
             .then_with(|| a.worker.cmp(&b.worker))
     });
     sorted
@@ -137,7 +148,51 @@ mod tests {
         ];
         let kept = median_eliminate(&s);
         assert_eq!(kept.len(), 2);
-        assert!(kept.contains(&2));
+        assert_eq!(kept, vec![2, 1]);
+    }
+
+    #[test]
+    fn nan_scores_rank_last_without_panicking() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        // 40 workers, ~20% NaN scores, a few exact ties and signed zeros.
+        let mut rng = StdRng::seed_from_u64(0x4e_41_4e);
+        for _ in 0..2000 {
+            let s: Vec<ScoredWorker> = (0..40)
+                .map(|i| {
+                    let score = match rng.next_u64() % 10 {
+                        0 | 1 => f64::NAN,
+                        2 => 0.5,
+                        3 => [0.0, -0.0][(rng.next_u64() % 2) as usize],
+                        _ => rng.gen::<f64>(),
+                    };
+                    ScoredWorker::new(i, score)
+                })
+                .collect();
+            let sorted = sort_by_score(&s);
+            let finite = s.iter().filter(|w| !w.score.is_nan()).count();
+            // Every non-NaN score precedes every NaN, in non-increasing order,
+            // with equal values (including -0.0 vs 0.0) ordered by worker id.
+            assert!(sorted[finite..].iter().all(|w| w.score.is_nan()));
+            assert!(sorted[..finite].windows(2).all(|p| p[0].score > p[1].score
+                || (p[0].score == p[1].score && p[0].worker < p[1].worker)));
+            assert!(sorted[finite..]
+                .windows(2)
+                .all(|p| p[0].worker < p[1].worker));
+            // The best finite scorer (lowest id among equals) always survives
+            // and heads the ranking.
+            let best =
+                s.iter()
+                    .filter(|w| !w.score.is_nan())
+                    .fold(None::<ScoredWorker>, |best, &w| match best {
+                        Some(b) if b.score >= w.score => Some(b),
+                        _ => Some(w),
+                    });
+            if let Some(best) = best {
+                assert_eq!(median_eliminate(&s)[0], best.worker);
+                assert_eq!(top_k(&s, 1), vec![best.worker]);
+            }
+        }
     }
 
     #[test]

@@ -518,32 +518,8 @@ impl Conditioner {
         &self,
         given_values: &[f64],
     ) -> Result<(Conditional1D, Vector), StatsError> {
-        if given_values.len() != self.num_given() {
-            return Err(StatsError::DimensionMismatch {
-                what: "given indices and values must have equal length",
-                left: self.num_given(),
-                right: given_values.len(),
-            });
-        }
-        let Some(chol_gg) = &self.chol_gg else {
-            return Ok((
-                Conditional1D {
-                    mean: self.target_mean,
-                    variance: self.variance,
-                },
-                Vector::zeros(0),
-            ));
-        };
-        let diff = Vector::from_fn(self.num_given(), |j| given_values[j] - self.given_means[j]);
-        // w = Sigma_{G,G}^{-1} (x_G - mu_G)
-        let w = chol_gg
-            .solve(&diff)
-            .map_err(|e| StatsError::Numerical(e.to_string()))?;
-        let mean = self.target_mean
-            + self
-                .sigma_tg
-                .dot(&w)
-                .map_err(|e| StatsError::Numerical(e.to_string()))?;
+        let mut w = Vector::zeros(self.num_given());
+        let mean = self.condition_into(given_values, w.as_mut_slice())?;
         Ok((
             Conditional1D {
                 mean,
@@ -551,6 +527,47 @@ impl Conditioner {
             },
             w,
         ))
+    }
+
+    /// The allocation-free form of [`Conditioner::condition_full`]: writes the
+    /// observed-block solve `w = Sigma_{G,G}^{-1} (x_G - mu_G)` into `w` and
+    /// returns the conditional mean (the variance is
+    /// [`Conditioner::variance`]). Bit-for-bit the `condition_full` result.
+    ///
+    /// `w` must have [`Conditioner::num_given`] entries.
+    pub fn condition_into(&self, given_values: &[f64], w: &mut [f64]) -> Result<f64, StatsError> {
+        if given_values.len() != self.num_given() {
+            return Err(StatsError::DimensionMismatch {
+                what: "given indices and values must have equal length",
+                left: self.num_given(),
+                right: given_values.len(),
+            });
+        }
+        if w.len() != self.num_given() {
+            return Err(StatsError::DimensionMismatch {
+                what: "solve buffer must have one entry per given index",
+                left: self.num_given(),
+                right: w.len(),
+            });
+        }
+        let Some(chol_gg) = &self.chol_gg else {
+            return Ok(self.target_mean);
+        };
+        for ((wj, &x), &m) in w.iter_mut().zip(given_values).zip(&self.given_means) {
+            *wj = x - m;
+        }
+        chol_gg
+            .solve_in_place(w)
+            .map_err(|e| StatsError::Numerical(e.to_string()))?;
+        // Vector::dot's product-then-sum order.
+        let dot: f64 = self
+            .sigma_tg
+            .as_slice()
+            .iter()
+            .zip(w.iter())
+            .map(|(a, b)| a * b)
+            .sum();
+        Ok(self.target_mean + dot)
     }
 }
 
@@ -889,6 +906,45 @@ mod tests {
         assert_eq!(cond.mean, mvn.mean()[3]);
         assert_eq!(w.len(), 0);
         assert!(marginal.condition_full(&[0.5]).is_err());
+    }
+
+    #[test]
+    fn condition_into_writes_the_solve_bit_for_bit() {
+        use c4u_linalg::{solve_lower_triangular, solve_upper_triangular};
+        let mvn = example_mvn();
+        for given in [&[0usize, 1, 2][..], &[0, 2], &[1]] {
+            let conditioner = mvn.conditioner(3, given).unwrap();
+            let values: Vec<f64> = given.iter().map(|&i| 0.31 + 0.17 * i as f64).collect();
+            // The historical route: a diff vector, forward substitution, then
+            // backward substitution through a transposed copy of the factor.
+            let diff = Vector::from_fn(given.len(), |j| values[j] - mvn.mean()[given[j]]);
+            let l = mvn
+                .covariance()
+                .submatrix(given, given)
+                .unwrap()
+                .cholesky_with_jitter(1e-10, 12)
+                .unwrap();
+            let y = solve_lower_triangular(l.l(), &diff).unwrap();
+            let expected_w = solve_upper_triangular(&l.l().transpose(), &y).unwrap();
+            let sigma_tg = Vector::from_fn(given.len(), |j| mvn.covariance()[(3, given[j])]);
+            let expected_mean = mvn.mean()[3] + sigma_tg.dot(&expected_w).unwrap();
+
+            let mut w = vec![f64::NAN; given.len()];
+            let mean = conditioner.condition_into(&values, &mut w).unwrap();
+            assert_eq!(w, expected_w.as_slice());
+            assert_eq!(mean, expected_mean);
+            let (full, full_w) = conditioner.condition_full(&values).unwrap();
+            assert_eq!((full.mean, full_w.as_slice()), (mean, w.as_slice()));
+            // A solve buffer of the wrong length is a typed error.
+            assert!(conditioner
+                .condition_into(&values, &mut vec![0.0; given.len() + 1])
+                .is_err());
+        }
+        let marginal = mvn.conditioner(3, &[]).unwrap();
+        assert_eq!(
+            marginal.condition_into(&[], &mut []).unwrap(),
+            mvn.mean()[3]
+        );
     }
 
     #[test]

@@ -219,6 +219,46 @@ fn end_to_end_evaluation_is_identical_for_every_shard_count() {
 }
 
 #[test]
+fn blocked_cpe_sweep_pool_is_identical_for_every_shard_count() {
+    // S-4 scaled to 3000 workers: the first rounds' CPE updates span several
+    // gradient-sweep blocks, which fan out over the machine's threads on
+    // every shard count. Selections and score bits were recorded from the
+    // serial (pre-blocking) sweep.
+    let mut config = DatasetConfig::s4();
+    config.pool_size = 3000;
+    let dataset = generate(&config).unwrap();
+    let run = |num_shards: usize| {
+        let mut platform = Platform::from_dataset(&dataset, 7).unwrap();
+        CrossDomainSelector::new(fast_config(num_shards))
+            .run(&mut platform, 5)
+            .unwrap()
+    };
+    let reference = run(1);
+    assert_eq!(reference.outcome.selected, vec![2116, 15, 1934, 1096, 72]);
+    let score_bits: Vec<u64> = reference
+        .outcome
+        .scores
+        .iter()
+        .map(|s| s.to_bits())
+        .collect();
+    assert_eq!(
+        score_bits,
+        vec![
+            0x3fefffc1fc134e0f,
+            0x3fefffaef31e645b,
+            0x3feffe64307bbea6,
+            0x3feffe39a3bd88fd,
+            0x3feffe1d080124dd,
+        ]
+    );
+    for num_shards in [3usize, 16] {
+        let report = run(num_shards);
+        assert_eq!(report.outcome, reference.outcome, "{num_shards} shards");
+        assert_eq!(report.rounds, reference.rounds, "{num_shards} shards");
+    }
+}
+
+#[test]
 fn default_config_remains_the_sequential_single_shard_layout() {
     let config = SelectorConfig::default();
     assert_eq!(config.num_shards, 1);
