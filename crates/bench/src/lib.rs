@@ -51,12 +51,10 @@ pub mod report;
 
 pub use cache::{cell_cache_dir, SweepStats, CELL_CACHE_ENV};
 pub use report::{
-    append_quadrature_run, append_service_run, bench_gate_enabled, gate_quadrature_cells,
-    gate_service_cells, latest_quadrature_baseline, latest_service_baseline, math_tag,
-    parse_quadrature_run, parse_service_run, quadrature_baseline_path, quadrature_report_path,
-    render_quadrature_run, render_service_run, service_baseline_path, service_report_path,
-    QuadratureCell, ServiceCell, BENCH_GATE_ENV, GATE_REGRESSION_LIMIT, QUADRATURE_BASELINE_ENV,
-    SERVICE_BASELINE_ENV,
+    append_quadrature_run, bench_gate_enabled, gate_quadrature_cells, latest_quadrature_baseline,
+    math_tag, parse_quadrature_run, quadrature_baseline_path, quadrature_report_path,
+    render_quadrature_run, QuadratureCell, BENCH_GATE_ENV, GATE_REGRESSION_LIMIT,
+    QUADRATURE_BASELINE_ENV,
 };
 
 use c4u_crowd_sim::{generate, CampaignSchedule, Dataset, DatasetConfig, Platform, SimError};

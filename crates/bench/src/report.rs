@@ -1,10 +1,9 @@
 //! Machine-readable bench reports (`BENCH_*.json`).
 //!
-//! The `quadrature` and `service` bench targets each emit one **run** — a
-//! list of per-cell medians over their sweeps — into a committed trajectory
-//! file, so the repository records how the hot-path throughput evolves across
-//! changes. The format is a single JSON document with one run object per
-//! line:
+//! The `quadrature` bench target emits one **run** — a list of per-cell
+//! medians over its sweep — into a committed trajectory file, so the
+//! repository records how the hot-path throughput evolves across changes. The
+//! format is a single JSON document with one run object per line:
 //!
 //! ```json
 //! {"schema":1,"bench":"quadrature","runs":[
@@ -150,20 +149,20 @@ fn render_document(bench: &str, run_lines: &[&str]) -> String {
 /// The closing bytes every well-formed report ends with.
 const CLOSER: &str = "\n]}\n";
 
-/// Appends one run line to the named bench's trajectory file, creating it if
+/// Appends one run line to the quadrature trajectory file, creating it if
 /// absent.
 ///
 /// A present file must end with the document closer; the new line is spliced
 /// in before it. A file that does not (hand-edited, truncated, or foreign) is
 /// replaced by a fresh single-run document — the report is a convenience
 /// record, not a source of truth worth failing a bench run over.
-fn append_run(path: &Path, bench: &str, run_line: &str) -> io::Result<()> {
+pub fn append_quadrature_run(path: &Path, run_line: &str) -> io::Result<()> {
     let document = match fs::read_to_string(path) {
         Ok(existing) if existing.ends_with(CLOSER) => {
             let body = &existing[..existing.len() - CLOSER.len()];
             format!("{body},\n{run_line}{CLOSER}")
         }
-        _ => render_document(bench, &[run_line]),
+        _ => render_document("quadrature", &[run_line]),
     };
     if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
         fs::create_dir_all(parent)?;
@@ -171,11 +170,6 @@ fn append_run(path: &Path, bench: &str, run_line: &str) -> io::Result<()> {
     let tmp = path.with_extension("json.tmp");
     fs::write(&tmp, document)?;
     fs::rename(&tmp, path)
-}
-
-/// Appends one run line to the quadrature trajectory file.
-pub fn append_quadrature_run(path: &Path, run_line: &str) -> io::Result<()> {
-    append_run(path, "quadrature", run_line)
 }
 
 /// The report path from `C4U_QUAD_REPORT`: `None` when explicitly disabled
@@ -186,16 +180,12 @@ pub fn quadrature_report_path() -> Option<std::path::PathBuf> {
         .or_default(default_report_path())
 }
 
-/// The committed trajectory location of a report file (manifest-relative, so
-/// it does not depend on the bench working directory).
-fn committed_report_path(file_name: &str) -> std::path::PathBuf {
+/// The committed trajectory location (manifest-relative, so it does not
+/// depend on the bench working directory).
+fn default_report_path() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
-        .join(file_name)
-}
-
-fn default_report_path() -> std::path::PathBuf {
-    committed_report_path(QUADRATURE_REPORT_DEFAULT)
+        .join(QUADRATURE_REPORT_DEFAULT)
 }
 
 /// `true` when `C4U_BENCH_GATE=1`: the quadrature bench then fails (exit
@@ -307,172 +297,6 @@ pub fn gate_quadrature_cells(
                     cell.workers,
                     cell.nodes,
                     math_tag(cell.math),
-                    now,
-                    was,
-                    (now / was - 1.0) * 100.0,
-                    GATE_REGRESSION_LIMIT * 100.0,
-                ));
-            }
-        }
-    }
-    violations
-}
-
-// ---------------------------------------------------------------------------
-// The `service` bench trajectory: Algorithm-4 rounds through the async shard
-// service vs the in-process sharded reference, at 10^5–10^6 workers.
-// ---------------------------------------------------------------------------
-
-/// Environment variable naming the service report path. Empty disables
-/// writing; unset uses [`SERVICE_REPORT_DEFAULT`] at the workspace root.
-pub const SERVICE_REPORT_ENV: &str = c4u_env::names::SERVICE_REPORT;
-
-/// Default service report file name (committed at the workspace root).
-pub const SERVICE_REPORT_DEFAULT: &str = "BENCH_service.json";
-
-/// Environment variable overriding the service gate's baseline trajectory
-/// file; unset or empty falls back to the committed default report —
-/// independent of [`SERVICE_REPORT_ENV`], like the quadrature pair.
-pub const SERVICE_BASELINE_ENV: &str = c4u_env::names::SERVICE_BASELINE;
-
-/// One `(workers, shards, executors)` cell of the service sweep: median
-/// wall-clock of one full learning round through the [`ShardService`]
-/// executor pool and through the in-process sharded reference path.
-///
-/// [`ShardService`]: c4u_service::ShardService
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ServiceCell {
-    /// Workers answering the round (the pool size).
-    pub workers: usize,
-    /// Golden questions per worker in the round.
-    pub tasks: usize,
-    /// Worker-range shards the round fans out over.
-    pub shards: usize,
-    /// Executor threads of the service (`0` identifies the in-process
-    /// reference rows in mixed sweeps; the committed sweep uses >= 1).
-    pub executors: usize,
-    /// Median nanoseconds of one round through the service.
-    pub service_median_ns: f64,
-    /// Median nanoseconds of the same round through
-    /// `assign_learning_batch_sharded`.
-    pub in_process_median_ns: f64,
-}
-
-impl ServiceCell {
-    /// Service nanoseconds per worker-task — the throughput quantity the gate
-    /// bounds (one answered golden question is the unit of round work).
-    pub fn ns_per_worker_task(&self) -> f64 {
-        self.service_median_ns / (self.workers * self.tasks) as f64
-    }
-
-    /// Service over in-process wall-clock: the overhead multiple the queue,
-    /// executor pool, and merging cost on this cell (1.0 = free).
-    pub fn overhead(&self) -> f64 {
-        self.service_median_ns / self.in_process_median_ns
-    }
-}
-
-/// Renders one service run (all cells of one bench invocation) as a single
-/// JSON line.
-pub fn render_service_run(cells: &[ServiceCell]) -> String {
-    let rendered: Vec<String> = cells
-        .iter()
-        .map(|cell| {
-            format!(
-                "{{\"workers\":{},\"tasks\":{},\"shards\":{},\"executors\":{},\"service_median_ns\":{},\"in_process_median_ns\":{},\"ns_per_worker_task\":{},\"overhead\":{}}}",
-                cell.workers,
-                cell.tasks,
-                cell.shards,
-                cell.executors,
-                format_f64(cell.service_median_ns),
-                format_f64(cell.in_process_median_ns),
-                format_f64(cell.ns_per_worker_task()),
-                format_f64(cell.overhead()),
-            )
-        })
-        .collect();
-    format!("{{\"cells\":[{}]}}", rendered.join(","))
-}
-
-/// [`append_quadrature_run`]'s counterpart for the service trajectory.
-pub fn append_service_run(path: &Path, run_line: &str) -> io::Result<()> {
-    append_run(path, "service", run_line)
-}
-
-/// The report path from `C4U_SERVICE_REPORT`: `None` when explicitly disabled
-/// with an empty value, the committed default when unset.
-pub fn service_report_path() -> Option<std::path::PathBuf> {
-    c4u_env::C4uEnv::from_env()
-        .service_report
-        .or_default(committed_report_path(SERVICE_REPORT_DEFAULT))
-}
-
-/// The service gate's baseline trajectory file: `C4U_SERVICE_BASELINE` when
-/// set and non-empty, otherwise the committed default report.
-pub fn service_baseline_path() -> std::path::PathBuf {
-    c4u_env::C4uEnv::from_env()
-        .service_baseline
-        .or_fallback(committed_report_path(SERVICE_REPORT_DEFAULT))
-}
-
-/// Parses the cells of one service run line back into [`ServiceCell`]s; cells
-/// missing an identity field or a measured median are skipped, not invented.
-pub fn parse_service_run(run_line: &str) -> Vec<ServiceCell> {
-    let Some(start) = run_line.find("\"cells\":[") else {
-        return Vec::new();
-    };
-    let body = &run_line[start + "\"cells\":[".len()..];
-    let mut cells = Vec::new();
-    for chunk in body.split('{').skip(1) {
-        let obj = chunk.split('}').next().unwrap_or("");
-        let parsed = (|| {
-            Some(ServiceCell {
-                workers: raw_field(obj, "workers")?.parse().ok()?,
-                tasks: raw_field(obj, "tasks")?.parse().ok()?,
-                shards: raw_field(obj, "shards")?.parse().ok()?,
-                executors: raw_field(obj, "executors")?.parse().ok()?,
-                service_median_ns: raw_field(obj, "service_median_ns")?.parse().ok()?,
-                in_process_median_ns: raw_field(obj, "in_process_median_ns")?.parse().ok()?,
-            })
-        })();
-        if let Some(cell) = parsed {
-            cells.push(cell);
-        }
-    }
-    cells
-}
-
-/// Loads the newest service run as the gate baseline (same contract as
-/// [`latest_quadrature_baseline`]).
-pub fn latest_service_baseline(path: &Path) -> Option<Vec<ServiceCell>> {
-    let cells = parse_service_run(&latest_run_line(path)?);
-    (!cells.is_empty()).then_some(cells)
-}
-
-/// Compares a fresh service run against a baseline: one violation string per
-/// cell whose service ns per worker-task regressed by more than
-/// [`GATE_REGRESSION_LIMIT`] against the baseline cell with the same
-/// `(workers, tasks, shards, executors)` identity. Unmatched cells pass
-/// vacuously, like the quadrature gate.
-pub fn gate_service_cells(baseline: &[ServiceCell], current: &[ServiceCell]) -> Vec<String> {
-    let mut violations = Vec::new();
-    for cell in current {
-        let matched = baseline.iter().find(|b| {
-            b.workers == cell.workers
-                && b.tasks == cell.tasks
-                && b.shards == cell.shards
-                && b.executors == cell.executors
-        });
-        if let Some(base) = matched {
-            let was = base.ns_per_worker_task();
-            let now = cell.ns_per_worker_task();
-            if was.is_finite() && now.is_finite() && now > was * (1.0 + GATE_REGRESSION_LIMIT) {
-                violations.push(format!(
-                    "workers={} tasks={} shards={} executors={}: {:.2} ns/worker-task vs baseline {:.2} (+{:.0}%, limit +{:.0}%)",
-                    cell.workers,
-                    cell.tasks,
-                    cell.shards,
-                    cell.executors,
                     now,
                     was,
                     (now / was - 1.0) * 100.0,
@@ -628,77 +452,5 @@ mod tests {
         let mut faster = cell();
         faster.batched_median_ns = base.batched_median_ns * 0.5;
         assert!(gate_quadrature_cells(&[base], &[faster]).is_empty());
-    }
-
-    fn service_cell() -> ServiceCell {
-        ServiceCell {
-            workers: 100_000,
-            tasks: 10,
-            shards: 8,
-            executors: 4,
-            service_median_ns: 5_000_000.0,
-            in_process_median_ns: 4_000_000.0,
-        }
-    }
-
-    #[test]
-    fn service_derived_quantities() {
-        let c = service_cell();
-        // 5 ms over 10^6 worker-tasks = 5 ns each; 5/4 ms = 1.25x overhead.
-        assert!((c.ns_per_worker_task() - 5.0).abs() < 1e-12);
-        assert!((c.overhead() - 1.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn service_run_lines_round_trip_through_the_parser() {
-        let mut wide = service_cell();
-        wide.executors = 16;
-        wide.service_median_ns = 3_000_000.0;
-        let line = render_service_run(&[service_cell(), wide]);
-        assert!(!line.contains('\n'));
-        assert!(line.contains("\"executors\":4"));
-        assert!(line.contains("\"executors\":16"));
-        assert_eq!(parse_service_run(&line), vec![service_cell(), wide]);
-    }
-
-    #[test]
-    fn service_appends_build_their_own_trajectory_document() {
-        let dir = std::env::temp_dir().join(format!("c4u-service-report-{}", std::process::id()));
-        let path = dir.join("BENCH_service.json");
-        let _ = fs::remove_file(&path);
-        assert_eq!(latest_service_baseline(&path), None);
-
-        append_service_run(&path, &render_service_run(&[service_cell()])).unwrap();
-        let doc = fs::read_to_string(&path).unwrap();
-        assert!(doc.starts_with("{\"schema\":1,\"bench\":\"service\",\"runs\":[\n"));
-        assert!(doc.ends_with(CLOSER));
-
-        // The baseline is the newest appended run.
-        let mut newer = service_cell();
-        newer.service_median_ns = 4_500_000.0;
-        append_service_run(&path, &render_service_run(&[newer])).unwrap();
-        assert_eq!(latest_service_baseline(&path).unwrap(), vec![newer]);
-
-        fs::remove_file(&path).unwrap();
-        let _ = fs::remove_dir(&dir);
-    }
-
-    #[test]
-    fn service_gate_flags_only_regressions_beyond_the_limit() {
-        let base = service_cell();
-        let mut within = service_cell();
-        within.service_median_ns = base.service_median_ns * 1.2; // +20%: allowed
-        assert!(gate_service_cells(&[base], &[within]).is_empty());
-
-        let mut beyond = service_cell();
-        beyond.service_median_ns = base.service_median_ns * 1.3; // +30%: flagged
-        let violations = gate_service_cells(&[base], &[beyond]);
-        assert_eq!(violations.len(), 1);
-        assert!(violations[0].contains("workers=100000 tasks=10 shards=8 executors=4"));
-
-        // A different executor count is a different identity: vacuous pass.
-        let mut other_layout = beyond;
-        other_layout.executors = 16;
-        assert!(gate_service_cells(&[base], &[other_layout]).is_empty());
     }
 }

@@ -14,11 +14,10 @@
 //!   already gone).
 //!
 //! The schedule is pure data, so the same timeline can be replayed against any
-//! execution backend (in-process shards, the async service) and any shard count;
-//! `tests/churn_determinism.rs` pins that the resulting selector reports are
-//! bit-for-bit identical. The **closed-world contract** is the degenerate case:
-//! an empty schedule must reproduce the batch campaign exactly
-//! (`tests/event_equivalence.rs`).
+//! shard count; `tests/churn_determinism.rs` pins that the resulting selector
+//! reports are bit-for-bit identical. The **closed-world contract** is the
+//! degenerate case: an empty schedule must reproduce the batch campaign
+//! exactly (`tests/event_equivalence.rs`).
 
 use std::collections::BTreeMap;
 

@@ -22,12 +22,9 @@
 //! * [`WorkerShards`] + the sharded platform paths
 //!   ([`Platform::assign_learning_batch_sharded`],
 //!   [`Platform::evaluate_working_accuracy_sharded`]) — worker-range
-//!   partitioning for pools of `10^4+` workers, parallel per shard on scoped
-//!   threads and bit-for-bit identical for every layout;
-//! * the [`serve`](crate::AnswerShardRequest) layer — plan/serve/commit
-//!   decomposition of both sharded paths into pure, self-contained per-shard
-//!   requests plus the [`ShardExecutor`] trait, the seam the `c4u-service`
-//!   crate puts behind a work queue, a binary codec, and socket transports;
+//!   partitioning for pools of `10^4+` workers: each round is planned into
+//!   pure, self-contained per-shard requests, served on scoped threads, and
+//!   committed in worker order, bit-for-bit identical for every layout;
 //! * [`parallel`] — the workspace's scoped-thread work queue
 //!   ([`run_indexed_jobs`]), shared by the platform shards, the selection
 //!   crate's evaluation engine, and the bench harness;
@@ -85,11 +82,7 @@ pub use event::{AppliedRoundEvents, CampaignSchedule, RoundEvents};
 pub use generator::{build_population_model, generate, generate_replicas};
 pub use io::{from_text, to_text};
 pub use parallel::run_indexed_jobs;
-pub use platform::{EvaluationPlan, LearningRoundPlan, Platform, RoundRecord};
-pub use serve::{
-    merge_evaluation, AnswerShardRequest, EvaluateShardRequest, InProcessExecutor, ShardExecutor,
-    WorkerSnapshot,
-};
+pub use platform::{Platform, RoundRecord};
 pub use shard::WorkerShards;
 pub use task::{AnswerSheet, Task, TaskKind, TaskPool};
 pub use worker::{answer_with_accuracy, HistoricalProfile, SimulatedWorker, WorkerId, WorkerSpec};

@@ -41,7 +41,7 @@
 
 use crate::dataset::Dataset;
 use crate::event::{AppliedRoundEvents, RoundEvents};
-use crate::parallel::run_indexed_jobs;
+use crate::parallel::{available_threads, run_indexed_jobs};
 use crate::serve::{merge_evaluation, AnswerShardRequest, EvaluateShardRequest, WorkerSnapshot};
 use crate::shard::WorkerShards;
 use crate::task::AnswerSheet;
@@ -73,6 +73,18 @@ pub(crate) fn worker_stream_seed(base: u64, tag: u64, epoch: u64, worker: u64) -
         acc = mix64(acc.wrapping_add(0x9E37_79B9_7F4A_7C15).wrapping_add(part));
     }
     acc
+}
+
+/// Scoped threads for serving `shards` shard requests: one per shard, capped
+/// at the machine's parallelism so a wide layout does not oversubscribe the
+/// cores. Results are merged in shard order, so the cap never changes a bit.
+/// The parallelism query is skipped for single-shard rounds, which run inline.
+fn shard_threads(shards: usize) -> usize {
+    if shards > 1 {
+        available_threads().min(shards)
+    } else {
+        shards
+    }
 }
 
 /// Record of one training assignment (one strategy round).
@@ -110,73 +122,42 @@ impl RoundRecord {
 /// A planned (not yet executed) learning round: the per-shard answering
 /// requests plus the bookkeeping needed to commit the merged sheets.
 ///
-/// Produced by [`Platform::plan_learning_round`]; executed by any
-/// [`ShardExecutor`](crate::ShardExecutor) (in-process threads, a service
-/// queue, a socket transport); finalised by
-/// [`Platform::commit_learning_round`]. The plan is a pure value — executing
-/// its requests touches no platform state, so execution can happen anywhere
-/// and in any order as long as the merged sheets come back in shard order.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LearningRoundPlan {
+/// Produced by [`Platform::plan_learning_round`], served on scoped threads,
+/// and finalised by [`Platform::commit_learning_round`]. The plan is a pure
+/// value — serving its requests touches no platform state, so they can run in
+/// any order as long as the merged sheets come back in shard order.
+#[derive(Debug)]
+pub(crate) struct LearningRoundPlan {
     round: usize,
     task_start: usize,
     tasks_per_worker: usize,
     requested: usize,
+    /// The per-shard answering requests, in shard (== worker) order. Empty for
+    /// a no-op round (no workers or zero tasks).
     requests: Vec<AnswerShardRequest>,
 }
 
 impl LearningRoundPlan {
-    /// The per-shard answering requests, in shard (== worker) order. Empty for
-    /// a no-op round (no workers or zero tasks).
-    pub fn requests(&self) -> &[AnswerShardRequest] {
-        &self.requests
-    }
-
-    /// 1-based index this round will get in platform history.
-    pub fn round(&self) -> usize {
-        self.round
-    }
-
-    /// Learning-pool cursor position the plan was taken at.
-    pub fn task_start(&self) -> usize {
-        self.task_start
-    }
-
-    /// Number of learning tasks assigned to each worker.
-    pub fn tasks_per_worker(&self) -> usize {
-        self.tasks_per_worker
-    }
-
     /// Total number of participating workers across all shards.
-    pub fn num_workers(&self) -> usize {
+    pub(crate) fn num_workers(&self) -> usize {
         self.requests.iter().map(|r| r.workers.len()).sum()
     }
 }
 
 /// A planned working-accuracy evaluation: per-shard requests whose served
 /// accuracies, flattened in shard order, merge via
-/// [`merge_evaluation`](crate::merge_evaluation).
+/// [`merge_evaluation`].
 ///
 /// Produced by [`Platform::plan_evaluation`] (which consumes one evaluation
 /// epoch unless the worker list is empty); the merge is pure, so no commit
 /// step exists.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EvaluationPlan {
-    requests: Vec<EvaluateShardRequest>,
-    num_workers: usize,
-}
-
-impl EvaluationPlan {
+#[derive(Debug)]
+pub(crate) struct EvaluationPlan {
     /// The per-shard evaluation requests, in shard (== worker) order. Empty
     /// when the evaluated worker list was empty.
-    pub fn requests(&self) -> &[EvaluateShardRequest] {
-        &self.requests
-    }
-
+    requests: Vec<EvaluateShardRequest>,
     /// Total number of evaluated workers across all shards.
-    pub fn num_workers(&self) -> usize {
-        self.num_workers
-    }
+    num_workers: usize,
 }
 
 /// The running state of a simulated crowdsourcing platform.
@@ -461,17 +442,15 @@ impl Platform {
         shards: &WorkerShards,
     ) -> Result<RoundRecord, SimError> {
         let plan = self.plan_learning_round(worker_ids, tasks_per_worker, shards)?;
-        // Answering phase: one scoped thread per shard request (the shard
-        // count *is* the parallelism budget, mirroring
-        // `EvalEngine::with_threads`), sheets merged back in shard == worker
-        // order. Serving is the same pure function every remote executor
-        // runs, so this path and the service path are literally one code path.
-        let requests = plan.requests();
+        // Answering phase: the shard requests are served on at most
+        // `shard_threads` scoped threads and the sheets merged back in
+        // shard == worker order.
+        let requests = &plan.requests;
         let sheets = if requests.is_empty() {
             Vec::new()
         } else {
             let per_shard: Vec<Vec<AnswerSheet>> =
-                run_indexed_jobs(requests.len(), requests.len(), |shard| {
+                run_indexed_jobs(shard_threads(requests.len()), requests.len(), |shard| {
                     requests[shard].serve()
                 })?;
             let mut sheets = Vec::with_capacity(plan.num_workers());
@@ -489,7 +468,7 @@ impl Platform {
     /// [`AnswerShardRequest`] per shard. Platform state is untouched — the
     /// round happens when the merged sheets are handed to
     /// [`Platform::commit_learning_round`].
-    pub fn plan_learning_round(
+    pub(crate) fn plan_learning_round(
         &self,
         worker_ids: &[WorkerId],
         tasks_per_worker: usize,
@@ -578,9 +557,9 @@ impl Platform {
     ///
     /// Returns an error if the plan is stale (another round was committed or
     /// the platform otherwise advanced since planning) or if the sheets do not
-    /// match the plan — a transport that loses or duplicates a batch produces
-    /// a typed error here, never a silently wrong round.
-    pub fn commit_learning_round(
+    /// match the plan — a lost or duplicated shard produces a typed error
+    /// here, never a silently wrong round.
+    pub(crate) fn commit_learning_round(
         &mut self,
         plan: &LearningRoundPlan,
         sheets: Vec<AnswerSheet>,
@@ -643,16 +622,17 @@ impl Platform {
         shards: &WorkerShards,
     ) -> Result<f64, SimError> {
         let plan = self.plan_evaluation(worker_ids, shards)?;
-        let requests = plan.requests();
+        let requests = &plan.requests;
         if requests.is_empty() {
             return Ok(0.0);
         }
-        let per_shard: Vec<Vec<f64>> = run_indexed_jobs(requests.len(), requests.len(), |shard| {
-            requests[shard].serve()
-        })?;
+        let per_shard: Vec<Vec<f64>> =
+            run_indexed_jobs(shard_threads(requests.len()), requests.len(), |shard| {
+                requests[shard].serve()
+            })?;
         // Flatten in worker order (shard order == worker order), so the merge
         // sum is the same float expression for every shard layout.
-        let mut per_worker = Vec::with_capacity(plan.num_workers());
+        let mut per_worker = Vec::with_capacity(plan.num_workers);
         for shard_accuracies in per_shard {
             per_worker.extend(shard_accuracies);
         }
@@ -664,10 +644,10 @@ impl Platform {
     /// [`Platform::evaluate_working_accuracy_sharded`] does, consumes one
     /// evaluation epoch (unless the list is empty — an empty evaluation is
     /// 0.0 and draws no noise), and returns one self-contained
-    /// [`EvaluateShardRequest`] per shard. The caller serves the requests
-    /// anywhere, flattens the per-shard accuracies in shard order, and merges
-    /// them with [`merge_evaluation`](crate::merge_evaluation).
-    pub fn plan_evaluation(
+    /// [`EvaluateShardRequest`] per shard. The caller serves the requests,
+    /// flattens the per-shard accuracies in shard order, and merges them with
+    /// [`merge_evaluation`].
+    pub(crate) fn plan_evaluation(
         &mut self,
         worker_ids: &[WorkerId],
         shards: &WorkerShards,
@@ -933,6 +913,32 @@ mod tests {
             p.evaluate_working_accuracy_sharded(&ids, &wrong),
             Err(SimError::InvalidConfig { .. })
         ));
+    }
+
+    #[test]
+    fn commit_rejects_stale_plans_and_short_sheets() {
+        let mut p = platform();
+        let ids = p.worker_ids();
+        let shards = WorkerShards::by_count(ids.len(), 3);
+        let plan = p.plan_learning_round(&ids, 5, &shards).unwrap();
+        let mut sheets: Vec<AnswerSheet> = Vec::new();
+        for request in &plan.requests {
+            sheets.extend(request.serve().unwrap());
+        }
+        // A lost sheet is a typed error, and nothing is committed.
+        let short = sheets[1..].to_vec();
+        assert!(matches!(
+            p.commit_learning_round(&plan, short),
+            Err(SimError::InvalidConfig { .. })
+        ));
+        assert_eq!(p.rounds_run(), 0);
+        // Once another round lands, the old plan is stale.
+        p.assign_learning_batch(&ids, 5).unwrap();
+        assert!(matches!(
+            p.commit_learning_round(&plan, sheets),
+            Err(SimError::InvalidConfig { .. })
+        ));
+        assert_eq!(p.rounds_run(), 1);
     }
 
     #[test]

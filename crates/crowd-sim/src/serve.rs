@@ -1,29 +1,20 @@
 //! Shard serving: the pure, self-contained request layer behind the shard seam.
 //!
-//! PR 4 made worker-range sharding ([`WorkerShards`](crate::WorkerShards)) a
-//! pure execution concern: per-worker RNG streams mean the shard layout
-//! carries no entropy, so any layout reproduces the unsharded numbers
-//! bit-for-bit. This module turns that seam into a *transport* boundary. A
-//! platform round no longer answers its shards inline — it **plans** them
-//! ([`Platform::plan_learning_round`](crate::Platform::plan_learning_round),
-//! [`Platform::plan_evaluation`](crate::Platform::plan_evaluation)) into
-//! self-contained request values that can be executed anywhere:
+//! Worker-range sharding ([`WorkerShards`](crate::WorkerShards)) is a pure
+//! execution concern: per-worker RNG streams mean the shard layout carries no
+//! entropy, so any layout reproduces the unsharded numbers bit-for-bit. A
+//! platform round therefore runs in three steps — **plan** the shards into
+//! self-contained request values, **serve** them on scoped threads, and
+//! **commit** the merged result:
 //!
 //! * [`AnswerShardRequest`] / [`EvaluateShardRequest`] carry everything one
 //!   shard needs — `(worker id, current accuracy)` snapshots, the shared gold
 //!   slice, and the `(seed, stream tag, epoch)` key of the answering-noise
 //!   streams. Serving a request is a pure function of the request value:
 //!   no platform reference, no shared state, no ambient entropy.
-//! * [`ShardExecutor`] is the executor trait a transport implements to answer
-//!   requests; [`InProcessExecutor`] is the trivial same-thread executor the
-//!   platform's own sharded paths use. `c4u-service` puts the same trait
-//!   behind a work queue, a binary codec, and socket transports.
-//!
-//! Because every executor runs the same pure serving functions on the same
-//! request values, and responses are merged back by shard index, *where* a
-//! shard executes (inline, worker thread, another process) can never change
-//! any answer — the determinism contract of ARCHITECTURE.md survives the
-//! network boundary by construction.
+//! * Responses are merged back by shard index ([`merge_evaluation`] for the
+//!   working-accuracy average), so the thread a shard ran on can never change
+//!   any answer — the determinism contract of ARCHITECTURE.md.
 
 use crate::platform::worker_stream_seed;
 use crate::task::AnswerSheet;
@@ -36,12 +27,11 @@ use rand::SeedableRng;
 ///
 /// [`SimulatedWorker::answer_tasks`](crate::SimulatedWorker::answer_tasks)
 /// depends only on the worker's *current* accuracy (plus the request's RNG
-/// stream), so this two-field snapshot is all a remote executor needs to
-/// reproduce the worker's answers bit-for-bit. Learning updates stay at the
-/// coordinator — exactly as the sharded platform paths already apply them
-/// after the answering phase.
+/// stream), so this two-field snapshot is all a serving thread needs to
+/// reproduce the worker's answers bit-for-bit. Learning updates are applied
+/// by the platform after the answering phase.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WorkerSnapshot {
+pub(crate) struct WorkerSnapshot {
     /// The worker's id — the stream-derivation key component.
     pub id: WorkerId,
     /// The worker's current true accuracy at planning time.
@@ -54,7 +44,7 @@ pub struct WorkerSnapshot {
 /// for the same shard: one [`AnswerSheet`] per snapshot, in snapshot order,
 /// each drawn from the worker's own `(seed, stream_tag, epoch, id)` stream.
 #[derive(Debug, Clone, PartialEq)]
-pub struct AnswerShardRequest {
+pub(crate) struct AnswerShardRequest {
     /// Base platform seed of the answering streams.
     pub seed: u64,
     /// Stream-family tag (learning vs. working answers).
@@ -71,9 +61,8 @@ impl AnswerShardRequest {
     /// Serves the request: one answer sheet per snapshot, in snapshot order.
     ///
     /// A pure function of the request value — no platform state, no ambient
-    /// entropy — so every executor (in-process, worker thread, remote
-    /// process) produces identical bytes.
-    pub fn serve(&self) -> Result<Vec<AnswerSheet>, SimError> {
+    /// entropy — so every thread serving it produces identical bytes.
+    pub(crate) fn serve(&self) -> Result<Vec<AnswerSheet>, SimError> {
         self.workers
             .iter()
             .map(|snapshot| {
@@ -97,7 +86,7 @@ impl AnswerShardRequest {
 /// for the same shard; the caller merges them in worker order
 /// ([`merge_evaluation`]).
 #[derive(Debug, Clone, PartialEq)]
-pub struct EvaluateShardRequest {
+pub(crate) struct EvaluateShardRequest {
     /// Base platform seed of the answering streams.
     pub seed: u64,
     /// Stream-family tag of the working-answer streams.
@@ -113,7 +102,7 @@ pub struct EvaluateShardRequest {
 impl EvaluateShardRequest {
     /// Serves the request: one observed accuracy per snapshot, in snapshot
     /// order. Pure, like [`AnswerShardRequest::serve`].
-    pub fn serve(&self) -> Result<Vec<f64>, SimError> {
+    pub(crate) fn serve(&self) -> Result<Vec<f64>, SimError> {
         self.workers
             .iter()
             .map(|snapshot| {
@@ -132,9 +121,9 @@ impl EvaluateShardRequest {
 
 /// Merges per-worker observed accuracies into the platform's evaluation
 /// criterion: accumulate in worker order, divide by the worker count. The sum
-/// is the same float expression for every shard layout and every transport,
-/// so the merged average is bit-for-bit layout-independent.
-pub fn merge_evaluation(per_worker: &[f64]) -> f64 {
+/// is the same float expression for every shard layout, so the merged average
+/// is bit-for-bit layout-independent.
+pub(crate) fn merge_evaluation(per_worker: &[f64]) -> f64 {
     if per_worker.is_empty() {
         return 0.0;
     }
@@ -143,36 +132,6 @@ pub fn merge_evaluation(per_worker: &[f64]) -> f64 {
         total += accuracy;
     }
     total / per_worker.len() as f64
-}
-
-/// An executor of shard requests: the seam a transport implements.
-///
-/// The contract is exact reproduction: for any request, an implementation
-/// must return precisely what the request's own `serve` returns (or a typed
-/// error — never a different answer). [`InProcessExecutor`] is the identity
-/// implementation; `c4u-service` provides queue-fed thread-pool executors and
-/// codec/socket transports behind the same trait, all pinned against the
-/// in-process numbers by `tests/service_equivalence.rs`.
-pub trait ShardExecutor: Send + Sync {
-    /// Answers one shard's learning batch.
-    fn answer(&self, request: &AnswerShardRequest) -> Result<Vec<AnswerSheet>, SimError>;
-
-    /// Evaluates one shard's working accuracy.
-    fn evaluate(&self, request: &EvaluateShardRequest) -> Result<Vec<f64>, SimError>;
-}
-
-/// The trivial executor: serves every request on the calling thread.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct InProcessExecutor;
-
-impl ShardExecutor for InProcessExecutor {
-    fn answer(&self, request: &AnswerShardRequest) -> Result<Vec<AnswerSheet>, SimError> {
-        request.serve()
-    }
-
-    fn evaluate(&self, request: &EvaluateShardRequest) -> Result<Vec<f64>, SimError> {
-        request.serve()
-    }
 }
 
 #[cfg(test)]
@@ -263,25 +222,5 @@ mod tests {
             total += v;
         }
         assert_eq!(merge_evaluation(&values), total / 3.0);
-    }
-
-    #[test]
-    fn in_process_executor_is_the_identity() {
-        let req = request();
-        assert_eq!(
-            InProcessExecutor.answer(&req).unwrap(),
-            req.serve().unwrap()
-        );
-        let eval = EvaluateShardRequest {
-            seed: 3,
-            stream_tag: 0x574F_524B,
-            epoch: 0,
-            workers: req.workers.clone(),
-            gold: req.gold.clone(),
-        };
-        assert_eq!(
-            InProcessExecutor.evaluate(&eval).unwrap(),
-            eval.serve().unwrap()
-        );
     }
 }

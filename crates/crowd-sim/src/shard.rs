@@ -7,15 +7,13 @@
 //! worker-id slice into contiguous ranges that
 //! [`Platform::assign_learning_batch_sharded`](crate::Platform::assign_learning_batch_sharded)
 //! (and the per-worker scoring passes in `c4u-selection`) process
-//! independently — one scoped thread per shard, results merged back in worker
-//! order.
+//! independently on scoped threads, results merged back in worker order.
 //!
 //! Because every worker draws from its own deterministic RNG stream (split
 //! from the platform seed by worker id), the shard layout carries **no**
 //! entropy: any shard count, including the single-shard "unsharded" layout,
 //! produces bit-for-bit identical records. The shard boundary is therefore
-//! purely an execution concern — and it is exactly the queue/worker-shard
-//! boundary a future asynchronous platform service will distribute over.
+//! purely an execution concern.
 //!
 //! ```
 //! use c4u_crowd_sim::WorkerShards;

@@ -20,10 +20,10 @@ pub type WorkerId = usize;
 /// the gold label is reproduced, otherwise it is flipped.
 ///
 /// This is the single answering expression of the whole simulator —
-/// [`SimulatedWorker::answer_tasks`] and the shard-serving requests
-/// ([`crate::AnswerShardRequest`]) both delegate here, so every execution path
-/// (in-process, sharded, remote service) draws the same floats in the same
-/// order and produces bit-for-bit identical answers.
+/// [`SimulatedWorker::answer_tasks`] and the platform's shard-serving
+/// requests both delegate here, so every execution path (unsharded or
+/// sharded) draws the same floats in the same order and produces bit-for-bit
+/// identical answers.
 pub fn answer_with_accuracy<R: Rng + ?Sized>(
     rng: &mut R,
     accuracy: f64,

@@ -27,8 +27,8 @@
 //! Only *unknown names* warn; known names with odd values keep the documented
 //! fallback semantics.
 //!
-//! The crate is dependency-free so every layer (service, bench, examples) can
-//! use it without cycles.
+//! The crate is dependency-free so every layer (bench, examples) can use it
+//! without cycles.
 
 #![forbid(unsafe_code)]
 
@@ -61,24 +61,6 @@ pub mod names {
     pub const QUAD_BASELINE: &str = "C4U_QUAD_BASELINE";
     /// `1` arms the bench regression gates.
     pub const BENCH_GATE: &str = "C4U_BENCH_GATE";
-    /// Executor-thread count of the shard service.
-    pub const SERVICE_EXECUTORS: &str = "C4U_SERVICE_EXECUTORS";
-    /// Work-queue capacity of the shard service (0 = unbounded).
-    pub const SERVICE_QUEUE: &str = "C4U_SERVICE_QUEUE";
-    /// Pool sizes swept by the `service` bench.
-    pub const SERVICE_BENCH_WORKERS: &str = "C4U_SERVICE_BENCH_WORKERS";
-    /// Shard counts swept by the `service` bench.
-    pub const SERVICE_BENCH_SHARDS: &str = "C4U_SERVICE_BENCH_SHARDS";
-    /// Executor counts swept by the `service` bench.
-    pub const SERVICE_BENCH_EXECUTORS: &str = "C4U_SERVICE_BENCH_EXECUTORS";
-    /// Golden questions per worker in the `service` bench round.
-    pub const SERVICE_BENCH_TASKS: &str = "C4U_SERVICE_BENCH_TASKS";
-    /// Timing samples per `service` bench cell.
-    pub const SERVICE_BENCH_SAMPLES: &str = "C4U_SERVICE_BENCH_SAMPLES";
-    /// Service trajectory-report path (empty disables writing).
-    pub const SERVICE_REPORT: &str = "C4U_SERVICE_REPORT";
-    /// Override of the service gate's baseline trajectory file.
-    pub const SERVICE_BASELINE: &str = "C4U_SERVICE_BASELINE";
     /// Workspace root override for `c4u-lint` (which stays dependency-free
     /// and reads this itself; registered here so the table documents it and
     /// the unknown-name scan accepts it).
@@ -97,16 +79,6 @@ pub const DEFAULT_QUAD_SAMPLES: usize = 7;
 pub const DEFAULT_QUAD_WORKERS: &[usize] = &[1_000, 10_000, 100_000, 1_000_000];
 /// Default Gauss–Legendre orders of the quadrature roofline sweep.
 pub const DEFAULT_QUAD_NODES: &[usize] = &[16, 32, 64];
-/// Default pool sizes of the service bench sweep.
-pub const DEFAULT_SERVICE_BENCH_WORKERS: &[usize] = &[100_000, 1_000_000];
-/// Default shard counts of the service bench sweep.
-pub const DEFAULT_SERVICE_BENCH_SHARDS: &[usize] = &[8];
-/// Default executor counts of the service bench sweep.
-pub const DEFAULT_SERVICE_BENCH_EXECUTORS: &[usize] = &[1, 4];
-/// Default golden questions per worker in the service bench round.
-pub const DEFAULT_SERVICE_BENCH_TASKS: usize = 10;
-/// Default timing samples per service bench cell.
-pub const DEFAULT_SERVICE_BENCH_SAMPLES: usize = 5;
 
 /// The value shape of a knob, shown in the rendered table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -216,60 +188,6 @@ pub const KNOBS: &[Knob] = &[
         kind: KnobKind::Flag,
         default: "off",
         doc: "`1` makes the trajectory benches fail on >25% per-cell regressions.",
-    },
-    Knob {
-        name: names::SERVICE_EXECUTORS,
-        kind: KnobKind::Count,
-        default: "1",
-        doc: "Executor threads of the shard service.",
-    },
-    Knob {
-        name: names::SERVICE_QUEUE,
-        kind: KnobKind::Count,
-        default: "0 (unbounded)",
-        doc: "Work-queue capacity of the shard service.",
-    },
-    Knob {
-        name: names::SERVICE_BENCH_WORKERS,
-        kind: KnobKind::CountList,
-        default: "100000,1000000",
-        doc: "Pool sizes swept by the service bench.",
-    },
-    Knob {
-        name: names::SERVICE_BENCH_SHARDS,
-        kind: KnobKind::CountList,
-        default: "8",
-        doc: "Shard counts swept by the service bench.",
-    },
-    Knob {
-        name: names::SERVICE_BENCH_EXECUTORS,
-        kind: KnobKind::CountList,
-        default: "1,4",
-        doc: "Executor counts swept by the service bench.",
-    },
-    Knob {
-        name: names::SERVICE_BENCH_TASKS,
-        kind: KnobKind::Count,
-        default: "10",
-        doc: "Golden questions per worker in the service bench round.",
-    },
-    Knob {
-        name: names::SERVICE_BENCH_SAMPLES,
-        kind: KnobKind::Count,
-        default: "5",
-        doc: "Timing samples per service cell (the median is reported).",
-    },
-    Knob {
-        name: names::SERVICE_REPORT,
-        kind: KnobKind::Path,
-        default: "BENCH_service.json at the workspace root",
-        doc: "Service trajectory-report path; empty disables writing.",
-    },
-    Knob {
-        name: names::SERVICE_BASELINE,
-        kind: KnobKind::Path,
-        default: "the committed trajectory",
-        doc: "Overrides the service gate's baseline trajectory file.",
     },
     Knob {
         name: names::LINT_ROOT,
@@ -428,11 +346,6 @@ fn parse_count(raw: Option<&str>, default: usize) -> usize {
         .unwrap_or(default)
 }
 
-/// Parses a non-negative integer if present and parsable (after trimming).
-fn parse_maybe_count(raw: Option<&str>) -> Option<usize> {
-    raw.and_then(|v| v.trim().parse().ok())
-}
-
 /// Parses a comma-separated list of positive integers; unset or empty keeps
 /// the default, unparsable or non-positive entries are dropped.
 fn parse_count_list(raw: Option<&str>, default: &[usize]) -> Vec<usize> {
@@ -489,24 +402,6 @@ pub struct C4uEnv {
     pub quad_baseline: PathKnob,
     /// `C4U_BENCH_GATE` — whether the trajectory regression gates are armed.
     pub bench_gate: bool,
-    /// `C4U_SERVICE_EXECUTORS` — shard-service executor threads, if set.
-    pub service_executors: Option<usize>,
-    /// `C4U_SERVICE_QUEUE` — shard-service queue capacity, if set.
-    pub service_queue: Option<usize>,
-    /// `C4U_SERVICE_BENCH_WORKERS` — service-bench pool sizes.
-    pub service_bench_workers: Vec<usize>,
-    /// `C4U_SERVICE_BENCH_SHARDS` — service-bench shard counts.
-    pub service_bench_shards: Vec<usize>,
-    /// `C4U_SERVICE_BENCH_EXECUTORS` — service-bench executor counts.
-    pub service_bench_executors: Vec<usize>,
-    /// `C4U_SERVICE_BENCH_TASKS` — golden questions per service-bench worker.
-    pub service_bench_tasks: usize,
-    /// `C4U_SERVICE_BENCH_SAMPLES` — timing samples per service cell.
-    pub service_bench_samples: usize,
-    /// `C4U_SERVICE_REPORT` — service trajectory-report path.
-    pub service_report: PathKnob,
-    /// `C4U_SERVICE_BASELINE` — service gate baseline override.
-    pub service_baseline: PathKnob,
     /// `C4U_LINT_ROOT` — c4u-lint workspace-root override, if set.
     pub lint_root: Option<PathBuf>,
 }
@@ -532,30 +427,6 @@ impl C4uEnv {
             quad_report: PathKnob::from_raw(var_os(names::QUAD_REPORT)),
             quad_baseline: PathKnob::from_raw(var_os(names::QUAD_BASELINE)),
             bench_gate: parse_flag(var(names::BENCH_GATE).as_deref()),
-            service_executors: parse_maybe_count(var(names::SERVICE_EXECUTORS).as_deref()),
-            service_queue: parse_maybe_count(var(names::SERVICE_QUEUE).as_deref()),
-            service_bench_workers: parse_count_list(
-                var(names::SERVICE_BENCH_WORKERS).as_deref(),
-                DEFAULT_SERVICE_BENCH_WORKERS,
-            ),
-            service_bench_shards: parse_count_list(
-                var(names::SERVICE_BENCH_SHARDS).as_deref(),
-                DEFAULT_SERVICE_BENCH_SHARDS,
-            ),
-            service_bench_executors: parse_count_list(
-                var(names::SERVICE_BENCH_EXECUTORS).as_deref(),
-                DEFAULT_SERVICE_BENCH_EXECUTORS,
-            ),
-            service_bench_tasks: parse_count(
-                var(names::SERVICE_BENCH_TASKS).as_deref(),
-                DEFAULT_SERVICE_BENCH_TASKS,
-            ),
-            service_bench_samples: parse_count(
-                var(names::SERVICE_BENCH_SAMPLES).as_deref(),
-                DEFAULT_SERVICE_BENCH_SAMPLES,
-            ),
-            service_report: PathKnob::from_raw(var_os(names::SERVICE_REPORT)),
-            service_baseline: PathKnob::from_raw(var_os(names::SERVICE_BASELINE)),
             lint_root: var_os(names::LINT_ROOT).map(PathBuf::from),
         }
     }
@@ -591,6 +462,13 @@ mod tests {
             assert!(table.contains(k.name), "{} missing from table", k.name);
         }
         assert!(table.starts_with("| Variable | Kind | Default | Effect |"));
+        // README embeds the rendered table verbatim, so dropping or editing a
+        // knob cannot leave the documentation stale.
+        let readme = include_str!("../../../README.md");
+        assert!(
+            readme.contains(&table),
+            "README.md's knob table differs from render_knob_table(); regenerate it"
+        );
     }
 
     #[test]
@@ -618,9 +496,6 @@ mod tests {
         assert_eq!(parse_count(Some("0"), 7), 7);
         assert_eq!(parse_count(Some("-3"), 7), 7);
         assert_eq!(parse_count(Some("twelve"), 7), 7);
-        assert_eq!(parse_maybe_count(Some("0")), Some(0));
-        assert_eq!(parse_maybe_count(Some("x")), None);
-        assert_eq!(parse_maybe_count(None), None);
     }
 
     #[test]

@@ -11,9 +11,7 @@
 //!   sub-block extraction and symmetry helpers;
 //! * [`Cholesky`] — factorisation of SPD covariance matrices, with a diagonal-jitter
 //!   repair loop ([`Cholesky::new_with_jitter`]) because gradient updates can push a
-//!   covariance slightly outside the PSD cone, plus `O(n^2)` incremental
-//!   maintenance ([`Cholesky::rank_one_update`], [`Cholesky::rank_one_downdate`],
-//!   [`Cholesky::extend`]) for the streaming one-observation-at-a-time path;
+//!   covariance slightly outside the PSD cone;
 //! * [`Lu`] — general square solver used by the ordinary-least-squares baseline;
 //! * triangular solves ([`solve_lower_triangular`], [`solve_upper_triangular`]);
 //! * packed lower-triangle parameter helpers ([`packed_index`],
@@ -38,7 +36,6 @@
 #![forbid(unsafe_code)]
 
 mod cholesky;
-mod cholupdate;
 mod error;
 mod lu;
 mod matrix;

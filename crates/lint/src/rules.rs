@@ -71,7 +71,7 @@ const MAP_ITER_METHODS: [&str; 10] = [
 /// Scalar libm calls banned inside hot-path regions.
 const HOT_LIBM_METHODS: [&str; 3] = ["exp", "ln", "powf"];
 /// Crates whose *library* code must not `unwrap()`/`expect()`.
-const NO_UNWRAP_CRATES: [&str; 4] = ["linalg", "stats", "selection", "service"];
+const NO_UNWRAP_CRATES: [&str; 3] = ["linalg", "stats", "selection"];
 
 /// Where a file sits in the workspace, for rule scoping.
 #[derive(Debug, Clone, PartialEq, Eq)]

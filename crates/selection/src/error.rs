@@ -23,8 +23,6 @@ pub enum SelectionError {
     Simulator(String),
     /// Propagated numerical failure from the statistical or optimisation substrate.
     Numerical(String),
-    /// Propagated shard-service failure (queue, executor, or transport).
-    Service(String),
 }
 
 impl fmt::Display for SelectionError {
@@ -38,7 +36,6 @@ impl fmt::Display for SelectionError {
             }
             SelectionError::Simulator(msg) => write!(f, "simulator failure: {msg}"),
             SelectionError::Numerical(msg) => write!(f, "numerical failure: {msg}"),
-            SelectionError::Service(msg) => write!(f, "shard service failure: {msg}"),
         }
     }
 }
@@ -48,18 +45,6 @@ impl std::error::Error for SelectionError {}
 impl From<c4u_crowd_sim::SimError> for SelectionError {
     fn from(e: c4u_crowd_sim::SimError) -> Self {
         SelectionError::Simulator(e.to_string())
-    }
-}
-
-impl From<c4u_service::ServiceError> for SelectionError {
-    fn from(e: c4u_service::ServiceError) -> Self {
-        match e {
-            // Simulator errors keep their in-process classification, so the
-            // service path fails identically to the direct path on e.g. a
-            // budget overrun.
-            c4u_service::ServiceError::Sim(sim) => sim.into(),
-            other => SelectionError::Service(other.to_string()),
-        }
     }
 }
 

@@ -22,7 +22,6 @@ use crate::selector::{SelectionOutcome, WorkerSelector};
 use crate::stage::{num_prior_domains, RoundHeader, StageInit, StagePipeline, StageRoundInput};
 use crate::SelectionError;
 use c4u_crowd_sim::{CampaignSchedule, HistoricalProfile, Platform, WorkerId, WorkerShards};
-use c4u_service::{DeliveryOrder, ServiceConfig, ShardService};
 use std::collections::HashMap;
 
 /// Which estimation components the pipeline uses.
@@ -78,22 +77,6 @@ pub struct SelectorConfig {
     /// pipeline (the BKT child gets the complement; clamped to `[0.05, 0.95]`
     /// at pipeline construction).
     pub ensemble_cpe_weight: f64,
-    /// Number of asynchronous shard-service executors the round loop drives.
-    /// `0` (the default) answers rounds in-process through
-    /// [`Platform::assign_learning_batch_sharded`]; any other value builds a
-    /// [`c4u_service::ShardService`] with that many executor threads and
-    /// routes every round's per-shard requests through its work queue. The
-    /// selection is **bit-for-bit identical** either way
-    /// (`tests/service_equivalence.rs` pins the contract).
-    pub service_executors: usize,
-    /// Capacity of the shard service's work queue (`0` = unbounded). Only
-    /// read when [`Self::service_executors`] is non-zero.
-    pub service_queue: usize,
-    /// Response delivery order of the shard service — production uses
-    /// [`DeliveryOrder::Immediate`]; the adversarial orders exist for the
-    /// equivalence harness. Only read when [`Self::service_executors`] is
-    /// non-zero.
-    pub service_delivery: DeliveryOrder,
 }
 
 impl Default for SelectorConfig {
@@ -105,9 +88,6 @@ impl Default for SelectorConfig {
             num_shards: 1,
             bkt: c4u_irt::BktParams::default(),
             ensemble_cpe_weight: 0.5,
-            service_executors: 0,
-            service_queue: 0,
-            service_delivery: DeliveryOrder::Immediate,
         }
     }
 }
@@ -136,35 +116,6 @@ impl SelectorConfig {
     pub fn with_num_shards(mut self, num_shards: usize) -> Self {
         self.num_shards = num_shards;
         self
-    }
-
-    /// Routes the round loop through an asynchronous [`ShardService`] with
-    /// `executors` executor threads (`0` = in-process, the default). The
-    /// selection is identical for every value.
-    pub fn with_service_executors(mut self, executors: usize) -> Self {
-        self.service_executors = executors;
-        self
-    }
-
-    /// Sets the shard service's work-queue capacity (`0` = unbounded).
-    pub fn with_service_queue(mut self, capacity: usize) -> Self {
-        self.service_queue = capacity;
-        self
-    }
-
-    /// Sets the shard service's response delivery order.
-    pub fn with_service_delivery(mut self, delivery: DeliveryOrder) -> Self {
-        self.service_delivery = delivery;
-        self
-    }
-
-    /// The [`ServiceConfig`] the round loop builds its [`ShardService`] from
-    /// when [`Self::service_executors`] is non-zero.
-    pub fn service_config(&self) -> ServiceConfig {
-        ServiceConfig::default()
-            .with_executors(self.service_executors.max(1))
-            .with_queue_capacity(self.service_queue)
-            .with_delivery(self.service_delivery)
     }
 }
 
@@ -352,11 +303,6 @@ impl CrossDomainSelector {
         let mut previous_scores: Vec<ScoredWorker> = Vec::new();
 
         let num_shards = self.config.num_shards.max(1);
-        // One shard service for the whole run when the knob is set: the
-        // executor pool and work queue outlive the rounds, so every round's
-        // requests flow through the same backpressured queue.
-        let service = (self.config.service_executors > 0)
-            .then(|| ShardService::new(self.config.service_config()));
         for round in 1..=plan.rounds {
             // --- Round events (arrivals and departures) ---
             let (joined, departed) = match schedule.events_for(round) {
@@ -372,21 +318,11 @@ impl CrossDomainSelector {
             };
             let tasks_per_worker = plan.tasks_per_worker(remaining.len());
             // One worker-range partition per round: the platform answers the
-            // shared golden slice shard-by-shard — on scoped threads
-            // in-process, or through the shard service's executor pool — and
-            // the same layout drives the stages' per-worker scoring below.
+            // shared golden slice shard-by-shard on scoped threads, and the
+            // same layout drives the stages' per-worker scoring below.
             let shards = WorkerShards::by_count(remaining.len(), num_shards);
-            let record = match &service {
-                Some(service) => service.assign_learning_batch(
-                    platform,
-                    &remaining,
-                    tasks_per_worker,
-                    &shards,
-                )?,
-                None => {
-                    platform.assign_learning_batch_sharded(&remaining, tasks_per_worker, &shards)?
-                }
-            };
+            let record =
+                platform.assign_learning_batch_sharded(&remaining, tasks_per_worker, &shards)?;
 
             // --- Estimation stages (Algorithms 1-2 in the canonical pipeline) ---
             let profiles: Vec<&HistoricalProfile> = record
@@ -622,23 +558,6 @@ mod tests {
     }
 
     #[test]
-    fn service_config_builders() {
-        let c = SelectorConfig::default()
-            .with_service_executors(3)
-            .with_service_queue(4)
-            .with_service_delivery(DeliveryOrder::Reversed);
-        assert_eq!(c.service_executors, 3);
-        assert_eq!(c.service_queue, 4);
-        assert_eq!(c.service_delivery, DeliveryOrder::Reversed);
-        let sc = c.service_config();
-        assert_eq!(sc.executors, 3);
-        assert_eq!(sc.queue_capacity, 4);
-        assert_eq!(sc.delivery, DeliveryOrder::Reversed);
-        // The default keeps the round loop in-process.
-        assert_eq!(SelectorConfig::default().service_executors, 0);
-    }
-
-    #[test]
     fn empty_schedule_matches_closed_world_run() {
         let reference = {
             let mut platform = rw1_platform();
@@ -688,31 +607,5 @@ mod tests {
         // The joiners entered round 2 alongside the round-1 survivors.
         assert!(report.rounds[1].entered.contains(&n));
         assert!(report.rounds[1].entered.contains(&(n + 1)));
-    }
-
-    #[test]
-    fn service_round_loop_matches_in_process_round_loop() {
-        let mut in_process = rw1_platform();
-        let mut via_service = rw1_platform();
-        let reference = CrossDomainSelector::new(fast_config().with_num_shards(3))
-            .run(&mut in_process, 7)
-            .unwrap();
-        let serviced = CrossDomainSelector::new(
-            fast_config()
-                .with_num_shards(3)
-                .with_service_executors(2)
-                .with_service_queue(1),
-        )
-        .run(&mut via_service, 7)
-        .unwrap();
-        assert_eq!(reference.outcome.selected, serviced.outcome.selected);
-        assert_eq!(reference.outcome.scores, serviced.outcome.scores);
-        assert_eq!(
-            reference.outcome.budget_spent,
-            serviced.outcome.budget_spent
-        );
-        assert_eq!(reference.outcome.rounds, serviced.outcome.rounds);
-        assert_eq!(reference.rounds, serviced.rounds);
-        assert_eq!(reference.target_correlations, serviced.target_correlations);
     }
 }

@@ -453,31 +453,6 @@ impl<'a> std::ops::Deref for StageRoundInput<'a> {
     }
 }
 
-/// The pre-[`RoundHeader`] round input, kept for one release so existing
-/// [`StagePipeline::run_round`] callers migrate at their own pace.
-#[deprecated(
-    since = "0.11.0",
-    note = "use `StagePipeline::score_round` with `StageRoundInput`: the round/total_rounds/delta/sheets fields moved into the shared `RoundHeader`"
-)]
-#[derive(Debug, Clone, Copy)]
-pub struct RoundInput<'a> {
-    /// 1-based round index.
-    pub round: usize,
-    /// Total number of elimination rounds `n`.
-    pub total_rounds: usize,
-    /// Failure probability `delta_c` of the round.
-    pub delta: f64,
-    /// The round's answer sheets, one per remaining worker.
-    pub sheets: &'a [AnswerSheet],
-    /// Historical profiles aligned with `sheets`.
-    pub profiles: &'a [&'a HistoricalProfile],
-    /// Cumulative training schedule `K_0, ..., K_n`.
-    pub cumulative_tasks: &'a [f64],
-    /// Worker-range shards for the stages' per-worker scoring passes
-    /// (1 = sequential; any value yields identical scores).
-    pub num_shards: usize,
-}
-
 /// The per-stage estimates of one round, in pipeline order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RoundEstimates {
@@ -684,27 +659,6 @@ impl StagePipeline {
         Ok(RoundEstimates { per_stage })
     }
 
-    /// Pre-[`RoundHeader`] entry point: identical to
-    /// [`StagePipeline::score_round`], retained as a shim for one release.
-    #[deprecated(
-        since = "0.11.0",
-        note = "use `score_round` with `StageRoundInput` (the round header moved into the shared `RoundHeader` type)"
-    )]
-    #[allow(deprecated)]
-    pub fn run_round(&mut self, input: &RoundInput<'_>) -> Result<RoundEstimates, SelectionError> {
-        self.score_round(&StageRoundInput {
-            header: RoundHeader {
-                round: input.round,
-                total_rounds: input.total_rounds,
-                delta: input.delta,
-                sheets: input.sheets,
-            },
-            profiles: input.profiles,
-            cumulative_tasks: input.cumulative_tasks,
-            num_shards: input.num_shards,
-        })
-    }
-
     /// The learned prior/target correlations of the first stage that exposes
     /// them (the CPE stage, in the canonical pipelines).
     pub fn target_correlations(&self) -> Option<Result<Vec<f64>, SelectionError>> {
@@ -878,59 +832,6 @@ mod tests {
         // Correlations come from the CPE stage.
         let correlations = pipeline.target_correlations().unwrap().unwrap();
         assert_eq!(correlations.len(), 3);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_run_round_shim_matches_score_round() {
-        // The one-release compatibility shim: `run_round(&RoundInput)` must be
-        // bit-for-bit identical to `score_round(&StageRoundInput)`.
-        let ds = generate(&DatasetConfig::rw1()).unwrap();
-        let mut platform = Platform::from_dataset(&ds, 5).unwrap();
-        let ids = platform.worker_ids();
-        let pool_profiles = platform.profiles();
-        let init = StageInit {
-            profiles: &pool_profiles,
-            num_prior_domains: num_prior_domains(&pool_profiles),
-            initial_target_accuracy: 0.5,
-        };
-        let mut via_shim = StagePipeline::cpe_and_lge(fast_cpe());
-        via_shim.initialize(&init).unwrap();
-        let mut via_canonical = via_shim.clone();
-        drop(pool_profiles);
-
-        let record = platform.assign_learning_batch(&ids, 5).unwrap();
-        let profiles: Vec<&HistoricalProfile> = record
-            .sheets
-            .iter()
-            .map(|s| platform.profile(s.worker).unwrap())
-            .collect();
-        let cumulative = [0.0, 5.0];
-        let old = via_shim
-            .run_round(&RoundInput {
-                round: 1,
-                total_rounds: 1,
-                delta: 0.1,
-                sheets: &record.sheets,
-                profiles: &profiles,
-                cumulative_tasks: &cumulative,
-                num_shards: 1,
-            })
-            .unwrap();
-        let new = via_canonical
-            .score_round(&StageRoundInput {
-                header: RoundHeader {
-                    round: 1,
-                    total_rounds: 1,
-                    delta: 0.1,
-                    sheets: &record.sheets,
-                },
-                profiles: &profiles,
-                cumulative_tasks: &cumulative,
-                num_shards: 1,
-            })
-            .unwrap();
-        assert_eq!(old, new);
     }
 
     #[test]

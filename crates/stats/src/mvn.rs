@@ -359,83 +359,6 @@ impl MultivariateNormal {
             variance: variance.max(CONDITIONAL_VARIANCE_FLOOR),
         })
     }
-
-    /// Extends an existing [`Conditioner`] by one newly observed coordinate
-    /// **without re-factorising** the observed block.
-    ///
-    /// This is the streaming counterpart of [`MultivariateNormal::conditioner`]:
-    /// when a worker's record gains one more observed domain (a new golden-task
-    /// answer arrives mid-campaign), the observed-block factor is grown in
-    /// `O(g^2)` via the bordered Cholesky extension
-    /// ([`c4u_linalg::Cholesky::extend`]) instead of the `O(g^3)` refactorisation
-    /// — and the factorisation counter is **not** incremented. The result is
-    /// numerically equivalent (to rounding) to
-    /// `self.conditioner(base.target(), &[base.given_idx(), new_given])`.
-    ///
-    /// When the bordered extension leaves the positive-definite cone (a nearly
-    /// redundant new observation), the method transparently falls back to the
-    /// full jittered factorisation, which *is* counted — the counter therefore
-    /// stays an honest measure of `O(g^3)` work.
-    pub fn extend_conditioner(
-        &self,
-        base: &Conditioner,
-        new_given: usize,
-    ) -> Result<Conditioner, StatsError> {
-        let d = self.dim();
-        if base.target >= d || base.given_idx.iter().any(|&i| i >= d) {
-            return Err(StatsError::DimensionMismatch {
-                what: "conditioner was built for a larger distribution",
-                left: base.target,
-                right: d,
-            });
-        }
-        if new_given >= d || new_given == base.target || base.given_idx.contains(&new_given) {
-            return Err(StatsError::InvalidParameter {
-                what: "new given index out of range, equal to target, or already observed",
-                value: new_given as f64,
-            });
-        }
-        let mut given_idx = base.given_idx.clone();
-        given_idx.push(new_given);
-
-        let diag = self.cov[(new_given, new_given)];
-        let grown = match &base.chol_gg {
-            Some(chol) => {
-                let cross = Vector::from_fn(base.given_idx.len(), |j| {
-                    self.cov[(new_given, base.given_idx[j])]
-                });
-                chol.extended(&cross, diag)
-            }
-            // Growing the empty observed block: the factor of the 1x1 matrix
-            // [diag] directly, still O(1) and uncounted.
-            None => Cholesky::new(&Matrix::from_diagonal(&[diag])),
-        };
-        let Ok(chol_gg) = grown else {
-            // Degenerate border: fall back to the full (jittered, counted) path.
-            return self.conditioner(base.target, &given_idx);
-        };
-
-        let sigma_tg = Vector::from_fn(given_idx.len(), |j| self.cov[(base.target, given_idx[j])]);
-        let given_means: Vec<f64> = given_idx.iter().map(|&i| self.mean[i]).collect();
-        let v = chol_gg
-            .solve(&sigma_tg)
-            .map_err(|e| StatsError::Numerical(e.to_string()))?;
-        let variance = self.cov[(base.target, base.target)]
-            - sigma_tg
-                .dot(&v)
-                .map_err(|e| StatsError::Numerical(e.to_string()))?;
-
-        Ok(Conditioner {
-            target: base.target,
-            given_idx,
-            target_mean: base.target_mean,
-            given_means,
-            sigma_tg,
-            chol_gg: Some(chol_gg),
-            weights: v,
-            variance: variance.max(CONDITIONAL_VARIANCE_FLOOR),
-        })
-    }
 }
 
 /// A factorised conditioning operator for one `(target, observed-set)` pair.
@@ -779,66 +702,6 @@ mod tests {
         // The one-shot path counts one factorisation per call.
         mvn.condition_on(3, &[0], &[0.5]).unwrap();
         assert_eq!(conditioning_factorizations(), before + 2);
-    }
-
-    #[test]
-    fn extend_conditioner_matches_full_rebuild() {
-        let mvn = example_mvn();
-        // Grow the observed set one coordinate at a time, starting from the
-        // marginal, and compare against building the conditioner from scratch.
-        let order = [0usize, 2, 1];
-        let mut incremental = mvn.conditioner(3, &[]).unwrap();
-        let mut observed: Vec<usize> = Vec::new();
-        for &next in &order {
-            incremental = mvn.extend_conditioner(&incremental, next).unwrap();
-            observed.push(next);
-            let full = mvn.conditioner(3, &observed).unwrap();
-            assert_eq!(incremental.target(), 3);
-            assert_eq!(incremental.given_idx(), observed.as_slice());
-            assert!((incremental.variance() - full.variance()).abs() < 1e-10);
-            for (a, b) in incremental.weights().iter().zip(full.weights()) {
-                assert!((a - b).abs() < 1e-10);
-            }
-            let values: Vec<f64> = observed.iter().map(|&i| 0.4 + 0.1 * i as f64).collect();
-            let inc = incremental.condition(&values).unwrap();
-            let direct = full.condition(&values).unwrap();
-            assert!((inc.mean - direct.mean).abs() < 1e-10);
-            assert!((inc.variance - direct.variance).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn extend_conditioner_performs_zero_factorizations() {
-        let mvn = example_mvn();
-        let base = mvn.conditioner(3, &[0]).unwrap();
-        reset_conditioning_factorizations();
-        // The streaming path must never pay (or count) an O(g^3) factorisation.
-        let grown = mvn.extend_conditioner(&base, 1).unwrap();
-        let grown = mvn.extend_conditioner(&grown, 2).unwrap();
-        assert_eq!(conditioning_factorizations(), 0);
-        // Growing from the empty observed block is also uncounted.
-        let marginal = mvn.conditioner(3, &[]).unwrap();
-        assert_eq!(conditioning_factorizations(), 0);
-        mvn.extend_conditioner(&marginal, 2).unwrap();
-        assert_eq!(conditioning_factorizations(), 0);
-        assert_eq!(grown.num_given(), 3);
-    }
-
-    #[test]
-    fn extend_conditioner_validation() {
-        let mvn = example_mvn();
-        let base = mvn.conditioner(3, &[0]).unwrap();
-        // Out of range, target, and already-observed indices are rejected.
-        assert!(mvn.extend_conditioner(&base, 9).is_err());
-        assert!(mvn.extend_conditioner(&base, 3).is_err());
-        assert!(mvn.extend_conditioner(&base, 0).is_err());
-        // A conditioner from a larger distribution is rejected.
-        let small = MultivariateNormal::new(
-            Vector::from_slice(&[0.5, 0.5]),
-            Matrix::from_diagonal(&[0.1, 0.1]),
-        )
-        .unwrap();
-        assert!(small.extend_conditioner(&base, 1).is_err());
     }
 
     #[test]
