@@ -223,4 +223,42 @@ mod tests {
         }
         assert_eq!(merge_evaluation(&values), total / 3.0);
     }
+
+    #[test]
+    fn in_process_executor_is_the_identity() {
+        // The platform serves shard requests on scoped threads through
+        // `run_indexed_jobs`; for every thread count that fan-out must return
+        // exactly what each request's own `serve` returns, in shard order.
+        let base = request();
+        let answers: Vec<AnswerShardRequest> = (0..5u64)
+            .map(|epoch| AnswerShardRequest {
+                epoch,
+                ..base.clone()
+            })
+            .collect();
+        let evals: Vec<EvaluateShardRequest> = answers
+            .iter()
+            .map(|req| EvaluateShardRequest {
+                seed: 3,
+                stream_tag: 0x574F_524B,
+                epoch: req.epoch,
+                workers: req.workers.clone(),
+                gold: req.gold.clone(),
+            })
+            .collect();
+        let expected_answers: Vec<_> = answers.iter().map(|r| r.serve().unwrap()).collect();
+        let expected_evals: Vec<_> = evals.iter().map(|r| r.serve().unwrap()).collect();
+        for threads in [1, 2, 5, 8] {
+            let served = crate::parallel::run_indexed_jobs(threads, answers.len(), |shard| {
+                answers[shard].serve()
+            })
+            .unwrap();
+            assert_eq!(served, expected_answers);
+            let evaluated = crate::parallel::run_indexed_jobs(threads, evals.len(), |shard| {
+                evals[shard].serve()
+            })
+            .unwrap();
+            assert_eq!(evaluated, expected_evals);
+        }
+    }
 }
