@@ -41,7 +41,7 @@
 
 use crate::dataset::Dataset;
 use crate::event::{AppliedRoundEvents, RoundEvents};
-use crate::parallel::{available_threads, run_indexed_jobs};
+use crate::parallel::run_indexed_jobs;
 use crate::serve::{merge_evaluation, AnswerShardRequest, EvaluateShardRequest, WorkerSnapshot};
 use crate::shard::WorkerShards;
 use crate::task::AnswerSheet;
@@ -73,18 +73,6 @@ pub(crate) fn worker_stream_seed(base: u64, tag: u64, epoch: u64, worker: u64) -
         acc = mix64(acc.wrapping_add(0x9E37_79B9_7F4A_7C15).wrapping_add(part));
     }
     acc
-}
-
-/// Scoped threads for serving `shards` shard requests: one per shard, capped
-/// at the machine's parallelism so a wide layout does not oversubscribe the
-/// cores. Results are merged in shard order, so the cap never changes a bit.
-/// The parallelism query is skipped for single-shard rounds, which run inline.
-fn shard_threads(shards: usize) -> usize {
-    if shards > 1 {
-        available_threads().min(shards)
-    } else {
-        shards
-    }
 }
 
 /// Record of one training assignment (one strategy round).
@@ -442,15 +430,16 @@ impl Platform {
         shards: &WorkerShards,
     ) -> Result<RoundRecord, SimError> {
         let plan = self.plan_learning_round(worker_ids, tasks_per_worker, shards)?;
-        // Answering phase: the shard requests are served on at most
-        // `shard_threads` scoped threads and the sheets merged back in
-        // shard == worker order.
+        // Answering phase: one scoped thread per shard request (the shard
+        // count *is* the parallelism budget, mirroring
+        // `EvalEngine::with_threads`), sheets merged back in shard == worker
+        // order.
         let requests = &plan.requests;
         let sheets = if requests.is_empty() {
             Vec::new()
         } else {
             let per_shard: Vec<Vec<AnswerSheet>> =
-                run_indexed_jobs(shard_threads(requests.len()), requests.len(), |shard| {
+                run_indexed_jobs(requests.len(), requests.len(), |shard| {
                     requests[shard].serve()
                 })?;
             let mut sheets = Vec::with_capacity(plan.num_workers());
@@ -626,10 +615,9 @@ impl Platform {
         if requests.is_empty() {
             return Ok(0.0);
         }
-        let per_shard: Vec<Vec<f64>> =
-            run_indexed_jobs(shard_threads(requests.len()), requests.len(), |shard| {
-                requests[shard].serve()
-            })?;
+        let per_shard: Vec<Vec<f64>> = run_indexed_jobs(requests.len(), requests.len(), |shard| {
+            requests[shard].serve()
+        })?;
         // Flatten in worker order (shard order == worker order), so the merge
         // sum is the same float expression for every shard layout.
         let mut per_worker = Vec::with_capacity(plan.num_workers);
