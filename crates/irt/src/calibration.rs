@@ -15,10 +15,15 @@
 //! because the CPE estimate of round `j` reflects a worker who has been shown only
 //! `j-1` rounds of ground-truth answers.
 //!
-//! The objective is a smooth scalar function of `alpha`, minimised with
-//! golden-section search plus Newton polish from `c4u-optim`.
+//! Every summand has the same shape, `(sigmoid(alpha * ln(K + 1) - beta) - a)^2`,
+//! so the fit runs over a table of [`LearningTerm`]s with `ln(K + 1)` taken once
+//! per term rather than once per term and objective evaluation. [`calibrate_terms`]
+//! is the one fit: golden-section search plus Newton polish from `c4u-optim`.
+//! [`calibrate_alpha`] validates the observation form and builds its table;
+//! [`objective`] keeps the Eq. 11 sum in that form as the reference the table sum
+//! equals bit for bit.
 
-use crate::learning::LearningGainModel;
+use crate::learning::{log_tasks, LearningGainModel};
 use crate::IrtError;
 use c4u_optim::minimize_scalar;
 use c4u_stats::sigmoid;
@@ -44,6 +49,57 @@ pub struct TargetStageObservation {
     pub estimated_accuracy: f64,
 }
 
+/// One summand of the Eq. 11 objective,
+/// `(sigmoid(alpha * ln(K + 1) - difficulty) - accuracy)^2`, with the training
+/// count already mapped to `ln(K + 1)`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LearningTerm {
+    log_tasks: f64,
+    difficulty: f64,
+    accuracy: f64,
+    /// The summand when it cannot depend on `alpha`: at `K = 0` the
+    /// proficiency `alpha * ln 1` is `±0` for every finite `alpha`, so the
+    /// sigmoid's argument is `-difficulty` (or `±0`, which it maps alike).
+    fixed: Option<f64>,
+}
+
+impl LearningTerm {
+    /// A term at `cumulative_tasks` training tasks (negative counts clamp to 0):
+    /// `n_{i,d}` with `beta_d` and `h_{i,d}` for a prior-domain anchor,
+    /// `K_{j-1}` with `beta_T` and `p_{j,i}` for a target-domain stage.
+    pub fn new(cumulative_tasks: f64, difficulty: f64, accuracy: f64) -> Self {
+        Self::with_log_tasks(log_tasks(cumulative_tasks), difficulty, accuracy)
+    }
+
+    /// A term whose `ln(K + 1)` (see [`log_tasks`]) is already known, e.g.
+    /// from a per-round table.
+    pub fn with_log_tasks(log_tasks: f64, difficulty: f64, accuracy: f64) -> Self {
+        let mut term = Self {
+            log_tasks,
+            difficulty,
+            accuracy,
+            fixed: None,
+        };
+        if log_tasks == 0.0 {
+            term.fixed = Some(term.squared_error_at(0.0));
+        }
+        term
+    }
+
+    fn squared_error(&self, alpha: f64) -> f64 {
+        match self.fixed {
+            Some(value) => value,
+            None => self.squared_error_at(alpha),
+        }
+    }
+
+    fn squared_error_at(&self, alpha: f64) -> f64 {
+        let theta = alpha * self.log_tasks;
+        let predicted = sigmoid(theta - self.difficulty);
+        (predicted - self.accuracy).powi(2)
+    }
+}
+
 /// Bounds of the search bracket for `alpha`. The logit of any realistic accuracy is
 /// within ±7 and `ln(K+1)` is at least `ln 2` for a single task, so ±20 comfortably
 /// covers every identifiable value.
@@ -59,6 +115,9 @@ pub struct CalibratedAlpha {
 }
 
 /// Evaluates the Eq. 11 objective for a given `alpha`.
+///
+/// This is the reference form over observations; the fit evaluates the same sum,
+/// in the same order (priors, then stages), over a [`LearningTerm`] table.
 pub fn objective(
     alpha: f64,
     target_difficulty: f64,
@@ -89,9 +148,7 @@ pub fn calibrate_alpha(
     stages: &[TargetStageObservation],
 ) -> Result<CalibratedAlpha, IrtError> {
     if priors.is_empty() && stages.is_empty() {
-        return Err(IrtError::Calibration(
-            "alpha is unidentifiable without any observations".to_string(),
-        ));
+        return Err(unidentifiable());
     }
     if !target_difficulty.is_finite() {
         return Err(IrtError::InvalidParameter {
@@ -100,7 +157,7 @@ pub fn calibrate_alpha(
         });
     }
     for p in priors {
-        if !(0.0..=1.0).contains(&p.accuracy) || p.accuracy.is_nan() {
+        if !(0.0..=1.0).contains(&p.accuracy) {
             return Err(IrtError::InvalidParameter {
                 what: "prior-domain accuracy must lie in [0, 1]",
                 value: p.accuracy,
@@ -108,21 +165,59 @@ pub fn calibrate_alpha(
         }
     }
     for s in stages {
-        if !(0.0..=1.0).contains(&s.estimated_accuracy) || s.estimated_accuracy.is_nan() {
+        if !(0.0..=1.0).contains(&s.estimated_accuracy) {
             return Err(IrtError::InvalidParameter {
                 what: "stage accuracy must lie in [0, 1]",
                 value: s.estimated_accuracy,
             });
         }
     }
+    let terms: Vec<LearningTerm> = priors
+        .iter()
+        .map(|p| LearningTerm::new(p.tasks_completed, p.difficulty, p.accuracy))
+        .chain(stages.iter().map(|s| {
+            LearningTerm::new(
+                s.cumulative_tasks_before,
+                target_difficulty,
+                s.estimated_accuracy,
+            )
+        }))
+        .collect();
+    calibrate_terms(&terms)
+}
 
-    let f = |alpha: f64| objective(alpha, target_difficulty, priors, stages);
+/// Fits `alpha_i` over a precomputed Eq. 11 term table.
+///
+/// The table must be non-empty and every accuracy must lie in `[0, 1]`. The
+/// objective sums the terms in slice order, so a table built from
+/// [`calibrate_alpha`]'s observations (priors first) gives its exact bits.
+pub fn calibrate_terms(terms: &[LearningTerm]) -> Result<CalibratedAlpha, IrtError> {
+    if terms.is_empty() {
+        return Err(unidentifiable());
+    }
+    if let Some(t) = terms.iter().find(|t| !(0.0..=1.0).contains(&t.accuracy)) {
+        return Err(IrtError::InvalidParameter {
+            what: "term accuracy must lie in [0, 1]",
+            value: t.accuracy,
+        });
+    }
+    let f = |alpha: f64| {
+        let mut total = 0.0;
+        for t in terms {
+            total += t.squared_error(alpha);
+        }
+        total
+    };
     let minimum = minimize_scalar(f, ALPHA_BRACKET.0, ALPHA_BRACKET.1, 1e-7)
         .map_err(|e| IrtError::Calibration(e.to_string()))?;
     Ok(CalibratedAlpha {
         alpha: minimum.x,
         residual: minimum.value,
     })
+}
+
+fn unidentifiable() -> IrtError {
+    IrtError::Calibration("alpha is unidentifiable without any observations".to_string())
 }
 
 /// Convenience: calibrates `alpha` and immediately returns the learning-gain model

@@ -56,7 +56,7 @@ impl LearningGainModel {
     /// Effective proficiency after `cumulative_tasks` learning tasks:
     /// `theta = alpha * ln(K + 1)`.
     pub fn proficiency(&self, cumulative_tasks: f64) -> f64 {
-        self.alpha * (cumulative_tasks.max(0.0) + 1.0).ln()
+        self.alpha * log_tasks(cumulative_tasks)
     }
 
     /// Predicted accuracy after `cumulative_tasks` learning tasks (Eq. 10).
@@ -109,6 +109,12 @@ impl LearningGainModel {
         }
         Ok((difficulty + logit(observed_accuracy)) / (cumulative_tasks + 1.0).ln())
     }
+}
+
+/// The proficiency scale of Eq. 10: `ln(K + 1)`, with negative counts clamped
+/// to `K = 0`.
+pub fn log_tasks(cumulative_tasks: f64) -> f64 {
+    (cumulative_tasks.max(0.0) + 1.0).ln()
 }
 
 /// Cumulative number of learning tasks assigned to each *remaining* worker by the end

@@ -13,7 +13,8 @@
 //!   proficiency `alpha * ln(K + 1)` (Eq. 10), including the
 //!   [`cumulative_tasks_after_round`] schedule `K_j = (2^j - 1) t / |W|`;
 //! * [`calibrate_alpha`] / [`calibrate_model`] — the per-worker least-squares fit of
-//!   the learning parameter (Eq. 11);
+//!   the learning parameter (Eq. 11), both thin wrappers over [`calibrate_terms`],
+//!   the one fit over a precomputed [`LearningTerm`] table;
 //! * [`BktModel`] — a Bayesian Knowledge Tracing tracker; the selection layer's
 //!   `BktStage` runs one per worker as an ablation of the learner-model choice,
 //!   seeded through [`BktParams::mastery_for_accuracy`].
@@ -54,9 +55,9 @@ mod rasch;
 
 pub use bkt::{BktModel, BktParams};
 pub use calibration::{
-    calibrate_alpha, calibrate_model, objective as learning_objective, CalibratedAlpha,
-    PriorDomainObservation, TargetStageObservation,
+    calibrate_alpha, calibrate_model, calibrate_terms, objective as learning_objective,
+    CalibratedAlpha, LearningTerm, PriorDomainObservation, TargetStageObservation,
 };
 pub use error::IrtError;
-pub use learning::{cumulative_tasks_after_round, LearningGainModel};
+pub use learning::{cumulative_tasks_after_round, log_tasks, LearningGainModel};
 pub use rasch::RaschItem;

@@ -19,8 +19,15 @@ pub fn derivative(f: impl Fn(f64) -> f64, x: f64) -> f64 {
 
 /// Second derivative of a scalar function at `x` (three-point stencil).
 pub fn second_derivative(f: impl Fn(f64) -> f64, x: f64) -> f64 {
+    let fx = f(x);
+    second_derivative_given(f, x, fx)
+}
+
+/// [`second_derivative`] with the centre value `fx = f(x)` already known, so
+/// the stencil costs two evaluations instead of three (same bits for a pure `f`).
+pub(crate) fn second_derivative_given(f: impl Fn(f64) -> f64, x: f64, fx: f64) -> f64 {
     let h = (EPS_SCALE.sqrt()) * x.abs().max(1.0);
-    (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h)
+    (f(x + h) - 2.0 * fx + f(x - h)) / (h * h)
 }
 
 /// Central-difference gradient of a multivariate scalar function at `x`.

@@ -23,6 +23,16 @@ pub enum SelectionError {
     Simulator(String),
     /// Propagated numerical failure from the statistical or optimisation substrate.
     Numerical(String),
+    /// A pipeline stage scored a worker NaN or infinite (the stage-output
+    /// contract of `StagePipeline::score_round`).
+    NonFiniteScore {
+        /// Name of the offending stage.
+        stage: String,
+        /// The first worker (in sheet order) with a non-finite score.
+        worker: c4u_crowd_sim::WorkerId,
+        /// The score it was given.
+        value: f64,
+    },
 }
 
 impl fmt::Display for SelectionError {
@@ -36,6 +46,14 @@ impl fmt::Display for SelectionError {
             }
             SelectionError::Simulator(msg) => write!(f, "simulator failure: {msg}"),
             SelectionError::Numerical(msg) => write!(f, "numerical failure: {msg}"),
+            SelectionError::NonFiniteScore {
+                stage,
+                worker,
+                value,
+            } => write!(
+                f,
+                "stage '{stage}' produced a non-finite score ({value}) for worker {worker}"
+            ),
         }
     }
 }

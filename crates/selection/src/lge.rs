@@ -13,12 +13,16 @@
 //! Workers that improve quickly get a higher dynamic estimate than their static one,
 //! which is exactly what lets the elimination keep fast learners that a static
 //! method would discard.
+//!
+//! Every fit — [`LearningGainEstimator::estimate`], `LgeStage` and `RaschStage` —
+//! fills one worker's Eq. 11 [`LearningTerm`] table through the same builder and
+//! fits it with [`calibrate_terms`]. What does not depend on the worker is
+//! computed outside the per-worker loop: the difficulties `beta_T` and `beta_d`
+//! once per estimator, and the stages' `ln(K_j + 1)` table once per round.
 
 use crate::SelectionError;
 use c4u_crowd_sim::HistoricalProfile;
-use c4u_irt::{
-    calibrate_alpha, LearningGainModel, PriorDomainObservation, RaschItem, TargetStageObservation,
-};
+use c4u_irt::{calibrate_terms, log_tasks, LearningGainModel, LearningTerm, RaschItem};
 
 /// Configuration of the LGE step.
 #[derive(Debug, Clone, PartialEq)]
@@ -129,12 +133,22 @@ pub struct LgeEstimate {
 #[derive(Debug, Clone)]
 pub struct LearningGainEstimator {
     config: LgeConfig,
+    /// `beta_T`, fixed by the configuration.
+    target_difficulty: f64,
+    /// `beta_d` per configured prior domain.
+    prior_difficulties: Vec<f64>,
 }
 
 impl LearningGainEstimator {
     /// Creates an estimator.
     pub fn new(config: LgeConfig) -> Self {
-        Self { config }
+        Self {
+            target_difficulty: config.target_difficulty(),
+            prior_difficulties: (0..config.prior_domain_accuracies.len())
+                .map(|d| config.prior_difficulty(d))
+                .collect(),
+            config,
+        }
     }
 
     /// The configuration in use.
@@ -150,39 +164,17 @@ impl LearningGainEstimator {
                 value: input.cpe_estimates.len() as f64,
             });
         }
-        let mut priors = Vec::new();
-        for (d, acc) in input.profile_accuracies.iter().enumerate() {
-            if let Some(a) = acc {
-                priors.push(PriorDomainObservation {
-                    difficulty: self.config.prior_difficulty(d),
-                    tasks_completed: input
-                        .profile_task_counts
-                        .get(d)
-                        .copied()
-                        .unwrap_or(0)
-                        .max(1) as f64,
-                    accuracy: a.clamp(0.0, 1.0),
-                });
-            }
-        }
-        let stages: Vec<TargetStageObservation> = input
-            .cpe_estimates
+        let anchors = input
+            .profile_accuracies
             .iter()
-            .zip(input.cumulative_tasks_before.iter())
-            .map(|(&p, &k)| TargetStageObservation {
-                cumulative_tasks_before: k.max(0.0),
-                estimated_accuracy: p.clamp(0.0, 1.0),
-            })
-            .collect();
-
-        let beta_t = self.config.target_difficulty();
-        let fitted = calibrate_alpha(beta_t, &priors, &stages)?;
-        let model = LearningGainModel::new(fitted.alpha, beta_t)?;
-        Ok(LgeEstimate {
-            alpha: fitted.alpha,
-            predicted_accuracy: model.accuracy(input.cumulative_tasks_now).clamp(0.0, 1.0),
-            residual: fitted.residual,
-        })
+            .enumerate()
+            .map(|(d, &a)| (a, input.profile_task_counts.get(d).copied().unwrap_or(0)));
+        let stages = input
+            .cumulative_tasks_before
+            .iter()
+            .zip(&input.cpe_estimates)
+            .map(|(&k, &p)| (log_tasks(k), p));
+        self.fit(&mut Vec::new(), anchors, stages, input.cumulative_tasks_now)
     }
 
     /// Batch version of [`Self::estimate`].
@@ -192,6 +184,56 @@ impl LearningGainEstimator {
     ) -> Result<Vec<LgeEstimate>, SelectionError> {
         inputs.iter().map(|i| self.estimate(i)).collect()
     }
+
+    /// The one Eq. 10–11 fit path: fills `terms` with a worker's table — one
+    /// anchor per observed prior domain (`anchors` yields `(h_{i,d}, n_{i,d})`
+    /// in domain order), then one target-domain term per `stages` entry
+    /// `(ln(K_{j-1} + 1), p_{j,i})` — fits `alpha` on it and predicts the
+    /// accuracy after `cumulative_tasks_now` tasks.
+    ///
+    /// `terms` is a caller-owned buffer, so a scoring pass reuses one
+    /// allocation across its workers.
+    pub(crate) fn fit(
+        &self,
+        terms: &mut Vec<LearningTerm>,
+        anchors: impl IntoIterator<Item = (Option<f64>, usize)>,
+        stages: impl IntoIterator<Item = (f64, f64)>,
+        cumulative_tasks_now: f64,
+    ) -> Result<LgeEstimate, SelectionError> {
+        terms.clear();
+        for (d, (accuracy, tasks)) in anchors.into_iter().enumerate() {
+            if let Some(a) = accuracy {
+                let difficulty = self
+                    .prior_difficulties
+                    .get(d)
+                    .copied()
+                    .unwrap_or(self.target_difficulty);
+                terms.push(LearningTerm::new(
+                    tasks.max(1) as f64,
+                    difficulty,
+                    a.clamp(0.0, 1.0),
+                ));
+            }
+        }
+        terms.extend(stages.into_iter().map(|(log_tasks, p)| {
+            LearningTerm::with_log_tasks(log_tasks, self.target_difficulty, p.clamp(0.0, 1.0))
+        }));
+        let fitted = calibrate_terms(terms)?;
+        let model = LearningGainModel::new(fitted.alpha, self.target_difficulty)?;
+        Ok(LgeEstimate {
+            alpha: fitted.alpha,
+            predicted_accuracy: model.accuracy(cumulative_tasks_now).clamp(0.0, 1.0),
+            residual: fitted.residual,
+        })
+    }
+}
+
+/// A profile's prior-domain anchors in the `(h_{i,d}, n_{i,d})` form
+/// [`LearningGainEstimator::fit`] takes.
+pub(crate) fn profile_anchors(
+    profile: &HistoricalProfile,
+) -> impl Iterator<Item = (Option<f64>, usize)> + '_ {
+    (0..profile.num_domains()).map(|d| (profile.accuracy(d), profile.task_count(d)))
 }
 
 #[cfg(test)]

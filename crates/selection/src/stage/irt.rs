@@ -18,12 +18,14 @@
 //! worker order, making every shard layout bit-for-bit identical
 //! (`tests/shard_equivalence.rs` pins this for the BKT pipeline).
 
-use super::{pool_prior_means, uninitialized, EstimationStage, RoundContext, StageInit};
-use crate::lge::{LearningGainEstimator, LgeConfig, LgeWorkerInput};
+use super::{
+    pool_prior_means, uninitialized, EstimationStage, RoundContext, RoundSchedule, StageInit,
+};
+use crate::lge::{profile_anchors, LearningGainEstimator, LgeConfig};
 use crate::SelectionError;
 use c4u_crowd_sim::parallel::run_indexed_jobs;
 use c4u_crowd_sim::{HistoricalProfile, WorkerId};
-use c4u_irt::{BktModel, BktParams};
+use c4u_irt::{BktModel, BktParams, LearningTerm};
 use std::collections::HashMap;
 
 /// Bayesian Knowledge Tracing as a pipeline stage.
@@ -195,38 +197,46 @@ impl EstimationStage for RaschStage {
             .estimator
             .as_ref()
             .ok_or_else(|| uninitialized("Rasch stage used before initialize"))?;
-        // Per-worker scoring, sharded like the other stages. Each job returns
-        // the worker's appended observation history plus the score; the
-        // histories are committed in worker order after the parallel pass, so
-        // the stage state never depends on the shard layout.
+        let schedule = RoundSchedule::new(ctx)?;
+        // Per-worker scoring, sharded like the other stages. Each job reads
+        // the worker's recorded history, fits it plus this round's accuracy,
+        // and returns that accuracy with the score; the accuracies are
+        // appended in worker order after the parallel pass, so the stage
+        // state never depends on the shard layout.
         let observed = &self.observed;
-        let score_worker = |i: usize| -> Result<(Vec<f64>, f64), SelectionError> {
+        let score_worker = |i: usize, terms: &mut Vec<LearningTerm>| {
             let sheet = &ctx.sheets[i];
-            let mut history = observed.get(&sheet.worker).cloned().unwrap_or_default();
-            history.push(sheet.accuracy());
+            let accuracy = sheet.accuracy();
+            let history = observed.get(&sheet.worker).map_or(&[][..], Vec::as_slice);
             // The accuracy observed at stage j reflects a worker trained with
             // only j-1 rounds of revealed answers, so observation j pairs with
             // K_{j-1} — the same convention as the LGE fit (Eq. 11).
-            let before: Vec<f64> = (0..history.len())
-                .map(|j| ctx.cumulative_tasks_after_round(j))
-                .collect();
-            let input = LgeWorkerInput::from_profile(
-                ctx.profiles[i],
-                history.clone(),
-                before,
-                ctx.cumulative_tasks_after_round(ctx.round),
-            );
-            let score = estimator.estimate(&input)?.predicted_accuracy;
-            Ok((history, score))
+            let stages = schedule
+                .stage_log_tasks(history.len() + 1)?
+                .iter()
+                .copied()
+                .zip(history.iter().copied().chain(std::iter::once(accuracy)));
+            let anchors = profile_anchors(ctx.profiles[i]);
+            let score = estimator
+                .fit(terms, anchors, stages, schedule.tasks_now)?
+                .predicted_accuracy;
+            Ok((accuracy, score))
         };
         let shards = ctx.worker_shards();
-        let per_shard: Vec<Vec<(Vec<f64>, f64)>> =
+        let per_shard: Vec<Vec<(f64, f64)>> =
             run_indexed_jobs(shards.num_shards(), shards.num_shards(), |shard| {
-                shards.range(shard).map(score_worker).collect()
+                let mut terms = Vec::new();
+                shards
+                    .range(shard)
+                    .map(|i| score_worker(i, &mut terms))
+                    .collect::<Result<_, SelectionError>>()
             })?;
         let mut scores = Vec::with_capacity(ctx.sheets.len());
-        for (sheet, (history, score)) in ctx.sheets.iter().zip(per_shard.into_iter().flatten()) {
-            self.observed.insert(sheet.worker, history);
+        for (sheet, (accuracy, score)) in ctx.sheets.iter().zip(per_shard.into_iter().flatten()) {
+            self.observed
+                .entry(sheet.worker)
+                .or_default()
+                .push(accuracy);
             scores.push(score);
         }
         Ok(scores)

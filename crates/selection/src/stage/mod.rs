@@ -55,11 +55,11 @@ pub use ensemble::EnsembleStage;
 pub use irt::{BktStage, RaschStage};
 
 use crate::cpe::{CpeConfig, CpeObservation, CrossDomainEstimator};
-use crate::lge::{LearningGainEstimator, LgeConfig, LgeWorkerInput};
+use crate::lge::{profile_anchors, LearningGainEstimator, LgeConfig};
 use crate::SelectionError;
 use c4u_crowd_sim::parallel::run_indexed_jobs;
 use c4u_crowd_sim::{AnswerSheet, HistoricalProfile, WorkerId, WorkerShards};
-use c4u_irt::BktParams;
+use c4u_irt::{log_tasks, BktParams, LearningTerm};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -114,6 +114,7 @@ pub struct RoundContext<'a> {
     pub profiles: &'a [&'a HistoricalProfile],
     /// Cumulative training schedule: entry `j` is `K_j`, the learning tasks a
     /// worker has received by the end of round `j` (entry 0 is `K_0 = 0`).
+    /// [`StagePipeline::score_round`] guarantees an entry for `round`.
     pub cumulative_tasks: &'a [f64],
     /// Number of worker-range shards the stage's per-worker scoring pass fans
     /// out over (1 = sequential; shard results are merged in worker order, so
@@ -132,11 +133,6 @@ impl<'a> std::ops::Deref for RoundContext<'a> {
 }
 
 impl RoundContext<'_> {
-    /// Cumulative learning tasks `K_j` after round `j` (0 for round 0).
-    pub fn cumulative_tasks_after_round(&self, round: usize) -> f64 {
-        self.cumulative_tasks[round]
-    }
-
     /// The worker-range partition a stage's per-worker scoring pass fans out
     /// over: `num_shards` contiguous, balanced ranges of the round's sheets.
     pub fn worker_shards(&self) -> WorkerShards {
@@ -179,6 +175,46 @@ pub trait EstimationStage: fmt::Debug + Send + Sync {
 impl Clone for Box<dyn EstimationStage> {
     fn clone(&self) -> Self {
         self.boxed_clone()
+    }
+}
+
+/// The worker-independent part of a round's Eq. 10–11 fits, built once per
+/// round by [`LgeStage`] and [`RaschStage`].
+pub(crate) struct RoundSchedule {
+    /// `ln(K_j + 1)` for every entry `K_j` of the cumulative training schedule.
+    log_tasks: Vec<f64>,
+    /// `K_c` after the current round: the horizon of the Eq. 10 prediction.
+    tasks_now: f64,
+}
+
+impl RoundSchedule {
+    pub(crate) fn new(ctx: &RoundContext<'_>) -> Result<Self, SelectionError> {
+        let tasks_now = ctx
+            .cumulative_tasks
+            .get(ctx.round)
+            .copied()
+            .ok_or_else(|| schedule_too_short(ctx.round + 1))?;
+        Ok(Self {
+            log_tasks: ctx.cumulative_tasks.iter().map(|&k| log_tasks(k)).collect(),
+            tasks_now,
+        })
+    }
+
+    /// `ln(K_j + 1)` for `j < len`: the stage entries a score history of
+    /// length `len` pairs with (stage `j` of the history reflects a worker
+    /// trained with `K_{j-1}` tasks, Eq. 11). An error, not a panic, if the
+    /// history outgrew the schedule.
+    pub(crate) fn stage_log_tasks(&self, len: usize) -> Result<&[f64], SelectionError> {
+        self.log_tasks
+            .get(..len)
+            .ok_or_else(|| schedule_too_short(len))
+    }
+}
+
+fn schedule_too_short(needed: usize) -> SelectionError {
+    SelectionError::InvalidConfig {
+        what: "cumulative training schedule is shorter than the rounds scored",
+        value: needed as f64,
     }
 }
 
@@ -343,44 +379,43 @@ impl EstimationStage for LgeStage {
             });
         }
         let history_of = ctx.prior_histories.last();
+        let schedule = RoundSchedule::new(ctx)?;
+        // In the very first round every stage sits at K_0 = 0, where the
+        // learning-gain curve is independent of alpha: the fitted
+        // extrapolation would ignore the only target-domain evidence
+        // available. Until a worker's history reaches the first stage with
+        // K_j > 0, rank by the preceding estimate instead (the dynamic and
+        // static estimates coincide until training has started).
+        let first_informative = ctx.cumulative_tasks.iter().position(|&k| k > 0.0);
         // Per-worker scoring: each worker's Eq. 10–11 fit depends only on its
         // own history, so the pass fans out over the round's worker shards and
         // the per-shard score vectors are concatenated back in worker order
         // (identical to the sequential loop for every shard layout).
-        let score_worker = |i: usize| -> Result<f64, SelectionError> {
-            let sheet = &ctx.sheets[i];
-            let static_estimate = prior[i];
-            let history: Vec<f64> = history_of
-                .and_then(|h| h.get(&sheet.worker))
-                .cloned()
-                .unwrap_or_default();
+        let score_worker = |i: usize, terms: &mut Vec<LearningTerm>| {
+            let history = history_of
+                .and_then(|h| h.get(&ctx.sheets[i].worker))
+                .map_or(&[][..], Vec::as_slice);
             // The preceding stage's estimate of stage j reflects a worker
             // trained with only j-1 rounds (Eq. 11), so the stage j estimate
             // pairs with K_{j-1}.
-            let before: Vec<f64> = (0..history.len())
-                .map(|j| ctx.cumulative_tasks_after_round(j))
-                .collect();
-            // In the very first round every stage sits at K_0 = 0, where the
-            // learning-gain curve is independent of alpha: the fitted
-            // extrapolation would ignore the only target-domain evidence
-            // available. Rank by the preceding estimate instead (the dynamic
-            // and static estimates coincide until training has started).
-            let has_informative_stage = before.iter().any(|&k| k > 0.0);
-            if !has_informative_stage {
-                return Ok(static_estimate);
+            let stage_log_tasks = schedule.stage_log_tasks(history.len())?;
+            if first_informative.is_none_or(|j| j >= history.len()) {
+                return Ok(prior[i]);
             }
-            let input = LgeWorkerInput::from_profile(
-                ctx.profiles[i],
-                history,
-                before,
-                ctx.cumulative_tasks_after_round(ctx.round),
-            );
-            Ok(estimator.estimate(&input)?.predicted_accuracy)
+            let stages = stage_log_tasks.iter().copied().zip(history.iter().copied());
+            let anchors = profile_anchors(ctx.profiles[i]);
+            Ok(estimator
+                .fit(terms, anchors, stages, schedule.tasks_now)?
+                .predicted_accuracy)
         };
         let shards = ctx.worker_shards();
         let per_shard: Vec<Vec<f64>> =
             run_indexed_jobs(shards.num_shards(), shards.num_shards(), |shard| {
-                shards.range(shard).map(score_worker).collect()
+                let mut terms = Vec::new();
+                shards
+                    .range(shard)
+                    .map(|i| score_worker(i, &mut terms))
+                    .collect::<Result<_, SelectionError>>()
             })?;
         Ok(per_shard.into_iter().flatten().collect())
     }
@@ -628,6 +663,9 @@ impl StagePipeline {
                 value: input.profiles.len() as f64,
             });
         }
+        if input.cumulative_tasks.len() <= input.header.round {
+            return Err(schedule_too_short(input.header.round + 1));
+        }
         let mut per_stage: Vec<Vec<f64>> = Vec::with_capacity(self.stages.len());
         let mut current: Vec<f64> = Vec::new();
         for index in 0..self.stages.len() {
@@ -646,6 +684,14 @@ impl StagePipeline {
                     scores.len(),
                     sheets.len()
                 )));
+            }
+            if let Some((sheet, &score)) = sheets.iter().zip(&scores).find(|(_, s)| !s.is_finite())
+            {
+                return Err(SelectionError::NonFiniteScore {
+                    stage: self.stages[index].name().to_string(),
+                    worker: sheet.worker,
+                    value: score,
+                });
             }
             for (sheet, &score) in sheets.iter().zip(scores.iter()) {
                 self.histories[index]
@@ -832,6 +878,141 @@ mod tests {
         // Correlations come from the CPE stage.
         let correlations = pipeline.target_correlations().unwrap().unwrap();
         assert_eq!(correlations.len(), 3);
+    }
+
+    /// An initialised pipeline plus one RW-1 learning round of `tasks` tasks.
+    fn pipeline_and_round(
+        mut pipeline: StagePipeline,
+        tasks: usize,
+    ) -> (StagePipeline, Platform, Vec<AnswerSheet>) {
+        let ds = generate(&DatasetConfig::rw1()).unwrap();
+        let mut platform = Platform::from_dataset(&ds, 5).unwrap();
+        {
+            let pool_profiles = platform.profiles();
+            let init = StageInit {
+                profiles: &pool_profiles,
+                num_prior_domains: num_prior_domains(&pool_profiles),
+                initial_target_accuracy: 0.5,
+            };
+            pipeline.initialize(&init).unwrap();
+        }
+        let ids = platform.worker_ids();
+        let sheets = platform.assign_learning_batch(&ids, tasks).unwrap().sheets;
+        (pipeline, platform, sheets)
+    }
+
+    fn round_input<'a>(
+        round: usize,
+        sheets: &'a [AnswerSheet],
+        profiles: &'a [&'a HistoricalProfile],
+        cumulative_tasks: &'a [f64],
+    ) -> StageRoundInput<'a> {
+        StageRoundInput {
+            header: RoundHeader {
+                round,
+                total_rounds: 2,
+                delta: 0.1,
+                sheets,
+            },
+            profiles,
+            cumulative_tasks,
+            num_shards: 1,
+        }
+    }
+
+    #[test]
+    fn short_training_schedule_is_an_error_not_a_panic() {
+        for pipeline in [StagePipeline::lge_only(), StagePipeline::rasch_calibrated()] {
+            let (mut pipeline, platform, sheets) = pipeline_and_round(pipeline, 2);
+            let profiles: Vec<&HistoricalProfile> = sheets
+                .iter()
+                .map(|s| platform.profile(s.worker).unwrap())
+                .collect();
+            // The schedule has no entry K_2 for round 2.
+            for _ in 0..2 {
+                let err = pipeline
+                    .score_round(&round_input(2, &sheets, &profiles, &[0.0]))
+                    .unwrap_err();
+                assert!(matches!(err, SelectionError::InvalidConfig { .. }), "{err}");
+            }
+            // A schedule that covers the round but not a history scored more
+            // often than it has entries.
+            let cumulative = [0.0, 2.0];
+            for _ in 0..2 {
+                pipeline
+                    .score_round(&round_input(1, &sheets, &profiles, &cumulative))
+                    .unwrap();
+            }
+            let err = pipeline
+                .score_round(&round_input(1, &sheets, &profiles, &cumulative))
+                .unwrap_err();
+            assert!(matches!(err, SelectionError::InvalidConfig { .. }), "{err}");
+        }
+    }
+
+    /// A user stage that scores the workers at `nan` and `inf` non-finite.
+    #[derive(Debug, Clone)]
+    struct NonFiniteStage {
+        nan: usize,
+        inf: usize,
+    }
+
+    impl EstimationStage for NonFiniteStage {
+        fn name(&self) -> &str {
+            "non-finite"
+        }
+
+        fn initialize(&mut self, _init: &StageInit<'_>) -> Result<(), SelectionError> {
+            Ok(())
+        }
+
+        fn estimate(
+            &mut self,
+            ctx: &RoundContext<'_>,
+            _prior: &[f64],
+        ) -> Result<Vec<f64>, SelectionError> {
+            let mut scores = vec![0.5; ctx.sheets.len()];
+            scores[self.nan] = f64::NAN;
+            scores[self.inf] = f64::INFINITY;
+            Ok(scores)
+        }
+
+        fn boxed_clone(&self) -> Box<dyn EstimationStage> {
+            Box::new(self.clone())
+        }
+    }
+
+    #[test]
+    fn non_finite_stage_output_is_a_typed_error() {
+        for (nan, inf) in [(3, 7), (9, 4)] {
+            let stages: Vec<Box<dyn EstimationStage>> = vec![
+                Box::new(NonFiniteStage { nan, inf }),
+                Box::new(LgeStage::new()),
+            ];
+            let pipeline = StagePipeline::new(stages).unwrap();
+            let (mut pipeline, platform, sheets) = pipeline_and_round(pipeline, 2);
+            let profiles: Vec<&HistoricalProfile> = sheets
+                .iter()
+                .map(|s| platform.profile(s.worker).unwrap())
+                .collect();
+            let err = pipeline
+                .score_round(&round_input(1, &sheets, &profiles, &[0.0, 2.0]))
+                .unwrap_err();
+            let first = nan.min(inf);
+            match &err {
+                SelectionError::NonFiniteScore {
+                    stage,
+                    worker,
+                    value,
+                } => {
+                    assert_eq!(stage, "non-finite");
+                    assert_eq!(*worker, sheets[first].worker);
+                    assert_eq!(value.is_nan(), first == nan);
+                }
+                other => panic!("expected a non-finite score error, got {other}"),
+            }
+            assert!(err.to_string().contains("non-finite"));
+        }
     }
 
     #[test]
