@@ -64,7 +64,7 @@ fn main() {
     println!("\nCPE uplift = ME-CPE over ME (cross-domain information); LGE uplift = Ours over");
     println!("ME-CPE (learning-gain modelling). The paper reports both as positive on every");
     println!("dataset; under the simulator the CPE uplift reproduces while the LGE uplift is");
-    println!("within noise of zero on the synthetic pools (see EXPERIMENTS.md).");
+    println!("within noise of zero on the synthetic pools (see ARCHITECTURE.md, Substitutions).");
     match cache {
         Some(dir) => println!(
             "\ncell cache: {} hits, {} misses of {} cells under {}",

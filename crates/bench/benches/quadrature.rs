@@ -8,18 +8,20 @@
 //! `(nodes, workers)` point and shared by both math modes, so the speedup
 //! columns stay comparable. Reported per cell:
 //!
-//! * median wall-clock of each path (self-timed; medians are robust to the
-//!   1-core container's scheduling noise),
+//! * median wall-clock of each path (self-timed; medians are robust to
+//!   scheduling noise),
 //! * batched **ns per worker-node** — the roofline quantity: a node-major
 //!   fused multiply-add plus one `exp` per worker-node,
 //! * **effective GB/s** of the batched sweep under the traffic model
-//!   documented on [`QuadratureCell::effective_gb_per_s`],
+//!   documented on [`Cell::effective_gb_per_s`],
 //! * the **speedup** over the scalar loop (the scalar path re-derives every
 //!   per-node logarithm per worker; the batched sweep streams shared tables).
 //!
-//! Correctness gates before any timing: the `exact` sweep must agree with the
-//! scalar oracle **bit for bit**, and the `fast_vector` sweep must track the
-//! exact sweep within its documented ~1e-12 relative contract on this group.
+//! The report is printed only; the end-to-end benchmark (`perfbench/`) times
+//! this layer in place. Correctness gates before any timing: the `exact` sweep
+//! must agree with the scalar oracle **bit for bit**, and the `fast_vector`
+//! sweep must track the exact sweep within its documented ~1e-12 relative
+//! contract on this group.
 //!
 //! ```bash
 //! cargo bench -p c4u-bench --bench quadrature
@@ -33,24 +35,57 @@
 //!   `16,32,64`);
 //! * `C4U_QUAD_SAMPLES` — timing samples per cell (default 7; the median is
 //!   reported);
-//! * `C4U_QUAD_MATH` — `exact`, `fast_vector`, or `both` (default both);
-//! * `C4U_QUAD_REPORT` — trajectory-file path (default
-//!   `BENCH_quadrature.json` at the workspace root; empty disables writing);
-//! * `C4U_BENCH_GATE` — set to `1` to fail (exit non-zero) when any cell
-//!   regresses more than 25% in ns per worker-node against the newest run of
-//!   the committed trajectory (`C4U_QUAD_BASELINE` overrides the baseline
-//!   file). The baseline is loaded **before** this run is appended.
+//! * `C4U_QUAD_MATH` — `exact`, `fast_vector`, or `both` (default both).
 
-use c4u_bench::{
-    append_quadrature_run, bench_gate_enabled, gate_quadrature_cells, latest_quadrature_baseline,
-    math_tag, quad_math_modes, quadrature_baseline_path, quadrature_report_path,
-    render_quadrature_run, QuadratureCell,
-};
+use c4u_bench::quad_math_modes;
 use c4u_env::C4uEnv;
 use c4u_stats::{
     binomial_normal_moments, BinomialNormalBatch, GaussLegendre, QuadratureMath, QuadratureScratch,
 };
 use std::time::Instant;
+
+/// One `(workers, nodes)` cell of the sweep: median wall-clock of the batched
+/// structure-of-arrays sweep and of the equivalent per-worker scalar loop.
+struct Cell {
+    workers: usize,
+    nodes: usize,
+    batched_median_ns: f64,
+    scalar_median_ns: f64,
+}
+
+impl Cell {
+    /// Batched nanoseconds per worker-node — the roofline quantity.
+    fn ns_per_worker_node(&self) -> f64 {
+        self.batched_median_ns / (self.workers * self.nodes) as f64
+    }
+
+    /// Scalar over batched wall-clock: the throughput multiple the SoA layout
+    /// buys on this cell.
+    fn speedup(&self) -> f64 {
+        self.scalar_median_ns / self.batched_median_ns
+    }
+
+    /// Effective streamed bandwidth of the batched sweep in GB/s, under the
+    /// traffic model `workers x (5 x nodes + 5) x 8` bytes per call: per
+    /// worker the kernel streams four node tables (`h`, clamped `h`, `ln h`,
+    /// `ln(1-h)`) plus the scratch buffer (written then read, counted once),
+    /// and about five scalars of per-worker data (`mu`, `c`, `x`, and the two
+    /// outputs). An upper bound on useful traffic, so the number is a
+    /// roofline *floor*: reaching a given fraction of memory bandwidth proves
+    /// at least that much of the sweep is streaming, not stalling.
+    fn effective_gb_per_s(&self) -> f64 {
+        let bytes = (self.workers * (5 * self.nodes + 5) * 8) as f64;
+        bytes / self.batched_median_ns
+    }
+}
+
+/// Label of a math mode in the printed table.
+fn math_tag(math: QuadratureMath) -> &'static str {
+    match math {
+        QuadratureMath::Exact => "exact",
+        QuadratureMath::FastVector => "fast_vector",
+    }
+}
 
 /// Deterministic per-worker cells shaped like a CPE mask group: conditional
 /// means spread across the accuracy range, modest answer counts.
@@ -83,23 +118,6 @@ fn main() {
     let samples = env.quad_samples;
     let maths = quad_math_modes();
 
-    // Baseline first: when the gate is armed, the comparison target is the
-    // newest run already on file — before this run is appended to it.
-    let gate = bench_gate_enabled();
-    let baseline = if gate {
-        let path = quadrature_baseline_path();
-        let loaded = latest_quadrature_baseline(&path);
-        if loaded.is_none() {
-            println!(
-                "gate armed but no baseline run at {} — skipping",
-                path.display()
-            );
-        }
-        loaded
-    } else {
-        None
-    };
-
     println!("Batched SoA quadrature sweep vs per-worker scalar loop");
     println!("(sigma = {SIGMA}, {samples} samples per cell, medians reported)\n");
     println!(
@@ -107,7 +125,6 @@ fn main() {
         "workers", "nodes", "math", "batched ns", "scalar ns", "ns/(w*n)", "eff GB/s", "speedup"
     );
 
-    let mut cells = Vec::new();
     for &nodes in &nodes_sweep {
         let quadrature = GaussLegendre::new(nodes);
         let exact = BinomialNormalBatch::new(&quadrature);
@@ -182,10 +199,9 @@ fn main() {
                     batched_ns.push(start.elapsed().as_nanos() as f64);
                 }
 
-                let cell = QuadratureCell {
+                let cell = Cell {
                     workers,
                     nodes,
-                    math,
                     batched_median_ns: median_ns(&mut batched_ns),
                     scalar_median_ns,
                 };
@@ -193,42 +209,14 @@ fn main() {
                     "  {:>8} {:>6} {:>12} {:>14.0} {:>14.0} {:>12.2} {:>10.2} {:>7.1}x",
                     cell.workers,
                     cell.nodes,
-                    math_tag(cell.math),
+                    math_tag(math),
                     cell.batched_median_ns,
                     cell.scalar_median_ns,
                     cell.ns_per_worker_node(),
                     cell.effective_gb_per_s(),
                     cell.speedup()
                 );
-                cells.push(cell);
             }
-        }
-    }
-
-    match quadrature_report_path() {
-        Some(path) => {
-            let line = render_quadrature_run(&cells);
-            match append_quadrature_run(&path, &line) {
-                Ok(()) => println!("\nappended run to {}", path.display()),
-                Err(err) => eprintln!("\nwarning: could not write {}: {err}", path.display()),
-            }
-        }
-        None => println!("\nreport writing disabled (C4U_QUAD_REPORT is empty)"),
-    }
-
-    if let Some(baseline) = baseline {
-        let violations = gate_quadrature_cells(&baseline, &cells);
-        if violations.is_empty() {
-            println!("gate: all matching cells within the regression limit");
-        } else {
-            eprintln!(
-                "gate: {} cell(s) regressed beyond the limit:",
-                violations.len()
-            );
-            for v in &violations {
-                eprintln!("  {v}");
-            }
-            std::process::exit(1);
         }
     }
 }

@@ -29,7 +29,7 @@ fn main() {
         "\nNote: S-2 follows Eq. 12 exactly (n = ceil(log2(50/5)) = 4, B = 4000); the paper's"
     );
     println!(
-        "Table II lists B = 3000 / 7 batches, which corresponds to n = 3 (see EXPERIMENTS.md)."
+        "Table II lists B = 3000 / 7 batches, which corresponds to n = 3 (see ARCHITECTURE.md, Substitutions)."
     );
 
     println!("\nTable III — real-world domain composition\n");

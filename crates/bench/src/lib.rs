@@ -2,11 +2,11 @@
 //!
 //! Experiment harness for the C4U reproduction: shared machinery used by the bench
 //! targets that regenerate every table and figure of the paper's evaluation
-//! (Tables II–V, Figures 5–7, and the Sec. V-H timing/correlation discussion).
+//! (Tables II–V, Figures 5–7, and the Sec. V-H correlation discussion).
 //!
 //! Each bench target (`cargo bench -p c4u-bench --bench <name>`) prints the rows or
-//! series the corresponding table/figure reports; `EXPERIMENTS.md` records one run of
-//! each alongside the paper's numbers.
+//! series the corresponding table/figure reports; where the reproduction departs
+//! from the paper, the "Substitutions" section of ARCHITECTURE.md says how.
 //!
 //! The harness honours a few environment variables so that quick smoke runs and
 //! full paper-fidelity runs use the same code. All of them are declared in the
@@ -23,17 +23,12 @@
 //!   numbers never depend on the setting;
 //! * `C4U_CELL_CACHE` — directory for the resumable per-cell result cache
 //!   ([`evaluate_cells_resumable`]; unset disables persistence);
-//! * `C4U_QUAD_WORKERS` / `C4U_QUAD_NODES` / `C4U_QUAD_SAMPLES` /
-//!   `C4U_QUAD_REPORT` — the `quadrature` roofline bench's sweep cells,
-//!   sample count, and trajectory-file path (see the [`report`] module);
+//! * `C4U_QUAD_WORKERS` / `C4U_QUAD_NODES` / `C4U_QUAD_SAMPLES` — the
+//!   `quadrature` bench's sweep cells and sample count;
 //! * `C4U_QUAD_MATH` — the quadrature fold-pass math mode: `exact` (the
 //!   bit-identical default for the table/figure benches), `fast_vector` (the
-//!   lane-chunked polynomial `exp`), or `both` (the `quadrature` roofline
-//!   bench's default, timing the two modes side by side);
-//! * `C4U_BENCH_GATE` — set to `1` to make the `quadrature` bench fail on any
-//!   cell regressing more than [`GATE_REGRESSION_LIMIT`] in ns per
-//!   worker-node against the newest committed trajectory run
-//!   (`C4U_QUAD_BASELINE` overrides the baseline file).
+//!   lane-chunked polynomial `exp`), or `both` (the `quadrature` bench's
+//!   default, timing the two modes side by side).
 //!
 //! Dataset generation is memoised process-wide ([`cached_generate`]): sweep
 //! cells sharing a configuration share one generated dataset, so a table that
@@ -47,15 +42,8 @@
 #![forbid(unsafe_code)]
 
 pub mod cache;
-pub mod report;
 
 pub use cache::{cell_cache_dir, SweepStats, CELL_CACHE_ENV};
-pub use report::{
-    append_quadrature_run, bench_gate_enabled, gate_quadrature_cells, latest_quadrature_baseline,
-    math_tag, parse_quadrature_run, quadrature_baseline_path, quadrature_report_path,
-    render_quadrature_run, QuadratureCell, BENCH_GATE_ENV, GATE_REGRESSION_LIMIT,
-    QUADRATURE_BASELINE_ENV,
-};
 
 use c4u_crowd_sim::{generate, CampaignSchedule, Dataset, DatasetConfig, Platform, SimError};
 use c4u_env::{C4uEnv, QuadMathKnob};

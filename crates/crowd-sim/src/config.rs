@@ -7,8 +7,8 @@
 //! `B = n * Q * |W|`, and the number of batches `2^n - 1` (Table II). The per-domain
 //! accuracy means and standard deviations used to generate workers come from
 //! Table IV (RW-1 and S-1..S-4); for RW-2 — whose moments are not published — we use
-//! values consistent with the accuracy-uplift figures of Sec. V-H (the substitution
-//! is documented in `DESIGN.md`).
+//! values consistent with the accuracy-uplift figures of Sec. V-H (see
+//! "Substitutions" in ARCHITECTURE.md).
 
 use crate::domain::{Domain, DomainDescriptor, FeatureKind};
 use crate::SimError;

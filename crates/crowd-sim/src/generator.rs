@@ -38,7 +38,7 @@ pub fn generate(config: &DatasetConfig) -> Result<Dataset, SimError> {
     // Learning aptitude: the z-score of each worker's average latent prior-domain
     // accuracy within the pool. Workers with broad cross-domain competence learn the
     // target domain faster than their pre-training target accuracy alone suggests —
-    // the behavioural premise of the paper (see DESIGN.md, substitution table).
+    // the behavioural premise of the paper (see "Substitutions" in ARCHITECTURE.md).
     let averages: Vec<f64> = workers
         .iter()
         .map(|w| {

@@ -22,9 +22,9 @@
 //! * [`WorkerShards`] + the sharded platform paths
 //!   ([`Platform::assign_learning_batch_sharded`],
 //!   [`Platform::evaluate_working_accuracy_sharded`]) — worker-range
-//!   partitioning for pools of `10^4+` workers: each round is planned into
-//!   pure, self-contained per-shard requests, served on scoped threads, and
-//!   committed in worker order, bit-for-bit identical for every layout;
+//!   partitioning for pools of `10^4+` workers: each round validates first,
+//!   answers every shard on a scoped thread, and then applies the merged
+//!   sheets in worker order, bit-for-bit identical for every layout;
 //! * [`parallel`] — the workspace's scoped-thread work queue
 //!   ([`run_indexed_jobs`]), shared by the platform shards, the selection
 //!   crate's evaluation engine, and the bench harness;
@@ -65,7 +65,6 @@ mod generator;
 mod io;
 pub mod parallel;
 mod platform;
-mod serve;
 mod shard;
 mod task;
 mod worker;

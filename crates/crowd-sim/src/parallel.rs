@@ -6,8 +6,9 @@
 //! this crate when the platform simulator gained worker-range sharding
 //! ([`Platform::assign_learning_batch_sharded`](crate::Platform::assign_learning_batch_sharded)),
 //! so that every parallel axis of the workspace — trials and strategies in the
-//! evaluation engine, worker shards inside a trial, sweep cells in the bench
-//! harness — fans out through one queue with one determinism contract.
+//! evaluation engine, worker shards inside a platform round, member blocks of
+//! the CPE gradient sweep, sweep cells in the bench harness — fans out through
+//! one queue with one determinism contract.
 //! `c4u_selection::run_indexed_jobs` re-exports it, so existing callers keep
 //! their import path.
 

@@ -42,11 +42,14 @@
 use crate::dataset::Dataset;
 use crate::event::{AppliedRoundEvents, RoundEvents};
 use crate::parallel::run_indexed_jobs;
-use crate::serve::{merge_evaluation, AnswerShardRequest, EvaluateShardRequest, WorkerSnapshot};
 use crate::shard::WorkerShards;
 use crate::task::AnswerSheet;
-use crate::worker::{HistoricalProfile, SimulatedWorker, WorkerId, WorkerSpec};
+use crate::worker::{
+    answer_with_accuracy, HistoricalProfile, SimulatedWorker, WorkerId, WorkerSpec,
+};
 use crate::SimError;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// Stream tag of the learning-task answering noise (one stream family per
 /// training round).
@@ -67,12 +70,23 @@ fn mix64(mut z: u64) -> u64 {
 /// Derives the answering seed of one (stream family, epoch, worker) event from
 /// the platform seed: each component is absorbed through a SplitMix64 step, so
 /// distinct events get statistically independent `StdRng` streams.
-pub(crate) fn worker_stream_seed(base: u64, tag: u64, epoch: u64, worker: u64) -> u64 {
+fn worker_stream_seed(base: u64, tag: u64, epoch: u64, worker: u64) -> u64 {
     let mut acc = base;
     for part in [tag, epoch, worker] {
         acc = mix64(acc.wrapping_add(0x9E37_79B9_7F4A_7C15).wrapping_add(part));
     }
     acc
+}
+
+/// Errors unless `shards` partitions exactly the positions of `worker_ids`.
+fn check_partition(worker_ids: &[WorkerId], shards: &WorkerShards) -> Result<(), SimError> {
+    if shards.len() != worker_ids.len() {
+        return Err(SimError::InvalidConfig {
+            what: "shard partition must cover the worker list exactly",
+            value: shards.len() as f64,
+        });
+    }
+    Ok(())
 }
 
 /// Record of one training assignment (one strategy round).
@@ -105,47 +119,6 @@ impl RoundRecord {
             .find(|s| s.worker == worker)
             .map(|s| s.accuracy())
     }
-}
-
-/// A planned (not yet executed) learning round: the per-shard answering
-/// requests plus the bookkeeping needed to commit the merged sheets.
-///
-/// Produced by [`Platform::plan_learning_round`], served on scoped threads,
-/// and finalised by [`Platform::commit_learning_round`]. The plan is a pure
-/// value — serving its requests touches no platform state, so they can run in
-/// any order as long as the merged sheets come back in shard order.
-#[derive(Debug)]
-pub(crate) struct LearningRoundPlan {
-    round: usize,
-    task_start: usize,
-    tasks_per_worker: usize,
-    requested: usize,
-    /// The per-shard answering requests, in shard (== worker) order. Empty for
-    /// a no-op round (no workers or zero tasks).
-    requests: Vec<AnswerShardRequest>,
-}
-
-impl LearningRoundPlan {
-    /// Total number of participating workers across all shards.
-    pub(crate) fn num_workers(&self) -> usize {
-        self.requests.iter().map(|r| r.workers.len()).sum()
-    }
-}
-
-/// A planned working-accuracy evaluation: per-shard requests whose served
-/// accuracies, flattened in shard order, merge via
-/// [`merge_evaluation`].
-///
-/// Produced by [`Platform::plan_evaluation`] (which consumes one evaluation
-/// epoch unless the worker list is empty); the merge is pure, so no commit
-/// step exists.
-#[derive(Debug)]
-pub(crate) struct EvaluationPlan {
-    /// The per-shard evaluation requests, in shard (== worker) order. Empty
-    /// when the evaluated worker list was empty.
-    requests: Vec<EvaluateShardRequest>,
-    /// Total number of evaluated workers across all shards.
-    num_workers: usize,
 }
 
 /// The running state of a simulated crowdsourcing platform.
@@ -423,165 +396,76 @@ impl Platform {
     /// length always do). Passing the same worker id twice in one round draws
     /// the same answer stream twice — worker streams are keyed by (round,
     /// worker id), not by list position.
+    ///
+    /// Every check runs before any state changes, so a rejected round leaves
+    /// the platform exactly as it was.
     pub fn assign_learning_batch_sharded(
         &mut self,
         worker_ids: &[WorkerId],
         tasks_per_worker: usize,
         shards: &WorkerShards,
     ) -> Result<RoundRecord, SimError> {
-        let plan = self.plan_learning_round(worker_ids, tasks_per_worker, shards)?;
-        // Answering phase: one scoped thread per shard request (the shard
-        // count *is* the parallelism budget, mirroring
-        // `EvalEngine::with_threads`), sheets merged back in shard == worker
-        // order.
-        let requests = &plan.requests;
-        let sheets = if requests.is_empty() {
-            Vec::new()
-        } else {
-            let per_shard: Vec<Vec<AnswerSheet>> =
-                run_indexed_jobs(requests.len(), requests.len(), |shard| {
-                    requests[shard].serve()
-                })?;
-            let mut sheets = Vec::with_capacity(plan.num_workers());
-            for shard_sheets in per_shard {
-                sheets.extend(shard_sheets);
-            }
-            sheets
-        };
-        self.commit_learning_round(&plan, sheets)
-    }
-
-    /// Plans a learning round without executing it: validates the assignment
-    /// exactly as [`Platform::assign_learning_batch_sharded`] does, snapshots
-    /// the participating workers, and returns one self-contained
-    /// [`AnswerShardRequest`] per shard. Platform state is untouched — the
-    /// round happens when the merged sheets are handed to
-    /// [`Platform::commit_learning_round`].
-    pub(crate) fn plan_learning_round(
-        &self,
-        worker_ids: &[WorkerId],
-        tasks_per_worker: usize,
-        shards: &WorkerShards,
-    ) -> Result<LearningRoundPlan, SimError> {
-        if shards.len() != worker_ids.len() {
-            return Err(SimError::InvalidConfig {
-                what: "shard partition must cover the worker list exactly",
-                value: shards.len() as f64,
-            });
-        }
-        if worker_ids.is_empty() || tasks_per_worker == 0 {
-            return Ok(LearningRoundPlan {
-                round: self.history.len() + 1,
-                task_start: self.learning_cursor,
-                tasks_per_worker: 0,
-                requested: 0,
-                requests: Vec::new(),
-            });
-        }
-        for &id in worker_ids {
-            if id >= self.workers.len() {
-                return Err(SimError::UnknownWorker { id });
-            }
-            if !self.active[id] {
-                return Err(SimError::InvalidConfig {
-                    what: "worker has left the platform",
-                    value: id as f64,
-                });
-            }
-        }
-        let requested = tasks_per_worker * worker_ids.len();
-        if requested > self.budget_remaining() {
-            return Err(SimError::BudgetExceeded {
-                requested,
-                remaining: self.budget_remaining(),
-            });
-        }
-        if self.learning_gold.is_empty() {
-            return Err(SimError::TaskRangeOutOfBounds {
-                start: 0,
-                end: tasks_per_worker,
-                pool: 0,
-            });
-        }
-
-        // Gold labels of the shared slice, with circular wrap-around.
-        let gold: Vec<bool> = (0..tasks_per_worker)
-            .map(|i| self.learning_gold[(self.learning_cursor + i) % self.learning_gold.len()])
-            .collect();
-
-        // Snapshot every participant at its pre-round accuracy: all workers in
-        // a round answer before any ground truth is revealed (Algorithm 4
-        // line 5), so the snapshots are exact regardless of where the
-        // requests execute.
-        let round = self.history.len() as u64 + 1;
-        let requests = shards
-            .ranges()
-            .map(|range| AnswerShardRequest {
-                seed: self.seed,
-                stream_tag: STREAM_LEARNING,
-                epoch: round,
-                workers: worker_ids[range]
-                    .iter()
-                    .map(|&id| WorkerSnapshot {
-                        id,
-                        accuracy: self.workers[id].current_accuracy(),
-                    })
-                    .collect(),
-                gold: gold.clone(),
-            })
-            .collect();
-        Ok(LearningRoundPlan {
+        check_partition(worker_ids, shards)?;
+        let mut record = RoundRecord {
             round: self.history.len() + 1,
             task_start: self.learning_cursor,
-            tasks_per_worker,
-            requested,
-            requests,
-        })
-    }
-
-    /// Commits a planned learning round from its merged answer sheets (shard
-    /// order — the concatenation of the per-request responses): reveals the
-    /// ground truth so every participant learns, records the round, advances
-    /// the task cursor, and spends the budget.
-    ///
-    /// Returns an error if the plan is stale (another round was committed or
-    /// the platform otherwise advanced since planning) or if the sheets do not
-    /// match the plan — a lost or duplicated shard produces a typed error
-    /// here, never a silently wrong round.
-    pub(crate) fn commit_learning_round(
-        &mut self,
-        plan: &LearningRoundPlan,
-        sheets: Vec<AnswerSheet>,
-    ) -> Result<RoundRecord, SimError> {
-        if plan.round != self.history.len() + 1 || plan.task_start != self.learning_cursor {
-            return Err(SimError::InvalidConfig {
-                what: "learning-round plan is stale: the platform advanced since planning",
-                value: plan.round as f64,
-            });
-        }
-        if sheets.len() != plan.num_workers() {
-            return Err(SimError::InvalidConfig {
-                what: "merged sheet count must match the planned worker count",
-                value: sheets.len() as f64,
-            });
-        }
-        // Learning phase: reveal the ground truth and move every participant
-        // along its learning curve (cheap, O(1) per worker — kept sequential).
-        for sheet in &sheets {
-            self.workers
-                .get_mut(sheet.worker)
-                .ok_or(SimError::UnknownWorker { id: sheet.worker })?
-                .learn_from_batch(sheet)?;
-        }
-
-        let record = RoundRecord {
-            round: plan.round,
-            task_start: plan.task_start,
-            tasks_per_worker: plan.tasks_per_worker,
-            sheets,
+            tasks_per_worker: 0,
+            sheets: Vec::new(),
         };
-        self.learning_cursor += plan.tasks_per_worker;
-        self.budget_spent += plan.requested;
+        // An empty assignment is a no-op round: recorded, but nothing is
+        // answered or spent.
+        if !worker_ids.is_empty() && tasks_per_worker > 0 {
+            self.check_active(worker_ids)?;
+            let requested = tasks_per_worker * worker_ids.len();
+            if requested > self.budget_remaining() {
+                return Err(SimError::BudgetExceeded {
+                    requested,
+                    remaining: self.budget_remaining(),
+                });
+            }
+            if self.learning_gold.is_empty() {
+                return Err(SimError::TaskRangeOutOfBounds {
+                    start: 0,
+                    end: tasks_per_worker,
+                    pool: 0,
+                });
+            }
+
+            // Gold labels of the shared slice, with circular wrap-around.
+            let gold: Vec<bool> = (0..tasks_per_worker)
+                .map(|i| self.learning_gold[(self.learning_cursor + i) % self.learning_gold.len()])
+                .collect();
+
+            // Answering phase: one scoped thread per shard (the shard count
+            // *is* the parallelism budget, mirroring `EvalEngine::with_threads`).
+            // Every participant answers at its pre-round accuracy (Algorithm 4
+            // line 5); sheets come back in shard == worker order.
+            let epoch = record.round as u64;
+            let per_shard: Vec<Vec<AnswerSheet>> =
+                run_indexed_jobs(shards.num_shards(), shards.num_shards(), |shard| {
+                    self.answer_sheets(
+                        STREAM_LEARNING,
+                        epoch,
+                        &worker_ids[shards.range(shard)],
+                        &gold,
+                    )
+                    .collect()
+                })?;
+            record.sheets.reserve_exact(worker_ids.len());
+            for shard_sheets in per_shard {
+                record.sheets.extend(shard_sheets);
+            }
+
+            // Learning phase: reveal the ground truth and move every
+            // participant along its learning curve (cheap, O(1) per worker —
+            // kept sequential).
+            for sheet in &record.sheets {
+                self.workers[sheet.worker].learn_from_batch(sheet)?;
+            }
+            record.tasks_per_worker = tasks_per_worker;
+            self.learning_cursor += tasks_per_worker;
+            self.budget_spent += requested;
+        }
         self.history.push(record.clone());
         Ok(record)
     }
@@ -605,53 +489,44 @@ impl Platform {
     /// per-worker accuracies are averaged in worker order so the float
     /// accumulation — like everything else — is independent of the shard
     /// layout.
+    ///
+    /// An empty worker list evaluates to 0.0 and draws no noise; any other
+    /// valid call consumes one evaluation epoch. A rejected call consumes
+    /// nothing.
     pub fn evaluate_working_accuracy_sharded(
         &mut self,
         worker_ids: &[WorkerId],
         shards: &WorkerShards,
     ) -> Result<f64, SimError> {
-        let plan = self.plan_evaluation(worker_ids, shards)?;
-        let requests = &plan.requests;
-        if requests.is_empty() {
+        check_partition(worker_ids, shards)?;
+        if worker_ids.is_empty() {
             return Ok(0.0);
         }
-        let per_shard: Vec<Vec<f64>> = run_indexed_jobs(requests.len(), requests.len(), |shard| {
-            requests[shard].serve()
-        })?;
-        // Flatten in worker order (shard order == worker order), so the merge
+        self.check_active(worker_ids)?;
+        let epoch = self.evaluations_run as u64;
+        self.evaluations_run += 1;
+        let per_shard: Vec<Vec<f64>> =
+            run_indexed_jobs(shards.num_shards(), shards.num_shards(), |shard| {
+                self.answer_sheets(
+                    STREAM_WORKING,
+                    epoch,
+                    &worker_ids[shards.range(shard)],
+                    &self.working_gold,
+                )
+                .map(|sheet| sheet.map(|s| s.accuracy()))
+                .collect()
+            })?;
+        // Accumulate in worker order (shard order == worker order), so the
         // sum is the same float expression for every shard layout.
-        let mut per_worker = Vec::with_capacity(plan.num_workers);
-        for shard_accuracies in per_shard {
-            per_worker.extend(shard_accuracies);
+        let mut total = 0.0;
+        for accuracy in per_shard.iter().flatten() {
+            total += accuracy;
         }
-        Ok(merge_evaluation(&per_worker))
+        Ok(total / worker_ids.len() as f64)
     }
 
-    /// Plans a working-accuracy evaluation without executing it: validates the
-    /// worker list exactly as
-    /// [`Platform::evaluate_working_accuracy_sharded`] does, consumes one
-    /// evaluation epoch (unless the list is empty — an empty evaluation is
-    /// 0.0 and draws no noise), and returns one self-contained
-    /// [`EvaluateShardRequest`] per shard. The caller serves the requests,
-    /// flattens the per-shard accuracies in shard order, and merges them with
-    /// [`merge_evaluation`].
-    pub(crate) fn plan_evaluation(
-        &mut self,
-        worker_ids: &[WorkerId],
-        shards: &WorkerShards,
-    ) -> Result<EvaluationPlan, SimError> {
-        if shards.len() != worker_ids.len() {
-            return Err(SimError::InvalidConfig {
-                what: "shard partition must cover the worker list exactly",
-                value: shards.len() as f64,
-            });
-        }
-        if worker_ids.is_empty() {
-            return Ok(EvaluationPlan {
-                requests: Vec::new(),
-                num_workers: 0,
-            });
-        }
+    /// Errors on the first id that is unknown or has left the platform.
+    fn check_active(&self, worker_ids: &[WorkerId]) -> Result<(), SimError> {
         for &id in worker_ids {
             if id >= self.workers.len() {
                 return Err(SimError::UnknownWorker { id });
@@ -663,27 +538,24 @@ impl Platform {
                 });
             }
         }
-        let epoch = self.evaluations_run as u64;
-        self.evaluations_run += 1;
-        let requests = shards
-            .ranges()
-            .map(|range| EvaluateShardRequest {
-                seed: self.seed,
-                stream_tag: STREAM_WORKING,
-                epoch,
-                workers: worker_ids[range]
-                    .iter()
-                    .map(|&id| WorkerSnapshot {
-                        id,
-                        accuracy: self.workers[id].current_accuracy(),
-                    })
-                    .collect(),
-                gold: self.working_gold.clone(),
-            })
-            .collect();
-        Ok(EvaluationPlan {
-            requests,
-            num_workers: worker_ids.len(),
+        Ok(())
+    }
+
+    /// The answer sheets of `worker_ids` on `gold`, in list order: each worker
+    /// answers at its current accuracy from its own `(seed, tag, epoch, id)`
+    /// stream, so a sheet never depends on which shard or thread drew it.
+    fn answer_sheets<'a>(
+        &'a self,
+        tag: u64,
+        epoch: u64,
+        worker_ids: &'a [WorkerId],
+        gold: &'a [bool],
+    ) -> impl Iterator<Item = Result<AnswerSheet, SimError>> + 'a {
+        worker_ids.iter().map(move |&id| {
+            let mut rng =
+                StdRng::seed_from_u64(worker_stream_seed(self.seed, tag, epoch, id as u64));
+            let answers = answer_with_accuracy(&mut rng, self.workers[id].current_accuracy(), gold);
+            AnswerSheet::new(id, answers, gold.to_vec())
         })
     }
 
@@ -725,14 +597,59 @@ mod tests {
         assert_eq!(p.rounds_run(), 0);
     }
 
+    /// Asserts that `p` matches `fresh` in everything a rejected call could
+    /// have touched: rounds, budget, history, true accuracies, the noise of
+    /// the next evaluation (a consumed evaluation epoch would shift it), and
+    /// the next round's record (a moved task cursor would shift its gold).
+    fn assert_untouched(p: &mut Platform, fresh: &mut Platform) {
+        assert_eq!(p.rounds_run(), fresh.rounds_run());
+        assert_eq!(p.budget_spent(), fresh.budget_spent());
+        assert_eq!(p.history(), fresh.history());
+        assert_eq!(p.true_accuracies(), fresh.true_accuracies());
+        let ids = fresh.active_worker_ids();
+        assert_eq!(
+            p.evaluate_working_accuracy(&ids).unwrap(),
+            fresh.evaluate_working_accuracy(&ids).unwrap()
+        );
+        assert_eq!(
+            p.assign_learning_batch(&ids, 1).unwrap(),
+            fresh.assign_learning_batch(&ids, 1).unwrap()
+        );
+    }
+
     #[test]
     fn unknown_worker_errors() {
         let mut p = platform();
         assert!(p.profile(100).is_err());
         assert!(p.true_accuracy(100).is_err());
         assert!(p.cumulative_learning_tasks(100).is_err());
-        assert!(p.assign_learning_batch(&[0, 100], 5).is_err());
-        assert!(p.evaluate_working_accuracy(&[100]).is_err());
+        // A valid id ahead of the unknown one is neither answered nor trained.
+        assert!(matches!(
+            p.assign_learning_batch(&[0, 100], 5),
+            Err(SimError::UnknownWorker { id: 100 })
+        ));
+        assert!(matches!(
+            p.evaluate_working_accuracy(&[0, 100]),
+            Err(SimError::UnknownWorker { id: 100 })
+        ));
+        assert_untouched(&mut p, &mut platform());
+
+        // Departed ids are rejected the same way, before any state changes.
+        let departed = || {
+            let mut p = platform();
+            p.remove_worker(3).unwrap();
+            p
+        };
+        let mut p = departed();
+        assert!(matches!(
+            p.assign_learning_batch(&[0, 3], 5),
+            Err(SimError::InvalidConfig { .. })
+        ));
+        assert!(matches!(
+            p.evaluate_working_accuracy(&[0, 3]),
+            Err(SimError::InvalidConfig { .. })
+        ));
+        assert_untouched(&mut p, &mut departed());
     }
 
     #[test]
@@ -901,32 +818,13 @@ mod tests {
             p.evaluate_working_accuracy_sharded(&ids, &wrong),
             Err(SimError::InvalidConfig { .. })
         ));
-    }
-
-    #[test]
-    fn commit_rejects_stale_plans_and_short_sheets() {
-        let mut p = platform();
-        let ids = p.worker_ids();
+        // Over budget on a valid partition: 27 workers * 21 tasks > 540.
         let shards = WorkerShards::by_count(ids.len(), 3);
-        let plan = p.plan_learning_round(&ids, 5, &shards).unwrap();
-        let mut sheets: Vec<AnswerSheet> = Vec::new();
-        for request in &plan.requests {
-            sheets.extend(request.serve().unwrap());
-        }
-        // A lost sheet is a typed error, and nothing is committed.
-        let short = sheets[1..].to_vec();
         assert!(matches!(
-            p.commit_learning_round(&plan, short),
-            Err(SimError::InvalidConfig { .. })
+            p.assign_learning_batch_sharded(&ids, 21, &shards),
+            Err(SimError::BudgetExceeded { .. })
         ));
-        assert_eq!(p.rounds_run(), 0);
-        // Once another round lands, the old plan is stale.
-        p.assign_learning_batch(&ids, 5).unwrap();
-        assert!(matches!(
-            p.commit_learning_round(&plan, sheets),
-            Err(SimError::InvalidConfig { .. })
-        ));
-        assert_eq!(p.rounds_run(), 1);
+        assert_untouched(&mut p, &mut platform());
     }
 
     #[test]
@@ -953,7 +851,7 @@ mod tests {
         let active = p.active_worker_ids();
         assert_eq!(active.len(), n + 1);
         assert!(!active.contains(&3));
-        // Departed workers are rejected by both planning paths...
+        // Departed workers are rejected by both platform operations...
         assert!(matches!(
             p.assign_learning_batch(&[3], 5),
             Err(SimError::InvalidConfig { .. })

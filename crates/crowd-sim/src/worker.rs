@@ -20,8 +20,8 @@ pub type WorkerId = usize;
 /// the gold label is reproduced, otherwise it is flipped.
 ///
 /// This is the single answering expression of the whole simulator —
-/// [`SimulatedWorker::answer_tasks`] and the platform's shard-serving
-/// requests both delegate here, so every execution path (unsharded or
+/// [`SimulatedWorker::answer_tasks`] and the platform's sharded answering
+/// both delegate here, so every execution path (unsharded or
 /// sharded) draws the same floats in the same order and produces bit-for-bit
 /// identical answers.
 pub fn answer_with_accuracy<R: Rng + ?Sized>(
@@ -141,7 +141,7 @@ pub struct WorkerSpec {
 /// the curve passes through the worker's latent initial accuracy at the dataset's
 /// per-batch task count `Q` (the paper identifies the same quantity from the
 /// *observed* first-batch accuracy, which is a noisy estimate of this value; see
-/// DESIGN.md for the substitution note).
+/// "Substitutions" in ARCHITECTURE.md).
 #[derive(Debug, Clone)]
 pub struct SimulatedWorker {
     id: WorkerId,
@@ -509,5 +509,14 @@ mod tests {
             accs
         };
         assert_eq!(run(99), run(99));
+    }
+
+    #[test]
+    fn extreme_accuracies_are_exact() {
+        let gold = vec![true, false, true, true];
+        let mut rng = StdRng::seed_from_u64(7);
+        assert_eq!(answer_with_accuracy(&mut rng, 1.0, &gold), gold);
+        let flipped: Vec<bool> = gold.iter().map(|g| !g).collect();
+        assert_eq!(answer_with_accuracy(&mut rng, 0.0, &gold), flipped);
     }
 }

@@ -12,8 +12,8 @@
 //!   docs and parser cannot drift apart.
 //! * **The typed snapshot** ([`C4uEnv::from_env`]): one call reads every
 //!   registered knob into a plain struct. Callers keep their own defaults
-//!   where the default depends on crate-local context (committed report
-//!   paths); everything else defaults here, once.
+//!   where the default depends on crate-local context; everything else
+//!   defaults here, once.
 //! * **The unknown-name warning**: the first [`C4uEnv::from_env`] of a
 //!   process scans the environment for `C4U_*` names that are *not* in the
 //!   registry and prints one `warning:` line each to stderr — a misspelled
@@ -55,12 +55,6 @@ pub mod names {
     pub const QUAD_NODES: &str = "C4U_QUAD_NODES";
     /// Timing samples per `quadrature` bench cell.
     pub const QUAD_SAMPLES: &str = "C4U_QUAD_SAMPLES";
-    /// Quadrature trajectory-report path (empty disables writing).
-    pub const QUAD_REPORT: &str = "C4U_QUAD_REPORT";
-    /// Override of the quadrature gate's baseline trajectory file.
-    pub const QUAD_BASELINE: &str = "C4U_QUAD_BASELINE";
-    /// `1` arms the bench regression gates.
-    pub const BENCH_GATE: &str = "C4U_BENCH_GATE";
     /// Workspace root override for `c4u-lint` (which stays dependency-free
     /// and reads this itself; registered here so the table documents it and
     /// the unknown-name scan accepts it).
@@ -89,8 +83,6 @@ pub enum KnobKind {
     CountList,
     /// A filesystem path; the empty string means "explicitly disabled".
     Path,
-    /// A boolean switch: exactly `"1"` turns it on.
-    Flag,
     /// One of a small closed set of mode words.
     Mode,
 }
@@ -102,7 +94,6 @@ impl KnobKind {
             KnobKind::Count => "count",
             KnobKind::CountList => "count list",
             KnobKind::Path => "path",
-            KnobKind::Flag => "flag",
             KnobKind::Mode => "mode",
         }
     }
@@ -170,24 +161,6 @@ pub const KNOBS: &[Knob] = &[
         kind: KnobKind::Count,
         default: "7",
         doc: "Timing samples per quadrature cell (the median is reported).",
-    },
-    Knob {
-        name: names::QUAD_REPORT,
-        kind: KnobKind::Path,
-        default: "BENCH_quadrature.json at the workspace root",
-        doc: "Quadrature trajectory-report path; empty disables writing.",
-    },
-    Knob {
-        name: names::QUAD_BASELINE,
-        kind: KnobKind::Path,
-        default: "the committed trajectory",
-        doc: "Overrides the quadrature gate's baseline trajectory file.",
-    },
-    Knob {
-        name: names::BENCH_GATE,
-        kind: KnobKind::Flag,
-        default: "off",
-        doc: "`1` makes the trajectory benches fail on >25% per-cell regressions.",
     },
     Knob {
         name: names::LINT_ROOT,
@@ -263,55 +236,6 @@ pub fn warn_unknown() -> Vec<String> {
         .clone()
 }
 
-/// A path-valued knob distinguishes three states: unset (use the caller's
-/// default), set to the empty string (explicitly disabled), and set to a
-/// path.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PathKnob {
-    /// The variable is not present: the caller's default applies.
-    Unset,
-    /// The variable is present but empty: the feature is explicitly off.
-    Disabled,
-    /// The variable names a path.
-    Set(PathBuf),
-}
-
-impl PathKnob {
-    fn from_raw(raw: Option<OsString>) -> Self {
-        match raw {
-            None => PathKnob::Unset,
-            Some(v) if v.is_empty() => PathKnob::Disabled,
-            Some(v) => PathKnob::Set(PathBuf::from(v)),
-        }
-    }
-
-    /// Report-path semantics: unset falls back to `default`, empty disables.
-    pub fn or_default(&self, default: PathBuf) -> Option<PathBuf> {
-        match self {
-            PathKnob::Unset => Some(default),
-            PathKnob::Disabled => None,
-            PathKnob::Set(p) => Some(p.clone()),
-        }
-    }
-
-    /// Baseline-path semantics: only an explicit non-empty path overrides
-    /// `fallback`.
-    pub fn or_fallback(&self, fallback: PathBuf) -> PathBuf {
-        match self {
-            PathKnob::Set(p) => p.clone(),
-            _ => fallback,
-        }
-    }
-
-    /// Cache-directory semantics: only an explicit non-empty path enables.
-    pub fn set_path(&self) -> Option<PathBuf> {
-        match self {
-            PathKnob::Set(p) => Some(p.clone()),
-            _ => None,
-        }
-    }
-}
-
 /// The quadrature math-mode knob. `Default` covers unset *and* unrecognised
 /// words; callers pick what that means (the table benches read it as `exact`,
 /// the roofline bench as `both`).
@@ -359,11 +283,6 @@ fn parse_count_list(raw: Option<&str>, default: &[usize]) -> Vec<usize> {
     }
 }
 
-/// `true` exactly when the raw value is `"1"`.
-fn parse_flag(raw: Option<&str>) -> bool {
-    raw == Some("1")
-}
-
 fn var(name: &str) -> Option<String> {
     std::env::var(name).ok()
 }
@@ -375,9 +294,7 @@ fn var_os(name: &str) -> Option<OsString> {
 /// One typed snapshot of every registered knob.
 ///
 /// [`C4uEnv::from_env`] is the workspace's single environment entry point:
-/// every field holds the parsed value (or this crate's default), and path
-/// knobs whose default depends on crate-local context stay [`PathKnob`]s for
-/// the caller to resolve.
+/// every field holds the parsed value (or this crate's default).
 #[derive(Debug, Clone, PartialEq)]
 pub struct C4uEnv {
     /// `C4U_CPE_EPOCHS` — CPE gradient-descent epochs per round.
@@ -396,14 +313,6 @@ pub struct C4uEnv {
     pub quad_nodes: Vec<usize>,
     /// `C4U_QUAD_SAMPLES` — timing samples per quadrature cell.
     pub quad_samples: usize,
-    /// `C4U_QUAD_REPORT` — quadrature trajectory-report path.
-    pub quad_report: PathKnob,
-    /// `C4U_QUAD_BASELINE` — quadrature gate baseline override.
-    pub quad_baseline: PathKnob,
-    /// `C4U_BENCH_GATE` — whether the trajectory regression gates are armed.
-    pub bench_gate: bool,
-    /// `C4U_LINT_ROOT` — c4u-lint workspace-root override, if set.
-    pub lint_root: Option<PathBuf>,
 }
 
 impl C4uEnv {
@@ -417,17 +326,15 @@ impl C4uEnv {
             trials: parse_count(var(names::TRIALS).as_deref(), DEFAULT_TRIALS),
             shards: parse_count(var(names::SHARDS).as_deref(), DEFAULT_SHARDS),
             quad_math: QuadMathKnob::parse(var(names::QUAD_MATH).as_deref()),
-            cell_cache: PathKnob::from_raw(var_os(names::CELL_CACHE)).set_path(),
+            cell_cache: var_os(names::CELL_CACHE)
+                .filter(|v| !v.is_empty())
+                .map(PathBuf::from),
             quad_workers: parse_count_list(
                 var(names::QUAD_WORKERS).as_deref(),
                 DEFAULT_QUAD_WORKERS,
             ),
             quad_nodes: parse_count_list(var(names::QUAD_NODES).as_deref(), DEFAULT_QUAD_NODES),
             quad_samples: parse_count(var(names::QUAD_SAMPLES).as_deref(), DEFAULT_QUAD_SAMPLES),
-            quad_report: PathKnob::from_raw(var_os(names::QUAD_REPORT)),
-            quad_baseline: PathKnob::from_raw(var_os(names::QUAD_BASELINE)),
-            bench_gate: parse_flag(var(names::BENCH_GATE).as_deref()),
-            lint_root: var_os(names::LINT_ROOT).map(PathBuf::from),
         }
     }
 }
@@ -448,8 +355,8 @@ mod tests {
         assert!(is_registered(names::SHARDS));
         assert!(!is_registered("C4U_NOT_A_KNOB"));
         assert_eq!(
-            knob(names::BENCH_GATE).map(|k| k.kind),
-            Some(KnobKind::Flag)
+            knob(names::CELL_CACHE).map(|k| k.kind),
+            Some(KnobKind::Path)
         );
     }
 
@@ -507,40 +414,6 @@ mod tests {
     }
 
     #[test]
-    fn flag_is_exactly_the_string_one() {
-        assert!(parse_flag(Some("1")));
-        assert!(!parse_flag(Some("true")));
-        assert!(!parse_flag(Some("0")));
-        assert!(!parse_flag(None));
-    }
-
-    #[test]
-    fn path_knob_distinguishes_unset_disabled_and_set() {
-        let unset = PathKnob::from_raw(None);
-        let disabled = PathKnob::from_raw(Some(OsString::new()));
-        let set = PathKnob::from_raw(Some(OsString::from("out/report.json")));
-        assert_eq!(unset, PathKnob::Unset);
-        assert_eq!(disabled, PathKnob::Disabled);
-        assert_eq!(set, PathKnob::Set(PathBuf::from("out/report.json")));
-
-        let default = PathBuf::from("default.json");
-        assert_eq!(unset.or_default(default.clone()), Some(default.clone()));
-        assert_eq!(disabled.or_default(default.clone()), None);
-        assert_eq!(
-            set.or_default(default.clone()),
-            Some(PathBuf::from("out/report.json"))
-        );
-
-        assert_eq!(unset.or_fallback(default.clone()), default);
-        assert_eq!(disabled.or_fallback(default.clone()), default);
-        assert_eq!(set.or_fallback(default), PathBuf::from("out/report.json"));
-
-        assert_eq!(unset.set_path(), None);
-        assert_eq!(disabled.set_path(), None);
-        assert_eq!(set.set_path(), Some(PathBuf::from("out/report.json")));
-    }
-
-    #[test]
     fn quad_math_parses_the_three_modes_and_defaults_the_rest() {
         assert_eq!(QuadMathKnob::parse(Some("exact")), QuadMathKnob::Exact);
         assert_eq!(
@@ -564,8 +437,8 @@ mod tests {
         if std::env::var_os(names::QUAD_WORKERS).is_none() {
             assert_eq!(env.quad_workers, DEFAULT_QUAD_WORKERS);
         }
-        if std::env::var_os(names::BENCH_GATE).is_none() {
-            assert!(!env.bench_gate);
+        if std::env::var_os(names::CELL_CACHE).is_none() {
+            assert_eq!(env.cell_cache, None);
         }
         // Snapshots of the same environment are equal.
         assert_eq!(env, C4uEnv::from_env());

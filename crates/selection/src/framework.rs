@@ -384,12 +384,23 @@ impl CrossDomainSelector {
             top_k(&surviving_scores, k)
         } else {
             // Fewer than k survivors: fall back to the previous round's scores over
-            // the workers that entered the final round.
+            // the workers still on the platform (a worker scored last round may
+            // have left before the final one).
             let fallback: Vec<ScoredWorker> = if previous_scores.is_empty() {
-                final_scores.clone()
+                &final_scores
             } else {
-                previous_scores.clone()
-            };
+                &previous_scores
+            }
+            .iter()
+            .filter(|s| platform.is_active(s.worker))
+            .copied()
+            .collect();
+            if fallback.len() < k {
+                return Err(SelectionError::NotEnoughData {
+                    needed: k,
+                    got: fallback.len(),
+                });
+            }
             top_k(&fallback, k)
         };
         let score_lookup: HashMap<WorkerId, f64> = final_scores
@@ -607,5 +618,49 @@ mod tests {
         // The joiners entered round 2 alongside the round-1 survivors.
         assert!(report.rounds[1].entered.contains(&n));
         assert!(report.rounds[1].entered.contains(&(n + 1)));
+    }
+
+    /// RW-1 on platform seed 7 with `workers` leaving before round 2.
+    fn run_with_round2_leaves(
+        workers: &[WorkerId],
+    ) -> (Platform, Result<PipelineReport, SelectionError>) {
+        use c4u_crowd_sim::RoundEvents;
+        let ds = generate(&DatasetConfig::rw1()).unwrap();
+        let mut platform = Platform::from_dataset(&ds, 7).unwrap();
+        let leaves = workers
+            .iter()
+            .fold(RoundEvents::none(), |events, &w| events.with_leave(w));
+        let schedule = CampaignSchedule::empty().with_round(2, leaves);
+        let report =
+            CrossDomainSelector::new(fast_config()).run_with_events(&mut platform, 7, &schedule);
+        (platform, report)
+    }
+
+    #[test]
+    fn final_fallback_never_selects_departed_workers() {
+        // These are the first 8 workers to enter round 2 of the undisturbed
+        // run, and the 7 best of them by round-1 score. With all 8 gone,
+        // fewer than k survive round 2, so the selection falls back to the
+        // round-1 scores; it must pick from the workers still on the platform.
+        let (platform, report) = run_with_round2_leaves(&[11, 18, 13, 26, 10, 24, 12, 20]);
+        let report = report.unwrap();
+        assert!(report.rounds[1].survived.len() < 7, "fallback not taken");
+        let selected = &report.outcome.selected;
+        assert!(selected.iter().all(|&w| platform.is_active(w)));
+        assert_eq!(selected, &vec![19, 4, 16, 25, 5, 15, 3]);
+    }
+
+    #[test]
+    fn final_fallback_errors_when_fewer_than_k_workers_remain() {
+        // Keep only 6 of the round-2 entrants on the platform: the fallback
+        // then has 6 active candidates for k = 7.
+        let (_, undisturbed) = run_with_round2_leaves(&[]);
+        let keep = &undisturbed.unwrap().rounds[1].entered[..6];
+        let leaves: Vec<WorkerId> = (0..27).filter(|w| !keep.contains(w)).collect();
+        let (_, report) = run_with_round2_leaves(&leaves);
+        assert!(matches!(
+            report,
+            Err(SelectionError::NotEnoughData { needed: 7, got: 6 })
+        ));
     }
 }

@@ -10,7 +10,7 @@ use c4u_selection::{theory, CrossDomainSelector, SelectorConfig};
 #[test]
 fn table2_dataset_parameters() {
     // |W|, Q, k, batches, B for every dataset of Table II (S-2 documented as a
-    // formula-consistent exception in EXPERIMENTS.md).
+    // formula-consistent exception under "Substitutions" in ARCHITECTURE.md).
     let expect = [
         ("RW-1", 27, 10, 7, 3, 540),
         ("RW-2", 35, 10, 9, 3, 700),
