@@ -327,4 +327,29 @@ mod tests {
             .unwrap()
             .starts_with("cell-"));
     }
+
+    #[test]
+    fn control_characters_roundtrip() {
+        let cell = Cell {
+            dataset: "tab\there\rcr\u{1}".into(),
+            strategy: "back\\slash".into(),
+            mean_accuracy: 0.25,
+            std_accuracy: 0.0,
+        };
+        let parsed = parse_cell(&render_cell("k\n", &cell), "k\n").unwrap();
+        assert_eq!(parsed, cell);
+        assert_eq!(SweepStats { hits: 2, misses: 3 }.total(), 5);
+    }
+
+    #[test]
+    fn file_names_use_the_standard_fnv1a_hash() {
+        // Published FNV-1a 64-bit test vectors: file names stay stable across
+        // builds, so an existing cache directory keeps hitting.
+        assert_eq!(fnv64(""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv64("a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(
+            cell_path(Path::new("d"), "a"),
+            Path::new("d").join("cell-af63dc4c8601ec8c.json")
+        );
+    }
 }

@@ -451,9 +451,9 @@ pub fn evaluate_cell(spec: &CellSpec) -> Cell {
 /// Evaluates a batch of cells, spreading independent cells over worker threads.
 ///
 /// Cells are independent (each generates its own dataset and platforms), so they
-/// are fanned out through the selection crate's shared scoped-thread work queue
-/// ([`c4u_selection::run_indexed_jobs`]); the results come back in cell order,
-/// making the output identical to a sequential evaluation.
+/// are fanned out through the workspace's shared scoped-thread work queue
+/// ([`c4u_crowd_sim::parallel::run_indexed_jobs`]); the results come back in
+/// cell order, making the output identical to a sequential evaluation.
 pub fn evaluate_cells(specs: &[CellSpec]) -> Vec<Cell> {
     evaluate_cells_resumable(specs, None).0
 }
@@ -497,7 +497,7 @@ pub fn evaluate_cells_resumable(
     let misses = sweep_schedule(specs, misses);
     let threads = c4u_crowd_sim::parallel::available_threads();
     let result: Result<Vec<(usize, Cell)>, Infallible> =
-        c4u_selection::run_indexed_jobs(threads, misses.len(), |job| {
+        c4u_crowd_sim::parallel::run_indexed_jobs(threads, misses.len(), |job| {
             let index = misses[job];
             let spec = &specs[index];
             let cell = evaluate_cell(spec);
@@ -703,5 +703,48 @@ mod tests {
         assert_eq!(lookup(&cells, "RW-1", "Ours"), Some(0.80));
         assert_eq!(lookup(&cells, "RW-1", "GT"), None);
         assert!((uplift(0.8, 0.75) - 6.666).abs() < 0.01);
+    }
+
+    #[test]
+    fn sweep_schedule_runs_costly_strategies_first() {
+        let config = DatasetConfig::rw1();
+        let specs: Vec<CellSpec> = [
+            StrategyKind::UniformSampling,
+            StrategyKind::Ours,
+            StrategyKind::BktOnly,
+            StrategyKind::Ours,
+            StrategyKind::CpeBktEnsemble,
+        ]
+        .iter()
+        .map(|&s| CellSpec::standard(config.clone(), s, 1, vec![1]))
+        .collect();
+        assert_eq!(
+            sweep_schedule(&specs, vec![0, 1, 2, 3, 4]),
+            vec![1, 3, 4, 2, 0]
+        );
+        assert_eq!(sweep_schedule(&specs, vec![2, 0]), vec![2, 0]);
+        assert!(sweep_schedule(&specs, vec![]).is_empty());
+    }
+
+    #[test]
+    fn zoo_selectors_are_exactly_the_stage_pipelines() {
+        let zoo = StrategyKind::stage_pipelines();
+        for kind in StrategyKind::all().into_iter().chain(zoo.iter().copied()) {
+            let selector = kind.zoo_selector(2, 0.5);
+            assert_eq!(selector.is_some(), zoo.contains(&kind), "{}", kind.name());
+            if let Some(selector) = selector {
+                assert_eq!(selector.config().cpe.epochs, 2);
+                assert_eq!(selector.name(), kind.name());
+            }
+        }
+    }
+
+    #[test]
+    fn trial_seeds_step_from_the_base_seed() {
+        assert_eq!(
+            trial_seeds(3),
+            vec![BASE_SEED, BASE_SEED + 1000, BASE_SEED + 2000]
+        );
+        assert!(trial_seeds(0).is_empty());
     }
 }

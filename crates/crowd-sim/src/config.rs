@@ -638,4 +638,73 @@ mod tests {
         assert_eq!(all[1].descriptors.len(), 4);
         assert!(all[2].descriptors.is_empty());
     }
+
+    #[test]
+    fn scenario_validation_rejects_out_of_range_values() {
+        assert!(ScenarioConfig::none().validate().is_ok());
+        assert!(ScenarioConfig::none().is_closed_world());
+        let bad = [
+            (1.0, 0.0, 0.0),
+            (-0.1, 0.0, 0.0),
+            (f64::NAN, 0.0, 0.0),
+            (0.0, 1.0, 0.0),
+            (0.6, 0.4, 0.0),
+            (0.0, 0.0, 0.5),
+            (0.0, 0.0, -0.01),
+            (0.0, 0.0, f64::NAN),
+        ];
+        for (spammer_fraction, colluder_fraction, accuracy_drift) in bad {
+            let s = ScenarioConfig {
+                spammer_fraction,
+                colluder_fraction,
+                accuracy_drift,
+                ..ScenarioConfig::none()
+            };
+            assert!(s.validate().is_err(), "{s:?}");
+            assert!(DatasetConfig::rw1().with_scenario(s).validate().is_err());
+        }
+    }
+
+    #[test]
+    fn robustness_presets_only_change_the_scenario() {
+        let base = DatasetConfig::rw1();
+        let all = DatasetConfig::robustness_scenarios();
+        assert_eq!(all.len(), 5);
+        assert!(all[0].scenario.is_closed_world());
+        for c in &all[1..] {
+            c.validate().unwrap();
+            assert!(!c.scenario.is_closed_world(), "{}", c.name);
+            assert_ne!(c.name, base.name);
+            let mut reset = c.with_scenario(ScenarioConfig::none());
+            reset.name = base.name.clone();
+            assert_eq!(reset, base);
+        }
+    }
+
+    #[test]
+    fn rw_loadings_imply_the_reported_target_correlations() {
+        // Sec. V-H: RW-1 0.65 / 0.69 / 0.50, RW-2 0.23 / 0.10 / 0.68.
+        for (config, expected) in [
+            (DatasetConfig::rw1(), [0.65, 0.69, 0.50]),
+            (DatasetConfig::rw2(), [0.23, 0.10, 0.68]),
+        ] {
+            let loadings = config.factor_loadings.expect("pinned");
+            assert_eq!(loadings.len(), config.prior_stats.len() + 1);
+            for (d, rho) in expected.iter().enumerate() {
+                assert!((loadings[d] * loadings[3] - rho).abs() < 0.01, "{d}");
+            }
+        }
+        assert!(DatasetConfig::s3().factor_loadings.is_none());
+    }
+
+    #[test]
+    fn per_round_budget_is_q_times_pool_for_every_dataset() {
+        for c in DatasetConfig::all_paper_datasets() {
+            assert_eq!(c.per_round_budget(), c.tasks_per_batch * c.pool_size);
+            assert_eq!(
+                c.learning_task_pool_size(),
+                c.tasks_per_batch * c.num_batches()
+            );
+        }
+    }
 }

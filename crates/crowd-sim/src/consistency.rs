@@ -160,4 +160,21 @@ mod tests {
         assert_eq!(report.compared, "S-1");
         assert!(report.pearson <= 1.0 && report.pearson >= -1.0);
     }
+
+    #[test]
+    fn zero_buckets_are_clamped_to_one() {
+        let ds = generate(&DatasetConfig::rw1()).unwrap();
+        let h = target_accuracy_histogram(&ds, 0).unwrap();
+        assert_eq!(h.bins(), 1);
+        assert_eq!(h.total(), ds.pool_size());
+    }
+
+    #[test]
+    fn self_report_has_no_mean_gap() {
+        let ds = generate(&DatasetConfig::s1()).unwrap();
+        let report = consistency_report(&ds, &ds, DEFAULT_BUCKETS).unwrap();
+        assert_eq!(report.max_mean_gap, 0.0);
+        assert_eq!(report.reference, report.compared);
+        assert!((report.pearson - 1.0).abs() < 1e-9);
+    }
 }

@@ -213,4 +213,33 @@ mod tests {
         )
         .is_err());
     }
+
+    #[test]
+    fn prior_moments_skip_workers_without_a_record() {
+        let config = tiny_config();
+        let (learning, working) = pools(&config);
+        let mut gap = spec(0.5);
+        gap.profile =
+            HistoricalProfile::new(vec![None, Some(0.8), Some(0.6)], vec![0, 10, 10]).unwrap();
+        let ds = Dataset::new(
+            config,
+            vec![gap, spec(0.5), spec(0.6), spec(0.7)],
+            learning,
+            working,
+        )
+        .unwrap();
+        assert_eq!(ds.prior_accuracies(0)[0], None);
+        let (mean, std) = ds.prior_domain_moments(0);
+        assert!((mean - 0.7).abs() < 1e-12);
+        assert!(std.abs() < 1e-12);
+    }
+
+    #[test]
+    fn invalid_config_is_rejected_before_the_parts() {
+        let mut config = tiny_config();
+        config.select_k = 0;
+        let (learning, working) = pools(&tiny_config());
+        let err = Dataset::new(config, vec![spec(0.5); 4], learning, working).unwrap_err();
+        assert!(err.to_string().contains("select_k"), "{err}");
+    }
 }

@@ -137,4 +137,12 @@ mod tests {
         v.sort();
         assert_eq!(v, vec![Domain::Prior(0), Domain::Prior(1), Domain::Target]);
     }
+
+    #[test]
+    fn every_feature_kind_has_a_table_label() {
+        assert_eq!(FeatureKind::Color.to_string(), "Color");
+        assert_eq!(FeatureKind::Shape.to_string(), "Shape");
+        assert_eq!(Domain::Prior(9).to_string(), "prior-10");
+        assert_eq!(Domain::Target.vector_index(0), 0);
+    }
 }

@@ -34,13 +34,6 @@ pub enum SimError {
         /// Size of the task pool.
         pool: usize,
     },
-    /// A dataset file could not be parsed.
-    Parse {
-        /// 1-based line number of the failure (0 when not line-specific).
-        line: usize,
-        /// Description of the problem.
-        message: String,
-    },
     /// Propagated numerical/statistical failure.
     Numerical(String),
 }
@@ -63,9 +56,6 @@ impl fmt::Display for SimError {
                 f,
                 "task range {start}..{end} is out of bounds for a pool of {pool} tasks"
             ),
-            SimError::Parse { line, message } => {
-                write!(f, "dataset parse error at line {line}: {message}")
-            }
             SimError::Numerical(msg) => write!(f, "numerical failure: {msg}"),
         }
     }
@@ -111,12 +101,6 @@ mod tests {
         }
         .to_string()
         .contains("5..9"));
-        assert!(SimError::Parse {
-            line: 3,
-            message: "bad".into()
-        }
-        .to_string()
-        .contains("line 3"));
         assert!(SimError::Numerical("x".into()).to_string().contains('x'));
     }
 

@@ -254,4 +254,40 @@ mod tests {
             churned.initial_target_accuracies()
         );
     }
+
+    #[test]
+    fn max_round_ignores_empty_rounds() {
+        let s = CampaignSchedule::empty()
+            .with_round(2, RoundEvents::none().with_leave(1))
+            .with_round(6, RoundEvents::none());
+        assert_eq!(s.max_round(), 2);
+        assert!(s.events_for(6).is_none());
+        assert!(AppliedRoundEvents::default().is_empty());
+        let applied = AppliedRoundEvents {
+            joined: vec![27],
+            departed: vec![],
+        };
+        assert!(!applied.is_empty());
+    }
+
+    #[test]
+    fn churn_depends_on_the_seed_and_validates_the_config() {
+        let config = DatasetConfig::rw1_churn();
+        let a = CampaignSchedule::churn(&config, 3).unwrap();
+        let b = CampaignSchedule::churn(&config.with_seed(config.seed + 1), 3).unwrap();
+        assert_ne!(
+            a.events_for(2).unwrap().joins,
+            b.events_for(2).unwrap().joins
+        );
+        assert_eq!(
+            a.events_for(2).unwrap().leaves,
+            b.events_for(2).unwrap().leaves
+        );
+        let mut bad = config;
+        bad.working_tasks = 0;
+        assert!(CampaignSchedule::churn(&bad, 3).is_err());
+        assert!(CampaignSchedule::churn(&DatasetConfig::rw1_churn(), 1)
+            .unwrap()
+            .is_empty());
+    }
 }

@@ -197,21 +197,6 @@ pub fn build_population_model(
     Ok(MultivariateNormal::from_correlations(&means, &stds, &corr)?)
 }
 
-/// Generates several independent replicas of the same configuration with different
-/// seeds (used by the benchmark harness to average over generation noise).
-pub fn generate_replicas(
-    config: &DatasetConfig,
-    replicas: usize,
-) -> Result<Vec<Dataset>, SimError> {
-    (0..replicas)
-        .map(|r| {
-            let cfg =
-                config.with_seed(config.seed.wrapping_add(r as u64).wrapping_mul(0x9E37_79B9));
-            generate(&cfg)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -306,21 +291,6 @@ mod tests {
     }
 
     #[test]
-    fn replicas_differ_from_each_other() {
-        let config = DatasetConfig::rw1();
-        let reps = generate_replicas(&config, 3).unwrap();
-        assert_eq!(reps.len(), 3);
-        assert_ne!(
-            reps[0].initial_target_accuracies(),
-            reps[1].initial_target_accuracies()
-        );
-        assert_ne!(
-            reps[1].initial_target_accuracies(),
-            reps[2].initial_target_accuracies()
-        );
-    }
-
-    #[test]
     fn population_model_has_requested_dimension() {
         let config = DatasetConfig::rw1();
         let mut rng = StdRng::seed_from_u64(0);
@@ -396,5 +366,18 @@ mod tests {
             assert!(w.learning_aptitude < 0.0);
         }
         assert_ne!(&ds.workers[k].profile, shared);
+    }
+
+    #[test]
+    fn drift_and_churn_scenarios_leave_the_generated_pool_alone() {
+        // Drift acts on the platform's learning dynamics and churn on the
+        // campaign schedule; neither may perturb the initial pool.
+        let plain = generate(&DatasetConfig::rw1()).unwrap();
+        for config in [DatasetConfig::rw1_drift(), DatasetConfig::rw1_churn()] {
+            let ds = generate(&config).unwrap();
+            assert_eq!(ds.workers, plain.workers, "{}", config.name);
+            assert_eq!(ds.learning_tasks, plain.learning_tasks);
+            assert_eq!(ds.working_tasks, plain.working_tasks);
+        }
     }
 }

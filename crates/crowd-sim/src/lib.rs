@@ -26,8 +26,8 @@
 //!   answers every shard on a scoped thread, and then applies the merged
 //!   sheets in worker order, bit-for-bit identical for every layout;
 //! * [`parallel`] — the workspace's scoped-thread work queue
-//!   ([`run_indexed_jobs`]), shared by the platform shards, the selection
-//!   crate's evaluation engine, and the bench harness;
+//!   ([`parallel::run_indexed_jobs`]), shared by the platform shards, the
+//!   selection crate's evaluation engine, and the bench harness;
 //! * the [`event`](crate::RoundEvents) model — [`RoundEvents`] /
 //!   [`CampaignSchedule`] describe mid-campaign worker churn as pure data;
 //!   [`Platform::apply_events`] applies a round's joins and departures while
@@ -35,8 +35,7 @@
 //!   [`ScenarioConfig`] presets (spammers, colluders,
 //!   drift, churn) drive the Table-IV-style robustness sweeps;
 //! * [`consistency`](crate::consistency_report) helpers — the Table IV moment and
-//!   Pearson-correlation comparisons;
-//! * [`to_text`] / [`from_text`] — plain-text dataset archival.
+//!   Pearson-correlation comparisons.
 //!
 //! ## Example
 //!
@@ -62,7 +61,6 @@ mod domain;
 mod error;
 mod event;
 mod generator;
-mod io;
 pub mod parallel;
 mod platform;
 mod shard;
@@ -78,10 +76,8 @@ pub use dataset::Dataset;
 pub use domain::{Domain, DomainDescriptor, FeatureKind};
 pub use error::SimError;
 pub use event::{AppliedRoundEvents, CampaignSchedule, RoundEvents};
-pub use generator::{build_population_model, generate, generate_replicas};
-pub use io::{from_text, to_text};
-pub use parallel::run_indexed_jobs;
+pub use generator::{build_population_model, generate};
 pub use platform::{Platform, RoundRecord};
 pub use shard::WorkerShards;
 pub use task::{AnswerSheet, Task, TaskKind, TaskPool};
-pub use worker::{answer_with_accuracy, HistoricalProfile, SimulatedWorker, WorkerId, WorkerSpec};
+pub use worker::{HistoricalProfile, SimulatedWorker, WorkerId, WorkerSpec};

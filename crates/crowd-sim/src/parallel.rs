@@ -160,4 +160,14 @@ mod tests {
     fn available_threads_is_at_least_one() {
         assert!(available_threads() >= 1);
     }
+
+    #[test]
+    fn zero_jobs_yield_an_empty_result() {
+        for threads in [0, 1, 4] {
+            let out: Result<Vec<usize>, ()> = run_indexed_jobs(threads, 0, |_| unreachable!());
+            assert_eq!(out, Ok(vec![]));
+        }
+        let out: Result<Vec<usize>, ()> = run_indexed_jobs(0, 3, Ok);
+        assert_eq!(out, Ok(vec![0, 1, 2]));
+    }
 }

@@ -953,4 +953,40 @@ mod tests {
             assert_eq!(sheet, mirrored);
         }
     }
+
+    #[test]
+    fn expected_working_accuracy_is_the_mean_true_accuracy() {
+        let p = platform();
+        assert_eq!(p.expected_working_accuracy(&[]).unwrap(), 0.0);
+        let truth = p.true_accuracies();
+        let mean = p.expected_working_accuracy(&[2, 5]).unwrap();
+        assert!((mean - (truth[2] + truth[5]) / 2.0).abs() < 1e-15);
+        assert!(matches!(
+            p.expected_working_accuracy(&[2, 99]),
+            Err(SimError::UnknownWorker { id: 99 })
+        ));
+    }
+
+    #[test]
+    fn learning_cursor_advances_and_wraps_around_the_pool() {
+        let ds = generate(&DatasetConfig::rw1()).unwrap();
+        let pool: Vec<bool> = ds.learning_tasks.tasks().iter().map(|t| t.gold).collect();
+        let mut p = Platform::from_dataset(&ds, 7).unwrap();
+        let first = p.assign_learning_batch(&[0], 25).unwrap();
+        assert_eq!(first.task_start, 0);
+        assert_eq!(first.gold(), &pool[..25]);
+        let second = p.assign_learning_batch(&[0], 10).unwrap();
+        assert_eq!(second.task_start, 25);
+        assert_eq!(second.gold()[..5], pool[25..30]);
+        assert_eq!(second.gold()[5..], pool[..5]);
+    }
+
+    #[test]
+    fn non_finite_difficulty_is_rejected() {
+        let ds = generate(&DatasetConfig::rw1()).unwrap();
+        assert!(Platform::new(&ds, 1, f64::NAN).is_err());
+        assert!(Platform::new(&ds, 1, f64::INFINITY).is_err());
+        let p = Platform::new(&ds, 1, 0.5).unwrap();
+        assert_eq!(p.true_accuracies(), ds.initial_target_accuracies());
+    }
 }

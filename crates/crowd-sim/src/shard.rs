@@ -184,4 +184,16 @@ mod tests {
         let rejoined: String = slices.concat().iter().collect();
         assert_eq!(rejoined, "abcdefghij");
     }
+
+    #[test]
+    fn single_and_oversized_shards_hold_everything() {
+        for shards in [WorkerShards::single(5), WorkerShards::by_size(5, 100)] {
+            assert_eq!(shards.num_shards(), 1);
+            assert_eq!(shards.range(0), 0..5);
+        }
+        let zero = WorkerShards::by_size(5, 0);
+        assert_eq!(zero.num_shards(), 5);
+        assert!(zero.ranges().all(|r| r.len() == 1));
+        assert_eq!(WorkerShards::by_size(0, 3).num_shards(), 1);
+    }
 }

@@ -268,4 +268,37 @@ mod tests {
         let pool = TaskPool::from_tasks(tasks.clone());
         assert_eq!(pool.tasks(), tasks.as_slice());
     }
+
+    #[test]
+    fn gold_slice_matches_the_tasks_and_reports_bad_ranges() {
+        let pool = TaskPool::generate(
+            &mut StdRng::seed_from_u64(3),
+            12,
+            Domain::Target,
+            TaskKind::Learning,
+        );
+        let gold: Vec<bool> = pool.tasks()[4..9].iter().map(|t| t.gold).collect();
+        assert_eq!(pool.gold_slice(4, 9).unwrap(), gold);
+        assert_eq!(
+            pool.gold_slice(8, 13),
+            Err(SimError::TaskRangeOutOfBounds {
+                start: 8,
+                end: 13,
+                pool: 12
+            })
+        );
+    }
+
+    #[test]
+    fn perfect_and_inverted_sheets() {
+        let gold = vec![true, false, false, true, true];
+        let perfect = AnswerSheet::new(1, gold.clone(), gold.clone()).unwrap();
+        assert_eq!((perfect.correct(), perfect.wrong()), (5, 0));
+        assert_eq!(perfect.accuracy(), 1.0);
+        let inverted: Vec<bool> = gold.iter().map(|g| !g).collect();
+        let wrong = AnswerSheet::new(1, inverted, gold).unwrap();
+        assert_eq!((wrong.correct(), wrong.wrong()), (0, 5));
+        assert_eq!(wrong.accuracy(), 0.0);
+        assert!(wrong.correctness().iter().all(|c| !c));
+    }
 }

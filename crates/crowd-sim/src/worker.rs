@@ -24,7 +24,7 @@ pub type WorkerId = usize;
 /// both delegate here, so every execution path (unsharded or
 /// sharded) draws the same floats in the same order and produces bit-for-bit
 /// identical answers.
-pub fn answer_with_accuracy<R: Rng + ?Sized>(
+pub(crate) fn answer_with_accuracy<R: Rng + ?Sized>(
     rng: &mut R,
     accuracy: f64,
     gold: &[bool],
@@ -518,5 +518,42 @@ mod tests {
         assert_eq!(answer_with_accuracy(&mut rng, 1.0, &gold), gold);
         let flipped: Vec<bool> = gold.iter().map(|g| !g).collect();
         assert_eq!(answer_with_accuracy(&mut rng, 0.0, &gold), flipped);
+    }
+
+    #[test]
+    fn batches_shorter_than_the_anchor_keep_the_initial_accuracy() {
+        let mut w = SimulatedWorker::new(0, &spec(0.8), 0.0, 10).unwrap();
+        let mut rng = StdRng::seed_from_u64(4);
+        w.answer_learning_batch(&mut rng, &[true; 4]).unwrap();
+        assert_eq!(w.cumulative_learning_tasks(), 4);
+        assert!((w.current_accuracy() - 0.8).abs() < 1e-9);
+        w.answer_learning_batch(&mut rng, &[false; 6]).unwrap();
+        assert!((w.current_accuracy() - 0.8).abs() < 1e-9);
+        w.answer_learning_batch(&mut rng, &[true]).unwrap();
+        assert!(w.current_accuracy() > 0.8);
+        assert_eq!(w.initial_accuracy(), 0.8);
+    }
+
+    #[test]
+    fn boundary_initial_accuracies_get_a_finite_curve() {
+        for initial in [0.0, 1.0] {
+            let w = SimulatedWorker::new(3, &spec(initial), 0.5, 20).unwrap();
+            assert!(w.learning_alpha().is_finite());
+            assert_eq!(w.current_accuracy(), initial);
+            assert_eq!(w.target_difficulty(), 0.5);
+            assert_eq!(w.accuracy_drift(), 0.0);
+            assert_eq!(w.profile(), &spec(initial).profile);
+        }
+    }
+
+    #[test]
+    fn strong_drift_clamps_accuracy_at_zero() {
+        let mut w = SimulatedWorker::new(0, &spec(0.6), 0.0, 10).unwrap();
+        w.set_accuracy_drift(0.9).unwrap();
+        w.answer_learning_batch(&mut StdRng::seed_from_u64(1), &[true; 10])
+            .unwrap();
+        assert_eq!(w.current_accuracy(), 0.0);
+        let answers = w.answer_tasks(&mut StdRng::seed_from_u64(2), &[true, false]);
+        assert_eq!(answers, vec![false, true]);
     }
 }

@@ -443,4 +443,49 @@ mod tests {
         // Snapshots of the same environment are equal.
         assert_eq!(env, C4uEnv::from_env());
     }
+
+    #[test]
+    fn rendered_defaults_match_the_parsed_defaults() {
+        let default_of = |name: &str| knob(name).map(|k| k.default);
+        let list = |values: &[usize]| {
+            values
+                .iter()
+                .map(usize::to_string)
+                .collect::<Vec<_>>()
+                .join(",")
+        };
+        let cpe_epochs = DEFAULT_CPE_EPOCHS.to_string();
+        assert_eq!(default_of(names::CPE_EPOCHS), Some(cpe_epochs.as_str()));
+        assert_eq!(
+            default_of(names::TRIALS),
+            Some(DEFAULT_TRIALS.to_string().as_str())
+        );
+        assert_eq!(
+            default_of(names::SHARDS),
+            Some(DEFAULT_SHARDS.to_string().as_str())
+        );
+        let samples = DEFAULT_QUAD_SAMPLES.to_string();
+        assert_eq!(default_of(names::QUAD_SAMPLES), Some(samples.as_str()));
+        let workers = list(DEFAULT_QUAD_WORKERS);
+        assert_eq!(default_of(names::QUAD_WORKERS), Some(workers.as_str()));
+        let nodes = list(DEFAULT_QUAD_NODES);
+        assert_eq!(default_of(names::QUAD_NODES), Some(nodes.as_str()));
+    }
+
+    #[test]
+    fn kind_labels_are_distinct() {
+        let kinds = [
+            KnobKind::Count,
+            KnobKind::CountList,
+            KnobKind::Path,
+            KnobKind::Mode,
+        ];
+        for (i, a) in kinds.iter().enumerate() {
+            for b in &kinds[i + 1..] {
+                assert_ne!(a.label(), b.label());
+            }
+        }
+        assert!(parse_count(Some("2.5"), 7) == 7 && parse_count(Some("+4"), 7) == 4);
+        assert_eq!(parse_count(Some("99999999999999999999999"), 7), 7);
+    }
 }

@@ -297,4 +297,31 @@ mod tests {
         b.observe(false);
         assert!((value - b.predicted_accuracy()).abs() < 1e-12);
     }
+
+    #[test]
+    fn model_starts_at_the_prior_and_keeps_its_params() {
+        let params = BktParams {
+            p_init: 0.6,
+            ..Default::default()
+        };
+        let mut m = BktModel::new(params).unwrap();
+        assert_eq!(m.mastery(), 0.6);
+        assert_eq!(m.params(), &params);
+        let expected = 0.6 * (1.0 - params.p_slip) + 0.4 * params.p_guess;
+        assert!((m.predicted_accuracy() - expected).abs() < 1e-15);
+        assert_eq!(m.observe_batch(&[]), m.predicted_accuracy());
+        assert_eq!(m.mastery(), 0.6);
+    }
+
+    #[test]
+    fn certain_mastery_is_absorbing() {
+        let mut m = BktModel::new(BktParams {
+            p_init: 1.0,
+            ..Default::default()
+        })
+        .unwrap();
+        assert_eq!(m.observe(false), 1.0);
+        assert_eq!(m.observe(true), 1.0);
+        assert_eq!(m.predicted_accuracy(), 1.0 - BktParams::default().p_slip);
+    }
 }

@@ -23,7 +23,7 @@
 //! [`objective`] keeps the Eq. 11 sum in that form as the reference the table sum
 //! equals bit for bit.
 
-use crate::learning::{log_tasks, LearningGainModel};
+use crate::learning::log_tasks;
 use crate::IrtError;
 use c4u_optim::minimize_scalar;
 use c4u_stats::sigmoid;
@@ -220,20 +220,10 @@ fn unidentifiable() -> IrtError {
     IrtError::Calibration("alpha is unidentifiable without any observations".to_string())
 }
 
-/// Convenience: calibrates `alpha` and immediately returns the learning-gain model
-/// for the target domain.
-pub fn calibrate_model(
-    target_difficulty: f64,
-    priors: &[PriorDomainObservation],
-    stages: &[TargetStageObservation],
-) -> Result<LearningGainModel, IrtError> {
-    let fitted = calibrate_alpha(target_difficulty, priors, stages)?;
-    LearningGainModel::new(fitted.alpha, target_difficulty)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::learning::LearningGainModel;
 
     fn prior(difficulty: f64, tasks: f64, accuracy: f64) -> PriorDomainObservation {
         PriorDomainObservation {
@@ -336,13 +326,14 @@ mod tests {
     }
 
     #[test]
-    fn calibrate_model_produces_usable_predictor() {
-        let model = calibrate_model(
+    fn calibrated_alpha_gives_usable_predictor() {
+        let fitted = calibrate_alpha(
             0.0,
             &[],
             &[stage(0.0, 0.5), stage(10.0, 0.75), stage(30.0, 0.85)],
         )
         .unwrap();
+        let model = LearningGainModel::new(fitted.alpha, 0.0).unwrap();
         // Predicting further training should extrapolate above the last observation
         // for an improving worker.
         assert!(model.accuracy(60.0) > 0.8);
@@ -356,5 +347,36 @@ mod tests {
         let obs = [stage(8.0, m.accuracy(8.0))];
         assert!(objective(alpha, 0.2, &[], &obs) < 1e-15);
         assert!(objective(alpha + 0.5, 0.2, &[], &obs) > 1e-4);
+    }
+
+    #[test]
+    fn zero_task_terms_add_a_constant_and_leave_alpha_alone() {
+        let informative = [
+            LearningTerm::new(10.0, 0.0, 0.7),
+            LearningTerm::new(30.0, 0.0, 0.8),
+        ];
+        let base = calibrate_terms(&informative).unwrap();
+        let mut with_zero = informative.to_vec();
+        with_zero.push(LearningTerm::new(0.0, 0.0, 0.9));
+        let padded = calibrate_terms(&with_zero).unwrap();
+        assert!((padded.alpha - base.alpha).abs() < 1e-6);
+        // sigmoid(0) = 0.5, so the K = 0 term contributes (0.5 - 0.9)^2.
+        assert!((padded.residual - base.residual - 0.16).abs() < 1e-9);
+    }
+
+    #[test]
+    fn calibrate_alpha_is_calibrate_terms_over_its_table() {
+        let priors = [prior(0.3, 20.0, 0.75), prior(-0.5, 5.0, 0.9)];
+        let stages = [stage(0.0, 0.5), stage(10.0, 0.66)];
+        let via_alpha = calibrate_alpha(0.1, &priors, &stages).unwrap();
+        let terms = [
+            LearningTerm::new(20.0, 0.3, 0.75),
+            LearningTerm::new(5.0, -0.5, 0.9),
+            LearningTerm::with_log_tasks(0.0, 0.1, 0.5),
+            LearningTerm::with_log_tasks(11.0f64.ln(), 0.1, 0.66),
+        ];
+        assert_eq!(calibrate_terms(&terms).unwrap(), via_alpha);
+        assert!(calibrate_terms(&[]).is_err());
+        assert!(calibrate_terms(&[LearningTerm::new(3.0, 0.0, 1.5)]).is_err());
     }
 }

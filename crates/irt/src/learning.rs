@@ -227,4 +227,24 @@ mod tests {
         assert!(fast.accuracy(30.0) > slow.accuracy(30.0));
         assert!(fast.gain(0.0, 30.0) > slow.gain(0.0, 30.0));
     }
+
+    #[test]
+    fn log_tasks_clamps_negative_counts() {
+        assert_eq!(log_tasks(0.0), 0.0);
+        assert_eq!(log_tasks(-3.0), 0.0);
+        assert!((log_tasks(std::f64::consts::E - 1.0) - 1.0).abs() < 1e-15);
+        let m = LearningGainModel::new(0.6, -0.2).unwrap();
+        assert_eq!((m.alpha(), m.difficulty()), (0.6, -0.2));
+        assert_eq!(m.proficiency(9.0), 0.6 * log_tasks(9.0));
+    }
+
+    #[test]
+    fn negating_alpha_and_beta_mirrors_the_curve() {
+        let m = LearningGainModel::new(0.9, 0.4).unwrap();
+        let mirror = LearningGainModel::new(-0.9, -0.4).unwrap();
+        for k in [0.0, 3.0, 50.0] {
+            assert!((m.accuracy(k) + mirror.accuracy(k) - 1.0).abs() < 1e-15);
+        }
+        assert!(m.trajectory(&[]).is_empty());
+    }
 }

@@ -12,9 +12,9 @@
 //! * [`LearningGainModel`] — the modified IRT model `g(alpha, beta, K)` with
 //!   proficiency `alpha * ln(K + 1)` (Eq. 10), including the
 //!   [`cumulative_tasks_after_round`] schedule `K_j = (2^j - 1) t / |W|`;
-//! * [`calibrate_alpha`] / [`calibrate_model`] — the per-worker least-squares fit of
-//!   the learning parameter (Eq. 11), both thin wrappers over [`calibrate_terms`],
-//!   the one fit over a precomputed [`LearningTerm`] table;
+//! * [`calibrate_alpha`] — the per-worker least-squares fit of the learning
+//!   parameter (Eq. 11), a thin wrapper over [`calibrate_terms`], the one fit
+//!   over a precomputed [`LearningTerm`] table;
 //! * [`BktModel`] — a Bayesian Knowledge Tracing tracker; the selection layer's
 //!   `BktStage` runs one per worker as an ablation of the learner-model choice,
 //!   seeded through [`BktParams::mastery_for_accuracy`].
@@ -32,7 +32,7 @@
 //! ## Example
 //!
 //! ```
-//! use c4u_irt::{calibrate_model, TargetStageObservation};
+//! use c4u_irt::{calibrate_alpha, LearningGainModel, TargetStageObservation};
 //!
 //! // A worker whose estimated accuracy improved from 0.5 to 0.8 over training.
 //! let stages = [
@@ -40,7 +40,8 @@
 //!     TargetStageObservation { cumulative_tasks_before: 10.0, estimated_accuracy: 0.7 },
 //!     TargetStageObservation { cumulative_tasks_before: 30.0, estimated_accuracy: 0.8 },
 //! ];
-//! let model = calibrate_model(0.0, &[], &stages).unwrap();
+//! let fitted = calibrate_alpha(0.0, &[], &stages).unwrap();
+//! let model = LearningGainModel::new(fitted.alpha, 0.0).unwrap();
 //! // Predict accuracy after further training.
 //! assert!(model.accuracy(70.0) > 0.8);
 //! ```
@@ -55,8 +56,8 @@ mod rasch;
 
 pub use bkt::{BktModel, BktParams};
 pub use calibration::{
-    calibrate_alpha, calibrate_model, calibrate_terms, objective as learning_objective,
-    CalibratedAlpha, LearningTerm, PriorDomainObservation, TargetStageObservation,
+    calibrate_alpha, calibrate_terms, objective as learning_objective, CalibratedAlpha,
+    LearningTerm, PriorDomainObservation, TargetStageObservation,
 };
 pub use error::IrtError;
 pub use learning::{cumulative_tasks_after_round, log_tasks, LearningGainModel};

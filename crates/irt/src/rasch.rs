@@ -173,4 +173,24 @@ mod tests {
         // Degenerate all-correct record stays finite.
         assert!(item.estimate_proficiency(10, 10).unwrap().is_finite());
     }
+
+    #[test]
+    fn extreme_baselines_stay_finite_and_ordered() {
+        let never = RaschItem::from_baseline_accuracy(0.0).unwrap();
+        let always = RaschItem::from_baseline_accuracy(1.0).unwrap();
+        assert!(never.difficulty().is_finite() && always.difficulty().is_finite());
+        assert!(never.difficulty() > 20.0 && always.difficulty() < -20.0);
+        assert!(never.log_likelihood(0.0, &[true]).is_finite());
+        assert!(always.probability_correct(0.0) > 1.0 - 1e-9);
+    }
+
+    #[test]
+    fn log_likelihood_is_additive_over_responses() {
+        let item = RaschItem::new(-0.3).unwrap();
+        let both = item.log_likelihood(0.8, &[true, false, true]);
+        let split = item.log_likelihood(0.8, &[true, true]) + item.log_likelihood(0.8, &[false]);
+        assert!((both - split).abs() < 1e-15);
+        let p: f64 = item.probability_correct(0.8);
+        assert!((item.log_likelihood(0.8, &[false]) - (1.0 - p).ln()).abs() < 1e-15);
+    }
 }

@@ -371,4 +371,37 @@ mod tests {
         let chol = Cholesky::new(&Matrix::identity(3)).unwrap();
         assert!(chol.solve_matrix(&Matrix::zeros(2, 2)).is_err());
     }
+
+    #[test]
+    fn mahalanobis_is_the_quadratic_form_of_the_solve() {
+        let chol = Cholesky::new(&spd3()).unwrap();
+        let d = Vector::from_slice(&[0.5, -1.0, 2.0]);
+        let via_solve = d.dot(&chol.solve(&d).unwrap()).unwrap();
+        assert!((chol.mahalanobis_squared(&d).unwrap() - via_solve).abs() < 1e-12);
+        assert_eq!((chol.dim(), chol.jitter_used()), (3, 0.0));
+    }
+
+    #[test]
+    fn solves_reject_wrong_lengths() {
+        let chol = Cholesky::new(&spd3()).unwrap();
+        assert!(chol.solve_in_place(&mut [1.0, 2.0]).is_err());
+        assert!(chol.solve(&Vector::zeros(4)).is_err());
+        assert!(chol.mahalanobis_squared(&Vector::zeros(2)).is_err());
+    }
+
+    #[test]
+    fn jitter_gives_up_after_max_tries() {
+        // Mean |diagonal| 50.5, so 1e-12 relative jitter grows to only ~5e-10
+        // in two tries: far from repairing a -100 pivot.
+        let bad = Matrix::from_rows(&[vec![-100.0, 0.0], vec![0.0, 1.0]]).unwrap();
+        assert!(matches!(
+            Cholesky::new_with_jitter(&bad, 1e-12, 2),
+            Err(LinalgError::NotPositiveDefinite { .. })
+        ));
+        assert!(matches!(
+            Cholesky::new_with_jitter(&bad, 1e-12, 0),
+            Err(LinalgError::NotPositiveDefinite { .. })
+        ));
+        assert!(Cholesky::new_with_jitter(&Matrix::zeros(2, 3), 1e-6, 5).is_err());
+    }
 }

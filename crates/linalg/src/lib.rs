@@ -48,8 +48,5 @@ pub use error::{LinalgError, Result};
 pub use lu::{determinant, inverse, solve, Lu};
 pub use matrix::Matrix;
 pub use packed::{packed_index, packed_length, PackedLowerTriangle};
-pub use triangular::{
-    solve_lower_triangular, solve_unit_lower_triangular, solve_upper_triangular,
-    SINGULARITY_TOLERANCE,
-};
+pub use triangular::{solve_lower_triangular, solve_upper_triangular, SINGULARITY_TOLERANCE};
 pub use vector::Vector;

@@ -262,4 +262,22 @@ mod tests {
         let x_chol = crate::Cholesky::new(&a).unwrap().solve(&b).unwrap();
         assert!(x_lu.max_abs_diff(&x_chol).unwrap() < 1e-10);
     }
+
+    #[test]
+    fn free_functions_match_the_factorisation() {
+        let a = Matrix::from_rows(&[
+            vec![0.0, 2.0, 1.0],
+            vec![1.0, 1.0, 0.0],
+            vec![3.0, 0.0, 1.0],
+        ])
+        .unwrap();
+        let b = Vector::from_slice(&[1.0, 2.0, 3.0]);
+        let lu = Lu::new(&a).unwrap();
+        assert_eq!(lu.dim(), 3);
+        assert_eq!(solve(&a, &b).unwrap(), lu.solve(&b).unwrap());
+        assert_eq!(inverse(&a).unwrap(), lu.inverse().unwrap());
+        assert_eq!(determinant(&a).unwrap(), lu.determinant());
+        assert!((lu.determinant() - (-5.0)).abs() < 1e-12);
+        assert!(determinant(&Matrix::zeros(2, 3)).is_err());
+    }
 }

@@ -567,4 +567,61 @@ mod tests {
         bad[(0, 0)] = f64::NAN;
         assert!(bad.has_non_finite());
     }
+
+    #[test]
+    fn element_access_is_bounds_checked() {
+        let mut m = Matrix::zeros(2, 3);
+        m.set(1, 2, 4.5).unwrap();
+        assert_eq!(m.get(1, 2).unwrap(), 4.5);
+        assert!(m.get(2, 0).is_err());
+        assert!(m.get(0, 3).is_err());
+        assert!(m.set(0, 3, 1.0).is_err());
+    }
+
+    #[test]
+    fn storage_is_row_major() {
+        let m = Matrix::from_row_major(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]).unwrap();
+        assert_eq!(m[(1, 0)], 4.0);
+        assert_eq!(m.transpose().as_slice(), &[1.0, 4.0, 2.0, 5.0, 3.0, 6.0]);
+        assert_eq!(Matrix::filled(2, 2, 0.5).as_slice(), &[0.5; 4]);
+        assert!(!m.is_square() && Matrix::zeros(3, 3).is_square());
+    }
+
+    #[test]
+    fn transpose_reverses_products() {
+        let a = Matrix::from_fn(2, 3, |i, j| (i + 2 * j) as f64 - 1.5);
+        let b = Matrix::from_fn(3, 2, |i, j| (3 * i) as f64 * 0.5 - j as f64);
+        let left = a.matmul(&b).unwrap().transpose();
+        let right = b.transpose().matmul(&a.transpose()).unwrap();
+        assert_eq!(left, right);
+    }
+
+    #[test]
+    fn cholesky_handles_factor_and_repair() {
+        let spd = Matrix::from_rows(&[vec![4.0, 1.0], vec![1.0, 3.0]]).unwrap();
+        let chol = spd.cholesky().unwrap();
+        assert!(chol.reconstruct().max_abs_diff(&spd).unwrap() < 1e-12);
+        let indefinite = Matrix::from_rows(&[vec![1.0, 2.0], vec![2.0, 1.0]]).unwrap();
+        assert!(indefinite.cholesky().is_err());
+        assert!(
+            indefinite
+                .cholesky_with_jitter(1e-3, 20)
+                .unwrap()
+                .jitter_used()
+                > 0.0
+        );
+    }
+
+    #[test]
+    fn shape_errors_are_reported() {
+        let a = Matrix::identity(2);
+        assert!(a.sub(&Matrix::zeros(2, 3)).is_err());
+        assert!(a.quadratic_form(&Vector::zeros(3)).is_err());
+        assert!(a.submatrix(&[0], &[2]).is_err());
+        assert!(Matrix::zeros(2, 3).add_diagonal(1.0).is_err());
+        assert!(matches!(
+            Matrix::zeros(2, 3).cholesky(),
+            Err(crate::LinalgError::NotSquare { rows: 2, cols: 3 })
+        ));
+    }
 }

@@ -203,4 +203,14 @@ mod tests {
         assert_eq!(g.as_slice()[packed_index(2, 1)], 12.0);
         assert!(g.add_sym_outer(1.0, &idx, &a, &[1.0]).is_err());
     }
+
+    #[test]
+    fn sym_outer_rejects_indices_outside_the_triangle() {
+        let mut g = PackedLowerTriangle::zeros(2);
+        assert!(g
+            .add_sym_outer(1.0, &[0, 2], &[1.0, 1.0], &[1.0, 1.0])
+            .is_err());
+        assert_eq!(packed_length(0), 0);
+        assert_eq!(PackedLowerTriangle::zeros(0).to_matrix().shape(), (0, 0));
+    }
 }

@@ -75,22 +75,6 @@ pub fn solve_upper_triangular(u: &Matrix, b: &Vector) -> Result<Vector> {
     Ok(x)
 }
 
-/// Solves `L x = b` with an implicit unit diagonal (used by LU factorisations that
-/// store the unit lower factor and the upper factor in one matrix).
-pub fn solve_unit_lower_triangular(l: &Matrix, b: &Vector) -> Result<Vector> {
-    check_system(l, b, "solve_unit_lower_triangular")?;
-    let n = b.len();
-    let mut x = Vector::zeros(n);
-    for i in 0..n {
-        let mut sum = b[i];
-        for j in 0..i {
-            sum -= l[(i, j)] * x[j];
-        }
-        x[i] = sum;
-    }
-    Ok(x)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,15 +95,6 @@ mod tests {
         let x = solve_upper_triangular(&u, &b).unwrap();
         assert!((x[1] - 2.0).abs() < 1e-12);
         assert!((x[0] - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn unit_lower_ignores_diagonal() {
-        let l = Matrix::from_rows(&[vec![99.0, 0.0], vec![2.0, 99.0]]).unwrap();
-        let b = Vector::from_slice(&[1.0, 4.0]);
-        let x = solve_unit_lower_triangular(&l, &b).unwrap();
-        assert!((x[0] - 1.0).abs() < 1e-12);
-        assert!((x[1] - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -153,5 +128,21 @@ mod tests {
         assert!(solve_lower_triangular(&Matrix::zeros(2, 3), &b).is_err());
         assert!(solve_lower_triangular(&Matrix::identity(3), &b).is_err());
         assert!(solve_upper_triangular(&Matrix::zeros(0, 0), &Vector::zeros(0)).is_err());
+    }
+
+    #[test]
+    fn solutions_satisfy_the_system() {
+        let l = Matrix::from_rows(&[
+            vec![2.0, 0.0, 0.0],
+            vec![-1.0, 0.5, 0.0],
+            vec![0.25, 3.0, 4.0],
+        ])
+        .unwrap();
+        let b = Vector::from_slice(&[1.0, -2.0, 0.5]);
+        let x = solve_lower_triangular(&l, &b).unwrap();
+        assert!(l.matvec(&x).unwrap().max_abs_diff(&b).unwrap() < 1e-12);
+        let u = l.transpose();
+        let y = solve_upper_triangular(&u, &b).unwrap();
+        assert!(u.matvec(&y).unwrap().max_abs_diff(&b).unwrap() < 1e-12);
     }
 }

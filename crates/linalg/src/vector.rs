@@ -397,4 +397,24 @@ mod tests {
         let w: Vector = (0..3).map(|i| i as f64).collect();
         assert_eq!(w.as_slice(), &[0.0, 1.0, 2.0]);
     }
+
+    #[test]
+    fn elementwise_ops_reject_mismatched_lengths() {
+        let a = Vector::zeros(2);
+        let b = Vector::zeros(3);
+        assert!(a.add(&b).is_err());
+        assert!(a.sub(&b).is_err());
+        assert!(a.hadamard(&b).is_err());
+        assert!(a.max_abs_diff(&b).is_err());
+    }
+
+    #[test]
+    fn slices_and_iteration_share_storage() {
+        let mut v = Vector::from_vec(vec![1.0, 2.0, 3.0]);
+        v.as_mut_slice()[1] = -2.0;
+        assert_eq!(v.iter().copied().collect::<Vec<_>>(), vec![1.0, -2.0, 3.0]);
+        assert_eq!(Vector::from(&[1.0, -2.0, 3.0][..]), v);
+        assert_eq!(v.into_vec(), vec![1.0, -2.0, 3.0]);
+        assert!(Vector::zeros(0).is_empty());
+    }
 }

@@ -103,4 +103,24 @@ mod tests {
         };
         assert!(d.render(None).starts_with("warning[x]:"));
     }
+
+    #[test]
+    fn without_source_or_help_only_the_header_renders() {
+        let d = Diagnostic {
+            rule: "no-wallclock",
+            severity: Severity::Deny,
+            path: "src/lib.rs".into(),
+            line: 12,
+            col: 1,
+            len: 0,
+            message: "wall clock".into(),
+            help: String::new(),
+        };
+        assert_eq!(
+            d.render(None),
+            "error[no-wallclock]: wall clock\n  --> src/lib.rs:12:1\n"
+        );
+        // A zero-length span still gets one caret.
+        assert!(d.render(Some("let t = now();")).contains("   | ^\n"));
+    }
 }

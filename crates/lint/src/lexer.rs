@@ -497,4 +497,14 @@ mod tests {
             assert!(!lexed.tokens.is_empty());
         }
     }
+
+    #[test]
+    fn non_ascii_is_unknown_only_outside_literals_and_comments() {
+        let toks = kinds("let s = \"héllo\"; // ünïcode\n/* ✓ */");
+        assert!(toks.iter().all(|t| t.0 != TokenKind::Unknown), "{toks:?}");
+        let toks = kinds("let é = 1;");
+        assert!(toks.iter().any(|t| t.0 == TokenKind::Unknown), "{toks:?}");
+        assert!(lex("").tokens.is_empty());
+        assert!(lex(" \t\n\r\n").tokens.is_empty());
+    }
 }

@@ -257,4 +257,21 @@ mod tests {
         assert!((model.intercept() - 2.0).abs() < 1e-9);
         assert!((model.predict(&[]).unwrap() - 2.0).abs() < 1e-9);
     }
+
+    #[test]
+    fn r_squared_matches_its_definition() {
+        let features = vec![vec![0.0], vec![1.0], vec![2.0], vec![3.0], vec![4.0]];
+        let targets = [1.0, 2.5, 2.0, 4.5, 4.0];
+        let model = LinearRegression::fit(&features, &targets).unwrap();
+        let mean = targets.iter().sum::<f64>() / 5.0;
+        let (mut ss_res, mut ss_tot) = (0.0, 0.0);
+        for (row, &t) in features.iter().zip(&targets) {
+            ss_res += (t - model.predict(row).unwrap()).powi(2);
+            ss_tot += (t - mean).powi(2);
+        }
+        assert!((model.r_squared() - (1.0 - ss_res / ss_tot)).abs() < 1e-12);
+        // Slope 0.8, intercept 1.2 by the closed form.
+        assert!((model.coefficients()[0] - 0.8).abs() < 1e-12);
+        assert!((model.intercept() - 1.2).abs() < 1e-12);
+    }
 }

@@ -105,29 +105,14 @@ pub fn golden_section_minimize(
     })
 }
 
-/// Polishes a minimum candidate with safeguarded Newton steps on the derivative.
+/// Polishes a minimum candidate `x`, whose value `f(x)` is already known, with
+/// safeguarded Newton steps on the derivative.
 ///
-/// Steps are taken only while they stay inside `[lo, hi]` and actually reduce the
-/// objective, so a poor curvature estimate can never make the result worse than the
-/// input candidate.
-pub fn newton_polish(
-    f: impl Fn(f64) -> f64,
-    x: f64,
-    lo: f64,
-    hi: f64,
-    iterations: usize,
-) -> ScalarMinimum {
-    let value = f(x);
-    let mut polished = polish_from(f, x, value, lo, hi, iterations);
-    polished.evaluations += 1;
-    polished
-}
-
-/// [`newton_polish`] from a candidate whose value `f(x)` is already known.
-///
-/// The current `f(x)` serves as the centre of the second-derivative stencil, so
-/// a step costs four evaluations plus the candidate; for a pure `f` the bits
-/// equal those of a stencil that evaluates its centre.
+/// Steps are taken only while they stay inside `[lo, hi]` and actually reduce
+/// the objective, so a poor curvature estimate can never make the result worse
+/// than the input candidate. The current `f(x)` serves as the centre of the
+/// second-derivative stencil, so a step costs four evaluations plus the
+/// candidate.
 fn polish_from(
     f: impl Fn(f64) -> f64,
     mut x: f64,
@@ -164,8 +149,7 @@ fn polish_from(
 /// Convenience wrapper: golden-section search followed by Newton polish.
 ///
 /// The polish starts from the golden-section minimum's already-known value, so
-/// the result equals `newton_polish(f, golden_section_minimize(f, ..)?.x, lo, hi,
-/// 8)` bit for bit (for a pure `f`) with fewer evaluations.
+/// it costs no extra evaluation of the candidate.
 pub fn minimize_scalar(
     f: impl Fn(f64) -> f64,
     lo: f64,
@@ -206,18 +190,16 @@ mod tests {
         );
         let golden = golden_section_minimize(&f, -20.0, 20.0, 1e-7).unwrap();
         assert_eq!(golden.evaluations, calls.replace(0));
-        let polished = newton_polish(&f, golden.x, -20.0, 20.0, 8);
+        let polished = polish_from(&f, golden.x, golden.value, -20.0, 20.0, 8);
         assert_eq!(polished.evaluations, calls.replace(0));
         let combined = minimize_scalar(&f, -20.0, 20.0, 1e-7).unwrap();
         assert_eq!(combined.evaluations, calls.replace(0));
         assert_eq!(combined.x.to_bits(), polished.x.to_bits());
         assert_eq!(combined.value.to_bits(), polished.value.to_bits());
         // 2 probes, 42 bracket steps, both final endpoints former probes; then
-        // three Newton steps, the last rejected: 1 + 3 * (4 + 1) calls. The
-        // combined fit starts from the golden-section value, one call fewer.
-        // Evaluating the endpoints and the stencil centre afresh made it
-        // 46 + 1 + 3 * (5 + 1) = 65.
-        assert_eq!((golden.evaluations, polished.evaluations), (44, 16));
+        // three Newton steps, the last rejected: 3 * (4 + 1) calls, starting
+        // from the golden-section value.
+        assert_eq!((golden.evaluations, polished.evaluations), (44, 15));
         assert_eq!(combined.evaluations, 59);
     }
 
@@ -251,7 +233,7 @@ mod tests {
     fn newton_polish_improves_precision() {
         let f = |x: f64| (x - 1.234_567).powi(2);
         let coarse = golden_section_minimize(f, 0.0, 3.0, 1e-2).unwrap();
-        let polished = newton_polish(f, coarse.x, 0.0, 3.0, 10);
+        let polished = polish_from(f, coarse.x, coarse.value, 0.0, 3.0, 10);
         assert!((polished.x - 1.234_567).abs() < 1e-7);
         assert!(polished.value <= coarse.value + 1e-15);
     }
@@ -262,7 +244,7 @@ mod tests {
         // good as the starting point.
         let f = |x: f64| x.abs().sqrt();
         let start = 0.3;
-        let polished = newton_polish(f, start, -1.0, 1.0, 10);
+        let polished = polish_from(f, start, f(start), -1.0, 1.0, 10);
         assert!(polished.value <= f(start) + 1e-15);
         assert!((-1.0..=1.0).contains(&polished.x));
     }
@@ -293,5 +275,22 @@ mod tests {
             m.x,
             expected
         );
+    }
+
+    #[test]
+    fn minimum_outside_the_bracket_lands_on_the_edge() {
+        let m = minimize_scalar(|x| (x - 10.0).powi(2), 0.0, 3.0, 1e-9).unwrap();
+        assert!((3.0 - m.x).abs() < 1e-6 && m.x <= 3.0, "x={}", m.x);
+        let m = minimize_scalar(|x| (x + 10.0).powi(2), 0.0, 3.0, 1e-9).unwrap();
+        assert!(m.x >= 0.0 && m.x < 1e-6, "x={}", m.x);
+    }
+
+    #[test]
+    fn golden_section_meets_its_tolerance() {
+        for tol in [1e-2, 1e-4, 1e-6] {
+            let m = golden_section_minimize(|x| (x - 0.3).abs(), -1.0, 2.0, tol).unwrap();
+            assert!((m.x - 0.3).abs() <= tol, "tol {tol}: x={}", m.x);
+            assert_eq!(m.value, (m.x - 0.3).abs());
+        }
     }
 }

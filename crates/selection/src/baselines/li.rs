@@ -129,4 +129,24 @@ mod tests {
         assert!(LiEtAl::new().select(&mut platform, 1000).is_err());
         assert_eq!(LiEtAl::new().name(), "Li et al.");
     }
+
+    #[test]
+    fn scores_are_the_regression_of_profile_on_observed_accuracy() {
+        let ds = generate(&DatasetConfig::rw1()).unwrap();
+        let mut platform = Platform::from_dataset(&ds, 5).unwrap();
+        let outcome = LiEtAl::new().select(&mut platform, 7).unwrap();
+        let record = &platform.history()[0];
+        let features: Vec<Vec<f64>> = record
+            .sheets
+            .iter()
+            .map(|s| platform.profile(s.worker).unwrap().dense_accuracies(0.5))
+            .collect();
+        let targets: Vec<f64> = record.sheets.iter().map(|s| s.accuracy()).collect();
+        let model = LinearRegression::fit(&features, &targets).unwrap();
+        for (w, score) in outcome.selected.iter().zip(&outcome.scores) {
+            let row = platform.profile(*w).unwrap().dense_accuracies(0.5);
+            assert_eq!(model.predict(&row).unwrap(), *score);
+        }
+        assert!(outcome.scores.windows(2).all(|p| p[0] >= p[1]));
+    }
 }

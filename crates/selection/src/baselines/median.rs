@@ -154,4 +154,45 @@ mod tests {
             .is_err());
         assert_eq!(MedianEliminationBaseline::new().name(), "ME");
     }
+
+    fn observed(record: &c4u_crowd_sim::RoundRecord) -> Vec<ScoredWorker> {
+        record
+            .sheets
+            .iter()
+            .map(|s| ScoredWorker::new(s.worker, s.accuracy()))
+            .collect()
+    }
+
+    #[test]
+    fn selection_is_the_top_k_of_the_last_round() {
+        let ds = generate(&DatasetConfig::rw1()).unwrap();
+        let mut platform = Platform::from_dataset(&ds, 11).unwrap();
+        let outcome = MedianEliminationBaseline::new()
+            .select(&mut platform, 7)
+            .unwrap();
+        let last = observed(&platform.history()[1]);
+        let survivors: Vec<ScoredWorker> = median_eliminate(&last)
+            .into_iter()
+            .map(|w| *last.iter().find(|s| s.worker == w).unwrap())
+            .collect();
+        assert_eq!(outcome.selected, top_k(&survivors, 7));
+        let plan = BudgetPlan::new(27, 7, 540).unwrap();
+        assert_eq!(outcome.budget_spent, plan.planned_spend());
+    }
+
+    #[test]
+    fn too_few_survivors_fall_back_to_the_previous_round() {
+        // k = 13 still gives two rounds (27 -> 14 -> 7), leaving fewer than k.
+        let ds = generate(&DatasetConfig::rw1()).unwrap();
+        let mut platform = Platform::from_dataset(&ds, 11).unwrap();
+        let outcome = MedianEliminationBaseline::new()
+            .select(&mut platform, 13)
+            .unwrap();
+        assert_eq!(outcome.rounds, 2);
+        assert_eq!(
+            outcome.selected,
+            top_k(&observed(&platform.history()[0]), 13)
+        );
+        assert_eq!(outcome.scores.len(), 13);
+    }
 }

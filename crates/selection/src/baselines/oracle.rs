@@ -116,4 +116,16 @@ mod tests {
         assert!(GroundTruthOracle::new().select(&mut platform, 0).is_err());
         assert_eq!(GroundTruthOracle::new().name(), "Ground Truth");
     }
+
+    #[test]
+    fn oracle_follows_the_planned_schedule() {
+        let ds = generate(&DatasetConfig::s1()).unwrap();
+        let mut platform = Platform::from_dataset(&ds, 4).unwrap();
+        let outcome = GroundTruthOracle::new().select(&mut platform, 5).unwrap();
+        let plan = BudgetPlan::new(40, 5, 2400).unwrap();
+        assert_eq!(outcome.rounds, plan.rounds);
+        assert_eq!(outcome.budget_spent, plan.planned_spend());
+        let sizes: Vec<usize> = platform.history().iter().map(|r| r.sheets.len()).collect();
+        assert_eq!(sizes, vec![40, 20, 10]);
+    }
 }

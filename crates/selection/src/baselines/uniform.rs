@@ -97,4 +97,22 @@ mod tests {
     fn name_matches_table_v_column() {
         assert_eq!(UniformSampling::new().name(), "US");
     }
+
+    #[test]
+    fn selection_is_the_top_k_of_the_single_round() {
+        let ds = generate(&DatasetConfig::s1()).unwrap();
+        let mut platform = Platform::from_dataset(&ds, 2).unwrap();
+        let outcome = UniformSampling::new().select(&mut platform, 5).unwrap();
+        let record = &platform.history()[0];
+        assert_eq!(record.tasks_per_worker, 2400 / 40);
+        for (w, score) in outcome.selected.iter().zip(&outcome.scores) {
+            assert_eq!(record.accuracy_of(*w), Some(*score));
+        }
+        let cutoff = outcome.scores[4];
+        for sheet in &record.sheets {
+            if !outcome.selected.contains(&sheet.worker) {
+                assert!(sheet.accuracy() <= cutoff);
+            }
+        }
+    }
 }

@@ -170,4 +170,29 @@ mod tests {
         assert_eq!(plan.per_round_budget, 80);
         assert_eq!(plan.tasks_per_worker(8), 10);
     }
+
+    #[test]
+    fn pool_halves_with_the_ceiling() {
+        let plan = BudgetPlan::new(27, 2, 540).unwrap();
+        let sizes: Vec<usize> = (1..=5).map(|r| plan.workers_at_round(r)).collect();
+        assert_eq!(sizes, vec![27, 14, 7, 4, 2]);
+        assert_eq!(plan.workers_at_round(0), 27);
+    }
+
+    #[test]
+    fn paper_budgets_are_never_overspent() {
+        for c in c4u_crowd_sim::DatasetConfig::all_paper_datasets() {
+            let plan = BudgetPlan::new(c.pool_size, c.select_k, c.budget()).unwrap();
+            assert_eq!(plan.rounds, c.rounds(), "{}", c.name);
+            assert_eq!(plan.per_round_budget, c.per_round_budget(), "{}", c.name);
+            assert!(plan.planned_spend() <= plan.total_budget, "{}", c.name);
+        }
+    }
+
+    #[test]
+    fn budget_below_the_round_count_is_rejected() {
+        // 160 workers, k = 5: five rounds, so a budget of 4 leaves t = 0.
+        assert!(BudgetPlan::new(160, 5, 4).is_err());
+        assert_eq!(BudgetPlan::new(160, 5, 5).unwrap().per_round_budget, 1);
+    }
 }

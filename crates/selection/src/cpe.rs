@@ -24,14 +24,13 @@
 //! at entry ([`kernel::MaskGroups`]), and each model evaluation builds **one**
 //! cached conditioning factorisation per unique mask
 //! ([`c4u_stats::Conditioner`]) instead of one per worker. The gradient step of
-//! Eq. 6–7 goes through the [`c4u_optim::GradientOracle`] seam, selected by
-//! [`CpeConfig::gradient_oracle`]: by default the closed-form
-//! [`kernel::gradient::AnalyticCpeOracle`] (one vectorised quadrature sweep
-//! per block of ≤ 1024 members of a mask group per epoch; a group spanning
-//! several blocks fans them out over the machine's threads, bit-identically
-//! for every thread count), with the historical
-//! [`c4u_optim::FiniteDifference`] stencil retained as a cross-check
-//! ([`CpeGradient::FiniteDifference`], pinned bit-for-bit by
+//! Eq. 6–7 is selected by [`CpeConfig::gradient_oracle`]: by default the
+//! closed-form [`kernel::gradient::AnalyticCpeOracle`] (one vectorised
+//! quadrature sweep per block of ≤ 1024 members of a mask group per epoch; a
+//! group spanning several blocks fans them out over the machine's threads,
+//! bit-identically for every thread count), with the historical
+//! central-difference stencil ([`c4u_optim::gradient_with_step`]) retained as
+//! a cross-check ([`CpeGradient::FiniteDifference`], pinned bit-for-bit by
 //! `tests/fd_pinned.rs` and `tests/kernel_equivalence.rs`). The
 //! finite-difference numbers are bit-for-bit identical to the historical
 //! per-observation code; the analytic oracle agrees with the stencil to
@@ -44,7 +43,7 @@ use crate::SelectionError;
 use c4u_crowd_sim::parallel::run_indexed_jobs;
 use c4u_crowd_sim::{HistoricalProfile, WorkerShards};
 use c4u_linalg::{Matrix, Vector};
-use c4u_optim::{FiniteDifference, GradientOracle};
+use c4u_optim::gradient_with_step;
 use c4u_stats::{
     mean as stat_mean, nearest_positive_definite, std_dev, GaussLegendre, MultivariateNormal,
     QuadratureMath, Uniform,
@@ -54,15 +53,13 @@ use kernel::CpeLikelihoodKernel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Penalty objective value substituted for evaluations that error out or come
-/// back non-finite (underflowed normaliser, parameters outside the PSD cone).
-/// Shared by both gradient oracles so they describe the same objective surface.
-pub(crate) const OBJECTIVE_PENALTY: f64 = 1e12;
+/// Penalty objective value the finite-difference stencil sees for evaluations
+/// that error out or come back non-finite (underflowed normaliser, parameters
+/// outside the PSD cone).
+const OBJECTIVE_PENALTY: f64 = 1e12;
 
-/// How the Eq. 6–7 gradient is produced during [`CrossDomainEstimator::update`].
-///
-/// This is the configuration-level face of the [`c4u_optim::GradientOracle`]
-/// seam: every variant maps to an oracle implementation over the batched
+/// How the Eq. 6–7 gradient is produced during [`CrossDomainEstimator::update`]:
+/// every variant is one gradient evaluation per epoch over the batched
 /// likelihood kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum CpeGradient {
@@ -137,15 +134,13 @@ impl Default for CpeConfig {
 impl CpeConfig {
     /// Validates the configuration.
     pub fn validate(&self) -> Result<(), SelectionError> {
-        if self.mean_learning_rate.is_nan()
-            || self.mean_learning_rate <= 0.0
-            || self.covariance_learning_rate.is_nan()
-            || self.covariance_learning_rate <= 0.0
-        {
-            return Err(SelectionError::InvalidConfig {
-                what: "learning rates must be > 0",
-                value: self.mean_learning_rate.min(self.covariance_learning_rate),
-            });
+        for rate in [self.mean_learning_rate, self.covariance_learning_rate] {
+            if !is_positive_finite(rate) {
+                return Err(SelectionError::InvalidConfig {
+                    what: "learning rates must be finite and > 0",
+                    value: rate,
+                });
+            }
         }
         if self.epochs == 0 {
             return Err(SelectionError::InvalidConfig {
@@ -165,18 +160,18 @@ impl CpeConfig {
                 value: self.quadrature_order as f64,
             });
         }
-        if self.min_variance.is_nan() || self.min_variance <= 0.0 {
+        if !is_positive_finite(self.min_variance) {
             return Err(SelectionError::InvalidConfig {
-                what: "min_variance must be > 0",
+                what: "min_variance must be finite and > 0",
                 value: self.min_variance,
             });
         }
         match self.gradient_oracle {
             CpeGradient::Analytic => {}
             CpeGradient::FiniteDifference { step } => {
-                if step.is_nan() || step <= 0.0 {
+                if !is_positive_finite(step) {
                     return Err(SelectionError::InvalidConfig {
-                        what: "finite-difference step must be > 0",
+                        what: "finite-difference step must be finite and > 0",
                         value: step,
                     });
                 }
@@ -184,6 +179,11 @@ impl CpeConfig {
         }
         Ok(())
     }
+}
+
+/// `value > 0` and finite (rejects NaN and `+inf` alike).
+fn is_positive_finite(value: f64) -> bool {
+    value > 0.0 && value.is_finite()
 }
 
 /// One worker's evidence for a CPE update: the prior-domain profile plus the
@@ -332,8 +332,8 @@ impl CrossDomainEstimator {
     /// the negative marginal log-likelihood, with separate learning rates for the
     /// mean and covariance parameters and a PSD projection after every step.
     ///
-    /// The observations are mask-grouped **once** at entry; every objective
-    /// evaluation of the gradient oracle then factorises one conditioner per
+    /// The observations are mask-grouped **once** at entry; every model
+    /// evaluation of the gradient then factorises one conditioner per
     /// unique missing-domain mask instead of one per worker, which is where the
     /// `O(workers / unique_masks)` speedup of the batched kernel comes from.
     pub fn update(&mut self, observations: &[CpeObservation]) -> Result<(), SelectionError> {
@@ -378,7 +378,7 @@ impl CrossDomainEstimator {
                             _ => OBJECTIVE_PENALTY,
                         }
                     };
-                    FiniteDifference::with_step(objective, step).gradient(&params)
+                    gradient_with_step(objective, &params, step)
                 }
             };
 
@@ -558,6 +558,33 @@ mod tests {
         }
         .validate()
         .is_err());
+        // Infinite rates or variance floors would turn into NaN parameters
+        // mid-campaign; they are rejected up front like NaN and zero.
+        for bad in [f64::INFINITY, f64::NAN] {
+            for config in [
+                CpeConfig {
+                    mean_learning_rate: bad,
+                    ..Default::default()
+                },
+                CpeConfig {
+                    covariance_learning_rate: bad,
+                    ..Default::default()
+                },
+                CpeConfig {
+                    min_variance: bad,
+                    ..Default::default()
+                },
+                CpeConfig {
+                    gradient_oracle: CpeGradient::FiniteDifference { step: bad },
+                    ..Default::default()
+                },
+            ] {
+                assert!(
+                    matches!(config.validate(), Err(SelectionError::InvalidConfig { .. })),
+                    "{config:?}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -798,5 +825,117 @@ mod tests {
         assert_eq!(obs.prior_accuracies, vec![Some(0.7), None]);
         assert_eq!(obs.correct, 6);
         assert_eq!(obs.wrong, 4);
+    }
+
+    fn mixed_observations() -> Vec<CpeObservation> {
+        (0..7)
+            .map(|i| CpeObservation {
+                prior_accuracies: vec![
+                    Some(0.3 + 0.1 * i as f64),
+                    (i % 2 == 0).then_some(0.7),
+                    None,
+                ],
+                correct: i,
+                wrong: 7 - i,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn sharded_prediction_matches_unsharded() {
+        let est = estimator();
+        let obs = mixed_observations();
+        let reference = est.predict_batch(&obs).unwrap();
+        for num_shards in [1, 2, 3, 7] {
+            let shards = WorkerShards::by_count(obs.len(), num_shards);
+            assert_eq!(est.predict_batch_sharded(&obs, &shards).unwrap(), reference);
+        }
+        let short = WorkerShards::by_count(obs.len() - 1, 2);
+        assert!(est.predict_batch_sharded(&obs, &short).is_err());
+    }
+
+    #[test]
+    fn sparse_profiles_fall_back_to_the_default_moments() {
+        let profiles = [
+            HistoricalProfile::new(vec![Some(1.0), None], vec![5, 0]).unwrap(),
+            HistoricalProfile::new(vec![Some(0.0), None], vec![5, 0]).unwrap(),
+        ];
+        let refs: Vec<&HistoricalProfile> = profiles.iter().collect();
+        let config = CpeConfig {
+            initial_target_accuracy: 0.4,
+            ..Default::default()
+        };
+        let est = CrossDomainEstimator::from_profiles(&refs, config).unwrap();
+        // Domain 0 is observed twice (mean 0.5); domain 1 never, so it starts at
+        // the initial accuracy with the fallback spread 0.15 (the PSD repair
+        // may only add jitter on top).
+        assert_eq!(est.mean(), &[0.5, 0.4, 0.4]);
+        assert!(est.covariance()[(1, 1)] >= 0.0225);
+        assert!(est.covariance().is_symmetric(0.0));
+    }
+
+    #[test]
+    fn correlation_seed_only_changes_the_covariance() {
+        let profiles = profiles();
+        let refs: Vec<&HistoricalProfile> = profiles.iter().collect();
+        let other = CpeConfig {
+            correlation_seed: 99,
+            ..Default::default()
+        };
+        let a = estimator();
+        let b = CrossDomainEstimator::from_profiles(&refs, other).unwrap();
+        assert_eq!(a.mean(), b.mean());
+        assert_ne!(a.covariance(), b.covariance());
+        assert_eq!(a.covariance(), estimator().covariance());
+    }
+
+    #[test]
+    fn updates_are_deterministic() {
+        let config = CpeConfig {
+            epochs: 3,
+            ..Default::default()
+        };
+        let profiles = profiles();
+        let refs: Vec<&HistoricalProfile> = profiles.iter().collect();
+        let mut a = CrossDomainEstimator::from_profiles(&refs, config).unwrap();
+        let mut b = a.clone();
+        a.update(&mixed_observations()).unwrap();
+        b.update(&mixed_observations()).unwrap();
+        assert_eq!(a.mean(), b.mean());
+        assert_eq!(a.covariance(), b.covariance());
+        assert_ne!(a.covariance(), estimator().covariance());
+    }
+
+    #[test]
+    fn finite_difference_updates_track_the_analytic_ones() {
+        let profiles = profiles();
+        let refs: Vec<&HistoricalProfile> = profiles.iter().collect();
+        let run = |gradient_oracle| {
+            let config = CpeConfig {
+                epochs: 1,
+                gradient_oracle,
+                ..Default::default()
+            };
+            let mut est = CrossDomainEstimator::from_profiles(&refs, config).unwrap();
+            est.update(&mixed_observations()).unwrap();
+            est
+        };
+        let analytic = run(CpeGradient::Analytic);
+        let fd = run(CpeGradient::FiniteDifference { step: 1e-6 });
+        let start = estimator();
+        let moved = |e: &CrossDomainEstimator| {
+            e.covariance()
+                .sub(start.covariance())
+                .unwrap()
+                .frobenius_norm()
+        };
+        assert!(moved(&analytic) > 0.0);
+        let gap = analytic.covariance().max_abs_diff(fd.covariance()).unwrap();
+        assert!(
+            gap < 1e-3 * moved(&analytic),
+            "gap {gap} vs step {}",
+            moved(&analytic)
+        );
+        assert!(fd.mean().iter().all(|m| m.is_finite()));
     }
 }

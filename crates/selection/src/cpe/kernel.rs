@@ -539,4 +539,33 @@ mod tests {
         assert_eq!(groups.num_unique_masks(), 0);
         assert_eq!(groups.num_observations(), 0);
     }
+
+    #[test]
+    fn log_likelihood_sums_the_per_observation_terms() {
+        let observations = vec![
+            obs(&[Some(0.9), Some(0.8)], 5, 5),
+            obs(&[None, Some(0.4)], 3, 7),
+            obs(&[Some(0.6), Some(0.7)], 8, 2),
+        ];
+        let quadrature = GaussLegendre::new(16);
+        let kernel = CpeLikelihoodKernel::new(&observations, 2, &quadrature);
+        let rho = c4u_stats::Matrix::from_fn(3, 3, |i, j| if i == j { 1.0 } else { 0.4 });
+        let model =
+            MultivariateNormal::from_correlations(&[0.6, 0.6, 0.5], &[0.2, 0.2, 0.15], &rho)
+                .unwrap();
+        let terms = kernel.per_observation_log_likelihood(&model).unwrap();
+        assert_eq!(terms.len(), 3);
+        assert_eq!(
+            kernel.log_likelihood(&model).unwrap(),
+            terms.iter().sum::<f64>()
+        );
+        assert_eq!(kernel.groups().num_unique_masks(), 2);
+    }
+
+    #[test]
+    fn observed_domains_skip_gaps_and_short_profiles() {
+        let o = obs(&[None, Some(0.3)], 0, 0);
+        assert_eq!(observed_domains(&o, 3), (vec![1], vec![0.3]));
+        assert_eq!(observed_domains(&o, 1), (vec![], vec![]));
+    }
 }

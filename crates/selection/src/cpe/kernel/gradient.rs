@@ -36,17 +36,15 @@
 //!
 //! An observation whose normaliser underflows (`log Z = -inf`) contributes zero
 //! gradient: the finite-difference stencil would see `∞ - ∞ = NaN` there, which
-//! is exactly the poisoning the penalty mapping in
+//! is exactly the poisoning the penalty mapping of its objective in
 //! `CrossDomainEstimator::update` guards against.
 
 use super::{BlockScratch, CpeLikelihoodKernel, GRADIENT_BLOCK};
-use crate::cpe::{from_lower_triangle, OBJECTIVE_PENALTY};
+use crate::cpe::from_lower_triangle;
 use crate::SelectionError;
 use c4u_crowd_sim::parallel::run_indexed_jobs;
 use c4u_linalg::{packed_length, PackedLowerTriangle, Vector};
-use c4u_optim::GradientOracle;
 use c4u_stats::{nearest_positive_definite, Conditioner, LogZGradient, MultivariateNormal};
-use std::cell::RefCell;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// The Eq. 5 log-likelihood together with its closed-form Eq. 6–7 gradient in
@@ -214,55 +212,28 @@ fn lock(block: &Mutex<BlockScratch>) -> MutexGuard<'_, BlockScratch> {
     block.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// The closed-form Eq. 6–7 [`GradientOracle`] over the packed CPE parameters —
-/// the `CpeGradient::Analytic` face of the seam.
+/// The closed-form Eq. 6–7 gradient over the packed CPE parameters — what
+/// `CpeGradient::Analytic` asks for once per epoch of
+/// [`CrossDomainEstimator::update`](crate::CrossDomainEstimator::update).
 ///
 /// The parameter vector is the estimator's packing: the `D + 1` mean entries
-/// followed by the row-major packed lower triangle of the covariance. Both the
-/// objective and the gradient evaluate the model exactly as the
-/// finite-difference oracle's objective does — covariance rebuilt from the
-/// triangle, projected by [`nearest_positive_definite`]. Strictly in the
-/// interior of the PD cone (projection and variance floors inactive — every
-/// iterate the estimator produces, since `update()` re-projects after each
-/// step) the two oracles describe the same smooth objective and agree to
-/// stencil accuracy. *At* a clamp boundary they differ by construction: the
-/// stencil differentiates through the projection (flat on the infeasible
-/// side), while the analytic gradient is taken at the projected point — the
-/// per-epoch PSD projection is what keeps that discrepancy from ever leaving
-/// the feasible set.
+/// followed by the row-major packed lower triangle of the covariance. The
+/// gradient evaluates the model exactly as the finite-difference objective
+/// does — covariance rebuilt from the triangle, projected by
+/// [`nearest_positive_definite`]. Strictly in the interior of the PD cone
+/// (projection and variance floors inactive — every iterate the estimator
+/// produces, since `update()` re-projects after each step) the two describe
+/// the same smooth objective and agree to stencil accuracy. *At* a clamp
+/// boundary they differ by construction: the stencil differentiates through
+/// the projection (flat on the infeasible side), while the analytic gradient
+/// is taken at the projected point — the per-epoch PSD projection is what
+/// keeps that discrepancy from ever leaving the feasible set.
 ///
-/// Non-finite objective values map to the same `1e12` penalty as the
-/// finite-difference path; a gradient evaluation that fails to build a model
-/// (parameters outside the representable cone) returns the zero vector, which
-/// leaves the parameters unchanged for that epoch instead of poisoning them.
-///
-/// ## Fused objective/gradient evaluation
-///
-/// [`CpeLikelihoodKernel::log_likelihood_gradient`] produces `log Z` **and**
-/// its derivatives from one quadrature sweep, so the oracle never integrates
-/// twice for the same point: both [`GradientOracle::objective`] and
-/// [`GradientOracle::gradient`] run the fused sweep and memoise the pair for
-/// the evaluated parameter vector. A descent driver that asks for the
-/// objective and the gradient at the same iterate — e.g.
-/// [`GradientDescent::minimize_with_oracle`](c4u_optim::GradientDescent::minimize_with_oracle)'s
-/// per-epoch diagnostics — therefore pays **one** sweep per iterate instead of
-/// two.
-///
-/// The fused `log Z` agrees with the dedicated log-Z-only sweep
-/// ([`CpeLikelihoodKernel::log_likelihood`]) to float rounding, `~1e-12`
-/// (`c4u-stats` pins that in `batch_log_z_matches_single_evaluations`) — but
-/// it is **not bit-identical**, and a descent driver that selects its returned
-/// best iterate by objective value could in principle flip between iterates
-/// whose objectives differ by less than that drift. This is an accepted
-/// trade: [`CrossDomainEstimator::update`](crate::CrossDomainEstimator::update)
-/// — the only in-workspace consumer — drives this oracle through
-/// [`GradientOracle::gradient`] alone (its two-learning-rate loop never asks
-/// for the objective), so the estimator's outputs are unaffected by the
-/// fusion; only callers pairing this oracle with an objective-tracking driver
-/// observe the `~1e-12` objective surface shift.
+/// A parameter vector that fails to build a model (wrong length, parameters
+/// outside the representable cone) gets the zero gradient, which leaves the
+/// parameters unchanged for that epoch instead of poisoning them.
 ///
 /// ```
-/// use c4u_optim::GradientOracle;
 /// use c4u_selection::{AnalyticCpeOracle, CpeLikelihoodKernel, CpeObservation};
 /// use c4u_stats::GaussLegendre;
 ///
@@ -276,29 +247,14 @@ fn lock(block: &Mutex<BlockScratch>) -> MutexGuard<'_, BlockScratch> {
 /// // Packed parameters: mean [mu_1, mu_2, mu_T] (Eq. 6 block) followed by the
 /// // row-major lower covariance triangle (Eq. 7 block).
 /// let params = [0.65, 0.6, 0.5, 0.02, 0.0, 0.02, 0.0, 0.0, 0.02];
-/// let gradient = oracle.gradient(&params);       // one fused quadrature sweep
+/// let gradient = oracle.gradient(&params); // one quadrature sweep
 /// assert_eq!(gradient.len(), params.len());
-/// // The objective at the same iterate reuses the sweep's fused log Z.
-/// assert!(oracle.objective(&params).is_finite());
 /// ```
 #[derive(Debug)]
 pub struct AnalyticCpeOracle<'k> {
     kernel: &'k CpeLikelihoodKernel<'k>,
     num_prior_domains: usize,
     min_variance: f64,
-    /// Memo of the last evaluated point (interior mutability: the
-    /// [`GradientOracle`] methods take `&self`). One entry suffices — descent
-    /// drivers interleave objective/gradient requests point by point.
-    fused: RefCell<Option<FusedEvaluation>>,
-}
-
-/// One memoised fused evaluation: the parameter point with the objective value
-/// and gradient its single sweep produced.
-#[derive(Debug, Clone)]
-struct FusedEvaluation {
-    params: Vec<f64>,
-    objective: f64,
-    gradient: Vec<f64>,
 }
 
 impl<'k> AnalyticCpeOracle<'k> {
@@ -315,7 +271,18 @@ impl<'k> AnalyticCpeOracle<'k> {
             kernel,
             num_prior_domains,
             min_variance,
-            fused: RefCell::new(None),
+        }
+    }
+
+    /// The gradient of the negative log-likelihood at `params`, or the zero
+    /// vector when `params` does not build a model.
+    pub fn gradient(&self, params: &[f64]) -> Vec<f64> {
+        match self
+            .model_at(params)
+            .and_then(|model| self.kernel.log_likelihood_gradient(&model))
+        {
+            Ok(fused) => fused.packed().iter().map(|v| -v).collect(),
+            Err(_) => vec![0.0; params.len()],
         }
     }
 
@@ -333,141 +300,82 @@ impl<'k> AnalyticCpeOracle<'k> {
         let cov = nearest_positive_definite(&cov, self.min_variance)?;
         Ok(MultivariateNormal::new(Vector::from_slice(mean), cov)?)
     }
-
-    /// Runs (or recalls) the fused sweep at `x` and passes the memo to `read`.
-    ///
-    /// On a failed evaluation the memo records the penalty objective and the
-    /// zero gradient — the same surface both entry points exposed before the
-    /// fusion.
-    fn with_fused<T>(&self, x: &[f64], read: impl FnOnce(&FusedEvaluation) -> T) -> T {
-        let mut slot = self.fused.borrow_mut();
-        if slot.as_ref().is_none_or(|memo| memo.params != x) {
-            let fused = self
-                .model_at(x)
-                .and_then(|model| self.kernel.log_likelihood_gradient(&model));
-            *slot = Some(match fused {
-                Ok(fused) => {
-                    // Objective is the *negative* log-likelihood; non-finite
-                    // values (underflowed normaliser) map to the shared
-                    // penalty, exactly like the finite-difference path.
-                    let negated = -fused.log_likelihood;
-                    FusedEvaluation {
-                        params: x.to_vec(),
-                        objective: if negated.is_finite() {
-                            negated
-                        } else {
-                            OBJECTIVE_PENALTY
-                        },
-                        gradient: fused.packed().iter().map(|v| -v).collect(),
-                    }
-                }
-                Err(_) => FusedEvaluation {
-                    params: x.to_vec(),
-                    objective: OBJECTIVE_PENALTY,
-                    gradient: vec![0.0; x.len()],
-                },
-            });
-        }
-        // c4u-lint: allow(no-unwrap-in-lib, reason = "the memo slot was filled on the lines above")
-        read(slot.as_ref().expect("memo was just filled"))
-    }
-}
-
-impl GradientOracle for AnalyticCpeOracle<'_> {
-    fn objective(&self, x: &[f64]) -> f64 {
-        self.with_fused(x, |memo| memo.objective)
-    }
-
-    fn gradient(&self, x: &[f64]) -> Vec<f64> {
-        self.with_fused(x, |memo| memo.gradient.clone())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cpe::{lower_triangle, CpeObservation, CrossDomainEstimator};
-    use crate::CpeConfig;
-    use c4u_crowd_sim::HistoricalProfile;
-    use c4u_stats::{conditioning_factorizations, GaussLegendre};
+    use crate::cpe::CpeObservation;
+    use c4u_stats::GaussLegendre;
 
-    fn estimator() -> CrossDomainEstimator {
-        let profiles = [
-            HistoricalProfile::complete(vec![0.9, 0.9, 0.8], vec![10, 10, 10]).unwrap(),
-            HistoricalProfile::complete(vec![0.5, 0.6, 0.4], vec![10, 10, 10]).unwrap(),
-            HistoricalProfile::new(vec![Some(0.4), None, Some(0.3)], vec![10, 0, 10]).unwrap(),
+    #[test]
+    fn unbuildable_points_get_the_zero_gradient() {
+        let obs = vec![CpeObservation {
+            prior_accuracies: vec![Some(0.9), Some(0.9), Some(0.8)],
+            correct: 9,
+            wrong: 1,
+        }];
+        let quadrature = GaussLegendre::new(32);
+        let kernel = CpeLikelihoodKernel::new(&obs, 3, &quadrature);
+        let oracle = AnalyticCpeOracle::new(&kernel, 3, 1e-4);
+        // Wrong parameter length: model construction fails and the gradient
+        // is the harmless zero vector.
+        assert_eq!(oracle.gradient(&[0.5; 3]), vec![0.0; 3]);
+    }
+
+    fn fixture() -> (Vec<CpeObservation>, Vec<f64>) {
+        let obs = vec![
+            CpeObservation {
+                prior_accuracies: vec![Some(0.8), Some(0.6)],
+                correct: 7,
+                wrong: 3,
+            },
+            CpeObservation {
+                prior_accuracies: vec![None, Some(0.4)],
+                correct: 2,
+                wrong: 8,
+            },
         ];
-        let refs: Vec<&HistoricalProfile> = profiles.iter().collect();
-        CrossDomainEstimator::from_profiles(&refs, CpeConfig::default()).unwrap()
-    }
-
-    fn observations() -> Vec<CpeObservation> {
-        vec![
-            CpeObservation {
-                prior_accuracies: vec![Some(0.9), Some(0.9), Some(0.8)],
-                correct: 9,
-                wrong: 1,
-            },
-            CpeObservation {
-                prior_accuracies: vec![Some(0.4), None, Some(0.3)],
-                correct: 3,
-                wrong: 7,
-            },
-        ]
-    }
-
-    fn packed_params(est: &CrossDomainEstimator) -> Vec<f64> {
-        let mut params = est.mean().to_vec();
-        params.extend(lower_triangle(est.covariance()));
-        params
+        // Mean (3) then the packed lower triangle (6) of a valid covariance.
+        let params = vec![0.6, 0.55, 0.5, 0.04, 0.01, 0.05, 0.012, 0.015, 0.03];
+        (obs, params)
     }
 
     #[test]
-    fn objective_reuses_the_gradient_sweeps_fused_log_z() {
-        let est = estimator();
-        let obs = observations();
+    fn gradient_is_the_negated_packed_likelihood_gradient() {
+        let (obs, params) = fixture();
         let quadrature = GaussLegendre::new(32);
-        let kernel = CpeLikelihoodKernel::new(&obs, 3, &quadrature);
-        let oracle = AnalyticCpeOracle::new(&kernel, 3, 1e-4);
-        let params = packed_params(&est);
-
-        let gradient = oracle.gradient(&params);
-        assert_eq!(gradient.len(), params.len());
-        let after_gradient = conditioning_factorizations();
-        // Descent diagnostics asking for the objective at the same iterate hit
-        // the fused memo: no new conditioning (hence no new quadrature sweep).
-        let objective = oracle.objective(&params);
-        assert_eq!(conditioning_factorizations(), after_gradient);
-        assert!(objective.is_finite());
-        // And the memoised value is the (negated) fused log-likelihood of the
-        // same model the log-Z-only path describes, to float rounding.
-        let direct = -est.log_likelihood(&obs).unwrap();
-        assert!(
-            (objective - direct).abs() <= 1e-9 * (1.0 + direct.abs()),
-            "fused {objective} vs log-Z-only {direct}"
-        );
-        // Re-asking for the gradient is free too.
-        let before = conditioning_factorizations();
-        assert_eq!(oracle.gradient(&params), gradient);
-        assert_eq!(conditioning_factorizations(), before);
-
-        // A different point invalidates the memo and re-sweeps.
-        let mut moved = params.clone();
-        moved[0] += 1e-3;
-        let _ = oracle.objective(&moved);
-        assert!(conditioning_factorizations() > before);
+        let kernel = CpeLikelihoodKernel::new(&obs, 2, &quadrature);
+        let oracle = AnalyticCpeOracle::new(&kernel, 2, 1e-4);
+        let cov = nearest_positive_definite(&from_lower_triangle(&params[3..], 3), 1e-4).unwrap();
+        let model = MultivariateNormal::new(Vector::from_slice(&params[..3]), cov).unwrap();
+        let fused = kernel.log_likelihood_gradient(&model).unwrap();
+        let expected: Vec<f64> = fused.packed().iter().map(|v| -v).collect();
+        assert_eq!(oracle.gradient(&params), expected);
+        assert_eq!(fused.packed().len(), 3 + packed_length(3));
+        assert_eq!(fused.packed()[..3], fused.d_mean[..]);
+        assert_eq!(fused.log_likelihood, kernel.log_likelihood(&model).unwrap());
     }
 
     #[test]
-    fn unbuildable_points_memoise_the_penalty_surface() {
-        let obs = observations();
+    fn a_small_step_against_the_gradient_lowers_the_objective() {
+        let (obs, params) = fixture();
         let quadrature = GaussLegendre::new(32);
-        let kernel = CpeLikelihoodKernel::new(&obs, 3, &quadrature);
-        let oracle = AnalyticCpeOracle::new(&kernel, 3, 1e-4);
-        // Wrong parameter length: model construction fails, the objective is
-        // the shared penalty and the gradient the harmless zero vector.
-        let bogus = vec![0.5; 3];
-        assert_eq!(oracle.objective(&bogus), OBJECTIVE_PENALTY);
-        assert_eq!(oracle.gradient(&bogus), vec![0.0; 3]);
+        let kernel = CpeLikelihoodKernel::new(&obs, 2, &quadrature);
+        let oracle = AnalyticCpeOracle::new(&kernel, 2, 1e-4);
+        let nll = |p: &[f64]| {
+            let cov = nearest_positive_definite(&from_lower_triangle(&p[3..], 3), 1e-4).unwrap();
+            let model = MultivariateNormal::new(Vector::from_slice(&p[..3]), cov).unwrap();
+            -kernel.log_likelihood(&model).unwrap()
+        };
+        let g = oracle.gradient(&params);
+        let norm = g.iter().map(|v| v * v).sum::<f64>().sqrt();
+        assert!(norm > 0.0);
+        let stepped: Vec<f64> = params
+            .iter()
+            .zip(&g)
+            .map(|(p, v)| p - 1e-5 * v / norm)
+            .collect();
+        assert!(nll(&stepped) < nll(&params));
     }
 }

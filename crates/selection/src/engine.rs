@@ -6,19 +6,16 @@
 //! out on [`std::thread::scope`] with a work-stealing index and re-assembles
 //! the results in submission order, which makes the parallel output — means,
 //! standard deviations, errors, everything — **identical** to the sequential
-//! path. `evaluate_over_trials`/`evaluate_all` in [`crate::evaluation`] are
-//! thin wrappers over a default engine; construct an engine directly to pin the
-//! thread count (e.g. [`EvalEngine::sequential`] in determinism tests).
+//! path. `evaluate_over_trials` in [`crate::evaluation`] is a thin wrapper
+//! over a default engine; construct an engine directly to pin the thread
+//! count (e.g. [`EvalEngine::sequential`] in determinism tests) or to run a
+//! whole Table V column with [`EvalEngine::evaluate_all`].
 
 use crate::evaluation::{evaluate_strategy, AggregatedResult, EvaluationResult};
 use crate::selector::WorkerSelector;
 use crate::SelectionError;
+use c4u_crowd_sim::parallel::run_indexed_jobs;
 use c4u_crowd_sim::Dataset;
-
-// The generic scoped-thread work queue lives in `c4u_crowd_sim::parallel` now
-// (the platform's sharded paths fan out through it too); re-exported here so
-// engine-level callers keep their historical import path.
-pub use c4u_crowd_sim::parallel::run_indexed_jobs;
 
 /// A reusable evaluation runner with a fixed worker-thread budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -261,5 +258,18 @@ mod tests {
             EvalEngine::with_threads(4).evaluate_all(&ds, &strategies, 3),
             expected
         );
+    }
+
+    #[test]
+    fn an_empty_strategy_list_evaluates_to_nothing() {
+        let ds = small_dataset();
+        let engine = EvalEngine::with_threads(3);
+        assert!(engine.evaluate_all(&ds, &[], 1).unwrap().is_empty());
+        assert!(engine
+            .evaluate_all_over_trials(&ds, &[], &[1, 2])
+            .unwrap()
+            .is_empty());
+        let us = UniformSampling::new();
+        assert!(engine.evaluate_all_over_trials(&ds, &[&us], &[]).is_err());
     }
 }

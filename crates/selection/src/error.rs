@@ -126,4 +126,20 @@ mod tests {
         let e: SelectionError = c4u_linalg::LinalgError::Empty.into();
         assert!(matches!(e, SelectionError::Numerical(_)));
     }
+
+    #[test]
+    fn non_finite_score_names_stage_worker_and_value() {
+        let msg = SelectionError::NonFiniteScore {
+            stage: "lge".into(),
+            worker: 12,
+            value: f64::NEG_INFINITY,
+        }
+        .to_string();
+        assert_eq!(
+            msg,
+            "stage 'lge' produced a non-finite score (-inf) for worker 12"
+        );
+        let e: SelectionError = c4u_crowd_sim::SimError::UnknownWorker { id: 3 }.into();
+        assert!(e.to_string().starts_with("simulator failure: "));
+    }
 }

@@ -105,19 +105,6 @@ pub fn evaluate_over_trials(
     crate::EvalEngine::default().evaluate_over_trials(dataset, strategy, seeds)
 }
 
-/// Runs a set of strategies on the same dataset and seed (one Table V column).
-///
-/// Strategies are fanned out across threads by the default
-/// [`EvalEngine`](crate::EvalEngine); each runs on its own fresh platform, so
-/// the results are identical to a sequential loop, in strategy order.
-pub fn evaluate_all(
-    dataset: &Dataset,
-    strategies: &[&dyn WorkerSelector],
-    seed: u64,
-) -> Result<Vec<EvaluationResult>, SelectionError> {
-    crate::EvalEngine::default().evaluate_all(dataset, strategies, seed)
-}
-
 /// Relative improvement of `ours` over `baseline`, in percent — the parenthesised
 /// uplift figures of Table V.
 pub fn relative_improvement(ours: f64, baseline: f64) -> f64 {
@@ -171,7 +158,9 @@ mod tests {
         let ours = fast_ours();
         let us = UniformSampling::new();
         let strategies: Vec<&dyn WorkerSelector> = vec![&us, &ours];
-        let results = evaluate_all(&ds, &strategies, 5).unwrap();
+        let results = crate::EvalEngine::default()
+            .evaluate_all(&ds, &strategies, 5)
+            .unwrap();
         assert_eq!(results.len(), 2);
         assert_eq!(results[0].strategy, "US");
         assert_eq!(results[1].strategy, "Ours");
@@ -199,5 +188,31 @@ mod tests {
         assert!((relative_improvement(0.798, 0.764) - 4.45).abs() < 0.1);
         assert_eq!(relative_improvement(0.5, 0.0), 0.0);
         assert!(relative_improvement(0.7, 0.8) < 0.0);
+    }
+
+    #[test]
+    fn default_k_matches_the_dataset_and_runs_reproduce() {
+        let ds = generate(&DatasetConfig::rw1()).unwrap();
+        let us = UniformSampling::new();
+        let a = evaluate_strategy(&ds, &us, 9).unwrap();
+        assert_eq!(
+            a,
+            evaluate_strategy_with_k(&ds, &us, ds.config.select_k, 9).unwrap()
+        );
+        assert_eq!(a, evaluate_strategy(&ds, &us, 9).unwrap());
+        assert_eq!(a.rounds, 1);
+    }
+
+    #[test]
+    fn a_single_trial_aggregates_to_itself() {
+        let ds = generate(&DatasetConfig::rw1()).unwrap();
+        let single = evaluate_strategy(&ds, &UniformSampling::new(), 4).unwrap();
+        let agg = evaluate_over_trials(&ds, &UniformSampling::new(), &[4]).unwrap();
+        assert_eq!(agg.mean_accuracy, single.working_accuracy);
+        assert_eq!(agg.std_accuracy, 0.0);
+        assert_eq!(
+            (agg.strategy.as_str(), agg.dataset.as_str()),
+            ("US", "RW-1")
+        );
     }
 }

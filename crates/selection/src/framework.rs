@@ -663,4 +663,51 @@ mod tests {
             Err(SelectionError::NotEnoughData { needed: 7, got: 6 })
         ));
     }
+
+    #[test]
+    fn every_mode_names_its_pipeline() {
+        for (mode, name, stages) in [
+            (EstimationMode::CpeAndLge, "Ours", vec!["cpe", "lge"]),
+            (EstimationMode::CpeOnly, "ME-CPE", vec!["cpe"]),
+            (
+                EstimationMode::LgeOnly,
+                "LGE-only",
+                vec!["empirical", "lge"],
+            ),
+            (EstimationMode::BktOnly, "BKT", vec!["bkt"]),
+            (EstimationMode::RaschCalibrated, "Rasch", vec!["rasch"]),
+            (EstimationMode::CpeBktEnsemble, "CPE+BKT", vec!["ensemble"]),
+        ] {
+            let selector = CrossDomainSelector::new(SelectorConfig::default().with_mode(mode));
+            assert_eq!(selector.name(), name);
+            assert_eq!(selector.pipeline().stage_names(), stages, "{name}");
+        }
+    }
+
+    #[test]
+    fn custom_pipelines_keep_their_name_and_config() {
+        let config = fast_config().with_num_shards(3);
+        assert_eq!(config.num_shards, 3);
+        let selector =
+            CrossDomainSelector::with_pipeline(config.clone(), StagePipeline::lge_only(), "mine");
+        assert_eq!(selector.name(), "mine");
+        assert_eq!(selector.config(), &config);
+        let report = selector.run(&mut rw1_platform(), 7).unwrap();
+        assert_eq!(report.outcome.selected.len(), 7);
+        assert!(report.target_correlations.is_empty());
+    }
+
+    #[test]
+    fn survivors_come_from_the_entrants_and_feed_the_next_round() {
+        let report = CrossDomainSelector::new(fast_config())
+            .run(&mut rw1_platform(), 7)
+            .unwrap();
+        for d in &report.rounds {
+            assert!(d.survived.iter().all(|w| d.entered.contains(w)));
+            assert!(d.joined.is_empty() && d.departed.is_empty());
+        }
+        assert_eq!(report.rounds[1].entered, report.rounds[0].survived);
+        let last = &report.rounds[1].survived;
+        assert!(report.outcome.selected.iter().all(|w| last.contains(w)));
+    }
 }

@@ -377,4 +377,40 @@ mod tests {
         assert!(result.alpha > 0.0);
         assert!(result.predicted_accuracy > 0.5);
     }
+
+    #[test]
+    fn from_profile_copies_the_record() {
+        let profile = HistoricalProfile::new(vec![Some(0.8), None], vec![12, 0]).unwrap();
+        let i = LgeWorkerInput::from_profile(&profile, vec![0.6], vec![0.0], 10.0);
+        assert_eq!(i.profile_accuracies, vec![Some(0.8), None]);
+        assert_eq!(i.profile_task_counts, vec![12, 0]);
+        assert_eq!((i.cpe_estimates, i.cumulative_tasks_now), (vec![0.6], 10.0));
+        assert_eq!(LearningGainEstimator::new(config()).config(), &config());
+    }
+
+    #[test]
+    fn a_worker_without_any_record_is_an_error() {
+        let est = LearningGainEstimator::new(config());
+        let blank = LgeWorkerInput {
+            profile_accuracies: vec![None, None, None],
+            profile_task_counts: vec![0, 0, 0],
+            cpe_estimates: vec![],
+            cumulative_tasks_before: vec![],
+            cumulative_tasks_now: 10.0,
+        };
+        assert!(est.estimate(&blank).is_err());
+    }
+
+    #[test]
+    fn out_of_range_stage_estimates_are_clamped() {
+        let est = LearningGainEstimator::new(config());
+        let over = est.estimate(&input(vec![0.5, 1.3], vec![0.0, 10.0], 30.0));
+        let at_one = est.estimate(&input(vec![0.5, 1.0], vec![0.0, 10.0], 30.0));
+        assert_eq!(over.unwrap(), at_one.unwrap());
+        let under = est.estimate(&input(vec![-0.2], vec![10.0], 30.0));
+        assert_eq!(
+            under.unwrap(),
+            est.estimate(&input(vec![0.0], vec![10.0], 30.0)).unwrap()
+        );
+    }
 }

@@ -73,11 +73,11 @@ pub use cpe::{CpeConfig, CpeGradient, CpeObservation, CrossDomainEstimator};
 // The fold-pass math mode of the batched quadrature sweeps, re-exported so
 // `CpeConfig::quadrature_math` can be set without importing `c4u_stats`.
 pub use c4u_stats::QuadratureMath;
-pub use engine::{run_indexed_jobs, EvalEngine};
+pub use engine::EvalEngine;
 pub use error::SelectionError;
 pub use evaluation::{
-    evaluate_all, evaluate_over_trials, evaluate_strategy, evaluate_strategy_with_k,
-    relative_improvement, AggregatedResult, EvaluationResult,
+    evaluate_over_trials, evaluate_strategy, evaluate_strategy_with_k, relative_improvement,
+    AggregatedResult, EvaluationResult,
 };
 pub use framework::{
     CrossDomainSelector, EstimationMode, PipelineReport, RoundDiagnostics, SelectorConfig,

@@ -204,4 +204,21 @@ mod tests {
         assert_eq!(rounds_until_at_most(0, 5), 0);
         assert_eq!(rounds_until_at_most(5, 0), 0);
     }
+
+    #[test]
+    fn top_k_clamps_to_the_pool() {
+        let s = scored(&[0.2, 0.9, 0.5]);
+        assert_eq!(top_k(&s, 10), vec![1, 2, 0]);
+        assert!(top_k(&s, 0).is_empty());
+        assert!(median_eliminate(&[]).is_empty());
+        assert_eq!(median_eliminate(&scored(&[0.4])), vec![0]);
+    }
+
+    #[test]
+    fn equal_scores_keep_the_lower_ids() {
+        let s = scored(&[0.5, 0.7, 0.5, 0.5]);
+        assert_eq!(median_eliminate(&s), vec![1, 0]);
+        let reversed: Vec<ScoredWorker> = s.iter().rev().copied().collect();
+        assert_eq!(median_eliminate(&reversed), vec![1, 0]);
+    }
 }

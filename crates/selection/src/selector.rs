@@ -101,4 +101,16 @@ mod tests {
         let outcome = selector.select(&mut platform, 7).unwrap();
         assert_eq!(outcome.selected.len(), 7);
     }
+
+    #[test]
+    fn with_scores_replaces_earlier_scores() {
+        let o = SelectionOutcome::new(vec![4], 1, 10)
+            .with_scores(vec![0.1])
+            .with_scores(vec![0.7]);
+        assert_eq!(o.scores, vec![0.7]);
+        assert_eq!(
+            o,
+            SelectionOutcome::new(vec![4], 1, 10).with_scores(vec![0.7])
+        );
+    }
 }

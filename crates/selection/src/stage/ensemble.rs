@@ -258,4 +258,45 @@ mod tests {
         without.initialize(&init).unwrap();
         assert!(without.target_correlations().is_none());
     }
+
+    #[test]
+    fn a_lone_child_passes_through_and_weights_are_normalised() {
+        let ds = generate(&DatasetConfig::rw1()).unwrap();
+        let mut platform = Platform::from_dataset(&ds, 3).unwrap();
+        let ids = platform.worker_ids();
+        let record = platform.assign_learning_batch(&ids, 7).unwrap();
+        let profiles: Vec<&HistoricalProfile> = record
+            .sheets
+            .iter()
+            .map(|s| platform.profile(s.worker).unwrap())
+            .collect();
+        let ctx = RoundContext {
+            header: crate::stage::RoundHeader {
+                round: 1,
+                total_rounds: 1,
+                delta: 0.1,
+                sheets: &record.sheets,
+            },
+            profiles: &profiles,
+            cumulative_tasks: &[0.0, 7.0],
+            num_shards: 1,
+            prior_histories: &[],
+        };
+        let accuracies: Vec<f64> = record.sheets.iter().map(|s| s.accuracy()).collect();
+        let mut lone =
+            EnsembleStage::new(vec![Box::new(SheetAccuracyStage::new())], vec![3.0]).unwrap();
+        assert_eq!(lone.estimate(&ctx, &[]).unwrap(), accuracies);
+        let mut pair = EnsembleStage::new(
+            vec![
+                Box::new(SheetAccuracyStage::new()),
+                Box::new(SheetAccuracyStage::new()),
+            ],
+            vec![1.0, 3.0],
+        )
+        .unwrap();
+        for (blend, a) in pair.estimate(&ctx, &[]).unwrap().iter().zip(&accuracies) {
+            assert!((blend - a).abs() < 1e-15);
+        }
+        assert!(lone.target_correlations().is_none());
+    }
 }

@@ -421,4 +421,62 @@ mod tests {
             .iter()
             .all(|s| stage.observed(s.worker).map(<[f64]>::len) == Some(2)));
     }
+
+    #[test]
+    fn bkt_trackers_start_at_the_profile_mean_mastery() {
+        let (platform, sheets) = rw1_round(7);
+        let pool = platform.profiles();
+        let init = StageInit {
+            profiles: &pool,
+            num_prior_domains: num_prior_domains(&pool),
+            initial_target_accuracy: 0.5,
+        };
+        let params = BktParams::default();
+        let mut stage = BktStage::new(params);
+        stage.initialize(&init).unwrap();
+        assert_eq!(stage.params(), &params);
+        let profiles: Vec<&HistoricalProfile> = sheets
+            .iter()
+            .map(|s| platform.profile(s.worker).unwrap())
+            .collect();
+        let scores = stage
+            .estimate(&ctx_of(&sheets, &profiles, &[0.0, 6.0], 1), &[])
+            .unwrap();
+        for ((sheet, profile), score) in sheets.iter().zip(&profiles).zip(scores) {
+            let anchor = c4u_stats::mean(&profile.observed_accuracies());
+            let mut expected = BktModel::new(BktParams {
+                p_init: params.mastery_for_accuracy(anchor),
+                ..params
+            })
+            .unwrap();
+            assert_eq!(expected.observe_batch(&sheet.correctness()), score);
+            assert_eq!(stage.tracker(sheet.worker), Some(&expected));
+        }
+    }
+
+    #[test]
+    fn rasch_records_the_sheet_accuracies() {
+        let (platform, sheets) = rw1_round(8);
+        let pool = platform.profiles();
+        let init = StageInit {
+            profiles: &pool,
+            num_prior_domains: num_prior_domains(&pool),
+            initial_target_accuracy: 0.5,
+        };
+        let mut stage = RaschStage::new();
+        stage.initialize(&init).unwrap();
+        let profiles: Vec<&HistoricalProfile> = sheets
+            .iter()
+            .map(|s| platform.profile(s.worker).unwrap())
+            .collect();
+        stage
+            .estimate(&ctx_of(&sheets, &profiles, &[0.0, 6.0], 2), &[])
+            .unwrap();
+        for sheet in &sheets {
+            assert_eq!(stage.observed(sheet.worker), Some(&[sheet.accuracy()][..]));
+        }
+        assert!(stage.observed(999).is_none());
+        stage.initialize(&init).unwrap();
+        assert!(stage.observed(sheets[0].worker).is_none());
+    }
 }

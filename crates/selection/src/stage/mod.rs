@@ -1062,4 +1062,56 @@ mod tests {
         }
         assert!(pipeline.history(0).unwrap().is_empty());
     }
+
+    #[test]
+    fn sheet_accuracy_feeds_the_lge_stage() {
+        let (mut pipeline, platform, sheets) = pipeline_and_round(StagePipeline::lge_only(), 4);
+        let profiles: Vec<&HistoricalProfile> = sheets
+            .iter()
+            .map(|s| platform.profile(s.worker).unwrap())
+            .collect();
+        let estimates = pipeline
+            .score_round(&round_input(1, &sheets, &profiles, &[0.0, 4.0]))
+            .unwrap();
+        let accuracies: Vec<f64> = sheets.iter().map(AnswerSheet::accuracy).collect();
+        assert_eq!(estimates.first(), accuracies.as_slice());
+        assert_eq!(estimates.num_stages(), 2);
+        assert_eq!(estimates.stage(1), Some(estimates.last()));
+        assert!(estimates.stage(2).is_none());
+        assert!(estimates.last().iter().all(|p| (0.0..=1.0).contains(p)));
+        assert_eq!(pipeline.history(1).unwrap().len(), sheets.len());
+    }
+
+    #[test]
+    fn misaligned_round_profiles_are_rejected() {
+        let (mut pipeline, platform, sheets) = pipeline_and_round(StagePipeline::lge_only(), 2);
+        let profiles = vec![platform.profile(0).unwrap()];
+        let err = pipeline
+            .score_round(&round_input(1, &sheets, &profiles, &[0.0, 2.0]))
+            .unwrap_err();
+        assert!(matches!(err, SelectionError::InvalidConfig { .. }), "{err}");
+        assert!(pipeline.history(0).unwrap().is_empty());
+    }
+
+    #[test]
+    fn round_shards_cover_every_sheet() {
+        let (_, platform, sheets) = pipeline_and_round(StagePipeline::lge_only(), 1);
+        let profiles = platform.profiles();
+        assert_eq!(num_prior_domains(&profiles), 3);
+        assert_eq!(num_prior_domains(&[]), 0);
+        for (num_shards, expected) in [(0, 1), (1, 1), (4, 4)] {
+            let ctx = RoundContext {
+                header: round_input(1, &sheets, &profiles, &[]).header,
+                profiles: &profiles,
+                cumulative_tasks: &[],
+                num_shards,
+                prior_histories: &[],
+            };
+            let shards = ctx.worker_shards();
+            assert_eq!(
+                (shards.num_shards(), shards.len()),
+                (expected, sheets.len())
+            );
+        }
+    }
 }

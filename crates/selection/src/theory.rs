@@ -164,4 +164,25 @@ mod tests {
             "failure rate {failure_rate} exceeds the allowed {delta}"
         );
     }
+
+    #[test]
+    fn epsilon_bound_matches_theorem_2() {
+        // RW-1: n = 2, k = 7, B = 540.
+        let eps = epsilon_bound(2, 7, 540, 0.1).unwrap();
+        assert!((eps - (14.0 / 540.0 * 10f64.ln()).sqrt()).abs() < 1e-15);
+        assert!(epsilon_bound(2, 0, 540, 0.1).is_err());
+        assert!(epsilon_bound(2, 7, 0, 0.1).is_err());
+        assert!(epsilon_bound(2, 7, 540, f64::NAN).is_err());
+    }
+
+    #[test]
+    fn regret_ignores_unknown_survivors() {
+        let accs = [0.6, 0.8];
+        assert!((elimination_regret(&accs, &[0, 7]) - 0.2).abs() < 1e-12);
+        // No known survivor: no regret can be attributed.
+        assert_eq!(elimination_regret(&accs, &[7]), 0.0);
+        assert!(delta_schedule(0.1, 0).is_empty());
+        assert!(tasks_for_guarantee(1.5, 0.1).is_err());
+        assert_eq!(tasks_for_guarantee(1.0, 0.5).unwrap(), 4);
+    }
 }

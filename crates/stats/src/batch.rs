@@ -101,7 +101,7 @@ thread_local! {
 }
 
 /// Number of batched quadrature sweeps (one [`BinomialNormalBatch`] call over a
-/// whole mask group) recorded on this thread since the last reset.
+/// whole mask group) recorded on this thread.
 ///
 /// Together with [`scalar_quadrature_evaluations`] this lets tests pin the
 /// batching contract of the CPE hot paths: `O(unique_masks)` sweeps per
@@ -110,22 +110,12 @@ pub fn batched_quadrature_sweeps() -> u64 {
     BATCHED_QUADRATURE_SWEEPS.with(Cell::get)
 }
 
-/// Resets this thread's [`batched_quadrature_sweeps`] counter to zero.
-pub fn reset_batched_quadrature_sweeps() {
-    BATCHED_QUADRATURE_SWEEPS.with(|c| c.set(0));
-}
-
 /// Number of scalar binomial×normal evaluations
 /// ([`binomial_normal_moments`](crate::binomial_normal_moments) /
 /// [`binomial_normal_log_z`](crate::binomial_normal_log_z)) recorded on this
-/// thread since the last reset.
+/// thread.
 pub fn scalar_quadrature_evaluations() -> u64 {
     SCALAR_QUADRATURE_EVALUATIONS.with(Cell::get)
-}
-
-/// Resets this thread's [`scalar_quadrature_evaluations`] counter to zero.
-pub fn reset_scalar_quadrature_evaluations() {
-    SCALAR_QUADRATURE_EVALUATIONS.with(|c| c.set(0));
 }
 
 pub(crate) fn record_batched_sweep() {
@@ -1133,8 +1123,8 @@ mod tests {
     fn counters_tick_per_call_not_per_worker() {
         let quadrature = GaussLegendre::new(16);
         let batch = BinomialNormalBatch::new(&quadrature);
-        reset_batched_quadrature_sweeps();
-        reset_scalar_quadrature_evaluations();
+        let sweeps = batched_quadrature_sweeps();
+        let scalar = scalar_quadrature_evaluations();
         let mu = [0.5; 100];
         let c = [3.0; 100];
         let x = [2.0; 100];
@@ -1143,14 +1133,12 @@ mod tests {
         batch.log_z(0.1, &mu, &c, &x, &mut log_z);
         batch.moments(0.1, &mu, &c, &x, &mut log_z, &mut mean);
         batch.log_z_gradients(0.1, &[(0.5, 3.0, 2.0)]);
-        assert_eq!(batched_quadrature_sweeps(), 3);
-        assert_eq!(scalar_quadrature_evaluations(), 0);
+        assert_eq!(batched_quadrature_sweeps() - sweeps, 3);
+        assert_eq!(scalar_quadrature_evaluations() - scalar, 0);
         binomial_normal_moments(&quadrature, 0.5, 0.1, 3.0, 2.0);
         binomial_normal_log_z(&quadrature, 0.5, 0.1, 3.0, 2.0);
-        assert_eq!(scalar_quadrature_evaluations(), 2);
-        assert_eq!(batched_quadrature_sweeps(), 3);
-        reset_batched_quadrature_sweeps();
-        reset_scalar_quadrature_evaluations();
+        assert_eq!(scalar_quadrature_evaluations() - scalar, 2);
+        assert_eq!(batched_quadrature_sweeps() - sweeps, 3);
     }
 
     #[test]
@@ -1174,5 +1162,18 @@ mod tests {
             &mut out,
             &mut QuadratureScratch::new(),
         );
+    }
+
+    #[test]
+    fn accessors_reflect_the_construction() {
+        let quadrature = GaussLegendre::new(12);
+        let batch = BinomialNormalBatch::new(&quadrature);
+        assert_eq!(batch.num_nodes(), 12);
+        assert_eq!(batch.math(), QuadratureMath::default());
+        let fast = BinomialNormalBatch::new_with_math(&quadrature, QuadratureMath::FastVector);
+        assert_eq!(fast.math(), QuadratureMath::FastVector);
+        // An empty batch is a valid (no-op) sweep.
+        let mut out: [f64; 0] = [];
+        batch.log_z(0.1, &[], &[], &[], &mut out);
     }
 }

@@ -326,4 +326,28 @@ mod tests {
         assert_eq!(grads[0].d_variance, 0.0);
         assert!(!grads[0].is_finite());
     }
+
+    #[test]
+    fn mirrored_inputs_give_mirrored_moments() {
+        // h -> 1 - h swaps C and X and reflects the prior mean.
+        let quadrature = GaussLegendre::new(32);
+        for (mu, sigma, c, x) in [(0.7, 0.1, 6.0, 2.0), (0.4, 0.2, 0.0, 9.0)] {
+            let (log_z, mean) = binomial_normal_moments(&quadrature, mu, sigma, c, x);
+            let (m_log_z, m_mean) = binomial_normal_moments(&quadrature, 1.0 - mu, sigma, x, c);
+            assert!((log_z - m_log_z).abs() < 1e-9, "{log_z} vs {m_log_z}");
+            assert!((mean + m_mean - 1.0).abs() < 1e-9);
+        }
+        let (_, centre) = binomial_normal_moments(&quadrature, 0.5, 0.2, 4.0, 4.0);
+        assert!((centre - 0.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn correct_answers_pull_the_posterior_mean_up() {
+        let quadrature = GaussLegendre::new(32);
+        let means: Vec<f64> = (0..6)
+            .map(|c| binomial_normal_moments(&quadrature, 0.5, 0.15, c as f64, 5.0 - c as f64).1)
+            .collect();
+        assert!(means.windows(2).all(|w| w[1] > w[0]), "{means:?}");
+        assert!(means.iter().all(|m| (0.0..=1.0).contains(m)));
+    }
 }

@@ -1,99 +1,11 @@
-//! Sample covariance / correlation estimation and PSD repair.
+//! PSD repair of covariance iterates.
 //!
-//! The synthetic-dataset generator estimates the prior-domain means and standard
-//! deviations from observed accuracies (Sec. V-A), and the CPE gradient updates need
-//! their covariance iterate projected back into the PSD cone. Both utilities live
-//! here, on top of the `c4u-linalg` matrix type.
+//! The CPE gradient updates need their covariance iterate projected back into
+//! the PSD cone after every step; the projection lives here, on top of the
+//! `c4u-linalg` matrix type.
 
-use crate::descriptive::mean;
 use crate::StatsError;
 use c4u_linalg::{Cholesky, Matrix};
-
-/// Estimates the unbiased sample covariance matrix of `samples`, where each inner
-/// slice is one observation of dimension `d`.
-pub fn sample_covariance(samples: &[Vec<f64>]) -> Result<Matrix, StatsError> {
-    if samples.len() < 2 {
-        return Err(StatsError::NotEnoughData {
-            needed: 2,
-            got: samples.len(),
-        });
-    }
-    let d = samples[0].len();
-    if d == 0 {
-        return Err(StatsError::NotEnoughData { needed: 1, got: 0 });
-    }
-    if samples.iter().any(|s| s.len() != d) {
-        return Err(StatsError::DimensionMismatch {
-            what: "all observations must have the same dimension",
-            left: d,
-            right: samples
-                .iter()
-                .map(|s| s.len())
-                .find(|&l| l != d)
-                .unwrap_or(d),
-        });
-    }
-    let means: Vec<f64> = (0..d)
-        .map(|j| mean(&samples.iter().map(|s| s[j]).collect::<Vec<_>>()))
-        .collect();
-    let mut cov = Matrix::zeros(d, d);
-    for s in samples {
-        for i in 0..d {
-            for j in 0..d {
-                cov[(i, j)] += (s[i] - means[i]) * (s[j] - means[j]);
-            }
-        }
-    }
-    let denom = (samples.len() - 1) as f64;
-    Ok(cov.scale(1.0 / denom))
-}
-
-/// Estimates the sample correlation matrix of `samples`.
-///
-/// Dimensions with zero variance get correlation 0 with every other dimension (and 1
-/// with themselves), mirroring [`pearson_correlation`](crate::pearson_correlation).
-pub fn sample_correlation(samples: &[Vec<f64>]) -> Result<Matrix, StatsError> {
-    let cov = sample_covariance(samples)?;
-    Ok(covariance_to_correlation(&cov))
-}
-
-/// Converts a covariance matrix into the corresponding correlation matrix.
-pub fn covariance_to_correlation(cov: &Matrix) -> Matrix {
-    let d = cov.nrows();
-    Matrix::from_fn(d, d, |i, j| {
-        if i == j {
-            1.0
-        } else {
-            let si = cov[(i, i)].max(0.0).sqrt();
-            let sj = cov[(j, j)].max(0.0).sqrt();
-            if si <= 0.0 || sj <= 0.0 {
-                0.0
-            } else {
-                (cov[(i, j)] / (si * sj)).clamp(-1.0, 1.0)
-            }
-        }
-    })
-}
-
-/// Converts a correlation matrix plus per-dimension standard deviations into a
-/// covariance matrix (the inverse of [`covariance_to_correlation`]).
-pub fn correlation_to_covariance(corr: &Matrix, std_devs: &[f64]) -> Result<Matrix, StatsError> {
-    let d = corr.nrows();
-    if std_devs.len() != d || !corr.is_square() {
-        return Err(StatsError::DimensionMismatch {
-            what: "correlation matrix and std_devs must agree in dimension",
-            left: d,
-            right: std_devs.len(),
-        });
-    }
-    Ok(Matrix::from_fn(d, d, |i, j| {
-        if i == j {
-            std_devs[i] * std_devs[i]
-        } else {
-            corr[(i, j)] * std_devs[i] * std_devs[j]
-        }
-    }))
-}
 
 /// Returns a positive-definite matrix close to `m`: the input is symmetrised,
 /// correlations are clamped to `[-0.999, 0.999]`, variances floored at `min_variance`,
@@ -158,50 +70,6 @@ mod tests {
     use c4u_linalg::Vector;
 
     #[test]
-    fn sample_covariance_known_values() {
-        // Two perfectly correlated dimensions.
-        let samples = vec![
-            vec![1.0, 2.0],
-            vec![2.0, 4.0],
-            vec![3.0, 6.0],
-            vec![4.0, 8.0],
-        ];
-        let cov = sample_covariance(&samples).unwrap();
-        // var(x) = 5/3, var(y) = 20/3, cov = 10/3 (unbiased with n-1 = 3).
-        assert!((cov[(0, 0)] - 5.0 / 3.0).abs() < 1e-12);
-        assert!((cov[(1, 1)] - 20.0 / 3.0).abs() < 1e-12);
-        assert!((cov[(0, 1)] - 10.0 / 3.0).abs() < 1e-12);
-        let corr = sample_correlation(&samples).unwrap();
-        assert!((corr[(0, 1)] - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn sample_covariance_validation() {
-        assert!(sample_covariance(&[vec![1.0]]).is_err());
-        assert!(sample_covariance(&[vec![], vec![]]).is_err());
-        assert!(sample_covariance(&[vec![1.0, 2.0], vec![1.0]]).is_err());
-    }
-
-    #[test]
-    fn correlation_conversion_roundtrip() {
-        let corr = Matrix::from_rows(&[vec![1.0, 0.4], vec![0.4, 1.0]]).unwrap();
-        let stds = [0.2, 0.5];
-        let cov = correlation_to_covariance(&corr, &stds).unwrap();
-        assert!((cov[(0, 1)] - 0.4 * 0.2 * 0.5).abs() < 1e-12);
-        let back = covariance_to_correlation(&cov);
-        assert!(back.max_abs_diff(&corr).unwrap() < 1e-12);
-        assert!(correlation_to_covariance(&corr, &[0.1]).is_err());
-    }
-
-    #[test]
-    fn degenerate_variance_gets_zero_correlation() {
-        let cov = Matrix::from_rows(&[vec![0.0, 0.0], vec![0.0, 1.0]]).unwrap();
-        let corr = covariance_to_correlation(&cov);
-        assert_eq!(corr[(0, 1)], 0.0);
-        assert_eq!(corr[(0, 0)], 1.0);
-    }
-
-    #[test]
     fn nearest_psd_fixes_indefinite_input() {
         // Correlation > 1 in disguise: not PSD.
         let bad = Matrix::from_rows(&[vec![0.04, 0.09], vec![0.09, 0.04]]).unwrap();
@@ -238,5 +106,16 @@ mod tests {
         let fixed = nearest_positive_definite(&bad, 1e-6).unwrap();
         let mvn = crate::MultivariateNormal::new(Vector::from_slice(&[0.5, 0.6, 0.7]), fixed);
         assert!(mvn.is_ok());
+    }
+
+    #[test]
+    fn asymmetric_input_is_symmetrised() {
+        let m = Matrix::from_rows(&[vec![0.04, 0.02], vec![0.0, 0.09]]).unwrap();
+        let fixed = nearest_positive_definite(&m, 1e-9).unwrap();
+        assert!(fixed.is_symmetric(0.0));
+        assert!((fixed[(0, 1)] - 0.01).abs() < 1e-15);
+        // A negative variance is floored before the correlations are rebuilt.
+        let neg = Matrix::from_rows(&[vec![-1.0, 0.0], vec![0.0, 1.0]]).unwrap();
+        assert_eq!(nearest_positive_definite(&neg, 0.25).unwrap()[(0, 0)], 0.25);
     }
 }

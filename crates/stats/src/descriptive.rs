@@ -25,23 +25,9 @@ pub fn variance(data: &[f64]) -> f64 {
     data.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (data.len() - 1) as f64
 }
 
-/// Population (n) variance; `0.0` for an empty slice.
-pub fn population_variance(data: &[f64]) -> f64 {
-    if data.is_empty() {
-        return 0.0;
-    }
-    let m = mean(data);
-    data.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / data.len() as f64
-}
-
 /// Unbiased sample standard deviation.
 pub fn std_dev(data: &[f64]) -> f64 {
     variance(data).sqrt()
-}
-
-/// Population standard deviation.
-pub fn population_std_dev(data: &[f64]) -> f64 {
-    population_variance(data).sqrt()
 }
 
 /// Median of the data; `None` for an empty slice.
@@ -259,14 +245,10 @@ mod tests {
     #[test]
     fn moments() {
         assert!((mean(&DATA) - 26.0 / 6.0).abs() < 1e-12);
-        assert!(
-            (population_variance(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]) - 4.0).abs() < 1e-12
-        );
         assert!((variance(&[1.0, 2.0, 3.0]) - 1.0).abs() < 1e-12);
         assert!((std_dev(&[1.0, 2.0, 3.0]) - 1.0).abs() < 1e-12);
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(variance(&[5.0]), 0.0);
-        assert_eq!(population_std_dev(&[]), 0.0);
     }
 
     #[test]
@@ -351,5 +333,49 @@ mod tests {
         assert_eq!(s.max, 7.0);
         assert_eq!(s.median, 4.0);
         assert!(Summary::of(&[]).is_err());
+    }
+
+    #[test]
+    fn covariance_known_value() {
+        // Means 2 and 13/3: ((-1)(-7/3) + 0 + (1)(8/3)) / 2 = 2.5.
+        let c = covariance(&[1.0, 2.0, 3.0], &[2.0, 4.0, 7.0]).unwrap();
+        assert!((c - 2.5).abs() < 1e-12);
+        assert_eq!(covariance(&[1.0, 2.0], &[5.0, 5.0]).unwrap(), 0.0);
+    }
+
+    #[test]
+    fn quantile_sorts_its_input_and_rejects_a_nan_level() {
+        assert_eq!(quantile(&[9.0, 1.0, 5.0], 0.5), Some(5.0));
+        assert_eq!(quantile(&[4.0, 0.0], 0.75), Some(3.0));
+        assert_eq!(quantile(&[1.0, 2.0], f64::NAN), None);
+        assert_eq!(quantile(&[1.0, 2.0], -0.1), None);
+        assert_eq!(median(&[]), None);
+    }
+
+    #[test]
+    fn histogram_interior_edges_go_to_the_upper_bin() {
+        let h = Histogram::new(&[0.5, 0.25, 0.75], 4, 0.0, 1.0).unwrap();
+        assert_eq!(h.counts(), &[0, 1, 1, 1]);
+        assert!(Histogram::new(&[], 3, f64::NAN, 1.0).is_err());
+        assert!(Histogram::new(&[], 3, 0.0, f64::NAN).is_err());
+        assert!(Histogram::new(&[], 3, 1.0, 1.0).is_err());
+    }
+
+    #[test]
+    fn summary_of_one_value() {
+        let s = Summary::of(&[0.42]).unwrap();
+        assert_eq!((s.count, s.mean, s.std_dev), (1, 0.42, 0.0));
+        assert_eq!((s.min, s.max, s.median), (0.42, 0.42, 0.42));
+    }
+
+    #[test]
+    fn pearson_is_invariant_under_positive_affine_maps() {
+        let x = [0.1, 0.7, 0.3, 0.9, 0.5];
+        let y = [0.2, 0.6, 0.1, 0.8, 0.7];
+        let r = pearson_correlation(&x, &y).unwrap();
+        let shifted: Vec<f64> = y.iter().map(|v| 3.0 * v - 1.0).collect();
+        assert!((pearson_correlation(&x, &shifted).unwrap() - r).abs() < 1e-12);
+        let flipped: Vec<f64> = y.iter().map(|v| -v).collect();
+        assert!((pearson_correlation(&x, &flipped).unwrap() + r).abs() < 1e-12);
     }
 }

@@ -3,9 +3,7 @@
 //! The CPE estimator repeatedly evaluates integrals of the form
 //! `∫_0^1 h^C (1-h)^X · N(h; mu, sigma^2) dh` (Eq. 5 and Eq. 8 of the paper). The
 //! integrands are smooth on a bounded interval, so fixed-order Gauss–Legendre
-//! quadrature is both accurate and fast; adaptive Simpson is provided as a
-//! cross-check used by the tests and available for callers who prefer an error
-//! tolerance to a fixed order.
+//! quadrature is both accurate and fast.
 
 /// Iteration cap for the Newton refinement of the Legendre roots. Convergence
 /// is quadratic from the Chebyshev initial guess, so real rules converge in a
@@ -138,70 +136,9 @@ impl GaussLegendre {
     }
 }
 
-/// Adaptive Simpson quadrature on `[a, b]` with absolute tolerance `tol`.
-///
-/// Recursion depth is bounded; the returned value is the best available estimate even
-/// when the tolerance cannot be met (the integrands in this workspace are smooth, so
-/// in practice the tolerance is always met long before the depth bound).
-pub fn adaptive_simpson(f: impl Fn(f64) -> f64, a: f64, b: f64, tol: f64) -> f64 {
-    fn simpson(a: f64, b: f64, fa: f64, fm: f64, fb: f64) -> f64 {
-        (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn recurse(
-        f: &impl Fn(f64) -> f64,
-        a: f64,
-        b: f64,
-        fa: f64,
-        fm: f64,
-        fb: f64,
-        whole: f64,
-        tol: f64,
-        depth: usize,
-    ) -> f64 {
-        let m = 0.5 * (a + b);
-        let lm = 0.5 * (a + m);
-        let rm = 0.5 * (m + b);
-        let flm = f(lm);
-        let frm = f(rm);
-        let left = simpson(a, m, fa, flm, fm);
-        let right = simpson(m, b, fm, frm, fb);
-        let delta = left + right - whole;
-        if depth == 0 || delta.abs() <= 15.0 * tol {
-            left + right + delta / 15.0
-        } else {
-            recurse(f, a, m, fa, flm, fm, left, tol / 2.0, depth - 1)
-                + recurse(f, m, b, fm, frm, fb, right, tol / 2.0, depth - 1)
-        }
-    }
-
-    if a == b {
-        return 0.0;
-    }
-    let fa = f(a);
-    let fb = f(b);
-    let m = 0.5 * (a + b);
-    let fm = f(m);
-    let whole = simpson(a, b, fa, fm, fb);
-    recurse(&f, a, b, fa, fm, fb, whole, tol.max(1e-14), 40)
-}
-
-/// Composite trapezoidal rule with `n` sub-intervals — the simplest cross-check.
-pub fn trapezoid(f: impl Fn(f64) -> f64, a: f64, b: f64, n: usize) -> f64 {
-    let n = n.max(1);
-    let h = (b - a) / n as f64;
-    let mut sum = 0.5 * (f(a) + f(b));
-    for i in 1..n {
-        sum += f(a + i as f64 * h);
-    }
-    sum * h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::special::std_normal_pdf;
 
     #[test]
     fn gauss_legendre_weights_sum_to_interval_length() {
@@ -238,6 +175,7 @@ mod tests {
     #[test]
     fn gauss_legendre_integrates_normal_density() {
         let gl = GaussLegendre::new(64);
+        let std_normal_pdf = |x: f64| (-0.5 * x * x).exp() / (2.0 * std::f64::consts::PI).sqrt();
         // Nearly all the standard normal mass lies in [-8, 8].
         let mass = gl.integrate(-8.0, 8.0, std_normal_pdf);
         assert!((mass - 1.0).abs() < 1e-9, "mass {mass}");
@@ -248,11 +186,12 @@ mod tests {
 
     #[test]
     fn gauss_legendre_binomial_kernel_matches_beta_function() {
-        // ∫_0^1 h^C (1-h)^X dh = B(C+1, X+1)
+        // ∫_0^1 h^C (1-h)^X dh = B(C+1, X+1) = C! X! / (C+X+1)!
         let gl = GaussLegendre::new(32);
+        let factorial = |n: usize| (1..=n).map(|k| k as f64).product::<f64>();
         for &(c, x) in &[(0usize, 0usize), (3, 1), (5, 5), (10, 2)] {
             let got = gl.integrate(0.0, 1.0, |h| h.powi(c as i32) * (1.0 - h).powi(x as i32));
-            let exact = crate::special::ln_beta(c as f64 + 1.0, x as f64 + 1.0).exp();
+            let exact = factorial(c) * factorial(x) / factorial(c + x + 1);
             assert!((got - exact).abs() < 1e-10, "C={c} X={x}: {got} vs {exact}");
         }
     }
@@ -265,25 +204,27 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_simpson_matches_known_integrals() {
-        assert!((adaptive_simpson(f64::sin, 0.0, std::f64::consts::PI, 1e-10) - 2.0).abs() < 1e-8);
-        assert!((adaptive_simpson(|x| x * x, 0.0, 3.0, 1e-10) - 9.0).abs() < 1e-8);
-        assert_eq!(adaptive_simpson(|x| x, 2.0, 2.0, 1e-10), 0.0);
+    fn points_reproduce_integrate() {
+        let gl = GaussLegendre::new(12);
+        let f = |x: f64| (x * x + 1.0).ln();
+        let via_points: f64 = gl.points(0.5, 2.0).map(|(x, w)| w * f(x)).sum();
+        assert!((via_points - gl.integrate(0.5, 2.0, f)).abs() < 1e-14);
+        let raw: f64 = gl.raw_points().map(|(x, w)| w * f(1.25 + 0.75 * x)).sum();
+        assert_eq!(raw * 0.75, gl.integrate(0.5, 2.0, f));
     }
 
     #[test]
-    fn quadrature_methods_agree() {
-        let f = |x: f64| (x * 3.0).sin() * (-x).exp() + 0.3;
-        let gl = GaussLegendre::new(48).integrate(0.0, 2.0, f);
-        let simpson = adaptive_simpson(f, 0.0, 2.0, 1e-12);
-        let trap = trapezoid(f, 0.0, 2.0, 20_000);
-        assert!((gl - simpson).abs() < 1e-9);
-        assert!((gl - trap).abs() < 1e-6);
-    }
-
-    #[test]
-    fn trapezoid_basic() {
-        assert!((trapezoid(|x| x, 0.0, 1.0, 1) - 0.5).abs() < 1e-12);
-        assert!((trapezoid(|x| x * x, 0.0, 1.0, 1000) - 1.0 / 3.0).abs() < 1e-5);
+    fn nodes_are_symmetric_and_inside_the_interval() {
+        for n in [2usize, 7, 16] {
+            let raw: Vec<(f64, f64)> = GaussLegendre::new(n).raw_points().collect();
+            for (i, &(x, w)) in raw.iter().enumerate() {
+                let (mx, mw) = raw[n - 1 - i];
+                assert!((x + mx).abs() < 1e-14 && (w - mw).abs() < 1e-14, "{n}/{i}");
+                assert!(x.abs() < 1.0 && w > 0.0);
+            }
+            for (x, _) in GaussLegendre::new(n).points(2.0, 3.0) {
+                assert!(x > 2.0 && x < 3.0);
+            }
+        }
     }
 }

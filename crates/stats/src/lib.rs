@@ -11,13 +11,11 @@
 //! provides every one of those primitives, built from scratch on `rand` +
 //! `c4u-linalg`:
 //!
-//! * special functions: [`erf`], [`ln_gamma`], [`sigmoid`], [`logit`], the
-//!   standard-normal CDF/quantile;
-//! * univariate distributions: [`Normal`], [`TruncatedNormal`], [`Bernoulli`],
-//!   [`Uniform`];
+//! * the logistic link functions [`sigmoid`], [`logit`] and [`log1p_exp`];
+//! * the [`Bernoulli`] answer draw and the [`Uniform`] distribution;
 //! * the [`MultivariateNormal`] with conditioning ([`Conditional1D`]), sampling and
 //!   box-truncated sampling;
-//! * quadrature: [`GaussLegendre`], [`adaptive_simpson`], [`trapezoid`];
+//! * Gauss–Legendre quadrature ([`GaussLegendre`]);
 //! * the binomial×normal integrals of the CPE likelihood and their closed-form
 //!   conditional-mean/variance derivatives: [`binomial_normal_moments`],
 //!   [`binomial_normal_log_z`], [`binomial_normal_log_z_gradients`], plus the
@@ -26,8 +24,7 @@
 //!   the scalar forms;
 //! * descriptive statistics: [`mean`], [`std_dev`], [`quantile`],
 //!   [`pearson_correlation`], [`Histogram`], [`Summary`];
-//! * covariance utilities: [`sample_covariance`], [`covariance_to_correlation`],
-//!   [`nearest_positive_definite`].
+//! * the PSD projection of covariance iterates, [`nearest_positive_definite`].
 //!
 //! ## Example
 //!
@@ -61,32 +58,25 @@ mod univariate;
 mod vmath;
 
 pub use batch::{
-    batched_quadrature_sweeps, reset_batched_quadrature_sweeps,
-    reset_scalar_quadrature_evaluations, scalar_quadrature_evaluations, BinomialNormalBatch,
-    QuadratureMath, QuadratureScratch,
+    batched_quadrature_sweeps, scalar_quadrature_evaluations, BinomialNormalBatch, QuadratureMath,
+    QuadratureScratch,
 };
 pub use binomial_normal::{
     binomial_normal_log_z, binomial_normal_log_z_gradients, binomial_normal_moments, LogZGradient,
 };
-pub use covariance::{
-    correlation_to_covariance, covariance_to_correlation, nearest_positive_definite,
-    sample_correlation, sample_covariance,
-};
+pub use covariance::nearest_positive_definite;
 pub use descriptive::{
-    covariance, max, mean, median, min, pearson_correlation, population_std_dev,
-    population_variance, quantile, std_dev, variance, Histogram, Summary,
+    covariance, max, mean, median, min, pearson_correlation, quantile, std_dev, variance,
+    Histogram, Summary,
 };
 pub use error::StatsError;
-pub use integrate::{adaptive_simpson, trapezoid, GaussLegendre};
+pub use integrate::GaussLegendre;
 pub use mvn::{
     conditioning_factorizations, reset_conditioning_factorizations, Conditional1D, Conditioner,
     MultivariateNormal,
 };
-pub use special::{
-    erf, erfc, ln_beta, ln_gamma, log1p_exp, logit, sigmoid, std_normal_cdf, std_normal_pdf,
-    std_normal_quantile,
-};
-pub use univariate::{sample_standard_normal, Bernoulli, Normal, TruncatedNormal, Uniform};
+pub use special::{log1p_exp, logit, sigmoid};
+pub use univariate::{Bernoulli, Uniform};
 pub use vmath::{vexp, vexp_scalar, VEXP_LANES};
 
 // Re-export the linear-algebra types used in this crate's public API so downstream

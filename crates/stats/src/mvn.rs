@@ -7,7 +7,7 @@
 //! implements:
 //!
 //! * construction either from a raw covariance or from `(sigma, rho)` parameters;
-//! * log-density and sampling (via Cholesky);
+//! * sampling (via Cholesky);
 //! * truncated-box sampling (accuracies live in `(0, 1)` — Sec. V-A);
 //! * conditioning on a subset of coordinates (the `mu_bar` / `Sigma_bar` of Eq. 5),
 //!   which is the primitive the CPE estimator uses to predict the target-domain
@@ -194,37 +194,6 @@ impl MultivariateNormal {
         Ok((self.cov[(i, j)] / (si * sj)).clamp(-1.0, 1.0))
     }
 
-    /// Full correlation matrix.
-    pub fn correlation_matrix(&self) -> Matrix {
-        let d = self.dim();
-        Matrix::from_fn(d, d, |i, j| self.correlation(i, j).unwrap_or(0.0))
-    }
-
-    /// Log-density at `x`.
-    pub fn log_pdf(&self, x: &Vector) -> Result<f64, StatsError> {
-        if x.len() != self.dim() {
-            return Err(StatsError::DimensionMismatch {
-                what: "log_pdf point dimension",
-                left: x.len(),
-                right: self.dim(),
-            });
-        }
-        let diff = x
-            .sub(&self.mean)
-            .map_err(|e| StatsError::Numerical(e.to_string()))?;
-        let maha = self
-            .chol
-            .mahalanobis_squared(&diff)
-            .map_err(|e| StatsError::Numerical(e.to_string()))?;
-        let d = self.dim() as f64;
-        Ok(-0.5 * (d * (2.0 * std::f64::consts::PI).ln() + self.chol.log_determinant() + maha))
-    }
-
-    /// Density at `x`.
-    pub fn pdf(&self, x: &Vector) -> Result<f64, StatsError> {
-        Ok(self.log_pdf(x)?.exp())
-    }
-
     /// Draws one sample `x = mu + L z` with `z` standard normal.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Vector {
         let z = Vector::from_fn(self.dim(), |_| sample_standard_normal(rng));
@@ -236,11 +205,6 @@ impl MultivariateNormal {
             .expect("Cholesky factor conforms with z");
         // c4u-lint: allow(no-unwrap-in-lib, reason = "mean and product dimensions agree by construction")
         self.mean.add(&lz).expect("dimensions conform")
-    }
-
-    /// Draws `n` samples.
-    pub fn sample_n<R: Rng + ?Sized>(&self, rng: &mut R, n: usize) -> Vec<Vector> {
-        (0..n).map(|_| self.sample(rng)).collect()
     }
 
     /// Draws a sample with every coordinate restricted to `[lower, upper]` by
@@ -547,44 +511,13 @@ mod tests {
         assert!((stds[0] - 0.22).abs() < 1e-12);
         assert!((stds[3] - 0.17).abs() < 1e-12);
         assert!(mvn.correlation(0, 9).is_err());
-        let corr = mvn.correlation_matrix();
-        assert!((corr[(1, 2)] - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn log_pdf_matches_univariate_for_1d() {
-        let mvn =
-            MultivariateNormal::new(Vector::from_slice(&[1.0]), Matrix::from_diagonal(&[4.0]))
-                .unwrap();
-        let n = crate::Normal::new(1.0, 2.0).unwrap();
-        for &x in &[-1.0, 0.0, 1.0, 3.5] {
-            let got = mvn.log_pdf(&Vector::from_slice(&[x])).unwrap();
-            assert!((got - n.log_pdf(x)).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn log_pdf_independent_factorises() {
-        // For a diagonal covariance the joint log-density is the sum of marginals.
-        let mvn = MultivariateNormal::new(
-            Vector::from_slice(&[0.0, 2.0]),
-            Matrix::from_diagonal(&[1.0, 9.0]),
-        )
-        .unwrap();
-        let n1 = crate::Normal::new(0.0, 1.0).unwrap();
-        let n2 = crate::Normal::new(2.0, 3.0).unwrap();
-        let x = Vector::from_slice(&[0.7, -1.0]);
-        let got = mvn.log_pdf(&x).unwrap();
-        assert!((got - (n1.log_pdf(0.7) + n2.log_pdf(-1.0))).abs() < 1e-9);
-        assert!(mvn.log_pdf(&Vector::zeros(3)).is_err());
-        assert!((mvn.pdf(&x).unwrap() - got.exp()).abs() < 1e-12);
     }
 
     #[test]
     fn sampling_recovers_moments() {
         let mvn = example_mvn();
         let mut rng = StdRng::seed_from_u64(3);
-        let samples = mvn.sample_n(&mut rng, 30_000);
+        let samples: Vec<Vector> = (0..30_000).map(|_| mvn.sample(&mut rng)).collect();
         for d in 0..4 {
             let vals: Vec<f64> = samples.iter().map(|s| s[d]).collect();
             let m = crate::descriptive::mean(&vals);
@@ -826,6 +759,64 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let x = mvn.sample(&mut rng);
         assert_eq!(x.len(), 3);
-        assert!(mvn.log_pdf(&x).unwrap().is_finite());
+        assert!(x.iter().all(|v| v.is_finite()));
+        let cond = mvn.condition_on(2, &[0, 1], &[0.5, 0.5]).unwrap();
+        assert!(cond.variance > 0.0 && cond.mean.is_finite());
+    }
+
+    #[test]
+    fn accessors_reflect_the_construction() {
+        let mvn = example_mvn();
+        assert_eq!(mvn.dim(), 4);
+        assert_eq!(mvn.mean().as_slice(), &[0.7, 0.88, 0.58, 0.55]);
+        for (s, expected) in mvn.std_devs().iter().zip([0.22, 0.10, 0.25, 0.17]) {
+            assert!((s - expected).abs() < 1e-12);
+        }
+        assert!((mvn.covariance()[(0, 1)] - 0.5 * 0.22 * 0.10).abs() < 1e-15);
+        assert_eq!(mvn.correlation(2, 2).unwrap(), 1.0);
+        assert!((mvn.correlation(0, 3).unwrap() - 0.5).abs() < 1e-12);
+        assert!(mvn.correlation(0, 4).is_err());
+    }
+
+    #[test]
+    fn perfect_input_correlations_are_clamped_to_a_valid_covariance() {
+        let rho = Matrix::from_fn(2, 2, |_, _| 1.0);
+        let mvn = MultivariateNormal::from_correlations(&[0.5, 0.6], &[0.1, 0.2], &rho).unwrap();
+        assert!((mvn.correlation(0, 1).unwrap() - 0.999).abs() < 1e-12);
+        let cond = mvn.condition_on(1, &[0], &[0.6]).unwrap();
+        assert!(cond.variance > 0.0 && cond.variance < 0.01 * 0.04);
+        assert!((cond.mean - (0.6 + 0.999 * 2.0 * 0.1)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn independent_evidence_leaves_the_target_marginal() {
+        let mvn = MultivariateNormal::from_correlations(
+            &[0.3, 0.6, 0.9],
+            &[0.1, 0.2, 0.3],
+            &Matrix::identity(3),
+        )
+        .unwrap();
+        let conditioner = mvn.conditioner(1, &[2, 0]).unwrap();
+        assert_eq!(conditioner.target(), 1);
+        assert_eq!(conditioner.given_idx(), &[2, 0]);
+        assert_eq!(conditioner.num_given(), 2);
+        assert_eq!(conditioner.target_mean(), 0.6);
+        assert!(conditioner.weights().iter().all(|w| w.abs() < 1e-15));
+        let cond = conditioner.condition(&[0.1, 0.95]).unwrap();
+        assert!((cond.mean - 0.6).abs() < 1e-15);
+        assert!((cond.std_dev() - 0.2).abs() < 1e-12);
+    }
+
+    #[test]
+    fn truncated_sampling_clamps_when_rejection_cannot_succeed() {
+        // The box sits 40 standard deviations above the mean, so every
+        // rejection attempt fails and the final draw is clamped into the box.
+        let mvn = MultivariateNormal::new(
+            Vector::from_slice(&[0.5, 0.5]),
+            Matrix::from_diagonal(&[1e-4, 1e-4]),
+        )
+        .unwrap();
+        let x = mvn.sample_truncated(&mut StdRng::seed_from_u64(1), 0.9, 0.95);
+        assert_eq!(x.as_slice(), &[0.9, 0.9]);
     }
 }

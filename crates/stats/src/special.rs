@@ -1,153 +1,7 @@
-//! Special functions: `erf`, `erfc`, `ln Γ`, and the standard-normal CDF/quantile.
+//! Logistic special functions: the sigmoid, its inverse and the softplus.
 //!
-//! These are the numerical primitives behind every distribution in this crate. The
-//! implementations are classical, well-tested approximations (Abramowitz & Stegun /
-//! W. J. Cody for `erf`, Lanczos for `ln Γ`, Acklam for the normal quantile) with
-//! absolute errors far below what the worker-accuracy estimation needs (~1e-7 or
-//! better across the whole domain).
-
-/// The error function `erf(x) = 2/sqrt(pi) * ∫_0^x e^{-t^2} dt`.
-///
-/// Uses the rational approximation 7.1.26 of Abramowitz & Stegun refined with a
-/// higher-order expansion; absolute error below `1.5e-7` on the real line.
-pub fn erf(x: f64) -> f64 {
-    // erf is odd: erf(-x) = -erf(x).
-    let sign = if x < 0.0 { -1.0 } else { 1.0 };
-    let x = x.abs();
-
-    // Coefficients for the A&S 7.1.26 approximation.
-    const A1: f64 = 0.254829592;
-    const A2: f64 = -0.284496736;
-    const A3: f64 = 1.421413741;
-    const A4: f64 = -1.453152027;
-    const A5: f64 = 1.061405429;
-    const P: f64 = 0.3275911;
-
-    let t = 1.0 / (1.0 + P * x);
-    let y = 1.0 - (((((A5 * t + A4) * t) + A3) * t + A2) * t + A1) * t * (-x * x).exp();
-    sign * y
-}
-
-/// The complementary error function `erfc(x) = 1 - erf(x)`.
-pub fn erfc(x: f64) -> f64 {
-    1.0 - erf(x)
-}
-
-/// Natural logarithm of the gamma function, via the Lanczos approximation.
-///
-/// Valid for `x > 0`; accuracy around `1e-13` for moderate arguments.
-pub fn ln_gamma(x: f64) -> f64 {
-    // Lanczos coefficients (g = 7, n = 9).
-    const COEFFS: [f64; 9] = [
-        0.999_999_999_999_809_9,
-        676.520_368_121_885_1,
-        -1_259.139_216_722_402_8,
-        771.323_428_777_653_1,
-        -176.615_029_162_140_6,
-        12.507_343_278_686_905,
-        -0.138_571_095_265_720_12,
-        9.984_369_578_019_572e-6,
-        1.505_632_735_149_311_6e-7,
-    ];
-    if x < 0.5 {
-        // Reflection formula: Γ(x)Γ(1-x) = π / sin(πx)
-        let pi = std::f64::consts::PI;
-        pi.ln() - (pi * x).sin().ln() - ln_gamma(1.0 - x)
-    } else {
-        let x = x - 1.0;
-        let mut a = COEFFS[0];
-        let t = x + 7.5;
-        for (i, &c) in COEFFS.iter().enumerate().skip(1) {
-            a += c / (x + i as f64);
-        }
-        0.5 * (2.0 * std::f64::consts::PI).ln() + (x + 0.5) * t.ln() - t + a.ln()
-    }
-}
-
-/// Natural logarithm of the beta function `B(a, b) = Γ(a)Γ(b)/Γ(a+b)`.
-///
-/// Used for the binomial-likelihood normalisation constants in the CPE estimator.
-pub fn ln_beta(a: f64, b: f64) -> f64 {
-    ln_gamma(a) + ln_gamma(b) - ln_gamma(a + b)
-}
-
-/// Standard-normal probability density function.
-pub fn std_normal_pdf(x: f64) -> f64 {
-    (-(x * x) / 2.0).exp() / (2.0 * std::f64::consts::PI).sqrt()
-}
-
-/// Standard-normal cumulative distribution function `Φ(x)`.
-pub fn std_normal_cdf(x: f64) -> f64 {
-    0.5 * erfc(-x / std::f64::consts::SQRT_2)
-}
-
-/// Inverse of the standard-normal CDF (the probit function), by Acklam's algorithm
-/// with one Halley refinement step.
-///
-/// Returns `-inf`/`+inf` for `p = 0`/`p = 1` and NaN outside `[0, 1]`.
-pub fn std_normal_quantile(p: f64) -> f64 {
-    if p.is_nan() || !(0.0..=1.0).contains(&p) {
-        return f64::NAN;
-    }
-    if p == 0.0 {
-        return f64::NEG_INFINITY;
-    }
-    if p == 1.0 {
-        return f64::INFINITY;
-    }
-
-    // Acklam's rational approximations.
-    const A: [f64; 6] = [
-        -3.969_683_028_665_376e1,
-        2.209_460_984_245_205e2,
-        -2.759_285_104_469_687e2,
-        1.383_577_518_672_69e2,
-        -3.066_479_806_614_716e1,
-        2.506_628_277_459_239,
-    ];
-    const B: [f64; 5] = [
-        -5.447_609_879_822_406e1,
-        1.615_858_368_580_409e2,
-        -1.556_989_798_598_866e2,
-        6.680_131_188_771_972e1,
-        -1.328_068_155_288_572e1,
-    ];
-    const C: [f64; 6] = [
-        -7.784_894_002_430_293e-3,
-        -3.223_964_580_411_365e-1,
-        -2.400_758_277_161_838,
-        -2.549_732_539_343_734,
-        4.374_664_141_464_968,
-        2.938_163_982_698_783,
-    ];
-    const D: [f64; 4] = [
-        7.784_695_709_041_462e-3,
-        3.224_671_290_700_398e-1,
-        2.445_134_137_142_996,
-        3.754_408_661_907_416,
-    ];
-    const P_LOW: f64 = 0.02425;
-
-    let x = if p < P_LOW {
-        let q = (-2.0 * p.ln()).sqrt();
-        (((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
-    } else if p <= 1.0 - P_LOW {
-        let q = p - 0.5;
-        let r = q * q;
-        (((((A[0] * r + A[1]) * r + A[2]) * r + A[3]) * r + A[4]) * r + A[5]) * q
-            / (((((B[0] * r + B[1]) * r + B[2]) * r + B[3]) * r + B[4]) * r + 1.0)
-    } else {
-        let q = (-2.0 * (1.0 - p).ln()).sqrt();
-        -(((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
-    };
-
-    // One step of Halley's method sharpens the result to near machine precision.
-    let e = std_normal_cdf(x) - p;
-    let u = e * (2.0 * std::f64::consts::PI).sqrt() * (x * x / 2.0).exp();
-    x - u / (1.0 + x * u / 2.0)
-}
+//! These are the link functions of the IRT learning-curve models; each is
+//! evaluated in a form that stays finite for extreme arguments.
 
 /// Numerically stable `log(1 + exp(x))` (softplus), used by the logistic IRT model.
 pub fn log1p_exp(x: f64) -> f64 {
@@ -185,85 +39,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn erf_reference_values() {
-        // Reference values from standard tables.
-        assert!((erf(0.0)).abs() < 1e-8);
-        assert!((erf(0.5) - 0.5204999).abs() < 1e-5);
-        assert!((erf(1.0) - 0.8427008).abs() < 1e-5);
-        assert!((erf(2.0) - 0.9953223).abs() < 1e-5);
-        assert!((erf(-1.0) + 0.8427008).abs() < 1e-5);
-        assert!((erf(5.0) - 1.0).abs() < 1e-7);
-    }
-
-    #[test]
-    fn erfc_complements_erf() {
-        for &x in &[-2.0, -0.5, 0.0, 0.3, 1.7] {
-            assert!((erf(x) + erfc(x) - 1.0).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn ln_gamma_reference_values() {
-        // Γ(1) = 1, Γ(2) = 1, Γ(5) = 24, Γ(0.5) = sqrt(pi)
-        assert!(ln_gamma(1.0).abs() < 1e-10);
-        assert!(ln_gamma(2.0).abs() < 1e-10);
-        assert!((ln_gamma(5.0) - 24.0_f64.ln()).abs() < 1e-9);
-        assert!((ln_gamma(0.5) - std::f64::consts::PI.sqrt().ln()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn ln_gamma_recurrence() {
-        // ln Γ(x+1) = ln x + ln Γ(x)
-        for &x in &[0.7, 1.3, 2.5, 7.9] {
-            assert!((ln_gamma(x + 1.0) - (x.ln() + ln_gamma(x))).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn ln_beta_symmetric_and_reference() {
-        assert!((ln_beta(2.0, 3.0) - ln_beta(3.0, 2.0)).abs() < 1e-12);
-        // B(2,3) = 1/12
-        assert!((ln_beta(2.0, 3.0) - (1.0_f64 / 12.0).ln()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn normal_cdf_reference_values() {
-        assert!((std_normal_cdf(0.0) - 0.5).abs() < 1e-9);
-        assert!((std_normal_cdf(1.0) - 0.8413447).abs() < 1e-5);
-        assert!((std_normal_cdf(-1.96) - 0.0249979).abs() < 1e-4);
-        assert!((std_normal_cdf(3.0) - 0.9986501).abs() < 1e-5);
-    }
-
-    #[test]
-    fn normal_pdf_reference_values() {
-        assert!((std_normal_pdf(0.0) - 0.3989423).abs() < 1e-6);
-        assert!((std_normal_pdf(1.0) - 0.2419707).abs() < 1e-6);
-        assert!((std_normal_pdf(-1.0) - std_normal_pdf(1.0)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn quantile_inverts_cdf() {
-        for &p in &[0.001, 0.025, 0.2, 0.5, 0.8, 0.975, 0.999] {
-            let x = std_normal_quantile(p);
-            assert!(
-                (std_normal_cdf(x) - p).abs() < 1e-6,
-                "p={p} x={x} cdf={}",
-                std_normal_cdf(x)
-            );
-        }
-    }
-
-    #[test]
-    fn quantile_edge_cases() {
-        assert_eq!(std_normal_quantile(0.0), f64::NEG_INFINITY);
-        assert_eq!(std_normal_quantile(1.0), f64::INFINITY);
-        assert!(std_normal_quantile(-0.1).is_nan());
-        assert!(std_normal_quantile(1.1).is_nan());
-        assert!(std_normal_quantile(f64::NAN).is_nan());
-        assert!(std_normal_quantile(0.5).abs() < 1e-7);
-    }
-
-    #[test]
     fn sigmoid_and_logit_are_inverses() {
         for &x in &[-5.0, -1.0, 0.0, 0.5, 3.0] {
             assert!((logit(sigmoid(x)) - x).abs() < 1e-8);
@@ -297,5 +72,24 @@ mod tests {
         // Large arguments stay finite and approximately linear.
         assert!((log1p_exp(100.0) - 100.0).abs() < 1e-9);
         assert!(log1p_exp(-100.0) > 0.0);
+    }
+
+    #[test]
+    fn sigmoid_is_point_symmetric_about_one_half() {
+        assert_eq!(sigmoid(0.0), 0.5);
+        assert_eq!(logit(0.5), 0.0);
+        for &x in &[0.1, 1.0, 4.0, 25.0] {
+            assert!((sigmoid(-x) - (1.0 - sigmoid(x))).abs() < 1e-15);
+            assert!(sigmoid(x) > sigmoid(x - 0.05));
+        }
+    }
+
+    #[test]
+    fn log1p_exp_is_continuous_across_its_branches() {
+        for x in [-30.0 - 1e-9, -30.0, 30.0, 30.0 + 1e-9] {
+            let exact = f64::exp(x).ln_1p();
+            assert!((log1p_exp(x) - exact).abs() <= 1e-12 * exact, "{x}");
+        }
+        assert_eq!(log1p_exp(f64::NEG_INFINITY), 0.0);
     }
 }

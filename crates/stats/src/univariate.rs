@@ -1,91 +1,16 @@
-//! Univariate distributions: normal, truncated normal, Bernoulli, and uniform.
+//! Univariate distributions: Bernoulli and uniform, plus the standard-normal
+//! draw behind multivariate-normal sampling.
 //!
-//! The paper models each worker's per-domain annotation accuracy as (truncated)
-//! normal and each individual answer as a Bernoulli draw with the worker's current
-//! accuracy as the success probability; these types provide exactly that machinery,
-//! including seeded sampling so that every experiment in the benchmark harness is
-//! reproducible.
+//! The paper models each individual answer as a Bernoulli draw with the worker's
+//! current accuracy as the success probability; these types provide exactly that
+//! machinery, including seeded sampling so that every experiment in the
+//! benchmark harness is reproducible.
 
-use crate::special::{std_normal_cdf, std_normal_pdf, std_normal_quantile};
 use crate::StatsError;
 use rand::Rng;
 
-/// A univariate normal distribution `N(mean, std_dev^2)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Normal {
-    mean: f64,
-    std_dev: f64,
-}
-
-impl Normal {
-    /// Creates a normal distribution; `std_dev` must be strictly positive and finite.
-    pub fn new(mean: f64, std_dev: f64) -> Result<Self, StatsError> {
-        if !mean.is_finite() || !std_dev.is_finite() || std_dev <= 0.0 {
-            return Err(StatsError::InvalidParameter {
-                what: "normal std_dev must be finite and > 0",
-                value: std_dev,
-            });
-        }
-        Ok(Self { mean, std_dev })
-    }
-
-    /// The standard normal `N(0, 1)`.
-    pub fn standard() -> Self {
-        Self {
-            mean: 0.0,
-            std_dev: 1.0,
-        }
-    }
-
-    /// Mean of the distribution.
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Standard deviation of the distribution.
-    pub fn std_dev(&self) -> f64 {
-        self.std_dev
-    }
-
-    /// Variance of the distribution.
-    pub fn variance(&self) -> f64 {
-        self.std_dev * self.std_dev
-    }
-
-    /// Probability density at `x`.
-    pub fn pdf(&self, x: f64) -> f64 {
-        std_normal_pdf((x - self.mean) / self.std_dev) / self.std_dev
-    }
-
-    /// Natural log of the density at `x`.
-    pub fn log_pdf(&self, x: f64) -> f64 {
-        let z = (x - self.mean) / self.std_dev;
-        -0.5 * z * z - self.std_dev.ln() - 0.5 * (2.0 * std::f64::consts::PI).ln()
-    }
-
-    /// Cumulative distribution function at `x`.
-    pub fn cdf(&self, x: f64) -> f64 {
-        std_normal_cdf((x - self.mean) / self.std_dev)
-    }
-
-    /// Quantile (inverse CDF) at probability `p`.
-    pub fn quantile(&self, p: f64) -> f64 {
-        self.mean + self.std_dev * std_normal_quantile(p)
-    }
-
-    /// Draws one sample using the Box–Muller transform.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        self.mean + self.std_dev * sample_standard_normal(rng)
-    }
-
-    /// Draws `n` samples.
-    pub fn sample_n<R: Rng + ?Sized>(&self, rng: &mut R, n: usize) -> Vec<f64> {
-        (0..n).map(|_| self.sample(rng)).collect()
-    }
-}
-
 /// Draws one standard-normal variate via the Box–Muller transform.
-pub fn sample_standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+pub(crate) fn sample_standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     // Avoid u1 == 0 so the log stays finite.
     let u1: f64 = loop {
         let u: f64 = rng.gen();
@@ -95,106 +20,6 @@ pub fn sample_standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     };
     let u2: f64 = rng.gen();
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-}
-
-/// A normal distribution truncated to the interval `[lower, upper]`.
-///
-/// Worker accuracies live in `(0, 1)`, so both the synthetic-dataset generator of
-/// Sec. V-A and the CPE prediction (Eq. 8, an expectation over `(0, 1)`) need the
-/// truncated moments and truncated sampling implemented here.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TruncatedNormal {
-    parent: Normal,
-    lower: f64,
-    upper: f64,
-    /// CDF of the parent at the lower bound.
-    cdf_lower: f64,
-    /// CDF of the parent at the upper bound.
-    cdf_upper: f64,
-}
-
-impl TruncatedNormal {
-    /// Creates a truncated normal; requires `lower < upper` and a valid parent.
-    pub fn new(mean: f64, std_dev: f64, lower: f64, upper: f64) -> Result<Self, StatsError> {
-        let parent = Normal::new(mean, std_dev)?;
-        if lower >= upper || !lower.is_finite() || !upper.is_finite() {
-            return Err(StatsError::InvalidParameter {
-                what: "truncation bounds must be finite with lower < upper",
-                value: upper - lower,
-            });
-        }
-        let cdf_lower = parent.cdf(lower);
-        let cdf_upper = parent.cdf(upper);
-        Ok(Self {
-            parent,
-            lower,
-            upper,
-            cdf_lower,
-            cdf_upper,
-        })
-    }
-
-    /// The untruncated parent distribution.
-    pub fn parent(&self) -> &Normal {
-        &self.parent
-    }
-
-    /// Lower truncation bound.
-    pub fn lower(&self) -> f64 {
-        self.lower
-    }
-
-    /// Upper truncation bound.
-    pub fn upper(&self) -> f64 {
-        self.upper
-    }
-
-    /// Probability mass of the parent distribution inside `[lower, upper]`.
-    pub fn mass(&self) -> f64 {
-        (self.cdf_upper - self.cdf_lower).max(f64::MIN_POSITIVE)
-    }
-
-    /// Density at `x` (zero outside the truncation interval).
-    pub fn pdf(&self, x: f64) -> f64 {
-        if x < self.lower || x > self.upper {
-            0.0
-        } else {
-            self.parent.pdf(x) / self.mass()
-        }
-    }
-
-    /// CDF at `x`.
-    pub fn cdf(&self, x: f64) -> f64 {
-        if x <= self.lower {
-            0.0
-        } else if x >= self.upper {
-            1.0
-        } else {
-            (self.parent.cdf(x) - self.cdf_lower) / self.mass()
-        }
-    }
-
-    /// Mean of the truncated distribution, via the standard two-sided formula.
-    pub fn mean(&self) -> f64 {
-        let a = (self.lower - self.parent.mean) / self.parent.std_dev;
-        let b = (self.upper - self.parent.mean) / self.parent.std_dev;
-        let z = self.mass();
-        self.parent.mean + self.parent.std_dev * (std_normal_pdf(a) - std_normal_pdf(b)) / z
-    }
-
-    /// Draws a sample by inverse-CDF sampling (robust even for far-out truncation).
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        let u: f64 = rng.gen();
-        let p = self.cdf_lower + u * (self.cdf_upper - self.cdf_lower);
-        self.parent
-            .quantile(p.clamp(1e-15, 1.0 - 1e-15))
-            .clamp(self.lower, self.upper)
-    }
-
-    /// Draws `n` samples.
-    pub fn sample_n<R: Rng + ?Sized>(&self, rng: &mut R, n: usize) -> Vec<f64> {
-        (0..n).map(|_| self.sample(rng)).collect()
-    }
 }
 
 /// A Bernoulli distribution with success probability `p`.
@@ -280,85 +105,16 @@ mod tests {
     }
 
     #[test]
-    fn normal_validation() {
-        assert!(Normal::new(0.0, 0.0).is_err());
-        assert!(Normal::new(0.0, -1.0).is_err());
-        assert!(Normal::new(f64::NAN, 1.0).is_err());
-        assert!(Normal::new(1.0, f64::INFINITY).is_err());
-        assert!(Normal::new(0.5, 0.2).is_ok());
-    }
-
-    #[test]
-    fn normal_pdf_cdf_quantile_consistency() {
-        let n = Normal::new(2.0, 3.0).unwrap();
-        assert!((n.cdf(2.0) - 0.5).abs() < 1e-9);
-        assert!((n.quantile(0.5) - 2.0).abs() < 1e-7);
-        assert!((n.pdf(2.0) - 1.0 / (3.0 * (2.0 * std::f64::consts::PI).sqrt())).abs() < 1e-9);
-        assert!((n.log_pdf(2.5) - n.pdf(2.5).ln()).abs() < 1e-9);
-        assert!((n.variance() - 9.0).abs() < 1e-12);
-        // CDF and quantile are inverses away from the tails.
-        for &p in &[0.1, 0.3, 0.7, 0.95] {
-            assert!((n.cdf(n.quantile(p)) - p).abs() < 1e-6);
-        }
-    }
-
-    #[test]
     fn normal_sampling_moments() {
-        let n = Normal::new(0.7, 0.2).unwrap();
         let mut r = rng();
-        let samples = n.sample_n(&mut r, 20_000);
+        let samples: Vec<f64> = (0..20_000)
+            .map(|_| sample_standard_normal(&mut r))
+            .collect();
         let mean = samples.iter().sum::<f64>() / samples.len() as f64;
         let var = samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>()
             / (samples.len() - 1) as f64;
-        assert!((mean - 0.7).abs() < 0.01, "mean {mean}");
-        assert!((var - 0.04).abs() < 0.005, "var {var}");
-    }
-
-    #[test]
-    fn truncated_normal_validation() {
-        assert!(TruncatedNormal::new(0.5, 0.2, 1.0, 0.0).is_err());
-        assert!(TruncatedNormal::new(0.5, 0.0, 0.0, 1.0).is_err());
-        assert!(TruncatedNormal::new(0.5, 0.2, 0.0, 1.0).is_ok());
-    }
-
-    #[test]
-    fn truncated_normal_respects_bounds() {
-        let t = TruncatedNormal::new(0.5, 0.5, 0.0, 1.0).unwrap();
-        let mut r = rng();
-        for _ in 0..2_000 {
-            let x = t.sample(&mut r);
-            assert!((0.0..=1.0).contains(&x));
-        }
-        assert_eq!(t.pdf(-0.5), 0.0);
-        assert_eq!(t.pdf(1.5), 0.0);
-        assert!(t.pdf(0.5) > 0.0);
-        assert_eq!(t.cdf(-1.0), 0.0);
-        assert_eq!(t.cdf(2.0), 1.0);
-    }
-
-    #[test]
-    fn truncated_mean_shifts_toward_interval() {
-        // Parent mean far below the interval: truncated mean must lie inside (0, 1)
-        // and above the parent mean.
-        let t = TruncatedNormal::new(-0.5, 0.4, 0.0, 1.0).unwrap();
-        let m = t.mean();
-        assert!(m > 0.0 && m < 1.0);
-        // Symmetric case: mean preserved.
-        let s = TruncatedNormal::new(0.5, 0.1, 0.0, 1.0).unwrap();
-        assert!((s.mean() - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn truncated_sampling_mean_matches_formula() {
-        let t = TruncatedNormal::new(0.3, 0.4, 0.0, 1.0).unwrap();
-        let mut r = rng();
-        let samples = t.sample_n(&mut r, 30_000);
-        let mean = samples.iter().sum::<f64>() / samples.len() as f64;
-        assert!(
-            (mean - t.mean()).abs() < 0.01,
-            "sample {mean} formula {}",
-            t.mean()
-        );
+        assert!(mean.abs() < 0.03, "mean {mean}");
+        assert!((var - 1.0).abs() < 0.05, "var {var}");
     }
 
     #[test]
@@ -393,9 +149,20 @@ mod tests {
 
     #[test]
     fn sampling_is_deterministic_with_seed() {
-        let n = Normal::new(0.0, 1.0).unwrap();
-        let a = n.sample_n(&mut StdRng::seed_from_u64(7), 5);
-        let b = n.sample_n(&mut StdRng::seed_from_u64(7), 5);
-        assert_eq!(a, b);
+        let draw = |seed| {
+            let mut r = StdRng::seed_from_u64(seed);
+            (0..5)
+                .map(|_| sample_standard_normal(&mut r))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(draw(7), draw(7));
+    }
+
+    #[test]
+    fn uniform_rejects_non_finite_bounds_and_reports_p() {
+        assert!(Uniform::new(f64::NEG_INFINITY, 0.0).is_err());
+        assert!(Uniform::new(0.0, f64::NAN).is_err());
+        assert!(Uniform::new(0.5, 0.5).is_err());
+        assert_eq!(Bernoulli::new(0.3).unwrap().p(), 0.3);
     }
 }

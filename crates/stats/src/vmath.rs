@@ -250,4 +250,15 @@ mod tests {
             assert_eq!(x.exp(), 0.0, "libm disagrees at x={x}");
         }
     }
+
+    #[test]
+    fn slice_form_matches_the_scalar_for_every_remainder_length() {
+        for n in 0..=2 * VEXP_LANES + 1 {
+            let input: Vec<f64> = (0..n).map(|i| -0.37 * i as f64 + 0.5).collect();
+            let mut values = input.clone();
+            vexp(&mut values);
+            let expected: Vec<f64> = input.iter().map(|&x| vexp_scalar(x)).collect();
+            assert_eq!(values, expected, "n={n}");
+        }
+    }
 }

@@ -8,7 +8,7 @@
 //!
 //! * [`linalg`] — dense vectors/matrices, LU, Cholesky;
 //! * [`stats`] — descriptive stats, quadrature, (truncated) multivariate normals;
-//! * [`optim`] — numerical gradients, gradient descent, OLS, scalar minimisation;
+//! * [`optim`] — the central-difference gradient stencil, OLS, scalar minimisation;
 //! * [`irt`] — Rasch items, learning-gain curves, alpha calibration;
 //! * [`crowd_sim`] — dataset generator and the simulated crowdsourcing platform;
 //! * [`selection`] — CPE/LGE/ME stages, the stage pipeline, baselines, and the
