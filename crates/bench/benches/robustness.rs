@@ -22,8 +22,8 @@
 //! the selection quality close to the closed-world row (joins only widen the
 //! candidate pool; survivors' answer streams are unchanged by construction).
 //!
-//! Honours `C4U_CPE_EPOCHS`, `C4U_TRIALS`, and `C4U_SHARDS` (see the
-//! `c4u-env` knob table).
+//! Honours `C4U_CPE_EPOCHS` and `C4U_TRIALS` (see the `c4u-env` knob
+//! table).
 
 use c4u_bench::{cpe_epochs, evaluate_robustness_cell, trial_seeds, trials, StrategyKind};
 use c4u_crowd_sim::DatasetConfig;

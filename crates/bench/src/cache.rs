@@ -56,8 +56,8 @@ pub fn cell_cache_dir() -> Option<PathBuf> {
 /// configuration (its `Debug` rendering covers every field including the
 /// generation seed), the strategy name, the selection size `k`, the CPE epoch
 /// budget, `a_T`, and the answering-noise seeds. Deliberately **excludes**
-/// execution-layout knobs like `C4U_SHARDS`, which are bit-for-bit invisible
-/// in the results.
+/// execution-layout settings like the shard count, which are bit-for-bit
+/// invisible in the results.
 pub fn cell_key(spec: &CellSpec) -> String {
     let seeds: Vec<String> = spec.seeds.iter().map(u64::to_string).collect();
     format!(

@@ -17,10 +17,6 @@
 //! * `C4U_CPE_EPOCHS` — gradient-descent epochs per CPE round (default 10; the paper
 //!   uses 50, which scales the runtime accordingly without changing the rankings);
 //! * `C4U_TRIALS` — number of answering-noise seeds averaged per cell (default 2);
-//! * `C4U_SHARDS` — worker-range shards per selection round (default 1). Every
-//!   value produces bit-for-bit identical selections (per-worker RNG streams);
-//!   larger values trade scoped threads for wall-clock on big pools, so table
-//!   numbers never depend on the setting;
 //! * `C4U_CELL_CACHE` — directory for the resumable per-cell result cache
 //!   ([`evaluate_cells_resumable`]; unset disables persistence);
 //! * `C4U_QUAD_WORKERS` / `C4U_QUAD_NODES` / `C4U_QUAD_SAMPLES` — the
@@ -72,13 +68,6 @@ pub fn cpe_epochs() -> usize {
 /// Reads `C4U_TRIALS` (default [`DEFAULT_TRIALS`]).
 pub fn trials() -> usize {
     C4uEnv::from_env().trials
-}
-
-/// Reads `C4U_SHARDS` (default 1): the worker-range shard count handed to
-/// every [`CrossDomainSelector`] the harness builds. The selection is
-/// identical for every value; only the wall-clock changes.
-pub fn num_shards() -> usize {
-    C4uEnv::from_env().shards
 }
 
 /// Reads `C4U_QUAD_MATH` as a single fold-pass mode for the table/figure
@@ -229,7 +218,6 @@ impl StrategyKind {
         config.cpe.epochs = epochs;
         config.cpe.initial_target_accuracy = initial_target_accuracy;
         config.cpe.quadrature_math = quad_math();
-        config.num_shards = num_shards();
         Some(match self {
             StrategyKind::MeCpe => CrossDomainSelector::new(config.cpe_only()),
             StrategyKind::Ours => CrossDomainSelector::new(config),
@@ -571,7 +559,6 @@ mod tests {
     fn environment_defaults() {
         assert!(cpe_epochs() >= 1);
         assert!(trials() >= 1);
-        assert!(num_shards() >= 1);
         assert_eq!(trial_seeds(3).len(), 3);
         assert_ne!(trial_seeds(2)[0], trial_seeds(2)[1]);
         if std::env::var("C4U_QUAD_MATH").is_err() {

@@ -217,7 +217,7 @@ fn scheduling_is_invisible_in_the_output() {
 #[test]
 fn cache_key_excludes_execution_layout_knobs() {
     // The shard count changes nothing observable, so it must not fragment the
-    // cache key (the same cell warms the cache for every C4U_SHARDS value).
+    // cache key (the same cell warms the cache for every shard count).
     let spec = &small_specs()[0];
     let key = cache::cell_key(spec);
     assert!(!key.contains("shard"));

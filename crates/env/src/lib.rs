@@ -17,7 +17,7 @@
 //! * **The unknown-name warning**: the first [`C4uEnv::from_env`] of a
 //!   process scans the environment for `C4U_*` names that are *not* in the
 //!   registry and prints one `warning:` line each to stderr — a misspelled
-//!   `C4U_SHRADS=8` fails loudly instead of silently benchmarking the
+//!   `C4U_TRAILS=8` fails loudly instead of silently benchmarking the
 //!   default. The pure core is [`unknown_names`], so the policy is testable
 //!   without touching the process environment.
 //!
@@ -43,8 +43,6 @@ pub mod names {
     pub const CPE_EPOCHS: &str = "C4U_CPE_EPOCHS";
     /// Answering-noise seeds averaged per experiment cell.
     pub const TRIALS: &str = "C4U_TRIALS";
-    /// Worker-range shards per selection round.
-    pub const SHARDS: &str = "C4U_SHARDS";
     /// Quadrature fold-pass math mode (`exact`, `fast_vector`, `both`).
     pub const QUAD_MATH: &str = "C4U_QUAD_MATH";
     /// Directory of the resumable per-cell result cache.
@@ -65,8 +63,6 @@ pub mod names {
 pub const DEFAULT_CPE_EPOCHS: usize = 10;
 /// Default answering-noise seeds averaged per experiment cell.
 pub const DEFAULT_TRIALS: usize = 2;
-/// Default worker-range shards per selection round.
-pub const DEFAULT_SHARDS: usize = 1;
 /// Default timing samples per quadrature bench cell.
 pub const DEFAULT_QUAD_SAMPLES: usize = 7;
 /// Default mask-group sizes of the quadrature roofline sweep.
@@ -125,12 +121,6 @@ pub const KNOBS: &[Knob] = &[
         kind: KnobKind::Count,
         default: "2",
         doc: "Answering-noise seeds averaged per experiment cell.",
-    },
-    Knob {
-        name: names::SHARDS,
-        kind: KnobKind::Count,
-        default: "1",
-        doc: "Worker-range shards per selection round; every value is bit-for-bit identical.",
     },
     Knob {
         name: names::QUAD_MATH,
@@ -270,16 +260,20 @@ fn parse_count(raw: Option<&str>, default: usize) -> usize {
         .unwrap_or(default)
 }
 
-/// Parses a comma-separated list of positive integers; unset or empty keeps
-/// the default, unparsable or non-positive entries are dropped.
+/// Parses a comma-separated list of positive integers; unparsable or
+/// non-positive entries are dropped, and a list left empty (unset, empty, or
+/// no valid entry) keeps the default.
 fn parse_count_list(raw: Option<&str>, default: &[usize]) -> Vec<usize> {
-    match raw {
-        Some(v) if !v.is_empty() => v
-            .split(',')
-            .filter_map(|item| item.trim().parse().ok())
-            .filter(|&item| item > 0)
-            .collect(),
-        _ => default.to_vec(),
+    let parsed: Vec<usize> = raw
+        .unwrap_or_default()
+        .split(',')
+        .filter_map(|item| item.trim().parse().ok())
+        .filter(|&item| item > 0)
+        .collect();
+    if parsed.is_empty() {
+        default.to_vec()
+    } else {
+        parsed
     }
 }
 
@@ -301,8 +295,6 @@ pub struct C4uEnv {
     pub cpe_epochs: usize,
     /// `C4U_TRIALS` — answering-noise seeds averaged per cell.
     pub trials: usize,
-    /// `C4U_SHARDS` — worker-range shards per selection round.
-    pub shards: usize,
     /// `C4U_QUAD_MATH` — the quadrature fold-pass math mode.
     pub quad_math: QuadMathKnob,
     /// `C4U_CELL_CACHE` — per-cell result-cache directory, if enabled.
@@ -324,7 +316,6 @@ impl C4uEnv {
         Self {
             cpe_epochs: parse_count(var(names::CPE_EPOCHS).as_deref(), DEFAULT_CPE_EPOCHS),
             trials: parse_count(var(names::TRIALS).as_deref(), DEFAULT_TRIALS),
-            shards: parse_count(var(names::SHARDS).as_deref(), DEFAULT_SHARDS),
             quad_math: QuadMathKnob::parse(var(names::QUAD_MATH).as_deref()),
             cell_cache: var_os(names::CELL_CACHE)
                 .filter(|v| !v.is_empty())
@@ -352,7 +343,7 @@ mod tests {
             assert!(!k.doc.is_empty() && !k.default.is_empty(), "{}", k.name);
             seen.push(k.name);
         }
-        assert!(is_registered(names::SHARDS));
+        assert!(is_registered(names::TRIALS));
         assert!(!is_registered("C4U_NOT_A_KNOB"));
         assert_eq!(
             knob(names::CELL_CACHE).map(|k| k.kind),
@@ -381,16 +372,16 @@ mod tests {
     #[test]
     fn unknown_names_flags_only_unregistered_c4u_vars() {
         let candidates = [
-            "C4U_SHRADS",     // typo: flagged
-            "C4U_SHARDS",     // registered: fine
+            "C4U_TRAILS",     // typo: flagged
+            "C4U_TRIALS",     // registered: fine
             "PATH",           // not ours: ignored
-            "C4U_SHRADS",     // duplicate: reported once
+            "C4U_TRAILS",     // duplicate: reported once
             "RUST_BACKTRACE", // not ours: ignored
             "C4U_QUAD_MATHS", // typo: flagged
         ];
         assert_eq!(
             unknown_names(candidates),
-            vec!["C4U_QUAD_MATHS".to_string(), "C4U_SHRADS".to_string()]
+            vec!["C4U_QUAD_MATHS".to_string(), "C4U_TRAILS".to_string()]
         );
         assert!(unknown_names(Vec::<String>::new()).is_empty());
     }
@@ -411,6 +402,7 @@ mod tests {
         assert_eq!(parse_count_list(Some(""), &[1, 2]), vec![1, 2]);
         assert_eq!(parse_count_list(Some("4, 8 ,15"), &[1]), vec![4, 8, 15]);
         assert_eq!(parse_count_list(Some("4,zero,0,16"), &[1]), vec![4, 16]);
+        assert_eq!(parse_count_list(Some("zero,0"), &[1, 2]), vec![1, 2]);
     }
 
     #[test]
@@ -432,7 +424,6 @@ mod tests {
         let env = C4uEnv::from_env();
         assert!(env.cpe_epochs >= 1);
         assert!(env.trials >= 1);
-        assert!(env.shards >= 1);
         assert!(env.quad_samples >= 1);
         if std::env::var_os(names::QUAD_WORKERS).is_none() {
             assert_eq!(env.quad_workers, DEFAULT_QUAD_WORKERS);
@@ -459,10 +450,6 @@ mod tests {
         assert_eq!(
             default_of(names::TRIALS),
             Some(DEFAULT_TRIALS.to_string().as_str())
-        );
-        assert_eq!(
-            default_of(names::SHARDS),
-            Some(DEFAULT_SHARDS.to_string().as_str())
         );
         let samples = DEFAULT_QUAD_SAMPLES.to_string();
         assert_eq!(default_of(names::QUAD_SAMPLES), Some(samples.as_str()));

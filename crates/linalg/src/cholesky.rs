@@ -1,9 +1,8 @@
 //! Cholesky factorisation of symmetric positive-definite matrices.
 //!
 //! The multivariate-normal machinery in `c4u-stats` relies on Cholesky factors for
-//! three things: sampling (`x = mu + L z`), evaluating log-densities (via the
-//! log-determinant `2 * sum(ln L_ii)`), and solving `Sigma^{-1} b` without forming the
-//! inverse explicitly. Because the CPE gradient-descent updates of the covariance can
+//! two things: sampling (`x = mu + L z`) and solving `Sigma^{-1} b` without forming
+//! the inverse explicitly. Because the CPE gradient-descent updates of the covariance can
 //! momentarily push it slightly outside the PSD cone, [`Cholesky::new_with_jitter`]
 //! implements the standard "add diagonal jitter and retry" repair loop.
 
@@ -198,16 +197,6 @@ impl Cholesky {
         self.solve_matrix(&Matrix::identity(self.dim()))
     }
 
-    /// Natural logarithm of the determinant of `A`.
-    pub fn log_determinant(&self) -> f64 {
-        (0..self.dim()).map(|i| self.l[(i, i)].ln()).sum::<f64>() * 2.0
-    }
-
-    /// Determinant of `A`.
-    pub fn determinant(&self) -> f64 {
-        self.log_determinant().exp()
-    }
-
     /// Computes the Mahalanobis-style quadratic form `d^T A^{-1} d`.
     pub fn mahalanobis_squared(&self, d: &Vector) -> Result<f64> {
         // d^T A^{-1} d = || L^{-1} d ||^2
@@ -332,15 +321,6 @@ mod tests {
         let inv = Cholesky::new(&a).unwrap().inverse().unwrap();
         let prod = a.matmul(&inv).unwrap();
         assert!(prod.max_abs_diff(&Matrix::identity(3)).unwrap() < 1e-10);
-    }
-
-    #[test]
-    fn log_determinant_matches_2x2_formula() {
-        let a = Matrix::from_rows(&[vec![2.0, 0.3], vec![0.3, 1.5]]).unwrap();
-        let chol = Cholesky::new(&a).unwrap();
-        let det = 2.0 * 1.5 - 0.3 * 0.3;
-        assert!((chol.determinant() - det).abs() < 1e-12);
-        assert!((chol.log_determinant() - det.ln()).abs() < 1e-12);
     }
 
     #[test]

@@ -190,6 +190,23 @@ mod tests {
     }
 
     #[test]
+    fn churn_round_count_matches_the_budget_plan() {
+        // Churn schedules are sized by `rounds_until_at_most` and campaigns by
+        // `rounds_for`: a disagreement would silently drop the last round's
+        // events.
+        for pool in 2..=2000 {
+            for k in 1..pool {
+                let plan = BudgetPlan::new(pool, k, 1_000_000).unwrap();
+                assert_eq!(
+                    crate::rounds_until_at_most(pool, k),
+                    plan.rounds,
+                    "pool {pool}, k {k}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn budget_below_the_round_count_is_rejected() {
         // 160 workers, k = 5: five rounds, so a budget of 4 leaves t = 0.
         assert!(BudgetPlan::new(160, 5, 4).is_err());

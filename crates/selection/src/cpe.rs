@@ -58,6 +58,10 @@ use rand::SeedableRng;
 /// outside the PSD cone).
 const OBJECTIVE_PENALTY: f64 = 1e12;
 
+/// Seed of the uniform-random initial correlations (Sec. V-C), so every
+/// estimator built from the same profiles starts from the same model.
+const CORRELATION_SEED: u64 = 21;
+
 /// How the Eq. 6–7 gradient is produced during [`CrossDomainEstimator::update`]:
 /// every variant is one gradient evaluation per epoch over the batched
 /// likelihood kernel.
@@ -102,8 +106,6 @@ pub struct CpeConfig {
     /// is what lets golden questions discriminate between workers with identical
     /// profiles; the prior-only form is kept for ablations.
     pub use_posterior_prediction: bool,
-    /// Seed for the uniform-random initialisation of the correlation parameters.
-    pub correlation_seed: u64,
     /// Gradient oracle driving the Eq. 6–7 update (see [`CpeGradient`]).
     pub gradient_oracle: CpeGradient,
     /// Fold-pass arithmetic of the batched quadrature sweeps
@@ -124,7 +126,6 @@ impl Default for CpeConfig {
             quadrature_order: 32,
             min_variance: 1e-4,
             use_posterior_prediction: true,
-            correlation_seed: 21,
             gradient_oracle: CpeGradient::default(),
             quadrature_math: QuadratureMath::default(),
         }
@@ -261,7 +262,7 @@ impl CrossDomainEstimator {
         stds.push(target_std);
 
         // Correlations uniformly random in (0, 1) (Sec. V-C).
-        let mut rng = StdRng::seed_from_u64(config.correlation_seed);
+        let mut rng = StdRng::seed_from_u64(CORRELATION_SEED);
         let uniform = Uniform::new(0.0, 1.0)?;
         let mut covariance = Matrix::zeros(d + 1, d + 1);
         for i in 0..(d + 1) {
@@ -875,18 +876,10 @@ mod tests {
     }
 
     #[test]
-    fn correlation_seed_only_changes_the_covariance() {
-        let profiles = profiles();
-        let refs: Vec<&HistoricalProfile> = profiles.iter().collect();
-        let other = CpeConfig {
-            correlation_seed: 99,
-            ..Default::default()
-        };
-        let a = estimator();
-        let b = CrossDomainEstimator::from_profiles(&refs, other).unwrap();
+    fn initial_correlations_are_deterministic() {
+        let (a, b) = (estimator(), estimator());
         assert_eq!(a.mean(), b.mean());
-        assert_ne!(a.covariance(), b.covariance());
-        assert_eq!(a.covariance(), estimator().covariance());
+        assert_eq!(a.covariance(), b.covariance());
     }
 
     #[test]

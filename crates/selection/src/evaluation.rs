@@ -47,25 +47,14 @@ pub struct AggregatedResult {
     pub trials: usize,
 }
 
-/// Runs one strategy on one dataset with one answering-noise seed.
+/// Runs one strategy on one dataset with one answering-noise seed, selecting
+/// the dataset's own `k`.
 pub fn evaluate_strategy(
     dataset: &Dataset,
     strategy: &dyn WorkerSelector,
     seed: u64,
 ) -> Result<EvaluationResult, SelectionError> {
-    let mut platform = Platform::from_dataset(dataset, seed)?;
-    let outcome = strategy.select(&mut platform, dataset.config.select_k)?;
-    let working_accuracy = platform.evaluate_working_accuracy(&outcome.selected)?;
-    let expected_accuracy = platform.expected_working_accuracy(&outcome.selected)?;
-    Ok(EvaluationResult {
-        strategy: strategy.name().to_string(),
-        dataset: dataset.config.name.clone(),
-        selected: outcome.selected,
-        working_accuracy,
-        expected_accuracy,
-        budget_spent: outcome.budget_spent,
-        rounds: outcome.rounds,
-    })
+    evaluate_strategy_with_k(dataset, strategy, dataset.config.select_k, seed)
 }
 
 /// Runs one strategy with a custom `k` (used by the Figure 6 sensitivity sweep).

@@ -22,6 +22,7 @@ use crate::selector::{SelectionOutcome, WorkerSelector};
 use crate::stage::{num_prior_domains, RoundHeader, StageInit, StagePipeline, StageRoundInput};
 use crate::SelectionError;
 use c4u_crowd_sim::{CampaignSchedule, HistoricalProfile, Platform, WorkerId, WorkerShards};
+use c4u_irt::BktParams;
 use std::collections::HashMap;
 
 /// Which estimation components the pipeline uses.
@@ -40,14 +41,16 @@ pub enum EstimationMode {
     CpeOnly,
     /// LGE driven by raw observed sheet accuracies (no cross-domain model).
     LgeOnly,
-    /// Per-worker Bayesian Knowledge Tracing posteriors
-    /// ([`SelectorConfig::bkt`] parameters).
+    /// Per-worker Bayesian Knowledge Tracing posteriors (default
+    /// [`c4u_irt::BktParams`]; other parameters go through
+    /// [`StagePipeline::bkt_only`] and [`CrossDomainSelector::with_pipeline`]).
     BktOnly,
     /// The Eq. 10–11 learning-curve calibration refit per round from raw
     /// observed accuracies.
     RaschCalibrated,
-    /// A weighted CPE + BKT ensemble
-    /// ([`SelectorConfig::ensemble_cpe_weight`]).
+    /// An equal-weight CPE + BKT ensemble (other weights go through
+    /// [`StagePipeline::cpe_bkt_ensemble`] and
+    /// [`CrossDomainSelector::with_pipeline`]).
     CpeBktEnsemble,
 }
 
@@ -66,17 +69,8 @@ pub struct SelectorConfig {
     /// ([`c4u_crowd_sim::WorkerShards`]). Per-worker RNG streams make every
     /// value — including the default sequential `1` — produce **bit-for-bit
     /// identical** selections; the knob trades threads for wall-clock on
-    /// large pools (`tests/shard_equivalence.rs` pins the identity, the
-    /// `platform_shards` bench the speedup).
+    /// large pools (`tests/shard_equivalence.rs` pins the identity).
     pub num_shards: usize,
-    /// Bayesian Knowledge Tracing parameters used by the
-    /// [`EstimationMode::BktOnly`] and [`EstimationMode::CpeBktEnsemble`]
-    /// pipelines (ignored by the others).
-    pub bkt: c4u_irt::BktParams,
-    /// Weight of the CPE child in the [`EstimationMode::CpeBktEnsemble`]
-    /// pipeline (the BKT child gets the complement; clamped to `[0.05, 0.95]`
-    /// at pipeline construction).
-    pub ensemble_cpe_weight: f64,
 }
 
 impl Default for SelectorConfig {
@@ -86,8 +80,6 @@ impl Default for SelectorConfig {
             delta: 0.1,
             mode: EstimationMode::CpeAndLge,
             num_shards: 1,
-            bkt: c4u_irt::BktParams::default(),
-            ensemble_cpe_weight: 0.5,
         }
     }
 }
@@ -180,11 +172,11 @@ impl CrossDomainSelector {
             EstimationMode::CpeAndLge => ("Ours", StagePipeline::cpe_and_lge(config.cpe)),
             EstimationMode::CpeOnly => ("ME-CPE", StagePipeline::cpe_only(config.cpe)),
             EstimationMode::LgeOnly => ("LGE-only", StagePipeline::lge_only()),
-            EstimationMode::BktOnly => ("BKT", StagePipeline::bkt_only(config.bkt)),
+            EstimationMode::BktOnly => ("BKT", StagePipeline::bkt_only(BktParams::default())),
             EstimationMode::RaschCalibrated => ("Rasch", StagePipeline::rasch_calibrated()),
             EstimationMode::CpeBktEnsemble => (
                 "CPE+BKT",
-                StagePipeline::cpe_bkt_ensemble(config.cpe, config.bkt, config.ensemble_cpe_weight),
+                StagePipeline::cpe_bkt_ensemble(config.cpe, BktParams::default(), 0.5),
             ),
         };
         Self {

@@ -3,8 +3,8 @@
 //! batched mask-grouped kernel.
 //!
 //! `kernel_equivalence.rs` (exact-state equivalence), `proptest_kernel.rs`
-//! (randomised equivalence), and the `cpe_kernel` bench in `c4u-bench` (via a
-//! `#[path]` module include) all compare against this single copy, so the
+//! (randomised equivalence) and the other suites of this directory that
+//! declare `mod reference` all compare against this single copy, so the
 //! transcription cannot silently drift between suites.
 
 // Each including binary uses a different subset of this support module; the

@@ -71,10 +71,7 @@ pub use descriptive::{
 };
 pub use error::StatsError;
 pub use integrate::GaussLegendre;
-pub use mvn::{
-    conditioning_factorizations, reset_conditioning_factorizations, Conditional1D, Conditioner,
-    MultivariateNormal,
-};
+pub use mvn::{conditioning_factorizations, Conditional1D, Conditioner, MultivariateNormal};
 pub use special::{log1p_exp, logit, sigmoid};
 pub use univariate::{Bernoulli, Uniform};
 pub use vmath::{vexp, vexp_scalar, VEXP_LANES};

@@ -38,7 +38,7 @@ thread_local! {
     /// [`MultivariateNormal::conditioner`] (and therefore by
     /// [`MultivariateNormal::condition_on`], which delegates to it).
     ///
-    /// A diagnostic used by the benchmark harness to demonstrate that the
+    /// A diagnostic the kernel-equivalence tests read to show that the
     /// mask-grouped CPE kernel factorises once per unique missing-domain mask
     /// instead of once per worker. Thread-local so that parallel engine runs
     /// and parallel tests cannot contaminate each other's counts; it has no
@@ -47,14 +47,9 @@ thread_local! {
 }
 
 /// Observed-block factorisations performed by the current thread since it
-/// started (or since the last [`reset_conditioning_factorizations`]).
+/// started.
 pub fn conditioning_factorizations() -> u64 {
     CONDITIONING_FACTORIZATIONS.with(Cell::get)
-}
-
-/// Resets the current thread's factorisation counter (benchmark bookkeeping).
-pub fn reset_conditioning_factorizations() {
-    CONDITIONING_FACTORIZATIONS.with(|c| c.set(0));
 }
 
 /// A multivariate normal distribution `N(mu, Sigma)`.

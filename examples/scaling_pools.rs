@@ -5,10 +5,11 @@
 //!
 //! ```bash
 //! cargo run --release --example scaling_pools
-//! # Fan each selection round out over 4 worker-range shards (identical
-//! # numbers — per-worker RNG streams — but faster rounds on big pools):
-//! C4U_SHARDS=4 cargo run --release --example scaling_pools
 //! ```
+//!
+//! Each selection round fans out over one worker-range shard per hardware
+//! thread (identical numbers for any shard count — per-worker RNG streams —
+//! but faster rounds on big pools).
 
 use c4u_crowd_sim::{generate, DatasetConfig};
 use c4u_selection::{
@@ -24,11 +25,10 @@ fn main() {
         DatasetConfig::s4(),
     ];
     let seed = 11;
-    // Worker-range shards per round (C4U_SHARDS, default 1). The selections
-    // and accuracies are bit-for-bit identical for every value; sharding only
-    // spreads each round's answering/scoring over scoped threads. The typed
-    // snapshot also warns about any misspelled C4U_* variable.
-    let num_shards = c4u_env::C4uEnv::from_env().shards;
+    // One worker-range shard per hardware thread. The selections and
+    // accuracies are bit-for-bit identical for every shard count; sharding
+    // only spreads each round's answering/scoring over scoped threads.
+    let num_shards = c4u_crowd_sim::parallel::available_threads();
 
     println!("worker-range shards per round: {num_shards}\n");
     println!(

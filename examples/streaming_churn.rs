@@ -87,6 +87,6 @@ fn main() {
         closed.1
     );
     println!("\n(The schedule is derived from the dataset seed alone, so this walkthrough is");
-    println!("deterministic; replaying it at any C4U_SHARDS value gives identical reports —");
+    println!("deterministic; replaying it at any shard count gives identical reports —");
     println!("see tests/churn_determinism.rs.)");
 }

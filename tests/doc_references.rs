@@ -1,12 +1,15 @@
 //! Every document a source file or root document cites by name — `*.md` and
-//! `BENCH_*.json` — must exist at the workspace root, so deleting or renaming
-//! a document cannot leave dangling references behind.
+//! `BENCH_*.json` — must exist at the workspace root, and every bench target
+//! cited as `--bench <name>` (or listed in CI's `bench-smoke` matrix) must be
+//! a `[[bench]]` of `crates/bench/Cargo.toml`, so deleting or renaming a
+//! document or a bench cannot leave dangling references behind.
 //!
 //! Scanned: every `.rs` file of the workspace, plus the root `README.md` and
-//! `ARCHITECTURE.md`. Skipped: build output (`target/`), the vendored
-//! stand-ins (`vendor/`), the standalone benchmark package (`perfbench/`) and
-//! hidden directories. The history files (`CHANGES.md`, `ROADMAP.md`) are not
-//! scanned: they cite what existed when each entry was written.
+//! `ARCHITECTURE.md` (and, for bench names, the verify skill). Skipped: build
+//! output (`target/`), the vendored stand-ins (`vendor/`), the standalone
+//! benchmark package (`perfbench/`) and hidden directories. The history files
+//! (`CHANGES.md`, `ROADMAP.md`) are not scanned: they cite what existed when
+//! each entry was written.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -78,6 +81,90 @@ fn cited_documents_exist_at_the_workspace_root() {
         missing.is_empty(),
         "references to files that do not exist at the workspace root:\n{}",
         missing.join("\n")
+    );
+}
+
+/// The `name = "..."` of every `[[bench]]` table in a Cargo manifest.
+fn declared_benches(manifest: &str) -> Vec<String> {
+    let mut names = Vec::new();
+    let mut in_bench = false;
+    for line in manifest.lines().map(str::trim) {
+        if line.starts_with('[') {
+            in_bench = line == "[[bench]]";
+        } else if let Some(value) = line.strip_prefix("name = ").filter(|_| in_bench) {
+            names.push(value.trim_matches('"').to_string());
+        }
+    }
+    names
+}
+
+/// The bench names cited as `--bench <name>` in `text` (placeholders such as
+/// `<name>` or `${{ .. }}` yield no name).
+fn cited_benches(text: &str) -> Vec<String> {
+    text.match_indices("--bench ")
+        .map(|(at, flag)| {
+            let rest = &text[at + flag.len()..];
+            let len = rest.bytes().take_while(|&c| is_name_char(c)).count();
+            rest[..len].to_string()
+        })
+        .filter(|name| !name.is_empty())
+        .collect()
+}
+
+/// The entries of the `bench: [..]` matrix of CI's `bench-smoke` job.
+fn ci_bench_matrix(workflow: &str) -> Vec<String> {
+    let job = &workflow[workflow.find("\n  bench-smoke:").expect("bench-smoke job")..];
+    let line = job
+        .lines()
+        .map(str::trim)
+        .find(|line| line.starts_with("bench: ["))
+        .expect("bench-smoke matrix");
+    line["bench: [".len()..]
+        .trim_end_matches(']')
+        .split(',')
+        .map(|name| name.trim().to_string())
+        .collect()
+}
+
+#[test]
+fn cited_bench_targets_are_declared() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let declared =
+        declared_benches(&fs::read_to_string(root.join("crates/bench/Cargo.toml")).unwrap());
+    assert!(
+        !declared.is_empty(),
+        "no [[bench]] in crates/bench/Cargo.toml"
+    );
+    let mut sources = vec![
+        root.join("README.md"),
+        root.join("ARCHITECTURE.md"),
+        // Split with `concat!` so the document scan above does not read
+        // this path as a root document.
+        root.join(concat!(".claude/skills/verify/SKILL", ".md")),
+    ];
+    sources.retain(|path| path.is_file());
+    rust_sources(root, &mut sources);
+    let mut unknown = Vec::new();
+    for source in &sources {
+        let shown = source.strip_prefix(root).unwrap_or(source).display();
+        for name in cited_benches(&fs::read_to_string(source).unwrap()) {
+            if !declared.contains(&name) {
+                unknown.push(format!("{shown}: {name}"));
+            }
+        }
+    }
+    let workflow = fs::read_to_string(root.join(".github/workflows/ci.yml")).unwrap();
+    for name in ci_bench_matrix(&workflow) {
+        if !declared.contains(&name) {
+            unknown.push(format!(
+                ".github/workflows/ci.yml (bench-smoke matrix): {name}"
+            ));
+        }
+    }
+    assert!(
+        unknown.is_empty(),
+        "bench targets cited but not declared in crates/bench/Cargo.toml:\n{}",
+        unknown.join("\n")
     );
 }
 

@@ -106,7 +106,9 @@ fn unit_weight_ensemble_equals_its_child_end_to_end() {
     };
     let ensemble_report = {
         let pipeline = StagePipeline::ensemble(
-            vec![Box::new(c4u_selection::BktStage::new(config.bkt))],
+            vec![Box::new(c4u_selection::BktStage::new(
+                c4u_selection::BktParams::default(),
+            ))],
             vec![1.0],
         )
         .unwrap();
@@ -127,7 +129,9 @@ fn unit_weight_ensemble_equals_its_child_end_to_end() {
     // through verbatim, no weight arithmetic touches the scores.
     let reweighted = {
         let pipeline = StagePipeline::ensemble(
-            vec![Box::new(c4u_selection::BktStage::new(config.bkt))],
+            vec![Box::new(c4u_selection::BktStage::new(
+                c4u_selection::BktParams::default(),
+            ))],
             vec![0.3],
         )
         .unwrap();
