@@ -37,8 +37,7 @@
 //!   reported);
 //! * `C4U_QUAD_MATH` — `exact`, `fast_vector`, or `both` (default both).
 
-use c4u_bench::quad_math_modes;
-use c4u_env::C4uEnv;
+use c4u_bench::{env::C4uEnv, quad_math_modes};
 use c4u_stats::{
     binomial_normal_moments, BinomialNormalBatch, GaussLegendre, QuadratureMath, QuadratureScratch,
 };

@@ -22,7 +22,7 @@
 //! the selection quality close to the closed-world row (joins only widen the
 //! candidate pool; survivors' answer streams are unchanged by construction).
 //!
-//! Honours `C4U_CPE_EPOCHS` and `C4U_TRIALS` (see the `c4u-env` knob
+//! Honours `C4U_CPE_EPOCHS` and `C4U_TRIALS` (see the `c4u_bench::env` knob
 //! table).
 
 use c4u_bench::{cpe_epochs, evaluate_robustness_cell, trial_seeds, trials, StrategyKind};

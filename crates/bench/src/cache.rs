@@ -24,10 +24,6 @@ use crate::{Cell, CellSpec};
 use std::fs;
 use std::path::{Path, PathBuf};
 
-/// Environment variable naming the cell-cache directory (registered in the
-/// [`c4u_env`] knob table).
-pub const CELL_CACHE_ENV: &str = c4u_env::names::CELL_CACHE;
-
 /// Hit/miss accounting of one resumable sweep
 /// ([`crate::evaluate_cells_resumable`]).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -47,7 +43,7 @@ impl SweepStats {
 
 /// The cache directory named by `C4U_CELL_CACHE`, if set and non-empty.
 pub fn cell_cache_dir() -> Option<PathBuf> {
-    c4u_env::C4uEnv::from_env().cell_cache
+    crate::env::C4uEnv::from_env().cell_cache
 }
 
 /// The full identity of a cell, rendered as a stable string.

@@ -1,5 +1,3 @@
-//! # c4u-env
-//!
 //! The single registry of every `C4U_*` environment knob the workspace
 //! honours, plus the typed parser that replaces the per-crate ad-hoc
 //! `std::env::var(..).parse()` chains.
@@ -22,15 +20,10 @@
 //!   without touching the process environment.
 //!
 //! Parsing stays deliberately forgiving — unset, empty, or unparsable values
-//! fall back to the default, exactly like the scattered readers this crate
+//! fall back to the default, exactly like the scattered readers this module
 //! replaced — because a bench smoke run must never abort over a stray knob.
 //! Only *unknown names* warn; known names with odd values keep the documented
 //! fallback semantics.
-//!
-//! The crate is dependency-free so every layer (bench, examples) can use it
-//! without cycles.
-
-#![forbid(unsafe_code)]
 
 use std::ffi::OsString;
 use std::path::PathBuf;
@@ -218,7 +211,7 @@ pub fn warn_unknown() -> Vec<String> {
             for name in &unknown {
                 eprintln!(
                     "warning: unknown environment variable `{name}` (not a registered C4U_* \
-                     knob; see the knob table in README.md or c4u_env::render_knob_table())"
+                     knob; see the knob table in README.md or c4u_bench::env::render_knob_table())"
                 );
             }
             unknown
@@ -242,7 +235,7 @@ pub enum QuadMathKnob {
 }
 
 impl QuadMathKnob {
-    fn parse(raw: Option<&str>) -> Self {
+    pub(crate) fn parse(raw: Option<&str>) -> Self {
         match raw {
             Some("exact") => QuadMathKnob::Exact,
             Some("fast_vector") => QuadMathKnob::FastVector,
@@ -254,7 +247,7 @@ impl QuadMathKnob {
 
 /// Parses a positive integer; unset, unparsable, or non-positive keeps the
 /// default.
-fn parse_count(raw: Option<&str>, default: usize) -> usize {
+pub(crate) fn parse_count(raw: Option<&str>, default: usize) -> usize {
     raw.and_then(|v| v.trim().parse().ok())
         .filter(|&v| v > 0)
         .unwrap_or(default)
@@ -263,7 +256,7 @@ fn parse_count(raw: Option<&str>, default: usize) -> usize {
 /// Parses a comma-separated list of positive integers; unparsable or
 /// non-positive entries are dropped, and a list left empty (unset, empty, or
 /// no valid entry) keeps the default.
-fn parse_count_list(raw: Option<&str>, default: &[usize]) -> Vec<usize> {
+pub(crate) fn parse_count_list(raw: Option<&str>, default: &[usize]) -> Vec<usize> {
     let parsed: Vec<usize> = raw
         .unwrap_or_default()
         .split(',')
@@ -288,7 +281,7 @@ fn var_os(name: &str) -> Option<OsString> {
 /// One typed snapshot of every registered knob.
 ///
 /// [`C4uEnv::from_env`] is the workspace's single environment entry point:
-/// every field holds the parsed value (or this crate's default).
+/// every field holds the parsed value (or this module's default).
 #[derive(Debug, Clone, PartialEq)]
 pub struct C4uEnv {
     /// `C4U_CPE_EPOCHS` — CPE gradient-descent epochs per round.
@@ -327,152 +320,5 @@ impl C4uEnv {
             quad_nodes: parse_count_list(var(names::QUAD_NODES).as_deref(), DEFAULT_QUAD_NODES),
             quad_samples: parse_count(var(names::QUAD_SAMPLES).as_deref(), DEFAULT_QUAD_SAMPLES),
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn registry_names_are_unique_prefixed_and_documented() {
-        let mut seen = Vec::new();
-        for k in KNOBS {
-            assert!(k.name.starts_with("C4U_"), "{}", k.name);
-            assert!(!seen.contains(&k.name), "duplicate {}", k.name);
-            assert!(!k.doc.is_empty() && !k.default.is_empty(), "{}", k.name);
-            seen.push(k.name);
-        }
-        assert!(is_registered(names::TRIALS));
-        assert!(!is_registered("C4U_NOT_A_KNOB"));
-        assert_eq!(
-            knob(names::CELL_CACHE).map(|k| k.kind),
-            Some(KnobKind::Path)
-        );
-    }
-
-    #[test]
-    fn knob_table_renders_one_row_per_knob() {
-        let table = render_knob_table();
-        // Header + separator + one row per knob.
-        assert_eq!(table.lines().count(), 2 + KNOBS.len());
-        for k in KNOBS {
-            assert!(table.contains(k.name), "{} missing from table", k.name);
-        }
-        assert!(table.starts_with("| Variable | Kind | Default | Effect |"));
-        // README embeds the rendered table verbatim, so dropping or editing a
-        // knob cannot leave the documentation stale.
-        let readme = include_str!("../../../README.md");
-        assert!(
-            readme.contains(&table),
-            "README.md's knob table differs from render_knob_table(); regenerate it"
-        );
-    }
-
-    #[test]
-    fn unknown_names_flags_only_unregistered_c4u_vars() {
-        let candidates = [
-            "C4U_TRAILS",     // typo: flagged
-            "C4U_TRIALS",     // registered: fine
-            "PATH",           // not ours: ignored
-            "C4U_TRAILS",     // duplicate: reported once
-            "RUST_BACKTRACE", // not ours: ignored
-            "C4U_QUAD_MATHS", // typo: flagged
-        ];
-        assert_eq!(
-            unknown_names(candidates),
-            vec!["C4U_QUAD_MATHS".to_string(), "C4U_TRAILS".to_string()]
-        );
-        assert!(unknown_names(Vec::<String>::new()).is_empty());
-    }
-
-    #[test]
-    fn count_parsing_keeps_defaults_on_bad_input() {
-        assert_eq!(parse_count(None, 7), 7);
-        assert_eq!(parse_count(Some("12"), 7), 12);
-        assert_eq!(parse_count(Some(" 12 "), 7), 12);
-        assert_eq!(parse_count(Some("0"), 7), 7);
-        assert_eq!(parse_count(Some("-3"), 7), 7);
-        assert_eq!(parse_count(Some("twelve"), 7), 7);
-    }
-
-    #[test]
-    fn count_list_parsing_drops_bad_entries_and_defaults_when_empty() {
-        assert_eq!(parse_count_list(None, &[1, 2]), vec![1, 2]);
-        assert_eq!(parse_count_list(Some(""), &[1, 2]), vec![1, 2]);
-        assert_eq!(parse_count_list(Some("4, 8 ,15"), &[1]), vec![4, 8, 15]);
-        assert_eq!(parse_count_list(Some("4,zero,0,16"), &[1]), vec![4, 16]);
-        assert_eq!(parse_count_list(Some("zero,0"), &[1, 2]), vec![1, 2]);
-    }
-
-    #[test]
-    fn quad_math_parses_the_three_modes_and_defaults_the_rest() {
-        assert_eq!(QuadMathKnob::parse(Some("exact")), QuadMathKnob::Exact);
-        assert_eq!(
-            QuadMathKnob::parse(Some("fast_vector")),
-            QuadMathKnob::FastVector
-        );
-        assert_eq!(QuadMathKnob::parse(Some("both")), QuadMathKnob::Both);
-        assert_eq!(QuadMathKnob::parse(Some("fast")), QuadMathKnob::Default);
-        assert_eq!(QuadMathKnob::parse(None), QuadMathKnob::Default);
-    }
-
-    #[test]
-    fn snapshot_reads_the_process_environment_with_defaults() {
-        // The snapshot must work in any environment; only assert invariants
-        // that hold whether or not knobs are set.
-        let env = C4uEnv::from_env();
-        assert!(env.cpe_epochs >= 1);
-        assert!(env.trials >= 1);
-        assert!(env.quad_samples >= 1);
-        if std::env::var_os(names::QUAD_WORKERS).is_none() {
-            assert_eq!(env.quad_workers, DEFAULT_QUAD_WORKERS);
-        }
-        if std::env::var_os(names::CELL_CACHE).is_none() {
-            assert_eq!(env.cell_cache, None);
-        }
-        // Snapshots of the same environment are equal.
-        assert_eq!(env, C4uEnv::from_env());
-    }
-
-    #[test]
-    fn rendered_defaults_match_the_parsed_defaults() {
-        let default_of = |name: &str| knob(name).map(|k| k.default);
-        let list = |values: &[usize]| {
-            values
-                .iter()
-                .map(usize::to_string)
-                .collect::<Vec<_>>()
-                .join(",")
-        };
-        let cpe_epochs = DEFAULT_CPE_EPOCHS.to_string();
-        assert_eq!(default_of(names::CPE_EPOCHS), Some(cpe_epochs.as_str()));
-        assert_eq!(
-            default_of(names::TRIALS),
-            Some(DEFAULT_TRIALS.to_string().as_str())
-        );
-        let samples = DEFAULT_QUAD_SAMPLES.to_string();
-        assert_eq!(default_of(names::QUAD_SAMPLES), Some(samples.as_str()));
-        let workers = list(DEFAULT_QUAD_WORKERS);
-        assert_eq!(default_of(names::QUAD_WORKERS), Some(workers.as_str()));
-        let nodes = list(DEFAULT_QUAD_NODES);
-        assert_eq!(default_of(names::QUAD_NODES), Some(nodes.as_str()));
-    }
-
-    #[test]
-    fn kind_labels_are_distinct() {
-        let kinds = [
-            KnobKind::Count,
-            KnobKind::CountList,
-            KnobKind::Path,
-            KnobKind::Mode,
-        ];
-        for (i, a) in kinds.iter().enumerate() {
-            for b in &kinds[i + 1..] {
-                assert_ne!(a.label(), b.label());
-            }
-        }
-        assert!(parse_count(Some("2.5"), 7) == 7 && parse_count(Some("+4"), 7) == 4);
-        assert_eq!(parse_count(Some("99999999999999999999999"), 7), 7);
     }
 }

@@ -10,7 +10,7 @@
 //!
 //! The harness honours a few environment variables so that quick smoke runs and
 //! full paper-fidelity runs use the same code. All of them are declared in the
-//! [`c4u_env`] knob registry — [`c4u_env::render_knob_table`] prints the full
+//! [`env`](mod@env) knob registry — [`env::render_knob_table`] prints the full
 //! table, and unknown `C4U_*` names warn on the first read instead of being
 //! silently ignored:
 //!
@@ -38,34 +38,31 @@
 #![forbid(unsafe_code)]
 
 pub mod cache;
+pub mod env;
 
-pub use cache::{cell_cache_dir, SweepStats, CELL_CACHE_ENV};
+pub use cache::{cell_cache_dir, SweepStats};
 
 use c4u_crowd_sim::{generate, CampaignSchedule, Dataset, DatasetConfig, Platform, SimError};
-use c4u_env::{C4uEnv, QuadMathKnob};
 use c4u_selection::{
     evaluate_strategy_with_k, CrossDomainSelector, EstimationMode, GroundTruthOracle, LiEtAl,
     MedianEliminationBaseline, QuadratureMath, SelectorConfig, UniformSampling, WorkerSelector,
 };
+use env::{C4uEnv, QuadMathKnob};
 use std::collections::BTreeMap;
 use std::convert::Infallible;
 use std::path::Path;
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Default number of CPE gradient-descent epochs used by the bench targets.
-pub const DEFAULT_EPOCHS: usize = c4u_env::DEFAULT_CPE_EPOCHS;
-/// Default number of answering-noise seeds averaged per experiment cell.
-pub const DEFAULT_TRIALS: usize = c4u_env::DEFAULT_TRIALS;
 /// Base answering-noise seed; trial `i` uses `BASE_SEED + 1000 * i`.
 pub const BASE_SEED: u64 = 20_240_610;
 
-/// Reads `C4U_CPE_EPOCHS` (default [`DEFAULT_EPOCHS`]) via the
-/// [`c4u_env`] knob registry.
+/// Reads `C4U_CPE_EPOCHS` (default [`env::DEFAULT_CPE_EPOCHS`]) via the
+/// [`env`](mod@env) knob registry.
 pub fn cpe_epochs() -> usize {
     C4uEnv::from_env().cpe_epochs
 }
 
-/// Reads `C4U_TRIALS` (default [`DEFAULT_TRIALS`]).
+/// Reads `C4U_TRIALS` (default [`env::DEFAULT_TRIALS`]).
 pub fn trials() -> usize {
     C4uEnv::from_env().trials
 }
@@ -554,6 +551,7 @@ pub fn uplift(ours: f64, baseline: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::env::*;
 
     #[test]
     fn environment_defaults() {
@@ -733,5 +731,149 @@ mod tests {
             vec![BASE_SEED, BASE_SEED + 1000, BASE_SEED + 2000]
         );
         assert!(trial_seeds(0).is_empty());
+    }
+
+    // The `env` module: knob registry, parsers and snapshot.
+
+    #[test]
+    fn registry_names_are_unique_prefixed_and_documented() {
+        let mut seen = Vec::new();
+        for k in KNOBS {
+            assert!(k.name.starts_with("C4U_"), "{}", k.name);
+            assert!(!seen.contains(&k.name), "duplicate {}", k.name);
+            assert!(!k.doc.is_empty() && !k.default.is_empty(), "{}", k.name);
+            seen.push(k.name);
+        }
+        assert!(is_registered(names::TRIALS));
+        assert!(!is_registered("C4U_NOT_A_KNOB"));
+        assert_eq!(
+            knob(names::CELL_CACHE).map(|k| k.kind),
+            Some(KnobKind::Path)
+        );
+    }
+
+    #[test]
+    fn knob_table_renders_one_row_per_knob() {
+        let table = render_knob_table();
+        // Header + separator + one row per knob.
+        assert_eq!(table.lines().count(), 2 + KNOBS.len());
+        for k in KNOBS {
+            assert!(table.contains(k.name), "{} missing from table", k.name);
+        }
+        assert!(table.starts_with("| Variable | Kind | Default | Effect |"));
+        // README embeds the rendered table verbatim, so dropping or editing a
+        // knob cannot leave the documentation stale.
+        let readme = include_str!("../../../README.md");
+        assert!(
+            readme.contains(&table),
+            "README.md's knob table differs from render_knob_table(); regenerate it"
+        );
+    }
+
+    #[test]
+    fn unknown_names_flags_only_unregistered_c4u_vars() {
+        let candidates = [
+            "C4U_TRAILS",     // typo: flagged
+            "C4U_TRIALS",     // registered: fine
+            "PATH",           // not ours: ignored
+            "C4U_TRAILS",     // duplicate: reported once
+            "RUST_BACKTRACE", // not ours: ignored
+            "C4U_QUAD_MATHS", // typo: flagged
+        ];
+        assert_eq!(
+            unknown_names(candidates),
+            vec!["C4U_QUAD_MATHS".to_string(), "C4U_TRAILS".to_string()]
+        );
+        assert!(unknown_names(Vec::<String>::new()).is_empty());
+    }
+
+    #[test]
+    fn count_parsing_keeps_defaults_on_bad_input() {
+        assert_eq!(parse_count(None, 7), 7);
+        assert_eq!(parse_count(Some("12"), 7), 12);
+        assert_eq!(parse_count(Some(" 12 "), 7), 12);
+        assert_eq!(parse_count(Some("0"), 7), 7);
+        assert_eq!(parse_count(Some("-3"), 7), 7);
+        assert_eq!(parse_count(Some("twelve"), 7), 7);
+    }
+
+    #[test]
+    fn count_list_parsing_drops_bad_entries_and_defaults_when_empty() {
+        assert_eq!(parse_count_list(None, &[1, 2]), vec![1, 2]);
+        assert_eq!(parse_count_list(Some(""), &[1, 2]), vec![1, 2]);
+        assert_eq!(parse_count_list(Some("4, 8 ,15"), &[1]), vec![4, 8, 15]);
+        assert_eq!(parse_count_list(Some("4,zero,0,16"), &[1]), vec![4, 16]);
+        assert_eq!(parse_count_list(Some("zero,0"), &[1, 2]), vec![1, 2]);
+    }
+
+    #[test]
+    fn quad_math_parses_the_three_modes_and_defaults_the_rest() {
+        assert_eq!(QuadMathKnob::parse(Some("exact")), QuadMathKnob::Exact);
+        assert_eq!(
+            QuadMathKnob::parse(Some("fast_vector")),
+            QuadMathKnob::FastVector
+        );
+        assert_eq!(QuadMathKnob::parse(Some("both")), QuadMathKnob::Both);
+        assert_eq!(QuadMathKnob::parse(Some("fast")), QuadMathKnob::Default);
+        assert_eq!(QuadMathKnob::parse(None), QuadMathKnob::Default);
+    }
+
+    #[test]
+    fn snapshot_reads_the_process_environment_with_defaults() {
+        // The snapshot must work in any environment; only assert invariants
+        // that hold whether or not knobs are set.
+        let env = C4uEnv::from_env();
+        assert!(env.cpe_epochs >= 1);
+        assert!(env.trials >= 1);
+        assert!(env.quad_samples >= 1);
+        if std::env::var_os(names::QUAD_WORKERS).is_none() {
+            assert_eq!(env.quad_workers, DEFAULT_QUAD_WORKERS);
+        }
+        if std::env::var_os(names::CELL_CACHE).is_none() {
+            assert_eq!(env.cell_cache, None);
+        }
+        // Snapshots of the same environment are equal.
+        assert_eq!(env, C4uEnv::from_env());
+    }
+
+    #[test]
+    fn rendered_defaults_match_the_parsed_defaults() {
+        let default_of = |name: &str| knob(name).map(|k| k.default);
+        let list = |values: &[usize]| {
+            values
+                .iter()
+                .map(usize::to_string)
+                .collect::<Vec<_>>()
+                .join(",")
+        };
+        let cpe_epochs = DEFAULT_CPE_EPOCHS.to_string();
+        assert_eq!(default_of(names::CPE_EPOCHS), Some(cpe_epochs.as_str()));
+        assert_eq!(
+            default_of(names::TRIALS),
+            Some(DEFAULT_TRIALS.to_string().as_str())
+        );
+        let samples = DEFAULT_QUAD_SAMPLES.to_string();
+        assert_eq!(default_of(names::QUAD_SAMPLES), Some(samples.as_str()));
+        let workers = list(DEFAULT_QUAD_WORKERS);
+        assert_eq!(default_of(names::QUAD_WORKERS), Some(workers.as_str()));
+        let nodes = list(DEFAULT_QUAD_NODES);
+        assert_eq!(default_of(names::QUAD_NODES), Some(nodes.as_str()));
+    }
+
+    #[test]
+    fn kind_labels_are_distinct() {
+        let kinds = [
+            KnobKind::Count,
+            KnobKind::CountList,
+            KnobKind::Path,
+            KnobKind::Mode,
+        ];
+        for (i, a) in kinds.iter().enumerate() {
+            for b in &kinds[i + 1..] {
+                assert_ne!(a.label(), b.label());
+            }
+        }
+        assert!(parse_count(Some("2.5"), 7) == 7 && parse_count(Some("+4"), 7) == 4);
+        assert_eq!(parse_count(Some("99999999999999999999999"), 7), 7);
     }
 }

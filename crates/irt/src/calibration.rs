@@ -18,14 +18,13 @@
 //! Every summand has the same shape, `(sigmoid(alpha * ln(K + 1) - beta) - a)^2`,
 //! so the fit runs over a table of [`LearningTerm`]s with `ln(K + 1)` taken once
 //! per term rather than once per term and objective evaluation. [`calibrate_terms`]
-//! is the one fit: golden-section search plus Newton polish from `c4u-optim`.
+//! is the one fit: golden-section search plus Newton polish ([`minimize_scalar`]).
 //! [`calibrate_alpha`] validates the observation form and builds its table;
 //! [`objective`] keeps the Eq. 11 sum in that form as the reference the table sum
 //! equals bit for bit.
 
 use crate::learning::log_tasks;
-use crate::IrtError;
-use c4u_optim::minimize_scalar;
+use crate::{minimize_scalar, IrtError};
 use c4u_stats::sigmoid;
 
 /// One prior-domain anchor point of the Eq. 11 objective.
@@ -208,8 +207,7 @@ pub fn calibrate_terms(terms: &[LearningTerm]) -> Result<CalibratedAlpha, IrtErr
         }
         total
     };
-    let minimum = minimize_scalar(f, ALPHA_BRACKET.0, ALPHA_BRACKET.1, 1e-7)
-        .map_err(|e| IrtError::Calibration(e.to_string()))?;
+    let minimum = minimize_scalar(f, ALPHA_BRACKET.0, ALPHA_BRACKET.1, 1e-7)?;
     Ok(CalibratedAlpha {
         alpha: minimum.x,
         residual: minimum.value,

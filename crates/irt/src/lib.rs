@@ -14,7 +14,8 @@
 //!   [`cumulative_tasks_after_round`] schedule `K_j = (2^j - 1) t / |W|`;
 //! * [`calibrate_alpha`] — the per-worker least-squares fit of the learning
 //!   parameter (Eq. 11), a thin wrapper over [`calibrate_terms`], the one fit
-//!   over a precomputed [`LearningTerm`] table;
+//!   over a precomputed [`LearningTerm`] table, minimised by
+//!   [`minimize_scalar`] (golden-section search plus Newton polish);
 //! * [`BktModel`] — a Bayesian Knowledge Tracing tracker; the selection layer's
 //!   `BktStage` runs one per worker as an ablation of the learner-model choice,
 //!   seeded through [`BktParams::mastery_for_accuracy`].
@@ -51,8 +52,10 @@
 mod bkt;
 mod calibration;
 mod error;
+mod gradient;
 mod learning;
 mod rasch;
+mod scalar;
 
 pub use bkt::{BktModel, BktParams};
 pub use calibration::{
@@ -62,3 +65,4 @@ pub use calibration::{
 pub use error::IrtError;
 pub use learning::{cumulative_tasks_after_round, log_tasks, LearningGainModel};
 pub use rasch::RaschItem;
+pub use scalar::minimize_scalar;

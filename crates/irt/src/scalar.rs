@@ -7,8 +7,8 @@
 //! negligible cost (the regression is re-run for every remaining worker in every
 //! elimination round).
 
-use crate::error::OptimError;
 use crate::gradient::{derivative, second_derivative_given};
+use crate::IrtError;
 
 /// Result of a scalar minimisation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -27,20 +27,20 @@ pub struct ScalarMinimum {
 /// is the best of the final bracket endpoints and interior probes. An endpoint
 /// that is a former probe reuses that probe's value, so only an endpoint still
 /// at `lo` or `hi` costs a final evaluation.
-pub fn golden_section_minimize(
+fn golden_section_minimize(
     f: impl Fn(f64) -> f64,
     lo: f64,
     hi: f64,
     tol: f64,
-) -> Result<ScalarMinimum, OptimError> {
+) -> Result<ScalarMinimum, IrtError> {
     if lo >= hi || !lo.is_finite() || !hi.is_finite() {
-        return Err(OptimError::InvalidConfig {
+        return Err(IrtError::InvalidParameter {
             what: "golden-section bracket must be finite with lo < hi",
             value: hi - lo,
         });
     }
     if tol.is_nan() || tol <= 0.0 {
-        return Err(OptimError::InvalidConfig {
+        return Err(IrtError::InvalidParameter {
             what: "golden-section tolerance must be > 0",
             value: tol,
         });
@@ -54,9 +54,9 @@ pub fn golden_section_minimize(
     let mut fd = f(d);
     let mut evaluations = 2;
     if !fc.is_finite() || !fd.is_finite() {
-        return Err(OptimError::NonFiniteObjective {
-            at: format!("golden-section probes {c} / {d}"),
-        });
+        return Err(IrtError::Calibration(format!(
+            "objective evaluated to a non-finite value at golden-section probes {c} / {d}"
+        )));
     }
 
     // An endpoint that moved onto a former probe keeps that probe's value.
@@ -95,8 +95,11 @@ pub fn golden_section_minimize(
         .filter(|(_, v)| v.is_finite())
         .min_by(|x, y| x.1.partial_cmp(&y.1).unwrap_or(std::cmp::Ordering::Equal))
         .copied()
-        .ok_or_else(|| OptimError::NonFiniteObjective {
-            at: "golden-section final bracket".to_string(),
+        .ok_or_else(|| {
+            IrtError::Calibration(
+                "objective evaluated to a non-finite value at golden-section final bracket"
+                    .to_string(),
+            )
         })?;
     Ok(ScalarMinimum {
         x: best.0,
@@ -155,7 +158,7 @@ pub fn minimize_scalar(
     lo: f64,
     hi: f64,
     tol: f64,
-) -> Result<ScalarMinimum, OptimError> {
+) -> Result<ScalarMinimum, IrtError> {
     let coarse = golden_section_minimize(&f, lo, hi, tol)?;
     let polished = polish_from(&f, coarse.x, coarse.value, lo, hi, 8);
     Ok(ScalarMinimum {

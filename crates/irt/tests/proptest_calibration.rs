@@ -9,9 +9,9 @@
 //! `ln(K + 1)` at every evaluation.
 
 use c4u_irt::{
-    calibrate_alpha, learning_objective, PriorDomainObservation, TargetStageObservation,
+    calibrate_alpha, learning_objective, minimize_scalar, PriorDomainObservation,
+    TargetStageObservation,
 };
-use c4u_optim::minimize_scalar;
 use proptest::prelude::*;
 
 /// Golden-section search that evaluates the final bracket endpoints afresh;

@@ -45,7 +45,7 @@ mod vector;
 
 pub use cholesky::Cholesky;
 pub use error::{LinalgError, Result};
-pub use lu::{determinant, inverse, solve, Lu};
+pub use lu::{inverse, solve, Lu};
 pub use matrix::Matrix;
 pub use packed::{packed_index, packed_length, PackedLowerTriangle};
 pub use triangular::{solve_lower_triangular, solve_upper_triangular, SINGULARITY_TOLERANCE};

@@ -17,8 +17,6 @@ use crate::vector::Vector;
 pub struct Lu {
     lu: Matrix,
     perm: Vec<usize>,
-    /// Number of row swaps performed (determines the sign of the determinant).
-    swaps: usize,
 }
 
 impl Lu {
@@ -37,7 +35,6 @@ impl Lu {
         }
         let mut lu = a.clone();
         let mut perm: Vec<usize> = (0..n).collect();
-        let mut swaps = 0;
 
         for k in 0..n {
             // Find the pivot row.
@@ -60,7 +57,6 @@ impl Lu {
                     lu[(pivot_row, j)] = tmp;
                 }
                 perm.swap(k, pivot_row);
-                swaps += 1;
             }
             // Eliminate below the pivot.
             for i in (k + 1)..n {
@@ -72,7 +68,7 @@ impl Lu {
                 }
             }
         }
-        Ok(Self { lu, perm, swaps })
+        Ok(Self { lu, perm })
     }
 
     /// Dimension of the factorised matrix.
@@ -141,19 +137,6 @@ impl Lu {
     pub fn inverse(&self) -> Result<Matrix> {
         self.solve_matrix(&Matrix::identity(self.dim()))
     }
-
-    /// Determinant of the factorised matrix.
-    pub fn determinant(&self) -> f64 {
-        let mut det = if self.swaps.is_multiple_of(2) {
-            1.0
-        } else {
-            -1.0
-        };
-        for i in 0..self.dim() {
-            det *= self.lu[(i, i)];
-        }
-        det
-    }
 }
 
 /// Convenience wrapper: solves `A x = b` by LU factorisation.
@@ -164,18 +147,6 @@ pub fn solve(a: &Matrix, b: &Vector) -> Result<Vector> {
 /// Convenience wrapper: inverse of `a` by LU factorisation.
 pub fn inverse(a: &Matrix) -> Result<Matrix> {
     Lu::new(a)?.inverse()
-}
-
-/// Convenience wrapper: determinant of `a` by LU factorisation.
-///
-/// Returns 0.0 for (numerically) singular matrices instead of an error, which is the
-/// conventional value callers expect.
-pub fn determinant(a: &Matrix) -> Result<f64> {
-    match Lu::new(a) {
-        Ok(lu) => Ok(lu.determinant()),
-        Err(LinalgError::Singular { .. }) => Ok(0.0),
-        Err(e) => Err(e),
-    }
 }
 
 #[cfg(test)]
@@ -212,21 +183,6 @@ mod tests {
         let inv = inverse(&a).unwrap();
         let prod = a.matmul(&inv).unwrap();
         assert!(prod.max_abs_diff(&Matrix::identity(3)).unwrap() < 1e-10);
-    }
-
-    #[test]
-    fn determinant_2x2_and_singular() {
-        let a = Matrix::from_rows(&[vec![3.0, 1.0], vec![2.0, 4.0]]).unwrap();
-        assert!((determinant(&a).unwrap() - 10.0).abs() < 1e-12);
-        let s = Matrix::from_rows(&[vec![1.0, 2.0], vec![2.0, 4.0]]).unwrap();
-        assert!(determinant(&s).unwrap().abs() < 1e-9);
-    }
-
-    #[test]
-    fn determinant_sign_with_permutation() {
-        // This matrix requires a row swap; determinant is -1.
-        let a = Matrix::from_rows(&[vec![0.0, 1.0], vec![1.0, 0.0]]).unwrap();
-        assert!((determinant(&a).unwrap() + 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -276,8 +232,5 @@ mod tests {
         assert_eq!(lu.dim(), 3);
         assert_eq!(solve(&a, &b).unwrap(), lu.solve(&b).unwrap());
         assert_eq!(inverse(&a).unwrap(), lu.inverse().unwrap());
-        assert_eq!(determinant(&a).unwrap(), lu.determinant());
-        assert!((lu.determinant() - (-5.0)).abs() < 1e-12);
-        assert!(determinant(&Matrix::zeros(2, 3)).is_err());
     }
 }

@@ -11,8 +11,9 @@ const SKIP_DIRS: [&str; 4] = ["target", ".git", "vendor", "fixtures"];
 /// ancestor of `CARGO_MANIFEST_DIR` (or the current directory) that holds a
 /// `Cargo.toml` with a `[workspace]` table.
 ///
-/// `C4U_LINT_ROOT` is registered in the `c4u-env` knob table; the linter
-/// itself stays dependency-free and reads the variable directly.
+/// `C4U_LINT_ROOT` is registered in the knob table of `c4u-bench`'s `env`
+/// module; the linter itself stays dependency-free and reads the variable
+/// directly.
 pub fn workspace_root() -> Option<PathBuf> {
     if let Ok(root) = std::env::var("C4U_LINT_ROOT") {
         return Some(PathBuf::from(root));

@@ -9,10 +9,10 @@
 //! selected.
 
 use crate::me::{top_k, ScoredWorker};
+use crate::ols::LinearRegression;
 use crate::selector::{SelectionOutcome, WorkerSelector};
 use crate::SelectionError;
 use c4u_crowd_sim::Platform;
-use c4u_optim::LinearRegression;
 
 /// The Li et al. linear-regression baseline.
 #[derive(Debug, Clone, Default)]

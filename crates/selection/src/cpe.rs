@@ -29,7 +29,7 @@
 //! quadrature sweep per block of ≤ 1024 members of a mask group per epoch; a
 //! group spanning several blocks fans them out over the machine's threads,
 //! bit-identically for every thread count), with the historical
-//! central-difference stencil ([`c4u_optim::gradient_with_step`]) retained as
+//! central-difference stencil ([`gradient_with_step`](crate::gradient_with_step)) retained as
 //! a cross-check ([`CpeGradient::FiniteDifference`], pinned bit-for-bit by
 //! `tests/fd_pinned.rs` and `tests/kernel_equivalence.rs`). The
 //! finite-difference numbers are bit-for-bit identical to the historical
@@ -39,11 +39,10 @@
 
 pub mod kernel;
 
-use crate::SelectionError;
+use crate::{gradient_with_step, SelectionError};
 use c4u_crowd_sim::parallel::run_indexed_jobs;
 use c4u_crowd_sim::{HistoricalProfile, WorkerShards};
 use c4u_linalg::{Matrix, Vector};
-use c4u_optim::gradient_with_step;
 use c4u_stats::{
     mean as stat_mean, nearest_positive_definite, std_dev, GaussLegendre, MultivariateNormal,
     QuadratureMath, Uniform,

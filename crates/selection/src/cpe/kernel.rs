@@ -369,6 +369,12 @@ impl<'a> CpeLikelihoodKernel<'a> {
     ///
     /// With `use_posterior` the posterior incorporates the worker's observed
     /// correct/wrong counts; otherwise only the cross-domain conditional.
+    ///
+    /// A member whose normaliser or posterior mean is non-finite — a
+    /// conditional far narrower than the quadrature rule resolves, so the
+    /// integrand underflows at every node — gets its conditional mean `mu`,
+    /// the `sigma -> 0` limit of the posterior mean. Only a non-finite `mu`
+    /// is an error.
     pub fn predict(
         &self,
         model: &MultivariateNormal,
@@ -399,15 +405,19 @@ impl<'a> CpeLikelihoodKernel<'a> {
                 &mut s.mean,
                 &mut s.quad,
             );
-            for ((&position, &lz), &posterior_mean) in
-                group.members().iter().zip(&s.log_z).zip(&s.mean)
+            for (((&position, &lz), &posterior_mean), &mu) in
+                group.members().iter().zip(&s.log_z).zip(&s.mean).zip(&s.mu)
             {
-                if !lz.is_finite() || !posterior_mean.is_finite() {
+                let prediction = if lz.is_finite() && posterior_mean.is_finite() {
+                    posterior_mean
+                } else if mu.is_finite() {
+                    mu
+                } else {
                     return Err(SelectionError::Numerical(
                         "CPE prediction integral did not converge".to_string(),
                     ));
-                }
-                out[position] = posterior_mean.clamp(0.0, 1.0);
+                };
+                out[position] = prediction.clamp(0.0, 1.0);
             }
         }
         Ok(out)
@@ -560,6 +570,63 @@ mod tests {
             terms.iter().sum::<f64>()
         );
         assert_eq!(kernel.groups().num_unique_masks(), 2);
+    }
+
+    #[test]
+    fn unresolvable_integrals_predict_the_conditional_mean() {
+        // A target-domain sd of 1e-4 leaves every conditional far narrower
+        // than the spacing of the 32 nodes, so log Z underflows for every
+        // member, with and without the answer counts.
+        let observations = vec![
+            obs(&[Some(0.9), Some(0.8)], 5, 5),
+            obs(&[None, Some(0.4)], 3, 7),
+            obs(&[None, None], 0, 0),
+        ];
+        let quadrature = GaussLegendre::new(32);
+        let kernel = CpeLikelihoodKernel::new(&observations, 2, &quadrature);
+        let rho = c4u_stats::Matrix::from_fn(3, 3, |i, j| if i == j { 1.0 } else { 0.4 });
+        let model =
+            MultivariateNormal::from_correlations(&[0.6, 0.6, 0.5], &[0.2, 0.2, 1e-4], &rho)
+                .unwrap();
+        for use_posterior in [false, true] {
+            let predictions = kernel.predict(&model, use_posterior).unwrap();
+            for (o, &prediction) in observations.iter().zip(&predictions) {
+                let (idx, values) = observed_domains(o, 2);
+                let cond = model.condition_on(2, &idx, &values).unwrap();
+                let (c, x) = if use_posterior {
+                    (o.correct as f64, o.wrong as f64)
+                } else {
+                    (0.0, 0.0)
+                };
+                let log_z = binomial_normal_log_z(&quadrature, cond.mean, cond.std_dev(), c, x);
+                assert_eq!(log_z, f64::NEG_INFINITY);
+                assert_eq!(prediction, cond.mean.clamp(0.0, 1.0));
+            }
+        }
+    }
+
+    #[test]
+    fn a_non_finite_conditional_mean_is_still_an_error() {
+        // A NaN profile value makes the member's conditional mean NaN, which
+        // leaves the prediction fallback nothing to fall back to.
+        let observations = vec![
+            obs(&[Some(0.9), Some(0.8)], 5, 5),
+            obs(&[Some(f64::NAN), None], 3, 7),
+        ];
+        let quadrature = GaussLegendre::new(32);
+        let kernel = CpeLikelihoodKernel::new(&observations, 2, &quadrature);
+        let rho = c4u_stats::Matrix::from_fn(3, 3, |i, j| if i == j { 1.0 } else { 0.4 });
+        let model =
+            MultivariateNormal::from_correlations(&[0.6, 0.6, 0.5], &[0.2, 0.2, 0.15], &rho)
+                .unwrap();
+        for use_posterior in [false, true] {
+            assert_eq!(
+                kernel.predict(&model, use_posterior),
+                Err(SelectionError::Numerical(
+                    "CPE prediction integral did not converge".to_string()
+                ))
+            );
+        }
     }
 
     #[test]

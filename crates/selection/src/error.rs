@@ -72,12 +72,6 @@ impl From<c4u_stats::StatsError> for SelectionError {
     }
 }
 
-impl From<c4u_optim::OptimError> for SelectionError {
-    fn from(e: c4u_optim::OptimError) -> Self {
-        SelectionError::Numerical(e.to_string())
-    }
-}
-
 impl From<c4u_irt::IrtError> for SelectionError {
     fn from(e: c4u_irt::IrtError) -> Self {
         SelectionError::Numerical(e.to_string())
@@ -118,8 +112,6 @@ mod tests {
         let e: SelectionError = c4u_crowd_sim::SimError::UnknownWorker { id: 3 }.into();
         assert!(matches!(e, SelectionError::Simulator(_)));
         let e: SelectionError = c4u_stats::StatsError::NotEnoughData { needed: 1, got: 0 }.into();
-        assert!(matches!(e, SelectionError::Numerical(_)));
-        let e: SelectionError = c4u_optim::OptimError::RankDeficient.into();
         assert!(matches!(e, SelectionError::Numerical(_)));
         let e: SelectionError = c4u_irt::IrtError::Calibration("x".into()).into();
         assert!(matches!(e, SelectionError::Numerical(_)));

@@ -56,8 +56,10 @@ mod engine;
 mod error;
 mod evaluation;
 mod framework;
+mod gradient;
 mod lge;
 mod me;
+mod ols;
 mod selector;
 mod stage;
 pub mod theory;
@@ -82,6 +84,7 @@ pub use evaluation::{
 pub use framework::{
     CrossDomainSelector, EstimationMode, PipelineReport, RoundDiagnostics, SelectorConfig,
 };
+pub use gradient::gradient_with_step;
 pub use lge::{LearningGainEstimator, LgeConfig, LgeEstimate, LgeWorkerInput};
 pub use me::{median_eliminate, rounds_until_at_most, sort_by_score, top_k, ScoredWorker};
 pub use selector::{SelectionOutcome, WorkerSelector};

@@ -1,4 +1,5 @@
-//! Ordinary least squares (multiple linear regression).
+//! Ordinary least squares (multiple linear regression) for the Li et al.
+//! baseline.
 //!
 //! The Li et al. baseline of the paper (Sec. V-B) "adopts linear regression on the
 //! multiple features of workers and then selects workers based on the regressed
@@ -8,16 +9,14 @@
 //! (near-)rank-deficient — which happens routinely when every recruited worker has a
 //! similar profile.
 
-use crate::error::OptimError;
+use crate::SelectionError;
 use c4u_linalg::{Lu, Matrix, Vector};
 
 /// A fitted ordinary-least-squares model `y ≈ intercept + x · coefficients`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct LinearRegression {
+pub(crate) struct LinearRegression {
     intercept: f64,
     coefficients: Vec<f64>,
-    /// Coefficient of determination on the training data.
-    r_squared: f64,
 }
 
 impl LinearRegression {
@@ -28,34 +27,30 @@ impl LinearRegression {
     ///
     /// A tiny ridge penalty (`1e-8` on the diagonal of the Gram matrix) is added
     /// automatically if the plain normal equations are singular.
-    pub fn fit(features: &[Vec<f64>], targets: &[f64]) -> Result<Self, OptimError> {
+    pub(crate) fn fit(features: &[Vec<f64>], targets: &[f64]) -> Result<Self, SelectionError> {
         if features.len() != targets.len() {
-            return Err(OptimError::DimensionMismatch {
-                what: "features and targets must have the same number of rows",
-                left: features.len(),
-                right: targets.len(),
-            });
+            return Err(dimension_mismatch(
+                "features and targets must have the same number of rows",
+                features.len(),
+                targets.len(),
+            ));
         }
         let n = features.len();
         if n == 0 {
-            return Err(OptimError::NotEnoughData { needed: 1, got: 0 });
+            return Err(SelectionError::NotEnoughData { needed: 1, got: 0 });
         }
         let p = features[0].len();
-        if features.iter().any(|row| row.len() != p) {
-            return Err(OptimError::DimensionMismatch {
-                what: "all feature rows must have the same length",
-                left: p,
-                right: features
-                    .iter()
-                    .map(|r| r.len())
-                    .find(|&l| l != p)
-                    .unwrap_or(p),
-            });
+        if let Some(row) = features.iter().find(|row| row.len() != p) {
+            return Err(dimension_mismatch(
+                "all feature rows must have the same length",
+                p,
+                row.len(),
+            ));
         }
         if n < p + 1 {
             // Not strictly required thanks to the ridge fallback, but fitting more
             // parameters than observations is a caller bug in this workspace.
-            return Err(OptimError::NotEnoughData {
+            return Err(SelectionError::NotEnoughData {
                 needed: p + 1,
                 got: n,
             });
@@ -69,63 +64,29 @@ impl LinearRegression {
         );
         let y = Vector::from_slice(targets);
         let xt = x.transpose();
-        let gram = xt.matmul(&x).map_err(to_optim)?;
-        let rhs = xt.matvec(&y).map_err(to_optim)?;
+        let gram = xt.matmul(&x)?;
+        let rhs = xt.matvec(&y)?;
 
         let beta = match Lu::new(&gram).and_then(|lu| lu.solve(&rhs)) {
             Ok(beta) => beta,
             Err(_) => {
                 // Ridge fallback for rank-deficient designs.
-                let ridged = gram.add_diagonal(1e-8).map_err(to_optim)?;
+                let ridged = gram.add_diagonal(1e-8)?;
                 Lu::new(&ridged)
                     .and_then(|lu| lu.solve(&rhs))
-                    .map_err(|_| OptimError::RankDeficient)?
+                    .map_err(|_| {
+                        SelectionError::Numerical("design matrix is rank deficient".to_string())
+                    })?
             }
         };
 
         let intercept = beta[0];
         let coefficients: Vec<f64> = (1..=p).map(|j| beta[j]).collect();
 
-        // R^2 on the training data.
-        let mean_y = targets.iter().sum::<f64>() / n as f64;
-        let mut ss_res = 0.0;
-        let mut ss_tot = 0.0;
-        for (row, &t) in features.iter().zip(targets.iter()) {
-            let pred = intercept
-                + row
-                    .iter()
-                    .zip(coefficients.iter())
-                    .map(|(a, b)| a * b)
-                    .sum::<f64>();
-            ss_res += (t - pred) * (t - pred);
-            ss_tot += (t - mean_y) * (t - mean_y);
-        }
-        let r_squared = if ss_tot <= 0.0 {
-            1.0
-        } else {
-            1.0 - ss_res / ss_tot
-        };
-
         Ok(Self {
             intercept,
             coefficients,
-            r_squared,
         })
-    }
-
-    /// Intercept term.
-    pub fn intercept(&self) -> f64 {
-        self.intercept
-    }
-
-    /// Feature coefficients (one per feature column, in order).
-    pub fn coefficients(&self) -> &[f64] {
-        &self.coefficients
-    }
-
-    /// Coefficient of determination on the training data.
-    pub fn r_squared(&self) -> f64 {
-        self.r_squared
     }
 
     /// Predicts the response for one feature row.
@@ -133,13 +94,13 @@ impl LinearRegression {
     /// Rows shorter than the fitted coefficient vector are treated as having zeros in
     /// the missing positions (this is how workers lacking some prior-domain history
     /// are scored by the Li et al. baseline); longer rows are an error.
-    pub fn predict(&self, features: &[f64]) -> Result<f64, OptimError> {
+    pub(crate) fn predict(&self, features: &[f64]) -> Result<f64, SelectionError> {
         if features.len() > self.coefficients.len() {
-            return Err(OptimError::DimensionMismatch {
-                what: "feature row longer than fitted coefficients",
-                left: features.len(),
-                right: self.coefficients.len(),
-            });
+            return Err(dimension_mismatch(
+                "feature row longer than fitted coefficients",
+                features.len(),
+                self.coefficients.len(),
+            ));
         }
         Ok(self.intercept
             + features
@@ -150,19 +111,30 @@ impl LinearRegression {
     }
 }
 
-fn to_optim(e: c4u_linalg::LinalgError) -> OptimError {
-    match e {
-        c4u_linalg::LinalgError::Singular { .. } => OptimError::RankDeficient,
-        _ => OptimError::InvalidConfig {
-            what: "linear algebra failure in OLS",
-            value: f64::NAN,
-        },
-    }
+fn dimension_mismatch(what: &str, left: usize, right: usize) -> SelectionError {
+    SelectionError::Numerical(format!("dimension mismatch: {what} ({left} vs {right})"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Coefficient of determination of `model` on its training data.
+    fn r_squared(model: &LinearRegression, features: &[Vec<f64>], targets: &[f64]) -> f64 {
+        let mean_y = targets.iter().sum::<f64>() / targets.len() as f64;
+        let mut ss_res = 0.0;
+        let mut ss_tot = 0.0;
+        for (row, &t) in features.iter().zip(targets.iter()) {
+            let pred = model.predict(row).unwrap();
+            ss_res += (t - pred) * (t - pred);
+            ss_tot += (t - mean_y) * (t - mean_y);
+        }
+        if ss_tot <= 0.0 {
+            1.0
+        } else {
+            1.0 - ss_res / ss_tot
+        }
+    }
 
     #[test]
     fn exact_linear_relationship_is_recovered() {
@@ -176,10 +148,10 @@ mod tests {
         ];
         let targets: Vec<f64> = features.iter().map(|r| 2.0 + 3.0 * r[0] - r[1]).collect();
         let model = LinearRegression::fit(&features, &targets).unwrap();
-        assert!((model.intercept() - 2.0).abs() < 1e-8);
-        assert!((model.coefficients()[0] - 3.0).abs() < 1e-8);
-        assert!((model.coefficients()[1] + 1.0).abs() < 1e-8);
-        assert!((model.r_squared() - 1.0).abs() < 1e-9);
+        assert!((model.intercept - 2.0).abs() < 1e-8);
+        assert!((model.coefficients[0] - 3.0).abs() < 1e-8);
+        assert!((model.coefficients[1] + 1.0).abs() < 1e-8);
+        assert!((r_squared(&model, &features, &targets) - 1.0).abs() < 1e-9);
         assert!((model.predict(&[4.0, 4.0]).unwrap() - (2.0 + 12.0 - 4.0)).abs() < 1e-8);
     }
 
@@ -192,8 +164,8 @@ mod tests {
             .map(|(i, r)| 1.0 + 0.5 * r[0] + if i % 2 == 0 { 0.05 } else { -0.05 })
             .collect();
         let model = LinearRegression::fit(&features, &targets).unwrap();
-        assert!((model.coefficients()[0] - 0.5).abs() < 0.05);
-        assert!(model.r_squared() > 0.95);
+        assert!((model.coefficients[0] - 0.5).abs() < 0.05);
+        assert!(r_squared(&model, &features, &targets) > 0.95);
     }
 
     #[test]
@@ -229,7 +201,7 @@ mod tests {
         let targets = vec![5.0, 5.0, 5.0];
         let model = LinearRegression::fit(&features, &targets).unwrap();
         assert!((model.predict(&[10.0]).unwrap() - 5.0).abs() < 1e-6);
-        assert_eq!(model.r_squared(), 1.0);
+        assert_eq!(r_squared(&model, &features, &targets), 1.0);
     }
 
     #[test]
@@ -254,7 +226,7 @@ mod tests {
         let features = vec![vec![], vec![], vec![]];
         let targets = vec![1.0, 2.0, 3.0];
         let model = LinearRegression::fit(&features, &targets).unwrap();
-        assert!((model.intercept() - 2.0).abs() < 1e-9);
+        assert!((model.intercept - 2.0).abs() < 1e-9);
         assert!((model.predict(&[]).unwrap() - 2.0).abs() < 1e-9);
     }
 
@@ -263,15 +235,11 @@ mod tests {
         let features = vec![vec![0.0], vec![1.0], vec![2.0], vec![3.0], vec![4.0]];
         let targets = [1.0, 2.5, 2.0, 4.5, 4.0];
         let model = LinearRegression::fit(&features, &targets).unwrap();
-        let mean = targets.iter().sum::<f64>() / 5.0;
-        let (mut ss_res, mut ss_tot) = (0.0, 0.0);
-        for (row, &t) in features.iter().zip(&targets) {
-            ss_res += (t - model.predict(row).unwrap()).powi(2);
-            ss_tot += (t - mean).powi(2);
-        }
-        assert!((model.r_squared() - (1.0 - ss_res / ss_tot)).abs() < 1e-12);
+        // Residuals -0.2, 0.5, -0.8, 0.9, -0.4 around the fitted line and a
+        // mean of 2.8: R^2 = 1 - 1.9 / 8.3.
+        assert!((r_squared(&model, &features, &targets) - (1.0 - 1.9 / 8.3)).abs() < 1e-12);
         // Slope 0.8, intercept 1.2 by the closed form.
-        assert!((model.coefficients()[0] - 0.8).abs() < 1e-12);
-        assert!((model.intercept() - 1.2).abs() < 1e-12);
+        assert!((model.coefficients[0] - 0.8).abs() < 1e-12);
+        assert!((model.intercept - 1.2).abs() < 1e-12);
     }
 }

@@ -136,7 +136,7 @@ proptest! {
                 .log_likelihood(&MultivariateNormal::new(m, c).unwrap())
                 .unwrap()
         };
-        let fd = c4u_optim::gradient_with_step(objective, &params, STEP);
+        let fd = c4u_selection::gradient_with_step(objective, &params, STEP);
 
         let packed = analytic.packed();
         prop_assert_eq!(packed.len(), fd.len());

@@ -14,9 +14,9 @@
 mod reference;
 
 use c4u_crowd_sim::HistoricalProfile;
-use c4u_optim::gradient_with_step;
 use c4u_selection::{
-    observed_domains, CpeConfig, CpeLikelihoodKernel, CpeObservation, CrossDomainEstimator,
+    gradient_with_step, observed_domains, CpeConfig, CpeLikelihoodKernel, CpeObservation,
+    CrossDomainEstimator,
 };
 use c4u_stats::{nearest_positive_definite, GaussLegendre, MultivariateNormal, Vector};
 use proptest::prelude::*;

@@ -11,9 +11,9 @@
 // unused remainder would otherwise trip per-binary dead-code lints.
 #![allow(dead_code)]
 
-use c4u_optim::gradient_with_step;
 use c4u_selection::{
-    binomial_normal_moments, observed_domains, CpeConfig, CpeObservation, CrossDomainEstimator,
+    binomial_normal_moments, gradient_with_step, observed_domains, CpeConfig, CpeObservation,
+    CrossDomainEstimator,
 };
 // Matrix/Vector via the stats re-exports: every including crate depends on
 // c4u-stats, but not all of them on c4u-linalg directly.

@@ -8,11 +8,12 @@
 //!
 //! * [`linalg`] — dense vectors/matrices, LU, Cholesky;
 //! * [`stats`] — descriptive stats, quadrature, (truncated) multivariate normals;
-//! * [`optim`] — the central-difference gradient stencil, OLS, scalar minimisation;
-//! * [`irt`] — Rasch items, learning-gain curves, alpha calibration;
+//! * [`irt`] — Rasch items, learning-gain curves, alpha calibration and its
+//!   scalar minimiser;
 //! * [`crowd_sim`] — dataset generator and the simulated crowdsourcing platform;
-//! * [`selection`] — CPE/LGE/ME stages, the stage pipeline, baselines, and the
-//!   parallel evaluation engine.
+//! * [`selection`] — CPE/LGE/ME stages, the stage pipeline, the
+//!   central-difference gradient cross-check, baselines, and the parallel
+//!   evaluation engine.
 //!
 //! The `examples/` directory holds runnable end-to-end walkthroughs and the
 //! `tests/` directory the cross-crate integration suite; see the workspace
@@ -31,6 +32,5 @@ pub struct ReadmeDoctests;
 pub use c4u_crowd_sim as crowd_sim;
 pub use c4u_irt as irt;
 pub use c4u_linalg as linalg;
-pub use c4u_optim as optim;
 pub use c4u_selection as selection;
 pub use c4u_stats as stats;

@@ -2,7 +2,9 @@
 //! `BENCH_*.json` — must exist at the workspace root, and every bench target
 //! cited as `--bench <name>` (or listed in CI's `bench-smoke` matrix) must be
 //! a `[[bench]]` of `crates/bench/Cargo.toml`, so deleting or renaming a
-//! document or a bench cannot leave dangling references behind.
+//! document or a bench cannot leave dangling references behind. Likewise the
+//! crate lists of `ARCHITECTURE.md` and `README.md` must name exactly the
+//! `crates/*` packages, and `default-members` must cover every member.
 //!
 //! Scanned: every `.rs` file of the workspace, plus the root `README.md` and
 //! `ARCHITECTURE.md` (and, for bench names, the verify skill). Skipped: build
@@ -175,4 +177,84 @@ fn the_scanner_finds_both_name_shapes() {
     let report = concat!("BENCH_", "e2e.json");
     let text = format!("see `README.md`, ../x/ARCHITECTURE.md and {report}; not notes.mdx or *.md");
     assert_eq!(cited_files(&text), ["README.md", "ARCHITECTURE.md", report]);
+}
+
+/// The quoted entries of the `key = [..]` array in a Cargo manifest.
+fn manifest_array(manifest: &str, key: &str) -> Vec<String> {
+    let start = manifest
+        .lines()
+        .position(|line| line.starts_with(&format!("{key} = [")))
+        .unwrap_or_else(|| panic!("no `{key}` array"));
+    manifest
+        .lines()
+        .skip(start + 1)
+        .take_while(|line| !line.starts_with(']'))
+        .map(|line| {
+            line.trim()
+                .trim_end_matches(',')
+                .trim_matches('"')
+                .to_string()
+        })
+        .collect()
+}
+
+fn sorted(mut names: Vec<String>) -> Vec<String> {
+    names.sort();
+    names
+}
+
+#[test]
+fn crate_lists_match_the_workspace() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let read = |path: &str| fs::read_to_string(root.join(path)).unwrap();
+    let packages = sorted(
+        fs::read_dir(root.join("crates"))
+            .unwrap()
+            .map(|entry| {
+                let manifest =
+                    fs::read_to_string(entry.unwrap().path().join("Cargo.toml")).unwrap();
+                let name = manifest
+                    .lines()
+                    .find_map(|line| line.strip_prefix("name = "))
+                    .expect("package name");
+                name.trim_matches('"').to_string()
+            })
+            .collect(),
+    );
+
+    // ARCHITECTURE.md: the first column of the crate-map table.
+    let architecture = read("ARCHITECTURE.md");
+    let map = architecture
+        .split("\n## ")
+        .find(|section| section.starts_with("Crate map"))
+        .expect("ARCHITECTURE.md crate map");
+    let mapped = map
+        .lines()
+        .filter_map(|line| line.strip_prefix("| `"))
+        .map(|row| row[..row.find('`').unwrap()].to_string())
+        .collect();
+    assert_eq!(sorted(mapped), packages, "ARCHITECTURE.md crate map");
+
+    // README.md: the `(c4u-*)` labels of the `crates/` tree.
+    let readme = read("README.md");
+    let tree = &readme[readme.find("\ncrates/\n").expect("README.md crates/ tree")..];
+    let listed = tree
+        .lines()
+        .skip(2)
+        .take_while(|line| line.starts_with("  "))
+        .map(|line| {
+            let label = &line[line.rfind('(').expect("(c4u-*) label") + 1..];
+            label.trim_end_matches(')').to_string()
+        })
+        .collect();
+    assert_eq!(sorted(listed), packages, "README.md crates/ tree");
+
+    // Plain `cargo test` from the root covers every member.
+    let manifest = read("Cargo.toml");
+    let mut members = manifest_array(&manifest, "members");
+    members.push(".".to_string());
+    assert_eq!(
+        sorted(manifest_array(&manifest, "default-members")),
+        sorted(members)
+    );
 }

@@ -112,3 +112,22 @@ fn selection_beats_random_choice_on_average() {
         pool_mean
     );
 }
+
+#[test]
+fn a_degenerate_conditional_does_not_abort_the_campaign() {
+    // In this RW-2 draw one mask group's conditional target-domain sd falls
+    // to ~3.7e-4, below what the 32-node rule resolves, so its Eq. 8
+    // integrals underflow; those members fall back to their conditional mean
+    // instead of failing the whole campaign.
+    let config = DatasetConfig::rw2().with_seed(4_526_831_658_196_502_239);
+    let dataset = generate(&config).unwrap();
+    let mut platform = Platform::from_dataset(&dataset, 264_332_156_737_082_540).unwrap();
+    let report = CrossDomainSelector::new(SelectorConfig::default())
+        .run(&mut platform, config.select_k)
+        .unwrap();
+    let mut selected = report.outcome.selected.clone();
+    selected.sort_unstable();
+    selected.dedup();
+    assert_eq!(selected.len(), config.select_k);
+    assert!(selected.iter().all(|&w| platform.is_active(w)));
+}
