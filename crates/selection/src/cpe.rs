@@ -25,29 +25,35 @@
 //! cached conditioning factorisation per unique mask
 //! ([`c4u_stats::Conditioner`]) instead of one per worker. The gradient step of
 //! Eq. 6–7 is selected by [`CpeConfig::gradient_oracle`]: by default the
-//! closed-form [`kernel::gradient::AnalyticCpeOracle`] (one vectorised
-//! quadrature sweep per block of ≤ 1024 members of a mask group per epoch; a
-//! group spanning several blocks fans them out over the machine's threads,
-//! bit-identically for every thread count), with the historical
-//! central-difference stencil ([`gradient_with_step`](crate::gradient_with_step)) retained as
-//! a cross-check ([`CpeGradient::FiniteDifference`], pinned bit-for-bit by
-//! `tests/fd_pinned.rs` and `tests/kernel_equivalence.rs`). The
-//! finite-difference numbers are bit-for-bit identical to the historical
-//! per-observation code; the analytic oracle agrees with the stencil to
-//! stencil accuracy (`tests/proptest_gradient.rs`) while cutting likelihood
-//! sweeps per epoch from `2 x (D+1)(D+4)/2` to one.
+//! closed-form [`CpeLikelihoodKernel::log_likelihood_gradient`], called on
+//! the model built from the parameters the estimator holds and applied to
+//! them directly (one vectorised quadrature sweep per block of ≤ 1024 members
+//! of a mask group per epoch; a group spanning several blocks fans them out
+//! over the machine's threads, bit-identically for every thread count), with
+//! the historical central-difference stencil
+//! ([`gradient_with_step`](crate::gradient_with_step)) over the packed
+//! parameters retained as a cross-check ([`CpeGradient::FiniteDifference`],
+//! pinned bit-for-bit by `tests/fd_pinned.rs` and
+//! `tests/kernel_equivalence.rs`). The finite-difference numbers are
+//! bit-for-bit identical to the historical per-observation code; the analytic
+//! gradient agrees with the stencil to stencil accuracy
+//! (`tests/proptest_gradient.rs`) while cutting likelihood sweeps per epoch
+//! from `2 x (D+1)(D+4)/2` to one.
+//!
+//! The estimator holds its model as one factorised [`MultivariateNormal`],
+//! rebuilt once at the end of every `update()`; predictions and likelihood
+//! evaluations share it instead of refactorising it per call.
 
 pub mod kernel;
 
 use crate::{gradient_with_step, SelectionError};
 use c4u_crowd_sim::parallel::run_indexed_jobs;
 use c4u_crowd_sim::{HistoricalProfile, WorkerShards};
-use c4u_linalg::{Matrix, Vector};
+use c4u_linalg::{packed_index, Matrix, Vector};
 use c4u_stats::{
     mean as stat_mean, nearest_positive_definite, std_dev, GaussLegendre, MultivariateNormal,
     QuadratureMath, Uniform,
 };
-use kernel::gradient::AnalyticCpeOracle;
 use kernel::CpeLikelihoodKernel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -66,18 +72,21 @@ const CORRELATION_SEED: u64 = 21;
 /// likelihood kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum CpeGradient {
-    /// Closed-form Eq. 6–7 gradients ([`kernel::gradient::AnalyticCpeOracle`]):
-    /// one vectorised quadrature sweep per block of ≤ 1024 members of a
-    /// missing-domain mask group per epoch, backpropagated through the
-    /// conditioning map. The default — it
+    /// Closed-form Eq. 6–7 gradients
+    /// ([`CpeLikelihoodKernel::log_likelihood_gradient`] of the model the
+    /// epoch starts from): one vectorised quadrature sweep per block of ≤ 1024
+    /// members of a missing-domain mask group per epoch, backpropagated
+    /// through the conditioning map onto the mean and the covariance
+    /// triangle. A model that fails to build or evaluate takes a zero step.
+    /// The default — it
     /// agrees with the central-difference stencil to stencil accuracy
     /// (`tests/proptest_gradient.rs`) at `O(1)` likelihood sweeps per epoch
     /// instead of `2 x (D+1)(D+4)/2`.
     #[default]
     Analytic,
     /// Central finite differences over the marginal log-likelihood with a fixed
-    /// absolute stencil step (the historical behaviour; kept as the cross-check
-    /// for the analytic oracle).
+    /// absolute stencil step over the packed parameters (the historical
+    /// behaviour; kept as the cross-check for the analytic gradient).
     FiniteDifference {
         /// Absolute step of the central-difference stencil.
         step: f64,
@@ -215,9 +224,9 @@ impl CpeObservation {
 #[derive(Debug, Clone)]
 pub struct CrossDomainEstimator {
     config: CpeConfig,
-    num_prior_domains: usize,
-    mean: Vec<f64>,
-    covariance: Matrix,
+    /// The current model, factorised once per `update()` and shared by every
+    /// prediction and likelihood evaluation until the next one.
+    model: MultivariateNormal,
     quadrature: GaussLegendre,
 }
 
@@ -279,41 +288,35 @@ impl CrossDomainEstimator {
 
         Ok(Self {
             config,
-            num_prior_domains: d,
-            mean: means,
-            covariance,
+            model: MultivariateNormal::new(Vector::from_vec(means), covariance)?,
             quadrature: GaussLegendre::new(config.quadrature_order),
         })
     }
 
     /// Number of prior domains `D`.
     pub fn num_prior_domains(&self) -> usize {
-        self.num_prior_domains
+        self.model.dim() - 1
     }
 
     /// Current mean vector `[mu_1, ..., mu_D, mu_T]`.
     pub fn mean(&self) -> &[f64] {
-        &self.mean
+        self.model.mean().as_slice()
     }
 
     /// Current covariance matrix.
     pub fn covariance(&self) -> &Matrix {
-        &self.covariance
+        self.model.covariance()
     }
 
     /// Estimated correlation between prior domain `d` and the target domain — the
     /// quantity reported in the Sec. V-H discussion (P-F / F-F / E-F etc.).
     pub fn target_correlation(&self, d: usize) -> Result<f64, SelectionError> {
-        let model = self.model()?;
-        Ok(model.correlation(d, self.num_prior_domains)?)
+        Ok(self.model.correlation(d, self.num_prior_domains())?)
     }
 
     /// The current multivariate-normal model.
-    pub fn model(&self) -> Result<MultivariateNormal, SelectionError> {
-        Ok(MultivariateNormal::new(
-            Vector::from_slice(&self.mean),
-            self.covariance.clone(),
-        )?)
+    pub fn model(&self) -> &MultivariateNormal {
+        &self.model
     }
 
     /// Marginal log-likelihood of a set of observations under the current model
@@ -321,11 +324,11 @@ impl CrossDomainEstimator {
     pub fn log_likelihood(&self, observations: &[CpeObservation]) -> Result<f64, SelectionError> {
         let kernel = CpeLikelihoodKernel::new_with_math(
             observations,
-            self.num_prior_domains,
+            self.num_prior_domains(),
             &self.quadrature,
             self.config.quadrature_math,
         );
-        kernel.log_likelihood(&self.model()?)
+        kernel.log_likelihood(&self.model)
     }
 
     /// Performs one round of the gradient-ascent update of Eq. 6–7: `epochs` steps on
@@ -336,35 +339,47 @@ impl CrossDomainEstimator {
     /// evaluation of the gradient then factorises one conditioner per
     /// unique missing-domain mask instead of one per worker, which is where the
     /// `O(workers / unique_masks)` speedup of the batched kernel comes from.
+    ///
+    /// The held model is rebuilt once, after the last epoch; an error leaves
+    /// it as it was before the call.
     pub fn update(&mut self, observations: &[CpeObservation]) -> Result<(), SelectionError> {
         if observations.is_empty() {
             return Ok(());
         }
-        let d = self.num_prior_domains;
-        let n_mean = d + 1;
-        let n_cov = (d + 1) * (d + 2) / 2;
-        // Field-level borrow: the epoch loop below mutates `mean`/`covariance`,
-        // which are disjoint from the quadrature the kernel holds. One kernel
-        // serves every epoch, so its scratch buffers are grown once and reused
-        // by all `epochs x unique_masks` sweeps.
+        let d = self.num_prior_domains();
+        let min_variance = self.config.min_variance;
+        // One kernel serves every epoch, so its scratch buffers are grown once
+        // and reused by all `epochs x unique_masks` sweeps.
         let kernel = CpeLikelihoodKernel::new_with_math(
             observations,
             d,
             &self.quadrature,
             self.config.quadrature_math,
         );
+        // The parameters the epochs step; the model is rebuilt from them once
+        // the round is done.
+        let mut mean = self.model.mean().as_slice().to_vec();
+        let mut covariance = self.model.covariance().clone();
 
         for _ in 0..self.config.epochs {
-            // Pack the current parameters.
-            let mut params = Vec::with_capacity(n_mean + n_cov);
-            params.extend_from_slice(&self.mean);
-            params.extend(lower_triangle(&self.covariance));
-
-            let grad = match self.config.gradient_oracle {
+            match self.config.gradient_oracle {
                 CpeGradient::Analytic => {
-                    AnalyticCpeOracle::new(&kernel, d, self.config.min_variance).gradient(&params)
+                    // A model that fails to build or to evaluate takes a zero
+                    // step this epoch instead of poisoning the parameters.
+                    let gradient = projected_model(&mean, &covariance, min_variance)
+                        .and_then(|model| kernel.log_likelihood_gradient(&model));
+                    if let Ok(gradient) = gradient {
+                        self.ascend(
+                            &mut mean,
+                            &mut covariance,
+                            &gradient.d_mean,
+                            gradient.d_covariance.as_slice(),
+                        );
+                    }
                 }
                 CpeGradient::FiniteDifference { step } => {
+                    let mut params = mean.clone();
+                    params.extend(lower_triangle(&covariance));
                     let objective = |p: &[f64]| {
                         // Negative log-likelihood of the unpacked parameters.
                         // Both `Err` AND non-finite `Ok` values map to the
@@ -378,24 +393,44 @@ impl CrossDomainEstimator {
                             _ => OBJECTIVE_PENALTY,
                         }
                     };
-                    gradient_with_step(objective, &params, step)
+                    let ascent: Vec<f64> = gradient_with_step(objective, &params, step)
+                        .iter()
+                        .map(|g| -g)
+                        .collect();
+                    self.ascend(&mut mean, &mut covariance, &ascent[..=d], &ascent[d + 1..]);
                 }
-            };
-
-            // Apply the two learning rates (Eq. 6 for the mean, Eq. 7 for Sigma).
-            for (i, value) in self.mean.iter_mut().enumerate() {
-                let g = grad[i].clamp(-1e6, 1e6);
-                *value = (*value - self.config.mean_learning_rate * g).clamp(0.01, 0.99);
             }
-            let mut tri = lower_triangle(&self.covariance);
-            for (j, value) in tri.iter_mut().enumerate() {
-                let g = grad[n_mean + j].clamp(-1e6, 1e6);
-                *value -= self.config.covariance_learning_rate * g;
+            for value in &mut mean {
+                *value = value.clamp(0.01, 0.99);
             }
-            let candidate = from_lower_triangle(&tri, d + 1);
-            self.covariance = nearest_positive_definite(&candidate, self.config.min_variance)?;
+            covariance = nearest_positive_definite(&covariance, min_variance)?;
         }
+        self.model = MultivariateNormal::new(Vector::from_vec(mean), covariance)?;
         Ok(())
+    }
+
+    /// One Eq. 6–7 ascent step along the log-likelihood gradient: `d_mean`
+    /// for the mean, `d_covariance` over the packed lower triangle of the
+    /// covariance, each entry clamped to `±1e6` and scaled by its block's
+    /// learning rate. A covariance entry is written to both mirror positions.
+    fn ascend(
+        &self,
+        mean: &mut [f64],
+        covariance: &mut Matrix,
+        d_mean: &[f64],
+        d_covariance: &[f64],
+    ) {
+        for (value, g) in mean.iter_mut().zip(d_mean) {
+            *value += self.config.mean_learning_rate * g.clamp(-1e6, 1e6);
+        }
+        for i in 0..covariance.nrows() {
+            for j in 0..=i {
+                let g = d_covariance[packed_index(i, j)].clamp(-1e6, 1e6);
+                let value = covariance[(i, j)] + self.config.covariance_learning_rate * g;
+                covariance[(i, j)] = value;
+                covariance[(j, i)] = value;
+            }
+        }
     }
 
     fn objective_at(
@@ -403,11 +438,9 @@ impl CrossDomainEstimator {
         params: &[f64],
         kernel: &CpeLikelihoodKernel<'_>,
     ) -> Result<f64, SelectionError> {
-        let d = self.num_prior_domains;
-        let mean = &params[..d + 1];
-        let cov = from_lower_triangle(&params[d + 1..], d + 1);
-        let cov = nearest_positive_definite(&cov, self.config.min_variance)?;
-        let model = MultivariateNormal::new(Vector::from_slice(mean), cov)?;
+        let dim = self.num_prior_domains() + 1;
+        let covariance = from_lower_triangle(&params[dim..], dim);
+        let model = projected_model(&params[..dim], &covariance, self.config.min_variance)?;
         Ok(-kernel.log_likelihood(&model)?)
     }
 
@@ -433,11 +466,11 @@ impl CrossDomainEstimator {
     ) -> Result<Vec<f64>, SelectionError> {
         let kernel = CpeLikelihoodKernel::new_with_math(
             observations,
-            self.num_prior_domains,
+            self.num_prior_domains(),
             &self.quadrature,
             self.config.quadrature_math,
         );
-        kernel.predict(&self.model()?, self.config.use_posterior_prediction)
+        kernel.predict(&self.model, self.config.use_posterior_prediction)
     }
 
     /// [`Self::predict_batch`] over an explicit worker-range partition: each
@@ -464,19 +497,33 @@ impl CrossDomainEstimator {
         if shards.num_shards() <= 1 {
             return self.predict_batch(observations);
         }
-        let model = self.model()?;
         let num_shards = shards.num_shards();
         let per_shard: Vec<Vec<f64>> = run_indexed_jobs(num_shards, num_shards, |shard| {
             let kernel = CpeLikelihoodKernel::new_with_math(
                 &observations[shards.range(shard)],
-                self.num_prior_domains,
+                self.num_prior_domains(),
                 &self.quadrature,
                 self.config.quadrature_math,
             );
-            kernel.predict(&model, self.config.use_posterior_prediction)
+            kernel.predict(&self.model, self.config.use_posterior_prediction)
         })?;
         Ok(per_shard.into_iter().flatten().collect())
     }
+}
+
+/// The model the Eq. 5 likelihood is evaluated at for the parameters
+/// `(mean, covariance)`: the covariance projected by
+/// [`nearest_positive_definite`] first.
+fn projected_model(
+    mean: &[f64],
+    covariance: &Matrix,
+    min_variance: f64,
+) -> Result<MultivariateNormal, SelectionError> {
+    let covariance = nearest_positive_definite(covariance, min_variance)?;
+    Ok(MultivariateNormal::new(
+        Vector::from_slice(mean),
+        covariance,
+    )?)
 }
 
 /// Lower-triangle (row-major) packing of a symmetric matrix.
@@ -726,7 +773,10 @@ mod tests {
             "log-likelihood should not decrease: {before} -> {after}"
         );
         // The model stays usable after the update.
-        assert!(est.model().is_ok());
+        for d in 0..3 {
+            let rho = est.target_correlation(d).unwrap();
+            assert!((-1.0..=1.0).contains(&rho), "rho {rho}");
+        }
         let p = est.predict(&observations[0]).unwrap();
         assert!((0.0..=1.0).contains(&p));
     }
@@ -737,7 +787,7 @@ mod tests {
         // so the objective comes back Ok(+inf) rather than Err. Before the
         // penalty mapping covered non-finite Ok values, the FD stencil computed
         // `inf - inf = NaN` and the clamp pushed NaN straight into the mean and
-        // covariance; the analytic oracle must likewise skip the underflowed
+        // covariance; the analytic gradient must likewise skip the underflowed
         // terms instead of poisoning the accumulator.
         let profiles = profiles();
         let refs: Vec<&HistoricalProfile> = profiles.iter().collect();
@@ -772,7 +822,13 @@ mod tests {
             // The penalty surface is flat, so the underflowed evidence moves
             // nothing — and the model stays usable.
             assert_eq!(est.mean(), before_mean.as_slice(), "{oracle:?}");
-            assert!(est.model().is_ok());
+            let fresh = CpeObservation {
+                correct: 0,
+                wrong: 0,
+                ..observations[0].clone()
+            };
+            let p = est.predict(&fresh).unwrap();
+            assert!((0.0..=1.0).contains(&p), "{oracle:?}: prediction {p}");
         }
     }
 
@@ -816,6 +872,21 @@ mod tests {
         assert_eq!(tri.len(), 6);
         let back = from_lower_triangle(&tri, 3);
         assert!(back.max_abs_diff(&m).unwrap() < 1e-12);
+    }
+
+    #[test]
+    fn held_covariance_stays_exactly_symmetric() {
+        // The analytic arm steps the held covariance in place where the
+        // finite-difference arm packs and unpacks its lower triangle; the two
+        // agree bit for bit only because every held covariance is exactly
+        // symmetric, so the packing round trip is the identity.
+        let mut est = estimator();
+        for _ in 0..2 {
+            let held = est.covariance().clone();
+            assert!(held.is_symmetric(0.0));
+            assert_eq!(from_lower_triangle(&lower_triangle(&held), 4), held);
+            est.update(&mixed_observations()).unwrap();
+        }
     }
 
     #[test]

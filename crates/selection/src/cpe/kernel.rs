@@ -27,7 +27,7 @@
 //!
 //! The factorisation count per `update()` therefore drops from
 //! `O(epochs x params x workers)` to `O(epochs x params x unique_masks)` —
-//! and with the closed-form Eq. 6–7 oracle of the [`gradient`] sub-layer (the
+//! and with the closed-form Eq. 6–7 gradient of the [`gradient`] sub-layer (the
 //! default), the `params` factor disappears entirely: one vectorised sweep
 //! per block of ≤ 1024 members of a mask group per epoch. Groups larger than
 //! one block fan their blocks out over the machine's threads; the reduction

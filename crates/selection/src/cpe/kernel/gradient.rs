@@ -40,11 +40,10 @@
 //! `CrossDomainEstimator::update` guards against.
 
 use super::{BlockScratch, CpeLikelihoodKernel, GRADIENT_BLOCK};
-use crate::cpe::from_lower_triangle;
 use crate::SelectionError;
 use c4u_crowd_sim::parallel::run_indexed_jobs;
-use c4u_linalg::{packed_length, PackedLowerTriangle, Vector};
-use c4u_stats::{nearest_positive_definite, Conditioner, LogZGradient, MultivariateNormal};
+use c4u_linalg::PackedLowerTriangle;
+use c4u_stats::{Conditioner, LogZGradient, MultivariateNormal};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// The Eq. 5 log-likelihood together with its closed-form Eq. 6–7 gradient in
@@ -62,8 +61,9 @@ pub struct LikelihoodGradient {
 }
 
 impl LikelihoodGradient {
-    /// The gradient flattened into the estimator's packed parameter layout:
-    /// mean entries first, then the row-major packed covariance triangle.
+    /// The gradient flattened into the packed parameter layout the
+    /// finite-difference stencil differentiates over: mean entries first,
+    /// then the row-major packed covariance triangle.
     pub fn packed(&self) -> Vec<f64> {
         let mut out = Vec::with_capacity(self.d_mean.len() + self.d_covariance.as_slice().len());
         out.extend_from_slice(&self.d_mean);
@@ -212,119 +212,15 @@ fn lock(block: &Mutex<BlockScratch>) -> MutexGuard<'_, BlockScratch> {
     block.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// The closed-form Eq. 6–7 gradient over the packed CPE parameters — what
-/// `CpeGradient::Analytic` asks for once per epoch of
-/// [`CrossDomainEstimator::update`](crate::CrossDomainEstimator::update).
-///
-/// The parameter vector is the estimator's packing: the `D + 1` mean entries
-/// followed by the row-major packed lower triangle of the covariance. The
-/// gradient evaluates the model exactly as the finite-difference objective
-/// does — covariance rebuilt from the triangle, projected by
-/// [`nearest_positive_definite`]. Strictly in the interior of the PD cone
-/// (projection and variance floors inactive — every iterate the estimator
-/// produces, since `update()` re-projects after each step) the two describe
-/// the same smooth objective and agree to stencil accuracy. *At* a clamp
-/// boundary they differ by construction: the stencil differentiates through
-/// the projection (flat on the infeasible side), while the analytic gradient
-/// is taken at the projected point — the per-epoch PSD projection is what
-/// keeps that discrepancy from ever leaving the feasible set.
-///
-/// A parameter vector that fails to build a model (wrong length, parameters
-/// outside the representable cone) gets the zero gradient, which leaves the
-/// parameters unchanged for that epoch instead of poisoning them.
-///
-/// ```
-/// use c4u_selection::{AnalyticCpeOracle, CpeLikelihoodKernel, CpeObservation};
-/// use c4u_stats::GaussLegendre;
-///
-/// let observations = vec![
-///     CpeObservation { prior_accuracies: vec![Some(0.8), Some(0.7)], correct: 8, wrong: 2 },
-/// ];
-/// let quadrature = GaussLegendre::new(32);
-/// let kernel = CpeLikelihoodKernel::new(&observations, 2, &quadrature);
-/// let oracle = AnalyticCpeOracle::new(&kernel, 2, 1e-4);
-///
-/// // Packed parameters: mean [mu_1, mu_2, mu_T] (Eq. 6 block) followed by the
-/// // row-major lower covariance triangle (Eq. 7 block).
-/// let params = [0.65, 0.6, 0.5, 0.02, 0.0, 0.02, 0.0, 0.0, 0.02];
-/// let gradient = oracle.gradient(&params); // one quadrature sweep
-/// assert_eq!(gradient.len(), params.len());
-/// ```
-#[derive(Debug)]
-pub struct AnalyticCpeOracle<'k> {
-    kernel: &'k CpeLikelihoodKernel<'k>,
-    num_prior_domains: usize,
-    min_variance: f64,
-}
-
-impl<'k> AnalyticCpeOracle<'k> {
-    /// Builds the oracle over a mask-grouped kernel.
-    ///
-    /// `min_variance` must match the estimator's configuration: it controls
-    /// the PSD projection applied when unpacking candidate parameters.
-    pub fn new(
-        kernel: &'k CpeLikelihoodKernel<'k>,
-        num_prior_domains: usize,
-        min_variance: f64,
-    ) -> Self {
-        Self {
-            kernel,
-            num_prior_domains,
-            min_variance,
-        }
-    }
-
-    /// The gradient of the negative log-likelihood at `params`, or the zero
-    /// vector when `params` does not build a model.
-    pub fn gradient(&self, params: &[f64]) -> Vec<f64> {
-        match self
-            .model_at(params)
-            .and_then(|model| self.kernel.log_likelihood_gradient(&model))
-        {
-            Ok(fused) => fused.packed().iter().map(|v| -v).collect(),
-            Err(_) => vec![0.0; params.len()],
-        }
-    }
-
-    fn model_at(&self, params: &[f64]) -> Result<MultivariateNormal, SelectionError> {
-        let dim = self.num_prior_domains + 1;
-        if params.len() != dim + packed_length(dim) {
-            return Err(SelectionError::Numerical(format!(
-                "CPE parameter vector has length {}, expected {}",
-                params.len(),
-                dim + packed_length(dim)
-            )));
-        }
-        let mean = &params[..dim];
-        let cov = from_lower_triangle(&params[dim..], dim);
-        let cov = nearest_positive_definite(&cov, self.min_variance)?;
-        Ok(MultivariateNormal::new(Vector::from_slice(mean), cov)?)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cpe::CpeObservation;
-    use c4u_stats::GaussLegendre;
+    use c4u_linalg::{packed_index, packed_length, Matrix, Vector};
+    use c4u_stats::{nearest_positive_definite, GaussLegendre};
 
-    #[test]
-    fn unbuildable_points_get_the_zero_gradient() {
-        let obs = vec![CpeObservation {
-            prior_accuracies: vec![Some(0.9), Some(0.9), Some(0.8)],
-            correct: 9,
-            wrong: 1,
-        }];
-        let quadrature = GaussLegendre::new(32);
-        let kernel = CpeLikelihoodKernel::new(&obs, 3, &quadrature);
-        let oracle = AnalyticCpeOracle::new(&kernel, 3, 1e-4);
-        // Wrong parameter length: model construction fails and the gradient
-        // is the harmless zero vector.
-        assert_eq!(oracle.gradient(&[0.5; 3]), vec![0.0; 3]);
-    }
-
-    fn fixture() -> (Vec<CpeObservation>, Vec<f64>) {
-        let obs = vec![
+    fn observations() -> Vec<CpeObservation> {
+        vec![
             CpeObservation {
                 prior_accuracies: vec![Some(0.8), Some(0.6)],
                 correct: 7,
@@ -335,47 +231,83 @@ mod tests {
                 correct: 2,
                 wrong: 8,
             },
-        ];
-        // Mean (3) then the packed lower triangle (6) of a valid covariance.
-        let params = vec![0.6, 0.55, 0.5, 0.04, 0.01, 0.05, 0.012, 0.015, 0.03];
-        (obs, params)
+        ]
+    }
+
+    /// Builds the model at `mean` and a valid covariance, projected the way
+    /// the estimator projects its covariance before every evaluation.
+    fn model(mean: &[f64], covariance: Matrix) -> MultivariateNormal {
+        let covariance = nearest_positive_definite(&covariance, 1e-4).unwrap();
+        MultivariateNormal::new(Vector::from_slice(mean), covariance).unwrap()
+    }
+
+    fn fixture() -> MultivariateNormal {
+        let covariance = Matrix::from_rows(&[
+            vec![0.04, 0.01, 0.012],
+            vec![0.01, 0.05, 0.015],
+            vec![0.012, 0.015, 0.03],
+        ])
+        .unwrap();
+        model(&[0.6, 0.55, 0.5], covariance)
     }
 
     #[test]
-    fn gradient_is_the_negated_packed_likelihood_gradient() {
-        let (obs, params) = fixture();
+    fn fused_log_likelihood_equals_the_kernel_likelihood() {
+        let obs = observations();
         let quadrature = GaussLegendre::new(32);
         let kernel = CpeLikelihoodKernel::new(&obs, 2, &quadrature);
-        let oracle = AnalyticCpeOracle::new(&kernel, 2, 1e-4);
-        let cov = nearest_positive_definite(&from_lower_triangle(&params[3..], 3), 1e-4).unwrap();
-        let model = MultivariateNormal::new(Vector::from_slice(&params[..3]), cov).unwrap();
+        let model = fixture();
         let fused = kernel.log_likelihood_gradient(&model).unwrap();
-        let expected: Vec<f64> = fused.packed().iter().map(|v| -v).collect();
-        assert_eq!(oracle.gradient(&params), expected);
-        assert_eq!(fused.packed().len(), 3 + packed_length(3));
-        assert_eq!(fused.packed()[..3], fused.d_mean[..]);
         assert_eq!(fused.log_likelihood, kernel.log_likelihood(&model).unwrap());
     }
 
     #[test]
-    fn a_small_step_against_the_gradient_lowers_the_objective() {
-        let (obs, params) = fixture();
+    fn underflowed_normalisers_leave_the_gradient_finite() {
+        let obs = vec![CpeObservation {
+            prior_accuracies: vec![Some(0.8), Some(0.6)],
+            correct: 500_000,
+            wrong: 500_000,
+        }];
         let quadrature = GaussLegendre::new(32);
         let kernel = CpeLikelihoodKernel::new(&obs, 2, &quadrature);
-        let oracle = AnalyticCpeOracle::new(&kernel, 2, 1e-4);
-        let nll = |p: &[f64]| {
-            let cov = nearest_positive_definite(&from_lower_triangle(&p[3..], 3), 1e-4).unwrap();
-            let model = MultivariateNormal::new(Vector::from_slice(&p[..3]), cov).unwrap();
-            -kernel.log_likelihood(&model).unwrap()
-        };
-        let g = oracle.gradient(&params);
-        let norm = g.iter().map(|v| v * v).sum::<f64>().sqrt();
+        let fused = kernel.log_likelihood_gradient(&fixture()).unwrap();
+        assert_eq!(fused.log_likelihood, f64::NEG_INFINITY);
+        assert!(fused.packed().iter().all(|g| *g == 0.0));
+    }
+
+    #[test]
+    fn packed_gradient_is_the_mean_then_the_triangle() {
+        let obs = observations();
+        let quadrature = GaussLegendre::new(32);
+        let kernel = CpeLikelihoodKernel::new(&obs, 2, &quadrature);
+        let fused = kernel.log_likelihood_gradient(&fixture()).unwrap();
+        let packed = fused.packed();
+        assert_eq!(packed.len(), 3 + packed_length(3));
+        assert_eq!(packed[..3], fused.d_mean[..]);
+        assert_eq!(packed[3..], *fused.d_covariance.as_slice());
+    }
+
+    #[test]
+    fn a_small_step_along_the_gradient_raises_the_log_likelihood() {
+        let obs = observations();
+        let quadrature = GaussLegendre::new(32);
+        let kernel = CpeLikelihoodKernel::new(&obs, 2, &quadrature);
+        let start = fixture();
+        let fused = kernel.log_likelihood_gradient(&start).unwrap();
+        let norm = fused.packed().iter().map(|v| v * v).sum::<f64>().sqrt();
         assert!(norm > 0.0);
-        let stepped: Vec<f64> = params
+        let eps = 1e-5 / norm;
+        let mean: Vec<f64> = start
+            .mean()
             .iter()
-            .zip(&g)
-            .map(|(p, v)| p - 1e-5 * v / norm)
+            .zip(&fused.d_mean)
+            .map(|(m, g)| m + eps * g)
             .collect();
-        assert!(nll(&stepped) < nll(&params));
+        let tri = fused.d_covariance.as_slice();
+        let covariance = Matrix::from_fn(3, 3, |i, j| {
+            start.covariance()[(i, j)] + eps * tri[packed_index(i, j)]
+        });
+        let stepped = model(&mean, covariance);
+        assert!(kernel.log_likelihood(&stepped).unwrap() > kernel.log_likelihood(&start).unwrap());
     }
 }

@@ -66,7 +66,7 @@ pub mod theory;
 
 pub use baselines::{GroundTruthOracle, LiEtAl, MedianEliminationBaseline, UniformSampling};
 pub use budget::BudgetPlan;
-pub use cpe::kernel::gradient::{AnalyticCpeOracle, LikelihoodGradient};
+pub use cpe::kernel::gradient::LikelihoodGradient;
 pub use cpe::kernel::{
     binomial_normal_log_z, binomial_normal_moments, observed_domains, CpeLikelihoodKernel,
     MaskGroup, MaskGroups,

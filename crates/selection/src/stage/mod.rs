@@ -253,8 +253,11 @@ pub(crate) fn pool_prior_means(init: &StageInit<'_>) -> Vec<f64> {
 /// It ignores its `prior` input, so it is usually the first stage.
 ///
 /// Both the update and the prediction run on the batched mask-grouped
-/// likelihood kernel (`cpe::kernel`), and the gradient comes from the oracle
-/// selected by [`CpeConfig::gradient_oracle`] — so every staged selector and
+/// likelihood kernel (`cpe::kernel`) against the estimator's one held model:
+/// each update epoch takes the gradient selected by
+/// [`CpeConfig::gradient_oracle`] (by default the closed-form
+/// `log_likelihood_gradient` of that model), and the round's predictions
+/// reuse the model the update leaves behind — so every staged selector and
 /// every [`EvalEngine`](crate::EvalEngine) run hits the batched path.
 #[derive(Debug, Clone)]
 pub struct CpeStage {

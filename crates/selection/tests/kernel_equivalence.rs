@@ -342,7 +342,7 @@ fn blocked_gradient_sweep_matches_the_serial_member_loop_bit_for_bit() {
 
     // One gradient evaluation: log-likelihood and every packed entry.
     let mut est = estimator(config);
-    let model = est.model().unwrap();
+    let model = est.model().clone();
     let blocked = kernel.log_likelihood_gradient(&model).unwrap();
     let batch = BinomialNormalBatch::new(&quadrature);
     let (packed, log_likelihood) = serial_gradient(&model, &batch, 3, &observations).unwrap();

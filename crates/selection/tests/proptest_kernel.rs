@@ -84,7 +84,7 @@ proptest! {
     fn kernel_log_likelihood_matches_reference(observations in prop::collection::vec(observation_strategy(), 1..8)) {
         let observations = with_boundary_masks(observations);
         let est = estimator();
-        let model = est.model().unwrap();
+        let model = est.model().clone();
         let quadrature = GaussLegendre::new(CpeConfig::default().quadrature_order);
         let kernel = CpeLikelihoodKernel::new(&observations, NUM_DOMAINS, &quadrature);
 
@@ -145,7 +145,7 @@ proptest! {
         let observations = with_boundary_masks(observations);
         let use_posterior = use_posterior == 1;
         let est = estimator();
-        let model = est.model().unwrap();
+        let model = est.model().clone();
         let quadrature = GaussLegendre::new(CpeConfig::default().quadrature_order);
         let kernel = CpeLikelihoodKernel::new(&observations, NUM_DOMAINS, &quadrature);
 

@@ -113,7 +113,7 @@ proptest! {
     ) {
         let observations = with_edge_observations(observations);
         let est = estimator();
-        let model = est.model().unwrap();
+        let model = est.model().clone();
         let quadrature = GaussLegendre::new(CpeConfig::default().quadrature_order);
         let kernel = CpeLikelihoodKernel::new(&observations, NUM_DOMAINS, &quadrature);
 
@@ -141,7 +141,7 @@ proptest! {
         let observations = with_edge_observations(observations);
         let use_posterior = use_posterior == 1;
         let est = estimator();
-        let model = est.model().unwrap();
+        let model = est.model().clone();
         let quadrature = GaussLegendre::new(CpeConfig::default().quadrature_order);
         let kernel = CpeLikelihoodKernel::new(&observations, NUM_DOMAINS, &quadrature);
 

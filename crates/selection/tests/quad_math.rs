@@ -62,7 +62,7 @@ proptest! {
         order in 2usize..48,
     ) {
         let est = estimator();
-        let model = est.model().unwrap();
+        let model = est.model().clone();
         let quadrature = GaussLegendre::new(order);
         let exact = CpeLikelihoodKernel::new(&observations, NUM_DOMAINS, &quadrature);
         let fast = CpeLikelihoodKernel::new_with_math(

@@ -3,10 +3,20 @@
 
 use c4u_crowd_sim::{generate, DatasetConfig, Platform};
 use c4u_selection::{
-    median_eliminate, top_k, CrossDomainSelector, MedianEliminationBaseline, ScoredWorker,
-    SelectorConfig, UniformSampling, WorkerSelector,
+    median_eliminate, top_k, CrossDomainSelector, EstimationMode, MedianEliminationBaseline,
+    ScoredWorker, SelectorConfig, UniformSampling, WorkerSelector,
 };
 use proptest::prelude::*;
+
+/// Every preset of the stage zoo.
+const MODES: [EstimationMode; 6] = [
+    EstimationMode::CpeAndLge,
+    EstimationMode::CpeOnly,
+    EstimationMode::LgeOnly,
+    EstimationMode::BktOnly,
+    EstimationMode::RaschCalibrated,
+    EstimationMode::CpeBktEnsemble,
+];
 
 /// Strategy for a small but varied dataset configuration.
 fn config_strategy() -> impl Strategy<Value = DatasetConfig> {
@@ -28,19 +38,35 @@ proptest! {
     #[test]
     fn pipeline_always_selects_k_unique_workers_within_budget(config in config_strategy()) {
         let dataset = generate(&config).unwrap();
-        let mut platform = Platform::from_dataset(&dataset, config.seed ^ 0xABCD).unwrap();
-        let mut sel_config = SelectorConfig::default();
-        sel_config.cpe.epochs = 3;
-        let selector = CrossDomainSelector::new(sel_config);
-        let outcome = selector.select(&mut platform, config.select_k).unwrap();
+        for mode in MODES {
+            for num_shards in [1, 3] {
+                let mut platform =
+                    Platform::from_dataset(&dataset, config.seed ^ 0xABCD).unwrap();
+                let mut sel_config = SelectorConfig::default()
+                    .with_mode(mode)
+                    .with_num_shards(num_shards);
+                sel_config.cpe.epochs = 3;
+                let selector = CrossDomainSelector::new(sel_config);
+                let outcome = selector.select(&mut platform, config.select_k).unwrap();
 
-        prop_assert_eq!(outcome.selected.len(), config.select_k);
-        let mut unique = outcome.selected.clone();
-        unique.sort_unstable();
-        unique.dedup();
-        prop_assert_eq!(unique.len(), config.select_k);
-        prop_assert!(unique.iter().all(|&w| w < config.pool_size));
-        prop_assert!(outcome.budget_spent <= config.budget());
+                prop_assert_eq!(outcome.selected.len(), config.select_k);
+                let mut unique = outcome.selected.clone();
+                unique.sort_unstable();
+                unique.dedup();
+                prop_assert_eq!(unique.len(), config.select_k);
+                prop_assert!(unique.iter().all(|&w| w < config.pool_size));
+                prop_assert!(unique.iter().all(|&w| platform.is_active(w)));
+                prop_assert!(outcome.budget_spent <= config.budget());
+                prop_assert_eq!(outcome.scores.len(), config.select_k);
+                prop_assert!(
+                    outcome.scores.iter().all(|s| s.is_finite()),
+                    "{:?} x {} shards: {:?}",
+                    mode,
+                    num_shards,
+                    outcome.scores
+                );
+            }
+        }
     }
 
     #[test]
