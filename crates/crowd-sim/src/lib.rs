@@ -15,9 +15,10 @@
 //!   observed historical profiles, random cross-domain correlations);
 //! * [`SimulatedWorker`] — a trainable worker whose true target-domain accuracy moves
 //!   along the modified IRT curve as learning-task ground truths are revealed;
-//! * [`Platform`] — batch assignment, answer recording, ground-truth reveal, budget
-//!   accounting, and working-task evaluation, the interface every selection strategy
-//!   drives. Answering noise comes from one deterministic RNG stream per
+//! * [`Platform`] — batch assignment, graded answer sheets (returned in a
+//!   [`RoundRecord`], never kept), ground-truth reveal, budget accounting, and
+//!   working-task evaluation, the interface every selection strategy drives.
+//!   Answering noise comes from one deterministic RNG stream per
 //!   (round, worker) event, so results never depend on processing order;
 //! * [`WorkerShards`] + the sharded platform paths
 //!   ([`Platform::assign_learning_batch_sharded`],

@@ -1,13 +1,13 @@
 //! The crowdsourcing platform simulator.
 //!
-//! A [`Platform`] owns a pool of trainable [`SimulatedWorker`]s plus the learning and
-//! working task pools of one dataset, tracks the task budget, and exposes the two
-//! operations every selection strategy needs:
+//! A [`Platform`] owns a pool of trainable [`SimulatedWorker`]s plus the learning
+//! gold labels and the working-pool size of one dataset, tracks the task budget, and
+//! exposes the two operations every selection strategy needs:
 //!
 //! 1. [`Platform::assign_learning_batch`] — assign the next contiguous slice of
-//!    learning tasks to a set of workers, record their answers, and reveal the ground
-//!    truth so the workers learn (Definitions 3–4 of the paper, Algorithm 4 lines
-//!    5–11);
+//!    learning tasks to a set of workers, grade their answers into the returned
+//!    [`RoundRecord`] (the platform keeps no copy), and reveal the ground truth so
+//!    the workers learn (Definitions 3–4 of the paper, Algorithm 4 lines 5–11);
 //! 2. [`Platform::evaluate_working_accuracy`] — have a set of workers annotate the
 //!    working tasks and report their average accuracy, the evaluation criterion of
 //!    Sec. V-C.
@@ -44,9 +44,7 @@ use crate::event::{AppliedRoundEvents, RoundEvents};
 use crate::parallel::run_indexed_jobs;
 use crate::shard::WorkerShards;
 use crate::task::AnswerSheet;
-use crate::worker::{
-    answer_with_accuracy, HistoricalProfile, SimulatedWorker, WorkerId, WorkerSpec,
-};
+use crate::worker::{draw_correctness, HistoricalProfile, SimulatedWorker, WorkerId, WorkerSpec};
 use crate::SimError;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -90,9 +88,12 @@ fn check_partition(worker_ids: &[WorkerId], shards: &WorkerShards) -> Result<(),
 }
 
 /// Record of one training assignment (one strategy round).
+///
+/// The platform keeps no copy: the record returned by
+/// [`Platform::assign_learning_batch_sharded`] is the only one.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RoundRecord {
-    /// 1-based index of the assignment in platform history.
+    /// 1-based index of the assignment among the platform's rounds.
     pub round: usize,
     /// Index of the first learning task assigned (into the learning pool, before
     /// wrap-around).
@@ -101,15 +102,14 @@ pub struct RoundRecord {
     pub tasks_per_worker: usize,
     /// One answer sheet per participating worker, in the order they were passed in.
     pub sheets: Vec<AnswerSheet>,
+    /// Gold labels of the shared slice; empty when nobody answered.
+    gold: Vec<bool>,
 }
 
 impl RoundRecord {
     /// Gold labels of the assigned tasks (identical for every participating worker).
     pub fn gold(&self) -> &[bool] {
-        self.sheets
-            .first()
-            .map(|s| s.gold.as_slice())
-            .unwrap_or(&[])
+        &self.gold
     }
 
     /// Observed accuracy of a specific worker in this round, if they participated.
@@ -130,7 +130,10 @@ pub struct Platform {
     /// and survivors keep their (round, worker-id)-keyed answer streams.
     active: Vec<bool>,
     learning_gold: Vec<bool>,
-    working_gold: Vec<bool>,
+    /// Size of the working-task pool. Answers are graded as they are drawn
+    /// (a worker is right with probability equal to its accuracy, whatever
+    /// the label), so evaluation needs no working gold labels.
+    working_tasks: usize,
     /// Base seed of the per-worker answering streams (see the module docs).
     seed: u64,
     /// Number of working-task evaluations run so far — the epoch component of
@@ -140,7 +143,9 @@ pub struct Platform {
     budget_total: usize,
     budget_spent: usize,
     learning_cursor: usize,
-    history: Vec<RoundRecord>,
+    /// Number of learning rounds run so far (the epoch component of the
+    /// learning-answer stream family).
+    rounds_run: usize,
     /// Learning-curve parameters applied to workers joining after construction
     /// (identical to those of the initial pool).
     target_difficulty: f64,
@@ -187,18 +192,13 @@ impl Platform {
                 .iter()
                 .map(|t| t.gold)
                 .collect(),
-            working_gold: dataset
-                .working_tasks
-                .tasks()
-                .iter()
-                .map(|t| t.gold)
-                .collect(),
+            working_tasks: dataset.working_tasks.len(),
             seed,
             evaluations_run: 0,
             budget_total: dataset.config.budget(),
             budget_spent: 0,
             learning_cursor: 0,
-            history: Vec::new(),
+            rounds_run: 0,
             target_difficulty,
             tasks_per_batch: dataset.config.tasks_per_batch,
             accuracy_drift,
@@ -348,14 +348,9 @@ impl Platform {
         Ok(applied)
     }
 
-    /// Records of every assignment run so far.
-    pub fn history(&self) -> &[RoundRecord] {
-        &self.history
-    }
-
     /// Number of assignment rounds run so far.
     pub fn rounds_run(&self) -> usize {
-        self.history.len()
+        self.rounds_run
     }
 
     /// Assigns the next `tasks_per_worker` learning tasks to every worker in
@@ -368,6 +363,8 @@ impl Platform {
     /// This is the single-shard layout of
     /// [`Platform::assign_learning_batch_sharded`], which it delegates to; the
     /// two are bit-for-bit identical for every shard count.
+    ///
+    /// The returned record is the round's only copy: the platform keeps none.
     ///
     /// Returns an error if a worker id is unknown or if the assignment would exceed
     /// the total budget. The learning-task pool is treated as circular: if the cursor
@@ -407,10 +404,11 @@ impl Platform {
     ) -> Result<RoundRecord, SimError> {
         check_partition(worker_ids, shards)?;
         let mut record = RoundRecord {
-            round: self.history.len() + 1,
+            round: self.rounds_run + 1,
             task_start: self.learning_cursor,
             tasks_per_worker: 0,
             sheets: Vec::new(),
+            gold: Vec::new(),
         };
         // An empty assignment is a no-op round: recorded, but nothing is
         // answered or spent.
@@ -432,7 +430,7 @@ impl Platform {
             }
 
             // Gold labels of the shared slice, with circular wrap-around.
-            let gold: Vec<bool> = (0..tasks_per_worker)
+            record.gold = (0..tasks_per_worker)
                 .map(|i| self.learning_gold[(self.learning_cursor + i) % self.learning_gold.len()])
                 .collect();
 
@@ -443,13 +441,15 @@ impl Platform {
             let epoch = record.round as u64;
             let per_shard: Vec<Vec<AnswerSheet>> =
                 run_indexed_jobs(shards.num_shards(), shards.num_shards(), |shard| {
-                    self.answer_sheets(
-                        STREAM_LEARNING,
-                        epoch,
-                        &worker_ids[shards.range(shard)],
-                        &gold,
+                    Ok::<_, SimError>(
+                        self.answer_sheets(
+                            STREAM_LEARNING,
+                            epoch,
+                            &worker_ids[shards.range(shard)],
+                            tasks_per_worker,
+                        )
+                        .collect(),
                     )
-                    .collect()
                 })?;
             record.sheets.reserve_exact(worker_ids.len());
             for shard_sheets in per_shard {
@@ -466,7 +466,7 @@ impl Platform {
             self.learning_cursor += tasks_per_worker;
             self.budget_spent += requested;
         }
-        self.history.push(record.clone());
+        self.rounds_run += 1;
         Ok(record)
     }
 
@@ -507,14 +507,16 @@ impl Platform {
         self.evaluations_run += 1;
         let per_shard: Vec<Vec<f64>> =
             run_indexed_jobs(shards.num_shards(), shards.num_shards(), |shard| {
-                self.answer_sheets(
-                    STREAM_WORKING,
-                    epoch,
-                    &worker_ids[shards.range(shard)],
-                    &self.working_gold,
+                Ok::<_, SimError>(
+                    self.answer_sheets(
+                        STREAM_WORKING,
+                        epoch,
+                        &worker_ids[shards.range(shard)],
+                        self.working_tasks,
+                    )
+                    .map(|sheet| sheet.accuracy())
+                    .collect(),
                 )
-                .map(|sheet| sheet.map(|s| s.accuracy()))
-                .collect()
             })?;
         // Accumulate in worker order (shard order == worker order), so the
         // sum is the same float expression for every shard layout.
@@ -541,21 +543,22 @@ impl Platform {
         Ok(())
     }
 
-    /// The answer sheets of `worker_ids` on `gold`, in list order: each worker
-    /// answers at its current accuracy from its own `(seed, tag, epoch, id)`
-    /// stream, so a sheet never depends on which shard or thread drew it.
+    /// The answer sheets of `worker_ids` on `tasks` tasks, in list order: each
+    /// worker answers at its current accuracy from its own
+    /// `(seed, tag, epoch, id)` stream, so a sheet never depends on which shard
+    /// or thread drew it.
     fn answer_sheets<'a>(
         &'a self,
         tag: u64,
         epoch: u64,
         worker_ids: &'a [WorkerId],
-        gold: &'a [bool],
-    ) -> impl Iterator<Item = Result<AnswerSheet, SimError>> + 'a {
+        tasks: usize,
+    ) -> impl Iterator<Item = AnswerSheet> + 'a {
         worker_ids.iter().map(move |&id| {
             let mut rng =
                 StdRng::seed_from_u64(worker_stream_seed(self.seed, tag, epoch, id as u64));
-            let answers = answer_with_accuracy(&mut rng, self.workers[id].current_accuracy(), gold);
-            AnswerSheet::new(id, answers, gold.to_vec())
+            let accuracy = self.workers[id].current_accuracy();
+            AnswerSheet::from_correctness(id, draw_correctness(&mut rng, accuracy, tasks))
         })
     }
 
@@ -598,13 +601,13 @@ mod tests {
     }
 
     /// Asserts that `p` matches `fresh` in everything a rejected call could
-    /// have touched: rounds, budget, history, true accuracies, the noise of
-    /// the next evaluation (a consumed evaluation epoch would shift it), and
-    /// the next round's record (a moved task cursor would shift its gold).
+    /// have touched: rounds, budget, true accuracies, the noise of the next
+    /// evaluation (a consumed evaluation epoch would shift it), and the next
+    /// round's record (a counted round would shift its number, a moved task
+    /// cursor its gold).
     fn assert_untouched(p: &mut Platform, fresh: &mut Platform) {
         assert_eq!(p.rounds_run(), fresh.rounds_run());
         assert_eq!(p.budget_spent(), fresh.budget_spent());
-        assert_eq!(p.history(), fresh.history());
         assert_eq!(p.true_accuracies(), fresh.true_accuracies());
         let ids = fresh.active_worker_ids();
         assert_eq!(
@@ -693,7 +696,10 @@ mod tests {
         assert_eq!(p.budget_spent(), 0);
         let record = p.assign_learning_batch(&[0, 1], 0).unwrap();
         assert_eq!(record.tasks_per_worker, 0);
+        assert!(record.gold().is_empty());
         assert_eq!(p.budget_spent(), 0);
+        // No-op rounds still count.
+        assert_eq!((record.round, p.rounds_run()), (2, 2));
     }
 
     #[test]
@@ -757,15 +763,16 @@ mod tests {
     }
 
     #[test]
-    fn history_accumulates_in_order() {
+    fn rounds_are_numbered_in_order() {
         let mut p = platform();
         let ids = p.worker_ids();
-        p.assign_learning_batch(&ids, 5).unwrap();
-        p.assign_learning_batch(&ids[..10], 5).unwrap();
-        assert_eq!(p.history().len(), 2);
-        assert_eq!(p.history()[0].round, 1);
-        assert_eq!(p.history()[1].round, 2);
-        assert_eq!(p.history()[1].sheets.len(), 10);
+        let first = p.assign_learning_batch(&ids, 5).unwrap();
+        let second = p.assign_learning_batch(&ids[..10], 5).unwrap();
+        assert_eq!(p.rounds_run(), 2);
+        assert_eq!(first.round, 1);
+        assert_eq!(second.round, 2);
+        assert_eq!(second.sheets.len(), 10);
+        assert_eq!(second.task_start, 5);
     }
 
     #[test]

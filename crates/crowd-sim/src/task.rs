@@ -112,56 +112,63 @@ impl TaskPool {
     }
 }
 
-/// One worker's answers to a contiguous batch of tasks, plus the matching gold
-/// labels. Correctness is what every estimator in the paper consumes (Eq. 3–4).
+/// One worker's graded answers to a contiguous batch of tasks. Correctness is
+/// what every estimator in the paper consumes (Eq. 3–4), so that is all a sheet
+/// keeps: one flag per task plus their count. The gold labels of the batch live
+/// once per round, in [`RoundRecord`](crate::RoundRecord).
 #[derive(Debug, Clone, PartialEq)]
 pub struct AnswerSheet {
     /// Identifier of the worker who produced the answers.
     pub worker: usize,
-    /// The worker's answers, aligned with `gold`.
-    pub answers: Vec<bool>,
-    /// Gold labels of the answered tasks.
-    pub gold: Vec<bool>,
+    /// Whether each answer matched its gold label, in task order.
+    correctness: Vec<bool>,
+    /// Number of `true` entries of `correctness`.
+    correct: usize,
 }
 
 impl AnswerSheet {
-    /// Creates an answer sheet; the two vectors must have equal length.
-    pub fn new(worker: usize, answers: Vec<bool>, gold: Vec<bool>) -> Result<Self, SimError> {
+    /// Grades `answers` against `gold`; the two slices must have equal length.
+    pub fn new(worker: usize, answers: &[bool], gold: &[bool]) -> Result<Self, SimError> {
         if answers.len() != gold.len() {
             return Err(SimError::InvalidConfig {
                 what: "answers and gold labels must have the same length",
                 value: answers.len() as f64 - gold.len() as f64,
             });
         }
-        Ok(Self {
+        Ok(Self::from_correctness(
             worker,
-            answers,
-            gold,
-        })
+            answers.iter().zip(gold).map(|(a, g)| a == g).collect(),
+        ))
+    }
+
+    /// Creates a sheet from per-task correctness flags.
+    pub(crate) fn from_correctness(worker: usize, correctness: Vec<bool>) -> Self {
+        let correct = correctness.iter().filter(|&&c| c).count();
+        Self {
+            worker,
+            correctness,
+            correct,
+        }
     }
 
     /// Number of answered tasks.
     pub fn len(&self) -> usize {
-        self.answers.len()
+        self.correctness.len()
     }
 
     /// Whether the sheet is empty.
     pub fn is_empty(&self) -> bool {
-        self.answers.is_empty()
+        self.correctness.is_empty()
     }
 
     /// Number of correct answers (`C_{i,c}` of Eq. 3).
     pub fn correct(&self) -> usize {
-        self.answers
-            .iter()
-            .zip(self.gold.iter())
-            .filter(|(a, g)| a == g)
-            .count()
+        self.correct
     }
 
     /// Number of wrong answers (`X_{i,c}` of Eq. 4).
     pub fn wrong(&self) -> usize {
-        self.len() - self.correct()
+        self.len() - self.correct
     }
 
     /// Fraction of correct answers; `0.0` for an empty sheet.
@@ -169,17 +176,13 @@ impl AnswerSheet {
         if self.is_empty() {
             0.0
         } else {
-            self.correct() as f64 / self.len() as f64
+            self.correct as f64 / self.len() as f64
         }
     }
 
     /// Per-task correctness flags.
-    pub fn correctness(&self) -> Vec<bool> {
-        self.answers
-            .iter()
-            .zip(self.gold.iter())
-            .map(|(a, g)| a == g)
-            .collect()
+    pub fn correctness(&self) -> &[bool] {
+        &self.correctness
     }
 }
 
@@ -236,12 +239,8 @@ mod tests {
 
     #[test]
     fn answer_sheet_counts() {
-        let sheet = AnswerSheet::new(
-            3,
-            vec![true, false, true, true],
-            vec![true, true, true, false],
-        )
-        .unwrap();
+        let sheet =
+            AnswerSheet::new(3, &[true, false, true, true], &[true, true, true, false]).unwrap();
         assert_eq!(sheet.worker, 3);
         assert_eq!(sheet.len(), 4);
         assert_eq!(sheet.correct(), 2);
@@ -252,8 +251,8 @@ mod tests {
 
     #[test]
     fn answer_sheet_validation_and_empty() {
-        assert!(AnswerSheet::new(0, vec![true], vec![]).is_err());
-        let empty = AnswerSheet::new(0, vec![], vec![]).unwrap();
+        assert!(AnswerSheet::new(0, &[true], &[]).is_err());
+        let empty = AnswerSheet::new(0, &[], &[]).unwrap();
         assert!(empty.is_empty());
         assert_eq!(empty.accuracy(), 0.0);
         assert_eq!(empty.correct(), 0);
@@ -292,11 +291,12 @@ mod tests {
     #[test]
     fn perfect_and_inverted_sheets() {
         let gold = vec![true, false, false, true, true];
-        let perfect = AnswerSheet::new(1, gold.clone(), gold.clone()).unwrap();
+        let perfect = AnswerSheet::new(1, &gold, &gold).unwrap();
         assert_eq!((perfect.correct(), perfect.wrong()), (5, 0));
         assert_eq!(perfect.accuracy(), 1.0);
         let inverted: Vec<bool> = gold.iter().map(|g| !g).collect();
-        let wrong = AnswerSheet::new(1, inverted, gold).unwrap();
+        let wrong = AnswerSheet::new(1, &inverted, &gold).unwrap();
+        assert_eq!(wrong, AnswerSheet::from_correctness(1, vec![false; 5]));
         assert_eq!((wrong.correct(), wrong.wrong()), (0, 5));
         assert_eq!(wrong.accuracy(), 0.0);
         assert!(wrong.correctness().iter().all(|c| !c));

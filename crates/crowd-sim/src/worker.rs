@@ -16,21 +16,34 @@ use rand::Rng;
 /// Identifier of a worker inside a pool (dense, 0-based).
 pub type WorkerId = usize;
 
+/// Draws whether each of `tasks` answers is correct: one uniform float per
+/// task, correct when it falls below `accuracy`.
+///
+/// This is the single answering draw of the whole simulator —
+/// [`answer_with_accuracy`], the worker's answer sheets and the platform's
+/// sharded answering all consume it, so every execution path (unsharded or
+/// sharded, answers or bare correctness) draws the same floats in the same
+/// order and agrees bit for bit.
+pub(crate) fn draw_correctness<R: Rng + ?Sized>(
+    rng: &mut R,
+    accuracy: f64,
+    tasks: usize,
+) -> Vec<bool> {
+    // A range collects through the exact-length fast path; the same draw
+    // written as `repeat_with(..).take(tasks)` answered about 2x slower.
+    (0..tasks).map(|_| rng.gen::<f64>() < accuracy).collect()
+}
+
 /// Answers a batch of tasks at the given accuracy: with probability `accuracy`
 /// the gold label is reproduced, otherwise it is flipped.
-///
-/// This is the single answering expression of the whole simulator —
-/// [`SimulatedWorker::answer_tasks`] and the platform's sharded answering
-/// both delegate here, so every execution path (unsharded or
-/// sharded) draws the same floats in the same order and produces bit-for-bit
-/// identical answers.
 pub(crate) fn answer_with_accuracy<R: Rng + ?Sized>(
     rng: &mut R,
     accuracy: f64,
     gold: &[bool],
 ) -> Vec<bool> {
     gold.iter()
-        .map(|&g| if rng.gen::<f64>() < accuracy { g } else { !g })
+        .zip(draw_correctness(rng, accuracy, gold.len()))
+        .map(|(&g, correct)| if correct { g } else { !g })
         .collect()
 }
 
@@ -297,8 +310,10 @@ impl SimulatedWorker {
         rng: &mut R,
         gold: &[bool],
     ) -> Result<AnswerSheet, SimError> {
-        let answers = self.answer_tasks(rng, gold);
-        let sheet = AnswerSheet::new(self.id, answers, gold.to_vec())?;
+        let sheet = AnswerSheet::from_correctness(
+            self.id,
+            draw_correctness(rng, self.current_accuracy, gold.len()),
+        );
         self.learn_from_batch(&sheet)?;
         Ok(sheet)
     }
@@ -331,7 +346,10 @@ impl SimulatedWorker {
         rng: &mut R,
         gold: &[bool],
     ) -> Result<AnswerSheet, SimError> {
-        AnswerSheet::new(self.id, self.answer_tasks(rng, gold), gold.to_vec())
+        Ok(AnswerSheet::from_correctness(
+            self.id,
+            draw_correctness(rng, self.current_accuracy, gold.len()),
+        ))
     }
 }
 
@@ -459,7 +477,7 @@ mod tests {
     #[test]
     fn empty_batch_is_a_noop() {
         let mut w = SimulatedWorker::new(0, &spec(0.6), 0.0, 10).unwrap();
-        let sheet = AnswerSheet::new(0, vec![], vec![]).unwrap();
+        let sheet = AnswerSheet::from_correctness(0, vec![]);
         w.learn_from_batch(&sheet).unwrap();
         assert_eq!(w.cumulative_learning_tasks(), 0);
         assert_eq!(w.current_accuracy(), 0.6);
@@ -518,6 +536,20 @@ mod tests {
         assert_eq!(answer_with_accuracy(&mut rng, 1.0, &gold), gold);
         let flipped: Vec<bool> = gold.iter().map(|g| !g).collect();
         assert_eq!(answer_with_accuracy(&mut rng, 0.0, &gold), flipped);
+    }
+
+    #[test]
+    fn sheets_grade_the_answers_the_same_draws_give() {
+        let gold: Vec<bool> = (0..97).map(|i| i % 3 != 0).collect();
+        for accuracy in [0.0, 0.3, 0.81, 1.0] {
+            let answers = answer_with_accuracy(&mut StdRng::seed_from_u64(8), accuracy, &gold);
+            let graded = AnswerSheet::new(4, &answers, &gold).unwrap();
+            let drawn = AnswerSheet::from_correctness(
+                4,
+                draw_correctness(&mut StdRng::seed_from_u64(8), accuracy, gold.len()),
+            );
+            assert_eq!(drawn, graded, "accuracy {accuracy}");
+        }
     }
 
     #[test]

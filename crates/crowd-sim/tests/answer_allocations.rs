@@ -1,0 +1,84 @@
+//! Pins the allocation budget of one learning round with a counting global
+//! allocator: a round over `n` workers stores each answer once.
+//!
+//! Every sheet owns exactly one heap allocation (its per-task correctness),
+//! the round's gold labels are allocated once for the whole record, and the
+//! platform keeps no copy of the record it returns. So a 1-shard round over
+//! `n` workers may allocate at most `n + ROUND_OVERHEAD` times on the calling
+//! thread. Answering into a separate answers vector, copying the gold labels
+//! into every sheet, or keeping a per-round copy of the sheets on the platform
+//! each add another `n`.
+//!
+//! The counter is **per-thread** (a `const`-initialised thread-local, so the
+//! counting itself never allocates): the libtest harness thread allocates
+//! concurrently with the test body at unpredictable points, and a
+//! process-global count would flake on that background noise. A 1-shard round
+//! answers on the calling thread, so every allocation it makes is counted.
+
+// Implementing `GlobalAlloc` requires `unsafe`. The workspace-level
+// `unsafe_code = "deny"` is overridden here and in
+// `crates/stats/tests/alloc_free.rs` only; library crate roots all
+// `#![forbid(unsafe_code)]`.
+#![allow(unsafe_code)]
+
+use c4u_crowd_sim::{generate, DatasetConfig, Platform};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Reads this thread's allocation count.
+fn thread_allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
+
+/// Passes everything through to the system allocator, counting `alloc` calls
+/// on the calling thread.
+struct CountingAllocator;
+
+// SAFETY: delegates verbatim to `System`; the counter side effect does not
+// touch the returned memory. `try_with` guards the TLS access so allocations
+// during thread teardown (when the slot is gone) still succeed, just
+// uncounted.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+/// Allocations a round may make besides one per sheet: the gold slice, the
+/// per-shard sheet lists and the merged list.
+const ROUND_OVERHEAD: u64 = 8;
+
+#[test]
+fn a_learning_round_allocates_once_per_sheet() {
+    let mut config = DatasetConfig::s4();
+    config.pool_size = 500;
+    let dataset = generate(&config).unwrap();
+    let mut platform = Platform::from_dataset(&dataset, 3).unwrap();
+    let ids = platform.worker_ids();
+    let n = ids.len() as u64;
+    for _ in 0..2 {
+        let before = thread_allocations();
+        let record = platform
+            .assign_learning_batch(&ids, config.tasks_per_batch)
+            .unwrap();
+        let allocations = thread_allocations() - before;
+        assert_eq!(record.sheets.len(), ids.len());
+        assert!(
+            allocations <= n + ROUND_OVERHEAD,
+            "round {}: {allocations} allocations for {n} sheets",
+            record.round
+        );
+    }
+}

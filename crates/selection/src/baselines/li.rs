@@ -90,6 +90,7 @@ impl WorkerSelector for LiEtAl {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::baselines::replay;
     use c4u_crowd_sim::{generate, DatasetConfig};
 
     #[test]
@@ -135,7 +136,11 @@ mod tests {
         let ds = generate(&DatasetConfig::rw1()).unwrap();
         let mut platform = Platform::from_dataset(&ds, 5).unwrap();
         let outcome = LiEtAl::new().select(&mut platform, 7).unwrap();
-        let record = &platform.history()[0];
+        let mut twin = Platform::from_dataset(&ds, 5).unwrap();
+        let record = twin
+            .assign_learning_batch(&twin.worker_ids(), 540 / 27)
+            .unwrap();
+        replay::assert_replayed(&platform, &twin);
         let features: Vec<Vec<f64>> = record
             .sheets
             .iter()

@@ -94,36 +94,42 @@ impl WorkerSelector for MedianEliminationBaseline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use c4u_crowd_sim::{generate, DatasetConfig};
+    use crate::baselines::replay;
+    use c4u_crowd_sim::{generate, DatasetConfig, RoundRecord};
+
+    /// Runs the baseline on `(dataset, seed)` for `k`, and returns its outcome
+    /// with the records of its rounds, replayed on a twin platform.
+    fn run(dataset: &DatasetConfig, seed: u64, k: usize) -> (SelectionOutcome, Vec<RoundRecord>) {
+        let ds = generate(dataset).unwrap();
+        let mut platform = Platform::from_dataset(&ds, seed).unwrap();
+        let outcome = MedianEliminationBaseline::new()
+            .select(&mut platform, k)
+            .unwrap();
+        let mut twin = Platform::from_dataset(&ds, seed).unwrap();
+        let records = replay::halving(&mut twin, k, |_, record| observed(record));
+        replay::assert_replayed(&platform, &twin);
+        (outcome, records)
+    }
 
     #[test]
     fn runs_the_halving_schedule_within_budget() {
-        let ds = generate(&DatasetConfig::rw1()).unwrap();
-        let mut platform = Platform::from_dataset(&ds, 5).unwrap();
-        let outcome = MedianEliminationBaseline::new()
-            .select(&mut platform, 7)
-            .unwrap();
+        let (outcome, records) = run(&DatasetConfig::rw1(), 5, 7);
         assert_eq!(outcome.selected.len(), 7);
         assert_eq!(outcome.rounds, 2);
-        assert!(outcome.budget_spent <= platform.budget_total());
-        // Two rounds were recorded on the platform.
-        assert_eq!(platform.rounds_run(), 2);
-        // Second round trained only the surviving half.
-        assert_eq!(platform.history()[0].sheets.len(), 27);
-        assert_eq!(platform.history()[1].sheets.len(), 14);
+        assert!(outcome.budget_spent <= DatasetConfig::rw1().budget());
+        // Two rounds ran on the platform; the second trained only the
+        // surviving half.
+        assert_eq!(records.len(), 2);
+        assert_eq!(records[0].sheets.len(), 27);
+        assert_eq!(records[1].sheets.len(), 14);
     }
 
     #[test]
     fn later_rounds_assign_more_tasks_per_worker() {
-        let ds = generate(&DatasetConfig::s1()).unwrap();
-        let mut platform = Platform::from_dataset(&ds, 5).unwrap();
-        MedianEliminationBaseline::new()
-            .select(&mut platform, 5)
-            .unwrap();
-        let history = platform.history();
-        assert_eq!(history.len(), 3);
-        assert!(history[1].tasks_per_worker > history[0].tasks_per_worker);
-        assert!(history[2].tasks_per_worker > history[1].tasks_per_worker);
+        let (_, records) = run(&DatasetConfig::s1(), 5, 5);
+        assert_eq!(records.len(), 3);
+        assert!(records[1].tasks_per_worker > records[0].tasks_per_worker);
+        assert!(records[2].tasks_per_worker > records[1].tasks_per_worker);
     }
 
     #[test]
@@ -155,7 +161,7 @@ mod tests {
         assert_eq!(MedianEliminationBaseline::new().name(), "ME");
     }
 
-    fn observed(record: &c4u_crowd_sim::RoundRecord) -> Vec<ScoredWorker> {
+    fn observed(record: &RoundRecord) -> Vec<ScoredWorker> {
         record
             .sheets
             .iter()
@@ -165,12 +171,8 @@ mod tests {
 
     #[test]
     fn selection_is_the_top_k_of_the_last_round() {
-        let ds = generate(&DatasetConfig::rw1()).unwrap();
-        let mut platform = Platform::from_dataset(&ds, 11).unwrap();
-        let outcome = MedianEliminationBaseline::new()
-            .select(&mut platform, 7)
-            .unwrap();
-        let last = observed(&platform.history()[1]);
+        let (outcome, records) = run(&DatasetConfig::rw1(), 11, 7);
+        let last = observed(&records[1]);
         let survivors: Vec<ScoredWorker> = median_eliminate(&last)
             .into_iter()
             .map(|w| *last.iter().find(|s| s.worker == w).unwrap())
@@ -183,16 +185,9 @@ mod tests {
     #[test]
     fn too_few_survivors_fall_back_to_the_previous_round() {
         // k = 13 still gives two rounds (27 -> 14 -> 7), leaving fewer than k.
-        let ds = generate(&DatasetConfig::rw1()).unwrap();
-        let mut platform = Platform::from_dataset(&ds, 11).unwrap();
-        let outcome = MedianEliminationBaseline::new()
-            .select(&mut platform, 13)
-            .unwrap();
+        let (outcome, records) = run(&DatasetConfig::rw1(), 11, 13);
         assert_eq!(outcome.rounds, 2);
-        assert_eq!(
-            outcome.selected,
-            top_k(&observed(&platform.history()[0]), 13)
-        );
+        assert_eq!(outcome.selected, top_k(&observed(&records[0]), 13));
         assert_eq!(outcome.scores.len(), 13);
     }
 }

@@ -76,6 +76,7 @@ impl WorkerSelector for GroundTruthOracle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::baselines::replay;
     use c4u_crowd_sim::{generate, DatasetConfig};
 
     #[test]
@@ -125,7 +126,16 @@ mod tests {
         let plan = BudgetPlan::new(40, 5, 2400).unwrap();
         assert_eq!(outcome.rounds, plan.rounds);
         assert_eq!(outcome.budget_spent, plan.planned_spend());
-        let sizes: Vec<usize> = platform.history().iter().map(|r| r.sheets.len()).collect();
+        let mut twin = Platform::from_dataset(&ds, 4).unwrap();
+        let records = replay::halving(&mut twin, 5, |twin, record| {
+            record
+                .sheets
+                .iter()
+                .map(|s| ScoredWorker::new(s.worker, twin.true_accuracy(s.worker).unwrap()))
+                .collect()
+        });
+        replay::assert_replayed(&platform, &twin);
+        let sizes: Vec<usize> = records.iter().map(|r| r.sheets.len()).collect();
         assert_eq!(sizes, vec![40, 20, 10]);
     }
 }

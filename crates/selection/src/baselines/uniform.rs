@@ -66,6 +66,7 @@ impl WorkerSelector for UniformSampling {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::baselines::replay;
     use c4u_crowd_sim::{generate, DatasetConfig};
 
     #[test]
@@ -103,8 +104,11 @@ mod tests {
         let ds = generate(&DatasetConfig::s1()).unwrap();
         let mut platform = Platform::from_dataset(&ds, 2).unwrap();
         let outcome = UniformSampling::new().select(&mut platform, 5).unwrap();
-        let record = &platform.history()[0];
-        assert_eq!(record.tasks_per_worker, 2400 / 40);
+        let mut twin = Platform::from_dataset(&ds, 2).unwrap();
+        let record = twin
+            .assign_learning_batch(&twin.worker_ids(), 2400 / 40)
+            .unwrap();
+        replay::assert_replayed(&platform, &twin);
         for (w, score) in outcome.selected.iter().zip(&outcome.scores) {
             assert_eq!(record.accuracy_of(*w), Some(*score));
         }

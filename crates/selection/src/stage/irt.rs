@@ -121,7 +121,7 @@ impl EstimationStage for BktStage {
                 Some(tracker) => *tracker,
                 None => stage.fresh_tracker(ctx.profiles[i])?,
             };
-            let score = tracker.observe_batch(&sheet.correctness());
+            let score = tracker.observe_batch(sheet.correctness());
             Ok((tracker, score))
         };
         let shards = ctx.worker_shards();
@@ -449,7 +449,7 @@ mod tests {
                 ..params
             })
             .unwrap();
-            assert_eq!(expected.observe_batch(&sheet.correctness()), score);
+            assert_eq!(expected.observe_batch(sheet.correctness()), score);
             assert_eq!(stage.tracker(sheet.worker), Some(&expected));
         }
     }

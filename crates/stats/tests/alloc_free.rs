@@ -12,9 +12,10 @@
 //! concurrently with the test body at unpredictable points, and a
 //! process-global count would flake on that background noise.
 
-// The one sanctioned `unsafe` in the workspace: implementing `GlobalAlloc`
-// requires it. The workspace-level `unsafe_code = "deny"` is overridden here
-// only; library crate roots all `#![forbid(unsafe_code)]`.
+// Implementing `GlobalAlloc` requires `unsafe`. The workspace-level
+// `unsafe_code = "deny"` is overridden here and in
+// `crates/crowd-sim/tests/answer_allocations.rs` only; library crate roots all
+// `#![forbid(unsafe_code)]`.
 #![allow(unsafe_code)]
 
 use c4u_stats::{

@@ -1,7 +1,7 @@
 //! Property-based integration tests: the pipeline's key invariants must hold for
 //! arbitrary (small) pool configurations, not just the paper presets.
 
-use c4u_crowd_sim::{generate, DatasetConfig, Platform};
+use c4u_crowd_sim::{generate, Dataset, DatasetConfig, HistoricalProfile, Platform};
 use c4u_selection::{
     median_eliminate, top_k, CrossDomainSelector, EstimationMode, MedianEliminationBaseline,
     ScoredWorker, SelectorConfig, UniformSampling, WorkerSelector,
@@ -32,12 +32,37 @@ fn config_strategy() -> impl Strategy<Value = DatasetConfig> {
     })
 }
 
+/// Blanks prior domains the way `tests/missing_domains.rs` does: every third
+/// worker lacks domain 1, and every fifth lacks domains 0 and 2.
+fn blank_domains(dataset: &mut Dataset) {
+    for (i, worker) in dataset.workers.iter_mut().enumerate() {
+        let domains = worker.profile.num_domains();
+        let mut accs: Vec<Option<f64>> = (0..domains).map(|d| worker.profile.accuracy(d)).collect();
+        let counts: Vec<usize> = (0..domains).map(|d| worker.profile.task_count(d)).collect();
+        if i % 3 == 0 {
+            accs[1] = None;
+        }
+        if i % 5 == 0 {
+            accs[0] = None;
+            accs[2] = None;
+        }
+        worker.profile = HistoricalProfile::new(accs, counts).unwrap();
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
-    fn pipeline_always_selects_k_unique_workers_within_budget(config in config_strategy()) {
-        let dataset = generate(&config).unwrap();
+    fn pipeline_always_selects_k_unique_workers_within_budget(
+        config in config_strategy(),
+        epochs in 1usize..4,
+        gappy in 0u8..2,
+    ) {
+        let mut dataset = generate(&config).unwrap();
+        if gappy == 1 {
+            blank_domains(&mut dataset);
+        }
         for mode in MODES {
             for num_shards in [1, 3] {
                 let mut platform =
@@ -45,7 +70,7 @@ proptest! {
                 let mut sel_config = SelectorConfig::default()
                     .with_mode(mode)
                     .with_num_shards(num_shards);
-                sel_config.cpe.epochs = 3;
+                sel_config.cpe.epochs = epochs;
                 let selector = CrossDomainSelector::new(sel_config);
                 let outcome = selector.select(&mut platform, config.select_k).unwrap();
 
@@ -60,9 +85,11 @@ proptest! {
                 prop_assert_eq!(outcome.scores.len(), config.select_k);
                 prop_assert!(
                     outcome.scores.iter().all(|s| s.is_finite()),
-                    "{:?} x {} shards: {:?}",
+                    "{:?} x {} shards x {} epochs (gappy {}): {:?}",
                     mode,
                     num_shards,
+                    epochs,
+                    gappy,
                     outcome.scores
                 );
             }
