@@ -31,7 +31,7 @@
 //! of a mask group per epoch; a group spanning several blocks fans them out
 //! over the machine's threads, bit-identically for every thread count), with
 //! the historical central-difference stencil
-//! ([`gradient_with_step`](crate::gradient_with_step)) over the packed
+//! ([`gradient_with_step`]) over the packed
 //! parameters retained as a cross-check ([`CpeGradient::FiniteDifference`],
 //! pinned bit-for-bit by `tests/fd_pinned.rs` and
 //! `tests/kernel_equivalence.rs`). The finite-difference numbers are

@@ -16,7 +16,7 @@
 //!    order, so everything stays deterministic) and caches each member's
 //!    observed values;
 //! 2. per model evaluation, the kernel asks the model for **one**
-//!    [`Conditioner`](c4u_stats::Conditioner) per unique mask and applies it to
+//!    [`Conditioner`] per unique mask and applies it to
 //!    every member of the group — an `O(g^2)` triangular solve per worker
 //!    instead of an `O(g^3)` factorisation per worker;
 //! 3. the Eq. 5 normalisers and Eq. 8 posterior means of a whole group are

@@ -22,9 +22,9 @@ use crate::SelectionError;
 ///   output is deterministic and shard-layout independent whenever the
 ///   children are.
 ///
-/// Children see the pipeline's `prior_histories`, not their siblings' — the
-/// ensemble is one pipeline stage from the outside, and only its blended
-/// scores enter the pipeline history.
+/// Children see the preceding pipeline stage's scores, not their siblings' —
+/// the ensemble is one pipeline stage from the outside, and only its blended
+/// scores reach the next stage.
 #[derive(Debug, Clone)]
 pub struct EnsembleStage {
     children: Vec<Box<dyn EstimationStage>>,
@@ -211,7 +211,6 @@ mod tests {
             profiles: &profiles,
             cumulative_tasks: &cumulative,
             num_shards: 1,
-            prior_histories: &[],
         };
         let from_a = a.estimate(&ctx, &[]).unwrap();
         let from_b = b.estimate(&ctx, &[]).unwrap();
@@ -280,7 +279,6 @@ mod tests {
             profiles: &profiles,
             cumulative_tasks: &[0.0, 7.0],
             num_shards: 1,
-            prior_histories: &[],
         };
         let accuracies: Vec<f64> = record.sheets.iter().map(|s| s.accuracy()).collect();
         let mut lone =

@@ -277,7 +277,6 @@ mod tests {
             profiles,
             cumulative_tasks: cumulative,
             num_shards,
-            prior_histories: &[],
         }
     }
 

@@ -8,16 +8,19 @@
 //! * [`CpeStage`] — Algorithm 1: updates the cross-domain model with the
 //!   round's answer sheets and emits the static estimate `p_{c,i}`;
 //! * [`LgeStage`] — Algorithm 2: refines the preceding stage's estimates into
-//!   the dynamic estimate `p_hat_{c,i,T}` using the preceding stage's estimate
-//!   history across rounds.
+//!   the dynamic estimate `p_hat_{c,i,T}` by fitting each worker's learning
+//!   curve to that worker's trajectory of those estimates across rounds.
 //!
-//! The pipeline records every stage's per-worker output history, so a stage can
-//! consume the full cross-round trajectory of the stages before it (that is how
-//! LGE sees the CPE history without the two being coupled). Beyond the two
-//! canonical stages, the module hosts the **stage zoo**: IRT-backed stages
-//! ([`BktStage`], [`RaschStage`]), the [`EnsembleStage`] combinator, and the
-//! [`SheetAccuracyStage`] prior used by the LGE-only ablation. New ablations
-//! are one-line compositions:
+//! Every stage owns its cross-round state: CPE its model, LGE the static
+//! estimates it has been handed, BKT its trackers, Rasch its observed sheet
+//! accuracies. The pipeline only threads one round's scores from each stage to
+//! the next (that is how LGE sees the CPE estimates without the two being
+//! coupled).
+//!
+//! Beyond the two canonical stages, the module hosts the **stage zoo**:
+//! IRT-backed stages ([`BktStage`], [`RaschStage`]), the [`EnsembleStage`]
+//! combinator, and the [`SheetAccuracyStage`] prior used by the LGE-only
+//! ablation. New ablations are one-line compositions:
 //!
 //! ```
 //! use c4u_selection::{CpeConfig, CpeStage, LgeStage, StagePipeline};
@@ -80,12 +83,10 @@ pub fn num_prior_domains(profiles: &[&HistoricalProfile]) -> usize {
     profiles.iter().map(|p| p.num_domains()).max().unwrap_or(0)
 }
 
-/// The round header: the per-round facts every per-round view shares.
+/// The round header: the per-round facts every stage reads.
 ///
-/// Historically [`RoundContext`] and the pipeline's round input each carried
-/// their own copy of these four fields; they are now stated once here and
-/// embedded (both views deref/delegate to it), so the header can only ever be
-/// described one way per round.
+/// [`RoundContext`] embeds it and derefs to it, so `ctx.round`, `ctx.sheets`,
+/// ... read the header's fields.
 #[derive(Debug, Clone, Copy)]
 pub struct RoundHeader<'a> {
     /// 1-based round index.
@@ -98,14 +99,14 @@ pub struct RoundHeader<'a> {
     pub sheets: &'a [AnswerSheet],
 }
 
-/// Everything a stage can see in one elimination round.
+/// Everything a stage can see in one elimination round, and the round input
+/// [`StagePipeline::score_round`] takes (it hands the same context to every
+/// stage).
 ///
 /// `header.sheets` and `profiles` are aligned: entry `i` of both describes the
 /// same remaining worker (the context derefs to its [`RoundHeader`], so
-/// `ctx.round`, `ctx.sheets`, ... read as before). `prior_histories` exposes,
-/// for every *preceding* stage in the pipeline, that stage's per-worker score
-/// history across all rounds run so far — including the current round, because
-/// preceding stages have already run when a stage is invoked.
+/// `ctx.round`, `ctx.sheets`, ... read the header). A stage that needs
+/// anything from earlier rounds keeps it itself.
 #[derive(Debug, Clone, Copy)]
 pub struct RoundContext<'a> {
     /// The shared round header (round index, total rounds, `delta_c`, sheets).
@@ -120,9 +121,10 @@ pub struct RoundContext<'a> {
     /// out over (1 = sequential; shard results are merged in worker order, so
     /// the scores are identical for every value).
     pub num_shards: usize,
-    /// Score histories of the preceding stages (index = stage position).
-    pub prior_histories: &'a [HashMap<WorkerId, Vec<f64>>],
 }
+
+/// The pipeline's round input: the same context every stage sees.
+pub type StageRoundInput<'a> = RoundContext<'a>;
 
 impl<'a> std::ops::Deref for RoundContext<'a> {
     type Target = RoundHeader<'a>;
@@ -334,13 +336,17 @@ impl EstimationStage for CpeStage {
 
 /// Learning Gain Estimation as a pipeline stage (Algorithm 2).
 ///
-/// Consumes the preceding stage's scores (the static estimates) plus that
-/// stage's cross-round history and emits the dynamic estimate
-/// `p_hat_{c,i,T}`. Must be placed after a stage that produces one score per
-/// worker — it rejects a run in which `prior` is not aligned with the sheets.
+/// Consumes the preceding stage's scores (the static estimates) and emits the
+/// dynamic estimate `p_hat_{c,i,T}`, fitted to every static estimate the
+/// worker has been handed so far, this round's included; the stage records
+/// that trajectory itself. Must be placed after a stage that produces one
+/// score per worker — it rejects a run in which `prior` is not aligned with
+/// the sheets.
 #[derive(Debug, Clone, Default)]
 pub struct LgeStage {
     estimator: Option<LearningGainEstimator>,
+    /// Each worker's static estimates of the earlier rounds, in round order.
+    priors: HashMap<WorkerId, Vec<f64>>,
 }
 
 impl LgeStage {
@@ -363,6 +369,7 @@ impl EstimationStage for LgeStage {
             init.initial_target_accuracy,
             pool_prior_means(init),
         )?));
+        self.priors.clear();
         Ok(())
     }
 
@@ -381,7 +388,6 @@ impl EstimationStage for LgeStage {
                 value: prior.len() as f64,
             });
         }
-        let history_of = ctx.prior_histories.last();
         let schedule = RoundSchedule::new(ctx)?;
         // In the very first round every stage sits at K_0 = 0, where the
         // learning-gain curve is independent of alpha: the fitted
@@ -391,21 +397,28 @@ impl EstimationStage for LgeStage {
         // static estimates coincide until training has started).
         let first_informative = ctx.cumulative_tasks.iter().position(|&k| k > 0.0);
         // Per-worker scoring: each worker's Eq. 10–11 fit depends only on its
-        // own history, so the pass fans out over the round's worker shards and
-        // the per-shard score vectors are concatenated back in worker order
-        // (identical to the sequential loop for every shard layout).
+        // own history plus this round's estimate, so the pass fans out over
+        // the round's worker shards and the per-shard score vectors are
+        // concatenated back in worker order (identical to the sequential loop
+        // for every shard layout). The round's estimates are appended in
+        // worker order after the pass, like RaschStage's accuracies.
+        let priors = &self.priors;
         let score_worker = |i: usize, terms: &mut Vec<LearningTerm>| {
-            let history = history_of
-                .and_then(|h| h.get(&ctx.sheets[i].worker))
+            let history = priors
+                .get(&ctx.sheets[i].worker)
                 .map_or(&[][..], Vec::as_slice);
+            let len = history.len() + 1;
             // The preceding stage's estimate of stage j reflects a worker
             // trained with only j-1 rounds (Eq. 11), so the stage j estimate
             // pairs with K_{j-1}.
-            let stage_log_tasks = schedule.stage_log_tasks(history.len())?;
-            if first_informative.is_none_or(|j| j >= history.len()) {
+            let stage_log_tasks = schedule.stage_log_tasks(len)?;
+            if first_informative.is_none_or(|j| j >= len) {
                 return Ok(prior[i]);
             }
-            let stages = stage_log_tasks.iter().copied().zip(history.iter().copied());
+            let stages = stage_log_tasks
+                .iter()
+                .copied()
+                .zip(history.iter().copied().chain(std::iter::once(prior[i])));
             let anchors = profile_anchors(ctx.profiles[i]);
             Ok(estimator
                 .fit(terms, anchors, stages, schedule.tasks_now)?
@@ -420,6 +433,9 @@ impl EstimationStage for LgeStage {
                     .map(|i| score_worker(i, &mut terms))
                     .collect::<Result<_, SelectionError>>()
             })?;
+        for (sheet, &p) in ctx.sheets.iter().zip(prior) {
+            self.priors.entry(sheet.worker).or_default().push(p);
+        }
         Ok(per_shard.into_iter().flatten().collect())
     }
 
@@ -468,29 +484,6 @@ impl EstimationStage for SheetAccuracyStage {
     }
 }
 
-/// Per-round inputs of a pipeline invocation (everything except the stage
-/// histories, which the pipeline owns).
-#[derive(Debug, Clone, Copy)]
-pub struct StageRoundInput<'a> {
-    /// The shared round header (round index, total rounds, `delta_c`, sheets).
-    pub header: RoundHeader<'a>,
-    /// Historical profiles aligned with `header.sheets`.
-    pub profiles: &'a [&'a HistoricalProfile],
-    /// Cumulative training schedule `K_0, ..., K_n`.
-    pub cumulative_tasks: &'a [f64],
-    /// Worker-range shards for the stages' per-worker scoring passes
-    /// (1 = sequential; any value yields identical scores).
-    pub num_shards: usize,
-}
-
-impl<'a> std::ops::Deref for StageRoundInput<'a> {
-    type Target = RoundHeader<'a>;
-
-    fn deref(&self) -> &RoundHeader<'a> {
-        &self.header
-    }
-}
-
 /// The per-stage estimates of one round, in pipeline order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RoundEstimates {
@@ -520,24 +513,15 @@ impl RoundEstimates {
     }
 }
 
-/// An ordered composition of [`EstimationStage`]s plus their score histories.
+/// An ordered composition of [`EstimationStage`]s.
 ///
-/// Selectors hold a pipeline as a *template*: [`StagePipeline::initialize`]
-/// resets all stage state and histories, so a cloned pipeline always starts a
-/// run fresh.
-#[derive(Debug)]
+/// The pipeline keeps no state of its own between rounds; every stage keeps
+/// its own. Selectors hold a pipeline as a *template*:
+/// [`StagePipeline::initialize`] resets every stage, so a cloned pipeline
+/// always starts a run fresh.
+#[derive(Debug, Clone)]
 pub struct StagePipeline {
     stages: Vec<Box<dyn EstimationStage>>,
-    histories: Vec<HashMap<WorkerId, Vec<f64>>>,
-}
-
-impl Clone for StagePipeline {
-    fn clone(&self) -> Self {
-        Self {
-            stages: self.stages.clone(),
-            histories: self.histories.clone(),
-        }
-    }
 }
 
 impl StagePipeline {
@@ -546,8 +530,7 @@ impl StagePipeline {
         if stages.is_empty() {
             return Err(SelectionError::NotEnoughData { needed: 1, got: 0 });
         }
-        let histories = vec![HashMap::new(); stages.len()];
-        Ok(Self { stages, histories })
+        Ok(Self { stages })
     }
 
     /// The canonical full method: CPE followed by LGE ("Ours").
@@ -638,52 +621,38 @@ impl StagePipeline {
         self.stages.len()
     }
 
-    /// Cross-round score history of stage `index` (one entry per worker that
-    /// has been scored by that stage).
-    pub fn history(&self, index: usize) -> Option<&HashMap<WorkerId, Vec<f64>>> {
-        self.histories.get(index)
-    }
-
-    /// Resets all stage state and histories for a fresh run.
+    /// Resets every stage for a fresh run.
     pub fn initialize(&mut self, init: &StageInit<'_>) -> Result<(), SelectionError> {
-        self.histories = vec![HashMap::new(); self.stages.len()];
         for stage in &mut self.stages {
             stage.initialize(init)?;
         }
         Ok(())
     }
 
-    /// Runs every stage once for the round, threading scores through the
-    /// pipeline and recording each stage's output into its history.
+    /// Runs every stage once for the round on the same context, handing each
+    /// stage the preceding stage's scores.
     pub fn score_round(
         &mut self,
-        input: &StageRoundInput<'_>,
+        ctx: &RoundContext<'_>,
     ) -> Result<RoundEstimates, SelectionError> {
-        let sheets = input.header.sheets;
-        if input.profiles.len() != sheets.len() {
+        let sheets = ctx.sheets;
+        if ctx.profiles.len() != sheets.len() {
             return Err(SelectionError::InvalidConfig {
                 what: "round profiles must align with the answer sheets",
-                value: input.profiles.len() as f64,
+                value: ctx.profiles.len() as f64,
             });
         }
-        if input.cumulative_tasks.len() <= input.header.round {
-            return Err(schedule_too_short(input.header.round + 1));
+        if ctx.cumulative_tasks.len() <= ctx.round {
+            return Err(schedule_too_short(ctx.round + 1));
         }
         let mut per_stage: Vec<Vec<f64>> = Vec::with_capacity(self.stages.len());
-        let mut current: Vec<f64> = Vec::new();
-        for index in 0..self.stages.len() {
-            let ctx = RoundContext {
-                header: input.header,
-                profiles: input.profiles,
-                cumulative_tasks: input.cumulative_tasks,
-                num_shards: input.num_shards,
-                prior_histories: &self.histories[..index],
-            };
-            let scores = self.stages[index].estimate(&ctx, &current)?;
+        for stage in &mut self.stages {
+            let prior = per_stage.last().map_or(&[][..], Vec::as_slice);
+            let scores = stage.estimate(ctx, prior)?;
             if scores.len() != sheets.len() {
                 return Err(SelectionError::Numerical(format!(
                     "stage '{}' produced {} scores for {} workers",
-                    self.stages[index].name(),
+                    stage.name(),
                     scores.len(),
                     sheets.len()
                 )));
@@ -691,19 +660,12 @@ impl StagePipeline {
             if let Some((sheet, &score)) = sheets.iter().zip(&scores).find(|(_, s)| !s.is_finite())
             {
                 return Err(SelectionError::NonFiniteScore {
-                    stage: self.stages[index].name().to_string(),
+                    stage: stage.name().to_string(),
                     worker: sheet.worker,
                     value: score,
                 });
             }
-            for (sheet, &score) in sheets.iter().zip(scores.iter()) {
-                self.histories[index]
-                    .entry(sheet.worker)
-                    .or_default()
-                    .push(score);
-            }
-            per_stage.push(scores.clone());
-            current = scores;
+            per_stage.push(scores);
         }
         Ok(RoundEstimates { per_stage })
     }
@@ -741,21 +703,75 @@ mod tests {
         assert_eq!(ablation.stage_names(), vec!["cpe"]);
     }
 
-    #[test]
-    fn pipeline_clone_is_independent() {
+    /// The pipelines whose stages keep cross-round state of every kind: the
+    /// CPE model, LGE's static-estimate trajectories, Rasch observations and
+    /// BKT trackers.
+    fn stateful_pipelines() -> [StagePipeline; 4] {
+        [
+            StagePipeline::cpe_and_lge(fast_cpe()),
+            StagePipeline::lge_only(),
+            StagePipeline::rasch_calibrated(),
+            StagePipeline::bkt_only(BktParams::default()),
+        ]
+    }
+
+    /// `pipeline`, initialised on the RW-1 pool.
+    fn initialized(mut pipeline: StagePipeline) -> StagePipeline {
         let ds = generate(&DatasetConfig::rw1()).unwrap();
         let platform = Platform::from_dataset(&ds, 1).unwrap();
         let profiles = platform.profiles();
-        let init = StageInit {
-            profiles: &profiles,
-            num_prior_domains: num_prior_domains(&profiles),
-            initial_target_accuracy: 0.5,
-        };
-        let mut a = StagePipeline::cpe_only(fast_cpe());
-        let b = a.clone();
-        a.initialize(&init).unwrap();
-        // The clone was taken before initialisation and is unaffected.
-        assert_eq!(b.history(0).map(|h| h.len()), Some(0));
+        pipeline
+            .initialize(&StageInit {
+                profiles: &profiles,
+                num_prior_domains: num_prior_domains(&profiles),
+                initial_target_accuracy: 0.5,
+            })
+            .unwrap();
+        pipeline
+    }
+
+    /// Scores a three-round RW-1 campaign (platform seed `seed`, the pool
+    /// shrinking to 14 and then 7 workers) on `pipeline` as it stands.
+    fn campaign(
+        pipeline: &mut StagePipeline,
+        seed: u64,
+    ) -> Result<Vec<RoundEstimates>, SelectionError> {
+        let ds = generate(&DatasetConfig::rw1()).unwrap();
+        let mut platform = Platform::from_dataset(&ds, seed).unwrap();
+        let ids = platform.worker_ids();
+        let cumulative = [0.0, 4.0, 12.0, 28.0];
+        let mut rounds = Vec::new();
+        for (round, pool) in [&ids[..], &ids[..14], &ids[..7]].into_iter().enumerate() {
+            let round = round + 1;
+            let tasks = (cumulative[round] - cumulative[round - 1]) as usize;
+            let sheets = platform.assign_learning_batch(pool, tasks).unwrap().sheets;
+            let profiles: Vec<&HistoricalProfile> = sheets
+                .iter()
+                .map(|s| platform.profile(s.worker).unwrap())
+                .collect();
+            rounds.push(pipeline.score_round(&round_input(
+                round,
+                &sheets,
+                &profiles,
+                &cumulative,
+            ))?);
+        }
+        Ok(rounds)
+    }
+
+    #[test]
+    fn pipeline_clone_is_independent() {
+        for template in stateful_pipelines() {
+            let names = template.stage_names().join("+");
+            let mut a = initialized(template);
+            let mut b = a.clone();
+            let first = campaign(&mut a, 5).unwrap();
+            // The clone was taken before `a` ran: `a`'s campaign left it
+            // untouched, so it scores the same campaign bit for bit.
+            assert_eq!(campaign(&mut b, 5).unwrap(), first, "{names}");
+            // `a` itself now carries cross-round state and does not.
+            assert_ne!(campaign(&mut a, 5).ok(), Some(first), "{names}");
+        }
     }
 
     #[test]
@@ -780,7 +796,6 @@ mod tests {
             profiles: &profiles,
             cumulative_tasks: &cumulative,
             num_shards: 1,
-            prior_histories: &[],
         };
         assert!(CpeStage::new(fast_cpe()).estimate(&ctx, &[]).is_err());
         assert!(LgeStage::new()
@@ -818,7 +833,6 @@ mod tests {
             profiles: &profiles,
             cumulative_tasks: &cumulative,
             num_shards: 1,
-            prior_histories: &[],
         };
         // Misaligned prior scores are rejected.
         assert!(lge.estimate(&ctx, &[0.5]).is_err());
@@ -852,7 +866,7 @@ mod tests {
             .collect();
         let cumulative = [0.0, 5.0];
         let estimates = pipeline
-            .score_round(&StageRoundInput {
+            .score_round(&RoundContext {
                 header: RoundHeader {
                     round: 1,
                     total_rounds: 1,
@@ -872,12 +886,19 @@ mod tests {
         // Round 1 has no informative training stage, so LGE passes the CPE
         // scores through unchanged.
         assert_eq!(estimates.first(), estimates.last());
-        // Both stages recorded one score per worker.
-        for index in 0..2 {
-            let history = pipeline.history(index).unwrap();
-            assert_eq!(history.len(), ids.len());
-            assert!(history.values().all(|h| h.len() == 1));
-        }
+        // In round 2 LGE fits the two CPE estimates it has been handed, so
+        // its scores leave the CPE scores: it recorded round 1's.
+        let record = platform.assign_learning_batch(&ids, 5).unwrap();
+        let profiles: Vec<&HistoricalProfile> = record
+            .sheets
+            .iter()
+            .map(|s| platform.profile(s.worker).unwrap())
+            .collect();
+        let cumulative = [0.0, 5.0, 10.0];
+        let estimates = pipeline
+            .score_round(&round_input(2, &record.sheets, &profiles, &cumulative))
+            .unwrap();
+        assert_ne!(estimates.first(), estimates.last());
         // Correlations come from the CPE stage.
         let correlations = pipeline.target_correlations().unwrap().unwrap();
         assert_eq!(correlations.len(), 3);
@@ -909,8 +930,8 @@ mod tests {
         sheets: &'a [AnswerSheet],
         profiles: &'a [&'a HistoricalProfile],
         cumulative_tasks: &'a [f64],
-    ) -> StageRoundInput<'a> {
-        StageRoundInput {
+    ) -> RoundContext<'a> {
+        RoundContext {
             header: RoundHeader {
                 round,
                 total_rounds: 2,
@@ -1020,69 +1041,59 @@ mod tests {
 
     #[test]
     fn initialize_resets_histories() {
-        let ds = generate(&DatasetConfig::rw1()).unwrap();
-        let mut platform = Platform::from_dataset(&ds, 5).unwrap();
-        let ids = platform.worker_ids();
-        let mut pipeline = StagePipeline::cpe_only(fast_cpe());
-        {
-            let pool_profiles = platform.profiles();
-            let init = StageInit {
-                profiles: &pool_profiles,
-                num_prior_domains: num_prior_domains(&pool_profiles),
-                initial_target_accuracy: 0.5,
-            };
-            pipeline.initialize(&init).unwrap();
+        for (template, fresh) in stateful_pipelines().into_iter().zip(stateful_pipelines()) {
+            let names = template.stage_names().join("+");
+            let mut pipeline = initialized(template);
+            campaign(&mut pipeline, 5).unwrap();
+            // Re-initialised after a campaign, the pipeline scores a second
+            // campaign bit for bit like a fresh one.
+            let expected = campaign(&mut initialized(fresh), 11).unwrap();
+            assert_ne!(
+                campaign(&mut pipeline.clone(), 11).ok(),
+                Some(expected.clone()),
+                "{names}"
+            );
+            let mut pipeline = initialized(pipeline);
+            assert_eq!(campaign(&mut pipeline, 11).unwrap(), expected, "{names}");
         }
-        let record = platform.assign_learning_batch(&ids, 2).unwrap();
-        let profiles: Vec<&HistoricalProfile> = record
-            .sheets
-            .iter()
-            .map(|s| platform.profile(s.worker).unwrap())
-            .collect();
-        let cumulative = [0.0, 2.0];
-        pipeline
-            .score_round(&StageRoundInput {
-                header: RoundHeader {
-                    round: 1,
-                    total_rounds: 1,
-                    delta: 0.1,
-                    sheets: &record.sheets,
-                },
-                profiles: &profiles,
-                cumulative_tasks: &cumulative,
-                num_shards: 1,
-            })
-            .unwrap();
-        assert!(!pipeline.history(0).unwrap().is_empty());
-        {
-            let pool_profiles = platform.profiles();
-            let init = StageInit {
-                profiles: &pool_profiles,
-                num_prior_domains: num_prior_domains(&pool_profiles),
-                initial_target_accuracy: 0.5,
-            };
-            pipeline.initialize(&init).unwrap();
-        }
-        assert!(pipeline.history(0).unwrap().is_empty());
     }
 
     #[test]
     fn sheet_accuracy_feeds_the_lge_stage() {
-        let (mut pipeline, platform, sheets) = pipeline_and_round(StagePipeline::lge_only(), 4);
-        let profiles: Vec<&HistoricalProfile> = sheets
-            .iter()
-            .map(|s| platform.profile(s.worker).unwrap())
-            .collect();
-        let estimates = pipeline
-            .score_round(&round_input(1, &sheets, &profiles, &[0.0, 4.0]))
+        let (mut pipeline, mut platform, first_sheets) =
+            pipeline_and_round(StagePipeline::lge_only(), 4);
+        let mut lge = LgeStage::new();
+        {
+            let pool_profiles = platform.profiles();
+            lge.initialize(&StageInit {
+                profiles: &pool_profiles,
+                num_prior_domains: num_prior_domains(&pool_profiles),
+                initial_target_accuracy: 0.5,
+            })
             .unwrap();
-        let accuracies: Vec<f64> = sheets.iter().map(AnswerSheet::accuracy).collect();
-        assert_eq!(estimates.first(), accuracies.as_slice());
-        assert_eq!(estimates.num_stages(), 2);
-        assert_eq!(estimates.stage(1), Some(estimates.last()));
-        assert!(estimates.stage(2).is_none());
-        assert!(estimates.last().iter().all(|p| (0.0..=1.0).contains(p)));
-        assert_eq!(pipeline.history(1).unwrap().len(), sheets.len());
+        }
+        let ids = platform.worker_ids();
+        let second_sheets = platform.assign_learning_batch(&ids, 4).unwrap().sheets;
+        let cumulative = [0.0, 4.0, 8.0];
+        for (round, sheets) in [(1, &first_sheets), (2, &second_sheets)] {
+            let profiles: Vec<&HistoricalProfile> = sheets
+                .iter()
+                .map(|s| platform.profile(s.worker).unwrap())
+                .collect();
+            let ctx = round_input(round, sheets, &profiles, &cumulative);
+            let estimates = pipeline.score_round(&ctx).unwrap();
+            let accuracies: Vec<f64> = sheets.iter().map(AnswerSheet::accuracy).collect();
+            assert_eq!(estimates.first(), accuracies.as_slice());
+            assert_eq!(estimates.num_stages(), 2);
+            assert_eq!(estimates.stage(1), Some(estimates.last()));
+            assert!(estimates.stage(2).is_none());
+            assert!(estimates.last().iter().all(|p| (0.0..=1.0).contains(p)));
+            // The LGE half is a plain LgeStage handed the sheet accuracies:
+            // it passes them through in round 1 and fits both rounds' in
+            // round 2.
+            assert_eq!(lge.estimate(&ctx, &accuracies).unwrap(), estimates.last());
+            assert_eq!(round == 1, estimates.first() == estimates.last());
+        }
     }
 
     #[test]
@@ -1093,7 +1104,21 @@ mod tests {
             .score_round(&round_input(1, &sheets, &profiles, &[0.0, 2.0]))
             .unwrap_err();
         assert!(matches!(err, SelectionError::InvalidConfig { .. }), "{err}");
-        assert!(pipeline.history(0).unwrap().is_empty());
+        // The rejected round left no state behind: the aligned round then
+        // scores like it does on a fresh pipeline.
+        let profiles: Vec<&HistoricalProfile> = sheets
+            .iter()
+            .map(|s| platform.profile(s.worker).unwrap())
+            .collect();
+        let (mut fresh, _, _) = pipeline_and_round(StagePipeline::lge_only(), 2);
+        let cumulative = [0.0, 2.0, 4.0];
+        for _ in 0..2 {
+            let ctx = round_input(1, &sheets, &profiles, &cumulative);
+            assert_eq!(
+                pipeline.score_round(&ctx).unwrap(),
+                fresh.score_round(&ctx).unwrap()
+            );
+        }
     }
 
     #[test]
@@ -1108,7 +1133,6 @@ mod tests {
                 profiles: &profiles,
                 cumulative_tasks: &[],
                 num_shards,
-                prior_histories: &[],
             };
             let shards = ctx.worker_shards();
             assert_eq!(

@@ -32,13 +32,14 @@
 //!   [`GaussLegendre::integrate`]. Every arithmetic expression replicates the
 //!   scalar path operation for operation (same clamp, same subtraction order,
 //!   same fold of the interval half-width into the final sum), so the batched
-//!   results are **bit-identical** to [`binomial_normal_moments`] /
-//!   [`binomial_normal_log_z`] — the scalar functions remain the pinned
-//!   cross-check oracle, enforced by the equivalence and property suites
-//!   rather than by an epsilon.
+//!   results are **bit-identical** to
+//!   [`binomial_normal_moments`](crate::binomial_normal_moments) /
+//!   [`binomial_normal_log_z`](crate::binomial_normal_log_z) — the scalar
+//!   functions remain the pinned cross-check oracle, enforced by the
+//!   equivalence and property suites rather than by an epsilon.
 //! * [`QuadratureMath::FastVector`] replaces the per-node division with a
 //!   reciprocal multiply and fused multiply-adds, exponentiates with the
-//!   lane-chunked polynomial [`vexp`](crate::vexp) (≤2 ULP per element, see
+//!   lane-chunked polynomial [`vexp`] (≤2 ULP per element, see
 //!   [`crate::vmath`]), and accumulates in chunk-wide partial sums, which
 //!   breaks the serial add chain so the autovectoriser can keep the whole
 //!   fused sweep in packed lanes. The accumulation is still deterministic (a
@@ -136,7 +137,7 @@ pub enum QuadratureMath {
     Exact,
     /// Fused register-resident sweeps over [`VEXP_LANES`]-wide node chunks —
     /// division-free fill arithmetic, the lane-chunked polynomial
-    /// [`vexp`](crate::vexp), and chunk-wide partial-sum accumulation in one
+    /// [`vexp`], and chunk-wide partial-sum accumulation in one
     /// pass: deterministic, but validated by tolerance (~1e-12 relative per
     /// cell) rather than bit equality.
     FastVector,

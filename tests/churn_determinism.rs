@@ -1,8 +1,11 @@
 //! Determinism pins for open-world (churn) campaigns:
 //!
 //! * one fixed join/leave schedule, replayed at worker-range shard counts
-//!   {1, 3, 16}, produces **bit-for-bit identical** selector reports — churn
-//!   does not break the shard-count invariance the closed-world suite pins;
+//!   {1, 3, 16}, produces **bit-for-bit identical** selector reports for every
+//!   preset of the stage zoo — churn does not break the shard-count invariance
+//!   the closed-world suite pins, nor the cross-round state each stage keeps
+//!   per worker (CPE model, LGE trajectories, Rasch observations, BKT
+//!   trackers) across joins and leaves;
 //! * the same replay is deterministic run-to-run;
 //! * removing a worker and re-adding its spec (as a fresh id) leaves every
 //!   *other* worker's answer stream untouched, property-tested over fuzzed
@@ -12,6 +15,16 @@
 use c4u_crowd_sim::{generate, CampaignSchedule, DatasetConfig, Platform, RoundEvents};
 use c4u_selection::{CrossDomainSelector, EstimationMode, PipelineReport, SelectorConfig};
 use proptest::prelude::*;
+
+/// Every preset of the stage zoo.
+const MODES: [EstimationMode; 6] = [
+    EstimationMode::CpeAndLge,
+    EstimationMode::CpeOnly,
+    EstimationMode::LgeOnly,
+    EstimationMode::BktOnly,
+    EstimationMode::RaschCalibrated,
+    EstimationMode::CpeBktEnsemble,
+];
 
 fn fast_config(mode: EstimationMode) -> SelectorConfig {
     let mut config = SelectorConfig::default().with_mode(mode);
@@ -36,11 +49,10 @@ fn fixed_schedule(dataset: &c4u_crowd_sim::Dataset) -> CampaignSchedule {
 fn run_with(
     dataset: &c4u_crowd_sim::Dataset,
     schedule: &CampaignSchedule,
+    mode: EstimationMode,
     num_shards: usize,
 ) -> PipelineReport {
-    let selector = CrossDomainSelector::new(
-        fast_config(EstimationMode::CpeAndLge).with_num_shards(num_shards),
-    );
+    let selector = CrossDomainSelector::new(fast_config(mode).with_num_shards(num_shards));
     let mut platform = Platform::from_dataset(dataset, 43).unwrap();
     selector
         .run_with_events(&mut platform, 7, schedule)
@@ -51,32 +63,34 @@ fn run_with(
 fn identical_churn_replays_are_shard_count_invariant() {
     let dataset = generate(&DatasetConfig::rw1()).unwrap();
     let schedule = fixed_schedule(&dataset);
-    let reference = run_with(&dataset, &schedule, 1);
+    for mode in MODES {
+        let reference = run_with(&dataset, &schedule, mode, 1);
 
-    // The joins and leaves actually happened.
-    let round2 = &reference.rounds[1];
-    assert_eq!(round2.joined.len(), 2);
-    assert_eq!(round2.departed, vec![0, 3]);
+        // The joins and leaves actually happened.
+        let round2 = &reference.rounds[1];
+        assert_eq!(round2.joined.len(), 2, "{mode:?}");
+        assert_eq!(round2.departed, vec![0, 3], "{mode:?}");
 
-    for shards in [3, 16] {
-        let candidate = run_with(&dataset, &schedule, shards);
-        assert_eq!(
-            reference.outcome, candidate.outcome,
-            "outcome diverged at {shards} shards"
-        );
-        assert_eq!(
-            reference.rounds, candidate.rounds,
-            "rounds diverged at {shards} shards"
-        );
-        assert_eq!(
-            reference.target_correlations, candidate.target_correlations,
-            "correlations diverged at {shards} shards"
-        );
+        for shards in [3, 16] {
+            let candidate = run_with(&dataset, &schedule, mode, shards);
+            assert_eq!(
+                reference.outcome, candidate.outcome,
+                "{mode:?}: outcome diverged at {shards} shards"
+            );
+            assert_eq!(
+                reference.rounds, candidate.rounds,
+                "{mode:?}: rounds diverged at {shards} shards"
+            );
+            assert_eq!(
+                reference.target_correlations, candidate.target_correlations,
+                "{mode:?}: correlations diverged at {shards} shards"
+            );
+        }
+        // And the replay is deterministic run-to-run at a fixed shard count.
+        let again = run_with(&dataset, &schedule, mode, 1);
+        assert_eq!(reference.outcome, again.outcome, "{mode:?}");
+        assert_eq!(reference.rounds, again.rounds, "{mode:?}");
     }
-    // And the replay is deterministic run-to-run at a fixed shard count.
-    let again = run_with(&dataset, &schedule, 1);
-    assert_eq!(reference.outcome, again.outcome);
-    assert_eq!(reference.rounds, again.rounds);
 }
 
 #[test]
@@ -91,10 +105,23 @@ fn preset_churn_schedules_are_deterministic_and_shard_invariant() {
         CampaignSchedule::churn(&config, 2).unwrap(),
         "preset schedule derivation must be deterministic"
     );
-    let reference = run_with(&dataset, &schedule, 1);
-    let sharded = run_with(&dataset, &schedule, 16);
-    assert_eq!(reference.outcome, sharded.outcome);
-    assert_eq!(reference.rounds, sharded.rounds);
+    for mode in MODES {
+        let reference = run_with(&dataset, &schedule, mode, 1);
+        let sharded = run_with(&dataset, &schedule, mode, 16);
+        assert_eq!(reference.outcome, sharded.outcome, "{mode:?}");
+        assert_eq!(reference.rounds, sharded.rounds, "{mode:?}");
+        // A joiner is selected, so the pin covers state a stage started
+        // keeping mid-campaign.
+        assert!(
+            reference
+                .outcome
+                .selected
+                .iter()
+                .any(|&w| w >= dataset.workers.len()),
+            "{mode:?}: {:?}",
+            reference.outcome.selected
+        );
+    }
 }
 
 proptest! {

@@ -1,10 +1,13 @@
 //! Property-based integration tests: the pipeline's key invariants must hold for
-//! arbitrary (small) pool configurations, not just the paper presets.
+//! arbitrary (small) pool configurations, not just the paper presets, and for
+//! every robustness scenario with its churn schedule replayed.
 
-use c4u_crowd_sim::{generate, Dataset, DatasetConfig, HistoricalProfile, Platform};
+use c4u_crowd_sim::{
+    generate, CampaignSchedule, Dataset, DatasetConfig, HistoricalProfile, Platform,
+};
 use c4u_selection::{
-    median_eliminate, top_k, CrossDomainSelector, EstimationMode, MedianEliminationBaseline,
-    ScoredWorker, SelectorConfig, UniformSampling, WorkerSelector,
+    median_eliminate, rounds_until_at_most, top_k, CrossDomainSelector, EstimationMode,
+    MedianEliminationBaseline, ScoredWorker, SelectorConfig, UniformSampling, WorkerSelector,
 };
 use proptest::prelude::*;
 
@@ -18,18 +21,26 @@ const MODES: [EstimationMode; 6] = [
     EstimationMode::CpeBktEnsemble,
 ];
 
+/// Strategy for a small pool shape: pool size, k, tasks per batch, seed.
+fn shape_strategy() -> impl Strategy<Value = (usize, usize, usize, u64)> {
+    (8usize..=20, 2usize..=5, 4usize..=8, 0u64..1000)
+}
+
+/// `base` shrunk to the drawn pool shape.
+fn shrink(base: &DatasetConfig, (pool, k, q, seed): (usize, usize, usize, u64)) -> DatasetConfig {
+    let mut config = base.clone();
+    config.name = format!("{}-prop-{pool}-{k}-{q}", base.name);
+    config.pool_size = pool;
+    config.select_k = k.min(pool);
+    config.tasks_per_batch = q;
+    config.working_tasks = 20;
+    config.seed = seed;
+    config
+}
+
 /// Strategy for a small but varied dataset configuration.
 fn config_strategy() -> impl Strategy<Value = DatasetConfig> {
-    (8usize..=20, 2usize..=5, 4usize..=8, 0u64..1000).prop_map(|(pool, k, q, seed)| {
-        let mut config = DatasetConfig::rw1();
-        config.name = format!("prop-{pool}-{k}-{q}");
-        config.pool_size = pool;
-        config.select_k = k.min(pool);
-        config.tasks_per_batch = q;
-        config.working_tasks = 20;
-        config.seed = seed;
-        config
-    })
+    shape_strategy().prop_map(|shape| shrink(&DatasetConfig::rw1(), shape))
 }
 
 /// Blanks prior domains the way `tests/missing_domains.rs` does: every third
@@ -92,6 +103,52 @@ proptest! {
                     gappy,
                     outcome.scores
                 );
+            }
+        }
+    }
+
+    /// Every robustness scenario (RW-1, spammers, colluders, drift, churn),
+    /// shrunk to the drawn shape, with its churn schedule replayed. Each case
+    /// runs all five: the churn preset is one in five, and the test's fixed
+    /// case stream might never draw it.
+    #[test]
+    fn scenario_campaigns_with_churn_keep_the_invariants(shape in shape_strategy()) {
+        for base in DatasetConfig::robustness_scenarios() {
+            let config = shrink(&base, shape);
+            let dataset = generate(&config).unwrap();
+            let k = config.select_k;
+            let rounds = rounds_until_at_most(config.pool_size, k);
+            let schedule = CampaignSchedule::churn(&config, rounds).unwrap();
+            for mode in MODES {
+                for num_shards in [1, 3] {
+                    let mut platform =
+                        Platform::from_dataset(&dataset, config.seed ^ 0xABCD).unwrap();
+                    let mut sel_config = SelectorConfig::default()
+                        .with_mode(mode)
+                        .with_num_shards(num_shards);
+                    sel_config.cpe.epochs = 2;
+                    let outcome = CrossDomainSelector::new(sel_config)
+                        .run_with_events(&mut platform, k, &schedule)
+                        .unwrap()
+                        .outcome;
+
+                    let mut unique = outcome.selected.clone();
+                    unique.sort_unstable();
+                    unique.dedup();
+                    prop_assert_eq!(unique.len(), k);
+                    prop_assert_eq!(outcome.selected.len(), k);
+                    prop_assert!(unique.iter().all(|&w| platform.is_active(w)));
+                    prop_assert!(outcome.budget_spent <= config.budget());
+                    prop_assert_eq!(outcome.scores.len(), k);
+                    prop_assert!(
+                        outcome.scores.iter().all(|s| s.is_finite()),
+                        "{} x {:?} x {} shards: {:?}",
+                        config.name,
+                        mode,
+                        num_shards,
+                        outcome.scores
+                    );
+                }
             }
         }
     }

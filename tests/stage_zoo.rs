@@ -2,7 +2,7 @@
 //! ensemble pipelines layered on the `EstimationStage` seam):
 //!
 //! * the LGE half of `cpe_and_lge` is exactly the `LgeStage` the LGE-only
-//!   pipeline runs — fed the same static estimates and history, it reproduces
+//!   pipeline runs — fed the same static estimates each round, it reproduces
 //!   the full pipeline's second-stage outputs **bit-for-bit**;
 //! * an ensemble with all weight on a single child is **bit-for-bit** equal to
 //!   running that child alone, end to end through the selector;
@@ -12,8 +12,7 @@
 use c4u_crowd_sim::{generate, DatasetConfig, Platform};
 use c4u_selection::{
     num_prior_domains, CrossDomainSelector, EstimationMode, EstimationStage, HistoricalProfile,
-    LgeStage, RoundContext, RoundHeader, SelectorConfig, StageInit, StagePipeline, StageRoundInput,
-    WorkerSelector,
+    LgeStage, RoundContext, RoundHeader, SelectorConfig, StageInit, StagePipeline, WorkerSelector,
 };
 
 fn fast_config(mode: EstimationMode) -> SelectorConfig {
@@ -60,30 +59,20 @@ fn lge_only_runs_the_exact_lge_half_of_cpe_and_lge() {
             .iter()
             .map(|s| platform.profile(s.worker).unwrap())
             .collect();
-        let header = RoundHeader {
-            round,
-            total_rounds: pools.len(),
-            delta: 0.1,
-            sheets: &record.sheets,
-        };
-        let estimates = full
-            .score_round(&StageRoundInput {
-                header,
-                profiles: &profiles,
-                cumulative_tasks: &cumulative,
-                num_shards: 1,
-            })
-            .unwrap();
-        // The standalone LGE stage sees the full pipeline's CPE history (which
-        // already includes the current round) and its static estimates.
-        let cpe_history = full.history(0).unwrap().clone();
         let ctx = RoundContext {
-            header,
+            header: RoundHeader {
+                round,
+                total_rounds: pools.len(),
+                delta: 0.1,
+                sheets: &record.sheets,
+            },
             profiles: &profiles,
             cumulative_tasks: &cumulative,
             num_shards: 1,
-            prior_histories: std::slice::from_ref(&cpe_history),
         };
+        let estimates = full.score_round(&ctx).unwrap();
+        // The standalone LGE stage sees the same round and the full
+        // pipeline's static estimates; it keeps their trajectory itself.
         let standalone = lge_half.estimate(&ctx, estimates.first()).unwrap();
         assert_eq!(
             standalone,
