@@ -8,7 +8,8 @@
 //! joins and one departure per mid-campaign round, run as an open-world
 //! campaign through `run_with_events`). Columns are the stage-zoo estimation
 //! pipelines; every cell is the mean working accuracy of the selected workers
-//! over the answering-noise seeds.
+//! over the answering-noise seeds, evaluated by `c4u_bench::evaluate_cells`
+//! like every other table (a cell with no successful trial prints as `-`).
 //!
 //! ```bash
 //! cargo bench -p c4u-bench --bench robustness
@@ -25,7 +26,9 @@
 //! Honours `C4U_CPE_EPOCHS` and `C4U_TRIALS` (see the `c4u_bench::env` knob
 //! table).
 
-use c4u_bench::{cpe_epochs, evaluate_robustness_cell, trial_seeds, trials, StrategyKind};
+use c4u_bench::{
+    accuracy_column, cpe_epochs, evaluate_cells, trial_seeds, trials, CellSpec, StrategyKind,
+};
 use c4u_crowd_sim::DatasetConfig;
 
 fn main() {
@@ -33,6 +36,18 @@ fn main() {
     let seeds = trial_seeds(trials());
     let scenarios = DatasetConfig::robustness_scenarios();
     let strategies = StrategyKind::stage_pipelines();
+    let mut specs = Vec::new();
+    for config in &scenarios {
+        for &kind in &strategies {
+            specs.push(CellSpec::standard(
+                config.clone(),
+                kind,
+                epochs,
+                seeds.clone(),
+            ));
+        }
+    }
+    let cells = evaluate_cells(&specs);
 
     println!(
         "Robustness sweep — mean working accuracy under scenario presets \
@@ -46,16 +61,10 @@ fn main() {
     }
     println!();
 
-    for config in &scenarios {
+    for (config, row) in scenarios.iter().zip(cells.chunks(strategies.len())) {
         print!("{:<12}", config.name);
-        for &kind in &strategies {
-            match evaluate_robustness_cell(config, kind, epochs, &seeds) {
-                Ok(cell) => print!(" {:>10.3}", cell.mean_accuracy),
-                Err(err) => {
-                    eprintln!("warning: {} on {} failed: {err}", kind.name(), config.name);
-                    print!(" {:>10}", "-");
-                }
-            }
+        for cell in row {
+            print!("{}", accuracy_column(cell.mean_accuracy));
         }
         println!();
     }

@@ -25,8 +25,6 @@
 //! Only *unknown names* warn; known names with odd values keep the documented
 //! fallback semantics.
 
-use std::ffi::OsString;
-use std::path::PathBuf;
 use std::sync::OnceLock;
 
 /// The canonical names of every registered knob, so call sites never embed a
@@ -38,8 +36,6 @@ pub mod names {
     pub const TRIALS: &str = "C4U_TRIALS";
     /// Quadrature fold-pass math mode (`exact`, `fast_vector`, `both`).
     pub const QUAD_MATH: &str = "C4U_QUAD_MATH";
-    /// Directory of the resumable per-cell result cache.
-    pub const CELL_CACHE: &str = "C4U_CELL_CACHE";
     /// Mask-group sizes swept by the `quadrature` roofline bench.
     pub const QUAD_WORKERS: &str = "C4U_QUAD_WORKERS";
     /// Gauss–Legendre orders swept by the `quadrature` roofline bench.
@@ -70,7 +66,7 @@ pub enum KnobKind {
     Count,
     /// A comma-separated list of positive integers.
     CountList,
-    /// A filesystem path; the empty string means "explicitly disabled".
+    /// A filesystem path.
     Path,
     /// One of a small closed set of mode words.
     Mode,
@@ -120,12 +116,6 @@ pub const KNOBS: &[Knob] = &[
         kind: KnobKind::Mode,
         default: "exact (tables) / both (roofline bench)",
         doc: "Quadrature fold-pass math: `exact`, `fast_vector`, or `both`.",
-    },
-    Knob {
-        name: names::CELL_CACHE,
-        kind: KnobKind::Path,
-        default: "unset (no persistence)",
-        doc: "Directory of the resumable per-cell result cache.",
     },
     Knob {
         name: names::QUAD_WORKERS,
@@ -274,10 +264,6 @@ fn var(name: &str) -> Option<String> {
     std::env::var(name).ok()
 }
 
-fn var_os(name: &str) -> Option<OsString> {
-    std::env::var_os(name)
-}
-
 /// One typed snapshot of every registered knob.
 ///
 /// [`C4uEnv::from_env`] is the workspace's single environment entry point:
@@ -290,8 +276,6 @@ pub struct C4uEnv {
     pub trials: usize,
     /// `C4U_QUAD_MATH` — the quadrature fold-pass math mode.
     pub quad_math: QuadMathKnob,
-    /// `C4U_CELL_CACHE` — per-cell result-cache directory, if enabled.
-    pub cell_cache: Option<PathBuf>,
     /// `C4U_QUAD_WORKERS` — quadrature-bench mask-group sizes.
     pub quad_workers: Vec<usize>,
     /// `C4U_QUAD_NODES` — quadrature-bench Gauss–Legendre orders.
@@ -310,9 +294,6 @@ impl C4uEnv {
             cpe_epochs: parse_count(var(names::CPE_EPOCHS).as_deref(), DEFAULT_CPE_EPOCHS),
             trials: parse_count(var(names::TRIALS).as_deref(), DEFAULT_TRIALS),
             quad_math: QuadMathKnob::parse(var(names::QUAD_MATH).as_deref()),
-            cell_cache: var_os(names::CELL_CACHE)
-                .filter(|v| !v.is_empty())
-                .map(PathBuf::from),
             quad_workers: parse_count_list(
                 var(names::QUAD_WORKERS).as_deref(),
                 DEFAULT_QUAD_WORKERS,

@@ -17,8 +17,6 @@
 //! * `C4U_CPE_EPOCHS` — gradient-descent epochs per CPE round (default 10; the paper
 //!   uses 50, which scales the runtime accordingly without changing the rankings);
 //! * `C4U_TRIALS` — number of answering-noise seeds averaged per cell (default 2);
-//! * `C4U_CELL_CACHE` — directory for the resumable per-cell result cache
-//!   ([`evaluate_cells_resumable`]; unset disables persistence);
 //! * `C4U_QUAD_WORKERS` / `C4U_QUAD_NODES` / `C4U_QUAD_SAMPLES` — the
 //!   `quadrature` bench's sweep cells and sample count;
 //! * `C4U_QUAD_MATH` — the quadrature fold-pass math mode: `exact` (the
@@ -30,27 +28,24 @@
 //! cells sharing a configuration share one generated dataset, so a table that
 //! evaluates six strategies on one dataset generates it once, not six times.
 //!
-//! Evaluation *results* are memoised across processes when `C4U_CELL_CACHE`
-//! names a directory ([`evaluate_cells_resumable`]): every finished cell is
-//! persisted as a JSON file keyed by its full identity, so interrupted sweeps
-//! resume and repeated CI runs are incremental (see the [`cache`] module).
+//! Every table and figure bench evaluates its cells through one path:
+//! [`evaluate_cells`] fans [`CellSpec`]s out over threads, and
+//! [`evaluate_cell_on`] runs one cell with the Sec. V-C protocol.
 
 #![forbid(unsafe_code)]
 
-pub mod cache;
 pub mod env;
 
-pub use cache::{cell_cache_dir, SweepStats};
-
+use c4u_crowd_sim::parallel::{available_threads, run_indexed_jobs};
 use c4u_crowd_sim::{generate, CampaignSchedule, Dataset, DatasetConfig, Platform, SimError};
 use c4u_selection::{
-    evaluate_strategy_with_k, CrossDomainSelector, EstimationMode, GroundTruthOracle, LiEtAl,
-    MedianEliminationBaseline, QuadratureMath, SelectorConfig, UniformSampling, WorkerSelector,
+    evaluate_strategy_with_k, rounds_until_at_most, CrossDomainSelector, EstimationMode,
+    GroundTruthOracle, LiEtAl, MedianEliminationBaseline, QuadratureMath, SelectionError,
+    SelectorConfig, UniformSampling, WorkerSelector,
 };
 use env::{C4uEnv, QuadMathKnob};
 use std::collections::BTreeMap;
 use std::convert::Infallible;
-use std::path::Path;
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Base answering-noise seed; trial `i` uses `BASE_SEED + 1000 * i`.
@@ -203,7 +198,7 @@ impl StrategyKind {
     /// Builds the concrete [`CrossDomainSelector`] for a stage-zoo kind, or
     /// `None` for the non-pipeline baselines (US, ME, Li et al., oracle).
     ///
-    /// The robustness sweep needs the concrete type: an open-world (churn)
+    /// [`evaluate_cell_on`] needs the concrete type: an open-world (churn)
     /// campaign runs through [`CrossDomainSelector::run_with_events`], which
     /// the type-erased [`WorkerSelector`] seam deliberately does not expose.
     pub fn zoo_selector(
@@ -350,85 +345,101 @@ pub fn dataset_cache_len() -> usize {
         .count()
 }
 
-/// Evaluates one cell on an already-generated dataset.
+/// Evaluates one cell on an already-generated dataset, with the Sec. V-C
+/// protocol: every answering-noise seed runs the strategy on its own fresh
+/// [`Platform`], and the cell averages the working accuracy of the selected
+/// workers over the seeds.
+///
+/// A stage-zoo strategy ([`StrategyKind::zoo_selector`]) runs through
+/// [`CrossDomainSelector::run_with_events`] with the configuration's churn
+/// schedule ([`CampaignSchedule::churn`]). That schedule is empty unless the
+/// scenario has churn, and an empty schedule is exactly the closed-world
+/// [`CrossDomainSelector::run`]. The schedule depends only on the dataset
+/// seed, so a churn cell stays reproducible and shard-invariant
+/// (`tests/churn_determinism.rs`). The baselines select through the
+/// [`WorkerSelector`] seam ([`evaluate_strategy_with_k`]).
+///
+/// A failed trial is reported on stderr and left out of the mean. A cell with
+/// no successful trial has a `NaN` mean and standard deviation, which the
+/// tables print as `-`.
 pub fn evaluate_cell_on(dataset: &Dataset, spec: &CellSpec) -> Cell {
-    let strategy = spec
-        .strategy
-        .build(spec.epochs, spec.initial_target_accuracy);
-    let mut accuracies = Vec::with_capacity(spec.seeds.len());
-    for &seed in &spec.seeds {
-        match evaluate_strategy_with_k(dataset, strategy.as_ref(), spec.k, seed) {
-            Ok(result) => accuracies.push(result.working_accuracy),
-            Err(err) => {
-                eprintln!(
-                    "warning: {} on {} (k = {}) failed: {err}",
-                    spec.strategy.name(),
-                    spec.config.name,
-                    spec.k
-                );
-            }
+    let warn = |err: SelectionError| {
+        eprintln!(
+            "warning: {} on {} (k = {}) failed: {err}",
+            spec.strategy.name(),
+            spec.config.name,
+            spec.k
+        );
+    };
+    let accuracies: Vec<f64> = match trial_runner(dataset, spec) {
+        Ok(trial) => spec
+            .seeds
+            .iter()
+            .filter_map(|&seed| trial(seed).map_err(warn).ok())
+            .collect(),
+        Err(err) => {
+            warn(err);
+            Vec::new()
         }
-    }
+    };
+    summarise(spec, &accuracies)
+}
+
+/// One trial of a cell: the working accuracy its strategy reaches under one
+/// answering-noise seed.
+type Trial<'a> = Box<dyn Fn(u64) -> Result<f64, SelectionError> + 'a>;
+
+/// Builds the cell's strategy (and, for a stage-zoo kind, its campaign
+/// schedule) once, and returns the per-seed trial.
+fn trial_runner<'a>(dataset: &'a Dataset, spec: &'a CellSpec) -> Result<Trial<'a>, SelectionError> {
+    let Some(selector) = spec
+        .strategy
+        .zoo_selector(spec.epochs, spec.initial_target_accuracy)
+    else {
+        let strategy = spec
+            .strategy
+            .build(spec.epochs, spec.initial_target_accuracy);
+        return Ok(Box::new(move |seed| {
+            Ok(
+                evaluate_strategy_with_k(dataset, strategy.as_ref(), spec.k, seed)?
+                    .working_accuracy,
+            )
+        }));
+    };
+    let rounds = rounds_until_at_most(spec.config.pool_size, spec.k);
+    let schedule = CampaignSchedule::churn(&spec.config, rounds)?;
+    Ok(Box::new(move |seed| {
+        let mut platform = Platform::from_dataset(dataset, seed)?;
+        let report = selector.run_with_events(&mut platform, spec.k, &schedule)?;
+        Ok(platform.evaluate_working_accuracy(&report.outcome.selected)?)
+    }))
+}
+
+/// The cell of `spec` over the accuracies of its successful trials; `NaN`
+/// when there are none.
+fn summarise(spec: &CellSpec, accuracies: &[f64]) -> Cell {
+    let (mean_accuracy, std_accuracy) = if accuracies.is_empty() {
+        (f64::NAN, f64::NAN)
+    } else {
+        (c4u_stats::mean(accuracies), c4u_stats::std_dev(accuracies))
+    };
     Cell {
         dataset: spec.config.name.clone(),
         strategy: spec.strategy.name().to_string(),
-        mean_accuracy: c4u_stats::mean(&accuracies),
-        std_accuracy: c4u_stats::std_dev(&accuracies),
+        mean_accuracy,
+        std_accuracy,
     }
-}
-
-/// Evaluates one cell of the Table-IV-style robustness sweep: one stage-zoo
-/// strategy under one scenario preset, averaged over answering-noise seeds.
-///
-/// Spammer, colluder, and drift scenarios are baked into the generated
-/// dataset, so they run the ordinary closed-world campaign. A churn scenario
-/// additionally derives its deterministic join/leave [`CampaignSchedule`]
-/// from the configuration and runs the **open-world** loop
-/// ([`CrossDomainSelector::run_with_events`]); the schedule depends only on
-/// the dataset seed, so the cell stays reproducible and shard-invariant
-/// (`tests/churn_determinism.rs`).
-pub fn evaluate_robustness_cell(
-    config: &DatasetConfig,
-    kind: StrategyKind,
-    epochs: usize,
-    seeds: &[u64],
-) -> Result<Cell, c4u_selection::SelectionError> {
-    let selector =
-        kind.zoo_selector(epochs, 0.5)
-            .ok_or(c4u_selection::SelectionError::InvalidConfig {
-                what: "robustness sweep covers the stage-zoo strategies only",
-                value: 0.0,
-            })?;
-    let dataset = cached_generate(config)?;
-    let rounds = c4u_selection::rounds_until_at_most(config.pool_size, config.select_k);
-    let schedule = CampaignSchedule::churn(config, rounds)?;
-    let mut accuracies = Vec::with_capacity(seeds.len());
-    for &seed in seeds {
-        let mut platform = Platform::from_dataset(&dataset, seed)?;
-        let report = selector.run_with_events(&mut platform, config.select_k, &schedule)?;
-        accuracies.push(platform.evaluate_working_accuracy(&report.outcome.selected)?);
-    }
-    Ok(Cell {
-        dataset: config.name.clone(),
-        strategy: kind.name().to_string(),
-        mean_accuracy: c4u_stats::mean(&accuracies),
-        std_accuracy: c4u_stats::std_dev(&accuracies),
-    })
 }
 
 /// Evaluates one cell, generating (or reusing a memoised copy of) the dataset
-/// from its configuration first.
+/// from its configuration first. A generation failure is reported on stderr
+/// and yields a `NaN` cell.
 pub fn evaluate_cell(spec: &CellSpec) -> Cell {
     match cached_generate(&spec.config) {
         Ok(dataset) => evaluate_cell_on(&dataset, spec),
         Err(err) => {
             eprintln!("warning: generating {} failed: {err}", spec.config.name);
-            Cell {
-                dataset: spec.config.name.clone(),
-                strategy: spec.strategy.name().to_string(),
-                mean_accuracy: 0.0,
-                std_accuracy: 0.0,
-            }
+            summarise(spec, &[])
         }
     }
 }
@@ -437,83 +448,46 @@ pub fn evaluate_cell(spec: &CellSpec) -> Cell {
 ///
 /// Cells are independent (each generates its own dataset and platforms), so they
 /// are fanned out through the workspace's shared scoped-thread work queue
-/// ([`c4u_crowd_sim::parallel::run_indexed_jobs`]); the results come back in
-/// cell order, making the output identical to a sequential evaluation.
+/// ([`run_indexed_jobs`]) in [`sweep_schedule`] order: expensive strategies
+/// start first, so the slowest cell is never the last job started on an
+/// otherwise idle pool. The scheduling is invisible in the output: cells come
+/// back in spec order, identical to a sequential evaluation.
 pub fn evaluate_cells(specs: &[CellSpec]) -> Vec<Cell> {
-    evaluate_cells_resumable(specs, None).0
-}
-
-/// [`evaluate_cells`] with a persistent per-cell result cache: cells whose
-/// identity ([`cache::cell_key`]) is already on disk under `cache_dir` are
-/// answered from the cache **bit-for-bit** without re-evaluation, and every
-/// freshly evaluated cell is persisted there, so interrupted sweeps resume and
-/// repeated runs are incremental.
-///
-/// `cache_dir = None` degrades to plain parallel evaluation (all misses,
-/// nothing written); pass [`cell_cache_dir()`] to honour `C4U_CELL_CACHE` the
-/// way the bench targets do. The returned [`SweepStats`] reports the hit/miss
-/// split (a fully warmed cache re-evaluates zero cells).
-///
-/// Scheduling: a sequential cache pre-pass answers every hit before any
-/// worker thread spins up, so only the misses reach the work queue — and they
-/// reach it in [`sweep_schedule`] order (expensive strategies first), so the
-/// slowest cell is never the last job started on an otherwise idle pool. The
-/// scheduling is invisible in the output: cells always come back in spec
-/// order.
-pub fn evaluate_cells_resumable(
-    specs: &[CellSpec],
-    cache_dir: Option<&Path>,
-) -> (Vec<Cell>, SweepStats) {
-    // Cache pre-pass: hits cost one file read each; fanning them out would
-    // spend more on thread choreography than on the reads themselves, and a
-    // fully warmed sweep must evaluate zero cells.
-    let mut slots: Vec<Option<Cell>> = vec![None; specs.len()];
-    let mut misses: Vec<usize> = Vec::new();
-    for (index, spec) in specs.iter().enumerate() {
-        match cache_dir.and_then(|dir| cache::load_cell(dir, spec)) {
-            Some(hit) => slots[index] = Some(hit),
-            None => misses.push(index),
-        }
-    }
-    let stats = SweepStats {
-        hits: specs.len() - misses.len(),
-        misses: misses.len(),
-    };
-    let misses = sweep_schedule(specs, misses);
-    let threads = c4u_crowd_sim::parallel::available_threads();
+    let order = sweep_schedule(specs);
     let result: Result<Vec<(usize, Cell)>, Infallible> =
-        c4u_crowd_sim::parallel::run_indexed_jobs(threads, misses.len(), |job| {
-            let index = misses[job];
-            let spec = &specs[index];
-            let cell = evaluate_cell(spec);
-            if let Some(dir) = cache_dir {
-                cache::store_cell(dir, spec, &cell);
-            }
-            Ok((index, cell))
+        run_indexed_jobs(available_threads(), order.len(), |job| {
+            let index = order[job];
+            Ok((index, evaluate_cell(&specs[index])))
         });
-    let Ok(evaluated) = result;
-    for (index, cell) in evaluated {
-        slots[index] = Some(cell);
-    }
-    let cells = slots
-        .into_iter()
-        .map(|slot| slot.expect("every spec is a hit or a scheduled miss"))
-        .collect();
-    (cells, stats)
+    let Ok(mut evaluated) = result;
+    evaluated.sort_by_key(|&(index, _)| index);
+    evaluated.into_iter().map(|(_, cell)| cell).collect()
 }
 
-/// Orders a sweep's cache-miss indices for the work queue: most expensive
+/// Orders a sweep's spec indices for the work queue: most expensive
 /// strategy first ([`StrategyKind::cost_rank`]), original spec index as the
 /// stable tie-break. Longest-processing-time-first keeps the pool busy: the
 /// costly `Ours`/ensemble cells start while the trivial baselines fill the
 /// gaps, instead of a full CPE run starting last on an idle pool.
-pub fn sweep_schedule(specs: &[CellSpec], mut misses: Vec<usize>) -> Vec<usize> {
-    misses.sort_by_key(|&index| (std::cmp::Reverse(specs[index].strategy.cost_rank()), index));
-    misses
+pub fn sweep_schedule(specs: &[CellSpec]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..specs.len()).collect();
+    order.sort_by_key(|&index| (std::cmp::Reverse(specs[index].strategy.cost_rank()), index));
+    order
+}
+
+/// One right-aligned accuracy column of a table: the mean to three decimals,
+/// or `-` when it is not finite (a cell with no successful trial).
+pub fn accuracy_column(mean_accuracy: f64) -> String {
+    if mean_accuracy.is_finite() {
+        format!(" {mean_accuracy:>10.3}")
+    } else {
+        format!(" {:>10}", "-")
+    }
 }
 
 /// Formats a dataset-by-strategy accuracy table (rows = strategies, columns =
-/// datasets), matching the layout of Table V.
+/// datasets), matching the layout of Table V. A missing cell, or one whose
+/// mean is not finite, prints as `-`.
 pub fn format_accuracy_table(datasets: &[String], strategies: &[String], cells: &[Cell]) -> String {
     let mut out = String::new();
     out.push_str(&format!("{:<14}", "strategy"));
@@ -525,10 +499,7 @@ pub fn format_accuracy_table(datasets: &[String], strategies: &[String], cells: 
         out.push_str(&format!("{s:<14}"));
         for d in datasets {
             let cell = cells.iter().find(|c| &c.strategy == s && &c.dataset == d);
-            match cell {
-                Some(c) => out.push_str(&format!(" {:>10.3}", c.mean_accuracy)),
-                None => out.push_str(&format!(" {:>10}", "-")),
-            }
+            out.push_str(&accuracy_column(cell.map_or(f64::NAN, |c| c.mean_accuracy)));
         }
         out.push('\n');
     }
@@ -644,6 +615,60 @@ mod tests {
     }
 
     #[test]
+    fn a_cell_whose_trials_all_fail_has_a_nan_mean() {
+        // k above the pool size fails every trial, for a baseline and for a
+        // stage-zoo strategy alike; the cell must not read as accuracy 0.
+        let mut config = DatasetConfig::rw1();
+        config.pool_size = 6;
+        config.select_k = 2;
+        for kind in [StrategyKind::MedianElimination, StrategyKind::Ours] {
+            let mut spec = CellSpec::standard(config.clone(), kind, 2, vec![1, 2]);
+            spec.k = config.pool_size + 1;
+            let cell = evaluate_cell(&spec);
+            assert!(cell.mean_accuracy.is_nan(), "{}", kind.name());
+            assert!(cell.std_accuracy.is_nan(), "{}", kind.name());
+        }
+    }
+
+    #[test]
+    fn a_cell_whose_dataset_fails_to_generate_has_a_nan_mean() {
+        let mut config = DatasetConfig::rw1();
+        config.pool_size = 0;
+        let spec = CellSpec::standard(config, StrategyKind::UniformSampling, 2, vec![1]);
+        let cell = evaluate_cell(&spec);
+        assert!(cell.mean_accuracy.is_nan() && cell.std_accuracy.is_nan());
+        assert_eq!(
+            (cell.dataset.as_str(), cell.strategy.as_str()),
+            ("RW-1", "US")
+        );
+    }
+
+    #[test]
+    fn tables_print_a_dash_for_a_failed_cell() {
+        let failed = Cell {
+            dataset: "RW-1".into(),
+            strategy: "Ours".into(),
+            mean_accuracy: f64::NAN,
+            std_accuracy: f64::NAN,
+        };
+        let table = format_accuracy_table(
+            std::slice::from_ref(&failed.dataset),
+            std::slice::from_ref(&failed.strategy),
+            std::slice::from_ref(&failed),
+        );
+        assert_eq!(
+            table.lines().nth(1),
+            Some(format!("{:<14} {:>10}", "Ours", "-").as_str())
+        );
+        assert!(!table.contains("NaN"), "{table}");
+        // The robustness table prints its columns with the same helper.
+        assert_eq!(accuracy_column(0.8), format!(" {:>10}", "0.800"));
+        for mean in [f64::NAN, f64::INFINITY] {
+            assert_eq!(accuracy_column(mean), format!(" {:>10}", "-"));
+        }
+    }
+
+    #[test]
     fn parallel_evaluation_preserves_order() {
         let mut config = DatasetConfig::rw1();
         config.pool_size = 10;
@@ -703,12 +728,8 @@ mod tests {
         .iter()
         .map(|&s| CellSpec::standard(config.clone(), s, 1, vec![1]))
         .collect();
-        assert_eq!(
-            sweep_schedule(&specs, vec![0, 1, 2, 3, 4]),
-            vec![1, 3, 4, 2, 0]
-        );
-        assert_eq!(sweep_schedule(&specs, vec![2, 0]), vec![2, 0]);
-        assert!(sweep_schedule(&specs, vec![]).is_empty());
+        assert_eq!(sweep_schedule(&specs), vec![1, 3, 4, 2, 0]);
+        assert!(sweep_schedule(&[]).is_empty());
     }
 
     #[test]
@@ -746,10 +767,7 @@ mod tests {
         }
         assert!(is_registered(names::TRIALS));
         assert!(!is_registered("C4U_NOT_A_KNOB"));
-        assert_eq!(
-            knob(names::CELL_CACHE).map(|k| k.kind),
-            Some(KnobKind::Path)
-        );
+        assert_eq!(knob(names::LINT_ROOT).map(|k| k.kind), Some(KnobKind::Path));
     }
 
     #[test]
@@ -785,6 +803,16 @@ mod tests {
             vec!["C4U_QUAD_MATHS".to_string(), "C4U_TRAILS".to_string()]
         );
         assert!(unknown_names(Vec::<String>::new()).is_empty());
+    }
+
+    #[test]
+    fn the_deleted_cell_cache_knob_is_flagged_as_unknown() {
+        // The on-disk cell cache is gone: a leftover setting must warn
+        // instead of silently doing nothing.
+        assert_eq!(
+            unknown_names(["C4U_CELL_CACHE"]),
+            vec!["C4U_CELL_CACHE".to_string()]
+        );
     }
 
     #[test]
@@ -828,9 +856,6 @@ mod tests {
         assert!(env.quad_samples >= 1);
         if std::env::var_os(names::QUAD_WORKERS).is_none() {
             assert_eq!(env.quad_workers, DEFAULT_QUAD_WORKERS);
-        }
-        if std::env::var_os(names::CELL_CACHE).is_none() {
-            assert_eq!(env.cell_cache, None);
         }
         // Snapshots of the same environment are equal.
         assert_eq!(env, C4uEnv::from_env());

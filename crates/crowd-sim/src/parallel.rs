@@ -1,16 +1,13 @@
 //! The workspace's scoped-thread work queue.
 //!
 //! [`run_indexed_jobs`] executes `n` independent fallible jobs over at most
-//! `threads` scoped worker threads with sequential-identical semantics. It
-//! historically lived in `c4u-selection`'s evaluation engine; it moved down to
-//! this crate when the platform simulator gained worker-range sharding
+//! `threads` scoped worker threads with sequential-identical semantics. Every
+//! parallel axis of the workspace fans out through it with one determinism
+//! contract: trials in `c4u_selection::evaluate_over_trials`, worker shards
+//! inside a platform round
 //! ([`Platform::assign_learning_batch_sharded`](crate::Platform::assign_learning_batch_sharded)),
-//! so that every parallel axis of the workspace — trials and strategies in the
-//! evaluation engine, worker shards inside a platform round, member blocks of
-//! the CPE gradient sweep, sweep cells in the bench harness — fans out through
-//! one queue with one determinism contract.
-//! `c4u_selection::run_indexed_jobs` re-exports it, so existing callers keep
-//! their import path.
+//! member blocks of the CPE gradient sweep, and sweep cells in the bench
+//! harness.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -28,7 +25,7 @@ use std::sync::Mutex;
 ///   error never depends on thread scheduling).
 ///
 /// This is the one scoped-thread work-queue in the workspace; the platform's
-/// sharded paths, the evaluation engine, and the bench harness all build on it.
+/// sharded paths, the trial fan-out, and the bench harness all build on it.
 pub fn run_indexed_jobs<T, E, F>(threads: usize, n: usize, job: F) -> Result<Vec<T>, E>
 where
     T: Send,
@@ -74,8 +71,8 @@ where
     collected.into_iter().map(|(_, result)| result).collect()
 }
 
-/// The machine's available parallelism (at least 1) — the default thread cap
-/// for shard fan-outs sized by data rather than by an explicit engine budget.
+/// The machine's available parallelism (at least 1) — the thread cap of the
+/// trial and sweep-cell fan-outs and of shard fan-outs sized by data.
 pub fn available_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
@@ -154,6 +151,32 @@ mod tests {
             executed.load(Ordering::SeqCst) < 1000,
             "fan-out should stop claiming jobs after the failure"
         );
+    }
+
+    #[test]
+    fn jobs_demonstrably_run_concurrently() {
+        // Each job holds its slot long enough for the other threads to
+        // enter, and records how many jobs are inside at once.
+        let peak_concurrency = |threads: usize| {
+            let in_flight = AtomicUsize::new(0);
+            let high_water = AtomicUsize::new(0);
+            let result: Result<Vec<()>, ()> = run_indexed_jobs(threads, 8, |_| {
+                let now = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
+                high_water.fetch_max(now, Ordering::SeqCst);
+                std::thread::sleep(std::time::Duration::from_millis(40));
+                in_flight.fetch_sub(1, Ordering::SeqCst);
+                Ok(())
+            });
+            assert_eq!(result.map(|done| done.len()), Ok(8));
+            high_water.load(Ordering::SeqCst)
+        };
+        let peak = peak_concurrency(8);
+        assert!(
+            peak > 1,
+            "expected overlapping jobs on 8 threads, saw peak concurrency {peak}"
+        );
+        // And one thread really is sequential.
+        assert_eq!(peak_concurrency(1), 1);
     }
 
     #[test]

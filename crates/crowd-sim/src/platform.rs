@@ -435,7 +435,7 @@ impl Platform {
                 .collect();
 
             // Answering phase: one scoped thread per shard (the shard count
-            // *is* the parallelism budget, mirroring `EvalEngine::with_threads`).
+            // *is* the parallelism budget).
             // Every participant answers at its pre-round accuracy (Algorithm 4
             // line 5); sheets come back in shard == worker order.
             let epoch = record.round as u64;

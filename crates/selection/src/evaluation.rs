@@ -11,6 +11,7 @@
 
 use crate::selector::WorkerSelector;
 use crate::SelectionError;
+use c4u_crowd_sim::parallel::{available_threads, run_indexed_jobs};
 use c4u_crowd_sim::{Dataset, Platform, WorkerId};
 
 /// The evaluation of one strategy on one dataset (one trial).
@@ -82,16 +83,35 @@ pub fn evaluate_strategy_with_k(
 /// Runs one strategy over several answering-noise seeds and aggregates the results.
 ///
 /// Trials are independent (each builds its own [`Platform`] from the shared
-/// dataset), so they are fanned out across threads by the default
-/// [`EvalEngine`](crate::EvalEngine); results are identical to a sequential
-/// run ([`EvalEngine::sequential`](crate::EvalEngine::sequential) pins that
-/// down when single-threaded execution is required).
+/// dataset), so they are fanned out over the machine's threads through
+/// [`run_indexed_jobs`]. That queue returns the trials in seed order and
+/// reports the lowest-indexed error, and the aggregation consumes them in that
+/// order, so the result is identical to a sequential run at any thread count.
 pub fn evaluate_over_trials(
     dataset: &Dataset,
     strategy: &dyn WorkerSelector,
     seeds: &[u64],
 ) -> Result<AggregatedResult, SelectionError> {
-    crate::EvalEngine::default().evaluate_over_trials(dataset, strategy, seeds)
+    if seeds.is_empty() {
+        return Err(SelectionError::NotEnoughData { needed: 1, got: 0 });
+    }
+    let results = run_indexed_jobs(available_threads(), seeds.len(), |i| {
+        evaluate_strategy(dataset, strategy, seeds[i])
+    })?;
+    Ok(aggregate(strategy.name(), &dataset.config.name, &results))
+}
+
+/// Aggregates per-trial results (already in seed order) into the mean/std
+/// summary.
+fn aggregate(strategy: &str, dataset: &str, results: &[EvaluationResult]) -> AggregatedResult {
+    let accuracies: Vec<f64> = results.iter().map(|r| r.working_accuracy).collect();
+    AggregatedResult {
+        strategy: strategy.to_string(),
+        dataset: dataset.to_string(),
+        mean_accuracy: c4u_stats::mean(&accuracies),
+        std_accuracy: c4u_stats::std_dev(&accuracies),
+        trials: results.len(),
+    }
 }
 
 /// Relative improvement of `ours` over `baseline`, in percent — the parenthesised
@@ -107,14 +127,7 @@ pub fn relative_improvement(ours: f64, baseline: f64) -> f64 {
 mod tests {
     use super::*;
     use crate::baselines::{GroundTruthOracle, UniformSampling};
-    use crate::framework::{CrossDomainSelector, SelectorConfig};
     use c4u_crowd_sim::{generate, DatasetConfig};
-
-    fn fast_ours() -> CrossDomainSelector {
-        let mut config = SelectorConfig::default();
-        config.cpe.epochs = 5;
-        CrossDomainSelector::new(config)
-    }
 
     #[test]
     fn evaluation_produces_sensible_numbers() {
@@ -141,18 +154,43 @@ mod tests {
         );
     }
 
+    /// A selector that always fails, naming the working accuracy its platform
+    /// observes for worker 0, so each answering-noise seed fails differently.
+    #[derive(Debug)]
+    struct FailWithObservedAccuracy;
+
+    impl WorkerSelector for FailWithObservedAccuracy {
+        fn name(&self) -> &str {
+            "fail"
+        }
+        fn select(
+            &self,
+            platform: &mut Platform,
+            _k: usize,
+        ) -> Result<crate::SelectionOutcome, SelectionError> {
+            let accuracy = platform.evaluate_working_accuracy(&[0])?;
+            Err(SelectionError::Numerical(format!("{accuracy:?}")))
+        }
+    }
+
     #[test]
-    fn evaluate_all_runs_every_strategy_once() {
+    fn lowest_indexed_error_is_reported() {
+        // Every trial fails with a seed-specific error: the fan-out must
+        // report the first seed's error, never a later one.
         let ds = generate(&DatasetConfig::rw1()).unwrap();
-        let ours = fast_ours();
-        let us = UniformSampling::new();
-        let strategies: Vec<&dyn WorkerSelector> = vec![&us, &ours];
-        let results = crate::EvalEngine::default()
-            .evaluate_all(&ds, &strategies, 5)
-            .unwrap();
-        assert_eq!(results.len(), 2);
-        assert_eq!(results[0].strategy, "US");
-        assert_eq!(results[1].strategy, "Ours");
+        let seeds: Vec<u64> = (1..=8).collect();
+        let errors: Vec<SelectionError> = seeds
+            .iter()
+            .map(|&seed| evaluate_strategy(&ds, &FailWithObservedAccuracy, seed).unwrap_err())
+            .collect();
+        assert!(
+            errors.iter().any(|e| *e != errors[0]),
+            "the seeds must fail distinguishably"
+        );
+        assert_eq!(
+            evaluate_over_trials(&ds, &FailWithObservedAccuracy, &seeds),
+            Err(errors[0].clone())
+        );
     }
 
     #[test]
@@ -162,7 +200,29 @@ mod tests {
         assert_eq!(agg.trials, 3);
         assert!((0.0..=1.0).contains(&agg.mean_accuracy));
         assert!(agg.std_accuracy >= 0.0);
-        assert!(evaluate_over_trials(&ds, &UniformSampling::new(), &[]).is_err());
+    }
+
+    #[test]
+    fn empty_seed_sets_are_rejected() {
+        let ds = generate(&DatasetConfig::rw1()).unwrap();
+        assert_eq!(
+            evaluate_over_trials(&ds, &UniformSampling::new(), &[]),
+            Err(SelectionError::NotEnoughData { needed: 1, got: 0 })
+        );
+    }
+
+    #[test]
+    fn parallel_matches_sequential_over_trials() {
+        let ds = generate(&DatasetConfig::rw1()).unwrap();
+        let strategy = UniformSampling::new();
+        let seeds: Vec<u64> = (1..=9).collect();
+        let sequential: Vec<EvaluationResult> = seeds
+            .iter()
+            .map(|&seed| evaluate_strategy(&ds, &strategy, seed).unwrap())
+            .collect();
+        let fanned_out = evaluate_over_trials(&ds, &strategy, &seeds).unwrap();
+        assert_eq!(fanned_out, aggregate("US", "RW-1", &sequential));
+        assert_eq!(fanned_out.trials, 9);
     }
 
     #[test]

@@ -154,8 +154,8 @@ pub struct PipelineReport {
 ///
 /// Holds an estimation [`StagePipeline`] as a *template*: every [`Self::run`]
 /// clones it and re-initialises the clone on the run's worker pool, so a single
-/// selector value can be shared across threads (the parallel evaluation engine
-/// relies on this).
+/// selector value can be shared across threads (the trial fan-out of
+/// [`evaluate_over_trials`](crate::evaluate_over_trials) relies on this).
 #[derive(Debug, Clone)]
 pub struct CrossDomainSelector {
     config: SelectorConfig,

@@ -52,7 +52,6 @@
 mod baselines;
 mod budget;
 mod cpe;
-mod engine;
 mod error;
 mod evaluation;
 mod framework;
@@ -75,7 +74,6 @@ pub use cpe::{CpeConfig, CpeGradient, CpeObservation, CrossDomainEstimator};
 // The fold-pass math mode of the batched quadrature sweeps, re-exported so
 // `CpeConfig::quadrature_math` can be set without importing `c4u_stats`.
 pub use c4u_stats::QuadratureMath;
-pub use engine::EvalEngine;
 pub use error::SelectionError;
 pub use evaluation::{
     evaluate_over_trials, evaluate_strategy, evaluate_strategy_with_k, relative_improvement,

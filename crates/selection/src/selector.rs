@@ -43,7 +43,8 @@ impl SelectionOutcome {
 
 /// A worker-selection strategy.
 ///
-/// Strategies are `Send + Sync` so the evaluation engine can share one
+/// Strategies are `Send + Sync` so
+/// [`evaluate_over_trials`](crate::evaluate_over_trials) can share one
 /// strategy value across its trial threads; `select` takes `&self`, so any
 /// per-run state must be created inside the call (the core selector clones its
 /// stage-pipeline template per run for exactly this reason).

@@ -260,7 +260,8 @@ pub(crate) fn pool_prior_means(init: &StageInit<'_>) -> Vec<f64> {
 /// [`CpeConfig::gradient_oracle`] (by default the closed-form
 /// `log_likelihood_gradient` of that model), and the round's predictions
 /// reuse the model the update leaves behind — so every staged selector and
-/// every [`EvalEngine`](crate::EvalEngine) run hits the batched path.
+/// every [`evaluate_over_trials`](crate::evaluate_over_trials) run hits the
+/// batched path.
 #[derive(Debug, Clone)]
 pub struct CpeStage {
     config: CpeConfig,

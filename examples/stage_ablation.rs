@@ -6,23 +6,18 @@
 //!
 //! ```bash
 //! cargo run --release --example stage_ablation
-//! # Resumable: persist every evaluated cell and re-run incrementally (a
-//! # second invocation re-evaluates zero cells).
-//! C4U_CELL_CACHE=target/cell-cache cargo run --release --example stage_ablation
 //! # Quick mode (what CI runs): 2 CPE epochs, 1 trial.
 //! C4U_CPE_EPOCHS=2 C4U_TRIALS=1 cargo run --release --example stage_ablation
 //! ```
 
 use c4u_bench::{
-    cell_cache_dir, cpe_epochs, evaluate_cells_resumable, format_accuracy_table, trial_seeds,
-    trials, CellSpec, StrategyKind,
+    cpe_epochs, evaluate_cells, format_accuracy_table, trial_seeds, trials, CellSpec, StrategyKind,
 };
 use c4u_crowd_sim::DatasetConfig;
 
 fn main() {
     let epochs = cpe_epochs();
     let seeds = trial_seeds(trials());
-    let cache = cell_cache_dir();
     println!(
         "Stage zoo — every estimation pipeline on the RW datasets (CPE epochs = {epochs}, trials = {})\n",
         seeds.len()
@@ -41,7 +36,7 @@ fn main() {
             ));
         }
     }
-    let (cells, stats) = evaluate_cells_resumable(&specs, cache.as_deref());
+    let cells = evaluate_cells(&specs);
 
     let datasets: Vec<String> = configs.iter().map(|c| c.name.clone()).collect();
     let strategies: Vec<String> = pipelines.iter().map(|s| s.name().to_string()).collect();
@@ -55,16 +50,4 @@ fn main() {
     println!("the cross-domain information is worth — visible at paper-fidelity epoch");
     println!("budgets (C4U_CPE_EPOCHS=50); in quick mode the CPE model is deliberately");
     println!("undertrained and the single-model ablations can tie or lead.");
-    match cache {
-        Some(dir) => println!(
-            "\ncell cache: {} hits, {} misses of {} cells under {}",
-            stats.hits,
-            stats.misses,
-            stats.total(),
-            dir.display()
-        ),
-        None => {
-            println!("\ncell cache: disabled (set C4U_CELL_CACHE to make this sweep resumable)")
-        }
-    }
 }

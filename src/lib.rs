@@ -12,8 +12,8 @@
 //!   scalar minimiser;
 //! * [`crowd_sim`] — dataset generator and the simulated crowdsourcing platform;
 //! * [`selection`] — CPE/LGE/ME stages, the stage pipeline, the
-//!   central-difference gradient cross-check, baselines, and the parallel
-//!   evaluation engine.
+//!   central-difference gradient cross-check, baselines, and the evaluation
+//!   protocol (`evaluate_over_trials` fans trials out over threads).
 //!
 //! The `examples/` directory holds runnable end-to-end walkthroughs and the
 //! `tests/` directory the cross-crate integration suite; see the workspace

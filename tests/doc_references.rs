@@ -4,10 +4,15 @@
 //! a `[[bench]]` of `crates/bench/Cargo.toml`, so deleting or renaming a
 //! document or a bench cannot leave dangling references behind. Likewise the
 //! crate lists of `ARCHITECTURE.md` and `README.md` must name exactly the
-//! `crates/*` packages, and `default-members` must cover every member.
+//! `crates/*` packages, and `default-members` must cover every member. The
+//! prose documents (README, ARCHITECTURE, the verify skill and the CI
+//! workflow) may cite a source path with a directory (`crates/x/src/y.rs`)
+//! only if it exists relative to the workspace root, and a `C4U_*` variable
+//! only if it is registered in `c4u_bench::env::KNOBS`.
 //!
 //! Scanned: every `.rs` file of the workspace, plus the root `README.md` and
-//! `ARCHITECTURE.md` (and, for bench names, the verify skill). Skipped: build
+//! `ARCHITECTURE.md` (and, for bench names, source paths and knobs, the verify
+//! skill; for the last two also the CI workflow). Skipped: build
 //! output (`target/`), the vendored stand-ins (`vendor/`), the standalone
 //! benchmark package (`perfbench/`) and hidden directories. The history files
 //! (`CHANGES.md`, `ROADMAP.md`) are not scanned: they cite what existed when
@@ -257,4 +262,107 @@ fn crate_lists_match_the_workspace() {
         sorted(manifest_array(&manifest, "default-members")),
         sorted(members)
     );
+}
+
+/// The prose documents whose source paths and knob names are checked.
+fn prose_documents(root: &Path) -> Vec<PathBuf> {
+    let mut documents = vec![
+        root.join("README.md"),
+        root.join("ARCHITECTURE.md"),
+        root.join(concat!(".claude/skills/verify/SKILL", ".md")),
+        root.join(".github/workflows/ci.yml"),
+    ];
+    documents.retain(|path| path.is_file());
+    documents
+}
+
+fn is_path_char(c: u8) -> bool {
+    is_name_char(c) || matches!(c, b'.' | b'/' | b'*')
+}
+
+/// The `*.rs` paths with a directory cited in `text`. Glob patterns such as
+/// `examples/*.rs` are skipped.
+fn cited_source_paths(text: &str) -> Vec<String> {
+    let mut paths = Vec::new();
+    for (at, _) in text.match_indices(".rs") {
+        let ends_word = text
+            .as_bytes()
+            .get(at + 3)
+            .is_none_or(|&c| !is_name_char(c));
+        let start = at
+            - text[..at]
+                .bytes()
+                .rev()
+                .take_while(|&c| is_path_char(c))
+                .count();
+        let path = &text[start..at + 3];
+        if ends_word && path.contains('/') && !path.contains('*') {
+            paths.push(path.to_string());
+        }
+    }
+    paths
+}
+
+/// The `C4U_*` variable names cited in `text` (the bare family name `C4U_*`
+/// yields none).
+fn cited_knobs(text: &str) -> Vec<String> {
+    text.match_indices("C4U_")
+        .filter_map(|(at, _)| {
+            let rest = &text[at..];
+            let len = rest
+                .bytes()
+                .take_while(|&c| c.is_ascii_uppercase() || c.is_ascii_digit() || c == b'_')
+                .count();
+            (len > "C4U_".len()).then(|| rest[..len].to_string())
+        })
+        .collect()
+}
+
+#[test]
+fn cited_source_paths_exist() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut missing = Vec::new();
+    for document in prose_documents(root) {
+        let shown = document.strip_prefix(root).unwrap_or(&document).display();
+        for path in cited_source_paths(&fs::read_to_string(&document).unwrap()) {
+            if !root.join(&path).is_file() {
+                missing.push(format!("{shown}: {path}"));
+            }
+        }
+    }
+    assert!(
+        missing.is_empty(),
+        "source paths cited but missing (paths are relative to the workspace root):\n{}",
+        missing.join("\n")
+    );
+}
+
+#[test]
+fn cited_knobs_are_registered() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut unknown = Vec::new();
+    for document in prose_documents(root) {
+        let shown = document.strip_prefix(root).unwrap_or(&document).display();
+        for name in cited_knobs(&fs::read_to_string(&document).unwrap()) {
+            if !c4u_bench::env::is_registered(&name) {
+                unknown.push(format!("{shown}: {name}"));
+            }
+        }
+    }
+    assert!(
+        unknown.is_empty(),
+        "C4U_* variables cited but not registered in c4u_bench::env::KNOBS:\n{}",
+        unknown.join("\n")
+    );
+}
+
+#[test]
+fn the_path_and_knob_scanners_find_what_they_should() {
+    let text = "see `crates/x/src/y.rs:10`, (tests/z.rs), lib.rs, examples/*.rs, a.rsx";
+    assert_eq!(
+        cited_source_paths(text),
+        ["crates/x/src/y.rs", "tests/z.rs"]
+    );
+    let text = "set C4U_TRIALS=2 and `C4U_QUAD_MATH`; every C4U_* name; c4u_trials";
+    assert_eq!(cited_knobs(text), ["C4U_TRIALS", "C4U_QUAD_MATH"]);
 }

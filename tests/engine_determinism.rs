@@ -1,15 +1,12 @@
-//! Determinism regression tests for the parallel evaluation engine: fanning
-//! trials out across threads must change wall-clock only, never a single bit
-//! of the results — and with ≥ 8 trials the fan-out must demonstrably run
-//! trials concurrently.
+//! Determinism regression tests for the trial fan-out of
+//! `evaluate_over_trials`: spreading trials over threads must change
+//! wall-clock only, never a single bit of the results.
 
-use c4u_crowd_sim::{generate, DatasetConfig, Platform};
+use c4u_crowd_sim::{generate, DatasetConfig};
 use c4u_selection::{
-    evaluate_over_trials, CrossDomainSelector, EvalEngine, MedianEliminationBaseline,
-    SelectionError, SelectionOutcome, SelectorConfig, UniformSampling, WorkerSelector,
+    evaluate_over_trials, evaluate_strategy, AggregatedResult, CrossDomainSelector,
+    MedianEliminationBaseline, SelectorConfig, UniformSampling, WorkerSelector,
 };
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Duration;
 
 fn small_dataset() -> c4u_selection::Dataset {
     let mut config = DatasetConfig::rw1();
@@ -25,6 +22,30 @@ fn fast_ours() -> CrossDomainSelector {
     CrossDomainSelector::new(config)
 }
 
+/// The sequential reference: one trial after another, in seed order,
+/// aggregated in that order.
+fn sequential(
+    dataset: &c4u_selection::Dataset,
+    strategy: &dyn WorkerSelector,
+    seeds: &[u64],
+) -> AggregatedResult {
+    let accuracies: Vec<f64> = seeds
+        .iter()
+        .map(|&seed| {
+            evaluate_strategy(dataset, strategy, seed)
+                .unwrap()
+                .working_accuracy
+        })
+        .collect();
+    AggregatedResult {
+        strategy: strategy.name().to_string(),
+        dataset: dataset.config.name.clone(),
+        mean_accuracy: c4u_stats::mean(&accuracies),
+        std_accuracy: c4u_stats::std_dev(&accuracies),
+        trials: seeds.len(),
+    }
+}
+
 #[test]
 fn parallel_engine_matches_sequential_for_eight_plus_trials() {
     let dataset = small_dataset();
@@ -34,108 +55,28 @@ fn parallel_engine_matches_sequential_for_eight_plus_trials() {
         &UniformSampling::new(),
         &MedianEliminationBaseline::new(),
     ] {
-        let sequential = EvalEngine::sequential()
-            .evaluate_over_trials(&dataset, strategy, &seeds)
-            .unwrap();
-        let parallel = EvalEngine::with_threads(8)
-            .evaluate_over_trials(&dataset, strategy, &seeds)
-            .unwrap();
+        let fanned_out = evaluate_over_trials(&dataset, strategy, &seeds).unwrap();
         // `AggregatedResult` derives PartialEq over raw f64 fields: this is an
         // exact, bit-level comparison of mean and standard deviation.
-        assert_eq!(sequential, parallel, "{} diverged", strategy.name());
-        assert_eq!(parallel.trials, 10);
-    }
-}
-
-#[test]
-fn matrix_fan_out_matches_per_strategy_sequential_runs() {
-    let dataset = small_dataset();
-    let seeds: Vec<u64> = (1..=8).collect();
-    let ours = fast_ours();
-    let us = UniformSampling::new();
-    let strategies: Vec<&dyn WorkerSelector> = vec![&us, &ours];
-    let matrix = EvalEngine::with_threads(8)
-        .evaluate_all_over_trials(&dataset, &strategies, &seeds)
-        .unwrap();
-    assert_eq!(matrix.len(), 2);
-    for (aggregated, strategy) in matrix.iter().zip(strategies.iter()) {
-        let reference = EvalEngine::sequential()
-            .evaluate_over_trials(&dataset, *strategy, &seeds)
-            .unwrap();
-        assert_eq!(*aggregated, reference);
+        assert_eq!(
+            fanned_out,
+            sequential(&dataset, strategy, &seeds),
+            "{} diverged",
+            strategy.name()
+        );
+        assert_eq!(fanned_out.trials, 10);
     }
 }
 
 #[test]
 fn default_evaluate_over_trials_is_reproducible_across_calls() {
-    // The public entry point (which uses the machine-sized engine) must return
-    // the same result on every invocation regardless of thread scheduling.
+    // The fan-out is machine-sized, so every invocation must return the same
+    // result regardless of thread scheduling.
     let dataset = small_dataset();
     let strategy = fast_ours();
     let seeds: Vec<u64> = (1..=8).collect();
     let first = evaluate_over_trials(&dataset, &strategy, &seeds).unwrap();
     let second = evaluate_over_trials(&dataset, &strategy, &seeds).unwrap();
     assert_eq!(first, second);
-    let sequential = EvalEngine::sequential()
-        .evaluate_over_trials(&dataset, &strategy, &seeds)
-        .unwrap();
-    assert_eq!(first, sequential);
-}
-
-/// A selector that records how many trials are inside `select` at once.
-#[derive(Debug)]
-struct ConcurrencyProbe {
-    in_flight: AtomicUsize,
-    high_water: AtomicUsize,
-}
-
-impl ConcurrencyProbe {
-    fn new() -> Self {
-        Self {
-            in_flight: AtomicUsize::new(0),
-            high_water: AtomicUsize::new(0),
-        }
-    }
-}
-
-impl WorkerSelector for ConcurrencyProbe {
-    fn name(&self) -> &str {
-        "probe"
-    }
-
-    fn select(
-        &self,
-        platform: &mut Platform,
-        k: usize,
-    ) -> Result<SelectionOutcome, SelectionError> {
-        let now = self.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
-        self.high_water.fetch_max(now, Ordering::SeqCst);
-        // Hold the slot long enough for other trial threads to enter.
-        std::thread::sleep(Duration::from_millis(40));
-        self.in_flight.fetch_sub(1, Ordering::SeqCst);
-        let selected = platform.worker_ids().into_iter().take(k).collect();
-        Ok(SelectionOutcome::new(selected, 0, 0))
-    }
-}
-
-#[test]
-fn trials_demonstrably_run_concurrently() {
-    let dataset = small_dataset();
-    let seeds: Vec<u64> = (1..=8).collect();
-    let probe = ConcurrencyProbe::new();
-    EvalEngine::with_threads(8)
-        .evaluate_over_trials(&dataset, &probe, &seeds)
-        .unwrap();
-    let peak = probe.high_water.load(Ordering::SeqCst);
-    assert!(
-        peak > 1,
-        "expected overlapping trials under an 8-thread engine, saw peak concurrency {peak}"
-    );
-
-    // And the sequential engine really is sequential.
-    let probe = ConcurrencyProbe::new();
-    EvalEngine::sequential()
-        .evaluate_over_trials(&dataset, &probe, &seeds)
-        .unwrap();
-    assert_eq!(probe.high_water.load(Ordering::SeqCst), 1);
+    assert_eq!(first, sequential(&dataset, &strategy, &seeds));
 }

@@ -61,66 +61,78 @@ fn blank_domains(dataset: &mut Dataset) {
     }
 }
 
+/// The dataset as generated, and a copy with prior domains blanked
+/// ([`blank_domains`]), each tagged with whether domains are missing.
+fn with_and_without_blank_domains(dataset: Dataset) -> [(Dataset, bool); 2] {
+    let mut gappy = dataset.clone();
+    blank_domains(&mut gappy);
+    [(dataset, false), (gappy, true)]
+}
+
+/// Every stage-zoo preset at one and at three worker shards.
+fn layouts() -> impl Iterator<Item = (EstimationMode, usize)> {
+    MODES
+        .into_iter()
+        .flat_map(|mode| [1, 3].map(|num_shards| (mode, num_shards)))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
+    /// The small axes (missing prior domains, epochs) are enumerated in every
+    /// case rather than drawn: the test's fixed case stream could miss a
+    /// drawn value in every case.
     #[test]
-    fn pipeline_always_selects_k_unique_workers_within_budget(
-        config in config_strategy(),
-        epochs in 1usize..4,
-        gappy in 0u8..2,
-    ) {
-        let mut dataset = generate(&config).unwrap();
-        if gappy == 1 {
-            blank_domains(&mut dataset);
-        }
-        for mode in MODES {
-            for num_shards in [1, 3] {
-                let mut platform =
-                    Platform::from_dataset(&dataset, config.seed ^ 0xABCD).unwrap();
-                let mut sel_config = SelectorConfig::default()
-                    .with_mode(mode)
-                    .with_num_shards(num_shards);
-                sel_config.cpe.epochs = epochs;
-                let selector = CrossDomainSelector::new(sel_config);
-                let outcome = selector.select(&mut platform, config.select_k).unwrap();
+    fn pipeline_always_selects_k_unique_workers_within_budget(config in config_strategy()) {
+        for (dataset, gappy) in with_and_without_blank_domains(generate(&config).unwrap()) {
+            for epochs in [1, 2, 5] {
+                for (mode, num_shards) in layouts() {
+                    let mut platform =
+                        Platform::from_dataset(&dataset, config.seed ^ 0xABCD).unwrap();
+                    let mut sel_config = SelectorConfig::default()
+                        .with_mode(mode)
+                        .with_num_shards(num_shards);
+                    sel_config.cpe.epochs = epochs;
+                    let selector = CrossDomainSelector::new(sel_config);
+                    let outcome = selector.select(&mut platform, config.select_k).unwrap();
 
-                prop_assert_eq!(outcome.selected.len(), config.select_k);
-                let mut unique = outcome.selected.clone();
-                unique.sort_unstable();
-                unique.dedup();
-                prop_assert_eq!(unique.len(), config.select_k);
-                prop_assert!(unique.iter().all(|&w| w < config.pool_size));
-                prop_assert!(unique.iter().all(|&w| platform.is_active(w)));
-                prop_assert!(outcome.budget_spent <= config.budget());
-                prop_assert_eq!(outcome.scores.len(), config.select_k);
-                prop_assert!(
-                    outcome.scores.iter().all(|s| s.is_finite()),
-                    "{:?} x {} shards x {} epochs (gappy {}): {:?}",
-                    mode,
-                    num_shards,
-                    epochs,
-                    gappy,
-                    outcome.scores
-                );
+                    prop_assert_eq!(outcome.selected.len(), config.select_k);
+                    let mut unique = outcome.selected.clone();
+                    unique.sort_unstable();
+                    unique.dedup();
+                    prop_assert_eq!(unique.len(), config.select_k);
+                    prop_assert!(unique.iter().all(|&w| w < config.pool_size));
+                    prop_assert!(unique.iter().all(|&w| platform.is_active(w)));
+                    prop_assert!(outcome.budget_spent <= config.budget());
+                    prop_assert_eq!(outcome.scores.len(), config.select_k);
+                    prop_assert!(
+                        outcome.scores.iter().all(|s| s.is_finite()),
+                        "{:?} x {} shards x {} epochs (gappy {}): {:?}",
+                        mode,
+                        num_shards,
+                        epochs,
+                        gappy,
+                        outcome.scores
+                    );
+                }
             }
         }
     }
 
     /// Every robustness scenario (RW-1, spammers, colluders, drift, churn),
-    /// shrunk to the drawn shape, with its churn schedule replayed. Each case
-    /// runs all five: the churn preset is one in five, and the test's fixed
+    /// shrunk to the drawn shape, with its churn schedule replayed, with and
+    /// without missing prior domains. Each case runs every scenario and both
+    /// profile shapes: the churn preset is one in five, and the test's fixed
     /// case stream might never draw it.
     #[test]
     fn scenario_campaigns_with_churn_keep_the_invariants(shape in shape_strategy()) {
         for base in DatasetConfig::robustness_scenarios() {
             let config = shrink(&base, shape);
-            let dataset = generate(&config).unwrap();
             let k = config.select_k;
             let rounds = rounds_until_at_most(config.pool_size, k);
             let schedule = CampaignSchedule::churn(&config, rounds).unwrap();
-            for mode in MODES {
-                for num_shards in [1, 3] {
+            for (dataset, gappy) in with_and_without_blank_domains(generate(&config).unwrap()) {
+                for (mode, num_shards) in layouts() {
                     let mut platform =
                         Platform::from_dataset(&dataset, config.seed ^ 0xABCD).unwrap();
                     let mut sel_config = SelectorConfig::default()
@@ -142,10 +154,11 @@ proptest! {
                     prop_assert_eq!(outcome.scores.len(), k);
                     prop_assert!(
                         outcome.scores.iter().all(|s| s.is_finite()),
-                        "{} x {:?} x {} shards: {:?}",
+                        "{} x {:?} x {} shards (gappy {}): {:?}",
                         config.name,
                         mode,
                         num_shards,
+                        gappy,
                         outcome.scores
                     );
                 }
