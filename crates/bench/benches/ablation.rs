@@ -7,7 +7,8 @@
 //! ```
 
 use c4u_bench::{
-    cpe_epochs, evaluate_cells, lookup, trial_seeds, trials, uplift, CellSpec, StrategyKind,
+    accuracy_column, cpe_epochs, evaluate_cells, lookup, trial_seeds, trials, uplift_column,
+    CellSpec, StrategyKind,
 };
 use c4u_crowd_sim::DatasetConfig;
 
@@ -43,17 +44,17 @@ fn main() {
         "data", "ME", "ME-CPE", "Ours", "CPE uplift", "LGE uplift"
     );
     for config in &configs {
-        let me = lookup(&cells, &config.name, "ME").unwrap_or(0.0);
-        let me_cpe = lookup(&cells, &config.name, "ME-CPE").unwrap_or(0.0);
-        let ours = lookup(&cells, &config.name, "Ours").unwrap_or(0.0);
+        let me = lookup(&cells, &config.name, "ME");
+        let me_cpe = lookup(&cells, &config.name, "ME-CPE");
+        let ours = lookup(&cells, &config.name, "Ours");
         println!(
-            "{:<6} {:>8.3} {:>8.3} {:>8.3} {:>15.1}% {:>15.1}%",
+            "{:<6}{}{}{}{}{}",
             config.name,
-            me,
-            me_cpe,
-            ours,
-            uplift(me_cpe, me),
-            uplift(ours, me_cpe)
+            accuracy_column(me, 8),
+            accuracy_column(me_cpe, 8),
+            accuracy_column(ours, 8),
+            uplift_column(me_cpe, me, 16),
+            uplift_column(ours, me_cpe, 16)
         );
     }
     println!("\nCPE uplift = ME-CPE over ME (cross-domain information); LGE uplift = Ours over");

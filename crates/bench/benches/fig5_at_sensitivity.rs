@@ -6,7 +6,7 @@
 //! cargo bench -p c4u-bench --bench fig5_at_sensitivity
 //! ```
 
-use c4u_bench::{cpe_epochs, evaluate_cells, trial_seeds, CellSpec, StrategyKind};
+use c4u_bench::{accuracy_column, cpe_epochs, evaluate_cells, trial_seeds, CellSpec, StrategyKind};
 use c4u_crowd_sim::DatasetConfig;
 
 fn main() {
@@ -41,7 +41,7 @@ fn main() {
         print!("{a_t:<6.1}");
         for (col, _) in configs.iter().enumerate() {
             let cell = &cells[col * a_t_values.len() + row];
-            print!(" {:>8.3}", cell.mean_accuracy);
+            print!("{}", accuracy_column(cell.mean_accuracy, 8));
         }
         println!();
     }

@@ -5,7 +5,7 @@
 //! cargo bench -p c4u-bench --bench fig6_k_sensitivity
 //! ```
 
-use c4u_bench::{cpe_epochs, evaluate_cells, trial_seeds, CellSpec, StrategyKind};
+use c4u_bench::{accuracy_column, cpe_epochs, evaluate_cells, trial_seeds, CellSpec, StrategyKind};
 use c4u_crowd_sim::DatasetConfig;
 
 /// The k sweep of Figure 6: per dataset, the paper's default k plus the enlarged
@@ -56,7 +56,7 @@ fn main() {
             print!("{k:<6}");
             for (j, _) in strategies.iter().enumerate() {
                 let cell = &cells[i * strategies.len() + j];
-                print!(" {:>12.3}", cell.mean_accuracy);
+                print!("{}", accuracy_column(cell.mean_accuracy, 12));
             }
             println!();
         }

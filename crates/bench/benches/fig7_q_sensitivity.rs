@@ -5,7 +5,7 @@
 //! cargo bench -p c4u-bench --bench fig7_q_sensitivity
 //! ```
 
-use c4u_bench::{cpe_epochs, evaluate_cells, trial_seeds, CellSpec, StrategyKind};
+use c4u_bench::{accuracy_column, cpe_epochs, evaluate_cells, trial_seeds, CellSpec, StrategyKind};
 use c4u_crowd_sim::DatasetConfig;
 
 fn main() {
@@ -53,7 +53,7 @@ fn main() {
             print!("{q:<6} {budget:>8}");
             for (j, _) in strategies.iter().enumerate() {
                 let cell = &cells[i * strategies.len() + j];
-                print!(" {:>12.3}", cell.mean_accuracy);
+                print!("{}", accuracy_column(cell.mean_accuracy, 12));
             }
             println!();
         }

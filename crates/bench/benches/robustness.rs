@@ -64,7 +64,7 @@ fn main() {
     for (config, row) in scenarios.iter().zip(cells.chunks(strategies.len())) {
         print!("{:<12}", config.name);
         for cell in row {
-            print!("{}", accuracy_column(cell.mean_accuracy));
+            print!("{}", accuracy_column(cell.mean_accuracy, 10));
         }
         println!();
     }

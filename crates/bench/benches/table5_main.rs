@@ -9,7 +9,7 @@
 //! ```
 
 use c4u_bench::{
-    cpe_epochs, evaluate_cells, format_accuracy_table, lookup, trial_seeds, trials, uplift,
+    cpe_epochs, evaluate_cells, format_accuracy_table, lookup, trial_seeds, trials, uplift_column,
     CellSpec, StrategyKind,
 };
 use c4u_crowd_sim::{generate, DatasetConfig, Platform};
@@ -53,9 +53,9 @@ fn main() {
     for baseline in ["US", "ME", "Li et al.", "ME-CPE"] {
         print!("{baseline:<14}");
         for dataset in &dataset_names {
-            let ours = lookup(&cells, dataset, "Ours").unwrap_or(0.0);
-            let base = lookup(&cells, dataset, baseline).unwrap_or(0.0);
-            print!(" {:>7.1}%", uplift(ours, base));
+            let ours = lookup(&cells, dataset, "Ours");
+            let base = lookup(&cells, dataset, baseline);
+            print!("{}", uplift_column(ours, base, 8));
         }
         println!();
     }

@@ -475,13 +475,29 @@ pub fn sweep_schedule(specs: &[CellSpec]) -> Vec<usize> {
     order
 }
 
-/// One right-aligned accuracy column of a table: the mean to three decimals,
-/// or `-` when it is not finite (a cell with no successful trial).
-pub fn accuracy_column(mean_accuracy: f64) -> String {
+/// One accuracy column of a table, right-aligned in `width` characters after
+/// a separating space: the mean to three decimals, or `-` when it is not
+/// finite (a cell with no successful trial, or one [`lookup`] did not find).
+pub fn accuracy_column(mean_accuracy: f64, width: usize) -> String {
     if mean_accuracy.is_finite() {
-        format!(" {mean_accuracy:>10.3}")
+        format!(" {mean_accuracy:>width$.3}")
     } else {
-        format!(" {:>10}", "-")
+        format!(" {:>width$}", "-")
+    }
+}
+
+/// One uplift column of a table, right-aligned in `width` characters after a
+/// separating space: [`uplift`] in percent to one decimal, or `-` when either
+/// accuracy is not finite.
+pub fn uplift_column(ours: f64, baseline: f64, width: usize) -> String {
+    if ours.is_finite() && baseline.is_finite() {
+        format!(
+            " {:>digits$.1}%",
+            uplift(ours, baseline),
+            digits = width.saturating_sub(1)
+        )
+    } else {
+        format!(" {:>width$}", "-")
     }
 }
 
@@ -499,19 +515,23 @@ pub fn format_accuracy_table(datasets: &[String], strategies: &[String], cells: 
         out.push_str(&format!("{s:<14}"));
         for d in datasets {
             let cell = cells.iter().find(|c| &c.strategy == s && &c.dataset == d);
-            out.push_str(&accuracy_column(cell.map_or(f64::NAN, |c| c.mean_accuracy)));
+            out.push_str(&accuracy_column(
+                cell.map_or(f64::NAN, |c| c.mean_accuracy),
+                10,
+            ));
         }
         out.push('\n');
     }
     out
 }
 
-/// Looks up a cell's mean accuracy in a result set.
-pub fn lookup(cells: &[Cell], dataset: &str, strategy: &str) -> Option<f64> {
+/// Looks up a cell's mean accuracy in a result set; `NaN` when no cell
+/// matches, so an absent cell prints as `-` like a failed one.
+pub fn lookup(cells: &[Cell], dataset: &str, strategy: &str) -> f64 {
     cells
         .iter()
         .find(|c| c.dataset == dataset && c.strategy == strategy)
-        .map(|c| c.mean_accuracy)
+        .map_or(f64::NAN, |c| c.mean_accuracy)
 }
 
 /// Relative improvement (percent) of `ours` over `baseline`.
@@ -661,10 +681,14 @@ mod tests {
             Some(format!("{:<14} {:>10}", "Ours", "-").as_str())
         );
         assert!(!table.contains("NaN"), "{table}");
-        // The robustness table prints its columns with the same helper.
-        assert_eq!(accuracy_column(0.8), format!(" {:>10}", "0.800"));
+        // The robustness and figure tables print their columns with the same
+        // helper, at their own widths.
+        assert_eq!(accuracy_column(0.8, 10), format!(" {:>10}", "0.800"));
+        assert_eq!(accuracy_column(0.8, 8), format!(" {:>8.3}", 0.8));
+        assert_eq!(accuracy_column(0.8, 12), format!(" {:>12.3}", 0.8));
         for mean in [f64::NAN, f64::INFINITY] {
-            assert_eq!(accuracy_column(mean), format!(" {:>10}", "-"));
+            assert_eq!(accuracy_column(mean, 10), format!(" {:>10}", "-"));
+            assert_eq!(accuracy_column(mean, 8), format!(" {:>8}", "-"));
         }
     }
 
@@ -710,9 +734,23 @@ mod tests {
         assert!(table.contains("0.750"));
         assert!(table.contains("0.800"));
         assert!(table.contains('-'));
-        assert_eq!(lookup(&cells, "RW-1", "Ours"), Some(0.80));
-        assert_eq!(lookup(&cells, "RW-1", "GT"), None);
+        assert_eq!(lookup(&cells, "RW-1", "Ours"), 0.80);
+        // A missing cell reads as NaN, never as an accuracy of 0.
+        let missing = lookup(&cells, "RW-1", "GT");
+        assert!(missing.is_nan());
+        assert_eq!(accuracy_column(missing, 8), format!(" {:>8}", "-"));
         assert!((uplift(0.8, 0.75) - 6.666).abs() < 0.01);
+        // Uplift columns keep the benches' `{:>N.1}%` layout for finite
+        // accuracies and print `-` when either side is missing or failed.
+        assert_eq!(uplift_column(0.8, 0.75, 8), format!(" {:>7.1}%", 6.666_f64));
+        assert_eq!(
+            uplift_column(0.8, 0.75, 16),
+            format!(" {:>15.1}%", 6.666_f64)
+        );
+        for (ours, base) in [(0.8, missing), (missing, 0.75), (f64::NAN, f64::NAN)] {
+            assert_eq!(uplift_column(ours, base, 8), format!(" {:>8}", "-"));
+            assert_eq!(uplift_column(ours, base, 16), format!(" {:>16}", "-"));
+        }
     }
 
     #[test]

@@ -24,21 +24,16 @@
 //! at entry ([`kernel::MaskGroups`]), and each model evaluation builds **one**
 //! cached conditioning factorisation per unique mask
 //! ([`c4u_stats::Conditioner`]) instead of one per worker. The gradient step of
-//! Eq. 6–7 is selected by [`CpeConfig::gradient_oracle`]: by default the
-//! closed-form [`CpeLikelihoodKernel::log_likelihood_gradient`], called on
-//! the model built from the parameters the estimator holds and applied to
-//! them directly (one vectorised quadrature sweep per block of ≤ 1024 members
-//! of a mask group per epoch; a group spanning several blocks fans them out
-//! over the machine's threads, bit-identically for every thread count), with
-//! the historical central-difference stencil
-//! ([`gradient_with_step`]) over the packed
-//! parameters retained as a cross-check ([`CpeGradient::FiniteDifference`],
-//! pinned bit-for-bit by `tests/fd_pinned.rs` and
-//! `tests/kernel_equivalence.rs`). The finite-difference numbers are
-//! bit-for-bit identical to the historical per-observation code; the analytic
-//! gradient agrees with the stencil to stencil accuracy
-//! (`tests/proptest_gradient.rs`) while cutting likelihood sweeps per epoch
-//! from `2 x (D+1)(D+4)/2` to one.
+//! Eq. 6–7 is the closed-form
+//! [`CpeLikelihoodKernel::log_likelihood_gradient`], called on the model
+//! built from the parameters the estimator holds and applied to them directly:
+//! one vectorised quadrature sweep per block of ≤ 1024 members of a mask
+//! group per epoch (a group spanning several blocks fans them out over the
+//! machine's threads, bit-identically for every thread count). It agrees with
+//! central differences of the likelihood to stencil accuracy
+//! (`tests/proptest_gradient.rs`); the historical central-difference update
+//! lives test-side in `tests/reference/mod.rs`, pinned bit-for-bit by
+//! `tests/fd_pinned.rs`.
 //!
 //! The estimator holds its model as one factorised [`MultivariateNormal`],
 //! rebuilt once at the end of every `update()`; predictions and likelihood
@@ -46,7 +41,7 @@
 
 pub mod kernel;
 
-use crate::{gradient_with_step, SelectionError};
+use crate::SelectionError;
 use c4u_crowd_sim::parallel::run_indexed_jobs;
 use c4u_crowd_sim::{HistoricalProfile, WorkerShards};
 use c4u_linalg::{packed_index, Matrix, Vector};
@@ -58,40 +53,9 @@ use kernel::CpeLikelihoodKernel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Penalty objective value the finite-difference stencil sees for evaluations
-/// that error out or come back non-finite (underflowed normaliser, parameters
-/// outside the PSD cone).
-const OBJECTIVE_PENALTY: f64 = 1e12;
-
 /// Seed of the uniform-random initial correlations (Sec. V-C), so every
 /// estimator built from the same profiles starts from the same model.
 const CORRELATION_SEED: u64 = 21;
-
-/// How the Eq. 6–7 gradient is produced during [`CrossDomainEstimator::update`]:
-/// every variant is one gradient evaluation per epoch over the batched
-/// likelihood kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum CpeGradient {
-    /// Closed-form Eq. 6–7 gradients
-    /// ([`CpeLikelihoodKernel::log_likelihood_gradient`] of the model the
-    /// epoch starts from): one vectorised quadrature sweep per block of ≤ 1024
-    /// members of a missing-domain mask group per epoch, backpropagated
-    /// through the conditioning map onto the mean and the covariance
-    /// triangle. A model that fails to build or evaluate takes a zero step.
-    /// The default — it
-    /// agrees with the central-difference stencil to stencil accuracy
-    /// (`tests/proptest_gradient.rs`) at `O(1)` likelihood sweeps per epoch
-    /// instead of `2 x (D+1)(D+4)/2`.
-    #[default]
-    Analytic,
-    /// Central finite differences over the marginal log-likelihood with a fixed
-    /// absolute stencil step over the packed parameters (the historical
-    /// behaviour; kept as the cross-check for the analytic gradient).
-    FiniteDifference {
-        /// Absolute step of the central-difference stencil.
-        step: f64,
-    },
-}
 
 /// Configuration of the CPE estimator.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -104,18 +68,12 @@ pub struct CpeConfig {
     pub epochs: usize,
     /// Initial mean accuracy assumed for the target domain (`a_T`; paper default 0.5).
     pub initial_target_accuracy: f64,
-    /// Order of the Gauss–Legendre rule used for the `(0, 1)` integrals.
-    pub quadrature_order: usize,
-    /// Smallest variance allowed on any domain (keeps the covariance well-posed).
-    pub min_variance: f64,
     /// Whether the per-worker prediction incorporates the worker's own observed
     /// correct/wrong counts (posterior mean) or only the cross-domain conditional
     /// (the literal reading of Eq. 8). The posterior form is the default because it
     /// is what lets golden questions discriminate between workers with identical
     /// profiles; the prior-only form is kept for ablations.
     pub use_posterior_prediction: bool,
-    /// Gradient oracle driving the Eq. 6–7 update (see [`CpeGradient`]).
-    pub gradient_oracle: CpeGradient,
     /// Fold-pass arithmetic of the batched quadrature sweeps
     /// ([`c4u_stats::QuadratureMath`]). The default `Exact` mode is
     /// bit-identical to the scalar oracle; `FastVector` swaps the fold onto
@@ -131,16 +89,18 @@ impl Default for CpeConfig {
             covariance_learning_rate: 1e-4,
             epochs: 50,
             initial_target_accuracy: 0.5,
-            quadrature_order: 32,
-            min_variance: 1e-4,
             use_posterior_prediction: true,
-            gradient_oracle: CpeGradient::default(),
             quadrature_math: QuadratureMath::default(),
         }
     }
 }
 
 impl CpeConfig {
+    /// Order of the Gauss–Legendre rule used for the `(0, 1)` integrals.
+    pub const QUADRATURE_ORDER: usize = 32;
+    /// Smallest variance allowed on any domain (keeps the covariance well-posed).
+    pub const MIN_VARIANCE: f64 = 1e-4;
+
     /// Validates the configuration.
     pub fn validate(&self) -> Result<(), SelectionError> {
         for rate in [self.mean_learning_rate, self.covariance_learning_rate] {
@@ -162,29 +122,6 @@ impl CpeConfig {
                 what: "initial target accuracy must lie in (0, 1)",
                 value: self.initial_target_accuracy,
             });
-        }
-        if self.quadrature_order < 2 {
-            return Err(SelectionError::InvalidConfig {
-                what: "quadrature order must be >= 2",
-                value: self.quadrature_order as f64,
-            });
-        }
-        if !is_positive_finite(self.min_variance) {
-            return Err(SelectionError::InvalidConfig {
-                what: "min_variance must be finite and > 0",
-                value: self.min_variance,
-            });
-        }
-        match self.gradient_oracle {
-            CpeGradient::Analytic => {}
-            CpeGradient::FiniteDifference { step } => {
-                if !is_positive_finite(step) {
-                    return Err(SelectionError::InvalidConfig {
-                        what: "finite-difference step must be finite and > 0",
-                        value: step,
-                    });
-                }
-            }
         }
         Ok(())
     }
@@ -260,12 +197,12 @@ impl CrossDomainEstimator {
             let s = if values.len() < 2 {
                 0.15
             } else {
-                std_dev(&values).max(config.min_variance.sqrt())
+                std_dev(&values).max(CpeConfig::MIN_VARIANCE.sqrt())
             };
             means.push(m.clamp(0.01, 0.99));
             stds.push(s);
         }
-        let target_std = (stds.iter().sum::<f64>() / d as f64).max(config.min_variance.sqrt());
+        let target_std = (stds.iter().sum::<f64>() / d as f64).max(CpeConfig::MIN_VARIANCE.sqrt());
         means.push(config.initial_target_accuracy);
         stds.push(target_std);
 
@@ -284,12 +221,12 @@ impl CrossDomainEstimator {
                 }
             }
         }
-        let covariance = nearest_positive_definite(&covariance, config.min_variance)?;
+        let covariance = nearest_positive_definite(&covariance, CpeConfig::MIN_VARIANCE)?;
 
         Ok(Self {
             config,
             model: MultivariateNormal::new(Vector::from_vec(means), covariance)?,
-            quadrature: GaussLegendre::new(config.quadrature_order),
+            quadrature: GaussLegendre::new(CpeConfig::QUADRATURE_ORDER),
         })
     }
 
@@ -346,13 +283,11 @@ impl CrossDomainEstimator {
         if observations.is_empty() {
             return Ok(());
         }
-        let d = self.num_prior_domains();
-        let min_variance = self.config.min_variance;
         // One kernel serves every epoch, so its scratch buffers are grown once
         // and reused by all `epochs x unique_masks` sweeps.
         let kernel = CpeLikelihoodKernel::new_with_math(
             observations,
-            d,
+            self.num_prior_domains(),
             &self.quadrature,
             self.config.quadrature_math,
         );
@@ -362,48 +297,22 @@ impl CrossDomainEstimator {
         let mut covariance = self.model.covariance().clone();
 
         for _ in 0..self.config.epochs {
-            match self.config.gradient_oracle {
-                CpeGradient::Analytic => {
-                    // A model that fails to build or to evaluate takes a zero
-                    // step this epoch instead of poisoning the parameters.
-                    let gradient = projected_model(&mean, &covariance, min_variance)
-                        .and_then(|model| kernel.log_likelihood_gradient(&model));
-                    if let Ok(gradient) = gradient {
-                        self.ascend(
-                            &mut mean,
-                            &mut covariance,
-                            &gradient.d_mean,
-                            gradient.d_covariance.as_slice(),
-                        );
-                    }
-                }
-                CpeGradient::FiniteDifference { step } => {
-                    let mut params = mean.clone();
-                    params.extend(lower_triangle(&covariance));
-                    let objective = |p: &[f64]| {
-                        // Negative log-likelihood of the unpacked parameters.
-                        // Both `Err` AND non-finite `Ok` values map to the
-                        // penalty: an `Ok(+inf)` (underflowed normaliser) in
-                        // the central-difference stencil would otherwise
-                        // produce `inf - inf = NaN`, and the per-parameter
-                        // clamp propagates NaN straight into the mean and
-                        // covariance.
-                        match self.objective_at(p, &kernel) {
-                            Ok(v) if v.is_finite() => v,
-                            _ => OBJECTIVE_PENALTY,
-                        }
-                    };
-                    let ascent: Vec<f64> = gradient_with_step(objective, &params, step)
-                        .iter()
-                        .map(|g| -g)
-                        .collect();
-                    self.ascend(&mut mean, &mut covariance, &ascent[..=d], &ascent[d + 1..]);
-                }
+            // A model that fails to build or to evaluate takes a zero step
+            // this epoch instead of poisoning the parameters.
+            let gradient = projected_model(&mean, &covariance)
+                .and_then(|model| kernel.log_likelihood_gradient(&model));
+            if let Ok(gradient) = gradient {
+                self.ascend(
+                    &mut mean,
+                    &mut covariance,
+                    &gradient.d_mean,
+                    gradient.d_covariance.as_slice(),
+                );
             }
             for value in &mut mean {
                 *value = value.clamp(0.01, 0.99);
             }
-            covariance = nearest_positive_definite(&covariance, min_variance)?;
+            covariance = nearest_positive_definite(&covariance, CpeConfig::MIN_VARIANCE)?;
         }
         self.model = MultivariateNormal::new(Vector::from_vec(mean), covariance)?;
         Ok(())
@@ -431,17 +340,6 @@ impl CrossDomainEstimator {
                 covariance[(j, i)] = value;
             }
         }
-    }
-
-    fn objective_at(
-        &self,
-        params: &[f64],
-        kernel: &CpeLikelihoodKernel<'_>,
-    ) -> Result<f64, SelectionError> {
-        let dim = self.num_prior_domains() + 1;
-        let covariance = from_lower_triangle(&params[dim..], dim);
-        let model = projected_model(&params[..dim], &covariance, self.config.min_variance)?;
-        Ok(-kernel.log_likelihood(&model)?)
     }
 
     /// Predicted target-domain accuracy of a worker (Eq. 8).
@@ -517,39 +415,12 @@ impl CrossDomainEstimator {
 fn projected_model(
     mean: &[f64],
     covariance: &Matrix,
-    min_variance: f64,
 ) -> Result<MultivariateNormal, SelectionError> {
-    let covariance = nearest_positive_definite(covariance, min_variance)?;
+    let covariance = nearest_positive_definite(covariance, CpeConfig::MIN_VARIANCE)?;
     Ok(MultivariateNormal::new(
         Vector::from_slice(mean),
         covariance,
     )?)
-}
-
-/// Lower-triangle (row-major) packing of a symmetric matrix.
-fn lower_triangle(m: &Matrix) -> Vec<f64> {
-    let n = m.nrows();
-    let mut out = Vec::with_capacity(n * (n + 1) / 2);
-    for i in 0..n {
-        for j in 0..=i {
-            out.push(m[(i, j)]);
-        }
-    }
-    out
-}
-
-/// Inverse of [`lower_triangle`]: rebuilds the symmetric matrix.
-fn from_lower_triangle(tri: &[f64], n: usize) -> Matrix {
-    let mut m = Matrix::zeros(n, n);
-    let mut k = 0;
-    for i in 0..n {
-        for j in 0..=i {
-            m[(i, j)] = tri[k];
-            m[(j, i)] = tri[k];
-            k += 1;
-        }
-    }
-    m
 }
 
 #[cfg(test)]
@@ -593,20 +464,8 @@ mod tests {
         }
         .validate()
         .is_err());
-        assert!(CpeConfig {
-            quadrature_order: 1,
-            ..Default::default()
-        }
-        .validate()
-        .is_err());
-        assert!(CpeConfig {
-            min_variance: 0.0,
-            ..Default::default()
-        }
-        .validate()
-        .is_err());
-        // Infinite rates or variance floors would turn into NaN parameters
-        // mid-campaign; they are rejected up front like NaN and zero.
+        // Infinite rates would turn into NaN parameters mid-campaign; they are
+        // rejected up front like NaN and zero.
         for bad in [f64::INFINITY, f64::NAN] {
             for config in [
                 CpeConfig {
@@ -615,14 +474,6 @@ mod tests {
                 },
                 CpeConfig {
                     covariance_learning_rate: bad,
-                    ..Default::default()
-                },
-                CpeConfig {
-                    min_variance: bad,
-                    ..Default::default()
-                },
-                CpeConfig {
-                    gradient_oracle: CpeGradient::FiniteDifference { step: bad },
                     ..Default::default()
                 },
             ] {
@@ -783,12 +634,9 @@ mod tests {
 
     #[test]
     fn underflow_regime_update_stays_finite() {
-        // Counts so large that the normaliser underflows: every log Z is -inf,
-        // so the objective comes back Ok(+inf) rather than Err. Before the
-        // penalty mapping covered non-finite Ok values, the FD stencil computed
-        // `inf - inf = NaN` and the clamp pushed NaN straight into the mean and
-        // covariance; the analytic gradient must likewise skip the underflowed
-        // terms instead of poisoning the accumulator.
+        // Counts so large that the normaliser underflows: every log Z is -inf.
+        // The analytic gradient must skip the underflowed terms instead of
+        // poisoning the accumulator with NaN.
         let profiles = profiles();
         let refs: Vec<&HistoricalProfile> = profiles.iter().collect();
         let observations = vec![CpeObservation {
@@ -796,46 +644,33 @@ mod tests {
             correct: 500_000,
             wrong: 500_000,
         }];
-        for oracle in [
-            CpeGradient::FiniteDifference { step: 1e-5 },
-            CpeGradient::Analytic,
-        ] {
-            let config = CpeConfig {
-                mean_learning_rate: 1e-4,
-                covariance_learning_rate: 1e-4,
-                epochs: 2,
-                gradient_oracle: oracle,
-                ..Default::default()
-            };
-            let mut est = CrossDomainEstimator::from_profiles(&refs, config).unwrap();
-            let before_mean = est.mean().to_vec();
-            est.update(&observations).unwrap();
-            assert!(
-                est.mean().iter().all(|m| m.is_finite()),
-                "{oracle:?}: NaN poisoned the mean: {:?}",
-                est.mean()
-            );
-            assert!(
-                est.covariance().as_slice().iter().all(|c| c.is_finite()),
-                "{oracle:?}: NaN poisoned the covariance"
-            );
-            // The penalty surface is flat, so the underflowed evidence moves
-            // nothing — and the model stays usable.
-            assert_eq!(est.mean(), before_mean.as_slice(), "{oracle:?}");
-            let fresh = CpeObservation {
-                correct: 0,
-                wrong: 0,
-                ..observations[0].clone()
-            };
-            let p = est.predict(&fresh).unwrap();
-            assert!((0.0..=1.0).contains(&p), "{oracle:?}: prediction {p}");
-        }
-    }
-
-    #[test]
-    fn analytic_oracle_is_the_default() {
-        assert_eq!(CpeGradient::default(), CpeGradient::Analytic);
-        assert_eq!(CpeConfig::default().gradient_oracle, CpeGradient::Analytic);
+        let config = CpeConfig {
+            mean_learning_rate: 1e-4,
+            covariance_learning_rate: 1e-4,
+            epochs: 2,
+            ..Default::default()
+        };
+        let mut est = CrossDomainEstimator::from_profiles(&refs, config).unwrap();
+        let before_mean = est.mean().to_vec();
+        est.update(&observations).unwrap();
+        assert!(
+            est.mean().iter().all(|m| m.is_finite()),
+            "NaN poisoned the mean: {:?}",
+            est.mean()
+        );
+        assert!(
+            est.covariance().as_slice().iter().all(|c| c.is_finite()),
+            "NaN poisoned the covariance"
+        );
+        // The underflowed evidence moves nothing — and the model stays usable.
+        assert_eq!(est.mean(), before_mean.as_slice());
+        let fresh = CpeObservation {
+            correct: 0,
+            wrong: 0,
+            ..observations[0].clone()
+        };
+        let p = est.predict(&fresh).unwrap();
+        assert!((0.0..=1.0).contains(&p), "prediction {p}");
     }
 
     #[test]
@@ -861,30 +696,14 @@ mod tests {
     }
 
     #[test]
-    fn triangle_packing_roundtrip() {
-        let m = Matrix::from_rows(&[
-            vec![1.0, 0.2, 0.3],
-            vec![0.2, 2.0, 0.4],
-            vec![0.3, 0.4, 3.0],
-        ])
-        .unwrap();
-        let tri = lower_triangle(&m);
-        assert_eq!(tri.len(), 6);
-        let back = from_lower_triangle(&tri, 3);
-        assert!(back.max_abs_diff(&m).unwrap() < 1e-12);
-    }
-
-    #[test]
     fn held_covariance_stays_exactly_symmetric() {
-        // The analytic arm steps the held covariance in place where the
-        // finite-difference arm packs and unpacks its lower triangle; the two
-        // agree bit for bit only because every held covariance is exactly
-        // symmetric, so the packing round trip is the identity.
+        // The ascent step writes each lower-triangle entry to both mirror
+        // positions, so a round never leaves the held covariance even a ulp
+        // asymmetric (the packed-triangle reference update in
+        // `tests/reference/mod.rs` agrees with it only because of this).
         let mut est = estimator();
         for _ in 0..2 {
-            let held = est.covariance().clone();
-            assert!(held.is_symmetric(0.0));
-            assert_eq!(from_lower_triangle(&lower_triangle(&held), 4), held);
+            assert!(est.covariance().is_symmetric(0.0));
             est.update(&mixed_observations()).unwrap();
         }
     }
@@ -967,38 +786,5 @@ mod tests {
         assert_eq!(a.mean(), b.mean());
         assert_eq!(a.covariance(), b.covariance());
         assert_ne!(a.covariance(), estimator().covariance());
-    }
-
-    #[test]
-    fn finite_difference_updates_track_the_analytic_ones() {
-        let profiles = profiles();
-        let refs: Vec<&HistoricalProfile> = profiles.iter().collect();
-        let run = |gradient_oracle| {
-            let config = CpeConfig {
-                epochs: 1,
-                gradient_oracle,
-                ..Default::default()
-            };
-            let mut est = CrossDomainEstimator::from_profiles(&refs, config).unwrap();
-            est.update(&mixed_observations()).unwrap();
-            est
-        };
-        let analytic = run(CpeGradient::Analytic);
-        let fd = run(CpeGradient::FiniteDifference { step: 1e-6 });
-        let start = estimator();
-        let moved = |e: &CrossDomainEstimator| {
-            e.covariance()
-                .sub(start.covariance())
-                .unwrap()
-                .frobenius_norm()
-        };
-        assert!(moved(&analytic) > 0.0);
-        let gap = analytic.covariance().max_abs_diff(fd.covariance()).unwrap();
-        assert!(
-            gap < 1e-3 * moved(&analytic),
-            "gap {gap} vs step {}",
-            moved(&analytic)
-        );
-        assert!(fd.mean().iter().all(|m| m.is_finite()));
     }
 }

@@ -25,11 +25,12 @@
 //!    per kernel), not one scalar `binomial_normal_moments` /
 //!    `binomial_normal_log_z` call per worker.
 //!
-//! The factorisation count per `update()` therefore drops from
-//! `O(epochs x params x workers)` to `O(epochs x params x unique_masks)` —
-//! and with the closed-form Eq. 6–7 gradient of the [`gradient`] sub-layer (the
-//! default), the `params` factor disappears entirely: one vectorised sweep
-//! per block of ≤ 1024 members of a mask group per epoch. Groups larger than
+//! The factorisation count per `update()` therefore drops from the
+//! `O(epochs x params x workers)` of the historical per-observation
+//! central-difference loop to `epochs x unique_masks`: the closed-form
+//! Eq. 6–7 gradient of the [`gradient`] sub-layer evaluates the model once per
+//! epoch, one factorisation per non-empty mask and one vectorised sweep per
+//! block of ≤ 1024 members of a mask group. Groups larger than
 //! one block fan their blocks out over the machine's threads; the reduction
 //! over members stays serial and in member order, so the result is
 //! bit-identical for every thread count. The batched-sweep count obeys the

@@ -35,9 +35,9 @@
 //! rank-two packed update — per **group**, not per worker.
 //!
 //! An observation whose normaliser underflows (`log Z = -inf`) contributes zero
-//! gradient: the finite-difference stencil would see `∞ - ∞ = NaN` there, which
-//! is exactly the poisoning the penalty mapping of its objective in
-//! `CrossDomainEstimator::update` guards against.
+//! gradient: a central difference of the likelihood would see `∞ - ∞ = NaN`
+//! there, and that NaN would poison the mean and covariance of
+//! `CrossDomainEstimator::update`.
 
 use super::{BlockScratch, CpeLikelihoodKernel, GRADIENT_BLOCK};
 use crate::SelectionError;
@@ -61,9 +61,9 @@ pub struct LikelihoodGradient {
 }
 
 impl LikelihoodGradient {
-    /// The gradient flattened into the packed parameter layout the
-    /// finite-difference stencil differentiates over: mean entries first,
-    /// then the row-major packed covariance triangle.
+    /// The gradient flattened into the packed parameter layout: mean entries
+    /// first, then the row-major packed covariance triangle (the layout a
+    /// central-difference stencil over the parameters differentiates over).
     pub fn packed(&self) -> Vec<f64> {
         let mut out = Vec::with_capacity(self.d_mean.len() + self.d_covariance.as_slice().len());
         out.extend_from_slice(&self.d_mean);

@@ -55,7 +55,6 @@ mod cpe;
 mod error;
 mod evaluation;
 mod framework;
-mod gradient;
 mod lge;
 mod me;
 mod ols;
@@ -70,7 +69,7 @@ pub use cpe::kernel::{
     binomial_normal_log_z, binomial_normal_moments, observed_domains, CpeLikelihoodKernel,
     MaskGroup, MaskGroups,
 };
-pub use cpe::{CpeConfig, CpeGradient, CpeObservation, CrossDomainEstimator};
+pub use cpe::{CpeConfig, CpeObservation, CrossDomainEstimator};
 // The fold-pass math mode of the batched quadrature sweeps, re-exported so
 // `CpeConfig::quadrature_math` can be set without importing `c4u_stats`.
 pub use c4u_stats::QuadratureMath;
@@ -82,7 +81,6 @@ pub use evaluation::{
 pub use framework::{
     CrossDomainSelector, EstimationMode, PipelineReport, RoundDiagnostics, SelectorConfig,
 };
-pub use gradient::gradient_with_step;
 pub use lge::{LearningGainEstimator, LgeConfig, LgeEstimate, LgeWorkerInput};
 pub use me::{median_eliminate, rounds_until_at_most, sort_by_score, top_k, ScoredWorker};
 pub use selector::{SelectionOutcome, WorkerSelector};

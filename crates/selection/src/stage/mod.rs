@@ -256,9 +256,8 @@ pub(crate) fn pool_prior_means(init: &StageInit<'_>) -> Vec<f64> {
 ///
 /// Both the update and the prediction run on the batched mask-grouped
 /// likelihood kernel (`cpe::kernel`) against the estimator's one held model:
-/// each update epoch takes the gradient selected by
-/// [`CpeConfig::gradient_oracle`] (by default the closed-form
-/// `log_likelihood_gradient` of that model), and the round's predictions
+/// each update epoch takes one ascent step along the closed-form
+/// `log_likelihood_gradient` of that model, and the round's predictions
 /// reuse the model the update leaves behind — so every staged selector and
 /// every [`evaluate_over_trials`](crate::evaluate_over_trials) run hits the
 /// batched path.

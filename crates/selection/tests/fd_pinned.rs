@@ -1,19 +1,25 @@
-//! Pins the `CpeGradient::FiniteDifference` update output bit-for-bit to the
-//! values it produced when the oracle seam landed (PR 2), before the analytic
-//! oracle became the default.
+//! Pins the historical central-difference CPE update bit-for-bit to the
+//! values it produced when the gradient seam landed, before the closed-form
+//! Eq. 6–7 gradient became the estimator's update.
 //!
-//! The FD oracle is the cross-check for the closed-form Eq. 6–7 gradients, so
-//! its numbers must never drift: the pinned bits below were captured from the
-//! PR-2 tree (where `FiniteDifference` *was* the default) and must survive
-//! every later change — the kernel's delegation of the binomial×normal
-//! integrand to `c4u_stats` (the near-endpoint peak-bracketing points never win
-//! the max for interior-peaked integrands, so `log Z` is unchanged), the
+//! That update now lives test-side as [`reference::ReferenceEstimator::update`]
+//! (a literal transcription of the historical per-observation loop over the
+//! `reference::gradient_with_step` stencil), seeded here from a live
+//! [`CrossDomainEstimator`]. It is the cross-check for the closed-form
+//! gradient, so its numbers must never drift: the pinned bits below were
+//! captured from the tree where the estimator itself ran this update, and
+//! must survive every later change to what the reference shares with the
+//! estimator — the initial model, the `c4u_stats` binomial×normal integrand
+//! (the near-endpoint peak-bracketing points never win the max for
+//! interior-peaked integrands, so `log Z` is unchanged), the
 //! conditional-variance floor on the Schur-complement path (inactive for
-//! well-conditioned covariances), and the non-finite-objective penalty mapping
-//! (these observations never underflow).
+//! well-conditioned covariances) and the PSD projection.
+
+mod reference;
 
 use c4u_crowd_sim::HistoricalProfile;
-use c4u_selection::{CpeConfig, CpeGradient, CpeObservation, CrossDomainEstimator};
+use c4u_selection::{CpeConfig, CpeObservation, CrossDomainEstimator};
+use reference::ReferenceEstimator;
 
 /// Exact `f64` bits of the post-`update()` mean captured on the PR-2 tree.
 const PINNED_MEAN_BITS: [u64; 4] = [
@@ -59,11 +65,10 @@ fn finite_difference_update_is_unchanged_from_pr2() {
         mean_learning_rate: 1e-4,
         covariance_learning_rate: 1e-4,
         epochs: 3,
-        // Explicit: this suite pins the FD oracle, not the analytic default.
-        gradient_oracle: CpeGradient::FiniteDifference { step: 1e-5 },
         ..Default::default()
     };
-    let mut est = CrossDomainEstimator::from_profiles(&refs, config).unwrap();
+    let est = CrossDomainEstimator::from_profiles(&refs, config).unwrap();
+    let mut reference = ReferenceEstimator::from_estimator(&est, config);
     let observations = vec![
         CpeObservation {
             prior_accuracies: vec![Some(0.9), Some(0.9), Some(0.8)],
@@ -86,15 +91,15 @@ fn finite_difference_update_is_unchanged_from_pr2() {
             wrong: 5,
         },
     ];
-    est.update(&observations).unwrap();
+    reference.update(&observations);
 
-    let mean_bits: Vec<u64> = est.mean().iter().map(|m| m.to_bits()).collect();
+    let mean_bits: Vec<u64> = reference.mean.iter().map(|m| m.to_bits()).collect();
     assert_eq!(
         mean_bits, PINNED_MEAN_BITS,
         "mean drifted from the PR-2 pin"
     );
-    let cov_bits: Vec<u64> = est
-        .covariance()
+    let cov_bits: Vec<u64> = reference
+        .covariance
         .as_slice()
         .iter()
         .map(|c| c.to_bits())
@@ -103,7 +108,7 @@ fn finite_difference_update_is_unchanged_from_pr2() {
         cov_bits, PINNED_COV_BITS,
         "covariance drifted from the PR-2 pin"
     );
-    let ll = est.log_likelihood(&observations).unwrap();
+    let ll = reference.log_likelihood(&observations);
     assert_eq!(
         ll.to_bits(),
         PINNED_LL_BITS,

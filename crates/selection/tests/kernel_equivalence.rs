@@ -3,17 +3,15 @@
 //!
 //! [`reference::ReferenceEstimator`] is a literal transcription of the
 //! historical per-observation code path: `condition_on` once per observation
-//! per model evaluation, `gradient_with_step` over a per-observation objective,
-//! and per-observation prediction. The tests seed it with the exact state of a
-//! [`CrossDomainEstimator`] and require exact `f64` equality of the
-//! log-likelihood, the post-`update` mean and covariance, and `predict_batch`
-//! on observation sets that mix fully-observed, partially-missing, and
-//! all-missing masks.
+//! per model evaluation and per-observation prediction. The tests seed it with
+//! the exact state of a [`CrossDomainEstimator`] and require exact `f64`
+//! equality of the log-likelihood and `predict_batch` on observation sets that
+//! mix fully-observed, partially-missing, and all-missing masks.
 //!
-//! A final test pins the *factorisation count*: one observed-block Cholesky per
-//! unique non-empty mask per objective evaluation, i.e.
-//! `epochs x (2 x params) x unique_masks` per `update()` — the acceptance
-//! criterion of the batched-kernel refactor.
+//! A further test pins the *factorisation count*: one observed-block Cholesky
+//! per unique non-empty mask per objective evaluation — one evaluation per
+//! epoch for the closed-form gradient, i.e. `epochs x unique_masks` per
+//! `update()` — the acceptance criterion of the batched-kernel refactor.
 //!
 //! The last test pins the analytic oracle's blocked gradient sweep on a pool
 //! whose largest mask group spans several blocks: gradient, log-likelihood and
@@ -25,8 +23,7 @@ mod reference;
 use c4u_crowd_sim::HistoricalProfile;
 use c4u_linalg::PackedLowerTriangle;
 use c4u_selection::{
-    observed_domains, CpeConfig, CpeGradient, CpeLikelihoodKernel, CpeObservation,
-    CrossDomainEstimator,
+    observed_domains, CpeConfig, CpeLikelihoodKernel, CpeObservation, CrossDomainEstimator,
 };
 use c4u_stats::{
     conditioning_factorizations, nearest_positive_definite, BinomialNormalBatch, GaussLegendre,
@@ -73,10 +70,6 @@ fn fast_config() -> CpeConfig {
         mean_learning_rate: 1e-4,
         covariance_learning_rate: 1e-4,
         epochs: 4,
-        // The reference transcribes the historical finite-difference update, so
-        // this suite pins the FD oracle explicitly now that the estimator
-        // defaults to the analytic one.
-        gradient_oracle: CpeGradient::FiniteDifference { step: 1e-5 },
         ..Default::default()
     }
 }
@@ -94,25 +87,6 @@ fn log_likelihood_matches_reference_bit_for_bit() {
     let reference = ReferenceEstimator::from_estimator(&est, config);
     let observations = mixed_observations();
     // Exact f64 equality: the kernel must not change a single bit.
-    assert_eq!(
-        est.log_likelihood(&observations).unwrap(),
-        reference.log_likelihood(&observations)
-    );
-}
-
-#[test]
-fn update_matches_reference_bit_for_bit() {
-    let config = fast_config();
-    let mut est = estimator(config);
-    let mut reference = ReferenceEstimator::from_estimator(&est, config);
-    let observations = mixed_observations();
-
-    est.update(&observations).unwrap();
-    reference.update(&observations);
-
-    assert_eq!(est.mean(), reference.mean.as_slice());
-    assert_eq!(est.covariance().as_slice(), reference.covariance.as_slice());
-    // And the post-update likelihood agrees exactly too.
     assert_eq!(
         est.log_likelihood(&observations).unwrap(),
         reference.log_likelihood(&observations)
@@ -148,8 +122,6 @@ fn update_factorizes_once_per_unique_mask_per_objective_evaluation() {
     let mut est = estimator(config);
     let observations = mixed_observations();
 
-    let d = est.num_prior_domains();
-    let params = (d + 1) + (d + 1) * (d + 2) / 2;
     // mixed_observations: 4 distinct masks ({0,1,2}, {0,2}, {}, {1}), of which
     // 3 are non-empty (the all-missing mask conditions on nothing and never
     // factorises).
@@ -161,12 +133,12 @@ fn update_factorizes_once_per_unique_mask_per_objective_evaluation() {
     est.update(&observations).unwrap();
     let spent = conditioning_factorizations() - before;
 
-    // Central differences evaluate the objective twice per parameter; each
+    // The closed-form gradient evaluates the model once per epoch; each
     // evaluation factorises once per unique non-empty mask — not once per
     // worker, which is the entire point of the batched kernel.
-    let expected = config.epochs as u64 * 2 * params as u64 * non_empty_masks;
+    let expected = config.epochs as u64 * non_empty_masks;
     assert_eq!(spent, expected);
-    let per_worker_cost = config.epochs as u64 * 2 * params as u64 * workers;
+    let per_worker_cost = config.epochs as u64 * workers;
     assert!(spent < per_worker_cost);
 
     // predict_batch: one factorisation per unique non-empty mask, total.
@@ -282,7 +254,7 @@ fn serial_analytic_update(
     observations: &[CpeObservation],
 ) -> (Vec<f64>, Matrix) {
     let d = est.num_prior_domains();
-    let quadrature = GaussLegendre::new(config.quadrature_order);
+    let quadrature = GaussLegendre::new(CpeConfig::QUADRATURE_ORDER);
     let batch = BinomialNormalBatch::new(&quadrature);
     let mut mean = est.mean().to_vec();
     let mut covariance = est.covariance().clone();
@@ -291,7 +263,7 @@ fn serial_analytic_update(
         params.extend(lower_triangle(&covariance));
         let model = nearest_positive_definite(
             &from_lower_triangle(&params[d + 1..], d + 1),
-            config.min_variance,
+            CpeConfig::MIN_VARIANCE,
         )
         .ok()
         .and_then(|cov| MultivariateNormal::new(Vector::from_slice(&params[..d + 1]), cov).ok());
@@ -310,7 +282,7 @@ fn serial_analytic_update(
             *value -= config.covariance_learning_rate * g;
         }
         covariance =
-            nearest_positive_definite(&from_lower_triangle(&tri, d + 1), config.min_variance)
+            nearest_positive_definite(&from_lower_triangle(&tri, d + 1), CpeConfig::MIN_VARIANCE)
                 .unwrap();
     }
     (mean, covariance)
@@ -322,11 +294,10 @@ fn blocked_gradient_sweep_matches_the_serial_member_loop_bit_for_bit() {
         mean_learning_rate: 1e-4,
         covariance_learning_rate: 1e-4,
         epochs: 3,
-        gradient_oracle: CpeGradient::Analytic,
         ..Default::default()
     };
     let observations = large_mixed_observations();
-    let quadrature = GaussLegendre::new(config.quadrature_order);
+    let quadrature = GaussLegendre::new(CpeConfig::QUADRATURE_ORDER);
     let kernel = CpeLikelihoodKernel::new(&observations, 3, &quadrature);
     let largest = kernel
         .groups()

@@ -7,28 +7,29 @@
 //! fully-observed masks force-included, counts from `(0, 0)` up to large-count
 //! workers — the analytic `log_likelihood_gradient` must agree with central
 //! finite differences of `log_likelihood` over the packed parameters (the
-//! exact quantity `CpeGradient::FiniteDifference` consumes) to stencil
-//! accuracy.
+//! exact quantity the historical central-difference update of
+//! `reference::ReferenceEstimator` consumes) to stencil accuracy.
 //!
 //! The tolerance is tied to the stencil: a central difference with step `h`
 //! carries `O(h^2 |f'''|)` truncation error plus `O(eps |f| / h)` cancellation
 //! error, so with `h = 1e-5` the agreement floor sits comfortably below
 //! `1e-4 (1 + |g|)` per coordinate while a wrong backpropagation term (a
 //! dropped factor of 2, a sign flip on `alpha`) misses by orders of magnitude.
+//!
+//! The stencil and the triangle packers the cross-check rests on live in
+//! `tests/reference/mod.rs`; their own unit tests close this file.
 
 mod reference;
 
-use c4u_selection::{
-    CpeConfig, CpeGradient, CpeLikelihoodKernel, CpeObservation, CrossDomainEstimator,
-};
+use c4u_selection::{CpeConfig, CpeLikelihoodKernel, CpeObservation, CrossDomainEstimator};
 use c4u_stats::{GaussLegendre, Matrix, MultivariateNormal, Vector};
 use proptest::prelude::*;
-use reference::{from_lower_triangle, lower_triangle};
+use reference::{from_lower_triangle, gradient_with_step, lower_triangle, ReferenceEstimator};
 
 const NUM_DOMAINS: usize = 3;
 const DIM: usize = NUM_DOMAINS + 1;
-/// Stencil step of the finite-difference cross-check (the default FD oracle
-/// step).
+/// Stencil step of the finite-difference cross-check (the step of
+/// `ReferenceEstimator::update`).
 const STEP: f64 = 1e-5;
 /// Per-coordinate agreement bound, tied to `STEP` (see module docs).
 const TOL: f64 = 1e-4;
@@ -110,7 +111,7 @@ proptest! {
     ) {
         let (means, cov) = model_params;
         let observations = with_boundary_cases(observations);
-        let quadrature = GaussLegendre::new(CpeConfig::default().quadrature_order);
+        let quadrature = GaussLegendre::new(CpeConfig::QUADRATURE_ORDER);
         let kernel = CpeLikelihoodKernel::new(&observations, NUM_DOMAINS, &quadrature);
         let model = MultivariateNormal::new(Vector::from_slice(&means), cov.clone()).unwrap();
 
@@ -136,7 +137,7 @@ proptest! {
                 .log_likelihood(&MultivariateNormal::new(m, c).unwrap())
                 .unwrap()
         };
-        let fd = c4u_selection::gradient_with_step(objective, &params, STEP);
+        let fd = gradient_with_step(objective, &params, STEP);
 
         let packed = analytic.packed();
         prop_assert_eq!(packed.len(), fd.len());
@@ -150,9 +151,10 @@ proptest! {
 }
 
 /// Estimator-level agreement: a full multi-epoch `update()` through the
-/// analytic oracle lands within stencil distance of the finite-difference one
-/// (the two oracles share objective surface, learning rates, clamps, and PSD
-/// projection; only the gradient differs, by `O(STEP^2)` per epoch).
+/// analytic gradient lands within stencil distance of the historical
+/// central-difference update of [`ReferenceEstimator`], seeded from the same
+/// estimator (the two share objective surface, learning rates, clamps, and
+/// PSD projection; only the gradient differs, by `O(STEP^2)` per epoch).
 #[test]
 fn analytic_update_tracks_finite_difference_update() {
     use c4u_crowd_sim::HistoricalProfile;
@@ -182,44 +184,78 @@ fn analytic_update_tracks_finite_difference_update() {
         },
     ];
 
-    let base = CpeConfig {
+    let config = CpeConfig {
         mean_learning_rate: 1e-4,
         covariance_learning_rate: 1e-4,
         epochs: 10,
         ..Default::default()
     };
-    let mut analytic = CrossDomainEstimator::from_profiles(
-        &refs,
-        CpeConfig {
-            gradient_oracle: CpeGradient::Analytic,
-            ..base
-        },
-    )
-    .unwrap();
-    let mut stencil = CrossDomainEstimator::from_profiles(
-        &refs,
-        CpeConfig {
-            gradient_oracle: CpeGradient::FiniteDifference { step: STEP },
-            ..base
-        },
-    )
-    .unwrap();
+    let mut analytic = CrossDomainEstimator::from_profiles(&refs, config).unwrap();
+    let mut stencil = ReferenceEstimator::from_estimator(&analytic, config);
     analytic.update(&observations).unwrap();
-    stencil.update(&observations).unwrap();
+    stencil.update(&observations);
 
-    for (a, f) in analytic.mean().iter().zip(stencil.mean()) {
+    for (a, f) in analytic.mean().iter().zip(&stencil.mean) {
         assert!((a - f).abs() < 1e-6, "mean {a} vs {f}");
     }
     for (a, f) in analytic
         .covariance()
         .as_slice()
         .iter()
-        .zip(stencil.covariance().as_slice())
+        .zip(stencil.covariance.as_slice())
     {
         assert!((a - f).abs() < 1e-6, "covariance {a} vs {f}");
     }
     // Both end on the same likelihood surface point to high precision.
     let la = analytic.log_likelihood(&observations).unwrap();
-    let lf = stencil.log_likelihood(&observations).unwrap();
+    let lf = stencil.log_likelihood(&observations);
     assert!((la - lf).abs() < 1e-6, "log-likelihood {la} vs {lf}");
+}
+
+#[test]
+fn gradient_of_quadratic_bowl() {
+    // f(x, y) = (x-1)^2 + 2(y+3)^2, grad = [2(x-1), 4(y+3)]
+    let f = |v: &[f64]| (v[0] - 1.0).powi(2) + 2.0 * (v[1] + 3.0).powi(2);
+    let g = gradient_with_step(f, &[2.0, -1.0], 1e-5);
+    assert!((g[0] - 2.0).abs() < 1e-6);
+    assert!((g[1] - 8.0).abs() < 1e-6);
+}
+
+#[test]
+fn gradient_is_zero_at_minimum() {
+    let f = |v: &[f64]| v.iter().map(|x| x * x).sum::<f64>();
+    let g = gradient_with_step(f, &[0.0, 0.0, 0.0], 1e-5);
+    assert!(g.iter().all(|v| v.abs() < 1e-8));
+}
+
+#[test]
+fn gradient_of_empty_input_is_empty() {
+    let g = gradient_with_step(|_| 0.0, &[], 1e-5);
+    assert!(g.is_empty());
+}
+
+#[test]
+fn gradient_step_sign_is_ignored() {
+    let f = |v: &[f64]| v[0].sin() * v[1].exp();
+    let x = [0.4, -0.3];
+    assert_eq!(
+        gradient_with_step(f, &x, 1e-6),
+        gradient_with_step(f, &x, -1e-6)
+    );
+    let g = gradient_with_step(f, &x, 1e-6);
+    assert!((g[0] - 0.4f64.cos() * (-0.3f64).exp()).abs() < 1e-8);
+}
+
+#[test]
+fn triangle_packing_roundtrip() {
+    let m = Matrix::from_rows(&[
+        vec![1.0, 0.2, 0.3],
+        vec![0.2, 2.0, 0.4],
+        vec![0.3, 0.4, 3.0],
+    ])
+    .unwrap();
+    let tri = lower_triangle(&m);
+    assert_eq!(tri.len(), 6);
+    let back = from_lower_triangle(&tri, 3);
+    assert!(back.max_abs_diff(&m).unwrap() < 1e-12);
 }

@@ -7,22 +7,22 @@
 //! **exactly** on:
 //!
 //! * the total and per-observation marginal log-likelihood (Eq. 5),
-//! * the finite-difference gradient of the packed-parameter objective
-//!   (the quantity the Eq. 6–7 update consumes), and
+//! * the central-difference gradient (`reference::gradient_with_step`) of the
+//!   packed-parameter objective (the quantity the historical Eq. 6–7 update
+//!   consumed), and
 //! * the batch predictions (Eq. 8), with and without the posterior counts.
 
 mod reference;
 
 use c4u_crowd_sim::HistoricalProfile;
 use c4u_selection::{
-    gradient_with_step, observed_domains, CpeConfig, CpeLikelihoodKernel, CpeObservation,
-    CrossDomainEstimator,
+    observed_domains, CpeConfig, CpeLikelihoodKernel, CpeObservation, CrossDomainEstimator,
 };
 use c4u_stats::{nearest_positive_definite, GaussLegendre, MultivariateNormal, Vector};
 use proptest::prelude::*;
 use reference::{
-    from_lower_triangle, lower_triangle, reference_log_likelihood, reference_predict,
-    reference_worker_log_likelihood,
+    from_lower_triangle, gradient_with_step, lower_triangle, reference_log_likelihood,
+    reference_predict, reference_worker_log_likelihood,
 };
 
 const NUM_DOMAINS: usize = 3;
@@ -85,7 +85,7 @@ proptest! {
         let observations = with_boundary_masks(observations);
         let est = estimator();
         let model = est.model().clone();
-        let quadrature = GaussLegendre::new(CpeConfig::default().quadrature_order);
+        let quadrature = GaussLegendre::new(CpeConfig::QUADRATURE_ORDER);
         let kernel = CpeLikelihoodKernel::new(&observations, NUM_DOMAINS, &quadrature);
 
         let batched = kernel.log_likelihood(&model).unwrap();
@@ -108,8 +108,7 @@ proptest! {
     fn kernel_gradient_matches_reference(observations in prop::collection::vec(observation_strategy(), 1..6)) {
         let observations = with_boundary_masks(observations);
         let est = estimator();
-        let config = CpeConfig::default();
-        let quadrature = GaussLegendre::new(config.quadrature_order);
+        let quadrature = GaussLegendre::new(CpeConfig::QUADRATURE_ORDER);
         let kernel = CpeLikelihoodKernel::new(&observations, NUM_DOMAINS, &quadrature);
 
         let mut params = est.mean().to_vec();
@@ -118,7 +117,7 @@ proptest! {
         let unpack = |p: &[f64]| -> Option<MultivariateNormal> {
             let mean = &p[..NUM_DOMAINS + 1];
             let cov = from_lower_triangle(&p[NUM_DOMAINS + 1..], NUM_DOMAINS + 1);
-            let cov = nearest_positive_definite(&cov, config.min_variance).ok()?;
+            let cov = nearest_positive_definite(&cov, CpeConfig::MIN_VARIANCE).ok()?;
             MultivariateNormal::new(Vector::from_slice(mean), cov).ok()
         };
         let batched_objective = |p: &[f64]| {
@@ -146,7 +145,7 @@ proptest! {
         let use_posterior = use_posterior == 1;
         let est = estimator();
         let model = est.model().clone();
-        let quadrature = GaussLegendre::new(CpeConfig::default().quadrature_order);
+        let quadrature = GaussLegendre::new(CpeConfig::QUADRATURE_ORDER);
         let kernel = CpeLikelihoodKernel::new(&observations, NUM_DOMAINS, &quadrature);
 
         let batched = kernel.predict(&model, use_posterior).unwrap();

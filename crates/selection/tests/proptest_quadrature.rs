@@ -114,7 +114,7 @@ proptest! {
         let observations = with_edge_observations(observations);
         let est = estimator();
         let model = est.model().clone();
-        let quadrature = GaussLegendre::new(CpeConfig::default().quadrature_order);
+        let quadrature = GaussLegendre::new(CpeConfig::QUADRATURE_ORDER);
         let kernel = CpeLikelihoodKernel::new(&observations, NUM_DOMAINS, &quadrature);
 
         let per_obs = kernel.per_observation_log_likelihood(&model).unwrap();
@@ -142,7 +142,7 @@ proptest! {
         let use_posterior = use_posterior == 1;
         let est = estimator();
         let model = est.model().clone();
-        let quadrature = GaussLegendre::new(CpeConfig::default().quadrature_order);
+        let quadrature = GaussLegendre::new(CpeConfig::QUADRATURE_ORDER);
         let kernel = CpeLikelihoodKernel::new(&observations, NUM_DOMAINS, &quadrature);
 
         let predictions = kernel.predict(&model, use_posterior).unwrap();

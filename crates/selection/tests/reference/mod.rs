@@ -1,26 +1,50 @@
 //! Shared test support: a literal transcription of the historical
 //! per-observation CPE likelihood path, kept verbatim as ground truth for the
-//! batched mask-grouped kernel.
+//! batched mask-grouped kernel, together with the historical
+//! central-difference update ([`ReferenceEstimator::update`] over
+//! [`gradient_with_step`]) that cross-checks the closed-form Eq. 6–7 step.
 //!
 //! `kernel_equivalence.rs` (exact-state equivalence), `proptest_kernel.rs`
-//! (randomised equivalence) and the other suites of this directory that
-//! declare `mod reference` all compare against this single copy, so the
-//! transcription cannot silently drift between suites.
+//! (randomised equivalence), `fd_pinned.rs` (the pinned central-difference
+//! update), `proptest_gradient.rs` (analytic vs central differences) and the
+//! other suites of this directory that declare `mod reference` all compare
+//! against this single copy, so the transcription cannot silently drift
+//! between suites.
 
 // Each including binary uses a different subset of this support module; the
 // unused remainder would otherwise trip per-binary dead-code lints.
 #![allow(dead_code)]
 
 use c4u_selection::{
-    binomial_normal_moments, gradient_with_step, observed_domains, CpeConfig, CpeObservation,
-    CrossDomainEstimator,
+    binomial_normal_moments, observed_domains, CpeConfig, CpeObservation, CrossDomainEstimator,
 };
 // Matrix/Vector via the stats re-exports: every including crate depends on
 // c4u-stats, but not all of them on c4u-linalg directly.
 use c4u_stats::{nearest_positive_definite, GaussLegendre, Matrix, MultivariateNormal, Vector};
 
-/// Lower-triangle (row-major) packing of a symmetric matrix (transcribed from
-/// the estimator's private helper).
+/// Central-difference gradient with a caller-supplied absolute step per
+/// coordinate (the sign of `step` is ignored).
+///
+/// The input slice is copied once; with the tiny dimensionalities of these
+/// suites that cost is irrelevant and it keeps `f` a plain `Fn(&[f64])`.
+pub fn gradient_with_step(f: impl Fn(&[f64]) -> f64, x: &[f64], step: f64) -> Vec<f64> {
+    let step = step.abs().max(f64::MIN_POSITIVE);
+    let mut grad = vec![0.0; x.len()];
+    let mut work = x.to_vec();
+    for i in 0..x.len() {
+        let orig = work[i];
+        work[i] = orig + step;
+        let plus = f(&work);
+        work[i] = orig - step;
+        let minus = f(&work);
+        work[i] = orig;
+        grad[i] = (plus - minus) / (2.0 * step);
+    }
+    grad
+}
+
+/// Lower-triangle (row-major) packing of a symmetric matrix, the parameter
+/// layout of the central-difference update.
 pub fn lower_triangle(m: &Matrix) -> Vec<f64> {
     let n = m.nrows();
     let mut out = Vec::with_capacity(n * (n + 1) / 2);
@@ -124,7 +148,7 @@ impl ReferenceEstimator {
             d: est.num_prior_domains(),
             mean: est.mean().to_vec(),
             covariance: est.covariance().clone(),
-            quadrature: GaussLegendre::new(config.quadrature_order),
+            quadrature: GaussLegendre::new(CpeConfig::QUADRATURE_ORDER),
         }
     }
 
@@ -139,7 +163,7 @@ impl ReferenceEstimator {
     fn objective_at(&self, params: &[f64], observations: &[CpeObservation]) -> Option<f64> {
         let mean = &params[..self.d + 1];
         let cov = from_lower_triangle(&params[self.d + 1..], self.d + 1);
-        let cov = nearest_positive_definite(&cov, self.config.min_variance).ok()?;
+        let cov = nearest_positive_definite(&cov, CpeConfig::MIN_VARIANCE).ok()?;
         let model = MultivariateNormal::new(Vector::from_slice(mean), cov).ok()?;
         Some(-reference_log_likelihood(
             &model,
@@ -150,7 +174,8 @@ impl ReferenceEstimator {
     }
 
     /// The historical `update` body: per-observation objective, fixed-step
-    /// central differences, two learning rates, PSD projection per epoch.
+    /// central differences (step `1e-5`; an objective that errors reads as
+    /// `1e12`), two learning rates, PSD projection per epoch.
     pub fn update(&mut self, observations: &[CpeObservation]) {
         if observations.is_empty() {
             return;
@@ -178,7 +203,7 @@ impl ReferenceEstimator {
             }
             let candidate = from_lower_triangle(&tri, d + 1);
             self.covariance =
-                nearest_positive_definite(&candidate, self.config.min_variance).unwrap();
+                nearest_positive_definite(&candidate, CpeConfig::MIN_VARIANCE).unwrap();
         }
     }
 

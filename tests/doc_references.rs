@@ -7,8 +7,11 @@
 //! `crates/*` packages, and `default-members` must cover every member. The
 //! prose documents (README, ARCHITECTURE, the verify skill and the CI
 //! workflow) may cite a source path with a directory (`crates/x/src/y.rs`)
-//! only if it exists relative to the workspace root, and a `C4U_*` variable
-//! only if it is registered in `c4u_bench::env::KNOBS`.
+//! only if it exists relative to the workspace root, a `C4U_*` variable only
+//! if it is registered in `c4u_bench::env::KNOBS`, a `c4u_<crate>::<item>`
+//! path only if `<item>` is public at that crate's root, and a
+//! `CpeConfig::<name>` or `SelectorConfig::<name>` only if `<name>` is a
+//! field, associated const or method of that type.
 //!
 //! Scanned: every `.rs` file of the workspace, plus the root `README.md` and
 //! `ARCHITECTURE.md` (and, for bench names, source paths and knobs, the verify
@@ -208,22 +211,30 @@ fn sorted(mut names: Vec<String>) -> Vec<String> {
     names
 }
 
+/// The `crates/*` packages as `(package name, crate directory)`.
+fn workspace_packages(root: &Path) -> Vec<(String, PathBuf)> {
+    fs::read_dir(root.join("crates"))
+        .unwrap()
+        .map(|entry| {
+            let dir = entry.unwrap().path();
+            let manifest = fs::read_to_string(dir.join("Cargo.toml")).unwrap();
+            let name = manifest
+                .lines()
+                .find_map(|line| line.strip_prefix("name = "))
+                .expect("package name");
+            (name.trim_matches('"').to_string(), dir)
+        })
+        .collect()
+}
+
 #[test]
 fn crate_lists_match_the_workspace() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let read = |path: &str| fs::read_to_string(root.join(path)).unwrap();
     let packages = sorted(
-        fs::read_dir(root.join("crates"))
-            .unwrap()
-            .map(|entry| {
-                let manifest =
-                    fs::read_to_string(entry.unwrap().path().join("Cargo.toml")).unwrap();
-                let name = manifest
-                    .lines()
-                    .find_map(|line| line.strip_prefix("name = "))
-                    .expect("package name");
-                name.trim_matches('"').to_string()
-            })
+        workspace_packages(root)
+            .into_iter()
+            .map(|(name, _)| name)
             .collect(),
     );
 
@@ -365,4 +376,168 @@ fn the_path_and_knob_scanners_find_what_they_should() {
     );
     let text = "set C4U_TRIALS=2 and `C4U_QUAD_MATH`; every C4U_* name; c4u_trials";
     assert_eq!(cited_knobs(text), ["C4U_TRIALS", "C4U_QUAD_MATH"]);
+}
+
+/// The types whose members prose may cite as `Type::member`.
+const CITED_TYPES: &[&str] = &["CpeConfig", "SelectorConfig"];
+
+/// The identifier at the start of `text`.
+fn leading_ident(text: &str) -> &str {
+    let len = text
+        .bytes()
+        .take_while(|&c| c.is_ascii_alphanumeric() || c == b'_')
+        .count();
+    &text[..len]
+}
+
+/// The `prefix<ident>::<ident>` paths cited in `text`, as `(first, second)`
+/// identifiers with `prefix` kept on the first; a match inside a longer
+/// identifier (`myc4u_x::y`) is skipped.
+fn cited_paths(text: &str, prefix: &str) -> Vec<(String, String)> {
+    text.match_indices(prefix)
+        .filter(|&(at, _)| {
+            !text[..at]
+                .bytes()
+                .next_back()
+                .is_some_and(|c| c.is_ascii_alphanumeric() || c == b'_')
+        })
+        .filter_map(|(at, _)| {
+            let rest = &text[at..];
+            let first = prefix.len() + leading_ident(&rest[prefix.len()..]).len();
+            let second = leading_ident(rest[first..].strip_prefix("::")?);
+            (!second.is_empty()).then(|| (rest[..first].to_string(), second.to_string()))
+        })
+        .collect()
+}
+
+/// The names a crate root (`lib.rs`) makes public: its `pub` items and the
+/// leaf (or `as`) names of its `pub use` trees. Glob re-exports are not
+/// followed.
+fn public_root_names(lib: &str) -> Vec<String> {
+    let mut names = Vec::new();
+    let mut rest = lib;
+    while let Some(at) = rest.find("\npub ") {
+        let item = &rest[at + "\npub ".len()..];
+        if let Some(tree) = item.strip_prefix("use ") {
+            let tree = &tree[..tree.find(';').expect("`pub use` ends with `;`")];
+            for leaf in tree.split(['{', '}', ',']) {
+                let leaf = leaf.trim();
+                let name = match leaf.split_once(" as ") {
+                    Some((_, alias)) => alias.trim(),
+                    None => leaf.rsplit("::").next().unwrap_or(""),
+                };
+                if !name.is_empty() && name != "self" {
+                    names.push(name.to_string());
+                }
+            }
+        } else {
+            let declaration = item.lines().next().unwrap_or("");
+            let keyword_end = match declaration.find("fn ") {
+                Some(at) => at + "fn ".len(),
+                None => declaration.find(' ').map_or(0, |at| at + 1),
+            };
+            names.push(leading_ident(&declaration[keyword_end..]).to_string());
+        }
+        rest = item;
+    }
+    names
+}
+
+/// The fields, associated consts and methods of the type `name` declared in
+/// `source`: the `pub` fields of its `struct` body and every `fn`/`const` of
+/// its `impl` blocks (inherent or trait), as rustfmt lays them out.
+fn type_members(source: &str, name: &str) -> Vec<String> {
+    let mut members = Vec::new();
+    let mut in_struct = false;
+    let mut in_impl = false;
+    for line in source.lines() {
+        if line.starts_with("pub struct ") && line == format!("pub struct {name} {{") {
+            in_struct = true;
+        } else if line.starts_with("impl") && line.ends_with(&format!(" {name} {{")) {
+            in_impl = true;
+        } else if line == "}" {
+            (in_struct, in_impl) = (false, false);
+        } else if in_struct {
+            if let Some(field) = line.trim_start().strip_prefix("pub ") {
+                members.push(leading_ident(field).to_string());
+            }
+        } else if in_impl {
+            let Some(member) = line.strip_prefix("    ") else {
+                continue;
+            };
+            let member = member.strip_prefix("pub ").unwrap_or(member);
+            for keyword in ["fn ", "const "] {
+                if let Some(declared) = member.strip_prefix(keyword) {
+                    members.push(leading_ident(declared).to_string());
+                }
+            }
+        }
+    }
+    members
+}
+
+#[test]
+fn cited_api_names_exist() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut crate_names = Vec::new();
+    let mut member_names: Vec<(&str, Vec<String>)> =
+        CITED_TYPES.iter().map(|&ty| (ty, Vec::new())).collect();
+    for (package, dir) in workspace_packages(root) {
+        let mut sources = Vec::new();
+        rust_sources(&dir.join("src"), &mut sources);
+        for source in &sources {
+            let text = fs::read_to_string(source).unwrap();
+            for (ty, members) in &mut member_names {
+                members.extend(type_members(&text, ty));
+            }
+        }
+        let lib = fs::read_to_string(dir.join("src/lib.rs")).unwrap_or_default();
+        crate_names.push((package.replace('-', "_"), public_root_names(&lib)));
+    }
+    let mut unknown = Vec::new();
+    for document in prose_documents(root) {
+        let shown = document.strip_prefix(root).unwrap_or(&document).display();
+        let text = fs::read_to_string(&document).unwrap();
+        for (krate, item) in cited_paths(&text, "c4u_") {
+            let public = crate_names
+                .iter()
+                .find(|(name, _)| *name == krate)
+                .is_some_and(|(_, names)| names.contains(&item));
+            if !public {
+                unknown.push(format!("{shown}: {krate}::{item}"));
+            }
+        }
+        for (ty, members) in &member_names {
+            for (_, member) in cited_paths(&text, ty) {
+                if !members.contains(&member) {
+                    unknown.push(format!("{shown}: {ty}::{member}"));
+                }
+            }
+        }
+    }
+    assert!(
+        unknown.is_empty(),
+        "API names cited but not public at the crate root, or not a member of the type:\n{}",
+        unknown.join("\n")
+    );
+}
+
+#[test]
+fn the_api_scanners_find_what_they_should() {
+    let text = "use `c4u_stats::vmath`, c4u_bench::env::KNOBS and myc4u_x::y; not c4u_bench.";
+    assert_eq!(
+        cited_paths(text, "c4u_"),
+        [
+            ("c4u_stats".to_string(), "vmath".to_string()),
+            ("c4u_bench".to_string(), "env".to_string())
+        ]
+    );
+    let lib = "//! Doc.\npub mod theory;\nmod cpe;\npub use cpe::kernel::{\n    a, b as c,\n};\n\
+               pub use x::Y;\npub const fn z() {}\npub(crate) fn hidden() {}\n";
+    assert_eq!(public_root_names(lib), ["theory", "a", "c", "Y", "z"]);
+    let source = "pub struct T {\n    /// Doc.\n    pub a: usize,\n    b: f64,\n}\n\
+                  impl Default for T {\n    fn default() -> Self {\n        todo!()\n    }\n}\n\
+                  impl T {\n    pub const N: usize = 1;\n    pub fn with(self) {}\n}\n\
+                  impl U {\n    pub fn other() {}\n}\n";
+    assert_eq!(type_members(source, "T"), ["a", "default", "N", "with"]);
 }
