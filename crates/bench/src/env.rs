@@ -103,7 +103,7 @@ pub const KNOBS: &[Knob] = &[
         name: names::CPE_EPOCHS,
         kind: KnobKind::Count,
         default: "10",
-        doc: "Gradient-descent epochs per CPE round (the paper uses 50).",
+        doc: "Cap on the EM epochs per CPE round (the paper's G is 50).",
     },
     Knob {
         name: names::TRIALS,
@@ -270,7 +270,7 @@ fn var(name: &str) -> Option<String> {
 /// every field holds the parsed value (or this module's default).
 #[derive(Debug, Clone, PartialEq)]
 pub struct C4uEnv {
-    /// `C4U_CPE_EPOCHS` — CPE gradient-descent epochs per round.
+    /// `C4U_CPE_EPOCHS` — cap on the CPE EM epochs per round.
     pub cpe_epochs: usize,
     /// `C4U_TRIALS` — answering-noise seeds averaged per cell.
     pub trials: usize,

@@ -14,8 +14,9 @@
 //! table, and unknown `C4U_*` names warn on the first read instead of being
 //! silently ignored:
 //!
-//! * `C4U_CPE_EPOCHS` — gradient-descent epochs per CPE round (default 10; the paper
-//!   uses 50, which scales the runtime accordingly without changing the rankings);
+//! * `C4U_CPE_EPOCHS` — cap on the EM epochs per CPE round (default 10; the
+//!   paper's `G` is 50). The fit usually converges in fewer, so a higher cap
+//!   costs little;
 //! * `C4U_TRIALS` — number of answering-noise seeds averaged per cell (default 2);
 //! * `C4U_QUAD_WORKERS` / `C4U_QUAD_NODES` / `C4U_QUAD_SAMPLES` — the
 //!   `quadrature` bench's sweep cells and sample count;
@@ -163,7 +164,7 @@ impl StrategyKind {
 
     /// Relative evaluation cost of the strategy (higher = more expensive),
     /// used by [`sweep_schedule`] to start the slowest cells first. The ranks
-    /// order the per-round work: a full CPE gradient ascent dominates
+    /// order the per-round work: a full CPE EM fit dominates
     /// everything, the single-model IRT/LGE stages cost a fraction of it, and
     /// the non-learning baselines are near-free.
     pub fn cost_rank(self) -> u8 {

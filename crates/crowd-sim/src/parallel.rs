@@ -6,7 +6,7 @@
 //! contract: trials in `c4u_selection::evaluate_over_trials`, worker shards
 //! inside a platform round
 //! ([`Platform::assign_learning_batch_sharded`](crate::Platform::assign_learning_batch_sharded)),
-//! member blocks of the CPE gradient sweep, and sweep cells in the bench
+//! member blocks of the CPE E-step sweep, and sweep cells in the bench
 //! harness.
 
 use std::sync::atomic::{AtomicUsize, Ordering};

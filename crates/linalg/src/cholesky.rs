@@ -2,7 +2,7 @@
 //!
 //! The multivariate-normal machinery in `c4u-stats` relies on Cholesky factors for
 //! two things: sampling (`x = mu + L z`) and solving `Sigma^{-1} b` without forming
-//! the inverse explicitly. Because the CPE gradient-descent updates of the covariance can
+//! the inverse explicitly. Because rounding in the CPE covariance updates can
 //! momentarily push it slightly outside the PSD cone, [`Cholesky::new_with_jitter`]
 //! implements the standard "add diagonal jitter and retry" repair loop.
 
@@ -31,7 +31,7 @@ impl Cholesky {
     /// Factorises a symmetric positive-definite matrix.
     ///
     /// The input is symmetrised first (`(A + A^T)/2`) so that tiny asymmetries coming
-    /// from gradient updates do not cause spurious failures. Returns
+    /// from iterative updates do not cause spurious failures. Returns
     /// [`LinalgError::NotPositiveDefinite`] when a pivot becomes non-positive.
     pub fn new(a: &Matrix) -> Result<Self> {
         if !a.is_square() {

@@ -10,13 +10,10 @@
 //! * [`Vector`] and [`Matrix`] — storage plus the usual arithmetic, products,
 //!   sub-block extraction and symmetry helpers;
 //! * [`Cholesky`] — factorisation of SPD covariance matrices, with a diagonal-jitter
-//!   repair loop ([`Cholesky::new_with_jitter`]) because gradient updates can push a
-//!   covariance slightly outside the PSD cone;
+//!   repair loop ([`Cholesky::new_with_jitter`]) because rounding can push a
+//!   covariance iterate slightly outside the PSD cone;
 //! * [`Lu`] — general square solver used by the ordinary-least-squares baseline;
-//! * triangular solves ([`solve_lower_triangular`], [`solve_upper_triangular`]);
-//! * packed lower-triangle parameter helpers ([`packed_index`],
-//!   [`PackedLowerTriangle`]) — the symmetric-gradient accumulation rules used
-//!   by the analytic CPE covariance gradient.
+//! * triangular solves ([`solve_lower_triangular`], [`solve_upper_triangular`]).
 //!
 //! Everything is implemented from scratch on top of `std`; the crate has no runtime
 //! dependencies.
@@ -39,7 +36,6 @@ mod cholesky;
 mod error;
 mod lu;
 mod matrix;
-mod packed;
 mod triangular;
 mod vector;
 
@@ -47,6 +43,5 @@ pub use cholesky::Cholesky;
 pub use error::{LinalgError, Result};
 pub use lu::{inverse, solve, Lu};
 pub use matrix::Matrix;
-pub use packed::{packed_index, packed_length, PackedLowerTriangle};
 pub use triangular::{solve_lower_triangular, solve_upper_triangular, SINGULARITY_TOLERANCE};
 pub use vector::Vector;

@@ -6,15 +6,46 @@
 //!
 //! 1. counts each remaining worker's correct/wrong answers on the round's golden
 //!    questions (Eq. 3–4);
-//! 2. refines the mean vector and covariance matrix by gradient ascent on the
-//!    marginal log-likelihood of those counts (Eq. 5–7), where the target-domain
-//!    accuracy is integrated out against its conditional normal given the worker's
+//! 2. fits the mean vector and covariance matrix by EM to the marginal
+//!    likelihood of those counts (Eq. 5), where the target-domain accuracy is
+//!    integrated out against its conditional normal given the worker's
 //!    prior-domain profile;
 //! 3. produces a per-worker predicted target-domain accuracy (Eq. 8) as the
 //!    posterior mean of the target accuracy over `(0, 1)`.
 //!
 //! Workers that lack a record on some prior domains are handled by conditioning only
 //! on the domains they have actually worked on (Sec. IV-E).
+//!
+//! ## The EM fit
+//!
+//! The paper refines the model by `G` fixed-rate gradient steps (Eq. 6–7). At
+//! its rates (`1e-7`, `1e-4`) those steps do not fit: the target mean stays at
+//! its start value and the target variance of an accuracy in `[0, 1]` runs
+//! past 100 (ARCHITECTURE.md, "Substitutions"). The model has one latent
+//! coordinate per worker, the target accuracy `h`, seen through binomial
+//! counts, so EM applies with a closed-form M-step (Dempster, Laird & Rubin,
+//! 1977). Each epoch is
+//!
+//! * **E-step** — [`CpeLikelihoodKernel::e_step`]: every worker's posterior
+//!   mean and variance of `h`, plus the fused Eq. 5 log-likelihood of the
+//!   model, from one vectorised quadrature sweep per block of ≤ 1024 members
+//!   of a mask group (a group spanning several blocks fans them out over the
+//!   machine's threads, bit-identically for every thread count);
+//! * **M-step** — the mean of the completed vectors `a = (profile, h)` and
+//!   their second moments about it, with each worker's posterior variance of
+//!   `h` added. A worker missing some prior domains gets them filled in by
+//!   their Gaussian regression on its observed domains and `h` (Little &
+//!   Rubin, *Statistical Analysis with Missing Data*, ch. 11). The means are
+//!   clamped to `[0.01, 0.99]` and the covariance projected with the
+//!   [`CpeConfig::MIN_VARIANCE`] floor.
+//!
+//! The update keeps the best iterate it evaluated, so no update ends below its
+//! start, and stops once an epoch gains less than
+//! [`CpeConfig::CONVERGENCE_TOLERANCE`] (relative) or after
+//! [`CpeConfig::epochs`]. [`CrossDomainEstimator::last_fit`] reports what the
+//! last update did. The paper's rule lives on test-side, in
+//! `tests/reference/mod.rs`, where `tests/fd_pinned.rs` pins it bit-for-bit and
+//! shows that at the paper's rates an update ends below its start.
 //!
 //! ## The likelihood-kernel layering
 //!
@@ -23,20 +54,10 @@
 //! per-observation loop: observations are grouped by observed-domain mask once
 //! at entry ([`kernel::MaskGroups`]), and each model evaluation builds **one**
 //! cached conditioning factorisation per unique mask
-//! ([`c4u_stats::Conditioner`]) instead of one per worker. The gradient step of
-//! Eq. 6–7 is the closed-form
-//! [`CpeLikelihoodKernel::log_likelihood_gradient`], called on the model
-//! built from the parameters the estimator holds and applied to them directly:
-//! one vectorised quadrature sweep per block of ≤ 1024 members of a mask
-//! group per epoch (a group spanning several blocks fans them out over the
-//! machine's threads, bit-identically for every thread count). It agrees with
-//! central differences of the likelihood to stencil accuracy
-//! (`tests/proptest_gradient.rs`); the historical central-difference update
-//! lives test-side in `tests/reference/mod.rs`, pinned bit-for-bit by
-//! `tests/fd_pinned.rs`.
+//! ([`c4u_stats::Conditioner`]) instead of one per worker.
 //!
 //! The estimator holds its model as one factorised [`MultivariateNormal`],
-//! rebuilt once at the end of every `update()`; predictions and likelihood
+//! replaced at the end of every `update()`; predictions and likelihood
 //! evaluations share it instead of refactorising it per call.
 
 pub mod kernel;
@@ -44,11 +65,12 @@ pub mod kernel;
 use crate::SelectionError;
 use c4u_crowd_sim::parallel::run_indexed_jobs;
 use c4u_crowd_sim::{HistoricalProfile, WorkerShards};
-use c4u_linalg::{packed_index, Matrix, Vector};
+use c4u_linalg::{Matrix, Vector};
 use c4u_stats::{
     mean as stat_mean, nearest_positive_definite, std_dev, GaussLegendre, MultivariateNormal,
     QuadratureMath, Uniform,
 };
+use kernel::e_step::PosteriorMoments;
 use kernel::CpeLikelihoodKernel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -60,11 +82,9 @@ const CORRELATION_SEED: u64 = 21;
 /// Configuration of the CPE estimator.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpeConfig {
-    /// Learning rate for the mean vector (`r1` of Eq. 6; paper default `1e-7`).
-    pub mean_learning_rate: f64,
-    /// Learning rate for the covariance entries (`r2` of Eq. 7; paper default `1e-4`).
-    pub covariance_learning_rate: f64,
-    /// Number of gradient-descent epochs per round (`G`; paper default 50).
+    /// Cap on the EM epochs per round (the paper's `G`, default 50). The fit
+    /// stops earlier once an epoch gains less than
+    /// [`CpeConfig::CONVERGENCE_TOLERANCE`].
     pub epochs: usize,
     /// Initial mean accuracy assumed for the target domain (`a_T`; paper default 0.5).
     pub initial_target_accuracy: f64,
@@ -85,8 +105,6 @@ pub struct CpeConfig {
 impl Default for CpeConfig {
     fn default() -> Self {
         Self {
-            mean_learning_rate: 1e-7,
-            covariance_learning_rate: 1e-4,
             epochs: 50,
             initial_target_accuracy: 0.5,
             use_posterior_prediction: true,
@@ -100,17 +118,12 @@ impl CpeConfig {
     pub const QUADRATURE_ORDER: usize = 32;
     /// Smallest variance allowed on any domain (keeps the covariance well-posed).
     pub const MIN_VARIANCE: f64 = 1e-4;
+    /// The EM fit stops after an epoch that raises the log-likelihood by no
+    /// more than this fraction of its magnitude (or lowers it).
+    pub const CONVERGENCE_TOLERANCE: f64 = 1e-5;
 
     /// Validates the configuration.
     pub fn validate(&self) -> Result<(), SelectionError> {
-        for rate in [self.mean_learning_rate, self.covariance_learning_rate] {
-            if !is_positive_finite(rate) {
-                return Err(SelectionError::InvalidConfig {
-                    what: "learning rates must be finite and > 0",
-                    value: rate,
-                });
-            }
-        }
         if self.epochs == 0 {
             return Err(SelectionError::InvalidConfig {
                 what: "epochs must be >= 1",
@@ -125,11 +138,6 @@ impl CpeConfig {
         }
         Ok(())
     }
-}
-
-/// `value > 0` and finite (rejects NaN and `+inf` alike).
-fn is_positive_finite(value: f64) -> bool {
-    value > 0.0 && value.is_finite()
 }
 
 /// One worker's evidence for a CPE update: the prior-domain profile plus the
@@ -157,6 +165,30 @@ impl CpeObservation {
     }
 }
 
+/// What one [`CrossDomainEstimator::update`] did.
+///
+/// Every log-likelihood here is Eq. 5's, taken from the fused E-step sweep
+/// ([`kernel::e_step::EStep::log_likelihood`]), so the iterates are compared
+/// from one source. It can differ from
+/// [`CrossDomainEstimator::log_likelihood`] in the last ulp.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CpeFitSummary {
+    /// Log-likelihood of the model the update started from.
+    pub start_log_likelihood: f64,
+    /// Log-likelihood of the best iterate, the model the update keeps.
+    pub best_log_likelihood: f64,
+    /// Log-likelihood of the last iterate evaluated.
+    pub last_log_likelihood: f64,
+    /// EM epochs run (at most [`CpeConfig::epochs`]).
+    pub epochs: usize,
+    /// Epochs whose iterate has a lower log-likelihood than the one before.
+    pub falling_epochs: usize,
+    /// Target-domain mean `mu_T` of the kept model.
+    pub target_mean: f64,
+    /// Target-domain variance `Sigma_TT` of the kept model.
+    pub target_variance: f64,
+}
+
 /// The cross-domain performance estimator.
 #[derive(Debug, Clone)]
 pub struct CrossDomainEstimator {
@@ -165,6 +197,8 @@ pub struct CrossDomainEstimator {
     /// prediction and likelihood evaluation until the next one.
     model: MultivariateNormal,
     quadrature: GaussLegendre,
+    /// Summary of the last update that had observations.
+    last_fit: Option<CpeFitSummary>,
 }
 
 impl CrossDomainEstimator {
@@ -227,6 +261,7 @@ impl CrossDomainEstimator {
             config,
             model: MultivariateNormal::new(Vector::from_vec(means), covariance)?,
             quadrature: GaussLegendre::new(CpeConfig::QUADRATURE_ORDER),
+            last_fit: None,
         })
     }
 
@@ -268,78 +303,85 @@ impl CrossDomainEstimator {
         kernel.log_likelihood(&self.model)
     }
 
-    /// Performs one round of the gradient-ascent update of Eq. 6–7: `epochs` steps on
-    /// the negative marginal log-likelihood, with separate learning rates for the
-    /// mean and covariance parameters and a PSD projection after every step.
+    /// What the last [`Self::update`] with observations did (`None` before
+    /// the first one).
+    pub fn last_fit(&self) -> Option<&CpeFitSummary> {
+        self.last_fit.as_ref()
+    }
+
+    /// Fits the model to one round's observations by EM (see the module
+    /// docs): at most [`CpeConfig::epochs`] epochs of one E-step sweep and
+    /// one closed-form M-step each, stopping once an epoch gains less than
+    /// [`CpeConfig::CONVERGENCE_TOLERANCE`] of the log-likelihood or loses.
+    /// The model kept is the best iterate evaluated, so the update never
+    /// lowers the Eq. 5 log-likelihood of its observations.
     ///
-    /// The observations are mask-grouped **once** at entry; every model
-    /// evaluation of the gradient then factorises one conditioner per
-    /// unique missing-domain mask instead of one per worker, which is where the
-    /// `O(workers / unique_masks)` speedup of the batched kernel comes from.
+    /// The observations are mask-grouped **once** at entry; every E-step
+    /// then factorises one conditioner per unique missing-domain mask
+    /// instead of one per worker.
     ///
-    /// The held model is rebuilt once, after the last epoch; an error leaves
-    /// it as it was before the call.
+    /// An error in the first E-step is returned and leaves the model as it
+    /// was; an iterate that fails to build or to evaluate ends the fit at
+    /// the best one before it.
     pub fn update(&mut self, observations: &[CpeObservation]) -> Result<(), SelectionError> {
         if observations.is_empty() {
             return Ok(());
         }
         // One kernel serves every epoch, so its scratch buffers are grown once
-        // and reused by all `epochs x unique_masks` sweeps.
+        // and reused by every sweep.
         let kernel = CpeLikelihoodKernel::new_with_math(
             observations,
             self.num_prior_domains(),
             &self.quadrature,
             self.config.quadrature_math,
         );
-        // The parameters the epochs step; the model is rebuilt from them once
-        // the round is done.
-        let mut mean = self.model.mean().as_slice().to_vec();
-        let mut covariance = self.model.covariance().clone();
-
-        for _ in 0..self.config.epochs {
-            // A model that fails to build or to evaluate takes a zero step
-            // this epoch instead of poisoning the parameters.
-            let gradient = projected_model(&mean, &covariance)
-                .and_then(|model| kernel.log_likelihood_gradient(&model));
-            if let Ok(gradient) = gradient {
-                self.ascend(
-                    &mut mean,
-                    &mut covariance,
-                    &gradient.d_mean,
-                    gradient.d_covariance.as_slice(),
-                );
+        let mut e_step = kernel.e_step(&self.model)?;
+        let start = e_step.log_likelihood;
+        let mut fit = CpeFitSummary {
+            start_log_likelihood: start,
+            best_log_likelihood: start,
+            last_log_likelihood: start,
+            epochs: 0,
+            falling_epochs: 0,
+            target_mean: 0.0,
+            target_variance: 0.0,
+        };
+        let mut model = self.model.clone();
+        let mut best = None;
+        while fit.epochs < self.config.epochs {
+            let Ok(Some(next)) = m_step(&kernel, &model, &e_step.moments) else {
+                break;
+            };
+            let Ok(next_e_step) = kernel.e_step(&next) else {
+                break;
+            };
+            fit.epochs += 1;
+            let (previous, ll) = (fit.last_log_likelihood, next_e_step.log_likelihood);
+            fit.last_log_likelihood = ll;
+            if ll < previous {
+                fit.falling_epochs += 1;
             }
-            for value in &mut mean {
-                *value = value.clamp(0.01, 0.99);
+            if ll > fit.best_log_likelihood {
+                fit.best_log_likelihood = ll;
+                best = Some(next.clone());
             }
-            covariance = nearest_positive_definite(&covariance, CpeConfig::MIN_VARIANCE)?;
+            (model, e_step) = (next, next_e_step);
+            // A loss, a NaN gain (both iterates underflowed) and a small gain
+            // all stop; a finite iterate after an underflowed one (an
+            // infinite gain) continues.
+            let gained = ll - previous > CpeConfig::CONVERGENCE_TOLERANCE * ll.abs();
+            if !gained {
+                break;
+            }
         }
-        self.model = MultivariateNormal::new(Vector::from_vec(mean), covariance)?;
+        if let Some(best) = best {
+            self.model = best;
+        }
+        let target = self.num_prior_domains();
+        fit.target_mean = self.model.mean()[target];
+        fit.target_variance = self.model.covariance()[(target, target)];
+        self.last_fit = Some(fit);
         Ok(())
-    }
-
-    /// One Eq. 6–7 ascent step along the log-likelihood gradient: `d_mean`
-    /// for the mean, `d_covariance` over the packed lower triangle of the
-    /// covariance, each entry clamped to `±1e6` and scaled by its block's
-    /// learning rate. A covariance entry is written to both mirror positions.
-    fn ascend(
-        &self,
-        mean: &mut [f64],
-        covariance: &mut Matrix,
-        d_mean: &[f64],
-        d_covariance: &[f64],
-    ) {
-        for (value, g) in mean.iter_mut().zip(d_mean) {
-            *value += self.config.mean_learning_rate * g.clamp(-1e6, 1e6);
-        }
-        for i in 0..covariance.nrows() {
-            for j in 0..=i {
-                let g = d_covariance[packed_index(i, j)].clamp(-1e6, 1e6);
-                let value = covariance[(i, j)] + self.config.covariance_learning_rate * g;
-                covariance[(i, j)] = value;
-                covariance[(j, i)] = value;
-            }
-        }
     }
 
     /// Predicted target-domain accuracy of a worker (Eq. 8).
@@ -409,18 +451,133 @@ impl CrossDomainEstimator {
     }
 }
 
-/// The model the Eq. 5 likelihood is evaluated at for the parameters
-/// `(mean, covariance)`: the covariance projected by
-/// [`nearest_positive_definite`] first.
-fn projected_model(
-    mean: &[f64],
-    covariance: &Matrix,
-) -> Result<MultivariateNormal, SelectionError> {
-    let covariance = nearest_positive_definite(covariance, CpeConfig::MIN_VARIANCE)?;
-    Ok(MultivariateNormal::new(
-        Vector::from_slice(mean),
+/// One closed-form M-step from the E-step moments taken under `model`.
+///
+/// With `a = (profile, h)` completed per worker (observed domains as
+/// recorded, `h` and each missing domain by its posterior mean), the new mean
+/// is the mean of the completed vectors, clamped to `[0.01, 0.99]`, and the
+/// new covariance their second moment about it plus the mean completion
+/// variance: each worker's posterior variance of `h` along
+/// `u = (∂a/∂h)`, and for a missing domain its residual covariance given the
+/// observed domains and `h`. The covariance is then projected with the
+/// [`CpeConfig::MIN_VARIANCE`] floor. Workers whose normaliser underflowed
+/// are left out; `Ok(None)` when that leaves no worker.
+///
+/// A mask with missing domains costs one conditioner per missing domain
+/// (its regression on the observed domains and `h`); the sums run over
+/// groups in first-occurrence order and members in member order.
+fn m_step(
+    kernel: &CpeLikelihoodKernel<'_>,
+    model: &MultivariateNormal,
+    moments: &[PosteriorMoments],
+) -> Result<Option<MultivariateNormal>, SelectionError> {
+    let mean = model.mean().as_slice();
+    let cov = model.covariance();
+    let dim = mean.len();
+    let target = dim - 1;
+    // Sums of the completed vectors' offsets from the current mean, of their
+    // outer products (lower triangle) and of the completion variances.
+    let mut sum = vec![0.0; dim];
+    let mut scatter = Matrix::zeros(dim, dim);
+    let mut completion = Matrix::zeros(dim, dim);
+    let mut count = 0usize;
+    let mut offset = vec![0.0; dim];
+    for group in kernel.groups().groups() {
+        let observed = group.observed_idx();
+        let missing: Vec<usize> = (0..target).filter(|d| !observed.contains(d)).collect();
+        // Regression weights of each missing domain on (observed..., h), in
+        // that order.
+        let mut given = observed.to_vec();
+        given.push(target);
+        let regressions = missing
+            .iter()
+            .map(|&j| Ok(model.conditioner(j, &given)?.weights().to_vec()))
+            .collect::<Result<Vec<_>, SelectionError>>()?;
+
+        let mut members = 0usize;
+        let mut posterior_variance = 0.0;
+        for (values, &position) in group.values().iter().zip(group.members()) {
+            let m = moments[position];
+            if !(m.log_z.is_finite() && m.mean.is_finite() && m.variance.is_finite()) {
+                continue;
+            }
+            members += 1;
+            posterior_variance += m.variance;
+            offset.fill(0.0);
+            for (&d, &x) in observed.iter().zip(values) {
+                offset[d] = x - mean[d];
+            }
+            offset[target] = m.mean - mean[target];
+            for (&j, weights) in missing.iter().zip(&regressions) {
+                offset[j] = given
+                    .iter()
+                    .zip(weights)
+                    .map(|(&d, w)| w * offset[d])
+                    .sum::<f64>();
+            }
+            for i in 0..dim {
+                sum[i] += offset[i];
+                for k in 0..=i {
+                    scatter[(i, k)] += offset[i] * offset[k];
+                }
+            }
+        }
+        if members == 0 {
+            continue;
+        }
+        count += members;
+        // u = ∂a/∂h: 1 on the target, the regression weight on h for each
+        // missing domain, 0 on the observed ones.
+        let mut u = vec![0.0; dim];
+        u[target] = 1.0;
+        for (&j, weights) in missing.iter().zip(&regressions) {
+            u[j] = weights[observed.len()];
+        }
+        for i in 0..dim {
+            for k in 0..=i {
+                completion[(i, k)] += posterior_variance * u[i] * u[k];
+            }
+        }
+        // Residual covariance of the missing domains given (observed, h).
+        for (a, &j) in missing.iter().enumerate() {
+            for (&l, weights) in missing.iter().zip(&regressions).take(a + 1) {
+                let explained: f64 = given
+                    .iter()
+                    .zip(weights)
+                    .map(|(&d, w)| w * cov[(d, j)])
+                    .sum();
+                completion[(j, l)] += members as f64 * (cov[(j, l)] - explained);
+            }
+        }
+    }
+    if count == 0 {
+        return Ok(None);
+    }
+
+    let n = count as f64;
+    let shift: Vec<f64> = sum.iter().map(|s| s / n).collect();
+    let new_mean: Vec<f64> = mean
+        .iter()
+        .zip(&shift)
+        .map(|(m, s)| (m + s).clamp(0.01, 0.99))
+        .collect();
+    // Second moments about the clamped mean: the scatter about the sample
+    // mean plus the clamp's displacement.
+    let clamp: Vec<f64> = mean
+        .iter()
+        .zip(&shift)
+        .zip(&new_mean)
+        .map(|((m, s), c)| m + s - c)
+        .collect();
+    let covariance = Matrix::from_fn(dim, dim, |i, k| {
+        let (i, k) = (i.max(k), i.min(k));
+        (scatter[(i, k)] + completion[(i, k)]) / n - shift[i] * shift[k] + clamp[i] * clamp[k]
+    });
+    let covariance = nearest_positive_definite(&covariance, CpeConfig::MIN_VARIANCE)?;
+    Ok(Some(MultivariateNormal::new(
+        Vector::from_vec(new_mean),
         covariance,
-    )?)
+    )?))
 }
 
 #[cfg(test)]
@@ -447,12 +604,6 @@ mod tests {
     fn config_validation() {
         assert!(CpeConfig::default().validate().is_ok());
         assert!(CpeConfig {
-            mean_learning_rate: 0.0,
-            ..Default::default()
-        }
-        .validate()
-        .is_err());
-        assert!(CpeConfig {
             epochs: 0,
             ..Default::default()
         }
@@ -464,24 +615,15 @@ mod tests {
         }
         .validate()
         .is_err());
-        // Infinite rates would turn into NaN parameters mid-campaign; they are
-        // rejected up front like NaN and zero.
-        for bad in [f64::INFINITY, f64::NAN] {
-            for config in [
-                CpeConfig {
-                    mean_learning_rate: bad,
-                    ..Default::default()
-                },
-                CpeConfig {
-                    covariance_learning_rate: bad,
-                    ..Default::default()
-                },
-            ] {
-                assert!(
-                    matches!(config.validate(), Err(SelectionError::InvalidConfig { .. })),
-                    "{config:?}"
-                );
-            }
+        for bad in [f64::NAN, 0.0] {
+            let config = CpeConfig {
+                initial_target_accuracy: bad,
+                ..Default::default()
+            };
+            assert!(
+                matches!(config.validate(), Err(SelectionError::InvalidConfig { .. })),
+                "{config:?}"
+            );
         }
     }
 
@@ -598,11 +740,7 @@ mod tests {
     fn update_improves_log_likelihood() {
         let profiles = profiles();
         let refs: Vec<&HistoricalProfile> = profiles.iter().collect();
-        // Larger learning rates and fewer epochs keep the test fast while still
-        // demonstrating likelihood ascent.
         let config = CpeConfig {
-            mean_learning_rate: 1e-4,
-            covariance_learning_rate: 1e-4,
             epochs: 10,
             ..Default::default()
         };
@@ -635,8 +773,8 @@ mod tests {
     #[test]
     fn underflow_regime_update_stays_finite() {
         // Counts so large that the normaliser underflows: every log Z is -inf.
-        // The analytic gradient must skip the underflowed terms instead of
-        // poisoning the accumulator with NaN.
+        // The M-step must skip the underflowed terms instead of poisoning the
+        // model with NaN.
         let profiles = profiles();
         let refs: Vec<&HistoricalProfile> = profiles.iter().collect();
         let observations = vec![CpeObservation {
@@ -645,8 +783,6 @@ mod tests {
             wrong: 500_000,
         }];
         let config = CpeConfig {
-            mean_learning_rate: 1e-4,
-            covariance_learning_rate: 1e-4,
             epochs: 2,
             ..Default::default()
         };
@@ -697,10 +833,8 @@ mod tests {
 
     #[test]
     fn held_covariance_stays_exactly_symmetric() {
-        // The ascent step writes each lower-triangle entry to both mirror
-        // positions, so a round never leaves the held covariance even a ulp
-        // asymmetric (the packed-triangle reference update in
-        // `tests/reference/mod.rs` agrees with it only because of this).
+        // The M-step builds each entry once and mirrors it, so a round never
+        // leaves the held covariance even a ulp asymmetric.
         let mut est = estimator();
         for _ in 0..2 {
             assert!(est.covariance().is_symmetric(0.0));
@@ -729,6 +863,206 @@ mod tests {
                 wrong: 7 - i,
             })
             .collect()
+    }
+
+    /// A dense transcription of the M-step, worker by worker: complete
+    /// `a = (profile, h)` by conditioning the full covariance on the observed
+    /// domains and `h` (an LU inverse, not the conditioners), add each
+    /// worker's completion covariance, then clamp and project.
+    fn dense_m_step(
+        model: &MultivariateNormal,
+        observations: &[CpeObservation],
+        moments: &[PosteriorMoments],
+    ) -> (Vec<f64>, Matrix) {
+        let mu = model.mean().as_slice();
+        let cov = model.covariance();
+        let dim = mu.len();
+        let t = dim - 1;
+        let mut first = vec![0.0; dim];
+        let mut second = Matrix::zeros(dim, dim);
+        for (obs, m) in observations.iter().zip(moments) {
+            let (mut given, values) = kernel::observed_domains(obs, t);
+            let missing: Vec<usize> = (0..t).filter(|d| !given.contains(d)).collect();
+            let mut offset: Vec<f64> = given.iter().zip(&values).map(|(&d, x)| x - mu[d]).collect();
+            given.push(t);
+            offset.push(m.mean - mu[t]);
+            let mut a = vec![0.0; dim];
+            for (&d, x) in given.iter().zip(&values) {
+                a[d] = *x;
+            }
+            a[t] = m.mean;
+            let mut v = Matrix::zeros(dim, dim);
+            v[(t, t)] = m.variance;
+            if !missing.is_empty() {
+                let inv = c4u_linalg::inverse(&cov.submatrix(&given, &given).unwrap()).unwrap();
+                let b = cov
+                    .submatrix(&missing, &given)
+                    .unwrap()
+                    .matmul(&inv)
+                    .unwrap();
+                let fill = b.matvec(&Vector::from_slice(&offset)).unwrap();
+                let residual = cov
+                    .submatrix(&missing, &missing)
+                    .unwrap()
+                    .sub(&b.matmul(&cov.submatrix(&given, &missing).unwrap()).unwrap())
+                    .unwrap();
+                let slope = b.column(given.len() - 1).unwrap();
+                for (p, &j) in missing.iter().enumerate() {
+                    a[j] = mu[j] + fill[p];
+                    v[(j, t)] = slope[p] * m.variance;
+                    v[(t, j)] = v[(j, t)];
+                    for (q, &l) in missing.iter().enumerate() {
+                        v[(j, l)] = residual[(p, q)] + slope[p] * slope[q] * m.variance;
+                    }
+                }
+            }
+            for i in 0..dim {
+                first[i] += a[i];
+                for k in 0..dim {
+                    second[(i, k)] += a[i] * a[k] + v[(i, k)];
+                }
+            }
+        }
+        let n = observations.len() as f64;
+        let mean: Vec<f64> = first.iter().map(|f| f / n).collect();
+        let clamped: Vec<f64> = mean.iter().map(|m| m.clamp(0.01, 0.99)).collect();
+        let covariance = Matrix::from_fn(dim, dim, |i, k| {
+            second[(i, k)] / n - mean[i] * mean[k] + (mean[i] - clamped[i]) * (mean[k] - clamped[k])
+        });
+        (
+            clamped,
+            nearest_positive_definite(&covariance, CpeConfig::MIN_VARIANCE).unwrap(),
+        )
+    }
+
+    #[test]
+    fn m_step_matches_a_dense_transcription() {
+        // Masks {0, 1, 2} and {0, 2}, {0} and {1}, {}: one to three missing
+        // domains, so the residual covariance between missing domains counts.
+        let observations: Vec<CpeObservation> = (0..12)
+            .map(|i| CpeObservation {
+                prior_accuracies: vec![
+                    (i % 4 != 3).then_some(0.2 + 0.06 * i as f64),
+                    (i % 3 == 0).then_some(0.9 - 0.05 * i as f64),
+                    (i % 2 == 0).then_some(0.3 + 0.04 * i as f64),
+                ],
+                correct: i,
+                wrong: 12 - i,
+            })
+            .collect();
+        let est = estimator();
+        let kernel = CpeLikelihoodKernel::new(&observations, 3, &est.quadrature);
+        assert!(kernel.groups().num_unique_masks() >= 4);
+        let e_step = kernel.e_step(est.model()).unwrap();
+        let model = m_step(&kernel, est.model(), &e_step.moments)
+            .unwrap()
+            .unwrap();
+        let (mean, covariance) = dense_m_step(est.model(), &observations, &e_step.moments);
+        for (a, b) in model.mean().as_slice().iter().zip(&mean) {
+            assert!((a - b).abs() < 1e-12, "mean {a} vs {b}");
+        }
+        assert!(
+            model.covariance().max_abs_diff(&covariance).unwrap() < 1e-12,
+            "{:?} vs {covariance:?}",
+            model.covariance()
+        );
+    }
+
+    /// The fused log-likelihood of the held model on `observations`.
+    fn held_log_likelihood(est: &CrossDomainEstimator, observations: &[CpeObservation]) -> f64 {
+        let kernel = CpeLikelihoodKernel::new(observations, 3, &est.quadrature);
+        kernel.e_step(est.model()).unwrap().log_likelihood
+    }
+
+    #[test]
+    fn an_update_that_rises_stops_before_the_cap() {
+        // Twenty workers whose target accuracy tracks their profile.
+        let observations: Vec<CpeObservation> = (0..20)
+            .map(|i| {
+                let skill = 0.2 + 0.035 * i as f64;
+                let correct = (20.0 * skill).round() as usize;
+                CpeObservation {
+                    prior_accuracies: vec![
+                        Some(skill + 0.05 * ((i % 3) as f64 - 1.0)),
+                        Some(0.9 * skill + 0.05),
+                        Some((skill + 0.1 * ((i % 2) as f64 - 0.5)).clamp(0.05, 0.95)),
+                    ],
+                    correct,
+                    wrong: 20 - correct,
+                }
+            })
+            .collect();
+        let mut est = estimator();
+        est.update(&observations).unwrap();
+        let fit = *est.last_fit().unwrap();
+        assert!((2..est.config.epochs).contains(&fit.epochs), "{fit:?}");
+        assert_eq!(fit.falling_epochs, 0, "{fit:?}");
+        assert!(
+            fit.best_log_likelihood > fit.start_log_likelihood,
+            "{fit:?}"
+        );
+        assert_eq!(fit.best_log_likelihood, fit.last_log_likelihood);
+        // The summary describes the model the estimator holds.
+        assert_eq!(fit.target_mean, est.mean()[3]);
+        assert_eq!(fit.target_variance, est.covariance()[(3, 3)]);
+        assert_eq!(
+            held_log_likelihood(&est, &observations),
+            fit.best_log_likelihood
+        );
+    }
+
+    #[test]
+    fn an_update_whose_last_epoch_falls_keeps_its_best_iterate() {
+        // Four workers over four coordinates: the sample covariance is
+        // singular, and projecting it to correlations within ±0.999 moves the
+        // iterate far enough from the M-step's optimum to lower the
+        // likelihood.
+        let observations: Vec<CpeObservation> = profiles()
+            .iter()
+            .zip([9, 8, 4, 2])
+            .map(|(p, correct)| CpeObservation::from_profile(p, correct, 10 - correct))
+            .collect();
+        let mut est = estimator();
+        est.update(&observations).unwrap();
+        let fit = *est.last_fit().unwrap();
+        assert_eq!(fit.falling_epochs, 1, "{fit:?}");
+        assert!(fit.last_log_likelihood < fit.best_log_likelihood, "{fit:?}");
+        assert!(
+            fit.best_log_likelihood > fit.start_log_likelihood,
+            "{fit:?}"
+        );
+        assert!(fit.epochs < est.config.epochs, "{fit:?}");
+        // The estimator holds the best iterate, not the last.
+        assert_eq!(
+            held_log_likelihood(&est, &observations),
+            fit.best_log_likelihood
+        );
+    }
+
+    #[test]
+    fn no_fit_is_reported_before_the_first_update() {
+        let mut est = estimator();
+        assert!(est.last_fit().is_none());
+        est.update(&[]).unwrap();
+        assert!(est.last_fit().is_none());
+    }
+
+    #[test]
+    fn the_epoch_cap_bounds_the_fit() {
+        let config = CpeConfig {
+            epochs: 1,
+            ..Default::default()
+        };
+        let profiles = profiles();
+        let refs: Vec<&HistoricalProfile> = profiles.iter().collect();
+        let mut est = CrossDomainEstimator::from_profiles(&refs, config).unwrap();
+        est.update(&mixed_observations()).unwrap();
+        let fit = *est.last_fit().unwrap();
+        assert_eq!(fit.epochs, 1, "{fit:?}");
+        assert!(
+            fit.best_log_likelihood >= fit.start_log_likelihood,
+            "{fit:?}"
+        );
     }
 
     #[test]

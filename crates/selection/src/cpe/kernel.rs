@@ -25,17 +25,17 @@
 //!    per kernel), not one scalar `binomial_normal_moments` /
 //!    `binomial_normal_log_z` call per worker.
 //!
-//! The factorisation count per `update()` therefore drops from the
-//! `O(epochs x params x workers)` of the historical per-observation
-//! central-difference loop to `epochs x unique_masks`: the closed-form
-//! Eq. 6–7 gradient of the [`gradient`] sub-layer evaluates the model once per
-//! epoch, one factorisation per non-empty mask and one vectorised sweep per
-//! block of ≤ 1024 members of a mask group. Groups larger than
-//! one block fan their blocks out over the machine's threads; the reduction
-//! over members stays serial and in member order, so the result is
-//! bit-identical for every thread count. The batched-sweep count obeys the
-//! same contract (`O(unique_masks)` per likelihood or prediction pass, pinned
-//! by `tests/quadrature_batching.rs` through the `c4u_stats` sweep counters).
+//! The factorisation count per model evaluation is therefore one per unique
+//! non-empty mask, where the historical per-observation central-difference
+//! loop paid one per worker per parameter perturbation: the EM fit's E-step
+//! (the [`e_step`] sub-layer) evaluates the model once per epoch, one
+//! factorisation per non-empty mask and one vectorised sweep per block of
+//! ≤ 1024 members of a mask group. Groups larger than one block fan their
+//! blocks out over the machine's threads; the gathering over members stays
+//! serial and in member order, so the result is bit-identical for every
+//! thread count. The batched-sweep count obeys the same contract
+//! (`O(unique_masks)` per likelihood, E-step or prediction pass, pinned by
+//! `tests/quadrature_batching.rs` through the `c4u_stats` sweep counters).
 //! Those counters are thread-local: sweeps of a blocked group that run on a
 //! worker thread are not counted on the calling thread, and will not be
 //! until the kernel counts into an explicit per-run counter instead.
@@ -78,7 +78,7 @@
 //! assert_eq!(predictions.len(), observations.len());
 //! ```
 
-pub mod gradient;
+pub mod e_step;
 
 use super::CpeObservation;
 use crate::SelectionError;
@@ -170,9 +170,9 @@ impl MaskGroups {
 /// The batched CPE likelihood kernel: a set of observations, mask-grouped once,
 /// evaluable against many candidate models.
 ///
-/// The same kernel instance serves every objective evaluation of a gradient
-/// sweep (the model changes per evaluation; the grouping does not), which is
-/// exactly the access pattern of `CrossDomainEstimator::update`.
+/// The same kernel instance serves every E-step of an EM fit (the model
+/// changes per evaluation; the grouping does not), which is exactly the
+/// access pattern of `CrossDomainEstimator::update`.
 #[derive(Debug)]
 pub struct CpeLikelihoodKernel<'a> {
     observations: &'a [CpeObservation],
@@ -181,7 +181,7 @@ pub struct CpeLikelihoodKernel<'a> {
     target: usize,
     /// Structure-of-arrays node/grid tables for the batched binomial×normal
     /// sweeps, built once per kernel from the caller's rule and shared by the
-    /// likelihood, prediction and gradient paths (the rule itself is no longer
+    /// likelihood, prediction and E-step paths (the rule itself is no longer
     /// needed afterwards — every sweep runs over these tables).
     batch: BinomialNormalBatch,
     /// Per-group `(correct, wrong)` counts as flat `f64` arrays aligned with
@@ -189,27 +189,27 @@ pub struct CpeLikelihoodKernel<'a> {
     /// inputs, precomputed once per kernel.
     counts: Vec<GroupCounts>,
     /// Reused per-sweep buffers (conditional means, sweep outputs, quadrature
-    /// node scratch), shared by the likelihood, prediction and gradient paths.
+    /// node scratch), shared by the likelihood, prediction and E-step paths.
     /// Behind a `RefCell` because every evaluation entry point takes `&self`;
     /// this makes the kernel `!Sync`, which matches how it is used — each
     /// shard/thread builds its own kernel. Buffers grow to the largest group
     /// once and the hot loops stay allocation-free afterwards (the `c4u-stats`
     /// `alloc_free` suite pins the sweep side of that contract).
     scratch: RefCell<KernelScratch>,
-    /// Thread cap of the blocked gradient sweep, read from the machine on the
+    /// Thread cap of the blocked E-step sweep, read from the machine on the
     /// first group that spans more than one block (never for pools that fit
     /// in one block per group) and kept for every later epoch: the query
     /// reads cgroup files, about 19 µs a call on a 2-vCPU x86-64 VM.
     threads: OnceCell<usize>,
 }
 
-/// Members per block of the gradient sweep. Groups larger than this are
+/// Members per block of the E-step sweep. Groups larger than this are
 /// split into fixed blocks that run on
 /// [`run_indexed_jobs`](c4u_crowd_sim::parallel::run_indexed_jobs); the block size
 /// is independent of the thread count, and only the per-member work is
-/// blocked (the reduction stays serial in member order), so results never
+/// blocked (the gathering stays serial in member order), so results never
 /// depend on it.
-const GRADIENT_BLOCK: usize = 1024;
+const SWEEP_BLOCK: usize = 1024;
 
 /// The reusable buffers of one kernel: grown on first use, then recycled by
 /// every subsequent group sweep and model evaluation.
@@ -227,17 +227,13 @@ struct KernelScratch {
     mean: Vec<f64>,
     /// All-zero counts stand-in for posterior-free prediction.
     zeros: Vec<f64>,
-    /// One scratch per [`GRADIENT_BLOCK`] of the largest group (gradient
-    /// path). Each block job locks only its own entry, so the locks are never
+    /// One scratch per [`SWEEP_BLOCK`] of the largest group (E-step path).
+    /// Each block job locks only its own entry, so the locks are never
     /// contended; they exist to hand one `&mut` per block to the fan-out.
     blocks: Vec<Mutex<BlockScratch>>,
-    /// Per-observation `log Z` in original observation order (gradient path).
-    per_obs_log_z: Vec<f64>,
-    /// Group-level `Σ_i (∂L/∂m_i) w_i` accumulator (gradient path).
-    dm_w: Vec<f64>,
 }
 
-/// The buffers of one gradient-sweep block.
+/// The buffers of one E-step sweep block.
 #[derive(Debug, Default)]
 struct BlockScratch {
     /// Node-sized scratch of the block's quadrature sweep.
@@ -246,7 +242,7 @@ struct BlockScratch {
     obs: Vec<(f64, f64, f64)>,
     /// Per-member `log Z` gradients.
     grads: Vec<LogZGradient>,
-    /// Per-member observed-block solves `w_i`, flat `members x g`.
+    /// One member's observed-block solve.
     w: Vec<f64>,
 }
 
@@ -336,8 +332,8 @@ impl<'a> CpeLikelihoodKernel<'a> {
             s.log_z.clear();
             s.log_z.resize(s.mu.len(), 0.0);
             // log-Z only: the posterior-mean integral is prediction-side work,
-            // and skipping it here halves the quadrature cost of the gradient
-            // sweep without touching a bit of `log Z`.
+            // and skipping it here halves the quadrature cost of the sweep
+            // without touching a bit of `log Z`.
             self.batch.log_z_with_scratch(
                 sigma,
                 &s.mu,
@@ -449,7 +445,7 @@ impl<'a> CpeLikelihoodKernel<'a> {
         Ok(sigma)
     }
 
-    /// Thread cap of the blocked gradient sweep (see [`GRADIENT_BLOCK`]).
+    /// Thread cap of the blocked E-step sweep (see [`SWEEP_BLOCK`]).
     fn threads(&self) -> usize {
         *self.threads.get_or_init(available_threads)
     }
@@ -470,7 +466,7 @@ pub fn observed_domains(obs: &CpeObservation, num_domains: usize) -> (Vec<usize>
 }
 
 // The binomial×normal integrand itself lives in `c4u_stats` (alongside its
-// closed-form derivatives, which the [`gradient`] layer consumes); the kernel
+// closed-form derivatives, which the [`e_step`] layer consumes); the kernel
 // re-exports the scalar forms so existing callers keep their import paths.
 // The kernel's own hot paths no longer call them per worker — whole mask
 // groups go through one `BinomialNormalBatch` sweep — but the scalar forms

@@ -57,7 +57,7 @@ pub enum EstimationMode {
 /// Configuration of the full pipeline.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SelectorConfig {
-    /// CPE configuration (learning rates, epochs, `a_T`, ...).
+    /// CPE configuration (epoch cap, `a_T`, ...).
     pub cpe: CpeConfig,
     /// Initial failure probability `delta` of the elimination guarantee.
     pub delta: f64,
@@ -634,12 +634,12 @@ mod tests {
         // run, and the 7 best of them by round-1 score. With all 8 gone,
         // fewer than k survive round 2, so the selection falls back to the
         // round-1 scores; it must pick from the workers still on the platform.
-        let (platform, report) = run_with_round2_leaves(&[11, 18, 13, 26, 10, 24, 12, 20]);
+        let (platform, report) = run_with_round2_leaves(&[11, 12, 16, 10, 20, 13, 26, 24]);
         let report = report.unwrap();
         assert!(report.rounds[1].survived.len() < 7, "fallback not taken");
         let selected = &report.outcome.selected;
         assert!(selected.iter().all(|&w| platform.is_active(w)));
-        assert_eq!(selected, &vec![19, 4, 16, 25, 5, 15, 3]);
+        assert_eq!(selected, &vec![19, 15, 18, 3, 5, 22, 25]);
     }
 
     #[test]

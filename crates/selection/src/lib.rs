@@ -12,9 +12,10 @@
 //! and eliminates the worst half until only the requested `k` workers remain:
 //!
 //! * [`CrossDomainEstimator`] (CPE, Algorithm 1) — models the `(D+1)`-dimensional
-//!   joint distribution of per-domain accuracies as a multivariate normal, refines
-//!   it by gradient ascent on the marginal likelihood of the observed answers
-//!   (Eq. 5–7), and predicts each worker's target-domain accuracy (Eq. 8);
+//!   joint distribution of per-domain accuracies as a multivariate normal, fits
+//!   it by EM to the marginal likelihood of the observed answers (Eq. 5; the
+//!   paper's Eq. 6–7 take fixed-rate gradient steps instead), and predicts each
+//!   worker's target-domain accuracy (Eq. 8);
 //! * [`LearningGainEstimator`] (LGE, Algorithm 2) — fits a per-worker learning curve
 //!   `g(alpha_i, beta_T, K)` (Eq. 10–11) so the ranking reflects how good a worker
 //!   *will be* after further training, not just how good they look now;
@@ -40,7 +41,7 @@
 //! // Generate the RW-1 surrogate dataset and run the full pipeline on it.
 //! let dataset = generate(&DatasetConfig::rw1()).unwrap();
 //! let mut config = SelectorConfig::default();
-//! config.cpe.epochs = 5; // keep the doc-test fast; the paper default is 50
+//! config.cpe.epochs = 5; // cap the EM epochs per round; the paper's G is 50
 //! let ours = CrossDomainSelector::new(config);
 //! let result = evaluate_strategy(&dataset, &ours, 42).unwrap();
 //! assert_eq!(result.selected.len(), dataset.config.select_k);
@@ -64,12 +65,12 @@ pub mod theory;
 
 pub use baselines::{GroundTruthOracle, LiEtAl, MedianEliminationBaseline, UniformSampling};
 pub use budget::BudgetPlan;
-pub use cpe::kernel::gradient::LikelihoodGradient;
+pub use cpe::kernel::e_step::{EStep, PosteriorMoments};
 pub use cpe::kernel::{
     binomial_normal_log_z, binomial_normal_moments, observed_domains, CpeLikelihoodKernel,
     MaskGroup, MaskGroups,
 };
-pub use cpe::{CpeConfig, CpeObservation, CrossDomainEstimator};
+pub use cpe::{CpeConfig, CpeFitSummary, CpeObservation, CrossDomainEstimator};
 // The fold-pass math mode of the batched quadrature sweeps, re-exported so
 // `CpeConfig::quadrature_math` can be set without importing `c4u_stats`.
 pub use c4u_stats::QuadratureMath;

@@ -250,16 +250,17 @@ pub(crate) fn pool_prior_means(init: &StageInit<'_>) -> Vec<f64> {
 
 /// Cross-domain Performance Estimation as a pipeline stage (Algorithm 1).
 ///
-/// Per round it refines the multivariate-normal cross-domain model with the
+/// Per round it fits the multivariate-normal cross-domain model to the
 /// observed answer counts and emits the static estimate `p_{c,i}` per worker.
 /// It ignores its `prior` input, so it is usually the first stage.
 ///
 /// Both the update and the prediction run on the batched mask-grouped
 /// likelihood kernel (`cpe::kernel`) against the estimator's one held model:
-/// each update epoch takes one ascent step along the closed-form
-/// `log_likelihood_gradient` of that model, and the round's predictions
-/// reuse the model the update leaves behind — so every staged selector and
-/// every [`evaluate_over_trials`](crate::evaluate_over_trials) run hits the
+/// each update runs EM epochs of one E-step sweep and one closed-form M-step,
+/// at most [`CpeConfig::epochs`] of them and usually fewer (the fit stops on
+/// convergence), and the round's predictions reuse the model the update
+/// leaves behind — so every staged selector and every
+/// [`evaluate_over_trials`](crate::evaluate_over_trials) run hits the
 /// batched path.
 #[derive(Debug, Clone)]
 pub struct CpeStage {

@@ -9,29 +9,30 @@
 //! mix fully-observed, partially-missing, and all-missing masks.
 //!
 //! A further test pins the *factorisation count*: one observed-block Cholesky
-//! per unique non-empty mask per objective evaluation — one evaluation per
-//! epoch for the closed-form gradient, i.e. `epochs x unique_masks` per
-//! `update()` — the acceptance criterion of the batched-kernel refactor.
+//! per unique non-empty mask per objective evaluation — one E-step per EM
+//! epoch plus the start — and one regression conditioner per missing domain
+//! of each mask per M-step, never one per worker: the acceptance criterion of
+//! the batched-kernel refactor.
 //!
-//! The last test pins the analytic oracle's blocked gradient sweep on a pool
-//! whose largest mask group spans several blocks: gradient, log-likelihood and
-//! post-`update` state must equal a transcription of the serial per-member
-//! loop, bit for bit, whatever the machine's thread count.
+//! The last test pins the blocked E-step sweep on a pool whose largest mask
+//! group spans several blocks: every posterior moment and the log-likelihood
+//! must equal a transcription of the serial per-member loop, bit for bit,
+//! whatever the machine's thread count (the kernel's unit tests pin thread
+//! counts 1–8 against each other).
 
 mod reference;
 
 use c4u_crowd_sim::HistoricalProfile;
-use c4u_linalg::PackedLowerTriangle;
 use c4u_selection::{
-    observed_domains, CpeConfig, CpeLikelihoodKernel, CpeObservation, CrossDomainEstimator,
+    observed_domains, CpeConfig, CpeLikelihoodKernel, CpeObservation, CrossDomainEstimator, EStep,
+    PosteriorMoments,
 };
 use c4u_stats::{
-    conditioning_factorizations, nearest_positive_definite, BinomialNormalBatch, GaussLegendre,
-    Matrix, MultivariateNormal, Vector,
+    conditioning_factorizations, BinomialNormalBatch, GaussLegendre, MultivariateNormal,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use reference::{from_lower_triangle, lower_triangle, ReferenceEstimator};
+use reference::{ReferenceConfig, ReferenceEstimator};
 
 fn profiles() -> Vec<HistoricalProfile> {
     vec![
@@ -66,11 +67,16 @@ fn mixed_observations() -> Vec<CpeObservation> {
 
 fn fast_config() -> CpeConfig {
     CpeConfig {
-        // Larger rates and few epochs: real parameter movement, fast test.
-        mean_learning_rate: 1e-4,
-        covariance_learning_rate: 1e-4,
         epochs: 4,
         ..Default::default()
+    }
+}
+
+/// The reference's prediction form follows the estimator's.
+fn reference_config(config: CpeConfig) -> ReferenceConfig {
+    ReferenceConfig {
+        use_posterior_prediction: config.use_posterior_prediction,
+        ..ReferenceConfig::fast(config.epochs)
     }
 }
 
@@ -84,7 +90,7 @@ fn estimator(config: CpeConfig) -> CrossDomainEstimator {
 fn log_likelihood_matches_reference_bit_for_bit() {
     let config = fast_config();
     let est = estimator(config);
-    let reference = ReferenceEstimator::from_estimator(&est, config);
+    let reference = ReferenceEstimator::from_estimator(&est, reference_config(config));
     let observations = mixed_observations();
     // Exact f64 equality: the kernel must not change a single bit.
     assert_eq!(
@@ -104,7 +110,7 @@ fn predict_batch_matches_reference_bit_for_bit() {
         let observations = mixed_observations();
         // Exercise the post-update model, not just the initial one.
         est.update(&observations).unwrap();
-        let reference = ReferenceEstimator::from_estimator(&est, config);
+        let reference = ReferenceEstimator::from_estimator(&est, reference_config(config));
         assert_eq!(
             est.predict_batch(&observations).unwrap(),
             reference.predict_batch(&observations)
@@ -124,8 +130,9 @@ fn update_factorizes_once_per_unique_mask_per_objective_evaluation() {
 
     // mixed_observations: 4 distinct masks ({0,1,2}, {0,2}, {}, {1}), of which
     // 3 are non-empty (the all-missing mask conditions on nothing and never
-    // factorises).
+    // factorises). They miss 0 + 1 + 3 + 2 = 6 prior domains in all.
     let non_empty_masks = 3u64;
+    let missing_domains = 6u64;
     let workers = observations.len() as u64;
     assert!(non_empty_masks < workers);
 
@@ -133,13 +140,18 @@ fn update_factorizes_once_per_unique_mask_per_objective_evaluation() {
     est.update(&observations).unwrap();
     let spent = conditioning_factorizations() - before;
 
-    // The closed-form gradient evaluates the model once per epoch; each
-    // evaluation factorises once per unique non-empty mask — not once per
-    // worker, which is the entire point of the batched kernel.
-    let expected = config.epochs as u64 * non_empty_masks;
-    assert_eq!(spent, expected);
-    let per_worker_cost = config.epochs as u64 * workers;
-    assert!(spent < per_worker_cost);
+    // Every E-step (the start and one per epoch) factorises once per unique
+    // non-empty mask, and every M-step once per missing domain of each mask
+    // (its regression on the observed domains and h) — not once per worker,
+    // which is the entire point of the batched kernel.
+    let epochs = est.last_fit().unwrap().epochs as u64;
+    assert!(
+        (1..=config.epochs as u64).contains(&epochs),
+        "{epochs} epochs"
+    );
+    let e_steps = (epochs + 1) * non_empty_masks;
+    assert_eq!(spent, e_steps + epochs * missing_domains);
+    assert!(e_steps < (epochs + 1) * workers);
 
     // predict_batch: one factorisation per unique non-empty mask, total.
     let before = conditioning_factorizations();
@@ -148,7 +160,7 @@ fn update_factorizes_once_per_unique_mask_per_objective_evaluation() {
 }
 
 /// A pool large enough that its fully-observed mask group spans several
-/// gradient-sweep blocks (1024 members each) with a ragged last block, plus
+/// E-step sweep blocks (1024 members each) with a ragged last block, plus
 /// partial and all-missing masks.
 fn large_mixed_observations() -> Vec<CpeObservation> {
     let mut rng = StdRng::seed_from_u64(0xB10C);
@@ -172,19 +184,18 @@ fn large_mixed_observations() -> Vec<CpeObservation> {
         .collect()
 }
 
-/// Transcription of the serial per-member gradient loop that the blocked
-/// sweep replaced: every member conditioned with
-/// [`c4u_stats::Conditioner::condition_full`], one
+/// Transcription of the serial per-member E-step loop that the blocked sweep
+/// runs: every member conditioned with
+/// [`c4u_stats::Conditioner::condition`], one
 /// [`BinomialNormalBatch::log_z_gradients`] sweep over the whole mask group,
-/// then the group reduction in member order. Returns the packed gradient and
-/// the log-likelihood, or `None` where the estimator's oracle falls back to
-/// the zero gradient.
-fn serial_gradient(
+/// the exponential-tilting identities per member, and the log-likelihood
+/// summed in observation order.
+fn serial_e_step(
     model: &MultivariateNormal,
     batch: &BinomialNormalBatch,
     d: usize,
     observations: &[CpeObservation],
-) -> Option<(Vec<f64>, f64)> {
+) -> EStep {
     // Mask groups in first-occurrence order.
     let mut groups: Vec<(Vec<usize>, Vec<usize>)> = Vec::new();
     for (position, obs) in observations.iter().enumerate() {
@@ -194,108 +205,41 @@ fn serial_gradient(
             None => groups.push((idx, vec![position])),
         }
     }
-    let mut d_mean = vec![0.0; d + 1];
-    let mut d_cov = PackedLowerTriangle::zeros(d + 1);
-    let mut per_obs_log_z = vec![0.0; observations.len()];
+    let mut moments = vec![PosteriorMoments::default(); observations.len()];
     for (idx, members) in &groups {
-        let conditioner = model.conditioner(d, idx).ok()?;
+        let conditioner = model.conditioner(d, idx).unwrap();
         let sigma = conditioner.variance().sqrt();
-        let alpha = conditioner.weights();
+        let v = sigma * sigma;
         let mut obs = Vec::new();
-        let mut solves = Vec::new();
         for &position in members {
             let (_, values) = observed_domains(&observations[position], d);
-            let (cond, w) = conditioner.condition_full(&values).ok()?;
+            let cond = conditioner.condition(&values).unwrap();
             let o = &observations[position];
             obs.push((cond.mean, o.correct as f64, o.wrong as f64));
-            solves.push(w);
         }
         let grads = batch.log_z_gradients(sigma, &obs);
-        let mut sum_d_mean = 0.0;
-        let mut sum_d_var = 0.0;
-        let mut dm_w = vec![0.0; idx.len()];
-        for ((&position, grad), w) in members.iter().zip(&grads).zip(&solves) {
-            per_obs_log_z[position] = grad.log_z;
-            if !grad.is_finite() {
-                continue;
-            }
-            sum_d_mean += grad.d_mean;
-            sum_d_var += grad.d_variance;
-            for (acc, &wi) in dm_w.iter_mut().zip(w.as_slice()) {
-                *acc += grad.d_mean * wi;
-            }
+        for ((&position, grad), &(m, _, _)) in members.iter().zip(&grads).zip(&obs) {
+            let shift = v * grad.d_mean;
+            let second = v + 2.0 * v * v * grad.d_variance;
+            moments[position] = PosteriorMoments {
+                log_z: grad.log_z,
+                mean: m + shift,
+                variance: (second - shift * shift).max(0.0),
+            };
         }
-        d_mean[d] += sum_d_mean;
-        for (g, &gp) in idx.iter().enumerate() {
-            d_mean[gp] -= sum_d_mean * alpha[g];
-        }
-        d_cov.add(d, d, sum_d_var).ok()?;
-        for (g, &gp) in idx.iter().enumerate() {
-            d_cov
-                .add(d, gp, dm_w[g] - 2.0 * sum_d_var * alpha[g])
-                .ok()?;
-        }
-        d_cov.add_sym_outer(-1.0, idx, alpha, &dm_w).ok()?;
-        d_cov.add_sym_outer(sum_d_var, idx, alpha, alpha).ok()?;
     }
     let mut log_likelihood = 0.0;
-    for term in &per_obs_log_z {
-        log_likelihood += term;
+    for term in &moments {
+        log_likelihood += term.log_z;
     }
-    d_mean.extend_from_slice(d_cov.as_slice());
-    Some((d_mean, log_likelihood))
-}
-
-/// The analytic `update` loop over [`serial_gradient`]: same parameter
-/// packing, PSD projection, clamps and learning rates as the estimator.
-fn serial_analytic_update(
-    est: &CrossDomainEstimator,
-    config: CpeConfig,
-    observations: &[CpeObservation],
-) -> (Vec<f64>, Matrix) {
-    let d = est.num_prior_domains();
-    let quadrature = GaussLegendre::new(CpeConfig::QUADRATURE_ORDER);
-    let batch = BinomialNormalBatch::new(&quadrature);
-    let mut mean = est.mean().to_vec();
-    let mut covariance = est.covariance().clone();
-    for _ in 0..config.epochs {
-        let mut params = mean.clone();
-        params.extend(lower_triangle(&covariance));
-        let model = nearest_positive_definite(
-            &from_lower_triangle(&params[d + 1..], d + 1),
-            CpeConfig::MIN_VARIANCE,
-        )
-        .ok()
-        .and_then(|cov| MultivariateNormal::new(Vector::from_slice(&params[..d + 1]), cov).ok());
-        let grad: Vec<f64> = match model.and_then(|m| serial_gradient(&m, &batch, d, observations))
-        {
-            Some((packed, _)) => packed.iter().map(|v| -v).collect(),
-            None => vec![0.0; params.len()],
-        };
-        for (i, value) in mean.iter_mut().enumerate() {
-            let g = grad[i].clamp(-1e6, 1e6);
-            *value = (*value - config.mean_learning_rate * g).clamp(0.01, 0.99);
-        }
-        let mut tri = lower_triangle(&covariance);
-        for (j, value) in tri.iter_mut().enumerate() {
-            let g = grad[d + 1 + j].clamp(-1e6, 1e6);
-            *value -= config.covariance_learning_rate * g;
-        }
-        covariance =
-            nearest_positive_definite(&from_lower_triangle(&tri, d + 1), CpeConfig::MIN_VARIANCE)
-                .unwrap();
+    EStep {
+        log_likelihood,
+        moments,
     }
-    (mean, covariance)
 }
 
 #[test]
 fn blocked_gradient_sweep_matches_the_serial_member_loop_bit_for_bit() {
-    let config = CpeConfig {
-        mean_learning_rate: 1e-4,
-        covariance_learning_rate: 1e-4,
-        epochs: 3,
-        ..Default::default()
-    };
     let observations = large_mixed_observations();
     let quadrature = GaussLegendre::new(CpeConfig::QUADRATURE_ORDER);
     let kernel = CpeLikelihoodKernel::new(&observations, 3, &quadrature);
@@ -311,23 +255,21 @@ fn blocked_gradient_sweep_matches_the_serial_member_loop_bit_for_bit() {
         "{largest} members"
     );
 
-    // One gradient evaluation: log-likelihood and every packed entry.
-    let mut est = estimator(config);
-    let model = est.model().clone();
-    let blocked = kernel.log_likelihood_gradient(&model).unwrap();
+    // The E-step at the initial model and at the model one update leaves:
+    // the log-likelihood and every member's moments.
+    let mut est = estimator(fast_config());
     let batch = BinomialNormalBatch::new(&quadrature);
-    let (packed, log_likelihood) = serial_gradient(&model, &batch, 3, &observations).unwrap();
-    assert_eq!(blocked.packed(), packed);
-    assert_eq!(blocked.log_likelihood, log_likelihood);
-
-    // A whole update: mean and covariance after every epoch's blocked sweep.
-    let (mean, covariance) = serial_analytic_update(&est, config, &observations);
+    let initial = est.model().clone();
     est.update(&observations).unwrap();
-    assert_eq!(est.mean(), mean.as_slice());
-    assert_eq!(est.covariance().as_slice(), covariance.as_slice());
     assert_ne!(
-        mean,
-        estimator(config).mean(),
+        est.mean(),
+        initial.mean().as_slice(),
         "the update must move the model"
     );
+    for model in [&initial, est.model()] {
+        let blocked = kernel.e_step(model).unwrap();
+        let serial = serial_e_step(model, &batch, 3, &observations);
+        assert_eq!(blocked, serial);
+        assert!(blocked.log_likelihood.is_finite());
+    }
 }

@@ -5,7 +5,7 @@
 //! randomly generated observation sets and a realistic profile-derived model,
 //! a [`QuadratureMath::FastVector`] kernel must track the pinned
 //! [`QuadratureMath::Exact`] kernel on every per-observation log-likelihood,
-//! prediction, and analytic-gradient coordinate to well inside any
+//! prediction, and E-step posterior moment to well inside any
 //! selection-relevant tolerance.
 
 use c4u_crowd_sim::HistoricalProfile;
@@ -98,12 +98,16 @@ proptest! {
             }
         }
 
-        // The closed-form gradient in model coordinates.
-        let g_e = exact.log_likelihood_gradient(&model).unwrap();
-        let g_f = fast.log_likelihood_gradient(&model).unwrap();
-        prop_assert!(close(g_e.log_likelihood, g_f.log_likelihood, 1e-11));
-        for (i, (&e, &f)) in g_e.packed().iter().zip(&g_f.packed()).enumerate() {
-            prop_assert!(close(e, f, 1e-9), "gradient coord {}: {} vs {}", i, e, f);
+        // The E-step: fused log-likelihood and per-member posterior moments.
+        let s_e = exact.e_step(&model).unwrap();
+        let s_f = fast.e_step(&model).unwrap();
+        prop_assert!(close(s_e.log_likelihood, s_f.log_likelihood, 1e-11));
+        for (i, (e, f)) in s_e.moments.iter().zip(&s_f.moments).enumerate() {
+            prop_assert!(close(e.mean, f.mean, 1e-9), "obs {}: E[h] {} vs {}", i, e.mean, f.mean);
+            prop_assert!(
+                close(e.variance, f.variance, 1e-9),
+                "obs {}: Var[h] {} vs {}", i, e.variance, f.variance
+            );
         }
     }
 }

@@ -1,15 +1,17 @@
 //! Shared test support: a literal transcription of the historical
 //! per-observation CPE likelihood path, kept verbatim as ground truth for the
-//! batched mask-grouped kernel, together with the historical
-//! central-difference update ([`ReferenceEstimator::update`] over
-//! [`gradient_with_step`]) that cross-checks the closed-form Eq. 6–7 step.
+//! batched mask-grouped kernel, together with the paper's Eq. 6–7 update as
+//! the estimator historically ran it ([`ReferenceEstimator::update`]: fixed
+//! learning rates over the central-difference [`gradient_with_step`]). The
+//! estimator fits by EM instead; this copy keeps the paper's rule, and its
+//! finding that at the paper's rates an update can end below its start,
+//! reproducible.
 //!
 //! `kernel_equivalence.rs` (exact-state equivalence), `proptest_kernel.rs`
-//! (randomised equivalence), `fd_pinned.rs` (the pinned central-difference
-//! update), `proptest_gradient.rs` (analytic vs central differences) and the
-//! other suites of this directory that declare `mod reference` all compare
-//! against this single copy, so the transcription cannot silently drift
-//! between suites.
+//! (randomised equivalence), `fd_pinned.rs` (the pinned Eq. 6–7 update) and
+//! the other suites of this directory that declare `mod reference` all
+//! compare against this single copy, so the transcription cannot silently
+//! drift between suites.
 
 // Each including binary uses a different subset of this support module; the
 // unused remainder would otherwise trip per-binary dead-code lints.
@@ -130,10 +132,44 @@ pub fn reference_predict(
         .collect()
 }
 
+/// The knobs of the reference update: the paper's two learning rates, the
+/// epoch count and the prediction form.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ReferenceConfig {
+    /// Learning rate for the mean vector (`r1` of Eq. 6; paper `1e-7`).
+    pub mean_learning_rate: f64,
+    /// Learning rate for the covariance entries (`r2` of Eq. 7; paper `1e-4`).
+    pub covariance_learning_rate: f64,
+    /// Gradient epochs per update (`G`; paper 50).
+    pub epochs: usize,
+    /// Posterior (`true`) or prior-only Eq. 8 prediction.
+    pub use_posterior_prediction: bool,
+}
+
+impl ReferenceConfig {
+    /// The paper's rates and epoch count (Sec. V-C), posterior prediction.
+    pub const PAPER: Self = Self {
+        mean_learning_rate: 1e-7,
+        covariance_learning_rate: 1e-4,
+        epochs: 50,
+        use_posterior_prediction: true,
+    };
+
+    /// Larger rates and few epochs: real parameter movement, fast tests.
+    pub fn fast(epochs: usize) -> Self {
+        Self {
+            mean_learning_rate: 1e-4,
+            covariance_learning_rate: 1e-4,
+            epochs,
+            ..Self::PAPER
+        }
+    }
+}
+
 /// The historical per-observation CPE estimator loop (pre-kernel), seeded with
 /// the exact state of a live [`CrossDomainEstimator`].
 pub struct ReferenceEstimator {
-    pub config: CpeConfig,
+    pub config: ReferenceConfig,
     pub d: usize,
     pub mean: Vec<f64>,
     pub covariance: Matrix,
@@ -142,7 +178,7 @@ pub struct ReferenceEstimator {
 
 impl ReferenceEstimator {
     /// Seeds the reference with the exact state of a live estimator.
-    pub fn from_estimator(est: &CrossDomainEstimator, config: CpeConfig) -> Self {
+    pub fn from_estimator(est: &CrossDomainEstimator, config: ReferenceConfig) -> Self {
         Self {
             config,
             d: est.num_prior_domains(),
@@ -173,9 +209,9 @@ impl ReferenceEstimator {
         ))
     }
 
-    /// The historical `update` body: per-observation objective, fixed-step
-    /// central differences (step `1e-5`; an objective that errors reads as
-    /// `1e12`), two learning rates, PSD projection per epoch.
+    /// The historical Eq. 6–7 `update` body: per-observation objective,
+    /// fixed-step central differences (step `1e-5`; an objective that errors
+    /// reads as `1e12`), two learning rates, PSD projection per epoch.
     pub fn update(&mut self, observations: &[CpeObservation]) {
         if observations.is_empty() {
             return;

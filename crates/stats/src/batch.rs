@@ -478,7 +478,7 @@ impl BinomialNormalBatch {
     }
 
     /// `log Z` and its conditional-mean/variance derivatives for a
-    /// shared-`sigma` batch — the Eq. 6–7 gradient sweep, over these tables.
+    /// shared-`sigma` batch — the CPE E-step sweep, over these tables.
     ///
     /// In [`QuadratureMath::Exact`] mode this is bit-identical to
     /// [`binomial_normal_log_z_gradients`](crate::binomial_normal_log_z_gradients),

@@ -13,7 +13,7 @@
 //!   derivatives with respect to the conditional mean and variance for a whole
 //!   batch of observations sharing one `sigma`, computed from two extra
 //!   quadrature moments in a single sweep over shared nodes. This is the
-//!   analytic core of the Eq. 6–7 gradient: within a CPE mask group the
+//!   sweep of the CPE fit's E-step: within a CPE mask group the
 //!   conditional variance is value-independent, so the node positions, their
 //!   logarithms, and the peak-bracketing grid are computed once per group
 //!   instead of once per worker.
@@ -28,8 +28,10 @@
 //!
 //! which are exactly the derivatives of the Gauss–Legendre approximation of
 //! `log Z` as well (differentiation and the fixed-node quadrature sum commute),
-//! so the analytic gradient matches a central-difference stencil over the same
-//! quadrature to stencil accuracy.
+//! so they match a central-difference stencil over the same quadrature to
+//! stencil accuracy. Read backwards, the identities give the posterior moments
+//! `E[h] = mu + v ∂ log Z/∂ mu` and `E[(h - mu)^2] = v + 2 v^2 ∂ log Z/∂ v`,
+//! which is how the CPE E-step uses them.
 
 use crate::integrate::GaussLegendre;
 

@@ -1,8 +1,8 @@
 //! PSD repair of covariance iterates.
 //!
-//! The CPE gradient updates need their covariance iterate projected back into
-//! the PSD cone after every step; the projection lives here, on top of the
-//! `c4u-linalg` matrix type.
+//! The CPE fit needs its covariance iterates projected into the PSD cone, with
+//! a variance floor; the projection lives here, on top of the `c4u-linalg`
+//! matrix type.
 
 use crate::StatsError;
 use c4u_linalg::{Cholesky, Matrix};
@@ -11,8 +11,8 @@ use c4u_linalg::{Cholesky, Matrix};
 /// correlations are clamped to `[-0.999, 0.999]`, variances floored at `min_variance`,
 /// and diagonal jitter is added until a Cholesky factorisation succeeds.
 ///
-/// This is the projection step applied after every gradient update of the CPE
-/// covariance (Eq. 7), keeping the iterate a valid covariance matrix.
+/// This is the projection step applied to the initial CPE covariance and after
+/// every M-step of its EM fit, keeping the iterate a valid covariance matrix.
 pub fn nearest_positive_definite(m: &Matrix, min_variance: f64) -> Result<Matrix, StatsError> {
     if !m.is_square() {
         return Err(StatsError::DimensionMismatch {

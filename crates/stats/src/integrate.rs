@@ -97,7 +97,7 @@ impl GaussLegendre {
     /// [`GaussLegendre::integrate`] up to rounding (the interval scaling is
     /// folded into the weights). Exposed so batched callers can share per-node
     /// work —
-    /// the CPE gradient sweep tabulates `ln x` / `ln(1 - x)` once per node for
+    /// the CPE sweeps tabulate `ln x` / `ln(1 - x)` once per node for
     /// a whole group of integrands.
     pub fn points(&self, a: f64, b: f64) -> impl Iterator<Item = (f64, f64)> + '_ {
         let half = 0.5 * (b - a);

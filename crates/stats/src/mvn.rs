@@ -81,8 +81,8 @@ impl MultivariateNormal {
     /// Creates a distribution from a mean vector and covariance matrix.
     ///
     /// The covariance is symmetrised and, if necessary, repaired with diagonal jitter
-    /// so that a valid Cholesky factor always exists (gradient updates in CPE can
-    /// produce slightly indefinite matrices).
+    /// so that a valid Cholesky factor always exists (rounding in iterative
+    /// covariance updates can produce slightly indefinite matrices).
     pub fn new(mean: Vector, cov: Matrix) -> Result<Self, StatsError> {
         let d = mean.len();
         if d == 0 {
@@ -374,9 +374,8 @@ impl Conditioner {
     ///
     /// The conditional mean is `mu_T + alpha . (x_G - mu_G)`, so `alpha` is the
     /// Jacobian of the conditional mean in the observed values — and, with a
-    /// sign flip, in the observed-block prior means. The analytic Eq. 6–7 CPE
-    /// gradient backpropagates through the conditioner with exactly this
-    /// vector.
+    /// sign flip, in the observed-block prior means. The CPE M-step reads it
+    /// as the regression of a missing domain on the observed ones.
     pub fn weights(&self) -> &[f64] {
         self.weights.as_slice()
     }
@@ -392,9 +391,7 @@ impl Conditioner {
     /// `w = Sigma_{G,G}^{-1} (x_G - mu_G)` it computed along the way.
     ///
     /// `w` is the Jacobian of the conditional mean in the cross-covariance row
-    /// `Sigma_{T,G}`; together with [`Conditioner::weights`] it is everything
-    /// the analytic CPE gradient needs to map `d log Z / d(mean, variance)`
-    /// back onto the model parameters. The `Conditional1D` is bit-for-bit the
+    /// `Sigma_{T,G}`. The `Conditional1D` is bit-for-bit the
     /// [`Conditioner::condition`] result.
     pub fn condition_full(
         &self,
