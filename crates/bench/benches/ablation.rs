@@ -60,8 +60,8 @@ fn main() {
     println!("\nCPE uplift = ME-CPE over ME (cross-domain information); LGE uplift = Ours over");
     println!("ME-CPE (learning-gain modelling). The paper reports both as positive on every");
     println!("dataset. Under the simulator the CPE uplift reproduces, but the LGE uplift does");
-    println!("not: over 40 paired trials at 50 epochs (10 dataset draws x 4 answering seeds)");
-    println!("under the paper's Eq. 6-7 fit, Ours - ME-CPE was -0.42 to -1.86 pp on S-1 ... S-4");
-    println!("(2.2-5.2 standard errors) and within noise on RW-1 and RW-2; the EM fit widens");
-    println!("the gap (see ARCHITECTURE.md, Substitutions).");
+    println!("not: under the EM fit, over 40 paired trials at 50 epochs (10 dataset draws x 4");
+    println!("platform seeds), Ours - ME-CPE was -1.05 to -1.53 pp on RW-2 and S-1 ... S-4");
+    println!("(2.5-7.6 standard errors) and -0.14 pp, within noise, on RW-1 (per-preset table");
+    println!("in ARCHITECTURE.md, Substitutions).");
 }

@@ -18,13 +18,26 @@
 //! Every summand has the same shape, `(sigmoid(alpha * ln(K + 1) - beta) - a)^2`,
 //! so the fit runs over a table of [`LearningTerm`]s with `ln(K + 1)` taken once
 //! per term rather than once per term and objective evaluation. [`calibrate_terms`]
-//! is the one fit: golden-section search plus Newton polish ([`minimize_scalar`]).
+//! is the one fit. One pass over the table gives the objective `f` and its
+//! analytic derivatives `f'` and `f''` (one sigmoid per term). Each term alone
+//! is minimised at `alpha_t = (logit a_t + beta_t) / ln(K_t + 1)` and falls
+//! towards it from both sides, so every stationary point of `f` lies between
+//! the smallest and the largest `alpha_t`. The fit scans `f'` at evenly spaced
+//! knots across that range (clipped to `[-20, 20]`), runs a bracketed Newton
+//! iteration (`rtsafe`, Press et al., *Numerical Recipes* §9.4) in every
+//! interval where `f'` turns from negative to positive, and keeps the lowest
+//! `f` among the converged points and the knots. An interval whose ends' `f`
+//! and `f'` show a valley that their slopes do not bracket is halved until
+//! they do. The objective can have two valleys, which the scan keeps apart
+//! where a single descent would fall into either. A table in which no term
+//! depends on `alpha` (every term at `K = 0`) fits `alpha = 0`.
+//!
 //! [`calibrate_alpha`] validates the observation form and builds its table;
 //! [`objective`] keeps the Eq. 11 sum in that form as the reference the table sum
 //! equals bit for bit.
 
 use crate::learning::log_tasks;
-use crate::{minimize_scalar, IrtError};
+use crate::IrtError;
 use c4u_stats::sigmoid;
 
 /// One prior-domain anchor point of the Eq. 11 objective.
@@ -80,29 +93,30 @@ impl LearningTerm {
             fixed: None,
         };
         if log_tasks == 0.0 {
-            term.fixed = Some(term.squared_error_at(0.0));
+            term.fixed = Some((sigmoid(-difficulty) - accuracy).powi(2));
         }
         term
     }
-
-    fn squared_error(&self, alpha: f64) -> f64 {
-        match self.fixed {
-            Some(value) => value,
-            None => self.squared_error_at(alpha),
-        }
-    }
-
-    fn squared_error_at(&self, alpha: f64) -> f64 {
-        let theta = alpha * self.log_tasks;
-        let predicted = sigmoid(theta - self.difficulty);
-        (predicted - self.accuracy).powi(2)
-    }
 }
 
-/// Bounds of the search bracket for `alpha`. The logit of any realistic accuracy is
+/// Bounds of the search range for `alpha`. The logit of any realistic accuracy is
 /// within ±7 and `ln(K+1)` is at least `ln 2` for a single task, so ±20 comfortably
 /// covers every identifiable value.
-const ALPHA_BRACKET: (f64, f64) = (-20.0, 20.0);
+const ALPHA_RANGE: (f64, f64) = (-20.0, 20.0);
+
+/// Intervals of the `f'` scan across the stationary range (one more knot).
+const SCAN_INTERVALS: usize = 8;
+
+/// A Newton iteration stops once its next step, or its bracket, is this narrow.
+const ALPHA_TOLERANCE: f64 = 1e-12;
+
+/// Halvings of a scan interval in which `f` and `f'` at its ends show a
+/// valley their slopes do not bracket.
+const MAX_SPLITS: usize = 6;
+
+/// Cap on one bracketed Newton iteration: bisection alone narrows a
+/// `40 / SCAN_INTERVALS` bracket to [`ALPHA_TOLERANCE`] in 43 steps.
+const MAX_NEWTON_STEPS: usize = 64;
 
 /// Result of one calibration: the fitted `alpha` and the residual objective value.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -187,9 +201,13 @@ pub fn calibrate_alpha(
 
 /// Fits `alpha_i` over a precomputed Eq. 11 term table.
 ///
-/// The table must be non-empty and every accuracy must lie in `[0, 1]`. The
+/// The table must be non-empty, every accuracy must lie in `[0, 1]`, and every
+/// difficulty and `ln(K + 1)` must be finite; the fit is then finite too (the
+/// search stays inside `[-20, 20]`, and every summand inside `[0, 1]`). The
 /// objective sums the terms in slice order, so a table built from
-/// [`calibrate_alpha`]'s observations (priors first) gives its exact bits.
+/// [`calibrate_alpha`]'s observations (priors first) gives its exact bits. A
+/// table whose terms all sit at `K = 0` does not depend on `alpha` and fits
+/// `alpha = 0`, the untrained curve.
 pub fn calibrate_terms(terms: &[LearningTerm]) -> Result<CalibratedAlpha, IrtError> {
     if terms.is_empty() {
         return Err(unidentifiable());
@@ -200,18 +218,213 @@ pub fn calibrate_terms(terms: &[LearningTerm]) -> Result<CalibratedAlpha, IrtErr
             value: t.accuracy,
         });
     }
-    let f = |alpha: f64| {
-        let mut total = 0.0;
-        for t in terms {
-            total += t.squared_error(alpha);
-        }
-        total
+    if let Some(t) = terms
+        .iter()
+        .find(|t| !t.difficulty.is_finite() || !t.log_tasks.is_finite())
+    {
+        return Err(IrtError::Calibration(format!(
+            "term difficulty {} and ln(K + 1) = {} must be finite",
+            t.difficulty, t.log_tasks
+        )));
+    }
+    // Every stationary point lies between the terms' own minimisers.
+    let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+    for t in terms.iter().filter(|t| t.fixed.is_none()) {
+        let own = ((t.accuracy / (1.0 - t.accuracy)).ln() + t.difficulty) / t.log_tasks;
+        lo = lo.min(own);
+        hi = hi.max(own);
+    }
+    let best = if lo > hi {
+        // No term depends on alpha: the untrained curve.
+        evaluate(terms, 0.0)
+    } else {
+        scan_and_polish(
+            terms,
+            lo.clamp(ALPHA_RANGE.0, ALPHA_RANGE.1),
+            hi.clamp(ALPHA_RANGE.0, ALPHA_RANGE.1),
+        )
     };
-    let minimum = minimize_scalar(f, ALPHA_BRACKET.0, ALPHA_BRACKET.1, 1e-7)?;
     Ok(CalibratedAlpha {
-        alpha: minimum.x,
-        residual: minimum.value,
+        alpha: best.alpha,
+        residual: best.value,
     })
+}
+
+/// The lowest point of `f` on `[lo, hi]` among the knots of the `f'` scan
+/// and what [`lowest_between`] finds between neighbouring knots.
+fn scan_and_polish(terms: &[LearningTerm], lo: f64, hi: f64) -> Evaluation {
+    if lo == hi {
+        return evaluate(terms, lo);
+    }
+    let knots: [Evaluation; SCAN_INTERVALS + 1] = std::array::from_fn(|i| {
+        let alpha = if i == SCAN_INTERVALS {
+            hi
+        } else {
+            lo + (hi - lo) * i as f64 / SCAN_INTERVALS as f64
+        };
+        evaluate(terms, alpha)
+    });
+    knots
+        .windows(2)
+        .map(|pair| lowest_between(terms, pair[0], pair[1], MAX_SPLITS))
+        .fold(knots[0], lower)
+}
+
+/// The lowest of two ends `a < b` of an interval and the points found inside.
+/// Where `f'` turns from `<= 0` to `>= 0` that is the Newton root; a root
+/// above an end that `f` falls away from is not the lowest point, so that
+/// side is searched [`halves`] deep. Without the turn, the interval is
+/// searched where [`hermite_minimum`] shows a valley between its ends.
+fn lowest_between(
+    terms: &[LearningTerm],
+    a: Evaluation,
+    b: Evaluation,
+    splits: usize,
+) -> Evaluation {
+    if a.slope_sign() <= 0.0 && b.slope_sign() >= 0.0 {
+        let root = bracketed_newton(terms, a, b);
+        let left = if a.slope_sign() < 0.0 && root.value > a.value {
+            halves(terms, a, root, splits)
+        } else {
+            a
+        };
+        let right = if b.slope_sign() > 0.0 && root.value > b.value {
+            halves(terms, root, b, splits)
+        } else {
+            b
+        };
+        lower(root, lower(left, right))
+    } else if hermite_minimum(&a, &b).is_some() {
+        halves(terms, a, b, splits)
+    } else {
+        lower(a, b)
+    }
+}
+
+/// The lowest point of both halves of `[a, b]`, or its lower end once
+/// `splits` halvings are spent.
+fn halves(terms: &[LearningTerm], a: Evaluation, b: Evaluation, splits: usize) -> Evaluation {
+    if splits == 0 {
+        return lower(a, b);
+    }
+    let mid = evaluate(terms, 0.5 * (a.alpha + b.alpha));
+    lower(
+        lowest_between(terms, a, mid, splits - 1),
+        lowest_between(terms, mid, b, splits - 1),
+    )
+}
+
+/// The interior local minimum of the cubic Hermite interpolant of `f` on
+/// `[a, b]`, if it has one. With `t` in `[0, 1]` its slope is
+/// `d0 + c1 t + c2 t^2`, whose rising root is
+/// `-2 d0 / (c1 + sqrt(c1^2 - 4 c2 d0))`. It has one where `f` turns from
+/// falling to rising, where `f` falls from one end and yet ends higher at the
+/// other, and where the ends' slopes are steep against the rise between them.
+fn hermite_minimum(a: &Evaluation, b: &Evaluation) -> Option<f64> {
+    let width = b.alpha - a.alpha;
+    let (d0, d1, rise) = (width * a.slope, width * b.slope, b.value - a.value);
+    let c1 = 2.0 * (3.0 * rise - 2.0 * d0 - d1);
+    let c2 = 3.0 * (d0 + d1 - 2.0 * rise);
+    let discriminant = c1 * c1 - 4.0 * c2 * d0;
+    let t = -2.0 * d0 / (c1 + discriminant.sqrt());
+    (discriminant > 0.0 && t > 0.0 && t < 1.0).then_some(a.alpha + t * width)
+}
+
+/// The lower of two evaluations, the first on a tie.
+fn lower(a: Evaluation, b: Evaluation) -> Evaluation {
+    if b.value < a.value {
+        b
+    } else {
+        a
+    }
+}
+
+/// The Eq. 11 objective `f` and its derivatives at one `alpha`.
+#[derive(Debug, Clone, Copy)]
+struct Evaluation {
+    alpha: f64,
+    value: f64,
+    slope: f64,
+    curvature: f64,
+}
+
+impl Evaluation {
+    /// The sign the scan reads off `f'`. Where every term has saturated,
+    /// `1 - sigmoid` rounds to 0 and `f' = f'' = 0`: that plateau is not a
+    /// minimum, and `f` rises towards it on the side of the sign of `alpha`.
+    fn slope_sign(&self) -> f64 {
+        if self.slope == 0.0 && self.curvature <= 0.0 {
+            self.alpha
+        } else {
+            self.slope
+        }
+    }
+}
+
+/// One pass over the table: `f`, `f'` and `f''` with one sigmoid per
+/// `alpha`-dependent term. With `s = sigmoid(alpha L - beta)` and
+/// `w = s (1 - s) L`, a term adds `(s - a)^2`, `2 (s - a) w` and
+/// `2 [w^2 + (s - a) w (1 - 2 s) L]`.
+fn evaluate(terms: &[LearningTerm], alpha: f64) -> Evaluation {
+    let (mut value, mut slope, mut curvature) = (0.0, 0.0, 0.0);
+    for t in terms {
+        if let Some(fixed) = t.fixed {
+            value += fixed;
+            continue;
+        }
+        let s = sigmoid(alpha * t.log_tasks - t.difficulty);
+        let r = s - t.accuracy;
+        let w = s * (1.0 - s) * t.log_tasks;
+        value += r * r;
+        slope += 2.0 * r * w;
+        curvature += 2.0 * (w * w + r * w * (1.0 - 2.0 * s) * t.log_tasks);
+    }
+    Evaluation {
+        alpha,
+        value,
+        slope,
+        curvature,
+    }
+}
+
+/// Safeguarded Newton iteration on `f'` between two knots whose slopes turn
+/// from `<= 0` (`lo`) to `>= 0` (`hi`): a step that leaves the bracket, or a
+/// point with `f'' <= 0`, bisects instead. Starts at the minimum of the
+/// knots' cubic Hermite interpolant (their midpoint if it has none) and
+/// returns the evaluated point with the smallest `|f'|`.
+fn bracketed_newton(terms: &[LearningTerm], mut lo: Evaluation, mut hi: Evaluation) -> Evaluation {
+    let start = hermite_minimum(&lo, &hi)
+        .filter(|&alpha| alpha > lo.alpha && alpha < hi.alpha)
+        .unwrap_or(0.5 * (lo.alpha + hi.alpha));
+    let mut current = evaluate(terms, start);
+    for _ in 0..MAX_NEWTON_STEPS {
+        if current.slope == 0.0 && current.curvature > 0.0 {
+            break;
+        }
+        if current.slope_sign() < 0.0 {
+            lo = current;
+        } else {
+            hi = current;
+        }
+        let newton = current.alpha - current.slope / current.curvature;
+        let next = if current.curvature > 0.0 && newton > lo.alpha && newton < hi.alpha {
+            newton
+        } else {
+            0.5 * (lo.alpha + hi.alpha)
+        };
+        if (next - current.alpha).abs() <= ALPHA_TOLERANCE || hi.alpha - lo.alpha <= ALPHA_TOLERANCE
+        {
+            break;
+        }
+        current = evaluate(terms, next);
+    }
+    // Bisection can stop short of a bracket end that is the root to rounding.
+    for end in [lo, hi] {
+        if end.curvature > 0.0 && end.slope.abs() < current.slope.abs() {
+            current = end;
+        }
+    }
+    current
 }
 
 fn unidentifiable() -> IrtError {
@@ -376,5 +589,62 @@ mod tests {
         assert_eq!(calibrate_terms(&terms).unwrap(), via_alpha);
         assert!(calibrate_terms(&[]).is_err());
         assert!(calibrate_terms(&[LearningTerm::new(3.0, 0.0, 1.5)]).is_err());
+    }
+
+    #[test]
+    fn a_table_without_alpha_dependent_terms_fits_alpha_zero() {
+        // Every term at K = 0: the objective is the constant (0.5 - 0.7)^2.
+        let fitted = calibrate_terms(&[LearningTerm::new(0.0, 0.0, 0.7)]).unwrap();
+        assert_eq!(fitted.alpha, 0.0);
+        assert!((fitted.residual - 0.04).abs() < 1e-15);
+        let two = calibrate_terms(&[
+            LearningTerm::new(0.0, 0.4, 0.2),
+            LearningTerm::with_log_tasks(0.0, -1.0, 0.9),
+        ])
+        .unwrap();
+        assert_eq!(two.alpha, 0.0);
+    }
+
+    #[test]
+    fn a_single_term_fits_its_own_minimiser() {
+        // (logit 0.8 + 0.5) / ln 21, where the term's residual vanishes.
+        let fitted = calibrate_terms(&[LearningTerm::new(20.0, 0.5, 0.8)]).unwrap();
+        let own = (4.0f64.ln() + 0.5) / 21.0f64.ln();
+        assert!((fitted.alpha - own).abs() < 1e-15, "{}", fitted.alpha);
+        assert!(fitted.residual < 1e-30);
+        // An accuracy of 1 pulls alpha to the end of the range.
+        let edge = calibrate_terms(&[LearningTerm::new(20.0, 0.5, 1.0)]).unwrap();
+        assert_eq!(edge.alpha, 20.0);
+    }
+
+    #[test]
+    fn non_finite_terms_are_rejected_or_fit_finitely() {
+        let informative = LearningTerm::new(10.0, 0.0, 0.7);
+        for bad in [
+            LearningTerm::new(5.0, f64::NAN, 0.5),
+            LearningTerm::with_log_tasks(f64::NAN, 0.0, 0.5),
+        ] {
+            let fitted = calibrate_terms(&[informative, bad]);
+            assert!(
+                matches!(fitted, Err(IrtError::Calibration(_))),
+                "{bad:?}: {fitted:?}"
+            );
+        }
+        for wild in [
+            LearningTerm::new(5.0, f64::INFINITY, 0.5),
+            LearningTerm::new(5.0, f64::NEG_INFINITY, 0.5),
+            LearningTerm::with_log_tasks(f64::INFINITY, 0.0, 0.5),
+            LearningTerm::with_log_tasks(f64::NEG_INFINITY, 0.0, 0.5),
+            LearningTerm::new(f64::INFINITY, 0.0, 0.5),
+            LearningTerm::with_log_tasks(1e300, 0.0, 0.5),
+        ] {
+            match calibrate_terms(&[informative, wild]) {
+                Ok(fitted) => assert!(
+                    fitted.alpha.is_finite() && fitted.residual.is_finite(),
+                    "{wild:?}: {fitted:?}"
+                ),
+                Err(e) => assert!(matches!(e, IrtError::Calibration(_)), "{e:?}"),
+            }
+        }
     }
 }

@@ -14,8 +14,9 @@
 //!   [`cumulative_tasks_after_round`] schedule `K_j = (2^j - 1) t / |W|`;
 //! * [`calibrate_alpha`] — the per-worker least-squares fit of the learning
 //!   parameter (Eq. 11), a thin wrapper over [`calibrate_terms`], the one fit
-//!   over a precomputed [`LearningTerm`] table, minimised by
-//!   [`minimize_scalar`] (golden-section search plus Newton polish);
+//!   over a precomputed [`LearningTerm`] table: a scan of the analytic
+//!   derivative across the range that holds every stationary point, then a
+//!   bracketed Newton iteration in each interval where it turns positive;
 //! * [`BktModel`] — a Bayesian Knowledge Tracing tracker; the selection layer's
 //!   `BktStage` runs one per worker as an ablation of the learner-model choice,
 //!   seeded through [`BktParams::mastery_for_accuracy`].
@@ -52,10 +53,8 @@
 mod bkt;
 mod calibration;
 mod error;
-mod gradient;
 mod learning;
 mod rasch;
-mod scalar;
 
 pub use bkt::{BktModel, BktParams};
 pub use calibration::{
@@ -65,4 +64,3 @@ pub use calibration::{
 pub use error::IrtError;
 pub use learning::{cumulative_tasks_after_round, log_tasks, LearningGainModel};
 pub use rasch::RaschItem;
-pub use scalar::minimize_scalar;

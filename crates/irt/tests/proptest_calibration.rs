@@ -1,16 +1,16 @@
-//! Bit-identity pin of the Eq. 11 fit.
+//! Property checks of the Eq. 11 fit against its references.
 //!
-//! `calibrate_alpha` fits over a precomputed `LearningTerm` table, and the scalar
-//! minimiser reuses values it already has (former probes as final bracket
-//! endpoints, the golden-section minimum as the Newton stencil centre). These
-//! are pure rewrites, so the fitted `alpha` and residual must equal, bit for
-//! bit, the plain golden-section search and Newton polish (transcribed below,
-//! evaluating every point afresh) on `learning_objective`, which recomputes
-//! `ln(K + 1)` at every evaluation.
+//! `calibrate_alpha` scans the analytic derivative `f'` at nine knots across
+//! the range that holds every stationary point and runs a bracketed Newton
+//! iteration where `f'` turns positive. The references here are independent
+//! of that code: `learning_objective` (which recomputes `ln(K + 1)` at every
+//! evaluation), a transcription of `f'`, a dense grid over `[-20, 20]`, and
+//! golden-section search plus a central-difference Newton polish (the fit
+//! the scan replaced, transcribed below).
 
 use c4u_irt::{
-    calibrate_alpha, learning_objective, minimize_scalar, PriorDomainObservation,
-    TargetStageObservation,
+    calibrate_alpha, calibrate_terms, learning_objective, IrtError, LearningTerm,
+    PriorDomainObservation, TargetStageObservation,
 };
 use proptest::prelude::*;
 
@@ -90,10 +90,119 @@ fn plain_newton_polish(
     (x, value)
 }
 
-/// The plain golden-section search plus the plain polish from its minimum.
-fn plain_minimize(f: impl Fn(f64) -> f64, lo: f64, hi: f64, tol: f64) -> (f64, f64) {
-    let coarse = plain_golden_section(&f, lo, hi, tol);
-    plain_newton_polish(&f, coarse, lo, hi, 8)
+/// Golden-section search to 1e-7 over `[-20, 20]` plus the polish from its
+/// minimum: `(alpha, f(alpha))`.
+fn golden_reference(f: impl Fn(f64) -> f64) -> (f64, f64) {
+    let coarse = plain_golden_section(&f, -20.0, 20.0, 1e-7);
+    plain_newton_polish(&f, coarse, -20.0, 20.0, 8)
+}
+
+/// One Eq. 11 table in observation form.
+#[derive(Debug, Clone)]
+struct Table {
+    target_difficulty: f64,
+    priors: Vec<PriorDomainObservation>,
+    stages: Vec<TargetStageObservation>,
+}
+
+impl Table {
+    fn objective(&self, alpha: f64) -> f64 {
+        learning_objective(alpha, self.target_difficulty, &self.priors, &self.stages)
+    }
+
+    /// Every summand as `(ln(K + 1), beta, a)`.
+    fn summands(&self) -> Vec<(f64, f64, f64)> {
+        let scale = |k: f64| (k.max(0.0) + 1.0).ln();
+        self.priors
+            .iter()
+            .map(|p| (scale(p.tasks_completed), p.difficulty, p.accuracy))
+            .chain(self.stages.iter().map(|s| {
+                (
+                    scale(s.cumulative_tasks_before),
+                    self.target_difficulty,
+                    s.estimated_accuracy,
+                )
+            }))
+            .collect()
+    }
+
+    /// `f'(alpha) = sum 2 (s - a) s (1 - s) L`, `s = sigmoid(alpha L - beta)`.
+    fn slope(&self, alpha: f64) -> f64 {
+        slope_of(&self.summands(), alpha)
+    }
+
+    /// The nine scan knots: evenly spaced between the smallest and the largest
+    /// own minimiser `(logit a + beta) / L` of the summands with `L != 0`,
+    /// clipped to `[-20, 20]`. Empty when no summand depends on `alpha`.
+    fn knots(&self) -> Vec<f64> {
+        let own: Vec<f64> = self
+            .summands()
+            .iter()
+            .filter(|(l, _, _)| *l != 0.0)
+            .map(|&(l, beta, a)| ((a / (1.0 - a)).ln() + beta) / l)
+            .collect();
+        if own.is_empty() {
+            return Vec::new();
+        }
+        let lo = own.iter().copied().fold(f64::INFINITY, f64::min);
+        let hi = own.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let (lo, hi) = (lo.clamp(-20.0, 20.0), hi.clamp(-20.0, 20.0));
+        (0..=8)
+            .map(|i| {
+                if i == 8 {
+                    hi
+                } else {
+                    lo + (hi - lo) * i as f64 / 8.0
+                }
+            })
+            .collect()
+    }
+
+    /// `f` on a 4001-point grid over `[-20, 20]`, from the summands.
+    fn grid_minimum(&self) -> f64 {
+        let summands = self.summands();
+        grid()
+            .map(|alpha| {
+                summands
+                    .iter()
+                    .map(|&(l, beta, a)| (sigmoid(alpha * l - beta) - a).powi(2))
+                    .sum::<f64>()
+            })
+            .fold(f64::INFINITY, f64::min)
+    }
+
+    /// Whether `f'` on the 4001-point grid changes sign exactly once, from
+    /// negative to positive (zeros skipped).
+    fn single_valley(&self) -> bool {
+        let summands = self.summands();
+        let signs: Vec<bool> = grid()
+            .map(|alpha| slope_of(&summands, alpha))
+            .filter(|d| *d != 0.0)
+            .map(|d| d > 0.0)
+            .collect();
+        let changes = signs.windows(2).filter(|w| w[0] != w[1]).count();
+        changes == 1 && !signs[0]
+    }
+}
+
+/// The dense grid: 4001 points, 0.01 apart, over `[-20, 20]`.
+fn grid() -> impl Iterator<Item = f64> {
+    (0..=4000).map(|i| -20.0 + 0.01 * f64::from(i))
+}
+
+fn sigmoid(x: f64) -> f64 {
+    1.0 / (1.0 + (-x).exp())
+}
+
+/// `f'` over `(ln(K + 1), beta, a)` summands.
+fn slope_of(summands: &[(f64, f64, f64)], alpha: f64) -> f64 {
+    summands
+        .iter()
+        .map(|&(l, beta, a)| {
+            let s = sigmoid(alpha * l - beta);
+            2.0 * (s - a) * s * (1.0 - s) * l
+        })
+        .sum()
 }
 
 /// A task count: mostly moderate, with `K = 0` and very large counts mixed in.
@@ -120,8 +229,10 @@ fn difficulty() -> impl Strategy<Value = f64> {
     (0u8..4, -3.0..3.0f64).prop_map(|(pick, beta)| if pick == 0 { 0.0 } else { beta })
 }
 
-fn priors() -> impl Strategy<Value = Vec<PriorDomainObservation>> {
-    prop::collection::vec(
+/// Tables with extreme entries: `K = 0`, `K = 10^7`, accuracies of exactly 0
+/// or 1, and possibly no observation at all.
+fn extreme_table() -> impl Strategy<Value = Table> {
+    let priors = prop::collection::vec(
         (difficulty(), tasks(), accuracy()).prop_map(|(difficulty, tasks_completed, accuracy)| {
             PriorDomainObservation {
                 difficulty,
@@ -130,11 +241,8 @@ fn priors() -> impl Strategy<Value = Vec<PriorDomainObservation>> {
             }
         }),
         0..=4,
-    )
-}
-
-fn stages() -> impl Strategy<Value = Vec<TargetStageObservation>> {
-    prop::collection::vec(
+    );
+    let stages = prop::collection::vec(
         (tasks(), accuracy()).prop_map(|(cumulative_tasks_before, estimated_accuracy)| {
             TargetStageObservation {
                 cumulative_tasks_before,
@@ -142,53 +250,297 @@ fn stages() -> impl Strategy<Value = Vec<TargetStageObservation>> {
             }
         }),
         0..=5,
-    )
+    );
+    (difficulty(), priors, stages).prop_map(|(target_difficulty, priors, stages)| Table {
+        target_difficulty,
+        priors,
+        stages,
+    })
+}
+
+/// Tables in the ranges a campaign produces: 0-4 prior-domain anchors,
+/// `|beta| <= 2.9`, accuracies in `[0.3, 0.95]`, `K < 300`, one to five
+/// target-domain stages.
+fn realistic_table() -> impl Strategy<Value = Table> {
+    let priors = prop::collection::vec(
+        (-2.9..2.9f64, 0.0..300.0f64, 0.3..0.95f64).prop_map(
+            |(difficulty, tasks_completed, accuracy)| PriorDomainObservation {
+                difficulty,
+                tasks_completed,
+                accuracy,
+            },
+        ),
+        0..=4,
+    );
+    let stages = prop::collection::vec(
+        (0.0..300.0f64, 0.3..0.95f64).prop_map(|(cumulative_tasks_before, estimated_accuracy)| {
+            TargetStageObservation {
+                cumulative_tasks_before,
+                estimated_accuracy,
+            }
+        }),
+        1..=5,
+    );
+    (-2.9..2.9f64, priors, stages).prop_map(|(target_difficulty, priors, stages)| Table {
+        target_difficulty,
+        priors,
+        stages,
+    })
+}
+
+/// SplitMix64: the seeded source of the aggregate check's tables.
+struct SplitMix(u64);
+
+impl SplitMix {
+    fn unit(&mut self) -> f64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    fn range(&mut self, lo: f64, hi: f64) -> f64 {
+        lo + (hi - lo) * self.unit()
+    }
+
+    /// One table in [`realistic_table`]'s ranges.
+    fn realistic_table(&mut self) -> Table {
+        let target_difficulty = self.range(-2.9, 2.9);
+        let priors = (0..(self.unit() * 5.0) as usize)
+            .map(|_| PriorDomainObservation {
+                difficulty: self.range(-2.9, 2.9),
+                tasks_completed: self.range(0.0, 300.0),
+                accuracy: self.range(0.3, 0.95),
+            })
+            .collect();
+        let stages = (0..1 + (self.unit() * 5.0) as usize)
+            .map(|_| TargetStageObservation {
+                cumulative_tasks_before: self.range(0.0, 300.0),
+                estimated_accuracy: self.range(0.3, 0.95),
+            })
+            .collect();
+        Table {
+            target_difficulty,
+            priors,
+            stages,
+        }
+    }
+}
+
+/// The fit over a table, `None` for a table with no observation.
+fn fit(table: &Table) -> Option<(f64, f64)> {
+    let fitted = calibrate_alpha(table.target_difficulty, &table.priors, &table.stages);
+    if table.priors.is_empty() && table.stages.is_empty() {
+        assert!(fitted.is_err());
+        return None;
+    }
+    let fitted = fitted.unwrap();
+    Some((fitted.alpha, fitted.residual))
+}
+
+/// Property 1: the fit is no higher than any scan knot (exactly: the knots
+/// are candidates) or either end of the range (up to rounding: `f` falls
+/// monotonically from an end to the nearest knot only in exact arithmetic).
+fn check_lowest_among_knots(table: &Table) -> Result<(), String> {
+    let Some((alpha, residual)) = fit(table) else {
+        return Ok(());
+    };
+    if residual != table.objective(alpha) {
+        return Err(format!("residual {residual} is not f({alpha})"));
+    }
+    for knot in table.knots() {
+        if residual > table.objective(knot) {
+            return Err(format!("f({alpha}) = {residual} above knot {knot}"));
+        }
+    }
+    for edge in [-20.0, 20.0] {
+        let at_edge = table.objective(edge);
+        if residual > at_edge + 4.0 * f64::EPSILON * at_edge {
+            return Err(format!(
+                "f({alpha}) = {residual} above f({edge}) = {at_edge}"
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Property 2: an interior fit is converged: `f'` vanishes to rounding there,
+/// or changes sign within 1e-12 of it.
+fn check_converged(table: &Table) -> Result<(), String> {
+    let Some((alpha, _)) = fit(table) else {
+        return Ok(());
+    };
+    if alpha.abs() == 20.0 {
+        return Ok(());
+    }
+    let scale: f64 = table.summands().iter().map(|(l, _, _)| l.abs()).sum();
+    let tiny = table.slope(alpha).abs() <= 1e-12 * scale.max(1.0);
+    let bracketed = table.slope(alpha - 1e-12) <= 0.0 && table.slope(alpha + 1e-12) >= 0.0;
+    if tiny || bracketed {
+        Ok(())
+    } else {
+        Err(format!(
+            "alpha {alpha} not converged: f' = {:e}",
+            table.slope(alpha)
+        ))
+    }
+}
+
+/// Property 3: on a single-valley table the fit is no higher than
+/// golden-section plus polish, and lands on the same `alpha` unless it is
+/// lower (golden-section's first probes can step over a valley narrower than
+/// their spacing, e.g. one of a `K = 10^7` term).
+fn check_matches_golden_section(table: &Table) -> Result<(), String> {
+    let Some((alpha, residual)) = fit(table) else {
+        return Ok(());
+    };
+    if !table.single_valley() {
+        return Ok(());
+    }
+    let (ref_alpha, ref_value) = golden_reference(|a| table.objective(a));
+    let slack = 1e-12 * ref_value.max(1.0);
+    if residual > ref_value + slack {
+        return Err(format!("f {residual} vs golden-section {ref_value}"));
+    }
+    if residual >= ref_value - slack && (alpha - ref_alpha).abs() > 1e-6 {
+        return Err(format!("alpha {alpha} vs golden-section {ref_alpha}"));
+    }
+    Ok(())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     #[test]
-    fn calibrate_alpha_matches_the_reference_fit_bit_for_bit(
-        target_difficulty in difficulty(),
-        priors in priors(),
-        stages in stages(),
+    fn fit_is_no_higher_than_any_scan_knot_or_range_end(
+        extreme in extreme_table(),
+        realistic in realistic_table(),
     ) {
-        let fitted = calibrate_alpha(target_difficulty, &priors, &stages);
-        if priors.is_empty() && stages.is_empty() {
-            prop_assert!(fitted.is_err());
-        } else {
-            let fitted = fitted.unwrap();
-            let (alpha, residual) = plain_minimize(
-                |a| learning_objective(a, target_difficulty, &priors, &stages),
-                -20.0,
-                20.0,
-                1e-7,
-            );
-            prop_assert_eq!(fitted.alpha.to_bits(), alpha.to_bits());
-            prop_assert_eq!(fitted.residual.to_bits(), residual.to_bits());
+        for table in [&extreme, &realistic] {
+            let checked = check_lowest_among_knots(table);
+            prop_assert!(checked.is_ok(), "{:?}: {:?}", checked, table);
         }
     }
 
     #[test]
-    fn minimize_scalar_matches_the_plain_polish_bit_for_bit(
-        centre in -4.0..4.0f64,
-        bowl in (0.01..5.0f64, 0.0..2.0f64),
-        ripple in (0.0..0.2f64, 0.1..3.0f64),
-        bracket in (-10.0..-5.0f64, 6.0..20.0f64),
-        tol in 1e-9..1e-3f64,
+    fn interior_fit_is_a_converged_stationary_point(
+        extreme in extreme_table(),
+        realistic in realistic_table(),
     ) {
-        let (quadratic, quartic) = bowl;
-        let (amplitude, frequency) = ripple;
-        let (lo, width) = bracket;
-        let f = |x: f64| {
-            let u = x - centre;
-            quadratic * u * u + quartic * u.powi(4) + amplitude * (frequency * x).sin()
-        };
-        let hi = lo + width;
-        let m = minimize_scalar(f, lo, hi, tol).unwrap();
-        let (x, value) = plain_minimize(f, lo, hi, tol);
-        prop_assert_eq!(m.x.to_bits(), x.to_bits());
-        prop_assert_eq!(m.value.to_bits(), value.to_bits());
+        for table in [&extreme, &realistic] {
+            let checked = check_converged(table);
+            prop_assert!(checked.is_ok(), "{:?}: {:?}", checked, table);
+        }
+    }
+
+    #[test]
+    fn single_valley_fit_matches_golden_section_plus_polish(
+        extreme in extreme_table(),
+        realistic in realistic_table(),
+    ) {
+        for table in [&extreme, &realistic] {
+            let checked = check_matches_golden_section(table);
+            prop_assert!(checked.is_ok(), "{:?}: {:?}", checked, table);
+        }
+    }
+}
+
+#[test]
+fn fit_misses_the_grid_minimum_no_more_often_than_golden_section() {
+    let mut rng = SplitMix(0x0c4u64 << 40 | 11);
+    let (mut fit_misses, mut golden_misses) = (0, 0);
+    for _ in 0..10_000 {
+        let table = rng.realistic_table();
+        let floor = table.grid_minimum() + 1e-9;
+        let (_, residual) = fit(&table).unwrap();
+        let (_, golden) = golden_reference(|a| table.objective(a));
+        fit_misses += usize::from(residual > floor);
+        golden_misses += usize::from(golden > floor);
+    }
+    assert!(
+        fit_misses <= golden_misses && golden_misses > 0,
+        "fit missed {fit_misses}, golden-section {golden_misses} of 10^4 tables"
+    );
+}
+
+#[test]
+fn bimodal_table_fits_the_deeper_valley_that_golden_section_misses() {
+    // Two valleys, near alpha = -0.68 and alpha = 0.42; the second is deeper.
+    let table = Table {
+        target_difficulty: -2.45,
+        priors: vec![
+            PriorDomainObservation {
+                difficulty: 1.91,
+                tasks_completed: 247.0,
+                accuracy: 0.56,
+            },
+            PriorDomainObservation {
+                difficulty: 2.27,
+                tasks_completed: 219.0,
+                accuracy: 0.58,
+            },
+        ],
+        stages: vec![TargetStageObservation {
+            cumulative_tasks_before: 95.0,
+            estimated_accuracy: 0.32,
+        }],
+    };
+    let (alpha, residual) = fit(&table).unwrap();
+    let (golden_alpha, golden) = golden_reference(|a| table.objective(a));
+    assert!(residual <= table.grid_minimum(), "{residual}");
+    assert!(
+        alpha > 0.0 && golden_alpha < 0.0,
+        "{alpha} vs {golden_alpha}"
+    );
+    assert!(golden > residual + 0.1, "{golden} vs {residual}");
+    // Golden-section's point is the floor of the shallower valley.
+    assert!(table.slope(golden_alpha).abs() < 1e-6);
+}
+
+/// A table entry that may be non-finite or extreme.
+fn wild() -> impl Strategy<Value = f64> {
+    (0u8..10, -40.0..40.0f64).prop_map(|(pick, x)| match pick {
+        0 => f64::NAN,
+        1 => f64::INFINITY,
+        2 => f64::NEG_INFINITY,
+        3 => 1e300,
+        4 => -1e300,
+        5 => 0.0,
+        _ => x,
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    #[test]
+    fn no_table_panics_or_fits_a_non_finite_value(
+        entries in prop::collection::vec((wild(), wild(), 0.0..=1.0f64), 1..=5),
+    ) {
+        let terms: Vec<LearningTerm> = entries
+            .iter()
+            .map(|&(log_tasks, difficulty, accuracy)| {
+                LearningTerm::with_log_tasks(log_tasks, difficulty, accuracy)
+            })
+            .collect();
+        let has_nan = entries.iter().any(|(l, d, _)| l.is_nan() || d.is_nan());
+        match calibrate_terms(&terms) {
+            Ok(fitted) => {
+                prop_assert!(!has_nan, "NaN entry fitted: {:?}", entries);
+                prop_assert!(
+                    fitted.alpha.is_finite() && fitted.residual.is_finite(),
+                    "{:?} from {:?}",
+                    fitted,
+                    entries
+                );
+            }
+            Err(e) => prop_assert!(
+                !has_nan || matches!(e, IrtError::Calibration(_)),
+                "{:?} from {:?}",
+                e,
+                entries
+            ),
+        }
     }
 }

@@ -478,4 +478,31 @@ mod tests {
         stage.initialize(&init).unwrap();
         assert!(stage.observed(sheets[0].worker).is_none());
     }
+
+    #[test]
+    fn rasch_scores_a_blank_profile_worker_at_the_untrained_baseline() {
+        // Round 1 fits a worker with no recorded prior domain on its K_0 = 0
+        // stage alone, which does not depend on alpha: the fit is alpha = 0,
+        // so the score is g(0, beta_T, K_1) = a_T, not a perfect worker.
+        let (platform, sheets) = rw1_round(4);
+        let pool = platform.profiles();
+        let init = StageInit {
+            profiles: &pool,
+            num_prior_domains: num_prior_domains(&pool),
+            initial_target_accuracy: 0.6,
+        };
+        let mut stage = RaschStage::new();
+        stage.initialize(&init).unwrap();
+        let domains = num_prior_domains(&pool);
+        let blank = HistoricalProfile::new(vec![None; domains], vec![0; domains]).unwrap();
+        let mut profiles: Vec<&HistoricalProfile> = sheets
+            .iter()
+            .map(|s| platform.profile(s.worker).unwrap())
+            .collect();
+        profiles[0] = &blank;
+        let scores = stage
+            .estimate(&ctx_of(&sheets, &profiles, &[0.0, 6.0], 1), &[])
+            .unwrap();
+        assert!((scores[0] - 0.6).abs() < 1e-12, "{}", scores[0]);
+    }
 }

@@ -364,11 +364,6 @@ impl Conditioner {
         self.variance
     }
 
-    /// The prior mean of the target coordinate this conditioner was built with.
-    pub fn target_mean(&self) -> f64 {
-        self.target_mean
-    }
-
     /// The weight vector `alpha = Sigma_{G,G}^{-1} Sigma_{G,T}` (empty for the
     /// marginal conditioner).
     ///
@@ -384,34 +379,20 @@ impl Conditioner {
     /// values, in the same order as the `given_idx` the conditioner was built
     /// with. Bit-for-bit identical to [`MultivariateNormal::condition_on`].
     pub fn condition(&self, given_values: &[f64]) -> Result<Conditional1D, StatsError> {
-        Ok(self.condition_full(given_values)?.0)
+        let mut w = vec![0.0; self.num_given()];
+        Ok(Conditional1D {
+            mean: self.condition_into(given_values, &mut w)?,
+            variance: self.variance,
+        })
     }
 
-    /// [`Conditioner::condition`] plus the observed-block solve
-    /// `w = Sigma_{G,G}^{-1} (x_G - mu_G)` it computed along the way.
-    ///
-    /// `w` is the Jacobian of the conditional mean in the cross-covariance row
-    /// `Sigma_{T,G}`. The `Conditional1D` is bit-for-bit the
-    /// [`Conditioner::condition`] result.
-    pub fn condition_full(
-        &self,
-        given_values: &[f64],
-    ) -> Result<(Conditional1D, Vector), StatsError> {
-        let mut w = Vector::zeros(self.num_given());
-        let mean = self.condition_into(given_values, w.as_mut_slice())?;
-        Ok((
-            Conditional1D {
-                mean,
-                variance: self.variance,
-            },
-            w,
-        ))
-    }
-
-    /// The allocation-free form of [`Conditioner::condition_full`]: writes the
+    /// [`Conditioner::condition`] without the allocation: writes the
     /// observed-block solve `w = Sigma_{G,G}^{-1} (x_G - mu_G)` into `w` and
     /// returns the conditional mean (the variance is
-    /// [`Conditioner::variance`]). Bit-for-bit the `condition_full` result.
+    /// [`Conditioner::variance`]), bit for bit the `condition` mean.
+    ///
+    /// `w` is the Jacobian of the conditional mean in the cross-covariance
+    /// row `Sigma_{T,G}`.
     ///
     /// `w` must have [`Conditioner::num_given`] entries.
     pub fn condition_into(&self, given_values: &[f64], w: &mut [f64]) -> Result<f64, StatsError> {
@@ -664,36 +645,41 @@ mod tests {
     }
 
     #[test]
-    fn condition_full_matches_condition_and_exposes_the_solve() {
+    fn condition_into_matches_condition_and_exposes_the_solve() {
         let mvn = example_mvn();
         let conditioner = mvn.conditioner(3, &[0, 2]).unwrap();
         let values = [0.8, 0.45];
         let direct = conditioner.condition(&values).unwrap();
-        let (full, w) = conditioner.condition_full(&values).unwrap();
-        // Exact equality: condition() is condition_full() minus the solve.
-        assert_eq!(direct.mean, full.mean);
-        assert_eq!(direct.variance, full.variance);
-        assert_eq!(w.len(), 2);
+        let mut w = [f64::NAN; 2];
+        let mean = conditioner.condition_into(&values, &mut w).unwrap();
+        // Exact equality: condition() is condition_into() minus the solve.
+        assert_eq!(direct.mean, mean);
+        assert_eq!(direct.variance, conditioner.variance());
         // The solve reproduces the conditional mean through the cross-covariance
         // row: mean = mu_T + Sigma_TG . w.
         let sigma_tg = [mvn.covariance()[(3, 0)], mvn.covariance()[(3, 2)]];
         let rebuilt = mvn.mean()[3] + sigma_tg[0] * w[0] + sigma_tg[1] * w[1];
-        assert!((rebuilt - full.mean).abs() < 1e-12);
+        assert!((rebuilt - mean).abs() < 1e-12);
         // weights() is the value-independent Jacobian of the conditional mean.
         let alpha = conditioner.weights();
         assert_eq!(alpha.len(), 2);
         let bumped = conditioner
             .condition(&[values[0] + 1e-3, values[1]])
             .unwrap();
-        assert!(((bumped.mean - full.mean) / 1e-3 - alpha[0]).abs() < 1e-6);
-        assert_eq!(conditioner.target_mean(), mvn.mean()[3]);
+        assert!(((bumped.mean - mean) / 1e-3 - alpha[0]).abs() < 1e-6);
+        // Evidence at its prior means leaves the target's prior mean.
+        let at_means = [mvn.mean()[0], mvn.mean()[2]];
+        assert_eq!(
+            conditioner.condition(&at_means).unwrap().mean,
+            mvn.mean()[3]
+        );
         // The marginal conditioner has no weights and an empty solve.
         let marginal = mvn.conditioner(3, &[]).unwrap();
         assert!(marginal.weights().is_empty());
-        let (cond, w) = marginal.condition_full(&[]).unwrap();
+        let cond = marginal.condition(&[]).unwrap();
         assert_eq!(cond.mean, mvn.mean()[3]);
-        assert_eq!(w.len(), 0);
-        assert!(marginal.condition_full(&[0.5]).is_err());
+        assert_eq!(marginal.condition_into(&[], &mut []).unwrap(), cond.mean);
+        assert!(marginal.condition(&[0.5]).is_err());
     }
 
     #[test]
@@ -721,8 +707,7 @@ mod tests {
             let mean = conditioner.condition_into(&values, &mut w).unwrap();
             assert_eq!(w, expected_w.as_slice());
             assert_eq!(mean, expected_mean);
-            let (full, full_w) = conditioner.condition_full(&values).unwrap();
-            assert_eq!((full.mean, full_w.as_slice()), (mean, w.as_slice()));
+            assert_eq!(conditioner.condition(&values).unwrap().mean, mean);
             // A solve buffer of the wrong length is a typed error.
             assert!(conditioner
                 .condition_into(&values, &mut vec![0.0; given.len() + 1])
@@ -792,7 +777,7 @@ mod tests {
         assert_eq!(conditioner.target(), 1);
         assert_eq!(conditioner.given_idx(), &[2, 0]);
         assert_eq!(conditioner.num_given(), 2);
-        assert_eq!(conditioner.target_mean(), 0.6);
+        assert_eq!(conditioner.condition(&[0.9, 0.3]).unwrap().mean, 0.6);
         assert!(conditioner.weights().iter().all(|w| w.abs() < 1e-15));
         let cond = conditioner.condition(&[0.1, 0.95]).unwrap();
         assert!((cond.mean - 0.6).abs() < 1e-15);
