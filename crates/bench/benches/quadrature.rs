@@ -18,10 +18,12 @@
 //!   per-node logarithm per worker; the batched sweep streams shared tables).
 //!
 //! The report is printed only; the end-to-end benchmark (`perfbench/`) times
-//! this layer in place. Correctness gates before any timing: the `exact` sweep
-//! must agree with the scalar oracle **bit for bit**, and the `fast_vector`
-//! sweep must track the exact sweep within its documented ~1e-12 relative
-//! contract on this group.
+//! this layer in place. Correctness gates before any timing: the `exact`
+//! sweep's `log Z` and `E[h]` must agree with the scalar oracle **bit for
+//! bit**, and its second moment with the same scalar `integrate` calls over
+//! `(h − mu)²` (see [`scalar_second_moment`]); the `fast_vector` sweep must
+//! track the exact sweep within its documented ~1e-12 relative contract on
+//! this group.
 //!
 //! ```bash
 //! cargo bench -p c4u-bench --bench quadrature
@@ -39,7 +41,8 @@
 
 use c4u_bench::{env::C4uEnv, quad_math_modes};
 use c4u_stats::{
-    binomial_normal_moments, BinomialNormalBatch, GaussLegendre, QuadratureMath, QuadratureScratch,
+    binomial_normal_moments, BinomialNormalBatch, BinomialNormalMoments, GaussLegendre,
+    QuadratureMath, QuadratureScratch,
 };
 use std::time::Instant;
 
@@ -65,15 +68,15 @@ impl Cell {
     }
 
     /// Effective streamed bandwidth of the batched sweep in GB/s, under the
-    /// traffic model `workers x (5 x nodes + 5) x 8` bytes per call: per
+    /// traffic model `workers x (5 x nodes + 6) x 8` bytes per call: per
     /// worker the kernel streams four node tables (`h`, clamped `h`, `ln h`,
     /// `ln(1-h)`) plus the scratch buffer (written then read, counted once),
-    /// and about five scalars of per-worker data (`mu`, `c`, `x`, and the two
+    /// and about six scalars of per-worker data (`mu`, `c`, `x`, and the three
     /// outputs). An upper bound on useful traffic, so the number is a
     /// roofline *floor*: reaching a given fraction of memory bandwidth proves
     /// at least that much of the sweep is streaming, not stalling.
     fn effective_gb_per_s(&self) -> f64 {
-        let bytes = (self.workers * (5 * self.nodes + 5) * 8) as f64;
+        let bytes = (self.workers * (5 * self.nodes + 6) * 8) as f64;
         bytes / self.batched_median_ns
     }
 }
@@ -99,6 +102,27 @@ fn make_group(workers: usize) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
         x.push(10.0 - correct);
     }
     (mu, c, x)
+}
+
+/// `E[(h − mu)²]` the scalar way, the test-side oracle of the sweep's second
+/// moment: the integrand and `integrate` calls of `binomial_normal_moments`,
+/// shifted by the batch's (bit-identical) grid peak, with `(h − mu)²` as the
+/// moment, in the fold's operation order.
+fn scalar_second_moment(quadrature: &GaussLegendre, peak: f64, mu: f64, c: f64, x: f64) -> f64 {
+    let log_integrand = |h: f64| {
+        let h = h.clamp(1e-12, 1.0 - 1e-12);
+        let z = (h - mu) / SIGMA;
+        c * h.ln() + x * (1.0 - h).ln()
+            - 0.5 * z * z
+            - SIGMA.ln()
+            - 0.5 * (2.0 * std::f64::consts::PI).ln()
+    };
+    let z = quadrature.integrate(0.0, 1.0, |h| (log_integrand(h) - peak).exp());
+    let second = quadrature.integrate(0.0, 1.0, |h| {
+        let d = h - mu;
+        d * d * (log_integrand(h) - peak).exp()
+    });
+    second / z
 }
 
 /// Median of a sample vector (sorted in place).
@@ -129,31 +153,35 @@ fn main() {
         let exact = BinomialNormalBatch::new(&quadrature);
         for &workers in &workers_sweep {
             let (mu, c, x) = make_group(workers);
-            let mut log_z = vec![0.0; workers];
-            let mut mean = vec![0.0; workers];
+            let mut out = vec![BinomialNormalMoments::default(); workers];
             let mut scratch = QuadratureScratch::new();
 
             // Correctness gate before any timing: the exact batched sweep
             // must be bit-identical to the scalar oracle on this group.
-            exact.moments_with_scratch(SIGMA, &mu, &c, &x, &mut log_z, &mut mean, &mut scratch);
-            for w in 0..workers {
+            exact.moments_with_scratch(SIGMA, &mu, &c, &x, &mut out, &mut scratch);
+            for (w, out) in out.iter().enumerate() {
                 let (scalar_log_z, scalar_mean) =
                     binomial_normal_moments(&quadrature, mu[w], SIGMA, c[w], x[w]);
-                assert_eq!(log_z[w], scalar_log_z, "log Z drift at worker {w}");
-                assert_eq!(mean[w], scalar_mean, "posterior-mean drift at worker {w}");
+                assert_eq!(out.log_z, scalar_log_z, "log Z drift at worker {w}");
+                assert_eq!(out.mean, scalar_mean, "posterior-mean drift at worker {w}");
+                let peak = exact.log_integrand_peak(SIGMA, mu[w], c[w], x[w]);
+                assert_eq!(
+                    out.second,
+                    scalar_second_moment(&quadrature, peak, mu[w], c[w], x[w]),
+                    "second-moment drift at worker {w}"
+                );
             }
-            let exact_log_z = log_z.clone();
-            let exact_mean = mean.clone();
+            let exact_out = out.clone();
 
             // The scalar loop is math-independent: time it once per
             // (nodes, workers) point and share the median across modes.
             let mut scalar_ns = Vec::with_capacity(samples);
             for _ in 0..samples {
                 let start = Instant::now();
-                for w in 0..workers {
+                for (w, out) in out.iter_mut().enumerate() {
                     let (lz, m) = binomial_normal_moments(&quadrature, mu[w], SIGMA, c[w], x[w]);
-                    log_z[w] = lz;
-                    mean[w] = m;
+                    out.log_z = lz;
+                    out.mean = m;
                 }
                 scalar_ns.push(start.elapsed().as_nanos() as f64);
             }
@@ -161,24 +189,28 @@ fn main() {
 
             for &math in &maths {
                 let batch = BinomialNormalBatch::new_with_math(&quadrature, math);
-                batch.moments_with_scratch(SIGMA, &mu, &c, &x, &mut log_z, &mut mean, &mut scratch);
+                batch.moments_with_scratch(SIGMA, &mu, &c, &x, &mut out, &mut scratch);
                 if math == QuadratureMath::Exact {
                     // Already gated bitwise above; this sweep just re-warms.
                 } else {
                     // FastVector correctness gate: within the documented
                     // ~1e-12 relative contract of the Exact path (these cells
                     // are all well-scaled — bounded counts, interior means).
-                    for w in 0..workers {
-                        let tol = 1e-11 * (1.0 + exact_log_z[w].abs());
+                    for (w, (f, e)) in out.iter().zip(&exact_out).enumerate() {
+                        let tol = 1e-11 * (1.0 + e.log_z.abs());
                         assert!(
-                            (log_z[w] - exact_log_z[w]).abs() <= tol,
+                            (f.log_z - e.log_z).abs() <= tol,
                             "log Z drift beyond contract at worker {w}: {} vs {}",
-                            log_z[w],
-                            exact_log_z[w]
+                            f.log_z,
+                            e.log_z
                         );
                         assert!(
-                            (mean[w] - exact_mean[w]).abs() <= 1e-11,
+                            (f.mean - e.mean).abs() <= 1e-11,
                             "posterior-mean drift beyond contract at worker {w}"
+                        );
+                        assert!(
+                            (f.second - e.second).abs() <= 1e-11,
+                            "second-moment drift beyond contract at worker {w}"
                         );
                     }
                 }
@@ -186,15 +218,7 @@ fn main() {
                 let mut batched_ns = Vec::with_capacity(samples);
                 for _ in 0..samples {
                     let start = Instant::now();
-                    batch.moments_with_scratch(
-                        SIGMA,
-                        &mu,
-                        &c,
-                        &x,
-                        &mut log_z,
-                        &mut mean,
-                        &mut scratch,
-                    );
+                    batch.moments_with_scratch(SIGMA, &mu, &c, &x, &mut out, &mut scratch);
                     batched_ns.push(start.elapsed().as_nanos() as f64);
                 }
 

@@ -139,12 +139,12 @@ pub fn objective(
 ) -> f64 {
     let mut total = 0.0;
     for p in priors {
-        let theta = alpha * (p.tasks_completed.max(0.0) + 1.0).ln();
+        let theta = alpha * log_tasks(p.tasks_completed);
         let predicted = sigmoid(theta - p.difficulty);
         total += (predicted - p.accuracy).powi(2);
     }
     for s in stages {
-        let theta = alpha * (s.cumulative_tasks_before.max(0.0) + 1.0).ln();
+        let theta = alpha * log_tasks(s.cumulative_tasks_before);
         let predicted = sigmoid(theta - target_difficulty);
         total += (predicted - s.estimated_accuracy).powi(2);
     }
@@ -623,11 +623,33 @@ mod tests {
         for bad in [
             LearningTerm::new(5.0, f64::NAN, 0.5),
             LearningTerm::with_log_tasks(f64::NAN, 0.0, 0.5),
+            LearningTerm::new(f64::NAN, 0.0, 0.5),
         ] {
             let fitted = calibrate_terms(&[informative, bad]);
             assert!(
                 matches!(fitted, Err(IrtError::Calibration(_))),
                 "{bad:?}: {fitted:?}"
+            );
+        }
+        // A NaN task count, on a prior domain or a target stage, is not an
+        // untrained term.
+        let prior = |tasks_completed| PriorDomainObservation {
+            difficulty: 0.0,
+            tasks_completed,
+            accuracy: 0.7,
+        };
+        let stage = |cumulative_tasks_before| TargetStageObservation {
+            cumulative_tasks_before,
+            estimated_accuracy: 0.5,
+        };
+        for (priors, stages) in [
+            (vec![prior(f64::NAN)], vec![stage(10.0)]),
+            (vec![prior(10.0)], vec![stage(f64::NAN)]),
+        ] {
+            let fitted = calibrate_alpha(0.0, &priors, &stages);
+            assert!(
+                matches!(fitted, Err(IrtError::Calibration(_))),
+                "{priors:?} {stages:?}: {fitted:?}"
             );
         }
         for wild in [

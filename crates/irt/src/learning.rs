@@ -112,9 +112,15 @@ impl LearningGainModel {
 }
 
 /// The proficiency scale of Eq. 10: `ln(K + 1)`, with negative counts clamped
-/// to `K = 0`.
+/// to `K = 0`. A `NaN` count stays `NaN`, so a fit over it fails its
+/// finiteness check instead of passing for an untrained term.
 pub fn log_tasks(cumulative_tasks: f64) -> f64 {
-    (cumulative_tasks.max(0.0) + 1.0).ln()
+    let k = if cumulative_tasks < 0.0 {
+        0.0
+    } else {
+        cumulative_tasks
+    };
+    (k + 1.0).ln()
 }
 
 /// Cumulative number of learning tasks assigned to each *remaining* worker by the end
@@ -232,6 +238,7 @@ mod tests {
     fn log_tasks_clamps_negative_counts() {
         assert_eq!(log_tasks(0.0), 0.0);
         assert_eq!(log_tasks(-3.0), 0.0);
+        assert!(log_tasks(f64::NAN).is_nan());
         assert!((log_tasks(std::f64::consts::E - 1.0) - 1.0).abs() < 1e-15);
         let m = LearningGainModel::new(0.6, -0.2).unwrap();
         assert_eq!((m.alpha(), m.difficulty()), (0.6, -0.2));

@@ -30,8 +30,8 @@ pub const SCALAR_LIBM_IN_HOT_PATH: &str = "scalar-libm-in-hot-path";
 pub const NO_UNWRAP_IN_LIB: &str = "no-unwrap-in-lib";
 /// Rule: crate roots carry `#![forbid(unsafe_code)]` and a `//!` doc comment.
 pub const CRATE_HYGIENE: &str = "crate-hygiene";
-/// Meta-rule for malformed or unmatched `c4u-lint` directives themselves;
-/// not suppressible.
+/// Meta-rule for malformed, unmatched or unused `c4u-lint` directives
+/// themselves; not suppressible.
 pub const LINT_DIRECTIVE: &str = "lint-directive";
 
 /// Every suppressible rule, in diagnostic-table order.
@@ -104,17 +104,36 @@ pub fn classify(rel_path: &str) -> FileClass {
     }
 }
 
+/// One `allow(<rule>, …)` directive.
+struct Allow {
+    rule: &'static str,
+    /// The directive's first line, column and length, for its own diagnostic.
+    line: u32,
+    col: u32,
+    len: u32,
+    /// The last line of the directive; it suppresses findings from `line`
+    /// through the line after this one, so both trailing and line-above
+    /// placements work.
+    end_line: u32,
+}
+
+impl Allow {
+    fn covers(&self, rule: &str, line: u32) -> bool {
+        self.rule == rule && (self.line..=self.end_line + 1).contains(&line)
+    }
+}
+
 /// Parsed comment directives for one file.
 struct Directives {
-    /// `(rule, line)` pairs on which findings of `rule` are suppressed.
-    allowed: BTreeSet<(String, u32)>,
+    /// The `allow` directives, in file order.
+    allows: Vec<Allow>,
     /// Inclusive line ranges marked `hot-path` … `end-hot-path`.
     hot_regions: Vec<(u32, u32)>,
 }
 
 impl Directives {
     fn is_allowed(&self, rule: &str, line: u32) -> bool {
-        self.allowed.contains(&(rule.to_string(), line))
+        self.allows.iter().any(|a| a.covers(rule, line))
     }
 }
 
@@ -145,9 +164,10 @@ fn comment_body(kind: TokenKind, text: &str) -> Option<String> {
 
 /// Parses `c4u-lint` directives out of the comment tokens, recording
 /// suppressions and hot-path regions; malformed directives become
-/// (unsuppressible) diagnostics.
+/// (unsuppressible) diagnostics. Unused suppressions are reported by
+/// [`lint_file`] once the findings are known.
 fn parse_directives(lexed: &Lexed<'_>, path: &str, diags: &mut Vec<Diagnostic>) -> Directives {
-    let mut allowed = BTreeSet::new();
+    let mut allows = Vec::new();
     let mut hot_regions = Vec::new();
     let mut open_hot: Option<u32> = None;
 
@@ -216,10 +236,10 @@ fn parse_directives(lexed: &Lexed<'_>, path: &str, diags: &mut Vec<Diagnostic>) 
                 continue;
             };
             let rule = rule.trim();
-            if !ALL_RULES.contains(&rule) {
+            let Some(&rule) = ALL_RULES.iter().find(|&&r| r == rule) else {
                 directive_error(tok, format!("`allow` names unknown rule `{rule}`"));
                 continue;
-            }
+            };
             let reason_ok = reason
                 .trim()
                 .strip_prefix("reason")
@@ -234,11 +254,13 @@ fn parse_directives(lexed: &Lexed<'_>, path: &str, diags: &mut Vec<Diagnostic>) 
                 );
                 continue;
             }
-            // Suppress on the directive's own line(s) and the next line, so
-            // both trailing and line-above placements work.
-            allowed.insert((rule.to_string(), tok.line));
-            allowed.insert((rule.to_string(), end_line));
-            allowed.insert((rule.to_string(), end_line + 1));
+            allows.push(Allow {
+                rule,
+                line: tok.line,
+                col: tok.col,
+                len: (tok.end - tok.start).min(200) as u32,
+                end_line,
+            });
         } else {
             directive_error(tok, format!("unrecognised `c4u-lint` directive `{rest}`"));
         }
@@ -256,7 +278,7 @@ fn parse_directives(lexed: &Lexed<'_>, path: &str, diags: &mut Vec<Diagnostic>) 
         });
     }
     Directives {
-        allowed,
+        allows,
         hot_regions,
     }
 }
@@ -493,6 +515,22 @@ pub fn lint_file(rel_path: &str, source: &str) -> Vec<Diagnostic> {
         }
     }
 
+    // An `allow` that suppresses no finding is stale: report it, so a
+    // suppression cannot outlive the code it was written for.
+    for allow in &directives.allows {
+        if !diags.iter().any(|d| allow.covers(d.rule, d.line)) {
+            diags.push(Diagnostic {
+                rule: LINT_DIRECTIVE,
+                severity: Severity::Deny,
+                path: rel_path.to_string(),
+                line: allow.line,
+                col: allow.col,
+                len: allow.len,
+                message: format!("`allow({})` suppresses no finding", allow.rule),
+                help: "delete the stale directive".to_string(),
+            });
+        }
+    }
     // Apply suppressions (directive errors are never suppressible).
     diags.retain(|d| d.rule == LINT_DIRECTIVE || !directives.is_allowed(d.rule, d.line));
     diags.sort_by(|a, b| (a.line, a.col, a.rule).cmp(&(b.line, b.col, b.rule)));

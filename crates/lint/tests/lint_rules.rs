@@ -1,7 +1,7 @@
 //! Fixture-driven integration tests: every rule is demonstrated by a
 //! violating fixture (with exact file:line:col span assertions), a
-//! conforming fixture, and a suppressed fixture; plus directive-error and
-//! workspace-cleanliness checks.
+//! conforming fixture, and a suppressed fixture; plus directive-error
+//! (malformed and unused directives) and workspace-cleanliness checks.
 
 use c4u_lint::diag::Diagnostic;
 use c4u_lint::rules::{self, lint_file};
@@ -289,6 +289,28 @@ fn malformed_directives_are_unsuppressible_errors() {
 fn doc_comments_mentioning_directives_are_inert() {
     let diags = lint_fixture("directives", "doc_mention.rs", "crates/stats/src/x.rs");
     assert!(diags.is_empty(), "got: {diags:?}");
+}
+
+#[test]
+fn an_allow_that_suppresses_nothing_is_an_unsuppressible_error() {
+    // `crates/crowd-sim` is outside the no-unwrap scope, so that allow is as
+    // stale as the one above a line that reads no clock.
+    let diags = lint_fixture("directives", "unused_allow.rs", "crates/crowd-sim/src/x.rs");
+    assert_eq!(
+        rules_of(&diags),
+        vec![rules::LINT_DIRECTIVE; 2],
+        "got: {diags:?}"
+    );
+    assert_eq!((diags[0].line, diags[0].col), (2, 1));
+    assert_eq!(
+        diags[0].message,
+        "`allow(no-wallclock)` suppresses no finding"
+    );
+    assert_eq!((diags[1].line, diags[1].col), (8, 1));
+    assert_eq!(
+        diags[1].message,
+        "`allow(no-unwrap-in-lib)` suppresses no finding"
+    );
 }
 
 // --- whole workspace --------------------------------------------------------

@@ -11,7 +11,9 @@
 //!    integrated out against its conditional normal given the worker's
 //!    prior-domain profile;
 //! 3. produces a per-worker predicted target-domain accuracy (Eq. 8) as the
-//!    posterior mean of the target accuracy over `(0, 1)`.
+//!    posterior mean of the target accuracy over `(0, 1)`, given the
+//!    worker's profile and its counts: the E-step of the kept model has
+//!    already integrated it, so [`CrossDomainEstimator::update`] returns it.
 //!
 //! Workers that lack a record on some prior domains are handled by conditioning only
 //! on the domains they have actually worked on (Sec. IV-E).
@@ -30,7 +32,8 @@
 //!   mean and variance of `h`, plus the fused Eq. 5 log-likelihood of the
 //!   model, from one vectorised quadrature sweep per block of ≤ 1024 members
 //!   of a mask group (a group spanning several blocks fans them out over the
-//!   machine's threads, bit-identically for every thread count);
+//!   machine's threads, bit-identically for every thread count). The
+//!   posterior means are the Eq. 8 predictions;
 //! * **M-step** — the mean of the completed vectors `a = (profile, h)` and
 //!   their second moments about it, with each worker's posterior variance of
 //!   `h` added. A worker missing some prior domains gets them filled in by
@@ -39,8 +42,8 @@
 //!   clamped to `[0.01, 0.99]` and the covariance projected with the
 //!   [`CpeConfig::MIN_VARIANCE`] floor.
 //!
-//! The update keeps the best iterate it evaluated, so no update ends below its
-//! start, and stops once an epoch gains less than
+//! The update keeps the best iterate it evaluated, with its E-step, so no
+//! update ends below its start, and stops once an epoch gains less than
 //! [`CpeConfig::CONVERGENCE_TOLERANCE`] (relative) or after
 //! [`CpeConfig::epochs`]. [`CrossDomainEstimator::last_fit`] reports what the
 //! last update did. The paper's rule lives on test-side, in
@@ -63,7 +66,6 @@
 pub mod kernel;
 
 use crate::SelectionError;
-use c4u_crowd_sim::parallel::run_indexed_jobs;
 use c4u_crowd_sim::{HistoricalProfile, WorkerShards};
 use c4u_linalg::{Matrix, Vector};
 use c4u_stats::{
@@ -88,12 +90,6 @@ pub struct CpeConfig {
     pub epochs: usize,
     /// Initial mean accuracy assumed for the target domain (`a_T`; paper default 0.5).
     pub initial_target_accuracy: f64,
-    /// Whether the per-worker prediction incorporates the worker's own observed
-    /// correct/wrong counts (posterior mean) or only the cross-domain conditional
-    /// (the literal reading of Eq. 8). The posterior form is the default because it
-    /// is what lets golden questions discriminate between workers with identical
-    /// profiles; the prior-only form is kept for ablations.
-    pub use_posterior_prediction: bool,
     /// Fold-pass arithmetic of the batched quadrature sweeps
     /// ([`c4u_stats::QuadratureMath`]). The default `Exact` mode is
     /// bit-identical to the scalar oracle; `FastVector` swaps the fold onto
@@ -107,7 +103,6 @@ impl Default for CpeConfig {
         Self {
             epochs: 50,
             initial_target_accuracy: 0.5,
-            use_posterior_prediction: true,
             quadrature_math: QuadratureMath::default(),
         }
     }
@@ -168,9 +163,8 @@ impl CpeObservation {
 /// What one [`CrossDomainEstimator::update`] did.
 ///
 /// Every log-likelihood here is Eq. 5's, taken from the fused E-step sweep
-/// ([`kernel::e_step::EStep::log_likelihood`]), so the iterates are compared
-/// from one source. It can differ from
-/// [`CrossDomainEstimator::log_likelihood`] in the last ulp.
+/// ([`kernel::e_step::EStep::log_likelihood`]), the source
+/// [`CrossDomainEstimator::log_likelihood`] reads too.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpeFitSummary {
     /// Log-likelihood of the model the update started from.
@@ -310,11 +304,17 @@ impl CrossDomainEstimator {
     }
 
     /// Fits the model to one round's observations by EM (see the module
-    /// docs): at most [`CpeConfig::epochs`] epochs of one E-step sweep and
-    /// one closed-form M-step each, stopping once an epoch gains less than
+    /// docs) and returns their Eq. 8 predictions under the fitted model: at
+    /// most [`CpeConfig::epochs`] epochs of one E-step sweep and one
+    /// closed-form M-step each, stopping once an epoch gains less than
     /// [`CpeConfig::CONVERGENCE_TOLERANCE`] of the log-likelihood or loses.
     /// The model kept is the best iterate evaluated, so the update never
     /// lowers the Eq. 5 log-likelihood of its observations.
+    ///
+    /// The predictions are read from the kept iterate's E-step (the start's
+    /// when no iterate beats it), so they are bit for bit
+    /// [`Self::predict_batch`] of the observations after the update, without
+    /// a second sweep; see [`EStep::predictions`](kernel::e_step::EStep::predictions).
     ///
     /// The observations are mask-grouped **once** at entry; every E-step
     /// then factorises one conditioner per unique missing-domain mask
@@ -322,10 +322,11 @@ impl CrossDomainEstimator {
     ///
     /// An error in the first E-step is returned and leaves the model as it
     /// was; an iterate that fails to build or to evaluate ends the fit at
-    /// the best one before it.
-    pub fn update(&mut self, observations: &[CpeObservation]) -> Result<(), SelectionError> {
+    /// the best one before it. A non-finite prediction is an error returned
+    /// after the fitted model is kept.
+    pub fn update(&mut self, observations: &[CpeObservation]) -> Result<Vec<f64>, SelectionError> {
         if observations.is_empty() {
-            return Ok(());
+            return Ok(Vec::new());
         }
         // One kernel serves every epoch, so its scratch buffers are grown once
         // and reused by every sweep.
@@ -335,6 +336,10 @@ impl CrossDomainEstimator {
             &self.quadrature,
             self.config.quadrature_math,
         );
+        // The kept iterate (`None`: the start) and its E-step. The fit only
+        // goes on from an iterate that gained on the one before, which is
+        // then the best so far, so each M-step starts from the kept one.
+        let mut kept: Option<MultivariateNormal> = None;
         let mut e_step = kernel.e_step(&self.model)?;
         let start = e_step.log_likelihood;
         let mut fit = CpeFitSummary {
@@ -346,10 +351,9 @@ impl CrossDomainEstimator {
             target_mean: 0.0,
             target_variance: 0.0,
         };
-        let mut model = self.model.clone();
-        let mut best = None;
         while fit.epochs < self.config.epochs {
-            let Ok(Some(next)) = m_step(&kernel, &model, &e_step.moments) else {
+            let model = kept.as_ref().unwrap_or(&self.model);
+            let Ok(Some(next)) = m_step(&kernel, model, &e_step.moments) else {
                 break;
             };
             let Ok(next_e_step) = kernel.e_step(&next) else {
@@ -361,35 +365,31 @@ impl CrossDomainEstimator {
             if ll < previous {
                 fit.falling_epochs += 1;
             }
-            if ll > fit.best_log_likelihood {
-                fit.best_log_likelihood = ll;
-                best = Some(next.clone());
-            }
-            (model, e_step) = (next, next_e_step);
             // A loss, a NaN gain (both iterates underflowed) and a small gain
             // all stop; a finite iterate after an underflowed one (an
             // infinite gain) continues.
             let gained = ll - previous > CpeConfig::CONVERGENCE_TOLERANCE * ll.abs();
+            if ll > fit.best_log_likelihood {
+                fit.best_log_likelihood = ll;
+                (kept, e_step) = (Some(next), next_e_step);
+            }
             if !gained {
                 break;
             }
         }
-        if let Some(best) = best {
-            self.model = best;
+        if let Some(kept) = kept {
+            self.model = kept;
         }
         let target = self.num_prior_domains();
         fit.target_mean = self.model.mean()[target];
         fit.target_variance = self.model.covariance()[(target, target)];
         self.last_fit = Some(fit);
-        Ok(())
+        e_step.predictions()
     }
 
-    /// Predicted target-domain accuracy of a worker (Eq. 8).
-    ///
-    /// With [`CpeConfig::use_posterior_prediction`] (the default) the prediction is
-    /// the posterior mean of the target accuracy given both the prior-domain profile
-    /// and the worker's observed correct/wrong counts; otherwise it is the truncated
-    /// conditional mean given the profile alone.
+    /// Predicted target-domain accuracy of a worker (Eq. 8): the posterior
+    /// mean of the target accuracy given both the prior-domain profile and
+    /// the worker's observed correct/wrong counts.
     pub fn predict(&self, obs: &CpeObservation) -> Result<f64, SelectionError> {
         let mut predictions = self.predict_batch(std::slice::from_ref(obs))?;
         Ok(predictions
@@ -410,19 +410,16 @@ impl CrossDomainEstimator {
             &self.quadrature,
             self.config.quadrature_math,
         );
-        kernel.predict(&self.model, self.config.use_posterior_prediction)
+        kernel.predict(&self.model)
     }
 
-    /// [`Self::predict_batch`] over an explicit worker-range partition: each
-    /// shard's observations are mask-grouped and predicted independently on a
-    /// scoped thread, and the per-shard predictions are concatenated back in
-    /// observation order.
+    /// [`Self::predict_batch`] after checking that `shards` partitions
+    /// exactly `observations.len()` positions.
     ///
     /// Every Eq. 8 prediction depends only on its own observation and the
-    /// (shared, immutable) model, so the result is **identical** to the
-    /// unsharded path for every shard layout — the shard boundary changes
-    /// which workers share a conditioning factorisation, never any predicted
-    /// value. `shards` must partition exactly `observations.len()` positions.
+    /// (shared, immutable) model, so the result is the unsharded one for
+    /// every shard layout; the E-step under it already fans the blocks of a
+    /// large mask group out over the machine's threads.
     pub fn predict_batch_sharded(
         &self,
         observations: &[CpeObservation],
@@ -434,20 +431,7 @@ impl CrossDomainEstimator {
                 value: shards.len() as f64,
             });
         }
-        if shards.num_shards() <= 1 {
-            return self.predict_batch(observations);
-        }
-        let num_shards = shards.num_shards();
-        let per_shard: Vec<Vec<f64>> = run_indexed_jobs(num_shards, num_shards, |shard| {
-            let kernel = CpeLikelihoodKernel::new_with_math(
-                &observations[shards.range(shard)],
-                self.num_prior_domains(),
-                &self.quadrature,
-                self.config.quadrature_math,
-            );
-            kernel.predict(&self.model, self.config.use_posterior_prediction)
-        })?;
-        Ok(per_shard.into_iter().flatten().collect())
+        self.predict_batch(observations)
     }
 }
 
@@ -689,30 +673,6 @@ mod tests {
         let p_bad = est.predict(&bad).unwrap();
         assert!(p_good > p_base, "good {p_good} base {p_base}");
         assert!(p_bad < p_base, "bad {p_bad} base {p_base}");
-    }
-
-    #[test]
-    fn prior_only_prediction_ignores_answers() {
-        let config = CpeConfig {
-            use_posterior_prediction: false,
-            ..Default::default()
-        };
-        let profiles = profiles();
-        let refs: Vec<&HistoricalProfile> = profiles.iter().collect();
-        let est = CrossDomainEstimator::from_profiles(&refs, config).unwrap();
-        let base = CpeObservation {
-            prior_accuracies: vec![Some(0.6), Some(0.7), Some(0.5)],
-            correct: 0,
-            wrong: 0,
-        };
-        let good = CpeObservation {
-            correct: 10,
-            wrong: 0,
-            ..base.clone()
-        };
-        let a = est.predict(&base).unwrap();
-        let b = est.predict(&good).unwrap();
-        assert!((a - b).abs() < 1e-9);
     }
 
     #[test]

@@ -16,29 +16,31 @@
 //!    order, so everything stays deterministic) and caches each member's
 //!    observed values;
 //! 2. per model evaluation, the kernel asks the model for **one**
-//!    [`Conditioner`] per unique mask and applies it to
+//!    [`Conditioner`](c4u_stats::Conditioner) per unique mask and applies it to
 //!    every member of the group — an `O(g^2)` triangular solve per worker
 //!    instead of an `O(g^3)` factorisation per worker;
-//! 3. the Eq. 5 normalisers and Eq. 8 posterior means of a whole group are
-//!    computed by **one** batched structure-of-arrays quadrature sweep per
-//!    unique mask ([`c4u_stats::BinomialNormalBatch`], node tables built once
-//!    per kernel), not one scalar `binomial_normal_moments` /
-//!    `binomial_normal_log_z` call per worker.
+//! 3. the Eq. 5 normalisers, Eq. 8 posterior means and posterior variances
+//!    of a whole group are computed by **one** batched structure-of-arrays
+//!    quadrature sweep per unique mask ([`c4u_stats::BinomialNormalBatch`],
+//!    node tables built once per kernel), not one scalar
+//!    `binomial_normal_moments` / `binomial_normal_log_z` call per worker.
 //!
-//! The factorisation count per model evaluation is therefore one per unique
-//! non-empty mask, where the historical per-observation central-difference
-//! loop paid one per worker per parameter perturbation: the EM fit's E-step
-//! (the [`e_step`] sub-layer) evaluates the model once per epoch, one
-//! factorisation per non-empty mask and one vectorised sweep per block of
-//! ≤ 1024 members of a mask group. Groups larger than one block fan their
-//! blocks out over the machine's threads; the gathering over members stays
-//! serial and in member order, so the result is bit-identical for every
-//! thread count. The batched-sweep count obeys the same contract
-//! (`O(unique_masks)` per likelihood, E-step or prediction pass, pinned by
+//! There is one member loop, the EM fit's E-step (the [`e_step`]
+//! sub-layer): [`CpeLikelihoodKernel::log_likelihood`],
+//! [`CpeLikelihoodKernel::per_observation_log_likelihood`] and
+//! [`CpeLikelihoodKernel::predict`] all read it. The factorisation count per
+//! model evaluation is therefore one per unique non-empty mask, where the
+//! historical per-observation central-difference loop paid one per worker
+//! per parameter perturbation, and each evaluation runs one vectorised sweep
+//! per block of ≤ 1024 members of a mask group. Groups larger than one block
+//! fan their blocks out over the machine's threads; the gathering over
+//! members stays serial and in member order, so the result is bit-identical
+//! for every thread count. The batched-sweep count obeys the same contract
+//! (`O(unique_masks)` per evaluation, pinned by
 //! `tests/quadrature_batching.rs` through the `c4u_stats` sweep counters).
-//! Those counters are thread-local: sweeps of a blocked group that run on a
-//! worker thread are not counted on the calling thread, and will not be
-//! until the kernel counts into an explicit per-run counter instead.
+//! Those counters are thread-local: the sweeps of a blocked group's blocks
+//! that run on the fan-out threads are counted on those threads, not on the
+//! calling thread.
 //! Results are **bit-for-bit identical** to the per-observation loop: the
 //! cached factorisation and the batched sweep perform exactly the same
 //! floating-point operations, per-observation terms are accumulated in the
@@ -74,7 +76,7 @@
 //! ).unwrap();
 //! let log_likelihood = kernel.log_likelihood(&model).unwrap();   // Eq. 5
 //! assert!(log_likelihood.is_finite());
-//! let predictions = kernel.predict(&model, true).unwrap();       // Eq. 8
+//! let predictions = kernel.predict(&model).unwrap();             // Eq. 8
 //! assert_eq!(predictions.len(), observations.len());
 //! ```
 
@@ -84,8 +86,8 @@ use super::CpeObservation;
 use crate::SelectionError;
 use c4u_crowd_sim::parallel::available_threads;
 use c4u_stats::{
-    BinomialNormalBatch, Conditioner, GaussLegendre, LogZGradient, MultivariateNormal,
-    QuadratureMath, QuadratureScratch,
+    BinomialNormalBatch, BinomialNormalMoments, GaussLegendre, MultivariateNormal, QuadratureMath,
+    QuadratureScratch,
 };
 use std::cell::{OnceCell, RefCell};
 use std::collections::HashMap;
@@ -180,22 +182,22 @@ pub struct CpeLikelihoodKernel<'a> {
     /// Index of the target-domain coordinate (`D`, the last coordinate).
     target: usize,
     /// Structure-of-arrays node/grid tables for the batched binomial×normal
-    /// sweeps, built once per kernel from the caller's rule and shared by the
-    /// likelihood, prediction and E-step paths (the rule itself is no longer
-    /// needed afterwards — every sweep runs over these tables).
+    /// sweep, built once per kernel from the caller's rule (the rule itself
+    /// is no longer needed afterwards — every sweep runs over these tables).
     batch: BinomialNormalBatch,
     /// Per-group `(correct, wrong)` counts as flat `f64` arrays aligned with
     /// each group's members — the model-independent half of the batched-sweep
     /// inputs, precomputed once per kernel.
     counts: Vec<GroupCounts>,
-    /// Reused per-sweep buffers (conditional means, sweep outputs, quadrature
-    /// node scratch), shared by the likelihood, prediction and E-step paths.
-    /// Behind a `RefCell` because every evaluation entry point takes `&self`;
-    /// this makes the kernel `!Sync`, which matches how it is used — each
-    /// shard/thread builds its own kernel. Buffers grow to the largest group
-    /// once and the hot loops stay allocation-free afterwards (the `c4u-stats`
-    /// `alloc_free` suite pins the sweep side of that contract).
-    scratch: RefCell<KernelScratch>,
+    /// One scratch per [`SWEEP_BLOCK`] of the largest group, reused by every
+    /// E-step. Each block job locks only its own entry, so the locks are
+    /// never contended; they exist to hand one `&mut` per block to the
+    /// fan-out. Behind a `RefCell` because every evaluation entry point takes
+    /// `&self`; this makes the kernel `!Sync`, which matches how it is used —
+    /// each estimator call builds its own kernel. Buffers grow to the largest
+    /// group once and the hot loops stay allocation-free afterwards (the
+    /// `c4u-stats` `alloc_free` suite pins the sweep side of that contract).
+    blocks: RefCell<Vec<Mutex<BlockScratch>>>,
     /// Thread cap of the blocked E-step sweep, read from the machine on the
     /// first group that spans more than one block (never for pools that fit
     /// in one block per group) and kept for every later epoch: the query
@@ -211,37 +213,16 @@ pub struct CpeLikelihoodKernel<'a> {
 /// depend on it.
 const SWEEP_BLOCK: usize = 1024;
 
-/// The reusable buffers of one kernel: grown on first use, then recycled by
-/// every subsequent group sweep and model evaluation.
-#[derive(Debug, Default)]
-struct KernelScratch {
-    /// Node-sized scratch of the batched quadrature sweeps.
-    quad: QuadratureScratch,
-    /// Per-member conditional means of the current group.
-    mu: Vec<f64>,
-    /// One member's observed-block solve (likelihood and prediction paths).
-    w: Vec<f64>,
-    /// Per-member `log Z` sweep output.
-    log_z: Vec<f64>,
-    /// Per-member posterior-mean sweep output (prediction path).
-    mean: Vec<f64>,
-    /// All-zero counts stand-in for posterior-free prediction.
-    zeros: Vec<f64>,
-    /// One scratch per [`SWEEP_BLOCK`] of the largest group (E-step path).
-    /// Each block job locks only its own entry, so the locks are never
-    /// contended; they exist to hand one `&mut` per block to the fan-out.
-    blocks: Vec<Mutex<BlockScratch>>,
-}
-
-/// The buffers of one E-step sweep block.
+/// The buffers of one E-step sweep block: grown on first use, then recycled
+/// by every subsequent group sweep and model evaluation.
 #[derive(Debug, Default)]
 struct BlockScratch {
     /// Node-sized scratch of the block's quadrature sweep.
     quad: QuadratureScratch,
-    /// Per-member `(mu, correct, wrong)` triples.
-    obs: Vec<(f64, f64, f64)>,
-    /// Per-member `log Z` gradients.
-    grads: Vec<LogZGradient>,
+    /// Per-member conditional means.
+    mu: Vec<f64>,
+    /// Per-member sweep output.
+    out: Vec<BinomialNormalMoments>,
     /// One member's observed-block solve.
     w: Vec<f64>,
 }
@@ -307,7 +288,7 @@ impl<'a> CpeLikelihoodKernel<'a> {
             target: num_prior_domains,
             batch: BinomialNormalBatch::new_with_math(quadrature, math),
             counts,
-            scratch: RefCell::new(KernelScratch::default()),
+            blocks: RefCell::new(Vec::new()),
             threads: OnceCell::new(),
         }
     }
@@ -318,131 +299,35 @@ impl<'a> CpeLikelihoodKernel<'a> {
     }
 
     /// Marginal log-likelihood of every observation under `model` (one `log Z`
-    /// of Eq. 5 per observation, in original observation order): one batched
-    /// log-Z sweep over the shared node tables per unique mask.
+    /// of Eq. 5 per observation, in original observation order), read from
+    /// the [`e_step`](Self::e_step).
     pub fn per_observation_log_likelihood(
         &self,
         model: &MultivariateNormal,
     ) -> Result<Vec<f64>, SelectionError> {
-        let mut out = vec![0.0; self.observations.len()];
-        let mut scratch = self.scratch.borrow_mut();
-        let s = &mut *scratch;
-        for (group, counts) in self.groups.groups().iter().zip(&self.counts) {
-            let sigma = self.conditional_means(model, group, &mut s.mu, &mut s.w)?;
-            s.log_z.clear();
-            s.log_z.resize(s.mu.len(), 0.0);
-            // log-Z only: the posterior-mean integral is prediction-side work,
-            // and skipping it here halves the quadrature cost of the sweep
-            // without touching a bit of `log Z`.
-            self.batch.log_z_with_scratch(
-                sigma,
-                &s.mu,
-                &counts.correct,
-                &counts.wrong,
-                &mut s.log_z,
-                &mut s.quad,
-            );
-            for (&position, &lz) in group.members().iter().zip(&s.log_z) {
-                out[position] = lz;
-            }
-        }
-        Ok(out)
+        Ok(self
+            .e_step(model)?
+            .moments
+            .iter()
+            .map(|m| m.log_z)
+            .collect())
     }
 
-    /// Total marginal log-likelihood under `model` (Eq. 5), accumulated in the
-    /// original observation order so the sum is bit-identical to the
-    /// per-observation loop it replaces.
+    /// Total marginal log-likelihood under `model` (Eq. 5): the
+    /// [`e_step`](Self::e_step)'s, accumulated in the original observation
+    /// order so the sum is bit-identical to the per-observation loop it
+    /// replaces.
     pub fn log_likelihood(&self, model: &MultivariateNormal) -> Result<f64, SelectionError> {
-        let per_observation = self.per_observation_log_likelihood(model)?;
-        let mut total = 0.0;
-        for term in per_observation {
-            total += term;
-        }
-        Ok(total)
+        Ok(self.e_step(model)?.log_likelihood)
     }
 
     /// Predicted target-domain accuracy of every observation (Eq. 8), in
-    /// original observation order.
-    ///
-    /// With `use_posterior` the posterior incorporates the worker's observed
-    /// correct/wrong counts; otherwise only the cross-domain conditional.
-    ///
-    /// A member whose normaliser or posterior mean is non-finite — a
-    /// conditional far narrower than the quadrature rule resolves, so the
-    /// integrand underflows at every node — gets its conditional mean `mu`,
-    /// the `sigma -> 0` limit of the posterior mean. Only a non-finite `mu`
-    /// is an error.
-    pub fn predict(
-        &self,
-        model: &MultivariateNormal,
-        use_posterior: bool,
-    ) -> Result<Vec<f64>, SelectionError> {
-        let mut out = vec![0.0; self.observations.len()];
-        let mut scratch = self.scratch.borrow_mut();
-        let s = &mut *scratch;
-        for (group, counts) in self.groups.groups().iter().zip(&self.counts) {
-            let sigma = self.conditional_means(model, group, &mut s.mu, &mut s.w)?;
-            s.log_z.clear();
-            s.log_z.resize(s.mu.len(), 0.0);
-            s.mean.clear();
-            s.mean.resize(s.mu.len(), 0.0);
-            let (c, x): (&[f64], &[f64]) = if use_posterior {
-                (&counts.correct, &counts.wrong)
-            } else {
-                s.zeros.clear();
-                s.zeros.resize(s.mu.len(), 0.0);
-                (&s.zeros, &s.zeros)
-            };
-            self.batch.moments_with_scratch(
-                sigma,
-                &s.mu,
-                c,
-                x,
-                &mut s.log_z,
-                &mut s.mean,
-                &mut s.quad,
-            );
-            for (((&position, &lz), &posterior_mean), &mu) in
-                group.members().iter().zip(&s.log_z).zip(&s.mean).zip(&s.mu)
-            {
-                let prediction = if lz.is_finite() && posterior_mean.is_finite() {
-                    posterior_mean
-                } else if mu.is_finite() {
-                    mu
-                } else {
-                    return Err(SelectionError::Numerical(
-                        "CPE prediction integral did not converge".to_string(),
-                    ));
-                };
-                out[position] = prediction.clamp(0.0, 1.0);
-            }
-        }
-        Ok(out)
-    }
-
-    /// Conditions `model` on one group's mask: **one** [`Conditioner`] per
-    /// unique mask, one allocation-free `O(g^2)` triangular solve per member
-    /// (staged through `w`). The per-member conditional means land in `mu`
-    /// (cleared first); the returned value is the group's shared conditional
-    /// standard deviation (value-independent, and bit-identical to the
-    /// historical per-member `Conditional1D::std_dev()` — both are
-    /// `conditioner.variance().sqrt()`).
-    fn conditional_means(
-        &self,
-        model: &MultivariateNormal,
-        group: &MaskGroup,
-        mu: &mut Vec<f64>,
-        w: &mut Vec<f64>,
-    ) -> Result<f64, SelectionError> {
-        let conditioner: Conditioner = model.conditioner(self.target, group.observed_idx())?;
-        let sigma = conditioner.variance().sqrt();
-        w.clear();
-        w.resize(conditioner.num_given(), 0.0);
-        mu.clear();
-        for values in group.values() {
-            mu.push(conditioner.condition_into(values, w)?);
-        }
-        Ok(sigma)
+    /// original observation order: the [`e_step`](Self::e_step)'s posterior
+    /// means, which incorporate each worker's observed correct/wrong counts
+    /// (see [`EStep::predictions`](e_step::EStep::predictions) for the
+    /// clamp and the underflow fallback).
+    pub fn predict(&self, model: &MultivariateNormal) -> Result<Vec<f64>, SelectionError> {
+        self.e_step(model)?.predictions()
     }
 
     /// Thread cap of the blocked E-step sweep (see [`SWEEP_BLOCK`]).
@@ -465,8 +350,7 @@ pub fn observed_domains(obs: &CpeObservation, num_domains: usize) -> (Vec<usize>
     (idx, values)
 }
 
-// The binomial×normal integrand itself lives in `c4u_stats` (alongside its
-// closed-form derivatives, which the [`e_step`] layer consumes); the kernel
+// The binomial×normal integrand itself lives in `c4u_stats`; the kernel
 // re-exports the scalar forms so existing callers keep their import paths.
 // The kernel's own hot paths no longer call them per worker — whole mask
 // groups go through one `BinomialNormalBatch` sweep — but the scalar forms
@@ -573,7 +457,7 @@ mod tests {
     fn unresolvable_integrals_predict_the_conditional_mean() {
         // A target-domain sd of 1e-4 leaves every conditional far narrower
         // than the spacing of the 32 nodes, so log Z underflows for every
-        // member, with and without the answer counts.
+        // member.
         let observations = vec![
             obs(&[Some(0.9), Some(0.8)], 5, 5),
             obs(&[None, Some(0.4)], 3, 7),
@@ -585,20 +469,14 @@ mod tests {
         let model =
             MultivariateNormal::from_correlations(&[0.6, 0.6, 0.5], &[0.2, 0.2, 1e-4], &rho)
                 .unwrap();
-        for use_posterior in [false, true] {
-            let predictions = kernel.predict(&model, use_posterior).unwrap();
-            for (o, &prediction) in observations.iter().zip(&predictions) {
-                let (idx, values) = observed_domains(o, 2);
-                let cond = model.condition_on(2, &idx, &values).unwrap();
-                let (c, x) = if use_posterior {
-                    (o.correct as f64, o.wrong as f64)
-                } else {
-                    (0.0, 0.0)
-                };
-                let log_z = binomial_normal_log_z(&quadrature, cond.mean, cond.std_dev(), c, x);
-                assert_eq!(log_z, f64::NEG_INFINITY);
-                assert_eq!(prediction, cond.mean.clamp(0.0, 1.0));
-            }
+        let predictions = kernel.predict(&model).unwrap();
+        for (o, &prediction) in observations.iter().zip(&predictions) {
+            let (idx, values) = observed_domains(o, 2);
+            let cond = model.condition_on(2, &idx, &values).unwrap();
+            let (c, x) = (o.correct as f64, o.wrong as f64);
+            let log_z = binomial_normal_log_z(&quadrature, cond.mean, cond.std_dev(), c, x);
+            assert_eq!(log_z, f64::NEG_INFINITY);
+            assert_eq!(prediction, cond.mean.clamp(0.0, 1.0));
         }
     }
 
@@ -616,14 +494,12 @@ mod tests {
         let model =
             MultivariateNormal::from_correlations(&[0.6, 0.6, 0.5], &[0.2, 0.2, 0.15], &rho)
                 .unwrap();
-        for use_posterior in [false, true] {
-            assert_eq!(
-                kernel.predict(&model, use_posterior),
-                Err(SelectionError::Numerical(
-                    "CPE prediction integral did not converge".to_string()
-                ))
-            );
-        }
+        assert_eq!(
+            kernel.predict(&model),
+            Err(SelectionError::Numerical(
+                "CPE prediction integral did not converge".to_string()
+            ))
+        );
     }
 
     #[test]

@@ -1,34 +1,35 @@
 //! The E-step sweep of the CPE EM fit: each worker's posterior moments of its
-//! target-domain accuracy, with the fused Eq. 5 log-likelihood.
+//! target-domain accuracy, with the fused Eq. 5 log-likelihood and the Eq. 8
+//! predictions.
 //!
 //! The Eq. 5 objective is `L = Σ_i log Z_i` with
 //! `Z_i = ∫_0^1 h^{C_i} (1-h)^{X_i} N(h; m_i, v) dh`, where `(m_i, v)` are the
 //! conditional mean and variance of the target accuracy given worker `i`'s
-//! observed prior domains. [`c4u_stats::BinomialNormalBatch::log_z_gradients`]
-//! (over the kernel's shared SoA node tables) supplies `log Z_i`,
-//! `∂ log Z_i / ∂ m_i` and `∂ log Z_i / ∂ v` in one vectorised sweep per block
-//! of a mask group (the variance — and therefore the quadrature tables — is
-//! shared by every member of a group). The exponential-tilting identities of
-//! `c4u_stats::binomial_normal` turn the two derivatives into the posterior
-//! moments of `h` under `p(h) ∝ h^C (1-h)^X N(h; m, v)`:
+//! observed prior domains. [`c4u_stats::BinomialNormalBatch::moments`] (over
+//! the kernel's shared SoA node tables) integrates, in one vectorised sweep
+//! per block of a mask group (the variance — and therefore the quadrature
+//! tables — is shared by every member of a group), the normaliser and the
+//! first two moments of `h` under `p(h) ∝ h^C (1-h)^X N(h; m, v)`:
 //!
 //! ```text
-//! E[h]         = m + v · ∂ log Z / ∂ m
-//! E[(h - m)^2] = v + 2 v^2 · ∂ log Z / ∂ v
-//! Var[h]       = E[(h - m)^2] - (E[h] - m)^2
+//! E[h]         = M1 / Z
+//! Var[h]       = M2 / Z - (E[h] - m)^2,   M2 = ∫ (h - m)^2 · integrand
 //! ```
 //!
 //! Those two moments per worker are everything the closed-form M-step of
-//! `CrossDomainEstimator::update` needs.
+//! `CrossDomainEstimator::update` needs, `Σ_i log Z_i` is the likelihood the
+//! fit compares its iterates by, and `E[h]` is the Eq. 8 prediction
+//! ([`EStep::predictions`]), bit for bit the value a separate prediction
+//! sweep would integrate.
 //!
-//! An observation whose normaliser underflows (`log Z = -inf`) gets zero
-//! derivatives from the sweep, so its moments are its conditional prior
-//! `(m, v)`; the M-step skips it, as its counts could not be weighed.
+//! An observation whose normaliser underflows (`log Z = -inf`) gets its
+//! conditional prior `(m, v)` as its moments; the M-step skips it, as its
+//! counts could not be weighed, and its prediction is its conditional mean.
 
 use super::{BlockScratch, CpeLikelihoodKernel, SWEEP_BLOCK};
 use crate::SelectionError;
 use c4u_crowd_sim::parallel::run_indexed_jobs;
-use c4u_stats::{Conditioner, LogZGradient, MultivariateNormal};
+use c4u_stats::{BinomialNormalMoments, Conditioner, MultivariateNormal};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// The posterior of one worker's target-domain accuracy `h`, given its
@@ -49,12 +50,35 @@ pub struct PosteriorMoments {
 #[derive(Debug, Clone, PartialEq)]
 pub struct EStep {
     /// `Σ_i log Z_i`, summed in observation order (may be `-inf` when some
-    /// normaliser underflows). It comes from the same sweep as the moments,
-    /// so it can differ from [`CpeLikelihoodKernel::log_likelihood`] in the
-    /// last ulp.
+    /// normaliser underflows): bit for bit
+    /// [`CpeLikelihoodKernel::log_likelihood`], which reads it from here.
     pub log_likelihood: f64,
     /// Per-observation posterior moments, in original observation order.
     pub moments: Vec<PosteriorMoments>,
+}
+
+impl EStep {
+    /// The Eq. 8 prediction of every observation, in original observation
+    /// order: its posterior mean clamped to `[0, 1]`.
+    ///
+    /// A member whose normaliser underflowed — a conditional far narrower
+    /// than the quadrature rule resolves, so the integrand underflows at
+    /// every node — predicts its conditional mean `m`, the `sigma -> 0`
+    /// limit of the posterior mean. Only a non-finite `m` is an error.
+    pub fn predictions(&self) -> Result<Vec<f64>, SelectionError> {
+        self.moments
+            .iter()
+            .map(|m| {
+                if m.mean.is_finite() {
+                    Ok(m.mean.clamp(0.0, 1.0))
+                } else {
+                    Err(SelectionError::Numerical(
+                        "CPE prediction integral did not converge".to_string(),
+                    ))
+                }
+            })
+            .collect()
+    }
 }
 
 impl CpeLikelihoodKernel<'_> {
@@ -82,13 +106,12 @@ impl CpeLikelihoodKernel<'_> {
         threads: impl Fn() -> usize,
     ) -> Result<EStep, SelectionError> {
         let mut moments = vec![PosteriorMoments::default(); self.observations.len()];
-        let mut scratch = self.scratch.borrow_mut();
-        let s = &mut *scratch;
+        let mut blocks = self.blocks.borrow_mut();
 
         for (group, counts) in self.groups.groups().iter().zip(&self.counts) {
             let conditioner: Conditioner = model.conditioner(self.target, group.observed_idx())?;
             let sigma = conditioner.variance().sqrt();
-            // The variance the sweep differentiates by (it floors sigma at
+            // The conditional prior's variance (the sweep floors sigma at
             // 1e-6, which the conditioner's 1e-12 variance floor already
             // guarantees).
             let v = sigma * sigma;
@@ -96,13 +119,14 @@ impl CpeLikelihoodKernel<'_> {
 
             // Per-member phase, one job per block: conditional means staged
             // into the block's reused buffers, then one vectorised sweep
-            // (log Z, ∂/∂m, ∂/∂v) over the kernel's shared SoA node tables.
+            // (log Z, E[h], E[(h - m)^2]) over the kernel's shared SoA node
+            // tables.
             let members = group.members().len();
             let num_blocks = members.div_ceil(SWEEP_BLOCK);
-            if s.blocks.len() < num_blocks {
-                s.blocks.resize_with(num_blocks, Default::default);
+            if blocks.len() < num_blocks {
+                blocks.resize_with(num_blocks, Default::default);
             }
-            let blocks = &s.blocks[..num_blocks];
+            let blocks = &blocks[..num_blocks];
             let threads = if num_blocks > 1 { threads() } else { 1 };
             // The jobs borrow fields, not `self`: the kernel is `!Sync`.
             let (batch, values, conditioner) = (&self.batch, group.values(), &conditioner);
@@ -110,31 +134,48 @@ impl CpeLikelihoodKernel<'_> {
                 let range = b * SWEEP_BLOCK..((b + 1) * SWEEP_BLOCK).min(members);
                 let mut block = lock(&blocks[b]);
                 let block = &mut *block;
-                block.obs.clear();
                 block.w.clear();
                 block.w.resize(g, 0.0);
-                for m in range.clone() {
-                    let mean = conditioner.condition_into(&values[m], &mut block.w)?;
-                    block.obs.push((mean, counts.correct[m], counts.wrong[m]));
+                block.mu.clear();
+                for values in &values[range.clone()] {
+                    block
+                        .mu
+                        .push(conditioner.condition_into(values, &mut block.w)?);
                 }
-                block.grads.clear();
-                block.grads.resize(range.len(), LogZGradient::default());
-                batch.log_z_gradients_into(sigma, &block.obs, &mut block.grads, &mut block.quad);
+                block.out.clear();
+                block
+                    .out
+                    .resize(range.len(), BinomialNormalMoments::default());
+                batch.moments_with_scratch(
+                    sigma,
+                    &block.mu,
+                    &counts.correct[range.clone()],
+                    &counts.wrong[range],
+                    &mut block.out,
+                    &mut block.quad,
+                );
                 Ok(())
             })?;
 
             let mut positions = group.members().iter();
             for block in blocks {
                 let block = lock(block);
-                for (grad, (&(m, _, _), &position)) in
-                    block.grads.iter().zip(block.obs.iter().zip(&mut positions))
+                for (out, (&m, &position)) in
+                    block.out.iter().zip(block.mu.iter().zip(&mut positions))
                 {
-                    let shift = v * grad.d_mean;
-                    let second = v + 2.0 * v * v * grad.d_variance;
-                    moments[position] = PosteriorMoments {
-                        log_z: grad.log_z,
-                        mean: m + shift,
-                        variance: (second - shift * shift).max(0.0),
+                    moments[position] = if out.log_z.is_finite() {
+                        let shift = out.mean - m;
+                        PosteriorMoments {
+                            log_z: out.log_z,
+                            mean: out.mean,
+                            variance: (out.second - shift * shift).max(0.0),
+                        }
+                    } else {
+                        PosteriorMoments {
+                            log_z: out.log_z,
+                            mean: m,
+                            variance: v,
+                        }
                     };
                 }
             }
@@ -191,27 +232,67 @@ mod tests {
         MultivariateNormal::new(Vector::from_slice(&[0.6, 0.55, 0.5]), covariance).unwrap()
     }
 
+    /// A full mask of 2500 members (three sweep blocks, the last one ragged)
+    /// and a partial mask of 100.
+    fn multi_block_observations() -> Vec<CpeObservation> {
+        (0..2600)
+            .map(|i| CpeObservation {
+                prior_accuracies: vec![
+                    Some(0.05 + 0.9 * ((i * 37) % 101) as f64 / 100.0),
+                    (i % 26 != 0).then_some(0.05 + 0.9 * ((i * 53) % 89) as f64 / 88.0),
+                ],
+                correct: (i * 7) % 13,
+                wrong: 12 - (i * 7) % 13,
+            })
+            .collect()
+    }
+
+    /// The scalar oracle's `(log Z, E[h])` of one observation, conditioned
+    /// per observation.
+    fn scalar_moments(
+        model: &MultivariateNormal,
+        quadrature: &GaussLegendre,
+        o: &CpeObservation,
+    ) -> (f64, f64) {
+        let (idx, values) = super::super::observed_domains(o, 2);
+        let cond = model.condition_on(2, &idx, &values).unwrap();
+        binomial_normal_moments(
+            quadrature,
+            cond.mean,
+            cond.std_dev(),
+            o.correct as f64,
+            o.wrong as f64,
+        )
+    }
+
     #[test]
     fn fused_log_likelihood_equals_the_kernel_likelihood() {
-        let obs = observations();
         let quadrature = GaussLegendre::new(32);
-        let kernel = CpeLikelihoodKernel::new(&obs, 2, &quadrature);
         let model = fixture();
-        let e_step = kernel.e_step(&model).unwrap();
-        assert_eq!(
-            e_step.log_likelihood,
-            kernel.log_likelihood(&model).unwrap()
-        );
-        let per_observation = kernel.per_observation_log_likelihood(&model).unwrap();
-        for (moments, log_z) in e_step.moments.iter().zip(per_observation) {
-            assert_eq!(moments.log_z, log_z);
+        for obs in [observations(), multi_block_observations()] {
+            let kernel = CpeLikelihoodKernel::new(&obs, 2, &quadrature);
+            let e_step = kernel.e_step(&model).unwrap();
+            assert_eq!(
+                e_step.log_likelihood,
+                kernel.log_likelihood(&model).unwrap()
+            );
+            let per_observation = kernel.per_observation_log_likelihood(&model).unwrap();
+            // Both equal the scalar oracle's terms, summed in observation
+            // order.
+            let mut total = 0.0;
+            for ((moments, log_z), o) in e_step.moments.iter().zip(per_observation).zip(&obs) {
+                assert_eq!(moments.log_z, log_z);
+                assert_eq!(log_z, scalar_moments(&model, &quadrature, o).0);
+                total += log_z;
+            }
+            assert_eq!(e_step.log_likelihood, total);
         }
     }
 
     #[test]
     fn posterior_means_match_the_prediction_integral() {
-        // The identities give the Eq. 8 posterior mean that the prediction
-        // sweep integrates directly, to quadrature rounding.
+        // The sweep's first moment is the Eq. 8 posterior mean that the
+        // scalar oracle integrates, bit for bit.
         let obs = observations();
         let quadrature = GaussLegendre::new(32);
         let kernel = CpeLikelihoodKernel::new(&obs, 2, &quadrature);
@@ -220,21 +301,14 @@ mod tests {
         for (o, moments) in obs.iter().zip(&e_step.moments) {
             let (idx, values) = super::super::observed_domains(o, 2);
             let cond = model.condition_on(2, &idx, &values).unwrap();
-            let (_, mean) = binomial_normal_moments(
-                &quadrature,
-                cond.mean,
-                cond.std_dev(),
-                o.correct as f64,
-                o.wrong as f64,
-            );
-            assert!(
-                (moments.mean - mean).abs() < 1e-12,
-                "{} vs {mean}",
-                moments.mean
-            );
+            assert_eq!(moments.mean, scalar_moments(&model, &quadrature, o).1);
             // The counts narrow the posterior below the conditional prior.
             assert!(moments.variance > 0.0 && moments.variance < cond.variance);
         }
+        assert_eq!(
+            e_step.predictions().unwrap(),
+            kernel.predict(&model).unwrap()
+        );
     }
 
     #[test]
@@ -257,18 +331,7 @@ mod tests {
 
     #[test]
     fn blocked_sweep_is_identical_for_every_thread_count() {
-        // A full mask of 2500 members (three blocks, the last one ragged)
-        // and a partial mask of 100.
-        let obs: Vec<CpeObservation> = (0..2600)
-            .map(|i| CpeObservation {
-                prior_accuracies: vec![
-                    Some(0.05 + 0.9 * ((i * 37) % 101) as f64 / 100.0),
-                    (i % 26 != 0).then_some(0.05 + 0.9 * ((i * 53) % 89) as f64 / 88.0),
-                ],
-                correct: (i * 7) % 13,
-                wrong: 12 - (i * 7) % 13,
-            })
-            .collect();
+        let obs = multi_block_observations();
         let quadrature = GaussLegendre::new(32);
         let kernel = CpeLikelihoodKernel::new(&obs, 2, &quadrature);
         assert_eq!(kernel.groups().groups()[1].members().len(), 2500);

@@ -254,12 +254,13 @@ pub(crate) fn pool_prior_means(init: &StageInit<'_>) -> Vec<f64> {
 /// observed answer counts and emits the static estimate `p_{c,i}` per worker.
 /// It ignores its `prior` input, so it is usually the first stage.
 ///
-/// Both the update and the prediction run on the batched mask-grouped
-/// likelihood kernel (`cpe::kernel`) against the estimator's one held model:
-/// each update runs EM epochs of one E-step sweep and one closed-form M-step,
-/// at most [`CpeConfig::epochs`] of them and usually fewer (the fit stops on
-/// convergence), and the round's predictions reuse the model the update
-/// leaves behind — so every staged selector and every
+/// The update runs on the batched mask-grouped likelihood kernel
+/// (`cpe::kernel`) against the estimator's one held model: EM epochs of one
+/// E-step sweep and one closed-form M-step, at most [`CpeConfig::epochs`] of
+/// them and usually fewer (the fit stops on convergence). The round's
+/// predictions are the posterior means of the kept model's E-step, which
+/// the update returns, so a round costs `epochs + 1` sweeps per mask group
+/// and no separate prediction sweep — and every staged selector and every
 /// [`evaluate_over_trials`](crate::evaluate_over_trials) run hits the
 /// batched path.
 #[derive(Debug, Clone)]
@@ -315,10 +316,9 @@ impl EstimationStage for CpeStage {
             })
             .collect();
         // The model refinement consumes the whole round (Eq. 5 sums over every
-        // remaining worker); the per-worker Eq. 8 predictions then fan out
-        // over the round's worker shards.
-        estimator.update(&observations)?;
-        estimator.predict_batch_sharded(&observations, &ctx.worker_shards())
+        // remaining worker) and returns the per-worker Eq. 8 predictions of
+        // the model it keeps.
+        estimator.update(&observations)
     }
 
     fn target_correlations(&self) -> Option<Result<Vec<f64>, SelectionError>> {

@@ -6,7 +6,9 @@
 //! per model evaluation and per-observation prediction. The tests seed it with
 //! the exact state of a [`CrossDomainEstimator`] and require exact `f64`
 //! equality of the log-likelihood and `predict_batch` on observation sets that
-//! mix fully-observed, partially-missing, and all-missing masks.
+//! mix fully-observed, partially-missing, and all-missing masks. The E-step
+//! is pinned against the same transcription: its posterior means are the
+//! Eq. 8 predictions and its log-likelihood is Eq. 5's, bit for bit.
 //!
 //! A further test pins the *factorisation count*: one observed-block Cholesky
 //! per unique non-empty mask per objective evaluation — one E-step per EM
@@ -28,11 +30,12 @@ use c4u_selection::{
     PosteriorMoments,
 };
 use c4u_stats::{
-    conditioning_factorizations, BinomialNormalBatch, GaussLegendre, MultivariateNormal,
+    conditioning_factorizations, BinomialNormalBatch, BinomialNormalMoments, GaussLegendre,
+    MultivariateNormal,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use reference::{ReferenceConfig, ReferenceEstimator};
+use reference::{reference_log_likelihood, reference_predict, ReferenceConfig, ReferenceEstimator};
 
 fn profiles() -> Vec<HistoricalProfile> {
     vec![
@@ -72,14 +75,6 @@ fn fast_config() -> CpeConfig {
     }
 }
 
-/// The reference's prediction form follows the estimator's.
-fn reference_config(config: CpeConfig) -> ReferenceConfig {
-    ReferenceConfig {
-        use_posterior_prediction: config.use_posterior_prediction,
-        ..ReferenceConfig::fast(config.epochs)
-    }
-}
-
 fn estimator(config: CpeConfig) -> CrossDomainEstimator {
     let profiles = profiles();
     let refs: Vec<&HistoricalProfile> = profiles.iter().collect();
@@ -90,7 +85,7 @@ fn estimator(config: CpeConfig) -> CrossDomainEstimator {
 fn log_likelihood_matches_reference_bit_for_bit() {
     let config = fast_config();
     let est = estimator(config);
-    let reference = ReferenceEstimator::from_estimator(&est, reference_config(config));
+    let reference = ReferenceEstimator::from_estimator(&est, ReferenceConfig::fast(config.epochs));
     let observations = mixed_observations();
     // Exact f64 equality: the kernel must not change a single bit.
     assert_eq!(
@@ -101,24 +96,41 @@ fn log_likelihood_matches_reference_bit_for_bit() {
 
 #[test]
 fn predict_batch_matches_reference_bit_for_bit() {
-    for use_posterior in [true, false] {
-        let config = CpeConfig {
-            use_posterior_prediction: use_posterior,
-            ..fast_config()
-        };
-        let mut est = estimator(config);
-        let observations = mixed_observations();
-        // Exercise the post-update model, not just the initial one.
-        est.update(&observations).unwrap();
-        let reference = ReferenceEstimator::from_estimator(&est, reference_config(config));
-        assert_eq!(
-            est.predict_batch(&observations).unwrap(),
-            reference.predict_batch(&observations)
-        );
-        // The single-observation path is the batch path.
-        for obs in &observations {
-            assert_eq!(est.predict(obs).unwrap(), reference.predict(obs));
+    let config = fast_config();
+    let mut est = estimator(config);
+    let observations = mixed_observations();
+    // Exercise the post-update model, not just the initial one.
+    let updated = est.update(&observations).unwrap();
+    let reference = ReferenceEstimator::from_estimator(&est, ReferenceConfig::fast(config.epochs));
+    let expected = reference.predict_batch(&observations);
+    assert_eq!(est.predict_batch(&observations).unwrap(), expected);
+    // The update's own predictions are those of the model it keeps.
+    assert_eq!(updated, expected);
+    // The single-observation path is the batch path.
+    for obs in &observations {
+        assert_eq!(est.predict(obs).unwrap(), reference.predict(obs));
+    }
+}
+
+#[test]
+fn e_step_means_are_the_eq8_predictions_bit_for_bit() {
+    let mut est = estimator(fast_config());
+    let observations = mixed_observations();
+    let quadrature = GaussLegendre::new(CpeConfig::QUADRATURE_ORDER);
+    let kernel = CpeLikelihoodKernel::new(&observations, 3, &quadrature);
+    let initial = est.model().clone();
+    est.update(&observations).unwrap();
+    for model in [&initial, est.model()] {
+        let e_step = kernel.e_step(model).unwrap();
+        let predictions = reference_predict(model, &quadrature, 3, &observations);
+        for (moments, prediction) in e_step.moments.iter().zip(predictions) {
+            assert_eq!(moments.mean, prediction);
         }
+        assert_eq!(e_step.log_likelihood, kernel.log_likelihood(model).unwrap());
+        assert_eq!(
+            e_step.log_likelihood,
+            reference_log_likelihood(model, &quadrature, 3, &observations)
+        );
     }
 }
 
@@ -187,9 +199,10 @@ fn large_mixed_observations() -> Vec<CpeObservation> {
 /// Transcription of the serial per-member E-step loop that the blocked sweep
 /// runs: every member conditioned with
 /// [`c4u_stats::Conditioner::condition`], one
-/// [`BinomialNormalBatch::log_z_gradients`] sweep over the whole mask group,
-/// the exponential-tilting identities per member, and the log-likelihood
-/// summed in observation order.
+/// [`BinomialNormalBatch::moments`] sweep over the whole mask group, the
+/// posterior variance `E[(h - m)^2] - (E[h] - m)^2` per member (the
+/// conditional prior for an underflowed one), and the log-likelihood summed
+/// in observation order.
 fn serial_e_step(
     model: &MultivariateNormal,
     batch: &BinomialNormalBatch,
@@ -210,21 +223,29 @@ fn serial_e_step(
         let conditioner = model.conditioner(d, idx).unwrap();
         let sigma = conditioner.variance().sqrt();
         let v = sigma * sigma;
-        let mut obs = Vec::new();
+        let (mut mu, mut c, mut x) = (Vec::new(), Vec::new(), Vec::new());
         for &position in members {
             let (_, values) = observed_domains(&observations[position], d);
-            let cond = conditioner.condition(&values).unwrap();
             let o = &observations[position];
-            obs.push((cond.mean, o.correct as f64, o.wrong as f64));
+            mu.push(conditioner.condition(&values).unwrap().mean);
+            c.push(o.correct as f64);
+            x.push(o.wrong as f64);
         }
-        let grads = batch.log_z_gradients(sigma, &obs);
-        for ((&position, grad), &(m, _, _)) in members.iter().zip(&grads).zip(&obs) {
-            let shift = v * grad.d_mean;
-            let second = v + 2.0 * v * v * grad.d_variance;
-            moments[position] = PosteriorMoments {
-                log_z: grad.log_z,
-                mean: m + shift,
-                variance: (second - shift * shift).max(0.0),
+        let mut out = vec![BinomialNormalMoments::default(); members.len()];
+        batch.moments(sigma, &mu, &c, &x, &mut out);
+        for ((&position, out), &m) in members.iter().zip(&out).zip(&mu) {
+            moments[position] = if out.log_z.is_finite() {
+                PosteriorMoments {
+                    log_z: out.log_z,
+                    mean: out.mean,
+                    variance: (out.second - (out.mean - m) * (out.mean - m)).max(0.0),
+                }
+            } else {
+                PosteriorMoments {
+                    log_z: out.log_z,
+                    mean: m,
+                    variance: v,
+                }
             };
         }
     }

@@ -10,7 +10,7 @@
 //! * the central-difference gradient (`reference::gradient_with_step`) of the
 //!   packed-parameter objective (the quantity the historical Eq. 6–7 update
 //!   consumed), and
-//! * the batch predictions (Eq. 8), with and without the posterior counts.
+//! * the batch predictions (Eq. 8).
 
 mod reference;
 
@@ -139,18 +139,15 @@ proptest! {
     #[test]
     fn kernel_predictions_match_reference(
         observations in prop::collection::vec(observation_strategy(), 1..8),
-        use_posterior in 0u8..2,
     ) {
         let observations = with_boundary_masks(observations);
-        let use_posterior = use_posterior == 1;
         let est = estimator();
         let model = est.model().clone();
         let quadrature = GaussLegendre::new(CpeConfig::QUADRATURE_ORDER);
         let kernel = CpeLikelihoodKernel::new(&observations, NUM_DOMAINS, &quadrature);
 
-        let batched = kernel.predict(&model, use_posterior).unwrap();
-        let expected =
-            reference_predict(&model, &quadrature, NUM_DOMAINS, &observations, use_posterior);
+        let batched = kernel.predict(&model).unwrap();
+        let expected = reference_predict(&model, &quadrature, NUM_DOMAINS, &observations);
         prop_assert_eq!(batched, expected);
     }
 

@@ -91,15 +91,10 @@ fn scalar_moments(
     model: &MultivariateNormal,
     quadrature: &GaussLegendre,
     obs: &CpeObservation,
-    use_posterior: bool,
 ) -> (f64, f64, f64) {
     let (idx, values) = observed_domains(obs, NUM_DOMAINS);
     let cond = model.condition_on(NUM_DOMAINS, &idx, &values).unwrap();
-    let (c, x) = if use_posterior {
-        (obs.correct as f64, obs.wrong as f64)
-    } else {
-        (0.0, 0.0)
-    };
+    let (c, x) = (obs.correct as f64, obs.wrong as f64);
     let (log_z, mean) = binomial_normal_moments(quadrature, cond.mean, cond.std_dev(), c, x);
     (log_z, mean, cond.mean)
 }
@@ -136,20 +131,18 @@ proptest! {
     #[test]
     fn predictions_over_extreme_mask_groups_match_scalar_bitwise(
         observations in prop::collection::vec(large_count_observation(), 1..8),
-        use_posterior in 0u8..2,
     ) {
         let observations = with_edge_observations(observations);
-        let use_posterior = use_posterior == 1;
         let est = estimator();
         let model = est.model().clone();
         let quadrature = GaussLegendre::new(CpeConfig::QUADRATURE_ORDER);
         let kernel = CpeLikelihoodKernel::new(&observations, NUM_DOMAINS, &quadrature);
 
-        let predictions = kernel.predict(&model, use_posterior).unwrap();
+        let predictions = kernel.predict(&model).unwrap();
         prop_assert_eq!(predictions.len(), observations.len());
         for (i, (lz, mean, mu)) in observations
             .iter()
-            .map(|obs| scalar_moments(&model, &quadrature, obs, use_posterior))
+            .map(|obs| scalar_moments(&model, &quadrature, obs))
             .enumerate()
         {
             // Bit-exact against the scalar oracle; where the oracle

@@ -86,16 +86,11 @@ proptest! {
             1e-11
         ));
 
-        // Predictions, with and without the posterior counts.
-        for use_posterior in [true, false] {
-            let p_e = exact.predict(&model, use_posterior).unwrap();
-            let p_f = fast.predict(&model, use_posterior).unwrap();
-            for (i, (&e, &f)) in p_e.iter().zip(&p_f).enumerate() {
-                prop_assert!(
-                    (e - f).abs() <= 1e-11,
-                    "obs {} (posterior {}): prediction {} vs {}", i, use_posterior, e, f
-                );
-            }
+        // Predictions.
+        let p_e = exact.predict(&model).unwrap();
+        let p_f = fast.predict(&model).unwrap();
+        for (i, (&e, &f)) in p_e.iter().zip(&p_f).enumerate() {
+            prop_assert!((e - f).abs() <= 1e-11, "obs {}: prediction {} vs {}", i, e, f);
         }
 
         // The E-step: fused log-likelihood and per-member posterior moments.

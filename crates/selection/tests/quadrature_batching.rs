@@ -4,16 +4,21 @@
 //! The `c4u_stats` sweep counters must show that a likelihood evaluation and a
 //! `predict_batch` pass cost `O(unique_masks)` batched structure-of-arrays
 //! sweeps — one per mask group, **not** one scalar
-//! `binomial_normal_moments`/`binomial_normal_log_z` call per worker — and
-//! that the scalar functions survive purely as the cross-check oracle (zero
-//! scalar evaluations on the hot paths). Output equality with the scalar
+//! `binomial_normal_moments`/`binomial_normal_log_z` call per worker — that a
+//! CPE stage round costs one E-step sweep per mask group per evaluated model
+//! and no separate prediction sweep, and that the scalar functions survive
+//! purely as the cross-check oracle (zero scalar evaluations on the hot
+//! paths). Output equality with the scalar
 //! per-observation path is pinned bit for bit against the shared reference
 //! transcription; there is no accepted non-bit-exactness.
 
 mod reference;
 
-use c4u_crowd_sim::HistoricalProfile;
-use c4u_selection::{CpeConfig, CpeObservation, CrossDomainEstimator};
+use c4u_crowd_sim::{generate, DatasetConfig, HistoricalProfile, Platform};
+use c4u_selection::{
+    num_prior_domains, CpeConfig, CpeObservation, CpeStage, CrossDomainEstimator, EstimationStage,
+    MaskGroups, RoundContext, RoundHeader, StageInit,
+};
 use c4u_stats::{batched_quadrature_sweeps, scalar_quadrature_evaluations};
 use reference::{ReferenceConfig, ReferenceEstimator};
 
@@ -71,7 +76,7 @@ fn likelihood_costs_one_batched_sweep_per_unique_mask() {
     est.log_likelihood(&observations).unwrap();
     let (sweeps_after, scalar_after) = counters();
 
-    // One batched log-Z sweep per mask group — the empty mask included — and
+    // One batched E-step sweep per mask group — the empty mask included — and
     // no scalar fallback anywhere on the path.
     assert_eq!(sweeps_after - sweeps_before, UNIQUE_MASKS);
     assert_eq!(scalar_after, scalar_before);
@@ -79,25 +84,76 @@ fn likelihood_costs_one_batched_sweep_per_unique_mask() {
 
 #[test]
 fn predict_batch_costs_one_batched_sweep_per_unique_mask() {
-    for use_posterior in [true, false] {
-        let config = CpeConfig {
-            use_posterior_prediction: use_posterior,
-            ..CpeConfig::default()
-        };
-        let est = estimator(config);
-        let observations = mixed_observations();
+    let est = estimator(CpeConfig::default());
+    let observations = mixed_observations();
 
-        let (sweeps_before, scalar_before) = counters();
-        est.predict_batch(&observations).unwrap();
-        let (sweeps_after, scalar_after) = counters();
+    let (sweeps_before, scalar_before) = counters();
+    est.predict_batch(&observations).unwrap();
+    let (sweeps_after, scalar_after) = counters();
 
-        assert_eq!(
-            sweeps_after - sweeps_before,
-            UNIQUE_MASKS,
-            "use_posterior={use_posterior}"
-        );
-        assert_eq!(scalar_after, scalar_before);
-    }
+    assert_eq!(sweeps_after - sweeps_before, UNIQUE_MASKS);
+    assert_eq!(scalar_after, scalar_before);
+}
+
+#[test]
+fn a_cpe_stage_round_costs_one_sweep_per_mask_per_e_step() {
+    // RW-1's first round, every mask group within one sweep block, so every
+    // sweep runs (and is counted) on this thread.
+    let dataset = generate(&DatasetConfig::rw1()).unwrap();
+    let mut platform = Platform::from_dataset(&dataset, 5).unwrap();
+    let ids = platform.worker_ids();
+    let mut stage = CpeStage::new(CpeConfig::default());
+    let d = {
+        let profiles = platform.profiles();
+        let d = num_prior_domains(&profiles);
+        stage
+            .initialize(&StageInit {
+                profiles: &profiles,
+                num_prior_domains: d,
+                initial_target_accuracy: 0.5,
+            })
+            .unwrap();
+        d
+    };
+    let record = platform.assign_learning_batch(&ids, 6).unwrap();
+    let profiles: Vec<&HistoricalProfile> = record
+        .sheets
+        .iter()
+        .map(|s| platform.profile(s.worker).unwrap())
+        .collect();
+    let ctx = RoundContext {
+        header: RoundHeader {
+            round: 1,
+            total_rounds: 3,
+            delta: 0.1,
+            sheets: &record.sheets,
+        },
+        profiles: &profiles,
+        cumulative_tasks: &[0.0, 6.0],
+        num_shards: 2,
+    };
+    let observations: Vec<CpeObservation> = record
+        .sheets
+        .iter()
+        .zip(&profiles)
+        .map(|(sheet, profile)| {
+            CpeObservation::from_profile(profile, sheet.correct(), sheet.wrong())
+        })
+        .collect();
+    let masks = MaskGroups::build(&observations, d).num_unique_masks() as u64;
+
+    let (sweeps_before, scalar_before) = counters();
+    let scores = stage.estimate(&ctx, &[]).unwrap();
+    let (sweeps_after, scalar_after) = counters();
+
+    // The start's E-step and one per epoch; the scores are the kept
+    // model's E-step means, not a further sweep.
+    let estimator = stage.estimator().unwrap();
+    let epochs = estimator.last_fit().unwrap().epochs as u64;
+    assert!(epochs >= 1, "{epochs} epochs");
+    assert_eq!(sweeps_after - sweeps_before, (epochs + 1) * masks);
+    assert_eq!(scalar_after, scalar_before);
+    assert_eq!(scores, estimator.predict_batch(&observations).unwrap());
 }
 
 #[test]

@@ -106,24 +106,20 @@ pub fn reference_log_likelihood(
     total
 }
 
-/// Per-observation reference for the batch prediction (Eq. 8).
+/// Per-observation reference for the batch prediction (Eq. 8): the
+/// posterior mean given the profile and the counts.
 pub fn reference_predict(
     model: &MultivariateNormal,
     quadrature: &GaussLegendre,
     num_domains: usize,
     observations: &[CpeObservation],
-    use_posterior: bool,
 ) -> Vec<f64> {
     observations
         .iter()
         .map(|obs| {
             let (idx, values) = observed_domains(obs, num_domains);
             let cond = model.condition_on(num_domains, &idx, &values).unwrap();
-            let (c, x) = if use_posterior {
-                (obs.correct as f64, obs.wrong as f64)
-            } else {
-                (0.0, 0.0)
-            };
+            let (c, x) = (obs.correct as f64, obs.wrong as f64);
             let (log_z, posterior_mean) =
                 binomial_normal_moments(quadrature, cond.mean, cond.std_dev(), c, x);
             assert!(log_z.is_finite() && posterior_mean.is_finite());
@@ -132,8 +128,8 @@ pub fn reference_predict(
         .collect()
 }
 
-/// The knobs of the reference update: the paper's two learning rates, the
-/// epoch count and the prediction form.
+/// The knobs of the reference update: the paper's two learning rates and the
+/// epoch count.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReferenceConfig {
     /// Learning rate for the mean vector (`r1` of Eq. 6; paper `1e-7`).
@@ -142,17 +138,14 @@ pub struct ReferenceConfig {
     pub covariance_learning_rate: f64,
     /// Gradient epochs per update (`G`; paper 50).
     pub epochs: usize,
-    /// Posterior (`true`) or prior-only Eq. 8 prediction.
-    pub use_posterior_prediction: bool,
 }
 
 impl ReferenceConfig {
-    /// The paper's rates and epoch count (Sec. V-C), posterior prediction.
+    /// The paper's rates and epoch count (Sec. V-C).
     pub const PAPER: Self = Self {
         mean_learning_rate: 1e-7,
         covariance_learning_rate: 1e-4,
         epochs: 50,
-        use_posterior_prediction: true,
     };
 
     /// Larger rates and few epochs: real parameter movement, fast tests.
@@ -161,7 +154,6 @@ impl ReferenceConfig {
             mean_learning_rate: 1e-4,
             covariance_learning_rate: 1e-4,
             epochs,
-            ..Self::PAPER
         }
     }
 }
@@ -252,7 +244,6 @@ impl ReferenceEstimator {
             &self.quadrature,
             self.d,
             std::slice::from_ref(obs),
-            self.config.use_posterior_prediction,
         )[0]
     }
 

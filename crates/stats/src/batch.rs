@@ -1,22 +1,29 @@
 //! Batched structure-of-arrays evaluation of the binomial×normal integrals.
 //!
-//! The CPE hot paths — the likelihood inside `update()` and the Eq. 8
-//! posterior-mean integral inside `predict_batch()` — evaluate the same
-//! integrand `h^C (1-h)^X N(h; mu, sigma^2)` for every worker of a mask group,
-//! over the *same* Gauss–Legendre nodes and with the *same* conditional
-//! `sigma`. The scalar functions in [`crate::binomial_normal`] recompute the
-//! node logarithms `ln h` / `ln(1-h)` and the peak-bracketing grid once per
+//! The CPE E-step — and with it the Eq. 5 likelihood and the Eq. 8
+//! prediction — integrates the same integrand
+//! `h^C (1-h)^X N(h; mu, sigma^2)` for every worker of a mask group, over the
+//! *same* Gauss–Legendre nodes and with the *same* conditional `sigma`. The
+//! scalar functions in [`crate::binomial_normal`] recompute the node
+//! logarithms `ln h` / `ln(1-h)` and the peak-bracketing grid once per
 //! worker; [`BinomialNormalBatch`] tabulates them once per rule into flat
 //! contiguous buffers and then sweeps a whole `(mu, c, x)` batch over them in
 //! node-major inner loops.
+//!
+//! There is one sweep, [`BinomialNormalBatch::moments`]. Per worker its fold
+//! accumulates three sums over the shifted integrand `e`: the normaliser
+//! `Σ w·e`, the first moment `Σ w·h·e` and the second moment about the
+//! conditional mean `Σ w·(h − mu)²·e`. It returns `log Z`, `E[h]` (the Eq. 8
+//! posterior mean) and `E[(h − mu)²]`, from which the E-step reads the
+//! posterior variance directly.
 //!
 //! Per worker the `Exact` sweep is two passes over the node tables:
 //!
 //! 1. the shifted log-integrand values land in a contiguous scratch buffer —
 //!    a pure mul/add loop over `node_lh`/`node_l1h`/`node_hc` that the
 //!    autovectoriser turns into f64 lanes;
-//! 2. exponentiation and accumulation fold the scratch buffer into the
-//!    normaliser (and moment) sums.
+//! 2. exponentiation and accumulation fold the scratch buffer into the three
+//!    sums.
 //!
 //! The `FastVector` sweep fuses the two passes: each [`VEXP_LANES`]-wide node
 //! chunk is filled, exponentiated, and accumulated while still in registers
@@ -31,12 +38,14 @@
 //!   `f64::exp` in node order, preserving the exact summation order of
 //!   [`GaussLegendre::integrate`]. Every arithmetic expression replicates the
 //!   scalar path operation for operation (same clamp, same subtraction order,
-//!   same fold of the interval half-width into the final sum), so the batched
-//!   results are **bit-identical** to
+//!   same fold of the interval half-width into the final sum), so `log Z`
+//!   and `E[h]` are **bit-identical** to
 //!   [`binomial_normal_moments`](crate::binomial_normal_moments) /
-//!   [`binomial_normal_log_z`](crate::binomial_normal_log_z) — the scalar
-//!   functions remain the pinned cross-check oracle, enforced by the
-//!   equivalence and property suites rather than by an epsilon.
+//!   [`binomial_normal_log_z`](crate::binomial_normal_log_z), and the second
+//!   moment is bit-identical to the same `integrate` call over
+//!   `(h − mu)² · e` — the scalar forms remain the pinned cross-check oracle,
+//!   enforced by the equivalence and property suites rather than by an
+//!   epsilon.
 //! * [`QuadratureMath::FastVector`] replaces the per-node division with a
 //!   reciprocal multiply and fused multiply-adds, exponentiates with the
 //!   lane-chunked polynomial [`vexp`] (≤2 ULP per element, see
@@ -63,13 +72,13 @@
 //! inside the `FastVector` tolerance contract.
 //!
 //! The module also owns the thread-local diagnostic counters that let tests pin
-//! the batching contract: a likelihood evaluation or a `predict_batch` pass
-//! must cost `O(unique_masks)` batched sweeps, not `O(workers)` scalar
-//! evaluations (mirroring the conditioning-factorisation counter in
-//! [`crate::mvn`]).
+//! the batching contract: an E-step, a likelihood evaluation or a
+//! `predict_batch` pass must cost `O(unique_masks)` batched sweeps, not
+//! `O(workers)` scalar evaluations (mirroring the conditioning-factorisation
+//! counter in [`crate::mvn`]).
 //!
 //! ```
-//! use c4u_stats::{binomial_normal_moments, BinomialNormalBatch, GaussLegendre};
+//! use c4u_stats::{binomial_normal_moments, BinomialNormalBatch, BinomialNormalMoments, GaussLegendre};
 //!
 //! let quadrature = GaussLegendre::new(32);
 //! let batch = BinomialNormalBatch::new(&quadrature);
@@ -79,19 +88,21 @@
 //! let mu = [0.55, 0.7, 0.3];
 //! let c = [7.0, 0.0, 2.0];
 //! let x = [3.0, 0.0, 8.0];
-//! let mut log_z = [0.0; 3];
-//! let mut mean = [0.0; 3];
-//! batch.moments(sigma, &mu, &c, &x, &mut log_z, &mut mean);
+//! let mut out = [BinomialNormalMoments::default(); 3];
+//! batch.moments(sigma, &mu, &c, &x, &mut out);
 //!
 //! // Bit-identical to the scalar oracle, worker by worker.
 //! for i in 0..3 {
-//!     let (lz, m) = binomial_normal_moments(&quadrature, mu[i], sigma, c[i], x[i]);
-//!     assert_eq!(log_z[i], lz);
-//!     assert_eq!(mean[i], m);
+//!     let (log_z, mean) = binomial_normal_moments(&quadrature, mu[i], sigma, c[i], x[i]);
+//!     assert_eq!(out[i].log_z, log_z);
+//!     assert_eq!(out[i].mean, mean);
+//!     // The answers narrow the posterior below the conditional prior.
+//!     let variance = out[i].second - (out[i].mean - mu[i]).powi(2);
+//!     assert!(0.0 < variance && variance < sigma * sigma);
 //! }
 //! ```
 
-use crate::binomial_normal::{bracketing_points, LogZGradient, SIGMA_FLOOR};
+use crate::binomial_normal::{bracketing_points, SIGMA_FLOOR};
 use crate::integrate::GaussLegendre;
 use crate::vmath::{vexp, vexp_scalar, VEXP_LANES};
 use std::cell::Cell;
@@ -102,11 +113,14 @@ thread_local! {
 }
 
 /// Number of batched quadrature sweeps (one [`BinomialNormalBatch`] call over a
-/// whole mask group) recorded on this thread.
+/// whole mask group, or one block of it) recorded on this thread.
 ///
 /// Together with [`scalar_quadrature_evaluations`] this lets tests pin the
 /// batching contract of the CPE hot paths: `O(unique_masks)` sweeps per
-/// evaluation, zero scalar evaluations.
+/// evaluation, zero scalar evaluations. A sweep is counted on the thread that
+/// runs it: the CPE E-step fans the blocks of a mask group larger than one
+/// block out over threads, and the sweeps of the blocks that run on those
+/// threads are counted there, not on the calling thread.
 pub fn batched_quadrature_sweeps() -> u64 {
     BATCHED_QUADRATURE_SWEEPS.with(Cell::get)
 }
@@ -125,6 +139,24 @@ pub(crate) fn record_batched_sweep() {
 
 pub(crate) fn record_scalar_evaluation() {
     SCALAR_QUADRATURE_EVALUATIONS.with(|c| c.set(c.get() + 1));
+}
+
+/// One worker's output of a [`BinomialNormalBatch::moments`] sweep.
+///
+/// When the normaliser underflows (the integrand's mass lies between the
+/// nodes, or the peak cannot be bracketed), `log_z` is
+/// [`f64::NEG_INFINITY`], `mean` is `mu.clamp(0, 1)` (the fallback of
+/// [`binomial_normal_moments`](crate::binomial_normal_moments)) and `second`
+/// is the conditional variance `sigma²`.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct BinomialNormalMoments {
+    /// `log Z` of Eq. 5.
+    pub log_z: f64,
+    /// `E[h]`, the Eq. 8 posterior mean.
+    pub mean: f64,
+    /// `E[(h − mu)²]`, the posterior second moment about the conditional
+    /// mean `mu`.
+    pub second: f64,
 }
 
 /// Arithmetic contract of the batched fold passes — see the
@@ -149,14 +181,14 @@ pub enum QuadratureMath {
 /// values. (The `FastVector` sweeps chunk by [`VEXP_LANES`] instead.)
 const FOLD_LANES: usize = 4;
 
-/// Reusable scratch for the batched sweeps.
+/// Reusable scratch for the batched sweep.
 ///
 /// The `Exact`-mode per-worker passes need one `num_nodes`-sized buffer for
-/// the shifted log-integrand; the `*_with_scratch` / `*_into` methods borrow
-/// it from here instead of allocating per call, so a caller that loops over
-/// mask groups and epochs performs **zero** heap allocations in the sweep
-/// (the `FastVector` sweeps stage through a fixed stack buffer and never
-/// touch it). The buffer only ever grows; sharing one scratch across batches
+/// the shifted log-integrand; [`BinomialNormalBatch::moments_with_scratch`]
+/// borrows it from here instead of allocating per call, so a caller that
+/// loops over mask groups and epochs performs **zero** heap allocations in
+/// the sweep (the `FastVector` sweep stages through a fixed stack buffer and
+/// never touches it). The buffer only ever grows; sharing one scratch across batches
 /// of different rule sizes is fine.
 #[derive(Debug, Clone, Default)]
 pub struct QuadratureScratch {
@@ -189,20 +221,16 @@ impl QuadratureScratch {
 #[derive(Debug, Clone)]
 pub struct BinomialNormalBatch {
     /// Mapped node positions `mid + half * x` on `[0, 1]`, unclamped — the
-    /// posterior-mean integrand multiplies by the *raw* node position, exactly
-    /// as the scalar moment closure does.
+    /// moment integrands multiply by the *raw* node position (and its offset
+    /// from `mu`), exactly as the scalar moment closure does.
     node_h: Vec<f64>,
     /// Node positions clamped to `[1e-12, 1 - 1e-12]` — the argument of the
-    /// log-integrand (and of the gradient sweep's `h - mu`).
+    /// log-integrand.
     node_hc: Vec<f64>,
     /// Raw rule weights. [`GaussLegendre::integrate`] folds the interval
-    /// half-width into the final sum, so the moments path must accumulate with
-    /// raw weights and scale once at the end to stay bit-identical.
+    /// half-width into the final sum, so the sweep must accumulate with raw
+    /// weights and scale once at the end to stay bit-identical.
     node_w: Vec<f64>,
-    /// Weights with the half-width folded in (`w * half`), as
-    /// [`GaussLegendre::points`] yields them — the gradient sweep's historical
-    /// accumulation uses these with no final scaling.
-    node_wf: Vec<f64>,
     /// `ln h` at the clamped nodes.
     node_lh: Vec<f64>,
     /// `ln(1 - h)` at the clamped nodes.
@@ -219,8 +247,8 @@ pub struct BinomialNormalBatch {
 }
 
 /// Interval half-width and midpoint of `[0, 1]` — written as the same
-/// expressions `GaussLegendre::integrate`/`points` evaluate so the mapped
-/// nodes and folded weights carry identical bits.
+/// expressions `GaussLegendre::integrate` evaluates so the mapped nodes and
+/// the final scaling carry identical bits.
 const HALF: f64 = 0.5 * (1.0 - 0.0);
 const MID: f64 = 0.5 * (0.0 + 1.0);
 
@@ -245,7 +273,6 @@ impl BinomialNormalBatch {
         let mut node_h = Vec::with_capacity(n);
         let mut node_hc = Vec::with_capacity(n);
         let mut node_w = Vec::with_capacity(n);
-        let mut node_wf = Vec::with_capacity(n);
         let mut node_lh = Vec::with_capacity(n);
         let mut node_l1h = Vec::with_capacity(n);
         for (x, w) in quadrature.raw_points() {
@@ -254,7 +281,6 @@ impl BinomialNormalBatch {
             node_h.push(h);
             node_hc.push(hc);
             node_w.push(w);
-            node_wf.push(w * HALF);
             node_lh.push(hc.ln());
             node_l1h.push((1.0 - hc).ln());
         }
@@ -284,7 +310,6 @@ impl BinomialNormalBatch {
             node_h,
             node_hc,
             node_w,
-            node_wf,
             node_lh,
             node_l1h,
             grid_hc,
@@ -306,85 +331,17 @@ impl BinomialNormalBatch {
         self.math
     }
 
-    /// `log Z` of Eq. 5 for a whole shared-`sigma` batch: one sweep over the
-    /// node tables per worker, one counter tick for the whole call.
+    /// `(log Z, E[h], E[(h − mu)²])` of Eq. 5/8 for a whole shared-`sigma`
+    /// batch: one sweep over the node tables per worker, one counter tick for
+    /// the whole call.
     ///
-    /// `mu`, `c`, `x` and `log_z_out` must have equal lengths. In
-    /// [`QuadratureMath::Exact`] mode each output is bit-identical to
-    /// [`binomial_normal_log_z`](crate::binomial_normal_log_z) at the same
-    /// `(mu, sigma, c, x)`; an underflowing normaliser yields
-    /// `f64::NEG_INFINITY` exactly as the scalar path does.
-    ///
-    /// Allocates a fresh scratch buffer; hot loops should hold a
-    /// [`QuadratureScratch`] and call
-    /// [`log_z_with_scratch`](Self::log_z_with_scratch).
-    pub fn log_z(&self, sigma: f64, mu: &[f64], c: &[f64], x: &[f64], log_z_out: &mut [f64]) {
-        self.log_z_with_scratch(sigma, mu, c, x, log_z_out, &mut QuadratureScratch::new());
-    }
-
-    /// [`log_z`](Self::log_z) with a caller-owned scratch buffer: zero heap
-    /// allocations once the scratch has grown to the rule size.
-    pub fn log_z_with_scratch(
-        &self,
-        sigma: f64,
-        mu: &[f64],
-        c: &[f64],
-        x: &[f64],
-        log_z_out: &mut [f64],
-        scratch: &mut QuadratureScratch,
-    ) {
-        assert_eq!(mu.len(), c.len());
-        assert_eq!(mu.len(), x.len());
-        assert_eq!(mu.len(), log_z_out.len());
-        record_batched_sweep();
-        let sigma = sigma.max(SIGMA_FLOOR);
-        let ln_sigma = sigma.ln();
-        let half_ln_2pi = 0.5 * (2.0 * std::f64::consts::PI).ln();
-        let scratch = scratch.nodes(self.num_nodes());
-        for i in 0..mu.len() {
-            let (mu_i, c_i, x_i) = (mu[i], c[i], x[i]);
-            let log_max = self.log_max(sigma, ln_sigma, half_ln_2pi, mu_i, c_i, x_i);
-            if !log_max.is_finite() {
-                log_z_out[i] = f64::NEG_INFINITY;
-                continue;
-            }
-            let sum_z = match self.math {
-                QuadratureMath::Exact => {
-                    self.fill_shifted_log_integrand(
-                        sigma,
-                        ln_sigma,
-                        half_ln_2pi,
-                        mu_i,
-                        c_i,
-                        x_i,
-                        log_max,
-                        scratch,
-                    );
-                    self.fold_z_exact(scratch)
-                }
-                QuadratureMath::FastVector => self.sweep_z_fast(
-                    1.0 / sigma,
-                    ln_sigma + half_ln_2pi + log_max,
-                    mu_i,
-                    c_i,
-                    x_i,
-                ),
-            };
-            let z = sum_z * HALF;
-            log_z_out[i] = if z <= 0.0 || !z.is_finite() {
-                f64::NEG_INFINITY
-            } else {
-                z.ln() + log_max
-            };
-        }
-    }
-
-    /// `(log Z, E[h])` of Eq. 5/8 for a whole shared-`sigma` batch.
-    ///
-    /// In [`QuadratureMath::Exact`] mode outputs are bit-identical to
+    /// `mu`, `c`, `x` and `out` must have equal lengths. In
+    /// [`QuadratureMath::Exact`] mode `log_z` and `mean` are bit-identical to
     /// [`binomial_normal_moments`](crate::binomial_normal_moments) at the same
     /// `(mu, sigma, c, x)`, including the underflow fallback
-    /// `(NEG_INFINITY, mu.clamp(0, 1))`.
+    /// `(NEG_INFINITY, mu.clamp(0, 1))`, and `second` is the integral of
+    /// `(h − mu)²` times the integrand over the same nodes and shift,
+    /// divided by the same `Z`.
     ///
     /// Allocates a fresh scratch buffer; hot loops should hold a
     /// [`QuadratureScratch`] and call
@@ -395,55 +352,47 @@ impl BinomialNormalBatch {
         mu: &[f64],
         c: &[f64],
         x: &[f64],
-        log_z_out: &mut [f64],
-        mean_out: &mut [f64],
+        out: &mut [BinomialNormalMoments],
     ) {
-        self.moments_with_scratch(
-            sigma,
-            mu,
-            c,
-            x,
-            log_z_out,
-            mean_out,
-            &mut QuadratureScratch::new(),
-        );
+        self.moments_with_scratch(sigma, mu, c, x, out, &mut QuadratureScratch::new());
     }
 
     /// [`moments`](Self::moments) with a caller-owned scratch buffer: zero
     /// heap allocations once the scratch has grown to the rule size.
-    #[allow(clippy::too_many_arguments)]
     pub fn moments_with_scratch(
         &self,
         sigma: f64,
         mu: &[f64],
         c: &[f64],
         x: &[f64],
-        log_z_out: &mut [f64],
-        mean_out: &mut [f64],
+        out: &mut [BinomialNormalMoments],
         scratch: &mut QuadratureScratch,
     ) {
         assert_eq!(mu.len(), c.len());
         assert_eq!(mu.len(), x.len());
-        assert_eq!(mu.len(), log_z_out.len());
-        assert_eq!(mu.len(), mean_out.len());
+        assert_eq!(mu.len(), out.len());
         record_batched_sweep();
         let sigma = sigma.max(SIGMA_FLOOR);
         let ln_sigma = sigma.ln();
         let half_ln_2pi = 0.5 * (2.0 * std::f64::consts::PI).ln();
         let scratch = scratch.nodes(self.num_nodes());
-        for i in 0..mu.len() {
+        for (i, out) in out.iter_mut().enumerate() {
             let (mu_i, c_i, x_i) = (mu[i], c[i], x[i]);
+            let underflow = BinomialNormalMoments {
+                log_z: f64::NEG_INFINITY,
+                mean: mu_i.clamp(0.0, 1.0),
+                second: sigma * sigma,
+            };
             let log_max = self.log_max(sigma, ln_sigma, half_ln_2pi, mu_i, c_i, x_i);
             if !log_max.is_finite() {
-                log_z_out[i] = f64::NEG_INFINITY;
-                mean_out[i] = mu_i.clamp(0.0, 1.0);
+                *out = underflow;
                 continue;
             }
             // The scalar path runs the normaliser and the moment as two
             // independent `integrate` calls over the same integrand values;
             // one fused node-order pass reproduces both sums bit for bit
             // because each accumulator sees the same terms in the same order.
-            let (sum_z, sum_m) = match self.math {
+            let (sum_z, sum_m, sum_2) = match self.math {
                 QuadratureMath::Exact => {
                     self.fill_shifted_log_integrand(
                         sigma,
@@ -455,9 +404,9 @@ impl BinomialNormalBatch {
                         log_max,
                         scratch,
                     );
-                    self.fold_zm_exact(scratch)
+                    self.fold_exact(scratch, mu_i)
                 }
-                QuadratureMath::FastVector => self.sweep_zm_fast(
+                QuadratureMath::FastVector => self.sweep_fast(
                     1.0 / sigma,
                     ln_sigma + half_ln_2pi + log_max,
                     mu_i,
@@ -466,91 +415,13 @@ impl BinomialNormalBatch {
                 ),
             };
             let z = sum_z * HALF;
-            let first = sum_m * HALF;
-            if z <= 0.0 || !z.is_finite() {
-                log_z_out[i] = f64::NEG_INFINITY;
-                mean_out[i] = mu_i.clamp(0.0, 1.0);
+            *out = if z <= 0.0 || !z.is_finite() {
+                underflow
             } else {
-                log_z_out[i] = z.ln() + log_max;
-                mean_out[i] = first / z;
-            }
-        }
-    }
-
-    /// `log Z` and its conditional-mean/variance derivatives for a
-    /// shared-`sigma` batch — the CPE E-step sweep, over these tables.
-    ///
-    /// In [`QuadratureMath::Exact`] mode this is bit-identical to
-    /// [`binomial_normal_log_z_gradients`](crate::binomial_normal_log_z_gradients),
-    /// which now delegates here; the historical accumulation (folded weights,
-    /// combined normalisation constant, clamped node in `h - mu`) is preserved
-    /// operation for operation.
-    ///
-    /// Allocates the output and a scratch buffer; hot loops should reuse both
-    /// via [`log_z_gradients_into`](Self::log_z_gradients_into).
-    pub fn log_z_gradients(
-        &self,
-        sigma: f64,
-        observations: &[(f64, f64, f64)],
-    ) -> Vec<LogZGradient> {
-        let mut out = vec![LogZGradient::default(); observations.len()];
-        self.log_z_gradients_into(sigma, observations, &mut out, &mut QuadratureScratch::new());
-        out
-    }
-
-    /// [`log_z_gradients`](Self::log_z_gradients) into a caller-owned output
-    /// slice with a caller-owned scratch buffer: zero heap allocations once
-    /// the scratch has grown to the rule size. `out` must have the same
-    /// length as `observations`.
-    pub fn log_z_gradients_into(
-        &self,
-        sigma: f64,
-        observations: &[(f64, f64, f64)],
-        out: &mut [LogZGradient],
-        scratch: &mut QuadratureScratch,
-    ) {
-        assert_eq!(observations.len(), out.len());
-        record_batched_sweep();
-        let sigma = sigma.max(SIGMA_FLOOR);
-        let variance = sigma * sigma;
-        let norm_const = sigma.ln() + 0.5 * (2.0 * std::f64::consts::PI).ln();
-        let scratch = scratch.nodes(self.num_nodes());
-
-        for (&(mu, c, x), grad) in observations.iter().zip(out.iter_mut()) {
-            let log_max = self.log_max_combined(sigma, norm_const, mu, c, x);
-            if !log_max.is_finite() {
-                *grad = LogZGradient {
-                    log_z: f64::NEG_INFINITY,
-                    d_mean: 0.0,
-                    d_variance: 0.0,
-                };
-                continue;
-            }
-            // The same shape as the moments sweep, with the gradient path's
-            // combined normalisation constant; the fold fuses the three
-            // moments Z, E[h - mu], E[(h - mu)^2].
-            let (z0, z1, z2) = match self.math {
-                QuadratureMath::Exact => {
-                    self.fill_shifted_log_integrand_combined(
-                        sigma, norm_const, mu, c, x, log_max, scratch,
-                    );
-                    self.fold_gradient_exact(scratch, mu)
-                }
-                QuadratureMath::FastVector => {
-                    self.sweep_gradient_fast(1.0 / sigma, norm_const + log_max, mu, c, x)
-                }
-            };
-            *grad = if z0 <= 0.0 || !z0.is_finite() {
-                LogZGradient {
-                    log_z: f64::NEG_INFINITY,
-                    d_mean: 0.0,
-                    d_variance: 0.0,
-                }
-            } else {
-                LogZGradient {
-                    log_z: z0.ln() + log_max,
-                    d_mean: (z1 / z0) / variance,
-                    d_variance: (z2 / z0 - variance) / (2.0 * variance * variance),
+                BinomialNormalMoments {
+                    log_z: z.ln() + log_max,
+                    mean: sum_m * HALF / z,
+                    second: sum_2 * HALF / z,
                 }
             };
         }
@@ -572,9 +443,9 @@ impl BinomialNormalBatch {
         self.log_max(sigma, sigma.ln(), half_ln_2pi, mu, c, x)
     }
 
-    /// `log_max` over the peak-bracketing grid with the moments path's split
-    /// constants (`- ln_sigma - half_ln_2pi`, matching the scalar closure's
-    /// subtraction order bit for bit in [`QuadratureMath::Exact`] mode).
+    /// `log_max` over the peak-bracketing grid (`- ln_sigma - half_ln_2pi`,
+    /// matching the scalar closure's subtraction order bit for bit in
+    /// [`QuadratureMath::Exact`] mode).
     fn log_max(&self, sigma: f64, ln_sigma: f64, half_ln_2pi: f64, mu: f64, c: f64, x: f64) -> f64 {
         match self.math {
             QuadratureMath::Exact => self.grid_max(|hc, lh, l1h| {
@@ -584,20 +455,6 @@ impl BinomialNormalBatch {
             QuadratureMath::FastVector => {
                 self.grid_max_approx(mu, c, x, 1.0 / sigma, ln_sigma + half_ln_2pi)
             }
-        }
-    }
-
-    /// `log_max` over the peak-bracketing grid with the gradient path's
-    /// combined normalisation constant (`- norm_const`, preserving that
-    /// sweep's historical arithmetic bit for bit in
-    /// [`QuadratureMath::Exact`] mode).
-    fn log_max_combined(&self, sigma: f64, norm_const: f64, mu: f64, c: f64, x: f64) -> f64 {
-        match self.math {
-            QuadratureMath::Exact => self.grid_max(|hc, lh, l1h| {
-                let z = (hc - mu) / sigma;
-                c * lh + x * l1h - 0.5 * z * z - norm_const
-            }),
-            QuadratureMath::FastVector => self.grid_max_approx(mu, c, x, 1.0 / sigma, norm_const),
         }
     }
 
@@ -614,7 +471,7 @@ impl BinomialNormalBatch {
     /// *here* — and only here — because the stabilisation peak **cancels
     /// mathematically** in everything the sweeps return: `log Z` adds the
     /// same `log_max` it subtracted inside the exponent, and the
-    /// moment/gradient outputs are ratios of sums that scale by the
+    /// moment outputs are ratios of sums that scale by the
     /// identical `exp(-log_max)`. Any finite shift within the exp
     /// over/underflow budget (~±700 nats of the true peak) produces the same
     /// results up to ordinary rounding, well inside the FastVector ~1e-12
@@ -694,8 +551,8 @@ impl BinomialNormalBatch {
     /// Pass 1 of the [`QuadratureMath::Exact`] per-worker sweep: the shifted
     /// log-integrand value at every node into `scratch`, preserving the
     /// scalar oracle's `/ sigma` division and constant-subtraction order bit
-    /// for bit. Split-constant form (moments path). The `FastVector` sweeps
-    /// never stage through `scratch` — see [`sweep_zm_fast`](Self::sweep_zm_fast).
+    /// for bit. The `FastVector` sweep never stages through `scratch` — see
+    /// [`sweep_fast`](Self::sweep_fast).
     #[allow(clippy::too_many_arguments)]
     fn fill_shifted_log_integrand(
         &self,
@@ -719,47 +576,11 @@ impl BinomialNormalBatch {
         }
     }
 
-    /// Pass 1 with the gradient path's combined normalisation constant
-    /// ([`QuadratureMath::Exact`] only, like
-    /// [`fill_shifted_log_integrand`](Self::fill_shifted_log_integrand)).
-    #[allow(clippy::too_many_arguments)]
-    fn fill_shifted_log_integrand_combined(
-        &self,
-        sigma: f64,
-        norm_const: f64,
-        mu: f64,
-        c: f64,
-        x: f64,
-        log_max: f64,
-        scratch: &mut [f64],
-    ) {
-        for (((t, hc), lh), l1h) in scratch
-            .iter_mut()
-            .zip(&self.node_hc)
-            .zip(&self.node_lh)
-            .zip(&self.node_l1h)
-        {
-            let z = (hc - mu) / sigma;
-            *t = c * lh + x * l1h - 0.5 * z * z - norm_const - log_max;
-        }
-    }
-
-    /// Exact-mode normaliser fold: libm `exp`, node-order serial sum — the
-    /// summation order of `GaussLegendre::integrate`, bit for bit.
-    fn fold_z_exact(&self, scratch: &[f64]) -> f64 {
-        let mut sum_z = 0.0;
-        for (t, w) in scratch.iter().zip(&self.node_w) {
-            // c4u-lint: allow(scalar-libm-in-hot-path, reason = "Exact-mode fold: QuadratureMath::Exact is contractually bit-pinned to scalar libm exp")
-            sum_z += w * t.exp();
-        }
-        sum_z
-    }
-
     /// Pairwise tree reduction of a lane accumulator: `log2(LANES)` rounds of
     /// halving instead of a serial left fold. The serial fold is a
     /// latency-chained `LANES - 1` additions (~4 cycles each) per worker; the
     /// tree is `log2(LANES)` dependent rounds. Fast-sweep accumulators only —
-    /// the Exact folds keep the pinned node-order serial sum.
+    /// the Exact fold keeps the pinned node-order serial sum.
     #[inline]
     fn hsum_lanes(mut acc: [f64; VEXP_LANES]) -> f64 {
         const { assert!(VEXP_LANES.is_power_of_two()) };
@@ -773,63 +594,35 @@ impl BinomialNormalBatch {
         acc[0]
     }
 
-    /// FastVector normaliser sweep: fill, exponentiate, and accumulate one
+    /// Exact-mode fold of the three sums `Σ w·e`, `Σ w·h·e` and
+    /// `Σ w·(h − mu)²·e`: libm `exp`, node-order serial sums, each in the
+    /// summation order of `GaussLegendre::integrate`, bit for bit.
+    fn fold_exact(&self, scratch: &[f64], mu: f64) -> (f64, f64, f64) {
+        let (mut sum_z, mut sum_m, mut sum_2) = (0.0, 0.0, 0.0);
+        for ((t, w), h) in scratch.iter().zip(&self.node_w).zip(&self.node_h) {
+            // c4u-lint: allow(scalar-libm-in-hot-path, reason = "Exact-mode fold: QuadratureMath::Exact is contractually bit-pinned to scalar libm exp")
+            let e = t.exp();
+            let d = h - mu;
+            sum_z += w * e;
+            sum_m += w * (h * e);
+            sum_2 += w * (d * d * e);
+        }
+        (sum_z, sum_m, sum_2)
+    }
+
+    /// FastVector sweep: fill, exponentiate, and accumulate one
     /// [`VEXP_LANES`]-wide node chunk at a time, entirely in registers and a
     /// stack staging buffer — no scratch round-trip. The per-node arithmetic
     /// is the division-free fill form (`u = (hc − mu)·(1/sigma)`, constants
     /// folded per worker into `k`) followed by [`vexp`] on the staged chunk;
     /// the remainder (and any rule shorter than one chunk) runs the
     /// identical [`vexp_scalar`] math, so results stay position-independent.
-    fn sweep_z_fast(&self, inv_sigma: f64, k: f64, mu: f64, c: f64, x: f64) -> f64 {
-        let mut acc = [0.0f64; VEXP_LANES];
-        let mut buf = [0.0f64; VEXP_LANES];
-        let mut hc_it = self.node_hc.chunks_exact(VEXP_LANES);
-        let mut lh_it = self.node_lh.chunks_exact(VEXP_LANES);
-        let mut l1h_it = self.node_l1h.chunks_exact(VEXP_LANES);
-        let mut w_it = self.node_w.chunks_exact(VEXP_LANES);
-        for (((hc, lh), l1h), w) in (&mut hc_it).zip(&mut lh_it).zip(&mut l1h_it).zip(&mut w_it) {
-            for (b, ((&hc, &lh), &l1h)) in buf.iter_mut().zip(hc.iter().zip(lh).zip(l1h)) {
-                let u = (hc - mu) * inv_sigma;
-                *b = x.mul_add(l1h, c * lh) - u.mul_add(0.5 * u, k);
-            }
-            vexp(&mut buf);
-            for (a, (&e, &w)) in acc.iter_mut().zip(buf.iter().zip(w)) {
-                *a += w * e;
-            }
-        }
-        for (((&hc, &lh), &l1h), &w) in hc_it
-            .remainder()
-            .iter()
-            .zip(lh_it.remainder())
-            .zip(l1h_it.remainder())
-            .zip(w_it.remainder())
-        {
-            let u = (hc - mu) * inv_sigma;
-            let e = vexp_scalar(x.mul_add(l1h, c * lh) - u.mul_add(0.5 * u, k));
-            acc[0] += w * e;
-        }
-        Self::hsum_lanes(acc)
-    }
-
-    /// Exact-mode fused normaliser+moment fold (see `moments`).
-    fn fold_zm_exact(&self, scratch: &[f64]) -> (f64, f64) {
-        let mut sum_z = 0.0;
-        let mut sum_m = 0.0;
-        for ((t, w), h) in scratch.iter().zip(&self.node_w).zip(&self.node_h) {
-            // c4u-lint: allow(scalar-libm-in-hot-path, reason = "Exact-mode fold: QuadratureMath::Exact is contractually bit-pinned to scalar libm exp")
-            let e = t.exp();
-            sum_z += w * e;
-            sum_m += w * (h * e);
-        }
-        (sum_z, sum_m)
-    }
-
-    /// FastVector fused normaliser+moment sweep — the chunked fill/exp/fold
-    /// shape of [`sweep_z_fast`](Self::sweep_z_fast), accumulating `Z` and
-    /// the first moment together.
-    fn sweep_zm_fast(&self, inv_sigma: f64, k: f64, mu: f64, c: f64, x: f64) -> (f64, f64) {
+    /// The three sums of [`fold_exact`](Self::fold_exact) accumulate in
+    /// chunk-wide partial sums.
+    fn sweep_fast(&self, inv_sigma: f64, k: f64, mu: f64, c: f64, x: f64) -> (f64, f64, f64) {
         let mut acc_z = [0.0f64; VEXP_LANES];
         let mut acc_m = [0.0f64; VEXP_LANES];
+        let mut acc_2 = [0.0f64; VEXP_LANES];
         let mut buf = [0.0f64; VEXP_LANES];
         let mut hc_it = self.node_hc.chunks_exact(VEXP_LANES);
         let mut lh_it = self.node_lh.chunks_exact(VEXP_LANES);
@@ -849,7 +642,7 @@ impl BinomialNormalBatch {
             vexp(&mut buf);
             // Fixed-size chunk views: `[f64; VEXP_LANES]` (rather than
             // length-8 slices) is the shape LLVM widens into clean packed
-            // multiply-adds across the chunk instead of pairing the two
+            // multiply-adds across the chunk instead of pairing the
             // accumulators per node into element shuffles.
             // c4u-lint: allow(no-unwrap-in-lib, reason = "chunks_exact yields slices of exactly the requested width")
             let w: &[f64; VEXP_LANES] = w.try_into().expect("chunks_exact width");
@@ -864,6 +657,10 @@ impl BinomialNormalBatch {
             for j in 0..VEXP_LANES {
                 acc_m[j] += h[j] * buf[j];
             }
+            for j in 0..VEXP_LANES {
+                let d = h[j] - mu;
+                acc_2[j] += d * d * buf[j];
+            }
         }
         for ((((&hc, &lh), &l1h), &w), &h) in hc_it
             .remainder()
@@ -875,90 +672,15 @@ impl BinomialNormalBatch {
         {
             let u = (hc - mu) * inv_sigma;
             let e = w * vexp_scalar(x.mul_add(l1h, c * lh) - u.mul_add(0.5 * u, k));
+            let d = h - mu;
             acc_z[0] += e;
             acc_m[0] += h * e;
-        }
-        (Self::hsum_lanes(acc_z), Self::hsum_lanes(acc_m))
-    }
-
-    /// Exact-mode fused gradient fold: the three moments `Z`, `E[h - mu]`,
-    /// `E[(h - mu)^2]` with the historical folded-weight accumulation.
-    fn fold_gradient_exact(&self, scratch: &[f64], mu: f64) -> (f64, f64, f64) {
-        let (mut z0, mut z1, mut z2) = (0.0, 0.0, 0.0);
-        for ((t, hc), wf) in scratch.iter().zip(&self.node_hc).zip(&self.node_wf) {
-            // c4u-lint: allow(scalar-libm-in-hot-path, reason = "Exact-mode fold: QuadratureMath::Exact is contractually bit-pinned to scalar libm exp")
-            let e = wf * t.exp();
-            let d = hc - mu;
-            z0 += e;
-            z1 += d * e;
-            z2 += d * d * e;
-        }
-        (z0, z1, z2)
-    }
-
-    /// FastVector fused gradient sweep — the chunked fill/exp/fold shape of
-    /// [`sweep_z_fast`](Self::sweep_z_fast) over the folded-weight tables,
-    /// accumulating the three moments `Z`, `E[h - mu]`, `E[(h - mu)^2]`.
-    fn sweep_gradient_fast(
-        &self,
-        inv_sigma: f64,
-        k: f64,
-        mu: f64,
-        c: f64,
-        x: f64,
-    ) -> (f64, f64, f64) {
-        let mut a0 = [0.0f64; VEXP_LANES];
-        let mut a1 = [0.0f64; VEXP_LANES];
-        let mut a2 = [0.0f64; VEXP_LANES];
-        let mut buf = [0.0f64; VEXP_LANES];
-        let mut hc_it = self.node_hc.chunks_exact(VEXP_LANES);
-        let mut lh_it = self.node_lh.chunks_exact(VEXP_LANES);
-        let mut l1h_it = self.node_l1h.chunks_exact(VEXP_LANES);
-        let mut wf_it = self.node_wf.chunks_exact(VEXP_LANES);
-        for (((hc, lh), l1h), wf) in (&mut hc_it)
-            .zip(&mut lh_it)
-            .zip(&mut l1h_it)
-            .zip(&mut wf_it)
-        {
-            for (b, ((&hc, &lh), &l1h)) in buf.iter_mut().zip(hc.iter().zip(lh).zip(l1h)) {
-                let u = (hc - mu) * inv_sigma;
-                *b = x.mul_add(l1h, c * lh) - u.mul_add(0.5 * u, k);
-            }
-            vexp(&mut buf);
-            // Same single-accumulator-per-loop shape as `sweep_zm_fast`: fold
-            // the weight in, then widen each moment independently.
-            for (b, &wf) in buf.iter_mut().zip(wf) {
-                *b *= wf;
-            }
-            for (a, &e) in a0.iter_mut().zip(&buf) {
-                *a += e;
-            }
-            for (a, (&e, &hc)) in a1.iter_mut().zip(buf.iter().zip(hc)) {
-                *a += (hc - mu) * e;
-            }
-            for (a, (&e, &hc)) in a2.iter_mut().zip(buf.iter().zip(hc)) {
-                let d = hc - mu;
-                *a += d * d * e;
-            }
-        }
-        for (((&hc, &lh), &l1h), &wf) in hc_it
-            .remainder()
-            .iter()
-            .zip(lh_it.remainder())
-            .zip(l1h_it.remainder())
-            .zip(wf_it.remainder())
-        {
-            let u = (hc - mu) * inv_sigma;
-            let e = wf * vexp_scalar(x.mul_add(l1h, c * lh) - u.mul_add(0.5 * u, k));
-            let d = hc - mu;
-            a0[0] += e;
-            a1[0] += d * e;
-            a2[0] += d * d * e;
+            acc_2[0] += d * d * e;
         }
         (
-            Self::hsum_lanes(a0),
-            Self::hsum_lanes(a1),
-            Self::hsum_lanes(a2),
+            Self::hsum_lanes(acc_z),
+            Self::hsum_lanes(acc_m),
+            Self::hsum_lanes(acc_2),
         )
     }
     // c4u-lint: end-hot-path
@@ -967,9 +689,7 @@ impl BinomialNormalBatch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::binomial_normal::{
-        binomial_normal_log_z, binomial_normal_log_z_gradients, binomial_normal_moments,
-    };
+    use crate::binomial_normal::{binomial_normal_log_z, binomial_normal_moments};
 
     const CELLS: [(f64, f64, f64, f64); 8] = [
         (0.5, 0.15, 7.0, 3.0),
@@ -982,39 +702,91 @@ mod tests {
         (0.7, 0.0, 4.0, 1.0), // sigma below the floor
     ];
 
+    fn columns() -> (Vec<f64>, Vec<f64>, Vec<f64>) {
+        (
+            CELLS.iter().map(|c| c.0).collect(),
+            CELLS.iter().map(|c| c.2).collect(),
+            CELLS.iter().map(|c| c.3).collect(),
+        )
+    }
+
+    fn sweep(batch: &BinomialNormalBatch, sigma: f64) -> Vec<BinomialNormalMoments> {
+        let (mu, c, x) = columns();
+        let mut out = vec![BinomialNormalMoments::default(); mu.len()];
+        batch.moments(sigma, &mu, &c, &x, &mut out);
+        out
+    }
+
+    /// `E[(h − mu)²]` the scalar way: the integrand, shift and `integrate`
+    /// calls of `binomial_normal_moments`, with `(h − mu)²` as the moment.
+    fn scalar_second_moment(
+        quadrature: &GaussLegendre,
+        mu: f64,
+        sigma: f64,
+        c: f64,
+        x: f64,
+    ) -> f64 {
+        let sigma = sigma.max(SIGMA_FLOOR);
+        let log_integrand = |h: f64| {
+            let h = h.clamp(1e-12, 1.0 - 1e-12);
+            let z = (h - mu) / sigma;
+            c * h.ln() + x * (1.0 - h).ln()
+                - 0.5 * z * z
+                - sigma.ln()
+                - 0.5 * (2.0 * std::f64::consts::PI).ln()
+        };
+        let log_max = bracketing_points()
+            .map(log_integrand)
+            .fold(f64::NEG_INFINITY, f64::max);
+        let z = quadrature.integrate(0.0, 1.0, |h| (log_integrand(h) - log_max).exp());
+        if !log_max.is_finite() || z <= 0.0 || !z.is_finite() {
+            return sigma * sigma;
+        }
+        let second = quadrature.integrate(0.0, 1.0, |h| {
+            let d = h - mu;
+            d * d * (log_integrand(h) - log_max).exp()
+        });
+        second / z
+    }
+
     #[test]
     fn batched_moments_bit_identical_to_scalar() {
         for order in [2usize, 16, 32, 64] {
             let quadrature = GaussLegendre::new(order);
             let batch = BinomialNormalBatch::new(&quadrature);
             for sigma in [0.0, 0.02, 0.12, 0.3] {
-                let mu: Vec<f64> = CELLS.iter().map(|c| c.0).collect();
-                let c: Vec<f64> = CELLS.iter().map(|c| c.2).collect();
-                let x: Vec<f64> = CELLS.iter().map(|c| c.3).collect();
-                let mut log_z = vec![0.0; mu.len()];
-                let mut mean = vec![0.0; mu.len()];
-                batch.moments(sigma, &mu, &c, &x, &mut log_z, &mut mean);
-                let mut log_z_only = vec![0.0; mu.len()];
-                batch.log_z(sigma, &mu, &c, &x, &mut log_z_only);
-                for i in 0..mu.len() {
-                    let (slz, sm) = binomial_normal_moments(&quadrature, mu[i], sigma, c[i], x[i]);
-                    assert_eq!(log_z[i], slz, "order {order} sigma {sigma} cell {i}");
-                    assert_eq!(mean[i], sm, "order {order} sigma {sigma} cell {i}");
-                    assert_eq!(log_z_only[i], slz, "order {order} sigma {sigma} cell {i}");
+                for (i, (out, &(mu, _, c, x))) in
+                    sweep(&batch, sigma).iter().zip(&CELLS).enumerate()
+                {
+                    let (log_z, mean) = binomial_normal_moments(&quadrature, mu, sigma, c, x);
+                    assert_eq!(out.log_z, log_z, "order {order} sigma {sigma} cell {i}");
+                    assert_eq!(out.mean, mean, "order {order} sigma {sigma} cell {i}");
+                    assert_eq!(
+                        out.log_z,
+                        binomial_normal_log_z(&quadrature, mu, sigma, c, x),
+                        "order {order} sigma {sigma} cell {i}"
+                    );
                 }
             }
         }
     }
 
     #[test]
-    fn batched_gradients_bit_identical_to_free_function() {
-        let quadrature = GaussLegendre::new(32);
-        let batch = BinomialNormalBatch::new(&quadrature);
-        let obs: Vec<(f64, f64, f64)> = CELLS.iter().map(|&(mu, _, c, x)| (mu, c, x)).collect();
-        for sigma in [0.02, 0.12, 0.3] {
-            let got = batch.log_z_gradients(sigma, &obs);
-            let want = binomial_normal_log_z_gradients(&quadrature, sigma, &obs);
-            assert_eq!(got, want);
+    fn batched_second_moment_bit_identical_to_scalar_integral() {
+        for order in [2usize, 16, 32, 64] {
+            let quadrature = GaussLegendre::new(order);
+            let batch = BinomialNormalBatch::new(&quadrature);
+            for sigma in [0.0, 0.02, 0.12, 0.3] {
+                for (i, (out, &(mu, _, c, x))) in
+                    sweep(&batch, sigma).iter().zip(&CELLS).enumerate()
+                {
+                    assert_eq!(
+                        out.second,
+                        scalar_second_moment(&quadrature, mu, sigma, c, x),
+                        "order {order} sigma {sigma} cell {i}"
+                    );
+                }
+            }
         }
     }
 
@@ -1022,37 +794,22 @@ mod tests {
     fn scratch_variants_bit_identical_to_allocating_forms() {
         let quadrature = GaussLegendre::new(24);
         let batch = BinomialNormalBatch::new(&quadrature);
-        let mu: Vec<f64> = CELLS.iter().map(|c| c.0).collect();
-        let c: Vec<f64> = CELLS.iter().map(|c| c.2).collect();
-        let x: Vec<f64> = CELLS.iter().map(|c| c.3).collect();
-        let obs: Vec<(f64, f64, f64)> = CELLS.iter().map(|&(mu, _, c, x)| (mu, c, x)).collect();
+        let (mu, c, x) = columns();
         // One scratch reused across every call (and deliberately pre-grown by
         // a larger rule) must not change any result.
         let mut scratch = QuadratureScratch::new();
-        BinomialNormalBatch::new(&GaussLegendre::new(48)).log_z_with_scratch(
+        let mut out = vec![BinomialNormalMoments::default(); mu.len()];
+        BinomialNormalBatch::new(&GaussLegendre::new(48)).moments_with_scratch(
             0.2,
             &mu,
             &c,
             &x,
-            &mut vec![0.0; mu.len()],
+            &mut out,
             &mut scratch,
         );
         for sigma in [0.02, 0.12] {
-            let mut log_z = vec![0.0; mu.len()];
-            let mut mean = vec![0.0; mu.len()];
-            batch.moments(sigma, &mu, &c, &x, &mut log_z, &mut mean);
-            let mut log_z2 = vec![0.0; mu.len()];
-            let mut mean2 = vec![0.0; mu.len()];
-            batch.moments_with_scratch(sigma, &mu, &c, &x, &mut log_z2, &mut mean2, &mut scratch);
-            assert_eq!(log_z, log_z2);
-            assert_eq!(mean, mean2);
-            let mut lz = vec![0.0; mu.len()];
-            batch.log_z_with_scratch(sigma, &mu, &c, &x, &mut lz, &mut scratch);
-            assert_eq!(log_z, lz);
-            let want = batch.log_z_gradients(sigma, &obs);
-            let mut got = vec![LogZGradient::default(); obs.len()];
-            batch.log_z_gradients_into(sigma, &obs, &mut got, &mut scratch);
-            assert_eq!(got, want);
+            batch.moments_with_scratch(sigma, &mu, &c, &x, &mut out, &mut scratch);
+            assert_eq!(out, sweep(&batch, sigma));
         }
     }
 
@@ -1066,38 +823,37 @@ mod tests {
             let exact = BinomialNormalBatch::new(&quadrature);
             let fast = BinomialNormalBatch::new_with_math(&quadrature, QuadratureMath::FastVector);
             assert_eq!(fast.math(), QuadratureMath::FastVector);
-            let mu: Vec<f64> = CELLS.iter().map(|c| c.0).collect();
-            let c: Vec<f64> = CELLS.iter().map(|c| c.2).collect();
-            let x: Vec<f64> = CELLS.iter().map(|c| c.3).collect();
             for sigma in [0.02, 0.12, 0.3] {
-                let n = mu.len();
-                let (mut lz_e, mut m_e) = (vec![0.0; n], vec![0.0; n]);
-                let (mut lz_f, mut m_f) = (vec![0.0; n], vec![0.0; n]);
-                exact.moments(sigma, &mu, &c, &x, &mut lz_e, &mut m_e);
-                fast.moments(sigma, &mu, &c, &x, &mut lz_f, &mut m_f);
-                for i in 0..n {
-                    if lz_e[i] == f64::NEG_INFINITY {
-                        assert_eq!(lz_f[i], f64::NEG_INFINITY, "order {order} cell {i}");
-                    } else {
-                        let tol = 1e-12 * (1.0 + lz_e[i].abs());
-                        assert!(
-                            (lz_e[i] - lz_f[i]).abs() <= tol,
-                            "order {order} sigma {sigma} cell {i}: {} vs {}",
-                            lz_e[i],
-                            lz_f[i]
-                        );
-                        // Baseline tolerance plus the conditioning allowance:
-                        // the fused fill carries a few ulps of the pre-shift
-                        // magnitudes (~|log_z|), which the exponential turns
-                        // into relative noise on every node term.
-                        let mean_tol = 1e-12 + 64.0 * f64::EPSILON * (1.0 + lz_e[i].abs());
-                        assert!(
-                            (m_e[i] - m_f[i]).abs() <= mean_tol,
-                            "order {order} sigma {sigma} cell {i}: mean {} vs {}",
-                            m_e[i],
-                            m_f[i]
-                        );
+                let (e, f) = (sweep(&exact, sigma), sweep(&fast, sigma));
+                for (i, (e, f)) in e.iter().zip(&f).enumerate() {
+                    if e.log_z == f64::NEG_INFINITY {
+                        assert_eq!(f.log_z, f64::NEG_INFINITY, "order {order} cell {i}");
+                        continue;
                     }
+                    let tol = 1e-12 * (1.0 + e.log_z.abs());
+                    assert!(
+                        (e.log_z - f.log_z).abs() <= tol,
+                        "order {order} sigma {sigma} cell {i}: {} vs {}",
+                        e.log_z,
+                        f.log_z
+                    );
+                    // Baseline tolerance plus the conditioning allowance:
+                    // the fused fill carries a few ulps of the pre-shift
+                    // magnitudes (~|log_z|), which the exponential turns
+                    // into relative noise on every node term.
+                    let moment_tol = 1e-12 + 64.0 * f64::EPSILON * (1.0 + e.log_z.abs());
+                    assert!(
+                        (e.mean - f.mean).abs() <= moment_tol,
+                        "order {order} sigma {sigma} cell {i}: mean {} vs {}",
+                        e.mean,
+                        f.mean
+                    );
+                    assert!(
+                        (e.second - f.second).abs() <= moment_tol,
+                        "order {order} sigma {sigma} cell {i}: second {} vs {}",
+                        e.second,
+                        f.second
+                    );
                 }
             }
         }
@@ -1110,14 +866,19 @@ mod tests {
         // Counts so large that the integrand's mass lies entirely between
         // quadrature nodes: the normaliser underflows to zero.
         let (mu, sigma, c, x) = (0.5, 0.15, 500_000.0, 500_000.0);
-        let mut log_z = [0.0];
-        let mut mean = [0.0];
-        batch.moments(sigma, &[mu], &[c], &[x], &mut log_z, &mut mean);
-        let (slz, sm) = binomial_normal_moments(&quadrature, mu, sigma, c, x);
-        assert_eq!(log_z[0], slz);
-        assert_eq!(mean[0], sm);
-        assert_eq!(mean[0], 0.5); // mu.clamp(0, 1)
-        assert_eq!(log_z[0], f64::NEG_INFINITY);
+        let mut out = [BinomialNormalMoments::default()];
+        batch.moments(sigma, &[mu], &[c], &[x], &mut out);
+        let (log_z, mean) = binomial_normal_moments(&quadrature, mu, sigma, c, x);
+        assert_eq!(out[0].log_z, log_z);
+        assert_eq!(out[0].mean, mean);
+        assert_eq!(
+            out[0],
+            BinomialNormalMoments {
+                log_z: f64::NEG_INFINITY,
+                mean: 0.5, // mu.clamp(0, 1)
+                second: sigma * sigma,
+            }
+        );
     }
 
     #[test]
@@ -1129,17 +890,15 @@ mod tests {
         let mu = [0.5; 100];
         let c = [3.0; 100];
         let x = [2.0; 100];
-        let mut log_z = [0.0; 100];
-        let mut mean = [0.0; 100];
-        batch.log_z(0.1, &mu, &c, &x, &mut log_z);
-        batch.moments(0.1, &mu, &c, &x, &mut log_z, &mut mean);
-        batch.log_z_gradients(0.1, &[(0.5, 3.0, 2.0)]);
-        assert_eq!(batched_quadrature_sweeps() - sweeps, 3);
+        let mut out = [BinomialNormalMoments::default(); 100];
+        batch.moments(0.1, &mu, &c, &x, &mut out);
+        batch.moments(0.1, &mu, &c, &x, &mut out);
+        assert_eq!(batched_quadrature_sweeps() - sweeps, 2);
         assert_eq!(scalar_quadrature_evaluations() - scalar, 0);
         binomial_normal_moments(&quadrature, 0.5, 0.1, 3.0, 2.0);
         binomial_normal_log_z(&quadrature, 0.5, 0.1, 3.0, 2.0);
         assert_eq!(scalar_quadrature_evaluations() - scalar, 2);
-        assert_eq!(batched_quadrature_sweeps() - sweeps, 3);
+        assert_eq!(batched_quadrature_sweeps() - sweeps, 2);
     }
 
     #[test]
@@ -1147,22 +906,17 @@ mod tests {
     fn mismatched_lengths_panic() {
         let quadrature = GaussLegendre::new(8);
         let batch = BinomialNormalBatch::new(&quadrature);
-        let mut out = [0.0; 2];
-        batch.log_z(0.1, &[0.5], &[1.0], &[1.0], &mut out);
+        let mut out = [BinomialNormalMoments::default(); 1];
+        batch.moments(0.1, &[0.5], &[1.0, 2.0], &[1.0], &mut out);
     }
 
     #[test]
     #[should_panic]
-    fn mismatched_gradient_out_length_panics() {
+    fn mismatched_out_length_panics() {
         let quadrature = GaussLegendre::new(8);
         let batch = BinomialNormalBatch::new(&quadrature);
-        let mut out = [LogZGradient::default(); 2];
-        batch.log_z_gradients_into(
-            0.1,
-            &[(0.5, 1.0, 1.0)],
-            &mut out,
-            &mut QuadratureScratch::new(),
-        );
+        let mut out = [BinomialNormalMoments::default(); 2];
+        batch.moments(0.1, &[0.5], &[1.0], &[1.0], &mut out);
     }
 
     #[test]
@@ -1174,7 +928,6 @@ mod tests {
         let fast = BinomialNormalBatch::new_with_math(&quadrature, QuadratureMath::FastVector);
         assert_eq!(fast.math(), QuadratureMath::FastVector);
         // An empty batch is a valid (no-op) sweep.
-        let mut out: [f64; 0] = [];
-        batch.log_z(0.1, &[], &[], &[], &mut out);
+        batch.moments(0.1, &[], &[], &[], &mut []);
     }
 }

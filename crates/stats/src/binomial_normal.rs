@@ -1,37 +1,31 @@
-//! The binomial×normal integrals of the CPE likelihood (Eq. 5–8) and their
-//! closed-form derivatives.
+//! The binomial×normal integrals of the CPE likelihood (Eq. 5–8).
 //!
 //! Every term of the CPE marginal likelihood is a normaliser of the form
 //! `Z = ∫_0^1 h^C (1-h)^X N(h; mu, sigma^2) dh`, and the Eq. 8 prediction is the
 //! first moment `E[h]` under the same unnormalised density. This module owns
-//! that integrand:
+//! the scalar form of that integrand:
 //!
 //! * [`binomial_normal_log_z`] / [`binomial_normal_moments`] — `log Z` (and
 //!   optionally `E[h]`) for a single observation, evaluated in log-space so that
-//!   large answer counts cannot underflow;
-//! * [`binomial_normal_log_z_gradients`] — `log Z` **and** its closed-form
-//!   derivatives with respect to the conditional mean and variance for a whole
-//!   batch of observations sharing one `sigma`, computed from two extra
-//!   quadrature moments in a single sweep over shared nodes. This is the
-//!   sweep of the CPE fit's E-step: within a CPE mask group the
-//!   conditional variance is value-independent, so the node positions, their
-//!   logarithms, and the peak-bracketing grid are computed once per group
-//!   instead of once per worker.
+//!   large answer counts cannot underflow.
 //!
-//! The derivative identities are the classical exponential-tilting moments:
-//! with expectations taken under `p(h) ∝ h^C (1-h)^X N(h; mu, v)`,
+//! The CPE hot paths sweep whole mask groups through
+//! [`BinomialNormalBatch::moments`](crate::BinomialNormalBatch::moments)
+//! instead, which also integrates the second moment about the conditional
+//! mean, `E[(h - mu)^2]`; these scalar forms are its bit-for-bit oracle. The
+//! two moments carry the derivatives of `log Z` by the classical
+//! exponential-tilting identities: with expectations taken under
+//! `p(h) ∝ h^C (1-h)^X N(h; mu, v)`,
 //!
 //! ```text
 //! ∂ log Z / ∂ mu = E[h - mu] / v
 //! ∂ log Z / ∂ v  = (E[(h - mu)^2] - v) / (2 v^2)
 //! ```
 //!
-//! which are exactly the derivatives of the Gauss–Legendre approximation of
-//! `log Z` as well (differentiation and the fixed-node quadrature sum commute),
-//! so they match a central-difference stencil over the same quadrature to
-//! stencil accuracy. Read backwards, the identities give the posterior moments
-//! `E[h] = mu + v ∂ log Z/∂ mu` and `E[(h - mu)^2] = v + 2 v^2 ∂ log Z/∂ v`,
-//! which is how the CPE E-step uses them.
+//! which hold for the Gauss–Legendre approximation of `log Z` as well
+//! (differentiation and the fixed-node quadrature sum commute), so the swept
+//! moments match a central-difference stencil over the same quadrature to
+//! stencil accuracy.
 
 use crate::integrate::GaussLegendre;
 
@@ -143,75 +137,10 @@ fn moments_impl(
     (z.ln() + log_max, first / z)
 }
 
-/// `log Z` and its derivatives with respect to the conditional mean and
-/// conditional variance, for one observation of a shared-`sigma` batch.
-///
-/// `Default` is the all-zero gradient — a convenient filler when resizing a
-/// reusable output buffer for
-/// [`BinomialNormalBatch::log_z_gradients_into`](crate::BinomialNormalBatch::log_z_gradients_into).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct LogZGradient {
-    /// `log Z` of the binomial×normal integral ([`f64::NEG_INFINITY`] when the
-    /// normaliser underflows; the derivatives are zero in that case).
-    pub log_z: f64,
-    /// `∂ log Z / ∂ mu` — derivative with respect to the conditional mean.
-    pub d_mean: f64,
-    /// `∂ log Z / ∂ v` — derivative with respect to the conditional variance
-    /// `v = sigma^2`.
-    pub d_variance: f64,
-}
-
-impl LogZGradient {
-    /// Whether the normaliser converged (finite `log Z` and derivatives).
-    pub fn is_finite(&self) -> bool {
-        self.log_z.is_finite() && self.d_mean.is_finite() && self.d_variance.is_finite()
-    }
-}
-
-/// Evaluates `log Z` and its conditional-mean/variance derivatives for a batch
-/// of observations sharing one conditional standard deviation, in one
-/// vectorised sweep over shared quadrature nodes.
-///
-/// `observations` holds `(mu, correct, wrong)` per observation. Within a CPE
-/// mask group the conditional variance does not depend on the observed values,
-/// so the node positions, their (clamped) logarithms `ln h` / `ln(1-h)`, and
-/// the peak-bracketing grid tables are computed **once per group** here and
-/// reused for every worker — the three moments `Z`, `E[h - mu]`, and
-/// `E[(h - mu)^2]` then cost one fused pass per worker instead of three
-/// integrals.
-///
-/// An observation whose normaliser underflows gets `log_z = -inf` and zero
-/// derivatives, so a caller accumulating a gradient skips it instead of
-/// poisoning the sum with `NaN`.
-///
-/// ```
-/// use c4u_stats::{binomial_normal_log_z, binomial_normal_log_z_gradients, GaussLegendre};
-///
-/// let quadrature = GaussLegendre::new(32);
-/// // One worker: conditional mean 0.55, sigma 0.12, C = 7 correct, X = 3 wrong.
-/// let grad = binomial_normal_log_z_gradients(&quadrature, 0.12, &[(0.55, 7.0, 3.0)])[0];
-/// assert!(grad.is_finite());
-/// // The fused log Z agrees with the dedicated log-Z sweep to float rounding.
-/// let log_z = binomial_normal_log_z(&quadrature, 0.55, 0.12, 7.0, 3.0);
-/// assert!((grad.log_z - log_z).abs() < 1e-12);
-/// // More correct than wrong answers: the likelihood rises with the mean.
-/// assert!(grad.d_mean > 0.0);
-/// ```
-pub fn binomial_normal_log_z_gradients(
-    quadrature: &GaussLegendre,
-    sigma: f64,
-    observations: &[(f64, f64, f64)],
-) -> Vec<LogZGradient> {
-    // The SoA tables this builds are exactly the shared per-node tables the
-    // historical inline sweep tabulated per call; the batch method preserves
-    // the accumulation operation for operation, so this delegation is
-    // bit-identical to the pre-batch implementation.
-    crate::batch::BinomialNormalBatch::new(quadrature).log_z_gradients(sigma, observations)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{BinomialNormalBatch, BinomialNormalMoments};
 
     #[test]
     fn log_z_only_variant_matches_full_moments() {
@@ -264,28 +193,38 @@ mod tests {
         assert!((0.3..0.9).contains(&mean));
     }
 
+    /// One batched sweep of `cells` at a shared `sigma`.
+    fn sweep(
+        quadrature: &GaussLegendre,
+        sigma: f64,
+        cells: &[(f64, f64, f64)],
+    ) -> Vec<BinomialNormalMoments> {
+        let mu: Vec<f64> = cells.iter().map(|c| c.0).collect();
+        let c: Vec<f64> = cells.iter().map(|c| c.1).collect();
+        let x: Vec<f64> = cells.iter().map(|c| c.2).collect();
+        let mut out = vec![BinomialNormalMoments::default(); cells.len()];
+        BinomialNormalBatch::new(quadrature).moments(sigma, &mu, &c, &x, &mut out);
+        out
+    }
+
     #[test]
     fn batch_log_z_matches_single_evaluations() {
         let quadrature = GaussLegendre::new(32);
         let sigma = 0.12;
         let batch = [(0.55, 7.0, 3.0), (0.7, 0.0, 0.0), (0.3, 2.0, 8.0)];
-        let grads = binomial_normal_log_z_gradients(&quadrature, sigma, &batch);
-        assert_eq!(grads.len(), batch.len());
-        for (grad, &(mu, c, x)) in grads.iter().zip(&batch) {
-            let log_z = binomial_normal_log_z(&quadrature, mu, sigma, c, x);
-            // Same nodes, same shift, same clamp — only the loop structure
-            // differs, so agreement is to rounding, not just quadrature, error.
-            assert!(
-                (grad.log_z - log_z).abs() < 1e-12,
-                "batch {} vs single {log_z}",
-                grad.log_z
+        for (out, &(mu, c, x)) in sweep(&quadrature, sigma, &batch).iter().zip(&batch) {
+            // Same nodes, same shift, same clamp, same summation order.
+            assert_eq!(
+                out.log_z,
+                binomial_normal_log_z(&quadrature, mu, sigma, c, x)
             );
-            assert!(grad.is_finite());
+            assert!(out.log_z.is_finite());
         }
     }
 
     #[test]
     fn gradients_match_central_differences() {
+        // The derivatives the swept moments carry by the tilting identities.
         let quadrature = GaussLegendre::new(48);
         let step = 1e-6;
         for (mu, sigma, c, x) in [
@@ -294,23 +233,23 @@ mod tests {
             (0.3, 0.08, 2.0, 8.0),
             (0.9, 0.15, 10.0, 0.0),
         ] {
-            let grad = binomial_normal_log_z_gradients(&quadrature, sigma, &[(mu, c, x)])[0];
+            let out = sweep(&quadrature, sigma, &[(mu, c, x)])[0];
+            let v = sigma * sigma;
+            let d_mean = (out.mean - mu) / v;
+            let d_variance = (out.second - v) / (2.0 * v * v);
             let fd_mean = (binomial_normal_log_z(&quadrature, mu + step, sigma, c, x)
                 - binomial_normal_log_z(&quadrature, mu - step, sigma, c, x))
                 / (2.0 * step);
-            let v = sigma * sigma;
             let fd_var = (binomial_normal_log_z(&quadrature, mu, (v + step).sqrt(), c, x)
                 - binomial_normal_log_z(&quadrature, mu, (v - step).sqrt(), c, x))
                 / (2.0 * step);
             assert!(
-                (grad.d_mean - fd_mean).abs() < 1e-5 * (1.0 + fd_mean.abs()),
-                "d_mean {} vs fd {fd_mean}",
-                grad.d_mean
+                (d_mean - fd_mean).abs() < 1e-5 * (1.0 + fd_mean.abs()),
+                "d_mean {d_mean} vs fd {fd_mean}"
             );
             assert!(
-                (grad.d_variance - fd_var).abs() < 1e-4 * (1.0 + fd_var.abs()),
-                "d_variance {} vs fd {fd_var}",
-                grad.d_variance
+                (d_variance - fd_var).abs() < 1e-4 * (1.0 + fd_var.abs()),
+                "d_variance {d_variance} vs fd {fd_var}"
             );
         }
     }
@@ -318,15 +257,15 @@ mod tests {
     #[test]
     fn underflowing_normaliser_yields_zero_derivatives() {
         // Counts so large that the integrand's mass lies entirely between
-        // quadrature nodes: the normaliser underflows to zero and the gradient
-        // must come back as a harmless zero, not NaN.
+        // quadrature nodes: the normaliser underflows to zero and the sweep
+        // returns the conditional prior's moments, whose implied derivatives
+        // are a harmless zero, not NaN.
         let quadrature = GaussLegendre::new(32);
-        let grads =
-            binomial_normal_log_z_gradients(&quadrature, 0.15, &[(0.5, 500_000.0, 500_000.0)]);
-        assert_eq!(grads[0].log_z, f64::NEG_INFINITY);
-        assert_eq!(grads[0].d_mean, 0.0);
-        assert_eq!(grads[0].d_variance, 0.0);
-        assert!(!grads[0].is_finite());
+        let (mu, sigma) = (0.5, 0.15);
+        let out = sweep(&quadrature, sigma, &[(mu, 500_000.0, 500_000.0)])[0];
+        assert_eq!(out.log_z, f64::NEG_INFINITY);
+        assert_eq!(out.mean - mu, 0.0);
+        assert_eq!(out.second - sigma * sigma, 0.0);
     }
 
     #[test]

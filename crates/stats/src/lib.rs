@@ -16,12 +16,12 @@
 //! * the [`MultivariateNormal`] with conditioning ([`Conditional1D`]), sampling and
 //!   box-truncated sampling;
 //! * Gauss–Legendre quadrature ([`GaussLegendre`]);
-//! * the binomial×normal integrals of the CPE likelihood and their closed-form
-//!   conditional-mean/variance derivatives: [`binomial_normal_moments`],
-//!   [`binomial_normal_log_z`], [`binomial_normal_log_z_gradients`], plus the
+//! * the binomial×normal integrals of the CPE likelihood:
+//!   [`binomial_normal_moments`] and [`binomial_normal_log_z`], plus the one
 //!   batched structure-of-arrays sweep over shared node tables
-//!   ([`BinomialNormalBatch`]) that the CPE hot paths use, bit-identical to
-//!   the scalar forms;
+//!   ([`BinomialNormalBatch`]) that the CPE E-step uses — `log Z`, `E[h]` and
+//!   the second moment about the conditional mean per worker
+//!   ([`BinomialNormalMoments`]), bit-identical to the scalar forms;
 //! * descriptive statistics: [`mean`], [`std_dev`], [`quantile`],
 //!   [`pearson_correlation`], [`Histogram`], [`Summary`];
 //! * the PSD projection of covariance iterates, [`nearest_positive_definite`].
@@ -58,12 +58,10 @@ mod univariate;
 mod vmath;
 
 pub use batch::{
-    batched_quadrature_sweeps, scalar_quadrature_evaluations, BinomialNormalBatch, QuadratureMath,
-    QuadratureScratch,
+    batched_quadrature_sweeps, scalar_quadrature_evaluations, BinomialNormalBatch,
+    BinomialNormalMoments, QuadratureMath, QuadratureScratch,
 };
-pub use binomial_normal::{
-    binomial_normal_log_z, binomial_normal_log_z_gradients, binomial_normal_moments, LogZGradient,
-};
+pub use binomial_normal::{binomial_normal_log_z, binomial_normal_moments};
 pub use covariance::nearest_positive_definite;
 pub use descriptive::{
     covariance, max, mean, median, min, pearson_correlation, quantile, std_dev, variance,

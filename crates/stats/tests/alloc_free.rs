@@ -1,11 +1,10 @@
-//! Pins the zero-allocation contract of the `*_with_scratch` / `*_into`
-//! sweeps with a counting global allocator.
+//! Pins the zero-allocation contract of the scratch-taking sweep with a
+//! counting global allocator.
 //!
-//! After one warm-up sweep has grown the caller-owned buffers, repeated
-//! `log_z_with_scratch` / `moments_with_scratch` / `log_z_gradients_into`
-//! calls must perform **zero** heap allocations — that is the whole point of
-//! the scratch-taking variants, and the property the CPE hot loops (one sweep
-//! per mask group per epoch) rely on.
+//! After one warm-up sweep has grown the caller-owned buffer, repeated
+//! `moments_with_scratch` calls must perform **zero** heap allocations —
+//! that is the whole point of the scratch-taking form, and the property the
+//! CPE hot loops (one sweep per mask-group block per epoch) rely on.
 //!
 //! The counter is **per-thread** (a `const`-initialised thread-local, so the
 //! counting itself never allocates): the libtest harness thread allocates
@@ -19,7 +18,7 @@
 #![allow(unsafe_code)]
 
 use c4u_stats::{
-    BinomialNormalBatch, GaussLegendre, LogZGradient, QuadratureMath, QuadratureScratch,
+    BinomialNormalBatch, BinomialNormalMoments, GaussLegendre, QuadratureMath, QuadratureScratch,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -63,31 +62,21 @@ fn scratch_sweeps_do_not_allocate() {
         let mu = [0.55, 0.7, 0.3, 0.99, 0.01, 0.5];
         let c = [7.0, 0.0, 2.0, 1000.0, 0.0, 3.0];
         let x = [3.0, 0.0, 8.0, 0.0, 1000.0, 3.0];
-        let obs: Vec<(f64, f64, f64)> = mu
-            .iter()
-            .zip(&c)
-            .zip(&x)
-            .map(|((&m, &c), &x)| (m, c, x))
-            .collect();
-        let mut log_z = [0.0; 6];
-        let mut mean = [0.0; 6];
-        let mut grads = [LogZGradient::default(); 6];
+        let mut out = [BinomialNormalMoments::default(); 6];
         let mut scratch = QuadratureScratch::new();
 
         // Warm up: the first sweep grows the scratch to the rule size.
-        batch.log_z_with_scratch(0.12, &mu, &c, &x, &mut log_z, &mut scratch);
+        batch.moments_with_scratch(0.12, &mu, &c, &x, &mut out, &mut scratch);
 
         let before = thread_allocations();
         for _ in 0..16 {
-            batch.log_z_with_scratch(0.12, &mu, &c, &x, &mut log_z, &mut scratch);
-            batch.moments_with_scratch(0.12, &mu, &c, &x, &mut log_z, &mut mean, &mut scratch);
-            batch.log_z_gradients_into(0.12, &obs, &mut grads, &mut scratch);
+            batch.moments_with_scratch(0.12, &mu, &c, &x, &mut out, &mut scratch);
         }
         let after = thread_allocations();
         assert_eq!(
             after - before,
             0,
-            "{math:?}: scratch-based sweeps must not allocate"
+            "{math:?}: the scratch-based sweep must not allocate"
         );
     }
 }

@@ -3,9 +3,10 @@
 //!
 //! For randomly generated shared-`sigma` batches — the shape of a CPE mask
 //! group — [`BinomialNormalBatch`] must agree with per-worker
-//! [`binomial_normal_moments`] / [`binomial_normal_log_z`] calls **exactly**
-//! (`prop_assert_eq!` on the raw `f64` bits, not an epsilon). Every case
-//! force-includes the hard cells on top of the random draws:
+//! [`binomial_normal_moments`] / [`binomial_normal_log_z`] calls, and its
+//! second moment with the same `integrate` calls over `(h − mu)²`,
+//! **exactly** (`prop_assert_eq!` on the raw `f64` bits, not an epsilon).
+//! Every case force-includes the hard cells on top of the random draws:
 //!
 //! * boundary-peaked integrands (`X = 0` with large `C`, and `C = 0` with
 //!   large `X`) whose peak lives inside the bracketing grid's end gaps;
@@ -16,8 +17,8 @@
 //!   clamp).
 
 use c4u_stats::{
-    binomial_normal_log_z, binomial_normal_log_z_gradients, binomial_normal_moments,
-    BinomialNormalBatch, GaussLegendre, QuadratureMath,
+    binomial_normal_log_z, binomial_normal_moments, BinomialNormalBatch, BinomialNormalMoments,
+    GaussLegendre, QuadratureMath,
 };
 use proptest::prelude::*;
 
@@ -40,6 +41,52 @@ fn edge_cells() -> Vec<(f64, f64, f64)> {
     ]
 }
 
+/// One batched sweep of `cells` at a shared `sigma`.
+fn sweep(
+    batch: &BinomialNormalBatch,
+    sigma: f64,
+    cells: &[(f64, f64, f64)],
+) -> Vec<BinomialNormalMoments> {
+    let mu: Vec<f64> = cells.iter().map(|c| c.0).collect();
+    let c: Vec<f64> = cells.iter().map(|c| c.1).collect();
+    let x: Vec<f64> = cells.iter().map(|c| c.2).collect();
+    let mut out = vec![BinomialNormalMoments::default(); cells.len()];
+    batch.moments(sigma, &mu, &c, &x, &mut out);
+    out
+}
+
+/// `E[(h − mu)²]` the scalar way: the integrand and `integrate` calls of
+/// `binomial_normal_moments`, shifted by the batch's (bit-identical) grid
+/// peak, with `(h − mu)²` as the moment. The sweep's underflow fallback is
+/// the conditional variance.
+fn scalar_second_moment(
+    quadrature: &GaussLegendre,
+    peak: f64,
+    mu: f64,
+    sigma: f64,
+    c: f64,
+    x: f64,
+) -> f64 {
+    let sigma = sigma.max(1e-6);
+    let log_integrand = |h: f64| {
+        let h = h.clamp(1e-12, 1.0 - 1e-12);
+        let z = (h - mu) / sigma;
+        c * h.ln() + x * (1.0 - h).ln()
+            - 0.5 * z * z
+            - sigma.ln()
+            - 0.5 * (2.0 * std::f64::consts::PI).ln()
+    };
+    let z = quadrature.integrate(0.0, 1.0, |h| (log_integrand(h) - peak).exp());
+    if !peak.is_finite() || z <= 0.0 || !z.is_finite() {
+        return sigma * sigma;
+    }
+    let second = quadrature.integrate(0.0, 1.0, |h| {
+        let d = h - mu;
+        d * d * (log_integrand(h) - peak).exp()
+    });
+    second / z
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -55,82 +102,32 @@ proptest! {
         let batch = BinomialNormalBatch::new(&quadrature);
         prop_assert_eq!(batch.num_nodes(), quadrature.order());
 
-        let mu: Vec<f64> = cells.iter().map(|c| c.0).collect();
-        let c: Vec<f64> = cells.iter().map(|c| c.1).collect();
-        let x: Vec<f64> = cells.iter().map(|c| c.2).collect();
-        let mut log_z = vec![0.0; cells.len()];
-        let mut mean = vec![0.0; cells.len()];
-        batch.moments(sigma, &mu, &c, &x, &mut log_z, &mut mean);
-        let mut log_z_only = vec![0.0; cells.len()];
-        batch.log_z(sigma, &mu, &c, &x, &mut log_z_only);
-
-        for i in 0..cells.len() {
-            let (scalar_log_z, scalar_mean) =
-                binomial_normal_moments(&quadrature, mu[i], sigma, c[i], x[i]);
-            prop_assert_eq!(log_z[i], scalar_log_z, "cell {} of order {}", i, order);
-            prop_assert_eq!(mean[i], scalar_mean, "cell {} of order {}", i, order);
+        for (i, (out, &(mu, c, x))) in sweep(&batch, sigma, &cells).iter().zip(&cells).enumerate() {
+            let (scalar_log_z, scalar_mean) = binomial_normal_moments(&quadrature, mu, sigma, c, x);
+            prop_assert_eq!(out.log_z, scalar_log_z, "cell {} of order {}", i, order);
+            prop_assert_eq!(out.mean, scalar_mean, "cell {} of order {}", i, order);
             prop_assert_eq!(
-                log_z_only[i],
-                binomial_normal_log_z(&quadrature, mu[i], sigma, c[i], x[i]),
+                out.log_z,
+                binomial_normal_log_z(&quadrature, mu, sigma, c, x),
+                "cell {} of order {}", i, order
+            );
+            let peak = batch.log_integrand_peak(sigma, mu, c, x);
+            prop_assert_eq!(
+                out.second,
+                scalar_second_moment(&quadrature, peak, mu, sigma, c, x),
                 "cell {} of order {}", i, order
             );
         }
     }
 
-    #[test]
-    fn batched_gradient_log_z_tracks_the_scalar_oracle(
-        cells in prop::collection::vec(cell_strategy(), 1..10),
-        sigma in 0.0..0.5f64,
-        order in 2usize..48,
-    ) {
-        let mut cells = cells;
-        cells.extend(edge_cells());
-        let quadrature = GaussLegendre::new(order);
-        let batch = BinomialNormalBatch::new(&quadrature);
-        let grads = batch.log_z_gradients(sigma, &cells);
-        // The free function is a thin wrapper over the batch method; equality
-        // here guards the wrapper against future divergence.
-        prop_assert_eq!(
-            &grads,
-            &binomial_normal_log_z_gradients(&quadrature, sigma, &cells)
-        );
-        // The fused sweep is an independent accumulation (folded weights,
-        // combined normalisation constant), so against the scalar oracle the
-        // contract is tight agreement, not bit equality — and the comparison
-        // must happen in the peak-shifted exp domain. In the log domain the
-        // two paths diverge arbitrarily whenever the shifted mass lands in
-        // subnormal territory (the bracketing-grid peak can sit hundreds of
-        // log-units above every quadrature node, leaving shifted node terms
-        // quantised to multiples of ~4.9e-324 where both answers are noise);
-        // shifting by the library's own grid peak and exponentiating collapses
-        // that regime to 0 ~ 0 while still pinning well-scaled cells to ~1e-8
-        // agreement in `log_z`. Cells where even the peak vanishes must agree
-        // on -inf exactly.
-        for (i, (grad, &(mu, c, x))) in grads.iter().zip(&cells).enumerate() {
-            let scalar = binomial_normal_log_z(&quadrature, mu, sigma, c, x);
-            let peak = batch.log_integrand_peak(sigma, mu, c, x);
-            if peak.is_finite() {
-                let fused_mass = (grad.log_z - peak).exp();
-                let scalar_mass = (scalar - peak).exp();
-                let tolerance = 1e-8 * fused_mass.max(scalar_mass) + 1e-290;
-                prop_assert!(
-                    (fused_mass - scalar_mass).abs() <= tolerance,
-                    "cell {} (mu={:e} c={} x={} sigma={:e} order={}): fused {} vs scalar {} (peak {})",
-                    i, mu, c, x, sigma, order, grad.log_z, scalar, peak
-                );
-            } else {
-                prop_assert_eq!(grad.log_z, f64::NEG_INFINITY, "cell {}", i);
-                prop_assert_eq!(scalar, f64::NEG_INFINITY, "cell {}", i);
-            }
-        }
-    }
-
     /// The `FastVector` accuracy contract at this layer: against the pinned
     /// `Exact` path, per-cell `log_z` and moments agree to ~1e-12 relative on
-    /// well-scaled cells — compared in the peak-shifted exp domain for the
-    /// same reason as above (when the shifted mass is subnormal, the last
-    /// digits of *any* log-space answer are quantisation noise, so both paths
-    /// must agree on "zero mass" rather than on those digits).
+    /// well-scaled cells — compared in the peak-shifted exp domain: when
+    /// the shifted mass lands in subnormal territory (the bracketing-grid
+    /// peak can sit hundreds of log-units above every quadrature node,
+    /// leaving shifted node terms quantised to multiples of ~4.9e-324), the
+    /// last digits of *any* log-space answer are quantisation noise, so both
+    /// paths must agree on "zero mass" rather than on those digits.
     ///
     /// On ill-conditioned cells the bound degrades with the log-domain
     /// conditioning: the `FastVector` fill folds its constants per worker and
@@ -152,87 +149,43 @@ proptest! {
         let quadrature = GaussLegendre::new(order);
         let exact = BinomialNormalBatch::new(&quadrature);
         let fast = BinomialNormalBatch::new_with_math(&quadrature, QuadratureMath::FastVector);
+        let (out_e, out_f) = (sweep(&exact, sigma, &cells), sweep(&fast, sigma, &cells));
 
-        let mu: Vec<f64> = cells.iter().map(|c| c.0).collect();
-        let c: Vec<f64> = cells.iter().map(|c| c.1).collect();
-        let x: Vec<f64> = cells.iter().map(|c| c.2).collect();
-        let n = cells.len();
-        let (mut lz_e, mut m_e) = (vec![0.0; n], vec![0.0; n]);
-        let (mut lz_f, mut m_f) = (vec![0.0; n], vec![0.0; n]);
-        exact.moments(sigma, &mu, &c, &x, &mut lz_e, &mut m_e);
-        fast.moments(sigma, &mu, &c, &x, &mut lz_f, &mut m_f);
-        let mut lz_only = vec![0.0; n];
-        fast.log_z(sigma, &mu, &c, &x, &mut lz_only);
-        let grads_e = exact.log_z_gradients(
-            sigma,
-            &cells.iter().map(|&(mu, c, x)| (mu, c, x)).collect::<Vec<_>>(),
-        );
-        let grads_f = fast.log_z_gradients(
-            sigma,
-            &cells.iter().map(|&(mu, c, x)| (mu, c, x)).collect::<Vec<_>>(),
-        );
-
-        for i in 0..n {
-            let peak = exact.log_integrand_peak(sigma, mu[i], c[i], x[i]);
+        for (i, ((e, f), &(mu, c, x))) in out_e.iter().zip(&out_f).zip(&cells).enumerate() {
+            let peak = exact.log_integrand_peak(sigma, mu, c, x);
             if !peak.is_finite() {
-                prop_assert_eq!(lz_e[i], f64::NEG_INFINITY, "cell {}", i);
-                prop_assert_eq!(lz_f[i], f64::NEG_INFINITY, "cell {}", i);
+                prop_assert_eq!(e.log_z, f64::NEG_INFINITY, "cell {}", i);
+                prop_assert_eq!(f.log_z, f64::NEG_INFINITY, "cell {}", i);
                 continue;
             }
             // Shifted-mass comparison: ~1e-12 relative on well-scaled cells
             // plus the conditioning allowance (see the doc comment),
             // collapsing the subnormal-mass regime to 0 ~ 0.
             let cond = 64.0 * f64::EPSILON * (1.0 + peak.abs());
-            let mass_e = (lz_e[i] - peak).exp();
-            let mass_f = (lz_f[i] - peak).exp();
+            let mass_e = (e.log_z - peak).exp();
+            let mass_f = (f.log_z - peak).exp();
             let tolerance = (1e-12 + cond) * mass_e.max(mass_f) + 1e-290;
             prop_assert!(
                 (mass_e - mass_f).abs() <= tolerance,
                 "cell {} (mu={:e} c={} x={} sigma={:e} order={}): exact {} vs fast {}",
-                i, mu[i], c[i], x[i], sigma, order, lz_e[i], lz_f[i]
+                i, mu, c, x, sigma, order, e.log_z, f.log_z
             );
-            prop_assert_eq!(lz_only[i].to_bits(), lz_f[i].to_bits(), "cell {}", i);
-            // Ratios (the posterior mean and the gradient moments) are only
+            // The moments are ratios of non-negative sums, only
             // well-conditioned while the shifted normaliser is well above the
             // subnormal band — below that, every node term is quantised to
-            // multiples of ~4.9e-324 and first/z is noise in *both* paths.
+            // multiples of ~4.9e-324 and the ratio is noise in *both* paths.
+            // Above it, their node terms carry the same per-term
+            // conditioning noise as the mass (factor 2: the numerator and the
+            // normaliser each contribute), relative to the moment's size.
             if mass_e.min(mass_f) >= 1e-300 {
-                // The mean is a shift-independent ratio, but its node terms
-                // carry the same per-term conditioning noise (factor 2: the
-                // moment numerator and the normaliser each contribute).
                 prop_assert!(
-                    (m_e[i] - m_f[i]).abs() <= 1e-12 + 2.0 * cond,
-                    "cell {}: mean {} vs {}", i, m_e[i], m_f[i]
+                    (e.mean - f.mean).abs() <= 1e-12 + 2.0 * cond,
+                    "cell {}: mean {} vs {}", i, e.mean, f.mean
                 );
-            }
-            // Gradient sweep under the same contract (its own shift constant).
-            let (ge, gf) = (&grads_e[i], &grads_f[i]);
-            if ge.log_z.is_finite() && gf.log_z.is_finite() {
-                let mass_e = (ge.log_z - peak).exp();
-                let mass_f = (gf.log_z - peak).exp();
-                let tolerance = (1e-12 + cond) * mass_e.max(mass_f) + 1e-290;
                 prop_assert!(
-                    (mass_e - mass_f).abs() <= tolerance,
-                    "cell {}: gradient log_z {} vs {}", i, ge.log_z, gf.log_z
+                    (e.second - f.second).abs() <= (1e-12 + 2.0 * cond) * e.second.max(1.0),
+                    "cell {}: second {} vs {}", i, e.second, f.second
                 );
-                if mass_e.min(mass_f) >= 1e-300 {
-                    // The gradient moments divide the conditioning noise of
-                    // the (shift-independent) expectation ratios by the
-                    // variance (and its square), exactly as the derivative
-                    // formulas do — `1e-6` is the kernel's sigma floor.
-                    let variance = sigma.max(1e-6) * sigma.max(1e-6);
-                    let scale = 1.0 + ge.d_mean.abs().max(gf.d_mean.abs());
-                    prop_assert!(
-                        (ge.d_mean - gf.d_mean).abs() <= 1e-9 * scale + 2.0 * cond / variance,
-                        "cell {}: d_mean {} vs {}", i, ge.d_mean, gf.d_mean
-                    );
-                    let scale = 1.0 + ge.d_variance.abs().max(gf.d_variance.abs());
-                    prop_assert!(
-                        (ge.d_variance - gf.d_variance).abs()
-                            <= 1e-9 * scale + 2.0 * cond / (variance * variance),
-                        "cell {}: d_variance {} vs {}", i, ge.d_variance, gf.d_variance
-                    );
-                }
             }
         }
     }

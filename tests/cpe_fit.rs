@@ -3,8 +3,9 @@
 //!
 //! Every campaign runs the full method (CPE → LGE) with a stage that wraps
 //! [`CpeStage`] and records, after each round's update, the fit summary, the
-//! held mean vector and the fused log-likelihood of the held model. In every
-//! update:
+//! held mean vector and the fused log-likelihood of the held model. The
+//! predictions the update returns (the stage's scores) must equal
+//! `predict_batch` on the updated estimator bit for bit. In every update:
 //!
 //! * the log-likelihood of the kept model is at least the start's, and the
 //!   kept model is the best iterate the fit evaluated;
@@ -16,9 +17,9 @@
 
 use c4u_crowd_sim::{generate, Dataset, DatasetConfig, HistoricalProfile, Platform};
 use c4u_selection::{
-    CpeConfig, CpeFitSummary, CpeLikelihoodKernel, CpeObservation, CpeStage, CrossDomainSelector,
-    EstimationStage, LgeStage, RoundContext, SelectionError, SelectorConfig, StageInit,
-    StagePipeline,
+    CpeConfig, CpeFitSummary, CpeLikelihoodKernel, CpeObservation, CpeStage, CrossDomainEstimator,
+    CrossDomainSelector, EstimationStage, LgeStage, RoundContext, SelectionError, SelectorConfig,
+    StageInit, StagePipeline,
 };
 use c4u_stats::GaussLegendre;
 use std::sync::{Arc, Mutex};
@@ -63,6 +64,8 @@ impl EstimationStage for RecordingCpe {
                 CpeObservation::from_profile(profile, sheet.correct(), sheet.wrong())
             })
             .collect();
+        // The update's predictions are those of the model it kept.
+        assert_eq!(scores, estimator.predict_batch(&observations)?);
         let quadrature = GaussLegendre::new(CpeConfig::QUADRATURE_ORDER);
         let kernel =
             CpeLikelihoodKernel::new(&observations, estimator.num_prior_domains(), &quadrature);
@@ -191,4 +194,43 @@ fn every_update_of_a_ten_thousand_worker_pool_keeps_its_best_iterate_within_boun
     assert_fits("S-4 x 10^4", &updates);
     // The late rounds sit at the mean clamp, where an epoch can fall.
     assert!(updates.iter().any(|u| u.fit.falling_epochs > 0));
+}
+
+/// An update whose first iterate falls keeps its start: its predictions then
+/// come from the start's E-step, and still equal `predict_batch` bit for bit.
+#[test]
+fn an_update_that_keeps_its_start_returns_the_start_predictions() {
+    // Four workers over four coordinates: the sample covariance is singular,
+    // and projecting it lowers the likelihood. The first update's last epoch
+    // falls from its best iterate, so re-fitting that iterate to the same
+    // round falls in its first epoch.
+    let profiles = [
+        HistoricalProfile::complete(vec![0.9, 0.9, 0.8], vec![10, 10, 10]).unwrap(),
+        HistoricalProfile::complete(vec![0.7, 0.8, 0.6], vec![10, 10, 10]).unwrap(),
+        HistoricalProfile::complete(vec![0.5, 0.6, 0.4], vec![10, 10, 10]).unwrap(),
+        HistoricalProfile::complete(vec![0.3, 0.5, 0.2], vec![10, 10, 10]).unwrap(),
+    ];
+    let refs: Vec<&HistoricalProfile> = profiles.iter().collect();
+    let observations: Vec<CpeObservation> = profiles
+        .iter()
+        .zip([9, 8, 4, 2])
+        .map(|(p, correct)| CpeObservation::from_profile(p, correct, 10 - correct))
+        .collect();
+    let mut estimator = CrossDomainEstimator::from_profiles(&refs, CpeConfig::default()).unwrap();
+    let predictions = estimator.update(&observations).unwrap();
+    let fit = *estimator.last_fit().unwrap();
+    assert!(
+        fit.best_log_likelihood > fit.start_log_likelihood,
+        "{fit:?}"
+    );
+    assert_eq!(predictions, estimator.predict_batch(&observations).unwrap());
+
+    let kept = estimator.clone();
+    let predictions = estimator.update(&observations).unwrap();
+    let fit = *estimator.last_fit().unwrap();
+    assert_eq!((fit.epochs, fit.falling_epochs), (1, 1), "{fit:?}");
+    assert_eq!(fit.best_log_likelihood, fit.start_log_likelihood, "{fit:?}");
+    assert_eq!(estimator.mean(), kept.mean());
+    assert_eq!(estimator.covariance(), kept.covariance());
+    assert_eq!(predictions, kept.predict_batch(&observations).unwrap());
 }

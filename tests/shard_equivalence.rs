@@ -13,13 +13,21 @@
 //!   order);
 //! * a [`CrossDomainSelector`] configured with any `num_shards` must select
 //!   the same workers with the same final scores and identical per-round
-//!   estimates.
+//!   estimates;
+//! * the Eq. 8 predictions a CPE update returns must equal
+//!   [`CrossDomainEstimator::predict_batch_sharded`] after the update, for
+//!   every shard layout.
 //!
 //! These are exact `==` assertions on `f64`s, not tolerance checks: sharding
 //! is an execution-layout knob, never a numerical one.
 
-use c4u_crowd_sim::{generate, DatasetConfig, Platform, RoundRecord, WorkerShards};
-use c4u_selection::{evaluate_strategy, CrossDomainSelector, SelectorConfig, WorkerSelector};
+use c4u_crowd_sim::{
+    generate, DatasetConfig, HistoricalProfile, Platform, RoundRecord, WorkerShards,
+};
+use c4u_selection::{
+    evaluate_strategy, CpeConfig, CpeObservation, CrossDomainEstimator, CrossDomainSelector,
+    SelectorConfig, WorkerSelector,
+};
 
 /// Shard counts exercised everywhere: sequential, ragged (27 workers over 3 or
 /// 16 ranges), and more-shards-than-workers (empty trailing shards).
@@ -256,6 +264,47 @@ fn blocked_cpe_sweep_pool_is_identical_for_every_shard_count() {
         let report = run(num_shards);
         assert_eq!(report.outcome, reference.outcome, "{num_shards} shards");
         assert_eq!(report.rounds, reference.rounds, "{num_shards} shards");
+    }
+}
+
+#[test]
+fn update_predictions_equal_sharded_predictions_for_every_shard_count() {
+    // S-4 scaled to 3000 workers: the update's E-steps span several sweep
+    // blocks.
+    let mut config = DatasetConfig::s4();
+    config.pool_size = 3000;
+    let dataset = generate(&config).unwrap();
+    let mut platform = Platform::from_dataset(&dataset, 7).unwrap();
+    let ids = platform.worker_ids();
+    let record = platform.assign_learning_batch(&ids, 6).unwrap();
+    let profiles: Vec<&HistoricalProfile> = record
+        .sheets
+        .iter()
+        .map(|s| platform.profile(s.worker).unwrap())
+        .collect();
+    let observations: Vec<CpeObservation> = record
+        .sheets
+        .iter()
+        .zip(&profiles)
+        .map(|(sheet, profile)| {
+            CpeObservation::from_profile(profile, sheet.correct(), sheet.wrong())
+        })
+        .collect();
+    let cpe = CpeConfig {
+        epochs: 5,
+        ..CpeConfig::default()
+    };
+    let mut estimator = CrossDomainEstimator::from_profiles(&profiles, cpe).unwrap();
+    let predictions = estimator.update(&observations).unwrap();
+    for num_shards in [1usize, 3, 16] {
+        let shards = WorkerShards::by_count(observations.len(), num_shards);
+        assert_eq!(
+            estimator
+                .predict_batch_sharded(&observations, &shards)
+                .unwrap(),
+            predictions,
+            "{num_shards} shards"
+        );
     }
 }
 
