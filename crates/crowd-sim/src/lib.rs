@@ -24,10 +24,11 @@
 //!   ([`Platform::assign_learning_batch_sharded`],
 //!   [`Platform::evaluate_working_accuracy_sharded`]) — worker-range
 //!   partitioning for pools of `10^4+` workers: each round validates first,
-//!   answers every shard on a scoped thread, and then applies the merged
+//!   answers the shards through [`WorkerShards::map`] (the one shard
+//!   fan-out, on at most the machine's threads), and then applies the merged
 //!   sheets in worker order, bit-for-bit identical for every layout;
 //! * [`parallel`] — the workspace's scoped-thread work queue
-//!   ([`parallel::run_indexed_jobs`]), shared by the platform shards, the
+//!   ([`parallel::run_indexed_jobs`]), shared by the shard fan-out, the
 //!   selection crate's evaluation engine, and the bench harness;
 //! * the [`event`](crate::RoundEvents) model — [`RoundEvents`] /
 //!   [`CampaignSchedule`] describe mid-campaign worker churn as pure data;

@@ -4,13 +4,13 @@
 //! `threads` scoped worker threads with sequential-identical semantics. Every
 //! parallel axis of the workspace fans out through it with one determinism
 //! contract: trials in `c4u_selection::evaluate_over_trials`, worker shards
-//! inside a platform round
-//! ([`Platform::assign_learning_batch_sharded`](crate::Platform::assign_learning_batch_sharded)),
-//! member blocks of the CPE E-step sweep, and sweep cells in the bench
-//! harness.
+//! (through [`WorkerShards::map`](crate::WorkerShards::map), which serves the
+//! platform round and the per-worker scoring passes), member blocks of the
+//! CPE E-step sweep, and sweep cells in the bench harness. Each caps its
+//! threads at [`available_threads`].
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// Executes `n` independent fallible jobs and returns their results in job
 /// order, fanning them out over at most `threads` scoped worker threads.
@@ -24,8 +24,8 @@ use std::sync::Mutex;
 ///   the sequential early exit — jobs below it still run, so the reported
 ///   error never depends on thread scheduling).
 ///
-/// This is the one scoped-thread work-queue in the workspace; the platform's
-/// sharded paths, the trial fan-out, and the bench harness all build on it.
+/// This is the one scoped-thread work-queue in the workspace; the shard
+/// fan-out, the trial fan-out, and the bench harness all build on it.
 pub fn run_indexed_jobs<T, E, F>(threads: usize, n: usize, job: F) -> Result<Vec<T>, E>
 where
     T: Send,
@@ -71,12 +71,18 @@ where
     collected.into_iter().map(|(_, result)| result).collect()
 }
 
-/// The machine's available parallelism (at least 1) — the thread cap of the
-/// trial and sweep-cell fan-outs and of shard fan-outs sized by data.
+/// The machine's available parallelism (at least 1) — the thread cap of every
+/// fan-out in the workspace.
+///
+/// Asked of the system once per process and kept: the query reads cgroup
+/// files, about 17 µs a call on a 2-vCPU x86-64 VM.
 pub fn available_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 #[cfg(test)]

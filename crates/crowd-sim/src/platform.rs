@@ -15,10 +15,11 @@
 //! Both operations exist in a sharded form
 //! ([`Platform::assign_learning_batch_sharded`],
 //! [`Platform::evaluate_working_accuracy_sharded`]) that processes contiguous
-//! [`WorkerShards`] ranges on scoped threads and merges the per-shard results
-//! back in worker order. The platform is strategy-agnostic: the core algorithm
-//! and every baseline drive it through the same interface, so all of them see
-//! identical workers, identical tasks, and an identical budget.
+//! [`WorkerShards`] ranges through [`WorkerShards::map`] and so gets the
+//! per-shard results back in worker order. The platform is strategy-agnostic:
+//! the core algorithm and every baseline drive it through the same interface,
+//! so all of them see identical workers, identical tasks, and an identical
+//! budget.
 //!
 //! ## Randomness: one deterministic stream per worker event
 //!
@@ -41,7 +42,6 @@
 
 use crate::dataset::Dataset;
 use crate::event::{AppliedRoundEvents, RoundEvents};
-use crate::parallel::run_indexed_jobs;
 use crate::shard::WorkerShards;
 use crate::task::AnswerSheet;
 use crate::worker::{draw_correctness, HistoricalProfile, SimulatedWorker, WorkerId, WorkerSpec};
@@ -383,10 +383,10 @@ impl Platform {
     }
 
     /// [`Platform::assign_learning_batch`] over an explicit worker-range
-    /// partition: each shard's answer sheets are produced independently on a
-    /// scoped thread (per-worker RNG streams make the result independent of
-    /// the shard layout) and merged back in worker order, after which the
-    /// learning updates are applied.
+    /// partition: each shard's answer sheets are produced independently by
+    /// [`WorkerShards::map`] (per-worker RNG streams make the result
+    /// independent of the shard layout) and merged back in worker order,
+    /// after which the learning updates are applied.
     ///
     /// `shards` must partition exactly `worker_ids.len()` positions
     /// ([`WorkerShards::by_count`] / [`WorkerShards::by_size`] over the same
@@ -434,27 +434,22 @@ impl Platform {
                 .map(|i| self.learning_gold[(self.learning_cursor + i) % self.learning_gold.len()])
                 .collect();
 
-            // Answering phase: one scoped thread per shard (the shard count
-            // *is* the parallelism budget).
+            // Answering phase: the shards run through `WorkerShards::map` (on
+            // at most the machine's threads, whatever the shard count).
             // Every participant answers at its pre-round accuracy (Algorithm 4
             // line 5); sheets come back in shard == worker order.
             let epoch = record.round as u64;
-            let per_shard: Vec<Vec<AnswerSheet>> =
-                run_indexed_jobs(shards.num_shards(), shards.num_shards(), |shard| {
-                    Ok::<_, SimError>(
-                        self.answer_sheets(
-                            STREAM_LEARNING,
-                            epoch,
-                            &worker_ids[shards.range(shard)],
-                            tasks_per_worker,
-                        )
-                        .collect(),
+            record.sheets = shards.map(|range| {
+                Ok::<_, SimError>(
+                    self.answer_sheets(
+                        STREAM_LEARNING,
+                        epoch,
+                        &worker_ids[range],
+                        tasks_per_worker,
                     )
-                })?;
-            record.sheets.reserve_exact(worker_ids.len());
-            for shard_sheets in per_shard {
-                record.sheets.extend(shard_sheets);
-            }
+                    .collect(),
+                )
+            })?;
 
             // Learning phase: reveal the ground truth and move every
             // participant along its learning curve (cheap, O(1) per worker —
@@ -485,10 +480,10 @@ impl Platform {
     }
 
     /// [`Platform::evaluate_working_accuracy`] over an explicit worker-range
-    /// partition: per-shard annotation runs on scoped threads, and the
-    /// per-worker accuracies are averaged in worker order so the float
-    /// accumulation — like everything else — is independent of the shard
-    /// layout.
+    /// partition: per-shard annotation runs through [`WorkerShards::map`],
+    /// and the per-worker accuracies are averaged in worker order so the
+    /// float accumulation — like everything else — is independent of the
+    /// shard layout.
     ///
     /// An empty worker list evaluates to 0.0 and draws no noise; any other
     /// valid call consumes one evaluation epoch. A rejected call consumes
@@ -505,23 +500,22 @@ impl Platform {
         self.check_active(worker_ids)?;
         let epoch = self.evaluations_run as u64;
         self.evaluations_run += 1;
-        let per_shard: Vec<Vec<f64>> =
-            run_indexed_jobs(shards.num_shards(), shards.num_shards(), |shard| {
-                Ok::<_, SimError>(
-                    self.answer_sheets(
-                        STREAM_WORKING,
-                        epoch,
-                        &worker_ids[shards.range(shard)],
-                        self.working_tasks,
-                    )
-                    .map(|sheet| sheet.accuracy())
-                    .collect(),
+        let accuracies = shards.map(|range| {
+            Ok::<_, SimError>(
+                self.answer_sheets(
+                    STREAM_WORKING,
+                    epoch,
+                    &worker_ids[range],
+                    self.working_tasks,
                 )
-            })?;
+                .map(|sheet| sheet.accuracy())
+                .collect(),
+            )
+        })?;
         // Accumulate in worker order (shard order == worker order), so the
         // sum is the same float expression for every shard layout.
         let mut total = 0.0;
-        for accuracy in per_shard.iter().flatten() {
+        for accuracy in &accuracies {
             total += accuracy;
         }
         Ok(total / worker_ids.len() as f64)

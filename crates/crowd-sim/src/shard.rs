@@ -4,10 +4,16 @@
 //! slice of golden tasks to every surviving worker each round. For the pool
 //! sizes of Table II that round is cheap, but pools of `10^5+` workers need
 //! the *within*-round axis parallelised as well: [`WorkerShards`] splits a
-//! worker-id slice into contiguous ranges that
-//! [`Platform::assign_learning_batch_sharded`](crate::Platform::assign_learning_batch_sharded)
-//! (and the per-worker scoring passes in `c4u-selection`) process
-//! independently on scoped threads, results merged back in worker order.
+//! worker-id slice into contiguous ranges, and [`WorkerShards::map`] runs one
+//! job per range on scoped threads and concatenates the results back in
+//! worker order. `map` is the workspace's only shard fan-out: the platform's
+//! sharded round and evaluation
+//! ([`Platform::assign_learning_batch_sharded`](crate::Platform::assign_learning_batch_sharded))
+//! and the per-worker scoring passes in `c4u-selection` all go through it.
+//!
+//! A shard count is a *layout*, not a thread count: `map` runs on at most
+//! `min(num_shards, available_threads())` threads, however many shards the
+//! caller asked for.
 //!
 //! Because every worker draws from its own deterministic RNG stream (split
 //! from the platform seed by worker id), the shard layout carries **no**
@@ -29,6 +35,7 @@
 //! assert_eq!(shards.range(2), 7..10);
 //! ```
 
+use crate::parallel::{available_threads, run_indexed_jobs};
 use std::ops::Range;
 
 /// A partition of `0..len` into contiguous, ordered, non-overlapping ranges.
@@ -50,7 +57,9 @@ impl WorkerShards {
     /// Splits `len` items into exactly `num_shards` contiguous ranges, balanced
     /// to within one element (the first `len % num_shards` shards take the
     /// extra item). `num_shards` is clamped to at least 1; when it exceeds
-    /// `len`, the trailing shards are empty.
+    /// `len`, the trailing shards are empty (callers that take the count from
+    /// a setting clamp it to the item count first: the layout stores one
+    /// bound per shard).
     pub fn by_count(len: usize, num_shards: usize) -> Self {
         let num_shards = num_shards.max(1);
         let base = len / num_shards;
@@ -107,6 +116,36 @@ impl WorkerShards {
     /// The shard ranges in order; concatenated they cover `0..len` exactly.
     pub fn ranges(&self) -> impl Iterator<Item = Range<usize>> + '_ {
         (0..self.num_shards()).map(|s| self.range(s))
+    }
+
+    /// Runs `job` on every shard's range and concatenates the results in
+    /// shard order, which is item order, into one `Vec` of exactly
+    /// [`len`](Self::len) capacity when every job returns one item per index
+    /// of its range.
+    ///
+    /// The jobs run through [`run_indexed_jobs`] on
+    /// `min(num_shards, available_threads())` scoped threads (the thread count
+    /// is asked for only when there are two or more shards), so the result is
+    /// that of the sequential loop over the shards: on failure, the error of
+    /// the lowest-indexed failing shard.
+    pub fn map<T, E, F>(&self, job: F) -> Result<Vec<T>, E>
+    where
+        T: Send,
+        E: Send,
+        F: Fn(Range<usize>) -> Result<Vec<T>, E> + Sync,
+    {
+        let shards = self.num_shards();
+        let threads = if shards < 2 {
+            1
+        } else {
+            shards.min(available_threads())
+        };
+        let per_shard = run_indexed_jobs(threads, shards, |shard| job(self.range(shard)))?;
+        let mut items = Vec::with_capacity(self.len);
+        for shard_items in per_shard {
+            items.extend(shard_items);
+        }
+        Ok(items)
     }
 }
 
@@ -195,5 +234,58 @@ mod tests {
         assert_eq!(zero.num_shards(), 5);
         assert!(zero.ranges().all(|r| r.len() == 1));
         assert_eq!(WorkerShards::by_size(0, 3).num_shards(), 1);
+    }
+
+    #[test]
+    fn map_returns_items_in_order_with_exact_capacity() {
+        for shards in [
+            WorkerShards::single(5),
+            WorkerShards::by_count(10, 3),
+            // Empty trailing shards.
+            WorkerShards::by_count(3, 16),
+        ] {
+            let items = shards
+                .map(|range| Ok::<_, ()>(range.map(|i| i * 10).collect()))
+                .unwrap();
+            assert_eq!(items, (0..shards.len()).map(|i| i * 10).collect::<Vec<_>>());
+            assert_eq!(items.capacity(), shards.len());
+        }
+    }
+
+    #[test]
+    fn map_returns_the_lowest_failing_shard_error() {
+        let shards = WorkerShards::by_count(40, 8);
+        let result: Result<Vec<usize>, usize> = shards.map(|range| {
+            if range.contains(&7) || range.contains(&33) {
+                Err(range.start)
+            } else {
+                Ok(range.collect())
+            }
+        });
+        assert_eq!(result, Err(5));
+    }
+
+    #[test]
+    fn map_runs_on_at_most_the_available_threads() {
+        use std::collections::HashSet;
+        use std::sync::Mutex;
+
+        let seen = Mutex::new(HashSet::new());
+        let items = WorkerShards::by_count(64, 64)
+            .map(|range| {
+                seen.lock().unwrap().insert(std::thread::current().id());
+                // Hold each job long enough for every spawned thread to
+                // claim one (the bound holds either way).
+                std::thread::sleep(std::time::Duration::from_millis(1));
+                Ok::<_, ()>(range.collect::<Vec<_>>())
+            })
+            .unwrap();
+        assert_eq!(items, (0..64).collect::<Vec<_>>());
+        let threads = seen.into_inner().unwrap().len();
+        assert!(
+            (1..=available_threads()).contains(&threads),
+            "{threads} threads for {} available",
+            available_threads()
+        );
     }
 }

@@ -451,7 +451,7 @@ impl CrossDomainEstimator {
 /// (its regression on the observed domains and `h`); the sums run over
 /// groups in first-occurrence order and members in member order.
 fn m_step(
-    kernel: &CpeLikelihoodKernel<'_>,
+    kernel: &CpeLikelihoodKernel,
     model: &MultivariateNormal,
     moments: &[PosteriorMoments],
 ) -> Result<Option<MultivariateNormal>, SelectionError> {

@@ -84,12 +84,11 @@ pub mod e_step;
 
 use super::CpeObservation;
 use crate::SelectionError;
-use c4u_crowd_sim::parallel::available_threads;
 use c4u_stats::{
     BinomialNormalBatch, BinomialNormalMoments, GaussLegendre, MultivariateNormal, QuadratureMath,
     QuadratureScratch,
 };
-use std::cell::{OnceCell, RefCell};
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Mutex;
 
@@ -176,8 +175,7 @@ impl MaskGroups {
 /// changes per evaluation; the grouping does not), which is exactly the
 /// access pattern of `CrossDomainEstimator::update`.
 #[derive(Debug)]
-pub struct CpeLikelihoodKernel<'a> {
-    observations: &'a [CpeObservation],
+pub struct CpeLikelihoodKernel {
     groups: MaskGroups,
     /// Index of the target-domain coordinate (`D`, the last coordinate).
     target: usize,
@@ -198,11 +196,6 @@ pub struct CpeLikelihoodKernel<'a> {
     /// group once and the hot loops stay allocation-free afterwards (the
     /// `c4u-stats` `alloc_free` suite pins the sweep side of that contract).
     blocks: RefCell<Vec<Mutex<BlockScratch>>>,
-    /// Thread cap of the blocked E-step sweep, read from the machine on the
-    /// first group that spans more than one block (never for pools that fit
-    /// in one block per group) and kept for every later epoch: the query
-    /// reads cgroup files, about 19 µs a call on a 2-vCPU x86-64 VM.
-    threads: OnceCell<usize>,
 }
 
 /// Members per block of the E-step sweep. Groups larger than this are
@@ -235,15 +228,15 @@ struct GroupCounts {
     wrong: Vec<f64>,
 }
 
-impl<'a> CpeLikelihoodKernel<'a> {
+impl CpeLikelihoodKernel {
     /// Builds the kernel, grouping the observations by observed-domain mask
     /// and tabulating the shared quadrature node tables. The fold passes run
     /// in the default [`QuadratureMath::Exact`] mode — bit-identical to the
     /// scalar oracle.
     pub fn new(
-        observations: &'a [CpeObservation],
+        observations: &[CpeObservation],
         num_prior_domains: usize,
-        quadrature: &'a GaussLegendre,
+        quadrature: &GaussLegendre,
     ) -> Self {
         Self::new_with_math(
             observations,
@@ -260,9 +253,9 @@ impl<'a> CpeLikelihoodKernel<'a> {
     /// `exp` fold (deterministic, within ~1e-12 relative of `Exact` per cell —
     /// see the `c4u_stats::batch` math-mode contract).
     pub fn new_with_math(
-        observations: &'a [CpeObservation],
+        observations: &[CpeObservation],
         num_prior_domains: usize,
-        quadrature: &'a GaussLegendre,
+        quadrature: &GaussLegendre,
         math: QuadratureMath,
     ) -> Self {
         let groups = MaskGroups::build(observations, num_prior_domains);
@@ -283,13 +276,11 @@ impl<'a> CpeLikelihoodKernel<'a> {
             })
             .collect();
         Self {
-            observations,
             groups,
             target: num_prior_domains,
             batch: BinomialNormalBatch::new_with_math(quadrature, math),
             counts,
             blocks: RefCell::new(Vec::new()),
-            threads: OnceCell::new(),
         }
     }
 
@@ -328,11 +319,6 @@ impl<'a> CpeLikelihoodKernel<'a> {
     /// clamp and the underflow fallback).
     pub fn predict(&self, model: &MultivariateNormal) -> Result<Vec<f64>, SelectionError> {
         self.e_step(model)?.predictions()
-    }
-
-    /// Thread cap of the blocked E-step sweep (see [`SWEEP_BLOCK`]).
-    fn threads(&self) -> usize {
-        *self.threads.get_or_init(available_threads)
     }
 }
 

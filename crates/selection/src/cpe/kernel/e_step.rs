@@ -28,7 +28,7 @@
 
 use super::{BlockScratch, CpeLikelihoodKernel, SWEEP_BLOCK};
 use crate::SelectionError;
-use c4u_crowd_sim::parallel::run_indexed_jobs;
+use c4u_crowd_sim::parallel::{available_threads, run_indexed_jobs};
 use c4u_stats::{BinomialNormalMoments, Conditioner, MultivariateNormal};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -81,7 +81,7 @@ impl EStep {
     }
 }
 
-impl CpeLikelihoodKernel<'_> {
+impl CpeLikelihoodKernel {
     /// The E-step under `model`: one conditioning factorisation per unique
     /// mask and one vectorised quadrature sweep per block of ≤ 1024 members
     /// of a mask group.
@@ -95,7 +95,7 @@ impl CpeLikelihoodKernel<'_> {
     /// every thread count. An error is the one the serial member loop would
     /// hit first.
     pub fn e_step(&self, model: &MultivariateNormal) -> Result<EStep, SelectionError> {
-        self.e_step_on(model, || self.threads())
+        self.e_step_on(model, available_threads)
     }
 
     /// [`Self::e_step`] with the fan-out's thread cap supplied by `threads`
@@ -105,7 +105,7 @@ impl CpeLikelihoodKernel<'_> {
         model: &MultivariateNormal,
         threads: impl Fn() -> usize,
     ) -> Result<EStep, SelectionError> {
-        let mut moments = vec![PosteriorMoments::default(); self.observations.len()];
+        let mut moments = vec![PosteriorMoments::default(); self.groups.num_observations()];
         let mut blocks = self.blocks.borrow_mut();
 
         for (group, counts) in self.groups.groups().iter().zip(&self.counts) {

@@ -63,13 +63,17 @@ pub struct SelectorConfig {
     pub delta: f64,
     /// Which estimation components to run.
     pub mode: EstimationMode,
-    /// Number of worker-range shards each round fans out over: the platform
+    /// Number of worker-range shards each round is split into: the platform
     /// answers the round's golden questions and the stages score the workers
-    /// in `num_shards` contiguous ranges on scoped threads
-    /// ([`c4u_crowd_sim::WorkerShards`]). Per-worker RNG streams make every
-    /// value — including the default sequential `1` — produce **bit-for-bit
-    /// identical** selections; the knob trades threads for wall-clock on
-    /// large pools (`tests/shard_equivalence.rs` pins the identity).
+    /// in `num_shards` contiguous ranges ([`c4u_crowd_sim::WorkerShards`]).
+    /// The count is a layout, not a thread count: the ranges run through
+    /// [`WorkerShards::map`](c4u_crowd_sim::WorkerShards::map) on at most
+    /// `min(num_shards, available_threads())` threads, and a run clamps the
+    /// count to `[1, pool size]`. Per-worker RNG streams make every value —
+    /// including the default sequential `1` — produce **bit-for-bit
+    /// identical** selections; more shards than `1` trade threads for
+    /// wall-clock on large pools (`tests/shard_equivalence.rs` pins the
+    /// identity).
     pub num_shards: usize,
 }
 
@@ -103,8 +107,9 @@ impl SelectorConfig {
         self
     }
 
-    /// Sets the number of worker-range shards per round (clamped to >= 1 at
-    /// use; the selection is identical for every value).
+    /// Sets the number of worker-range shards per round (clamped to
+    /// `[1, pool size]` at use; the selection is identical for every value,
+    /// and the threads never exceed the machine's).
     pub fn with_num_shards(mut self, num_shards: usize) -> Self {
         self.num_shards = num_shards;
         self
@@ -294,7 +299,8 @@ impl CrossDomainSelector {
         let mut final_scores: Vec<ScoredWorker> = Vec::new();
         let mut previous_scores: Vec<ScoredWorker> = Vec::new();
 
-        let num_shards = self.config.num_shards.max(1);
+        // A layout, not a thread count: more shards than workers add nothing.
+        let num_shards = self.config.num_shards.clamp(1, pool.len());
         for round in 1..=plan.rounds {
             // --- Round events (arrivals and departures) ---
             let (joined, departed) = match schedule.events_for(round) {
@@ -310,8 +316,8 @@ impl CrossDomainSelector {
             };
             let tasks_per_worker = plan.tasks_per_worker(remaining.len());
             // One worker-range partition per round: the platform answers the
-            // shared golden slice shard-by-shard on scoped threads, and the
-            // same layout drives the stages' per-worker scoring below.
+            // shared golden slice shard by shard, and the same layout drives
+            // the stages' per-worker scoring below.
             let shards = WorkerShards::by_count(remaining.len(), num_shards);
             let record =
                 platform.assign_learning_batch_sharded(&remaining, tasks_per_worker, &shards)?;

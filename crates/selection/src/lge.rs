@@ -177,14 +177,6 @@ impl LearningGainEstimator {
         self.fit(&mut Vec::new(), anchors, stages, input.cumulative_tasks_now)
     }
 
-    /// Batch version of [`Self::estimate`].
-    pub fn estimate_batch(
-        &self,
-        inputs: &[LgeWorkerInput],
-    ) -> Result<Vec<LgeEstimate>, SelectionError> {
-        inputs.iter().map(|i| self.estimate(i)).collect()
-    }
-
     /// The one Eq. 10–11 fit path: fills `terms` with a worker's table — one
     /// anchor per observed prior domain (`anchors` yields `(h_{i,d}, n_{i,d})`
     /// in domain order), then one target-domain term per `stages` entry
@@ -330,21 +322,6 @@ mod tests {
         assert!(est
             .estimate(&input(vec![0.5, 0.6], vec![0.0], 10.0))
             .is_err());
-    }
-
-    #[test]
-    fn batch_matches_individual_estimates() {
-        let est = LearningGainEstimator::new(config());
-        let inputs = vec![
-            input(vec![0.5, 0.7], vec![0.0, 10.0], 30.0),
-            input(vec![0.6, 0.65], vec![0.0, 10.0], 30.0),
-        ];
-        let batch = est.estimate_batch(&inputs).unwrap();
-        assert_eq!(batch.len(), 2);
-        for (b, i) in batch.iter().zip(inputs.iter()) {
-            let single = est.estimate(i).unwrap();
-            assert!((b.predicted_accuracy - single.predicted_accuracy).abs() < 1e-12);
-        }
     }
 
     #[test]

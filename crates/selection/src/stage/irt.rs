@@ -9,23 +9,21 @@
 //!   from the worker's historical prior-domain accuracy and advanced with the
 //!   round's per-answer correctness sequence;
 //! * [`RaschStage`] — the Eq. 10–11 learning-curve calibration refit per round
-//!   from raw observed sheet accuracies (where [`LgeStage`](super::LgeStage)
-//!   fits against the CPE estimate history).
+//!   from raw observed sheet accuracies: the same learning-curve core as
+//!   [`LgeStage`](super::LgeStage), which fits the preceding stage's scores
+//!   instead.
 //!
 //! Both stages score workers independently, so their per-worker passes fan out
-//! over the round's worker-range shards exactly like the canonical stages:
-//! per-shard score vectors are computed on scoped threads and merged back in
-//! worker order, making every shard layout bit-for-bit identical
-//! (`tests/shard_equivalence.rs` pins this for the BKT pipeline).
+//! over the round's worker-range shards through
+//! [`WorkerShards::map`](c4u_crowd_sim::WorkerShards::map) like every other
+//! shard pass: the scores come back in worker order, making every shard
+//! layout bit-for-bit identical (`tests/shard_equivalence.rs` pins this for
+//! the BKT pipeline).
 
-use super::{
-    pool_prior_means, uninitialized, EstimationStage, RoundContext, RoundSchedule, StageInit,
-};
-use crate::lge::{profile_anchors, LearningGainEstimator, LgeConfig};
+use super::{uninitialized, EstimationStage, LearningCurves, RoundContext, StageInit};
 use crate::SelectionError;
-use c4u_crowd_sim::parallel::run_indexed_jobs;
-use c4u_crowd_sim::{HistoricalProfile, WorkerId};
-use c4u_irt::{BktModel, BktParams, LearningTerm};
+use c4u_crowd_sim::{AnswerSheet, HistoricalProfile, WorkerId};
+use c4u_irt::{BktModel, BktParams};
 use std::collections::HashMap;
 
 /// Bayesian Knowledge Tracing as a pipeline stage.
@@ -124,13 +122,11 @@ impl EstimationStage for BktStage {
             let score = tracker.observe_batch(sheet.correctness());
             Ok((tracker, score))
         };
-        let shards = ctx.worker_shards();
-        let per_shard: Vec<Vec<(BktModel, f64)>> =
-            run_indexed_jobs(shards.num_shards(), shards.num_shards(), |shard| {
-                shards.range(shard).map(score_worker).collect()
-            })?;
+        let scored = ctx
+            .worker_shards()
+            .map(|range| range.map(score_worker).collect())?;
         let mut scores = Vec::with_capacity(ctx.sheets.len());
-        for (sheet, (tracker, score)) in ctx.sheets.iter().zip(per_shard.into_iter().flatten()) {
+        for (sheet, (tracker, score)) in ctx.sheets.iter().zip(scored) {
             self.trackers.insert(sheet.worker, tracker);
             scores.push(score);
         }
@@ -157,8 +153,7 @@ impl EstimationStage for BktStage {
 /// extrapolation of the learning curve.
 #[derive(Debug, Clone, Default)]
 pub struct RaschStage {
-    estimator: Option<LearningGainEstimator>,
-    observed: HashMap<WorkerId, Vec<f64>>,
+    curves: Option<LearningCurves>,
 }
 
 impl RaschStage {
@@ -170,7 +165,7 @@ impl RaschStage {
 
     /// The observed per-round sheet accuracies recorded for a worker so far.
     pub fn observed(&self, worker: WorkerId) -> Option<&[f64]> {
-        self.observed.get(&worker).map(Vec::as_slice)
+        self.curves.as_ref()?.trajectory(worker)
     }
 }
 
@@ -180,11 +175,7 @@ impl EstimationStage for RaschStage {
     }
 
     fn initialize(&mut self, init: &StageInit<'_>) -> Result<(), SelectionError> {
-        self.estimator = Some(LearningGainEstimator::new(LgeConfig::new(
-            init.initial_target_accuracy,
-            pool_prior_means(init),
-        )?));
-        self.observed.clear();
+        self.curves = Some(LearningCurves::new(init)?);
         Ok(())
     }
 
@@ -193,53 +184,12 @@ impl EstimationStage for RaschStage {
         ctx: &RoundContext<'_>,
         _prior: &[f64],
     ) -> Result<Vec<f64>, SelectionError> {
-        let estimator = self
-            .estimator
-            .as_ref()
+        let curves = self
+            .curves
+            .as_mut()
             .ok_or_else(|| uninitialized("Rasch stage used before initialize"))?;
-        let schedule = RoundSchedule::new(ctx)?;
-        // Per-worker scoring, sharded like the other stages. Each job reads
-        // the worker's recorded history, fits it plus this round's accuracy,
-        // and returns that accuracy with the score; the accuracies are
-        // appended in worker order after the parallel pass, so the stage
-        // state never depends on the shard layout.
-        let observed = &self.observed;
-        let score_worker = |i: usize, terms: &mut Vec<LearningTerm>| {
-            let sheet = &ctx.sheets[i];
-            let accuracy = sheet.accuracy();
-            let history = observed.get(&sheet.worker).map_or(&[][..], Vec::as_slice);
-            // The accuracy observed at stage j reflects a worker trained with
-            // only j-1 rounds of revealed answers, so observation j pairs with
-            // K_{j-1} — the same convention as the LGE fit (Eq. 11).
-            let stages = schedule
-                .stage_log_tasks(history.len() + 1)?
-                .iter()
-                .copied()
-                .zip(history.iter().copied().chain(std::iter::once(accuracy)));
-            let anchors = profile_anchors(ctx.profiles[i]);
-            let score = estimator
-                .fit(terms, anchors, stages, schedule.tasks_now)?
-                .predicted_accuracy;
-            Ok((accuracy, score))
-        };
-        let shards = ctx.worker_shards();
-        let per_shard: Vec<Vec<(f64, f64)>> =
-            run_indexed_jobs(shards.num_shards(), shards.num_shards(), |shard| {
-                let mut terms = Vec::new();
-                shards
-                    .range(shard)
-                    .map(|i| score_worker(i, &mut terms))
-                    .collect::<Result<_, SelectionError>>()
-            })?;
-        let mut scores = Vec::with_capacity(ctx.sheets.len());
-        for (sheet, (accuracy, score)) in ctx.sheets.iter().zip(per_shard.into_iter().flatten()) {
-            self.observed
-                .entry(sheet.worker)
-                .or_default()
-                .push(accuracy);
-            scores.push(score);
-        }
-        Ok(scores)
+        let accuracies: Vec<f64> = ctx.sheets.iter().map(AnswerSheet::accuracy).collect();
+        curves.score(ctx, &accuracies, false)
     }
 
     fn boxed_clone(&self) -> Box<dyn EstimationStage> {
@@ -251,7 +201,7 @@ impl EstimationStage for RaschStage {
 mod tests {
     use super::*;
     use crate::stage::num_prior_domains;
-    use c4u_crowd_sim::{generate, AnswerSheet, DatasetConfig, Platform};
+    use c4u_crowd_sim::{generate, DatasetConfig, Platform};
 
     fn rw1_round(seed: u64) -> (Platform, Vec<AnswerSheet>) {
         let ds = generate(&DatasetConfig::rw1()).unwrap();

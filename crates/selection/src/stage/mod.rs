@@ -60,7 +60,6 @@ pub use irt::{BktStage, RaschStage};
 use crate::cpe::{CpeConfig, CpeObservation, CrossDomainEstimator};
 use crate::lge::{profile_anchors, LearningGainEstimator, LgeConfig};
 use crate::SelectionError;
-use c4u_crowd_sim::parallel::run_indexed_jobs;
 use c4u_crowd_sim::{AnswerSheet, HistoricalProfile, WorkerId, WorkerShards};
 use c4u_irt::{log_tasks, BktParams, LearningTerm};
 use std::collections::HashMap;
@@ -136,9 +135,11 @@ impl<'a> std::ops::Deref for RoundContext<'a> {
 
 impl RoundContext<'_> {
     /// The worker-range partition a stage's per-worker scoring pass fans out
-    /// over: `num_shards` contiguous, balanced ranges of the round's sheets.
+    /// over: `num_shards` contiguous, balanced ranges of the round's sheets,
+    /// the count clamped to `[1, sheets]`.
     pub fn worker_shards(&self) -> WorkerShards {
-        WorkerShards::by_count(self.header.sheets.len(), self.num_shards.max(1))
+        let sheets = self.header.sheets.len();
+        WorkerShards::by_count(sheets, self.num_shards.clamp(1, sheets.max(1)))
     }
 }
 
@@ -180,36 +181,110 @@ impl Clone for Box<dyn EstimationStage> {
     }
 }
 
-/// The worker-independent part of a round's Eq. 10–11 fits, built once per
-/// round by [`LgeStage`] and [`RaschStage`].
-pub(crate) struct RoundSchedule {
-    /// `ln(K_j + 1)` for every entry `K_j` of the cumulative training schedule.
-    log_tasks: Vec<f64>,
-    /// `K_c` after the current round: the horizon of the Eq. 10 prediction.
-    tasks_now: f64,
+/// The Eq. 10–11 learning-curve core shared by [`LgeStage`] and
+/// [`RaschStage`]: one [`LearningGainEstimator`] plus every worker's
+/// trajectory of the values the stage has been handed, keyed by worker id.
+///
+/// The two stages differ only in the values they fit (LGE the preceding
+/// stage's scores, Rasch the sheet accuracies) and in whether a worker is
+/// held at its value until training has started; each fixes both in code.
+#[derive(Debug, Clone)]
+pub(crate) struct LearningCurves {
+    estimator: LearningGainEstimator,
+    /// Each worker's values of the earlier rounds, in round order.
+    trajectories: HashMap<WorkerId, Vec<f64>>,
 }
 
-impl RoundSchedule {
-    pub(crate) fn new(ctx: &RoundContext<'_>) -> Result<Self, SelectionError> {
+impl LearningCurves {
+    /// The core for a fresh run: difficulties from the pool's prior-domain
+    /// averages (the Sec. V-C initialisation), no trajectories.
+    pub(crate) fn new(init: &StageInit<'_>) -> Result<Self, SelectionError> {
+        Ok(Self {
+            estimator: LearningGainEstimator::new(LgeConfig::new(
+                init.initial_target_accuracy,
+                pool_prior_means(init),
+            )?),
+            trajectories: HashMap::new(),
+        })
+    }
+
+    /// The values recorded for `worker` so far, in round order.
+    pub(crate) fn trajectory(&self, worker: WorkerId) -> Option<&[f64]> {
+        self.trajectories.get(&worker).map(Vec::as_slice)
+    }
+
+    /// Fits each worker's trajectory plus this round's value (`values`,
+    /// aligned with `ctx.sheets`) and returns the Eq. 10 predictions at the
+    /// round's cumulative training count, in worker order; `values` are
+    /// appended to the trajectories afterwards, in worker order, so the
+    /// state never depends on the shard layout.
+    ///
+    /// With `hold_untrained`, a worker whose trajectory has not yet reached
+    /// the first stage with `K_j > 0` scores its value unchanged: at `K_0 =
+    /// 0` the learning-gain curve is independent of alpha, so the fitted
+    /// extrapolation would ignore the only target-domain evidence there is.
+    pub(crate) fn score(
+        &mut self,
+        ctx: &RoundContext<'_>,
+        values: &[f64],
+        hold_untrained: bool,
+    ) -> Result<Vec<f64>, SelectionError> {
         let tasks_now = ctx
             .cumulative_tasks
             .get(ctx.round)
             .copied()
             .ok_or_else(|| schedule_too_short(ctx.round + 1))?;
-        Ok(Self {
-            log_tasks: ctx.cumulative_tasks.iter().map(|&k| log_tasks(k)).collect(),
-            tasks_now,
-        })
-    }
-
-    /// `ln(K_j + 1)` for `j < len`: the stage entries a score history of
-    /// length `len` pairs with (stage `j` of the history reflects a worker
-    /// trained with `K_{j-1}` tasks, Eq. 11). An error, not a panic, if the
-    /// history outgrew the schedule.
-    pub(crate) fn stage_log_tasks(&self, len: usize) -> Result<&[f64], SelectionError> {
-        self.log_tasks
-            .get(..len)
-            .ok_or_else(|| schedule_too_short(len))
+        // `ln(K_j + 1)` for every entry `K_j` of the cumulative schedule.
+        let log_tasks: Vec<f64> = ctx.cumulative_tasks.iter().map(|&k| log_tasks(k)).collect();
+        // Trajectories of at most this length are held.
+        let held_through = if hold_untrained {
+            ctx.cumulative_tasks
+                .iter()
+                .position(|&k| k > 0.0)
+                .unwrap_or(usize::MAX)
+        } else {
+            0
+        };
+        // Per-worker scoring: each worker's fit depends only on its own
+        // trajectory plus this round's value, so the pass fans out over the
+        // round's worker shards.
+        let (estimator, trajectories) = (&self.estimator, &self.trajectories);
+        let score_worker = |i: usize, terms: &mut Vec<LearningTerm>| {
+            let history = trajectories
+                .get(&ctx.sheets[i].worker)
+                .map_or(&[][..], Vec::as_slice);
+            let len = history.len() + 1;
+            // The value of stage j reflects a worker trained with only j-1
+            // rounds (Eq. 11), so it pairs with K_{j-1}. An error, not a
+            // panic, if the trajectory outgrew the schedule.
+            let stage_log_tasks = log_tasks
+                .get(..len)
+                .ok_or_else(|| schedule_too_short(len))?;
+            if len <= held_through {
+                return Ok(values[i]);
+            }
+            let stages = stage_log_tasks
+                .iter()
+                .copied()
+                .zip(history.iter().copied().chain(std::iter::once(values[i])));
+            let anchors = profile_anchors(ctx.profiles[i]);
+            Ok(estimator
+                .fit(terms, anchors, stages, tasks_now)?
+                .predicted_accuracy)
+        };
+        let scores = ctx.worker_shards().map(|range| {
+            let mut terms = Vec::new();
+            range
+                .map(|i| score_worker(i, &mut terms))
+                .collect::<Result<_, SelectionError>>()
+        })?;
+        for (sheet, &value) in ctx.sheets.iter().zip(values) {
+            self.trajectories
+                .entry(sheet.worker)
+                .or_default()
+                .push(value);
+        }
+        Ok(scores)
     }
 }
 
@@ -228,10 +303,10 @@ pub(crate) fn uninitialized(stage: &'static str) -> SelectionError {
 }
 
 /// Per-prior-domain average accuracy over the pool's profiles, clamped away
-/// from the degenerate 0/1 endpoints — the difficulty initialisation of
-/// Sec. V-C shared by every calibration-backed stage ([`LgeStage`],
-/// [`RaschStage`]). Domains nobody has worked on fall back to `a_T`.
-pub(crate) fn pool_prior_means(init: &StageInit<'_>) -> Vec<f64> {
+/// from the degenerate 0/1 endpoints — the Sec. V-C difficulty initialisation
+/// of the [`LearningCurves`] core. Domains nobody has worked on fall back to
+/// `a_T`.
+fn pool_prior_means(init: &StageInit<'_>) -> Vec<f64> {
     (0..init.num_prior_domains)
         .map(|domain| {
             let values: Vec<f64> = init
@@ -345,9 +420,7 @@ impl EstimationStage for CpeStage {
 /// the sheets.
 #[derive(Debug, Clone, Default)]
 pub struct LgeStage {
-    estimator: Option<LearningGainEstimator>,
-    /// Each worker's static estimates of the earlier rounds, in round order.
-    priors: HashMap<WorkerId, Vec<f64>>,
+    curves: Option<LearningCurves>,
 }
 
 impl LgeStage {
@@ -364,13 +437,7 @@ impl EstimationStage for LgeStage {
     }
 
     fn initialize(&mut self, init: &StageInit<'_>) -> Result<(), SelectionError> {
-        // Per-prior-domain average accuracy for the difficulty initialisation,
-        // mirroring the Sec. V-C setup.
-        self.estimator = Some(LearningGainEstimator::new(LgeConfig::new(
-            init.initial_target_accuracy,
-            pool_prior_means(init),
-        )?));
-        self.priors.clear();
+        self.curves = Some(LearningCurves::new(init)?);
         Ok(())
     }
 
@@ -379,9 +446,9 @@ impl EstimationStage for LgeStage {
         ctx: &RoundContext<'_>,
         prior: &[f64],
     ) -> Result<Vec<f64>, SelectionError> {
-        let estimator = self
-            .estimator
-            .as_ref()
+        let curves = self
+            .curves
+            .as_mut()
             .ok_or_else(|| uninitialized("LGE stage used before initialize"))?;
         if prior.len() != ctx.sheets.len() {
             return Err(SelectionError::InvalidConfig {
@@ -389,55 +456,9 @@ impl EstimationStage for LgeStage {
                 value: prior.len() as f64,
             });
         }
-        let schedule = RoundSchedule::new(ctx)?;
-        // In the very first round every stage sits at K_0 = 0, where the
-        // learning-gain curve is independent of alpha: the fitted
-        // extrapolation would ignore the only target-domain evidence
-        // available. Until a worker's history reaches the first stage with
-        // K_j > 0, rank by the preceding estimate instead (the dynamic and
-        // static estimates coincide until training has started).
-        let first_informative = ctx.cumulative_tasks.iter().position(|&k| k > 0.0);
-        // Per-worker scoring: each worker's Eq. 10–11 fit depends only on its
-        // own history plus this round's estimate, so the pass fans out over
-        // the round's worker shards and the per-shard score vectors are
-        // concatenated back in worker order (identical to the sequential loop
-        // for every shard layout). The round's estimates are appended in
-        // worker order after the pass, like RaschStage's accuracies.
-        let priors = &self.priors;
-        let score_worker = |i: usize, terms: &mut Vec<LearningTerm>| {
-            let history = priors
-                .get(&ctx.sheets[i].worker)
-                .map_or(&[][..], Vec::as_slice);
-            let len = history.len() + 1;
-            // The preceding stage's estimate of stage j reflects a worker
-            // trained with only j-1 rounds (Eq. 11), so the stage j estimate
-            // pairs with K_{j-1}.
-            let stage_log_tasks = schedule.stage_log_tasks(len)?;
-            if first_informative.is_none_or(|j| j >= len) {
-                return Ok(prior[i]);
-            }
-            let stages = stage_log_tasks
-                .iter()
-                .copied()
-                .zip(history.iter().copied().chain(std::iter::once(prior[i])));
-            let anchors = profile_anchors(ctx.profiles[i]);
-            Ok(estimator
-                .fit(terms, anchors, stages, schedule.tasks_now)?
-                .predicted_accuracy)
-        };
-        let shards = ctx.worker_shards();
-        let per_shard: Vec<Vec<f64>> =
-            run_indexed_jobs(shards.num_shards(), shards.num_shards(), |shard| {
-                let mut terms = Vec::new();
-                shards
-                    .range(shard)
-                    .map(|i| score_worker(i, &mut terms))
-                    .collect::<Result<_, SelectionError>>()
-            })?;
-        for (sheet, &p) in ctx.sheets.iter().zip(prior) {
-            self.priors.entry(sheet.worker).or_default().push(p);
-        }
-        Ok(per_shard.into_iter().flatten().collect())
+        // Until training has started, rank by the preceding estimate (the
+        // dynamic and static estimates coincide there).
+        curves.score(ctx, prior, true)
     }
 
     fn boxed_clone(&self) -> Box<dyn EstimationStage> {
@@ -501,16 +522,6 @@ impl RoundEstimates {
     pub fn last(&self) -> &[f64] {
         // c4u-lint: allow(no-unwrap-in-lib, reason = "pipelines are validated non-empty at construction")
         self.per_stage.last().expect("pipeline is never empty")
-    }
-
-    /// Estimates of stage `index`.
-    pub fn stage(&self, index: usize) -> Option<&[f64]> {
-        self.per_stage.get(index).map(Vec::as_slice)
-    }
-
-    /// Number of stages that produced estimates.
-    pub fn num_stages(&self) -> usize {
-        self.per_stage.len()
     }
 }
 
@@ -617,11 +628,6 @@ impl StagePipeline {
         self.stages.iter().map(|s| s.name()).collect()
     }
 
-    /// Number of stages.
-    pub fn num_stages(&self) -> usize {
-        self.stages.len()
-    }
-
     /// Resets every stage for a fresh run.
     pub fn initialize(&mut self, init: &StageInit<'_>) -> Result<(), SelectionError> {
         for stage in &mut self.stages {
@@ -699,7 +705,6 @@ mod tests {
     fn canonical_compositions_have_expected_shape() {
         let full = StagePipeline::cpe_and_lge(fast_cpe());
         assert_eq!(full.stage_names(), vec!["cpe", "lge"]);
-        assert_eq!(full.num_stages(), 2);
         let ablation = StagePipeline::cpe_only(fast_cpe());
         assert_eq!(ablation.stage_names(), vec!["cpe"]);
     }
@@ -879,11 +884,9 @@ mod tests {
                 num_shards: 1,
             })
             .unwrap();
-        assert_eq!(estimates.num_stages(), 2);
+        assert_eq!(pipeline.stage_names(), vec!["cpe", "lge"]);
         assert_eq!(estimates.first().len(), ids.len());
         assert_eq!(estimates.last().len(), ids.len());
-        assert_eq!(estimates.stage(0), Some(estimates.first()));
-        assert!(estimates.stage(2).is_none());
         // Round 1 has no informative training stage, so LGE passes the CPE
         // scores through unchanged.
         assert_eq!(estimates.first(), estimates.last());
@@ -1085,15 +1088,26 @@ mod tests {
             let estimates = pipeline.score_round(&ctx).unwrap();
             let accuracies: Vec<f64> = sheets.iter().map(AnswerSheet::accuracy).collect();
             assert_eq!(estimates.first(), accuracies.as_slice());
-            assert_eq!(estimates.num_stages(), 2);
-            assert_eq!(estimates.stage(1), Some(estimates.last()));
-            assert!(estimates.stage(2).is_none());
+            assert_eq!(pipeline.stage_names(), vec!["empirical", "lge"]);
             assert!(estimates.last().iter().all(|p| (0.0..=1.0).contains(p)));
             // The LGE half is a plain LgeStage handed the sheet accuracies:
             // it passes them through in round 1 and fits both rounds' in
             // round 2.
             assert_eq!(lge.estimate(&ctx, &accuracies).unwrap(), estimates.last());
             assert_eq!(round == 1, estimates.first() == estimates.last());
+        }
+    }
+
+    #[test]
+    fn lge_and_rasch_share_one_learning_curve_fit() {
+        // The LGE-only pipeline hands LGE the sheet accuracies Rasch fits, so
+        // the two differ only in LGE's hold before training has started.
+        let lge = campaign(&mut initialized(StagePipeline::lge_only()), 5).unwrap();
+        let rasch = campaign(&mut initialized(StagePipeline::rasch_calibrated()), 5).unwrap();
+        let bits = |scores: &[f64]| scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+        assert_ne!(bits(lge[0].last()), bits(rasch[0].last()));
+        for (round, (lge, rasch)) in lge.iter().zip(&rasch).enumerate().skip(1) {
+            assert_eq!(bits(lge.last()), bits(rasch.last()), "round {}", round + 1);
         }
     }
 

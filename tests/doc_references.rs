@@ -164,8 +164,9 @@ fn cited_bench_targets_are_declared() {
         }
     }
     let workflow = fs::read_to_string(root.join(".github/workflows/ci.yml")).unwrap();
-    for name in ci_bench_matrix(&workflow) {
-        if !declared.contains(&name) {
+    let matrix = ci_bench_matrix(&workflow);
+    for name in &matrix {
+        if !declared.contains(name) {
             unknown.push(format!(
                 ".github/workflows/ci.yml (bench-smoke matrix): {name}"
             ));
@@ -175,6 +176,16 @@ fn cited_bench_targets_are_declared() {
         unknown.is_empty(),
         "bench targets cited but not declared in crates/bench/Cargo.toml:\n{}",
         unknown.join("\n")
+    );
+    // And every declared bench runs in CI.
+    let unrun: Vec<&String> = declared
+        .iter()
+        .filter(|name| !matrix.contains(name))
+        .collect();
+    assert!(
+        unrun.is_empty(),
+        "bench targets declared in crates/bench/Cargo.toml but missing from the \
+         bench-smoke matrix of .github/workflows/ci.yml: {unrun:?}"
     );
 }
 

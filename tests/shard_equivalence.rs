@@ -11,9 +11,9 @@
 //! * [`Platform::evaluate_working_accuracy_sharded`] must reproduce the
 //!   unsharded average exactly (the accumulation order is pinned to worker
 //!   order);
-//! * a [`CrossDomainSelector`] configured with any `num_shards` must select
-//!   the same workers with the same final scores and identical per-round
-//!   estimates;
+//! * a [`CrossDomainSelector`] configured with any `num_shards` (up to
+//!   `usize::MAX`, which is clamped to the pool) must select the same
+//!   workers with the same final scores and identical per-round estimates;
 //! * the Eq. 8 predictions a CPE update returns must equal
 //!   [`CrossDomainEstimator::predict_batch_sharded`] after the update, for
 //!   every shard layout.
@@ -318,4 +318,23 @@ fn default_config_remains_the_sequential_single_shard_layout() {
     let selector = CrossDomainSelector::new(fast_config(0));
     let outcome = selector.select(&mut platform, 7).unwrap();
     assert_eq!(outcome.selected.len(), 7);
+}
+
+#[test]
+fn an_unbounded_shard_count_is_a_layout_not_a_thread_count() {
+    // The count is clamped to the pool before a layout is built, and the
+    // fan-out never starts more threads than the machine has, so even
+    // `usize::MAX` selects exactly what the sequential layout selects.
+    let dataset = generate(&DatasetConfig::rw1()).unwrap();
+    let run = |num_shards: usize| {
+        let mut platform = Platform::from_dataset(&dataset, 7).unwrap();
+        CrossDomainSelector::new(fast_config(num_shards))
+            .run(&mut platform, 7)
+            .unwrap()
+    };
+    let reference = run(1);
+    let report = run(usize::MAX);
+    assert_eq!(report.outcome.selected, reference.outcome.selected);
+    assert_eq!(report.outcome.scores, reference.outcome.scores);
+    assert_eq!(report.rounds, reference.rounds);
 }
