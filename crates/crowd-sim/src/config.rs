@@ -235,11 +235,6 @@ impl DatasetConfig {
         (1usize << self.rounds()).saturating_sub(1)
     }
 
-    /// Number of distinct learning tasks needed: `Q * (2^n - 1)`.
-    pub fn learning_task_pool_size(&self) -> usize {
-        self.tasks_per_batch * self.num_batches()
-    }
-
     /// A copy of this configuration with a different number of selected workers
     /// (used by the Figure 6 sensitivity sweep).
     pub fn with_select_k(&self, k: usize) -> Self {
@@ -576,11 +571,9 @@ mod tests {
     fn per_round_budget_and_pool_sizes() {
         let rw1 = DatasetConfig::rw1();
         assert_eq!(rw1.per_round_budget(), 270);
-        assert_eq!(rw1.learning_task_pool_size(), 30);
         assert_eq!(rw1.num_prior_domains(), 3);
         let s1 = DatasetConfig::s1();
         assert_eq!(s1.per_round_budget(), 800);
-        assert_eq!(s1.learning_task_pool_size(), 140);
     }
 
     #[test]
@@ -701,10 +694,6 @@ mod tests {
     fn per_round_budget_is_q_times_pool_for_every_dataset() {
         for c in DatasetConfig::all_paper_datasets() {
             assert_eq!(c.per_round_budget(), c.tasks_per_batch * c.pool_size);
-            assert_eq!(
-                c.learning_task_pool_size(),
-                c.tasks_per_batch * c.num_batches()
-            );
         }
     }
 }

@@ -1,13 +1,13 @@
-//! A generated dataset: configuration, worker specifications, and task pools.
+//! A generated dataset: configuration and worker specifications.
 //!
 //! A [`Dataset`] is the immutable artefact produced by the generator (Sec. V-A of the
 //! paper); a [`crate::Platform`] is then instantiated from it to run one experiment.
 //! Keeping the two separate means every selection strategy can be evaluated on an
-//! identical pool of workers and tasks, which is what makes the Table V comparison
-//! fair.
+//! identical pool of workers, which is what makes the Table V comparison fair. Tasks
+//! are counts taken from the configuration (`tasks_per_batch`, `working_tasks`):
+//! answers are graded as they are drawn, so no task or gold label is stored.
 
 use crate::config::DatasetConfig;
-use crate::task::TaskPool;
 use crate::worker::WorkerSpec;
 use crate::SimError;
 
@@ -18,37 +18,16 @@ pub struct Dataset {
     pub config: DatasetConfig,
     /// Latent specification of every worker in the pool.
     pub workers: Vec<WorkerSpec>,
-    /// Learning tasks (golden questions) on the target domain.
-    pub learning_tasks: TaskPool,
-    /// Working tasks on the target domain, used only for evaluation.
-    pub working_tasks: TaskPool,
 }
 
 impl Dataset {
     /// Creates a dataset after validating that its parts are mutually consistent.
-    pub fn new(
-        config: DatasetConfig,
-        workers: Vec<WorkerSpec>,
-        learning_tasks: TaskPool,
-        working_tasks: TaskPool,
-    ) -> Result<Self, SimError> {
+    pub fn new(config: DatasetConfig, workers: Vec<WorkerSpec>) -> Result<Self, SimError> {
         config.validate()?;
         if workers.len() != config.pool_size {
             return Err(SimError::InvalidConfig {
                 what: "number of generated workers must equal pool_size",
                 value: workers.len() as f64,
-            });
-        }
-        if learning_tasks.len() < config.learning_task_pool_size() {
-            return Err(SimError::InvalidConfig {
-                what: "learning task pool is smaller than the budget requires",
-                value: learning_tasks.len() as f64,
-            });
-        }
-        if working_tasks.is_empty() {
-            return Err(SimError::InvalidConfig {
-                what: "working task pool must not be empty",
-                value: 0.0,
             });
         }
         for w in &workers {
@@ -59,12 +38,7 @@ impl Dataset {
                 });
             }
         }
-        Ok(Self {
-            config,
-            workers,
-            learning_tasks,
-            working_tasks,
-        })
+        Ok(Self { config, workers })
     }
 
     /// Number of workers in the pool.
@@ -106,11 +80,7 @@ impl Dataset {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::domain::Domain;
-    use crate::task::TaskKind;
     use crate::worker::HistoricalProfile;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn tiny_config() -> DatasetConfig {
         let mut c = DatasetConfig::rw1();
@@ -130,33 +100,11 @@ mod tests {
         }
     }
 
-    fn pools(config: &DatasetConfig) -> (TaskPool, TaskPool) {
-        let mut rng = StdRng::seed_from_u64(1);
-        (
-            TaskPool::generate(
-                &mut rng,
-                config.learning_task_pool_size(),
-                Domain::Target,
-                TaskKind::Learning,
-            ),
-            TaskPool::generate(
-                &mut rng,
-                config.working_tasks,
-                Domain::Target,
-                TaskKind::Working,
-            ),
-        )
-    }
-
     #[test]
     fn construction_and_accessors() {
-        let config = tiny_config();
-        let (learning, working) = pools(&config);
         let ds = Dataset::new(
-            config,
+            tiny_config(),
             vec![spec(0.4), spec(0.5), spec(0.6), spec(0.7)],
-            learning,
-            working,
         )
         .unwrap();
         assert_eq!(ds.pool_size(), 4);
@@ -173,31 +121,8 @@ mod tests {
     #[test]
     fn validation_of_worker_count_and_pools() {
         let config = tiny_config();
-        let (learning, working) = pools(&config);
         // Wrong worker count.
-        assert!(Dataset::new(
-            config.clone(),
-            vec![spec(0.5)],
-            learning.clone(),
-            working.clone()
-        )
-        .is_err());
-        // Learning pool too small.
-        assert!(Dataset::new(
-            config.clone(),
-            vec![spec(0.4), spec(0.5), spec(0.6), spec(0.7)],
-            TaskPool::new(),
-            working.clone()
-        )
-        .is_err());
-        // Empty working pool.
-        assert!(Dataset::new(
-            config.clone(),
-            vec![spec(0.4), spec(0.5), spec(0.6), spec(0.7)],
-            learning.clone(),
-            TaskPool::new()
-        )
-        .is_err());
+        assert!(Dataset::new(config.clone(), vec![spec(0.5)]).is_err());
         // Wrong profile width.
         let bad = WorkerSpec {
             profile: HistoricalProfile::complete(vec![0.5], vec![10]).unwrap(),
@@ -205,29 +130,15 @@ mod tests {
             latent_prior_accuracies: vec![0.5],
             learning_aptitude: 0.0,
         };
-        assert!(Dataset::new(
-            config,
-            vec![bad, spec(0.5), spec(0.6), spec(0.7)],
-            learning,
-            working
-        )
-        .is_err());
+        assert!(Dataset::new(config, vec![bad, spec(0.5), spec(0.6), spec(0.7)]).is_err());
     }
 
     #[test]
     fn prior_moments_skip_workers_without_a_record() {
-        let config = tiny_config();
-        let (learning, working) = pools(&config);
         let mut gap = spec(0.5);
         gap.profile =
             HistoricalProfile::new(vec![None, Some(0.8), Some(0.6)], vec![0, 10, 10]).unwrap();
-        let ds = Dataset::new(
-            config,
-            vec![gap, spec(0.5), spec(0.6), spec(0.7)],
-            learning,
-            working,
-        )
-        .unwrap();
+        let ds = Dataset::new(tiny_config(), vec![gap, spec(0.5), spec(0.6), spec(0.7)]).unwrap();
         assert_eq!(ds.prior_accuracies(0)[0], None);
         let (mean, std) = ds.prior_domain_moments(0);
         assert!((mean - 0.7).abs() < 1e-12);
@@ -238,8 +149,7 @@ mod tests {
     fn invalid_config_is_rejected_before_the_parts() {
         let mut config = tiny_config();
         config.select_k = 0;
-        let (learning, working) = pools(&tiny_config());
-        let err = Dataset::new(config, vec![spec(0.5); 4], learning, working).unwrap_err();
+        let err = Dataset::new(config, vec![spec(0.5); 4]).unwrap_err();
         assert!(err.to_string().contains("select_k"), "{err}");
     }
 }

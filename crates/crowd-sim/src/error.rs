@@ -25,15 +25,6 @@ pub enum SimError {
         /// Tasks remaining in the budget.
         remaining: usize,
     },
-    /// The requested task range does not exist in the task pool.
-    TaskRangeOutOfBounds {
-        /// First requested task index.
-        start: usize,
-        /// One-past-last requested task index.
-        end: usize,
-        /// Size of the task pool.
-        pool: usize,
-    },
     /// Propagated numerical/statistical failure.
     Numerical(String),
 }
@@ -51,10 +42,6 @@ impl fmt::Display for SimError {
             } => write!(
                 f,
                 "assignment of {requested} tasks exceeds the remaining budget of {remaining}"
-            ),
-            SimError::TaskRangeOutOfBounds { start, end, pool } => write!(
-                f,
-                "task range {start}..{end} is out of bounds for a pool of {pool} tasks"
             ),
             SimError::Numerical(msg) => write!(f, "numerical failure: {msg}"),
         }
@@ -94,13 +81,6 @@ mod tests {
         }
         .to_string()
         .contains("10"));
-        assert!(SimError::TaskRangeOutOfBounds {
-            start: 5,
-            end: 9,
-            pool: 6
-        }
-        .to_string()
-        .contains("5..9"));
         assert!(SimError::Numerical("x".into()).to_string().contains('x'));
     }
 

@@ -11,8 +11,6 @@
 
 use crate::config::DatasetConfig;
 use crate::dataset::Dataset;
-use crate::domain::Domain;
-use crate::task::{TaskKind, TaskPool};
 use crate::worker::{HistoricalProfile, WorkerSpec};
 use crate::SimError;
 use c4u_stats::{Bernoulli, Matrix, MultivariateNormal, Uniform};
@@ -22,8 +20,10 @@ use rand::SeedableRng;
 /// Generates a full dataset from a configuration.
 ///
 /// Generation is deterministic in `config.seed`: the same configuration always
-/// produces the same workers and task pools, which is what makes every experiment in
-/// the benchmark harness reproducible.
+/// produces the same workers, which is what makes every experiment in the benchmark
+/// harness reproducible (`crates/crowd-sim/tests/generator_pins.rs` pins the pools).
+/// Tasks are not generated: the platform takes their counts from the
+/// configuration.
 pub fn generate(config: &DatasetConfig) -> Result<Dataset, SimError> {
     config.validate()?;
     let mut rng = StdRng::seed_from_u64(config.seed);
@@ -54,20 +54,7 @@ pub fn generate(config: &DatasetConfig) -> Result<Dataset, SimError> {
 
     apply_scenario(&mut workers, config)?;
 
-    let learning_tasks = TaskPool::generate(
-        &mut rng,
-        config.learning_task_pool_size(),
-        Domain::Target,
-        TaskKind::Learning,
-    );
-    let working_tasks = TaskPool::generate(
-        &mut rng,
-        config.working_tasks,
-        Domain::Target,
-        TaskKind::Working,
-    );
-
-    Dataset::new(config.clone(), workers, learning_tasks, working_tasks)
+    Dataset::new(config.clone(), workers)
 }
 
 /// Samples one worker specification from the population model, preserving the exact
@@ -207,9 +194,7 @@ mod tests {
         let config = DatasetConfig::rw1();
         let a = generate(&config).unwrap();
         let b = generate(&config).unwrap();
-        assert_eq!(a.initial_target_accuracies(), b.initial_target_accuracies());
-        assert_eq!(a.learning_tasks, b.learning_tasks);
-        assert_eq!(a.working_tasks, b.working_tasks);
+        assert_eq!(a.workers, b.workers);
     }
 
     #[test]
@@ -225,8 +210,6 @@ mod tests {
         for config in DatasetConfig::all_paper_datasets() {
             let ds = generate(&config).unwrap();
             assert_eq!(ds.pool_size(), config.pool_size, "{}", config.name);
-            assert!(ds.learning_tasks.len() >= config.learning_task_pool_size());
-            assert_eq!(ds.working_tasks.len(), config.working_tasks);
             // Every worker profile covers every prior domain.
             for w in &ds.workers {
                 assert_eq!(w.profile.num_domains(), config.num_prior_domains());
@@ -321,12 +304,7 @@ mod tests {
         use crate::config::ScenarioConfig;
         let plain = generate(&DatasetConfig::rw1()).unwrap();
         let scoped = generate(&DatasetConfig::rw1().with_scenario(ScenarioConfig::none())).unwrap();
-        assert_eq!(
-            plain.initial_target_accuracies(),
-            scoped.initial_target_accuracies()
-        );
-        assert_eq!(plain.learning_tasks, scoped.learning_tasks);
-        assert_eq!(plain.working_tasks, scoped.working_tasks);
+        assert_eq!(plain.workers, scoped.workers);
     }
 
     #[test]
@@ -376,8 +354,6 @@ mod tests {
         for config in [DatasetConfig::rw1_drift(), DatasetConfig::rw1_churn()] {
             let ds = generate(&config).unwrap();
             assert_eq!(ds.workers, plain.workers, "{}", config.name);
-            assert_eq!(ds.learning_tasks, plain.learning_tasks);
-            assert_eq!(ds.working_tasks, plain.working_tasks);
         }
     }
 }

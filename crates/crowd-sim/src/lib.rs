@@ -14,12 +14,16 @@
 //! * [`generate`] — the Sec. V-A worker generator (truncated MVN accuracy vectors,
 //!   observed historical profiles, random cross-domain correlations);
 //! * [`SimulatedWorker`] — a trainable worker whose true target-domain accuracy moves
-//!   along the modified IRT curve as learning-task ground truths are revealed;
+//!   along the modified IRT curve as learning-task ground truths are revealed
+//!   ([`SimulatedWorker::learn_from_batch`] counts them);
 //! * [`Platform`] — batch assignment, graded answer sheets (returned in a
 //!   [`RoundRecord`], never kept), ground-truth reveal, budget accounting, and
 //!   working-task evaluation, the interface every selection strategy drives.
-//!   Answering noise comes from one deterministic RNG stream per
-//!   (round, worker) event, so results never depend on processing order;
+//!   Tasks are counts: a worker is right on each task with probability equal
+//!   to its current accuracy, so an [`AnswerSheet`] is graded as it is drawn and
+//!   no gold label exists anywhere. Answering noise comes from one
+//!   deterministic RNG stream per (round, worker) event, so results never
+//!   depend on processing order;
 //! * [`WorkerShards`] + the sharded platform paths
 //!   ([`Platform::assign_learning_batch_sharded`],
 //!   [`Platform::evaluate_working_accuracy_sharded`]) — worker-range
@@ -81,5 +85,5 @@ pub use event::{AppliedRoundEvents, CampaignSchedule, RoundEvents};
 pub use generator::{build_population_model, generate};
 pub use platform::{Platform, RoundRecord};
 pub use shard::WorkerShards;
-pub use task::{AnswerSheet, Task, TaskKind, TaskPool};
+pub use task::AnswerSheet;
 pub use worker::{HistoricalProfile, SimulatedWorker, WorkerId, WorkerSpec};

@@ -1,16 +1,22 @@
 //! The crowdsourcing platform simulator.
 //!
-//! A [`Platform`] owns a pool of trainable [`SimulatedWorker`]s plus the learning
-//! gold labels and the working-pool size of one dataset, tracks the task budget, and
-//! exposes the two operations every selection strategy needs:
+//! A [`Platform`] owns a pool of trainable [`SimulatedWorker`]s plus the task
+//! counts of one dataset, tracks the task budget, and exposes the two operations
+//! every selection strategy needs:
 //!
-//! 1. [`Platform::assign_learning_batch`] — assign the next contiguous slice of
-//!    learning tasks to a set of workers, grade their answers into the returned
-//!    [`RoundRecord`] (the platform keeps no copy), and reveal the ground truth so
-//!    the workers learn (Definitions 3–4 of the paper, Algorithm 4 lines 5–11);
+//! 1. [`Platform::assign_learning_batch`] — assign a batch of learning tasks to a
+//!    set of workers, return their graded answers in a [`RoundRecord`] (the
+//!    platform keeps no copy), and reveal the ground truth so the workers learn
+//!    (Definitions 3–4 of the paper, Algorithm 4 lines 5–11);
 //! 2. [`Platform::evaluate_working_accuracy`] — have a set of workers annotate the
 //!    working tasks and report their average accuracy, the evaluation criterion of
 //!    Sec. V-C.
+//!
+//! Tasks are counts, not labelled items: a worker is right on each task with
+//! probability equal to its current accuracy, whatever the label, so every answer
+//! is graded as it is drawn and no gold label is stored. A learning task matters
+//! only as one more revealed answer, which [`SimulatedWorker::learn_from_batch`]
+//! counts.
 //!
 //! Both operations exist in a sharded form
 //! ([`Platform::assign_learning_batch_sharded`],
@@ -36,7 +42,7 @@
 //!   shard count and any thread interleaving (pinned by
 //!   `tests/shard_equivalence.rs`);
 //! * all workers in a round answer at their pre-round accuracy, exactly as in
-//!   Algorithm 4 line 5 (one shared slice of golden questions assigned to the
+//!   Algorithm 4 line 5 (one batch of golden questions assigned to the
 //!   surviving pool simultaneously); the revealed ground truth is applied
 //!   after the round's sheets are complete.
 
@@ -95,23 +101,13 @@ fn check_partition(worker_ids: &[WorkerId], shards: &WorkerShards) -> Result<(),
 pub struct RoundRecord {
     /// 1-based index of the assignment among the platform's rounds.
     pub round: usize,
-    /// Index of the first learning task assigned (into the learning pool, before
-    /// wrap-around).
-    pub task_start: usize,
     /// Number of learning tasks assigned to each worker.
     pub tasks_per_worker: usize,
     /// One answer sheet per participating worker, in the order they were passed in.
     pub sheets: Vec<AnswerSheet>,
-    /// Gold labels of the shared slice; empty when nobody answered.
-    gold: Vec<bool>,
 }
 
 impl RoundRecord {
-    /// Gold labels of the assigned tasks (identical for every participating worker).
-    pub fn gold(&self) -> &[bool] {
-        &self.gold
-    }
-
     /// Observed accuracy of a specific worker in this round, if they participated.
     pub fn accuracy_of(&self, worker: WorkerId) -> Option<f64> {
         self.sheets
@@ -129,10 +125,8 @@ pub struct Platform {
     /// `false`. Ids are never reused, so every historical record stays valid
     /// and survivors keep their (round, worker-id)-keyed answer streams.
     active: Vec<bool>,
-    learning_gold: Vec<bool>,
-    /// Size of the working-task pool. Answers are graded as they are drawn
-    /// (a worker is right with probability equal to its accuracy, whatever
-    /// the label), so evaluation needs no working gold labels.
+    /// Number of working tasks each evaluated worker answers (the dataset's
+    /// `working_tasks`).
     working_tasks: usize,
     /// Base seed of the per-worker answering streams (see the module docs).
     seed: u64,
@@ -142,7 +136,6 @@ pub struct Platform {
     evaluations_run: usize,
     budget_total: usize,
     budget_spent: usize,
-    learning_cursor: usize,
     /// Number of learning rounds run so far (the epoch component of the
     /// learning-answer stream family).
     rounds_run: usize,
@@ -186,18 +179,11 @@ impl Platform {
         Ok(Self {
             active: vec![true; workers.len()],
             workers,
-            learning_gold: dataset
-                .learning_tasks
-                .tasks()
-                .iter()
-                .map(|t| t.gold)
-                .collect(),
-            working_tasks: dataset.working_tasks.len(),
+            working_tasks: dataset.config.working_tasks,
             seed,
             evaluations_run: 0,
             budget_total: dataset.config.budget(),
             budget_spent: 0,
-            learning_cursor: 0,
             rounds_run: 0,
             target_difficulty,
             tasks_per_batch: dataset.config.tasks_per_batch,
@@ -353,12 +339,11 @@ impl Platform {
         self.rounds_run
     }
 
-    /// Assigns the next `tasks_per_worker` learning tasks to every worker in
-    /// `worker_ids`, records their answers, and reveals the ground truth so they
-    /// learn. All listed workers receive the *same* tasks, exactly as in Algorithm 4
-    /// (line 5: one shared slice of golden questions per round), and all of them
-    /// answer at their pre-round accuracy — the learning update is applied after
-    /// the round's sheets are complete.
+    /// Assigns `tasks_per_worker` learning tasks to every worker in `worker_ids`,
+    /// records their answers, and reveals the ground truth so they learn, as in
+    /// Algorithm 4 (line 5: one batch of golden questions per round). All listed
+    /// workers answer at their pre-round accuracy — the learning update is applied
+    /// after the round's sheets are complete.
     ///
     /// This is the single-shard layout of
     /// [`Platform::assign_learning_batch_sharded`], which it delegates to; the
@@ -366,10 +351,8 @@ impl Platform {
     ///
     /// The returned record is the round's only copy: the platform keeps none.
     ///
-    /// Returns an error if a worker id is unknown or if the assignment would exceed
-    /// the total budget. The learning-task pool is treated as circular: if the cursor
-    /// runs past the end (possible only when a caller assigns more tasks than the
-    /// paper's schedule), task gold labels repeat from the beginning.
+    /// Returns an error if a worker id is unknown or has left, or if the assignment
+    /// would exceed the total budget.
     pub fn assign_learning_batch(
         &mut self,
         worker_ids: &[WorkerId],
@@ -405,10 +388,8 @@ impl Platform {
         check_partition(worker_ids, shards)?;
         let mut record = RoundRecord {
             round: self.rounds_run + 1,
-            task_start: self.learning_cursor,
             tasks_per_worker: 0,
             sheets: Vec::new(),
-            gold: Vec::new(),
         };
         // An empty assignment is a no-op round: recorded, but nothing is
         // answered or spent.
@@ -421,18 +402,6 @@ impl Platform {
                     remaining: self.budget_remaining(),
                 });
             }
-            if self.learning_gold.is_empty() {
-                return Err(SimError::TaskRangeOutOfBounds {
-                    start: 0,
-                    end: tasks_per_worker,
-                    pool: 0,
-                });
-            }
-
-            // Gold labels of the shared slice, with circular wrap-around.
-            record.gold = (0..tasks_per_worker)
-                .map(|i| self.learning_gold[(self.learning_cursor + i) % self.learning_gold.len()])
-                .collect();
 
             // Answering phase: the shards run through `WorkerShards::map` (on
             // at most the machine's threads, whatever the shard count).
@@ -458,19 +427,18 @@ impl Platform {
                 self.workers[sheet.worker].learn_from_batch(sheet)?;
             }
             record.tasks_per_worker = tasks_per_worker;
-            self.learning_cursor += tasks_per_worker;
             self.budget_spent += requested;
         }
         self.rounds_run += 1;
         Ok(record)
     }
 
-    /// Has every worker in `worker_ids` annotate the full working-task pool and
-    /// returns their average observed accuracy — the evaluation criterion of the
-    /// paper (Sec. V-C). Working tasks never reveal their ground truth, so this does
-    /// not train the workers and does not consume budget. Repeated evaluations
-    /// draw fresh answering noise (the evaluation counter is part of the
-    /// stream derivation).
+    /// Has every worker in `worker_ids` annotate the dataset's `working_tasks`
+    /// working tasks and returns their average observed accuracy — the
+    /// evaluation criterion of the paper (Sec. V-C). Working tasks never reveal
+    /// their ground truth, so this does not train the workers and does not
+    /// consume budget. Repeated evaluations draw fresh answering noise (the
+    /// evaluation counter is part of the stream derivation).
     ///
     /// Delegates to [`Platform::evaluate_working_accuracy_sharded`] with the
     /// single-shard layout; the two are bit-for-bit identical for every shard
@@ -597,8 +565,8 @@ mod tests {
     /// Asserts that `p` matches `fresh` in everything a rejected call could
     /// have touched: rounds, budget, true accuracies, the noise of the next
     /// evaluation (a consumed evaluation epoch would shift it), and the next
-    /// round's record (a counted round would shift its number, a moved task
-    /// cursor its gold).
+    /// round's record (a counted round would shift its number and its answer
+    /// streams).
     fn assert_untouched(p: &mut Platform, fresh: &mut Platform) {
         assert_eq!(p.rounds_run(), fresh.rounds_run());
         assert_eq!(p.budget_spent(), fresh.budget_spent());
@@ -657,7 +625,7 @@ mod tests {
         assert_eq!(record.round, 1);
         assert_eq!(record.sheets.len(), 27);
         assert_eq!(record.tasks_per_worker, 10);
-        assert_eq!(record.gold().len(), 10);
+        assert!(record.sheets.iter().all(|s| s.len() == 10));
         assert_eq!(p.budget_spent(), 270);
         assert_eq!(p.budget_remaining(), 270);
         assert_eq!(p.rounds_run(), 1);
@@ -690,7 +658,7 @@ mod tests {
         assert_eq!(p.budget_spent(), 0);
         let record = p.assign_learning_batch(&[0, 1], 0).unwrap();
         assert_eq!(record.tasks_per_worker, 0);
-        assert!(record.gold().is_empty());
+        assert!(record.sheets.is_empty());
         assert_eq!(p.budget_spent(), 0);
         // No-op rounds still count.
         assert_eq!((record.round, p.rounds_run()), (2, 2));
@@ -745,6 +713,20 @@ mod tests {
     }
 
     #[test]
+    fn working_batches_do_not_train() {
+        // Working tasks never reveal their ground truth: evaluation moves no
+        // worker along its learning curve.
+        let mut p = platform();
+        let ids = p.worker_ids();
+        let before = p.true_accuracies();
+        p.evaluate_working_accuracy(&ids).unwrap();
+        assert_eq!(p.true_accuracies(), before);
+        assert!(ids
+            .iter()
+            .all(|&id| p.cumulative_learning_tasks(id).unwrap() == 0));
+    }
+
+    #[test]
     fn repeated_evaluations_draw_fresh_noise() {
         let mut p = platform();
         let ids = p.worker_ids();
@@ -766,7 +748,6 @@ mod tests {
         assert_eq!(first.round, 1);
         assert_eq!(second.round, 2);
         assert_eq!(second.sheets.len(), 10);
-        assert_eq!(second.task_start, 5);
     }
 
     #[test]
@@ -966,20 +947,6 @@ mod tests {
             p.expected_working_accuracy(&[2, 99]),
             Err(SimError::UnknownWorker { id: 99 })
         ));
-    }
-
-    #[test]
-    fn learning_cursor_advances_and_wraps_around_the_pool() {
-        let ds = generate(&DatasetConfig::rw1()).unwrap();
-        let pool: Vec<bool> = ds.learning_tasks.tasks().iter().map(|t| t.gold).collect();
-        let mut p = Platform::from_dataset(&ds, 7).unwrap();
-        let first = p.assign_learning_batch(&[0], 25).unwrap();
-        assert_eq!(first.task_start, 0);
-        assert_eq!(first.gold(), &pool[..25]);
-        let second = p.assign_learning_batch(&[0], 10).unwrap();
-        assert_eq!(second.task_start, 25);
-        assert_eq!(second.gold()[..5], pool[25..30]);
-        assert_eq!(second.gold()[5..], pool[..5]);
     }
 
     #[test]

@@ -1,19 +1,20 @@
 //! Worker-range sharding: partitioning a worker list into contiguous ranges.
 //!
-//! The paper's evaluation loop (Algorithm 4, Sec. V-C) assigns one shared
-//! slice of golden tasks to every surviving worker each round. For the pool
-//! sizes of Table II that round is cheap, but pools of `10^5+` workers need
-//! the *within*-round axis parallelised as well: [`WorkerShards`] splits a
+//! The paper's evaluation loop (Algorithm 4, Sec. V-C) assigns one batch of
+//! golden tasks to every surviving worker each round. For the pool sizes of
+//! Table II that round is cheap, but pools of `10^5+` workers need the
+//! *within*-round axis parallelised as well: [`WorkerShards`] splits a
 //! worker-id slice into contiguous ranges, and [`WorkerShards::map`] runs one
-//! job per range on scoped threads and concatenates the results back in
-//! worker order. `map` is the workspace's only shard fan-out: the platform's
-//! sharded round and evaluation
+//! job per non-empty range on scoped threads and concatenates the results
+//! back in worker order. `map` is the workspace's only shard fan-out: the
+//! platform's sharded round and evaluation
 //! ([`Platform::assign_learning_batch_sharded`](crate::Platform::assign_learning_batch_sharded))
 //! and the per-worker scoring passes in `c4u-selection` all go through it.
 //!
-//! A shard count is a *layout*, not a thread count: `map` runs on at most
-//! `min(num_shards, available_threads())` threads, however many shards the
-//! caller asked for.
+//! A shard count is a *layout*, not a thread count: the layout is stored as
+//! `(len, num_shards)` whatever the count, and `map` runs jobs only for the
+//! (at most `len`) non-empty shards, on at most `available_threads()` threads,
+//! however many shards the caller asked for.
 //!
 //! Because every worker draws from its own deterministic RNG stream (split
 //! from the platform seed by worker id), the shard layout carries **no**
@@ -49,29 +50,21 @@ use std::ops::Range;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorkerShards {
     len: usize,
-    /// Ascending shard boundaries: shard `s` covers `bounds[s]..bounds[s + 1]`.
-    bounds: Vec<usize>,
+    /// At least 1; shard boundaries are computed, not stored, so any count
+    /// costs the same.
+    num_shards: usize,
 }
 
 impl WorkerShards {
     /// Splits `len` items into exactly `num_shards` contiguous ranges, balanced
     /// to within one element (the first `len % num_shards` shards take the
     /// extra item). `num_shards` is clamped to at least 1; when it exceeds
-    /// `len`, the trailing shards are empty (callers that take the count from
-    /// a setting clamp it to the item count first: the layout stores one
-    /// bound per shard).
+    /// `len`, the trailing shards are empty.
     pub fn by_count(len: usize, num_shards: usize) -> Self {
-        let num_shards = num_shards.max(1);
-        let base = len / num_shards;
-        let extra = len % num_shards;
-        let mut bounds = Vec::with_capacity(num_shards + 1);
-        let mut cursor = 0;
-        bounds.push(cursor);
-        for shard in 0..num_shards {
-            cursor += base + usize::from(shard < extra);
-            bounds.push(cursor);
+        Self {
+            len,
+            num_shards: num_shards.max(1),
         }
-        Self { len, bounds }
     }
 
     /// Splits `len` items into `ceil(len / shard_size)` contiguous ranges of at
@@ -101,7 +94,14 @@ impl WorkerShards {
 
     /// Number of shards (at least 1).
     pub fn num_shards(&self) -> usize {
-        self.bounds.len() - 1
+        self.num_shards
+    }
+
+    /// Index of the first item of shard `shard` (`len` for `shard ==
+    /// num_shards`): `shard * floor(len / n) + min(shard, len mod n)`.
+    fn start(&self, shard: usize) -> usize {
+        let n = self.num_shards;
+        shard * (self.len / n) + shard.min(self.len % n)
     }
 
     /// The contiguous index range of shard `shard`.
@@ -110,7 +110,12 @@ impl WorkerShards {
     ///
     /// Panics if `shard >= self.num_shards()`.
     pub fn range(&self, shard: usize) -> Range<usize> {
-        self.bounds[shard]..self.bounds[shard + 1]
+        assert!(
+            shard < self.num_shards,
+            "shard {shard} out of range for {} shards",
+            self.num_shards
+        );
+        self.start(shard)..self.start(shard + 1)
     }
 
     /// The shard ranges in order; concatenated they cover `0..len` exactly.
@@ -123,18 +128,19 @@ impl WorkerShards {
     /// [`len`](Self::len) capacity when every job returns one item per index
     /// of its range.
     ///
-    /// The jobs run through [`run_indexed_jobs`] on
-    /// `min(num_shards, available_threads())` scoped threads (the thread count
-    /// is asked for only when there are two or more shards), so the result is
-    /// that of the sequential loop over the shards: on failure, the error of
-    /// the lowest-indexed failing shard.
+    /// Only the first `min(num_shards, len)` shards are run: the rest are
+    /// empty. The jobs run through [`run_indexed_jobs`] on
+    /// `min(shards run, available_threads())` scoped threads (the thread count
+    /// is asked for only when two or more shards run), so the result is that
+    /// of the sequential loop over the shards: on failure, the error of the
+    /// lowest-indexed failing shard.
     pub fn map<T, E, F>(&self, job: F) -> Result<Vec<T>, E>
     where
         T: Send,
         E: Send,
         F: Fn(Range<usize>) -> Result<Vec<T>, E> + Sync,
     {
-        let shards = self.num_shards();
+        let shards = self.num_shards.min(self.len);
         let threads = if shards < 2 {
             1
         } else {
@@ -263,6 +269,29 @@ mod tests {
             }
         });
         assert_eq!(result, Err(5));
+    }
+
+    #[test]
+    fn an_unbounded_shard_count_stores_no_bounds_and_runs_only_non_empty_shards() {
+        use std::collections::HashSet;
+        use std::sync::Mutex;
+
+        let shards = WorkerShards::by_count(3, usize::MAX);
+        assert_eq!(shards.num_shards(), usize::MAX);
+        assert_eq!(shards.range(2), 2..3);
+        assert!(shards.range(usize::MAX - 1).is_empty());
+        let seen = Mutex::new(HashSet::new());
+        let jobs = Mutex::new(0);
+        let items = shards
+            .map(|range| {
+                seen.lock().unwrap().insert(std::thread::current().id());
+                *jobs.lock().unwrap() += 1;
+                Ok::<_, ()>(range.collect::<Vec<_>>())
+            })
+            .unwrap();
+        assert_eq!(items, vec![0, 1, 2]);
+        assert_eq!(jobs.into_inner().unwrap(), 3);
+        assert!(seen.into_inner().unwrap().len() <= available_threads());
     }
 
     #[test]

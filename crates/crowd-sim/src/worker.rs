@@ -19,11 +19,10 @@ pub type WorkerId = usize;
 /// Draws whether each of `tasks` answers is correct: one uniform float per
 /// task, correct when it falls below `accuracy`.
 ///
-/// This is the single answering draw of the whole simulator —
-/// [`answer_with_accuracy`], the worker's answer sheets and the platform's
-/// sharded answering all consume it, so every execution path (unsharded or
-/// sharded, answers or bare correctness) draws the same floats in the same
-/// order and agrees bit for bit.
+/// This is the single answering draw of the whole simulator: the platform's
+/// answer sheets, learning and working alike, sharded or not, are made of it,
+/// so every execution path draws the same floats in the same order and agrees
+/// bit for bit. No gold label enters: a task is one more draw.
 pub(crate) fn draw_correctness<R: Rng + ?Sized>(
     rng: &mut R,
     accuracy: f64,
@@ -32,19 +31,6 @@ pub(crate) fn draw_correctness<R: Rng + ?Sized>(
     // A range collects through the exact-length fast path; the same draw
     // written as `repeat_with(..).take(tasks)` answered about 2x slower.
     (0..tasks).map(|_| rng.gen::<f64>() < accuracy).collect()
-}
-
-/// Answers a batch of tasks at the given accuracy: with probability `accuracy`
-/// the gold label is reproduced, otherwise it is flipped.
-pub(crate) fn answer_with_accuracy<R: Rng + ?Sized>(
-    rng: &mut R,
-    accuracy: f64,
-    gold: &[bool],
-) -> Vec<bool> {
-    gold.iter()
-        .zip(draw_correctness(rng, accuracy, gold.len()))
-        .map(|(&g, correct)| if correct { g } else { !g })
-        .collect()
 }
 
 /// How strongly a worker's cross-domain learning aptitude (one standard deviation of
@@ -290,39 +276,14 @@ impl SimulatedWorker {
         self.target_difficulty
     }
 
-    /// Answers a batch of tasks with the current accuracy: with probability
-    /// `current_accuracy` the gold label is reproduced, otherwise it is flipped.
-    /// No learning happens here — call [`Self::learn_from_batch`] after revealing the
-    /// ground truth of learning tasks.
-    pub fn answer_tasks<R: Rng + ?Sized>(&self, rng: &mut R, gold: &[bool]) -> Vec<bool> {
-        answer_with_accuracy(rng, self.current_accuracy, gold)
-    }
-
-    /// Answers a batch of learning tasks, then learns from the revealed ground truth
-    /// (Definition 3 of the paper). Returns the answer sheet.
+    /// Applies the learning update for a batch whose ground truth has been revealed
+    /// (Definition 3 of the paper). Only the batch's length matters: `K` counts
+    /// revealed tasks, whatever the answers were.
     ///
-    /// The learning dynamics follow Sec. V-A: every revealed batch moves the true
-    /// accuracy to `g(alpha, beta_T, K)` with `K` the cumulative revealed tasks and
-    /// `alpha` the worker's latent learning parameter (anchored so that the curve
-    /// passes through the initial accuracy at `K = Q`).
-    pub fn answer_learning_batch<R: Rng + ?Sized>(
-        &mut self,
-        rng: &mut R,
-        gold: &[bool],
-    ) -> Result<AnswerSheet, SimError> {
-        let sheet = AnswerSheet::from_correctness(
-            self.id,
-            draw_correctness(rng, self.current_accuracy, gold.len()),
-        );
-        self.learn_from_batch(&sheet)?;
-        Ok(sheet)
-    }
-
-    /// Applies the learning update for a batch whose ground truth has been revealed.
-    ///
-    /// The true accuracy follows `g(alpha, beta_T, max(K, Q))`: revealing fewer than
-    /// `Q` tasks keeps the worker at the initial (anchor) accuracy, and every task
-    /// beyond the anchor moves the accuracy along the latent learning curve.
+    /// The true accuracy follows `g(alpha, beta_T, max(K, Q))` (Sec. V-A): revealing
+    /// fewer than `Q` tasks keeps the worker at the initial (anchor) accuracy, and
+    /// every task beyond the anchor moves the accuracy along the latent learning
+    /// curve.
     pub fn learn_from_batch(&mut self, sheet: &AnswerSheet) -> Result<(), SimError> {
         if sheet.is_empty() {
             return Ok(());
@@ -338,19 +299,6 @@ impl SimulatedWorker {
         self.current_accuracy = accuracy.clamp(0.0, 1.0);
         Ok(())
     }
-
-    /// Answers a batch of working tasks (no learning — the ground truth of working
-    /// tasks is never revealed).
-    pub fn answer_working_batch<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        gold: &[bool],
-    ) -> Result<AnswerSheet, SimError> {
-        Ok(AnswerSheet::from_correctness(
-            self.id,
-            draw_correctness(rng, self.current_accuracy, gold.len()),
-        ))
-    }
 }
 
 #[cfg(test)]
@@ -358,6 +306,11 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// A revealed batch of `tasks` learning tasks; learning reads only its length.
+    fn batch(tasks: usize) -> AnswerSheet {
+        AnswerSheet::from_correctness(0, vec![true; tasks])
+    }
 
     fn spec(initial: f64) -> WorkerSpec {
         WorkerSpec {
@@ -370,21 +323,17 @@ mod tests {
 
     #[test]
     fn accuracy_drift_degrades_the_learning_curve() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let gold = vec![true; 30];
         let mut plain = SimulatedWorker::new(0, &spec(0.7), 0.0, 30).unwrap();
         let mut drifting = plain.clone();
         drifting.set_accuracy_drift(0.001).unwrap();
-        plain.answer_learning_batch(&mut rng, &gold).unwrap();
-        let mut rng = StdRng::seed_from_u64(7);
-        drifting.answer_learning_batch(&mut rng, &gold).unwrap();
+        plain.learn_from_batch(&batch(30)).unwrap();
+        drifting.learn_from_batch(&batch(30)).unwrap();
         let expected = plain.current_accuracy() - 0.001 * 30.0;
         assert!((drifting.current_accuracy() - expected).abs() < 1e-12);
         // Zero drift is the identity: the setter round-trips without effect.
         let mut zeroed = SimulatedWorker::new(0, &spec(0.7), 0.0, 30).unwrap();
         zeroed.set_accuracy_drift(0.0).unwrap();
-        let mut rng = StdRng::seed_from_u64(7);
-        zeroed.answer_learning_batch(&mut rng, &gold).unwrap();
+        zeroed.learn_from_batch(&batch(30)).unwrap();
         assert_eq!(zeroed.current_accuracy(), plain.current_accuracy());
         // Validation.
         assert!(plain.set_accuracy_drift(-0.1).is_err());
@@ -429,14 +378,8 @@ mod tests {
     fn answering_matches_accuracy_statistically() {
         let w = SimulatedWorker::new(0, &spec(0.8), 0.0, 10).unwrap();
         let mut rng = StdRng::seed_from_u64(11);
-        let gold: Vec<bool> = (0..5_000).map(|i| i % 2 == 0).collect();
-        let answers = w.answer_tasks(&mut rng, &gold);
-        let correct = answers
-            .iter()
-            .zip(gold.iter())
-            .filter(|(a, g)| a == g)
-            .count();
-        let rate = correct as f64 / gold.len() as f64;
+        let correct = draw_correctness(&mut rng, w.current_accuracy(), 5_000);
+        let rate = correct.iter().filter(|&&c| c).count() as f64 / correct.len() as f64;
         assert!((rate - 0.8).abs() < 0.02, "rate {rate}");
     }
 
@@ -445,17 +388,14 @@ mod tests {
         // A worker who starts well above the 0.5 baseline has a positive latent
         // alpha and keeps improving as batches are revealed.
         let mut w = SimulatedWorker::new(0, &spec(0.8), 0.0, 10).unwrap();
-        let mut rng = StdRng::seed_from_u64(5);
-        let gold: Vec<bool> = (0..10).map(|i| i % 3 == 0).collect();
-        let sheet = w.answer_learning_batch(&mut rng, &gold).unwrap();
-        assert_eq!(sheet.len(), 10);
+        w.learn_from_batch(&batch(10)).unwrap();
         assert_eq!(w.cumulative_learning_tasks(), 10);
         // After exactly the anchor batch the accuracy equals the initial accuracy.
         assert!((w.current_accuracy() - 0.8).abs() < 1e-9);
         let after_first = w.current_accuracy();
         // More training batches increase accuracy monotonically for positive alpha.
         for _ in 0..3 {
-            w.answer_learning_batch(&mut rng, &gold).unwrap();
+            w.learn_from_batch(&batch(10)).unwrap();
         }
         assert_eq!(w.cumulative_learning_tasks(), 40);
         assert!(w.current_accuracy() > after_first);
@@ -467,9 +407,7 @@ mod tests {
         // A worker starting near 0.25 has a negative latent alpha, so training does
         // not lift it above the task baseline.
         let mut w = SimulatedWorker::new(0, &spec(0.25), 0.0, 10).unwrap();
-        let mut rng = StdRng::seed_from_u64(13);
-        let gold = vec![true; 20];
-        w.answer_learning_batch(&mut rng, &gold).unwrap();
+        w.learn_from_batch(&batch(20)).unwrap();
         assert!(w.current_accuracy() < 0.5);
         assert!(w.learning_alpha() < 0.0);
     }
@@ -484,18 +422,6 @@ mod tests {
     }
 
     #[test]
-    fn working_batches_do_not_train() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let w = SimulatedWorker::new(0, &spec(0.7), 0.0, 10).unwrap();
-        let before = w.current_accuracy();
-        let gold = vec![true, false, true];
-        let sheet = w.answer_working_batch(&mut rng, &gold).unwrap();
-        assert_eq!(sheet.len(), 3);
-        assert_eq!(w.current_accuracy(), before);
-        assert_eq!(w.cumulative_learning_tasks(), 0);
-    }
-
-    #[test]
     fn higher_aptitude_learns_faster() {
         let mut fast_spec = spec(0.6);
         fast_spec.learning_aptitude = 1.5;
@@ -503,11 +429,9 @@ mod tests {
         slow_spec.learning_aptitude = -1.5;
         let mut fast = SimulatedWorker::new(0, &fast_spec, 0.0, 10).unwrap();
         let mut slow = SimulatedWorker::new(1, &slow_spec, 0.0, 10).unwrap();
-        let gold: Vec<bool> = (0..10).map(|i| i % 2 == 0).collect();
-        let mut rng = StdRng::seed_from_u64(3);
         for _ in 0..4 {
-            fast.answer_learning_batch(&mut rng, &gold).unwrap();
-            slow.answer_learning_batch(&mut rng, &gold).unwrap();
+            fast.learn_from_batch(&batch(10)).unwrap();
+            slow.learn_from_batch(&batch(10)).unwrap();
         }
         assert!(fast.current_accuracy() > slow.current_accuracy());
         assert!(fast.learning_alpha() > slow.learning_alpha());
@@ -515,53 +439,39 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
-        let gold: Vec<bool> = (0..10).map(|i| i % 2 == 0).collect();
         let run = |seed: u64| {
             let mut w = SimulatedWorker::new(0, &spec(0.6), 0.0, 10).unwrap();
             let mut rng = StdRng::seed_from_u64(seed);
-            let mut accs = vec![];
+            let mut trace = vec![];
             for _ in 0..3 {
-                w.answer_learning_batch(&mut rng, &gold).unwrap();
-                accs.push(w.current_accuracy());
+                let sheet = AnswerSheet::from_correctness(
+                    0,
+                    draw_correctness(&mut rng, w.current_accuracy(), 10),
+                );
+                w.learn_from_batch(&sheet).unwrap();
+                trace.push((sheet, w.current_accuracy()));
             }
-            accs
+            trace
         };
         assert_eq!(run(99), run(99));
     }
 
     #[test]
     fn extreme_accuracies_are_exact() {
-        let gold = vec![true, false, true, true];
         let mut rng = StdRng::seed_from_u64(7);
-        assert_eq!(answer_with_accuracy(&mut rng, 1.0, &gold), gold);
-        let flipped: Vec<bool> = gold.iter().map(|g| !g).collect();
-        assert_eq!(answer_with_accuracy(&mut rng, 0.0, &gold), flipped);
-    }
-
-    #[test]
-    fn sheets_grade_the_answers_the_same_draws_give() {
-        let gold: Vec<bool> = (0..97).map(|i| i % 3 != 0).collect();
-        for accuracy in [0.0, 0.3, 0.81, 1.0] {
-            let answers = answer_with_accuracy(&mut StdRng::seed_from_u64(8), accuracy, &gold);
-            let graded = AnswerSheet::new(4, &answers, &gold).unwrap();
-            let drawn = AnswerSheet::from_correctness(
-                4,
-                draw_correctness(&mut StdRng::seed_from_u64(8), accuracy, gold.len()),
-            );
-            assert_eq!(drawn, graded, "accuracy {accuracy}");
-        }
+        assert_eq!(draw_correctness(&mut rng, 1.0, 4), vec![true; 4]);
+        assert_eq!(draw_correctness(&mut rng, 0.0, 4), vec![false; 4]);
     }
 
     #[test]
     fn batches_shorter_than_the_anchor_keep_the_initial_accuracy() {
         let mut w = SimulatedWorker::new(0, &spec(0.8), 0.0, 10).unwrap();
-        let mut rng = StdRng::seed_from_u64(4);
-        w.answer_learning_batch(&mut rng, &[true; 4]).unwrap();
+        w.learn_from_batch(&batch(4)).unwrap();
         assert_eq!(w.cumulative_learning_tasks(), 4);
         assert!((w.current_accuracy() - 0.8).abs() < 1e-9);
-        w.answer_learning_batch(&mut rng, &[false; 6]).unwrap();
+        w.learn_from_batch(&batch(6)).unwrap();
         assert!((w.current_accuracy() - 0.8).abs() < 1e-9);
-        w.answer_learning_batch(&mut rng, &[true]).unwrap();
+        w.learn_from_batch(&batch(1)).unwrap();
         assert!(w.current_accuracy() > 0.8);
         assert_eq!(w.initial_accuracy(), 0.8);
     }
@@ -582,10 +492,9 @@ mod tests {
     fn strong_drift_clamps_accuracy_at_zero() {
         let mut w = SimulatedWorker::new(0, &spec(0.6), 0.0, 10).unwrap();
         w.set_accuracy_drift(0.9).unwrap();
-        w.answer_learning_batch(&mut StdRng::seed_from_u64(1), &[true; 10])
-            .unwrap();
+        w.learn_from_batch(&batch(10)).unwrap();
         assert_eq!(w.current_accuracy(), 0.0);
-        let answers = w.answer_tasks(&mut StdRng::seed_from_u64(2), &[true, false]);
-        assert_eq!(answers, vec![false, true]);
+        let correct = draw_correctness(&mut StdRng::seed_from_u64(2), w.current_accuracy(), 2);
+        assert_eq!(correct, vec![false, false]);
     }
 }

@@ -316,7 +316,7 @@ impl CrossDomainSelector {
             };
             let tasks_per_worker = plan.tasks_per_worker(remaining.len());
             // One worker-range partition per round: the platform answers the
-            // shared golden slice shard by shard, and the same layout drives
+            // round's golden batch shard by shard, and the same layout drives
             // the stages' per-worker scoring below.
             let shards = WorkerShards::by_count(remaining.len(), num_shards);
             let record =

@@ -7,7 +7,8 @@ use c4u_crowd_sim::{
 };
 use c4u_selection::{
     median_eliminate, rounds_until_at_most, top_k, CrossDomainSelector, EstimationMode,
-    MedianEliminationBaseline, ScoredWorker, SelectorConfig, UniformSampling, WorkerSelector,
+    GroundTruthOracle, LiEtAl, MedianEliminationBaseline, ScoredWorker, SelectorConfig,
+    UniformSampling, WorkerSelector,
 };
 use proptest::prelude::*;
 
@@ -166,16 +167,21 @@ proptest! {
         }
     }
 
+    /// Every baseline selects `k` distinct workers within the budget, also
+    /// when fewer than `k` survive the last halving round (e.g. pool 10 with
+    /// k = 4 ends with 3 survivors).
     #[test]
     fn baselines_share_the_same_invariants(config in config_strategy()) {
         let dataset = generate(&config).unwrap();
         for strategy in [
             &UniformSampling::new() as &dyn WorkerSelector,
             &MedianEliminationBaseline::new(),
+            &LiEtAl::new(),
+            &GroundTruthOracle::new(),
         ] {
             let mut platform = Platform::from_dataset(&dataset, 7).unwrap();
             let outcome = strategy.select(&mut platform, config.select_k).unwrap();
-            prop_assert_eq!(outcome.selected.len(), config.select_k);
+            prop_assert_eq!(outcome.selected.len(), config.select_k, "{}", strategy.name());
             prop_assert!(outcome.budget_spent <= config.budget());
             let mut unique = outcome.selected.clone();
             unique.sort_unstable();

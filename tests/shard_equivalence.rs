@@ -68,7 +68,7 @@ fn platform_rounds_are_identical_for_every_shard_layout() {
             );
             records.push(record);
         }
-        // The whole run agrees too (round numbering, cursors, gold, sheets).
+        // The whole run agrees too (round numbering, task counts, sheets).
         assert_eq!(records, reference);
         assert_eq!(platform.rounds_run(), 3);
         assert_eq!(platform.budget_spent(), 6 * (27 + 14 + 7));
