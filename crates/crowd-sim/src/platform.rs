@@ -395,13 +395,13 @@ impl Platform {
         // answered or spent.
         if !worker_ids.is_empty() && tasks_per_worker > 0 {
             self.check_active(worker_ids)?;
-            let requested = tasks_per_worker * worker_ids.len();
-            if requested > self.budget_remaining() {
-                return Err(SimError::BudgetExceeded {
-                    requested,
+            let requested = tasks_per_worker
+                .checked_mul(worker_ids.len())
+                .filter(|&requested| requested <= self.budget_remaining())
+                .ok_or(SimError::BudgetExceeded {
+                    requested: tasks_per_worker.saturating_mul(worker_ids.len()),
                     remaining: self.budget_remaining(),
-                });
-            }
+                })?;
 
             // Answering phase: the shards run through `WorkerShards::map` (on
             // at most the machine's threads, whatever the shard count).
@@ -648,6 +648,25 @@ mod tests {
         // A smaller assignment still fits.
         p.assign_learning_batch(&ids[..14], 19).unwrap();
         assert!(p.budget_spent() <= p.budget_total());
+    }
+
+    #[test]
+    fn an_overflowing_budget_product_is_rejected_before_any_state_changes() {
+        // 27 workers * (usize::MAX / 2) tasks does not fit in a usize.
+        let mut p = platform();
+        let ids = p.worker_ids();
+        let err = p.assign_learning_batch(&ids, usize::MAX / 2).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                SimError::BudgetExceeded {
+                    requested: usize::MAX,
+                    remaining: 540
+                }
+            ),
+            "{err:?}"
+        );
+        assert_untouched(&mut p, &mut platform());
     }
 
     #[test]

@@ -18,19 +18,32 @@
 //! Every summand has the same shape, `(sigmoid(alpha * ln(K + 1) - beta) - a)^2`,
 //! so the fit runs over a table of [`LearningTerm`]s with `ln(K + 1)` taken once
 //! per term rather than once per term and objective evaluation. [`calibrate_terms`]
-//! is the one fit. One pass over the table gives the objective `f` and its
+//! is the one fit. One exact pass over the table gives the objective `f` and its
 //! analytic derivatives `f'` and `f''` (one sigmoid per term). Each term alone
 //! is minimised at `alpha_t = (logit a_t + beta_t) / ln(K_t + 1)` and falls
 //! towards it from both sides, so every stationary point of `f` lies between
-//! the smallest and the largest `alpha_t`. The fit scans `f'` at evenly spaced
-//! knots across that range (clipped to `[-20, 20]`), runs a bracketed Newton
-//! iteration (`rtsafe`, Press et al., *Numerical Recipes* §9.4) in every
+//! the smallest and the largest `alpha_t`. The fit scans `f'` at nine evenly
+//! spaced knots across that range (clipped to `[-20, 20]`), runs a bracketed
+//! Newton iteration (`rtsafe`, Press et al., *Numerical Recipes* §9.4) in every
 //! interval where `f'` turns from negative to positive, and keeps the lowest
 //! `f` among the converged points and the knots. An interval whose ends' `f`
 //! and `f'` show a valley that their slopes do not bracket is halved until
 //! they do. The objective can have two valleys, which the scan keeps apart
 //! where a single descent would fall into either. A table in which no term
 //! depends on `alpha` (every term at `K = 0`) fits `alpha = 0`.
+//!
+//! The knot scan is one pass, not nine: along evenly spaced knots a term's
+//! `exp(beta - alpha L)` is a geometric sequence, so it takes two `exp` calls
+//! per term and a multiplication per knot (a term whose sequence would
+//! overflow or underflow takes the exact sigmoid at each knot). Its values
+//! differ from exact passes by a few ulps per term, and each knot carries a
+//! bound on that difference. The point the search settles on is then
+//! evaluated exactly, and so is every knot whose value, less its bound, comes
+//! within a relative 1e-12 of it; the lowest of these is the fit. So the
+//! residual is an exact pass, `objective(alpha)` bit for bit, and no higher
+//! than any knot. A Newton iteration stops once `f'' > 0` and its next step
+//! is at most 1e-12, as `rtsafe` does, rather than bisecting the bracket
+//! around a root it has already found.
 //!
 //! [`calibrate_alpha`] validates the observation form and builds its table;
 //! [`objective`] keeps the Eq. 11 sum in that form as the reference the table sum
@@ -109,6 +122,10 @@ const SCAN_INTERVALS: usize = 8;
 
 /// A Newton iteration stops once its next step, or its bracket, is this narrow.
 const ALPHA_TOLERANCE: f64 = 1e-12;
+
+/// A scan knot is evaluated exactly when its value, less its rounding bound,
+/// lies within this relative distance of the best exact point.
+const KNOT_RECHECK: f64 = 1e-12;
 
 /// Halvings of a scan interval in which `f` and `f'` at its ends show a
 /// valley their slopes do not bracket.
@@ -252,22 +269,110 @@ pub fn calibrate_terms(terms: &[LearningTerm]) -> Result<CalibratedAlpha, IrtErr
 
 /// The lowest point of `f` on `[lo, hi]` among the knots of the `f'` scan
 /// and what [`lowest_between`] finds between neighbouring knots.
+///
+/// The knots come from [`scan`], whose values may differ from an exact pass
+/// by up to their `error`; every other point is an exact pass. So the
+/// winner is evaluated exactly, and so is every knot that may undercut it:
+/// one whose value, less its `error`, lies within a relative
+/// [`KNOT_RECHECK`] of the winner's. The result is then an exact pass, no
+/// higher than any knot.
 fn scan_and_polish(terms: &[LearningTerm], lo: f64, hi: f64) -> Evaluation {
     if lo == hi {
         return evaluate(terms, lo);
     }
-    let knots: [Evaluation; SCAN_INTERVALS + 1] = std::array::from_fn(|i| {
-        let alpha = if i == SCAN_INTERVALS {
+    let knots = scan(terms, lo, hi);
+    let found = knots
+        .windows(2)
+        .map(|pair| lowest_between(terms, pair[0], pair[1], MAX_SPLITS))
+        .fold(knots[0], lower);
+    let mut best = if found.error == 0.0 {
+        found
+    } else {
+        evaluate(terms, found.alpha)
+    };
+    for knot in knots {
+        if knot.alpha != best.alpha
+            && knot.value - knot.error <= best.value + KNOT_RECHECK * best.value
+        {
+            best = lower(best, evaluate(terms, knot.alpha));
+        }
+    }
+    best
+}
+
+/// `f`, `f'` and `f''` at the `SCAN_INTERVALS + 1` evenly spaced knots of
+/// `[lo, hi]` (`lo < hi`) in one pass over the table.
+///
+/// A term's sigmoid at knot `k` is `1 / (1 + E_k)` with
+/// `E_k = exp(beta - lo L) * exp(-step L)^k`: two `exp` calls per term
+/// rather than one per knot. A term whose `E_0` or ratio is not finite and
+/// positive takes the exact sigmoid at every knot instead. Each knot carries
+/// a bound on how far its value may sit from an exact pass: the recurrence
+/// moves `E_k` by a relative error of a few ulps per unit of the exponents'
+/// and knots' magnitudes, which moves each sigmoid by at most a quarter of
+/// that (`s (1 - s) <= 1/4`) and each residual `r` alike.
+fn scan(terms: &[LearningTerm], lo: f64, hi: f64) -> [Evaluation; SCAN_INTERVALS + 1] {
+    let alphas: [f64; SCAN_INTERVALS + 1] = std::array::from_fn(|i| {
+        if i == SCAN_INTERVALS {
             hi
         } else {
             lo + (hi - lo) * i as f64 / SCAN_INTERVALS as f64
-        };
-        evaluate(terms, alpha)
+        }
     });
-    knots
-        .windows(2)
-        .map(|pair| lowest_between(terms, pair[0], pair[1], MAX_SPLITS))
-        .fold(knots[0], lower)
+    let step = (hi - lo) / SCAN_INTERVALS as f64;
+    let span = lo.abs().max(hi.abs());
+    let mut sums = [Sums::default(); SCAN_INTERVALS + 1];
+    let mut abs_residuals = [0.0; SCAN_INTERVALS + 1];
+    // The largest relative error of a recurrence `E_k`, in units of epsilon.
+    let mut worst_ulps: f64 = 0.0;
+    for t in terms {
+        if let Some(fixed) = t.fixed {
+            for sum in &mut sums {
+                sum.value += fixed;
+            }
+            continue;
+        }
+        let exponent = t.difficulty - lo * t.log_tasks;
+        let decay = step * t.log_tasks;
+        let (mut e, ratio) = (exponent.exp(), (-decay).exp());
+        if e.is_finite() && e > 0.0 && ratio.is_finite() && ratio > 0.0 {
+            worst_ulps = worst_ulps.max(
+                4.0 * exponent.abs()
+                    + 4.0 * SCAN_INTERVALS as f64 * decay.abs()
+                    + 8.0 * span * t.log_tasks.abs()
+                    + 2.0 * SCAN_INTERVALS as f64,
+            );
+            for (sum, abs_r) in sums.iter_mut().zip(&mut abs_residuals) {
+                *abs_r += sum.add(t, 1.0 / (1.0 + e)).abs();
+                e *= ratio;
+            }
+        } else {
+            for ((sum, abs_r), alpha) in sums.iter_mut().zip(&mut abs_residuals).zip(alphas) {
+                *abs_r += sum
+                    .add(t, sigmoid(alpha * t.log_tasks - t.difficulty))
+                    .abs();
+            }
+        }
+    }
+    // A bound on each sigmoid's distance from the exact pass's, rounding of
+    // both included; the squares and the sums add their own rounding.
+    let delta = f64::EPSILON * (0.25 * worst_ulps + 4.0);
+    let n = terms.len() as f64;
+    std::array::from_fn(|k| {
+        let Sums {
+            value,
+            slope,
+            curvature,
+        } = sums[k];
+        Evaluation {
+            alpha: alphas[k],
+            value,
+            slope,
+            curvature,
+            error: delta * (2.0 * abs_residuals[k] + n * delta)
+                + 2.0 * (n + 1.0) * f64::EPSILON * value,
+        }
+    })
 }
 
 /// The lowest of two ends `a < b` of an interval and the points found inside.
@@ -346,6 +451,9 @@ struct Evaluation {
     value: f64,
     slope: f64,
     curvature: f64,
+    /// A bound on `|value - f(alpha)|` against an exact pass: 0 for an exact
+    /// pass, positive for a [`scan`] knot.
+    error: f64,
 }
 
 impl Evaluation {
@@ -361,35 +469,63 @@ impl Evaluation {
     }
 }
 
-/// One pass over the table: `f`, `f'` and `f''` with one sigmoid per
-/// `alpha`-dependent term. With `s = sigmoid(alpha L - beta)` and
-/// `w = s (1 - s) L`, a term adds `(s - a)^2`, `2 (s - a) w` and
-/// `2 [w^2 + (s - a) w (1 - 2 s) L]`.
-fn evaluate(terms: &[LearningTerm], alpha: f64) -> Evaluation {
-    let (mut value, mut slope, mut curvature) = (0.0, 0.0, 0.0);
-    for t in terms {
-        if let Some(fixed) = t.fixed {
-            value += fixed;
-            continue;
-        }
-        let s = sigmoid(alpha * t.log_tasks - t.difficulty);
+/// Running sums of `f`, `f'` and `f''` over a table.
+#[derive(Debug, Clone, Copy, Default)]
+struct Sums {
+    value: f64,
+    slope: f64,
+    curvature: f64,
+}
+
+impl Sums {
+    /// Adds an `alpha`-dependent term at sigmoid value `s` and returns its
+    /// residual `s - a`. With `w = s (1 - s) L`, the term adds `(s - a)^2`,
+    /// `2 (s - a) w` and `2 [w^2 + (s - a) w (1 - 2 s) L]`.
+    fn add(&mut self, t: &LearningTerm, s: f64) -> f64 {
         let r = s - t.accuracy;
         let w = s * (1.0 - s) * t.log_tasks;
-        value += r * r;
-        slope += 2.0 * r * w;
-        curvature += 2.0 * (w * w + r * w * (1.0 - 2.0 * s) * t.log_tasks);
+        self.value += r * r;
+        self.slope += 2.0 * r * w;
+        self.curvature += 2.0 * (w * w + r * w * (1.0 - 2.0 * s) * t.log_tasks);
+        r
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Exact passes over a table made on this thread (test-only count).
+    static EXACT_PASSES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// One exact pass over the table: `f`, `f'` and `f''` with one sigmoid per
+/// `alpha`-dependent term.
+fn evaluate(terms: &[LearningTerm], alpha: f64) -> Evaluation {
+    #[cfg(test)]
+    EXACT_PASSES.with(|passes| passes.set(passes.get() + 1));
+    let mut sums = Sums::default();
+    for t in terms {
+        match t.fixed {
+            Some(fixed) => sums.value += fixed,
+            None => {
+                sums.add(t, sigmoid(alpha * t.log_tasks - t.difficulty));
+            }
+        }
     }
     Evaluation {
         alpha,
-        value,
-        slope,
-        curvature,
+        value: sums.value,
+        slope: sums.slope,
+        curvature: sums.curvature,
+        error: 0.0,
     }
 }
 
 /// Safeguarded Newton iteration on `f'` between two knots whose slopes turn
 /// from `<= 0` (`lo`) to `>= 0` (`hi`): a step that leaves the bracket, or a
-/// point with `f'' <= 0`, bisects instead. Starts at the minimum of the
+/// point with `f'' <= 0`, bisects instead. It stops once `f'' > 0` and the
+/// Newton step is at most [`ALPHA_TOLERANCE`] (`f' = 0` included), before
+/// the step is tested against the bracket, as `rtsafe` does, or once the
+/// bracket is that narrow. Starts at the minimum of the
 /// knots' cubic Hermite interpolant (their midpoint if it has none) and
 /// returns the evaluated point with the smallest `|f'|`.
 fn bracketed_newton(terms: &[LearningTerm], mut lo: Evaluation, mut hi: Evaluation) -> Evaluation {
@@ -398,15 +534,18 @@ fn bracketed_newton(terms: &[LearningTerm], mut lo: Evaluation, mut hi: Evaluati
         .unwrap_or(0.5 * (lo.alpha + hi.alpha));
     let mut current = evaluate(terms, start);
     for _ in 0..MAX_NEWTON_STEPS {
-        if current.slope == 0.0 && current.curvature > 0.0 {
-            break;
-        }
         if current.slope_sign() < 0.0 {
             lo = current;
         } else {
             hi = current;
         }
         let newton = current.alpha - current.slope / current.curvature;
+        // Converged: a step this short would land on `current` or a bracket
+        // end to rounding, and bisecting instead would only shrink the
+        // bracket around a root already found.
+        if current.curvature > 0.0 && (newton - current.alpha).abs() <= ALPHA_TOLERANCE {
+            break;
+        }
         let next = if current.curvature > 0.0 && newton > lo.alpha && newton < hi.alpha {
             newton
         } else {
@@ -615,6 +754,30 @@ mod tests {
         // An accuracy of 1 pulls alpha to the end of the range.
         let edge = calibrate_terms(&[LearningTerm::new(20.0, 0.5, 1.0)]).unwrap();
         assert_eq!(edge.alpha, 20.0);
+    }
+
+    #[test]
+    fn a_converged_newton_run_stops_instead_of_bisecting() {
+        // An LGE-only campaign table: a short sheet of accuracy 1 and the
+        // fixed K_0 = 0 stage. Without the stop rule its Newton run found
+        // the root and then bisected a 1e-12 bracket around it: 55 exact
+        // passes, 37 of them in that run.
+        let table = [
+            LearningTerm::new(20.0, -0.49114021054167606, 0.8),
+            LearningTerm::new(20.0, -1.6097019356695872, 1.0),
+            LearningTerm::new(20.0, 0.04356688979025166, 1.0),
+            LearningTerm::new(0.0, 0.0, 0.9),
+            LearningTerm::new(20.0, 0.0, 0.95),
+        ];
+        EXACT_PASSES.with(|passes| passes.set(0));
+        let fitted = calibrate_terms(&table).unwrap();
+        let passes = EXACT_PASSES.with(std::cell::Cell::get);
+        assert!(
+            (fitted.alpha - 0.8458393721778145).abs() < 1e-12,
+            "{}",
+            fitted.alpha
+        );
+        assert!(passes <= 25, "{passes} exact passes");
     }
 
     #[test]

@@ -6,13 +6,17 @@
 //! of that code: `learning_objective` (which recomputes `ln(K + 1)` at every
 //! evaluation), a transcription of `f'`, a dense grid over `[-20, 20]`, and
 //! golden-section search plus a central-difference Newton polish (the fit
-//! the scan replaced, transcribed below).
+//! the scan replaced, transcribed below). `oracle` keeps the fit as it was
+//! before its knot scan took the one-`exp` recurrence and its Newton loop a
+//! stop rule: the library fit must land within 1e-9 of it.
 
 use c4u_irt::{
     calibrate_alpha, calibrate_terms, learning_objective, IrtError, LearningTerm,
     PriorDomainObservation, TargetStageObservation,
 };
 use proptest::prelude::*;
+
+mod oracle;
 
 /// Golden-section search that evaluates the final bracket endpoints afresh;
 /// returns the best point of the final bracket.
@@ -288,6 +292,72 @@ fn realistic_table() -> impl Strategy<Value = Table> {
     })
 }
 
+/// Tables as LGE-only campaigns build them: 0-4 prior-domain anchors (at
+/// least one task each), then one stage per round, the first at the fixed
+/// `K_0 = 0`, each with the accuracy of a short answer sheet (1-6 tasks, so
+/// often exactly 0 or 1) and the cumulative count growing between them.
+fn lge_only_table() -> impl Strategy<Value = Table> {
+    let priors = prop::collection::vec(
+        (-2.9..2.9f64, 1u32..300, 0.3..0.95f64).prop_map(|(difficulty, tasks, accuracy)| {
+            PriorDomainObservation {
+                difficulty,
+                tasks_completed: f64::from(tasks),
+                accuracy,
+            }
+        }),
+        0..=4,
+    );
+    let sheets = prop::collection::vec((1u32..=6, 0u32..=6, 1u32..40), 1..=5);
+    (-2.9..2.9f64, priors, sheets).prop_map(|(target_difficulty, priors, sheets)| Table {
+        target_difficulty,
+        priors,
+        stages: lge_only_stages(&sheets),
+    })
+}
+
+/// One stage per `(sheet length, correct answers, tasks added)` round, from
+/// `K_0 = 0` on.
+fn lge_only_stages(sheets: &[(u32, u32, u32)]) -> Vec<TargetStageObservation> {
+    let mut before = 0.0;
+    sheets
+        .iter()
+        .map(|&(len, correct, added)| {
+            let stage = TargetStageObservation {
+                cumulative_tasks_before: before,
+                estimated_accuracy: f64::from(correct.min(len)) / f64::from(len),
+            };
+            before += f64::from(added);
+            stage
+        })
+        .collect()
+}
+
+/// Property 4: the fit lands within 1e-9 of the oracle's `alpha`, and its
+/// residual is at most the oracle's plus a relative 1e-15 plus the rounding
+/// of one evaluation of `f`. Each `s - a` carries a few ulps of rounding, so
+/// evaluations of `f` at points a few ulps apart differ by up to
+/// `8 eps sum |s - a|`, which can exceed a relative 1e-15 of a small `f`.
+fn check_matches_oracle(table: &Table) -> Result<(), String> {
+    let Some((alpha, residual)) = fit(table) else {
+        return Ok(());
+    };
+    let (oracle_alpha, oracle_residual) = oracle::calibrate(&table.summands());
+    let rounding: f64 = table
+        .summands()
+        .iter()
+        .map(|&(l, beta, a)| (sigmoid(oracle_alpha * l - beta) - a).abs())
+        .sum::<f64>()
+        * 8.0
+        * f64::EPSILON;
+    if (alpha - oracle_alpha).abs() > 1e-9 || residual > oracle_residual * (1.0 + 1e-15) + rounding
+    {
+        return Err(format!(
+            "fit ({alpha}, {residual}) vs oracle ({oracle_alpha}, {oracle_residual})"
+        ));
+    }
+    Ok(())
+}
+
 /// SplitMix64: the seeded source of the aggregate check's tables.
 struct SplitMix(u64);
 
@@ -324,6 +394,30 @@ impl SplitMix {
             target_difficulty,
             priors,
             stages,
+        }
+    }
+
+    /// One table in [`lge_only_table`]'s ranges.
+    fn lge_only_table(&mut self) -> Table {
+        let target_difficulty = self.range(-2.9, 2.9);
+        let priors = (0..(self.unit() * 5.0) as usize)
+            .map(|_| PriorDomainObservation {
+                difficulty: self.range(-2.9, 2.9),
+                tasks_completed: self.range(1.0, 300.0).floor(),
+                accuracy: self.range(0.3, 0.95),
+            })
+            .collect();
+        let sheets: Vec<(u32, u32, u32)> = (0..1 + (self.unit() * 5.0) as usize)
+            .map(|_| {
+                let len = 1 + (self.unit() * 6.0) as u32;
+                let correct = (self.unit() * f64::from(len + 1)) as u32;
+                (len, correct, 1 + (self.unit() * 39.0) as u32)
+            })
+            .collect();
+        Table {
+            target_difficulty,
+            priors,
+            stages: lge_only_stages(&sheets),
         }
     }
 }
@@ -442,6 +536,42 @@ proptest! {
         for table in [&extreme, &realistic] {
             let checked = check_matches_golden_section(table);
             prop_assert!(checked.is_ok(), "{:?}: {:?}", checked, table);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn lge_only_tables_fit_lowest_converged_and_as_golden_section(lge_only in lge_only_table()) {
+        for check in [check_lowest_among_knots, check_converged, check_matches_golden_section] {
+            let checked = check(&lge_only);
+            prop_assert!(checked.is_ok(), "{:?}: {:?}", checked, lge_only);
+        }
+    }
+
+    #[test]
+    fn fit_matches_the_oracle(
+        extreme in extreme_table(),
+        realistic in realistic_table(),
+        lge_only in lge_only_table(),
+    ) {
+        for table in [&extreme, &realistic, &lge_only] {
+            let checked = check_matches_oracle(table);
+            prop_assert!(checked.is_ok(), "{:?}: {:?}", checked, table);
+        }
+    }
+}
+
+#[test]
+fn fit_matches_the_oracle_on_seeded_tables() {
+    let mut rng = SplitMix(0x0c4u64 << 40 | 12);
+    for _ in 0..10_000 {
+        for table in [rng.realistic_table(), rng.lge_only_table()] {
+            let checked =
+                check_matches_oracle(&table).and_then(|()| check_lowest_among_knots(&table));
+            assert!(checked.is_ok(), "{checked:?}: {table:?}");
         }
     }
 }

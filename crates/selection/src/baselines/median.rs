@@ -66,22 +66,22 @@ impl WorkerSelector for MedianEliminationBaseline {
             .filter(|s| remaining.contains(&s.worker))
             .copied()
             .collect();
-        let selected = if remaining.len() >= k {
-            top_k(&surviving, k)
+        // The list the selection is ranked on also supplies its scores.
+        let ranked = if remaining.len() >= k {
+            &surviving
         } else if !previous_scores.is_empty() {
-            top_k(&previous_scores, k)
+            &previous_scores
         } else {
-            top_k(&last_scores, k)
+            &last_scores
         };
+        let selected = top_k(ranked, k);
         let scores = selected
             .iter()
             .map(|w| {
-                last_scores
+                ranked
                     .iter()
-                    .chain(previous_scores.iter())
                     .find(|s| s.worker == *w)
-                    .map(|s| s.score)
-                    .unwrap_or(0.0)
+                    .map_or(0.0, |s| s.score)
             })
             .collect();
         Ok(
@@ -189,5 +189,23 @@ mod tests {
         assert_eq!(outcome.rounds, 2);
         assert_eq!(outcome.selected, top_k(&observed(&records[0]), 13));
         assert_eq!(outcome.scores.len(), 13);
+    }
+
+    #[test]
+    fn fallback_selections_report_the_scores_they_were_ranked_on() {
+        // S-2 leaves fewer than k = 5 survivors after its last round, so the
+        // selection is the top 5 of round 3.
+        let (outcome, records) = run(&DatasetConfig::s2(), 5, 5);
+        assert_eq!(outcome.selected, vec![11, 39, 16, 43, 3]);
+        let round3 = observed(&records[2]);
+        let expected: Vec<f64> = outcome
+            .selected
+            .iter()
+            .map(|&w| round3.iter().find(|s| s.worker == w).unwrap().score)
+            .collect();
+        assert_eq!(outcome.scores, expected);
+        let rounded: Vec<f64> = expected.iter().map(|s| (s * 1e3).round() / 1e3).collect();
+        assert_eq!(rounded, vec![0.987, 0.895, 0.855, 0.829, 0.816]);
+        assert!(outcome.scores.windows(2).all(|p| p[0] >= p[1]));
     }
 }

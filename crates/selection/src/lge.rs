@@ -15,10 +15,12 @@
 //! method would discard.
 //!
 //! Every fit — [`LearningGainEstimator::estimate`], `LgeStage` and `RaschStage` —
-//! fills one worker's Eq. 11 [`LearningTerm`] table through the same builder and
-//! fits it with [`calibrate_terms`]. What does not depend on the worker is
-//! computed outside the per-worker loop: the difficulties `beta_T` and `beta_d`
-//! once per estimator, and the stages' `ln(K_j + 1)` table once per round.
+//! fills one worker's Eq. 11 [`LearningTerm`] table through the same builders and
+//! fits it with [`calibrate_terms`]. Work is done once at the widest scope it
+//! allows: the difficulties `beta_T` and `beta_d` once per estimator, a worker's
+//! prior-domain anchor terms (with their `ln(n_{i,d} + 1)`) once per worker —
+//! the stages keep them across rounds — and the stages' `ln(K_j + 1)` table
+//! once per round.
 
 use crate::SelectionError;
 use c4u_crowd_sim::HistoricalProfile;
@@ -174,39 +176,45 @@ impl LearningGainEstimator {
             .iter()
             .zip(&input.cpe_estimates)
             .map(|(&k, &p)| (log_tasks(k), p));
-        self.fit(&mut Vec::new(), anchors, stages, input.cumulative_tasks_now)
+        let mut terms = self.anchor_terms(anchors).collect();
+        self.fit(&mut terms, stages, input.cumulative_tasks_now)
     }
 
-    /// The one Eq. 10–11 fit path: fills `terms` with a worker's table — one
-    /// anchor per observed prior domain (`anchors` yields `(h_{i,d}, n_{i,d})`
-    /// in domain order), then one target-domain term per `stages` entry
-    /// `(ln(K_{j-1} + 1), p_{j,i})` — fits `alpha` on it and predicts the
-    /// accuracy after `cumulative_tasks_now` tasks.
+    /// A worker's prior-domain anchor terms: one per observed prior domain
+    /// (`anchors` yields `(h_{i,d}, n_{i,d})` in domain order), at `beta_d`
+    /// and `max(n_{i,d}, 1)` tasks.
+    pub(crate) fn anchor_terms<'a>(
+        &'a self,
+        anchors: impl IntoIterator<Item = (Option<f64>, usize)> + 'a,
+    ) -> impl Iterator<Item = LearningTerm> + 'a {
+        anchors
+            .into_iter()
+            .enumerate()
+            .filter_map(move |(d, (accuracy, tasks))| {
+                let difficulty = self
+                    .prior_difficulties
+                    .get(d)
+                    .copied()
+                    .unwrap_or(self.target_difficulty);
+                accuracy
+                    .map(|a| LearningTerm::new(tasks.max(1) as f64, difficulty, a.clamp(0.0, 1.0)))
+            })
+    }
+
+    /// The one Eq. 10–11 fit path: `terms` holds a worker's
+    /// [`anchor_terms`](Self::anchor_terms); the fit appends one
+    /// target-domain term per `stages` entry `(ln(K_{j-1} + 1), p_{j,i})`,
+    /// fits `alpha` on the table and predicts the accuracy after
+    /// `cumulative_tasks_now` tasks.
     ///
     /// `terms` is a caller-owned buffer, so a scoring pass reuses one
     /// allocation across its workers.
     pub(crate) fn fit(
         &self,
         terms: &mut Vec<LearningTerm>,
-        anchors: impl IntoIterator<Item = (Option<f64>, usize)>,
         stages: impl IntoIterator<Item = (f64, f64)>,
         cumulative_tasks_now: f64,
     ) -> Result<LgeEstimate, SelectionError> {
-        terms.clear();
-        for (d, (accuracy, tasks)) in anchors.into_iter().enumerate() {
-            if let Some(a) = accuracy {
-                let difficulty = self
-                    .prior_difficulties
-                    .get(d)
-                    .copied()
-                    .unwrap_or(self.target_difficulty);
-                terms.push(LearningTerm::new(
-                    tasks.max(1) as f64,
-                    difficulty,
-                    a.clamp(0.0, 1.0),
-                ));
-            }
-        }
         terms.extend(stages.into_iter().map(|(log_tasks, p)| {
             LearningTerm::with_log_tasks(log_tasks, self.target_difficulty, p.clamp(0.0, 1.0))
         }));
@@ -221,7 +229,7 @@ impl LearningGainEstimator {
 }
 
 /// A profile's prior-domain anchors in the `(h_{i,d}, n_{i,d})` form
-/// [`LearningGainEstimator::fit`] takes.
+/// [`LearningGainEstimator::anchor_terms`] takes.
 pub(crate) fn profile_anchors(
     profile: &HistoricalProfile,
 ) -> impl Iterator<Item = (Option<f64>, usize)> + '_ {

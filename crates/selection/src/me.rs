@@ -1,11 +1,13 @@
 //! Median Elimination (Algorithm 3 of the paper) and top-k extraction.
 //!
 //! Given the predicted accuracy of every remaining worker, one elimination round
-//! sorts the workers in non-increasing order of their prediction and keeps the top
-//! `ceil(|W_c| / 2)`. The same scoring machinery also implements the final top-`k`
+//! keeps the top `ceil(|W_c| / 2)` in non-increasing order of their prediction.
+//! It partitions the round around the cut and sorts only the kept half. The
+//! same scoring machinery also implements the final top-`k`
 //! extraction of Algorithm 4 line 17.
 
 use c4u_crowd_sim::WorkerId;
+use std::cmp::Ordering;
 
 /// A worker together with its predicted accuracy for the current round.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -23,49 +25,57 @@ impl ScoredWorker {
     }
 }
 
-/// Sorts workers in non-increasing score order (ties broken by worker id so that the
-/// process is fully deterministic).
+/// The ranking order: non-increasing score, ties broken by worker id so that
+/// the process is fully deterministic.
 ///
 /// NaN scores rank last (among themselves by worker id). Every other score
 /// compares by value, so `-0.0` and `0.0` tie and fall to the id tie-break.
 /// This is a total order, which the standard sort requires: comparing NaN as
 /// "equal" to everything is not, and the sort may panic on it.
+fn by_rank(a: &ScoredWorker, b: &ScoredWorker) -> Ordering {
+    a.score
+        .is_nan()
+        .cmp(&b.score.is_nan())
+        .then_with(|| {
+            // Only reached with both scores NaN (Equal) or both not NaN.
+            b.score.partial_cmp(&a.score).unwrap_or(Ordering::Equal)
+        })
+        .then_with(|| a.worker.cmp(&b.worker))
+}
+
+/// Sorts workers in non-increasing score order (ties broken by worker id so that the
+/// process is fully deterministic; NaN scores last).
 pub fn sort_by_score(scored: &[ScoredWorker]) -> Vec<ScoredWorker> {
     let mut sorted = scored.to_vec();
-    sorted.sort_by(|a, b| {
-        a.score
-            .is_nan()
-            .cmp(&b.score.is_nan())
-            .then_with(|| {
-                // Only reached with both scores NaN (Equal) or both not NaN.
-                b.score
-                    .partial_cmp(&a.score)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            })
-            .then_with(|| a.worker.cmp(&b.worker))
-    });
+    sorted.sort_by(by_rank);
     sorted
 }
 
-/// One median-elimination round: keeps the best `ceil(n / 2)` workers
-/// (Algorithm 3, line 2).
-pub fn median_eliminate(scored: &[ScoredWorker]) -> Vec<WorkerId> {
-    let keep = scored.len().div_ceil(2);
-    sort_by_score(scored)
-        .into_iter()
-        .take(keep)
-        .map(|s| s.worker)
-        .collect()
+/// The first `keep` workers of [`sort_by_score`]'s order, without sorting the
+/// rest: a partition puts the best `keep` first, and only they are sorted.
+fn best_ids(scored: &[ScoredWorker], keep: usize) -> Vec<WorkerId> {
+    if keep == 0 {
+        return Vec::new();
+    }
+    let mut ranked = scored.to_vec();
+    if keep < ranked.len() {
+        ranked.select_nth_unstable_by(keep - 1, by_rank);
+        ranked.truncate(keep);
+    }
+    ranked.sort_unstable_by(by_rank);
+    ranked.into_iter().map(|s| s.worker).collect()
 }
 
-/// Selects the `k` highest-scoring workers (Algorithm 4, line 17). If fewer than `k`
-/// workers are available, all of them are returned.
+/// One median-elimination round: keeps the best `ceil(n / 2)` workers
+/// (Algorithm 3, line 2), best first.
+pub fn median_eliminate(scored: &[ScoredWorker]) -> Vec<WorkerId> {
+    best_ids(scored, scored.len().div_ceil(2))
+}
+
+/// Selects the `k` highest-scoring workers (Algorithm 4, line 17), best first. If
+/// fewer than `k` workers are available, all of them are returned.
 pub fn top_k(scored: &[ScoredWorker], k: usize) -> Vec<WorkerId> {
-    sort_by_score(scored)
-        .into_iter()
-        .take(k)
-        .map(|s| s.worker)
-        .collect()
+    best_ids(scored, k)
 }
 
 /// Number of elimination rounds after which at most `k` of `pool` workers remain
@@ -191,6 +201,38 @@ mod tests {
             if let Some(best) = best {
                 assert_eq!(median_eliminate(&s)[0], best.worker);
                 assert_eq!(top_k(&s, 1), vec![best.worker]);
+            }
+        }
+    }
+
+    #[test]
+    fn partitioned_selections_equal_the_full_sort() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        // Pools of 0..60 workers in shuffled id order, with NaN scores, exact
+        // ties and signed zeros: every cut of the partition matches the
+        // prefix of the full sort, in order.
+        let mut rng = StdRng::seed_from_u64(0x5e1ec7);
+        for _ in 0..2000 {
+            let n = (rng.next_u64() % 60) as usize;
+            let mut s: Vec<ScoredWorker> = (0..n)
+                .map(|i| {
+                    let score = match rng.next_u64() % 8 {
+                        0 => f64::NAN,
+                        1 => 0.5,
+                        2 => [0.0, -0.0][(rng.next_u64() % 2) as usize],
+                        _ => rng.gen::<f64>(),
+                    };
+                    ScoredWorker::new(i, score)
+                })
+                .collect();
+            for i in (1..n).rev() {
+                s.swap(i, (rng.next_u64() % (i as u64 + 1)) as usize);
+            }
+            let full: Vec<WorkerId> = sort_by_score(&s).iter().map(|w| w.worker).collect();
+            assert_eq!(median_eliminate(&s), full[..n.div_ceil(2)]);
+            for k in [0, 1, n / 3, n.saturating_sub(1), n, n + 1] {
+                assert_eq!(top_k(&s, k), full[..k.min(n)]);
             }
         }
     }

@@ -13,9 +13,11 @@
 //!
 //! Every stage owns its cross-round state: CPE its model, LGE the static
 //! estimates it has been handed, BKT its trackers, Rasch its observed sheet
-//! accuracies. The pipeline only threads one round's scores from each stage to
-//! the next (that is how LGE sees the CPE estimates without the two being
-//! coupled).
+//! accuracies. LGE and Rasch keep theirs in dense per-worker columns indexed
+//! by worker id, next to each worker's prior-domain anchor terms (built once,
+//! so no round recomputes an `ln(n_{i,d} + 1)`). The pipeline only threads one
+//! round's scores from each stage to the next (that is how LGE sees the CPE
+//! estimates without the two being coupled).
 //!
 //! Beyond the two canonical stages, the module hosts the **stage zoo**:
 //! IRT-backed stages ([`BktStage`], [`RaschStage`]), the [`EnsembleStage`]
@@ -62,8 +64,8 @@ use crate::lge::{profile_anchors, LearningGainEstimator, LgeConfig};
 use crate::SelectionError;
 use c4u_crowd_sim::{AnswerSheet, HistoricalProfile, WorkerId, WorkerShards};
 use c4u_irt::{log_tasks, BktParams, LearningTerm};
-use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
 
 /// Pool-level context handed to every stage once, before round 1.
 #[derive(Debug, Clone, Copy)]
@@ -182,8 +184,10 @@ impl Clone for Box<dyn EstimationStage> {
 }
 
 /// The Eq. 10–11 learning-curve core shared by [`LgeStage`] and
-/// [`RaschStage`]: one [`LearningGainEstimator`] plus every worker's
-/// trajectory of the values the stage has been handed, keyed by worker id.
+/// [`RaschStage`]: one [`LearningGainEstimator`] plus every worker's state
+/// in a dense column indexed by worker id — its prior-domain anchor terms,
+/// built the first round it is fitted, and its trajectory of the values the
+/// stage has been handed.
 ///
 /// The two stages differ only in the values they fit (LGE the preceding
 /// stage's scores, Rasch the sheet accuracies) and in whether a worker is
@@ -191,8 +195,24 @@ impl Clone for Box<dyn EstimationStage> {
 #[derive(Debug, Clone)]
 pub(crate) struct LearningCurves {
     estimator: LearningGainEstimator,
-    /// Each worker's values of the earlier rounds, in round order.
-    trajectories: HashMap<WorkerId, Vec<f64>>,
+    /// Entry `w` is worker `w`'s state. Sized to the pool at initialisation;
+    /// a worker that joins later with a larger id grows it.
+    workers: Vec<WorkerCurve>,
+    /// Every fitted worker's anchor terms, one worker's after another
+    /// ([`WorkerCurve::anchors`] indexes them).
+    anchor_terms: Vec<LearningTerm>,
+}
+
+/// One worker's learning-curve state.
+#[derive(Debug, Clone, Default)]
+struct WorkerCurve {
+    /// Its anchor terms in [`LearningCurves::anchor_terms`]; `None` until it
+    /// is first fitted (anchors come from the worker's historical profile,
+    /// which does not change between rounds).
+    anchors: Option<Range<usize>>,
+    /// Its values of the earlier rounds, in round order; empty until it is
+    /// first scored.
+    trajectory: Vec<f64>,
 }
 
 impl LearningCurves {
@@ -204,13 +224,18 @@ impl LearningCurves {
                 init.initial_target_accuracy,
                 pool_prior_means(init),
             )?),
-            trajectories: HashMap::new(),
+            workers: vec![WorkerCurve::default(); init.profiles.len()],
+            anchor_terms: Vec::new(),
         })
     }
 
-    /// The values recorded for `worker` so far, in round order.
+    /// The values recorded for `worker` so far, in round order; `None` for a
+    /// worker never scored.
     pub(crate) fn trajectory(&self, worker: WorkerId) -> Option<&[f64]> {
-        self.trajectories.get(&worker).map(Vec::as_slice)
+        self.workers
+            .get(worker)
+            .filter(|curve| !curve.trajectory.is_empty())
+            .map(|curve| curve.trajectory.as_slice())
     }
 
     /// Fits each worker's trajectory plus this round's value (`values`,
@@ -223,6 +248,10 @@ impl LearningCurves {
     /// the first stage with `K_j > 0` scores its value unchanged: at `K_0 =
     /// 0` the learning-gain curve is independent of alpha, so the fitted
     /// extrapolation would ignore the only target-domain evidence there is.
+    ///
+    /// Worker ids index the state, so they must be dense, as the platform
+    /// allocates them: a round with an id of at least twice the state's size
+    /// plus the round's worker count is an error, not an allocation.
     pub(crate) fn score(
         &mut self,
         ctx: &RoundContext<'_>,
@@ -245,32 +274,44 @@ impl LearningCurves {
         } else {
             0
         };
+        self.grow_to(ctx.sheets)?;
+        // Anchor terms of the workers fitted for the first time.
+        for (sheet, profile) in ctx.sheets.iter().zip(ctx.profiles) {
+            let curve = &mut self.workers[sheet.worker];
+            if curve.anchors.is_none() && curve.trajectory.len() + 1 > held_through {
+                let start = self.anchor_terms.len();
+                self.anchor_terms
+                    .extend(self.estimator.anchor_terms(profile_anchors(profile)));
+                curve.anchors = Some(start..self.anchor_terms.len());
+            }
+        }
         // Per-worker scoring: each worker's fit depends only on its own
-        // trajectory plus this round's value, so the pass fans out over the
+        // state plus this round's value, so the pass fans out over the
         // round's worker shards.
-        let (estimator, trajectories) = (&self.estimator, &self.trajectories);
+        let (estimator, workers, anchor_terms) =
+            (&self.estimator, &self.workers, &self.anchor_terms);
         let score_worker = |i: usize, terms: &mut Vec<LearningTerm>| {
-            let history = trajectories
-                .get(&ctx.sheets[i].worker)
-                .map_or(&[][..], Vec::as_slice);
-            let len = history.len() + 1;
+            let curve = &workers[ctx.sheets[i].worker];
+            let len = curve.trajectory.len() + 1;
             // The value of stage j reflects a worker trained with only j-1
             // rounds (Eq. 11), so it pairs with K_{j-1}. An error, not a
             // panic, if the trajectory outgrew the schedule.
             let stage_log_tasks = log_tasks
                 .get(..len)
                 .ok_or_else(|| schedule_too_short(len))?;
-            if len <= held_through {
+            let Some(anchors) = curve.anchors.clone().filter(|_| len > held_through) else {
                 return Ok(values[i]);
-            }
-            let stages = stage_log_tasks
-                .iter()
-                .copied()
-                .zip(history.iter().copied().chain(std::iter::once(values[i])));
-            let anchors = profile_anchors(ctx.profiles[i]);
-            Ok(estimator
-                .fit(terms, anchors, stages, tasks_now)?
-                .predicted_accuracy)
+            };
+            let stages = stage_log_tasks.iter().copied().zip(
+                curve
+                    .trajectory
+                    .iter()
+                    .copied()
+                    .chain(std::iter::once(values[i])),
+            );
+            terms.clear();
+            terms.extend_from_slice(&anchor_terms[anchors]);
+            Ok(estimator.fit(terms, stages, tasks_now)?.predicted_accuracy)
         };
         let scores = ctx.worker_shards().map(|range| {
             let mut terms = Vec::new();
@@ -279,12 +320,26 @@ impl LearningCurves {
                 .collect::<Result<_, SelectionError>>()
         })?;
         for (sheet, &value) in ctx.sheets.iter().zip(values) {
-            self.trajectories
-                .entry(sheet.worker)
-                .or_default()
-                .push(value);
+            self.workers[sheet.worker].trajectory.push(value);
         }
         Ok(scores)
+    }
+
+    /// Grows the state to cover every worker of the round's `sheets`.
+    fn grow_to(&mut self, sheets: &[AnswerSheet]) -> Result<(), SelectionError> {
+        let Some(largest) = sheets.iter().map(|sheet| sheet.worker).max() else {
+            return Ok(());
+        };
+        if largest >= self.workers.len() {
+            if largest / 2 >= self.workers.len() + sheets.len() {
+                return Err(SelectionError::InvalidConfig {
+                    what: "worker ids must be dense: an id lies far beyond the pool",
+                    value: largest as f64,
+                });
+            }
+            self.workers.resize_with(largest + 1, WorkerCurve::default);
+        }
+        Ok(())
     }
 }
 
@@ -688,6 +743,7 @@ impl StagePipeline {
 mod tests {
     use super::*;
     use c4u_crowd_sim::{generate, DatasetConfig, Platform};
+    use std::collections::HashMap;
 
     fn fast_cpe() -> CpeConfig {
         CpeConfig {
@@ -1096,6 +1152,103 @@ mod tests {
             assert_eq!(lge.estimate(&ctx, &accuracies).unwrap(), estimates.last());
             assert_eq!(round == 1, estimates.first() == estimates.last());
         }
+    }
+
+    #[test]
+    fn learning_curves_follow_workers_that_join_and_leave() {
+        // RW-1 (ids 0..27): worker 5 leaves after round 1, workers 27 and 28
+        // join before round 2 (ids above the initial pool), and worker 27
+        // leaves after round 2. Every score equals the one-worker estimate
+        // over that worker's own history.
+        let ds = generate(&DatasetConfig::rw1()).unwrap();
+        for template in [StagePipeline::lge_only(), StagePipeline::rasch_calibrated()] {
+            let held = template.stage_names() == ["empirical", "lge"];
+            let mut platform = Platform::from_dataset(&ds, 5).unwrap();
+            let mut pipeline = template.clone();
+            let estimator;
+            {
+                let profiles = platform.profiles();
+                let init = StageInit {
+                    profiles: &profiles,
+                    num_prior_domains: num_prior_domains(&profiles),
+                    initial_target_accuracy: 0.5,
+                };
+                pipeline.initialize(&init).unwrap();
+                estimator = LearningGainEstimator::new(
+                    LgeConfig::new(0.5, pool_prior_means(&init)).unwrap(),
+                );
+            }
+            let cumulative = [0.0, 4.0, 12.0, 28.0];
+            let mut histories: HashMap<WorkerId, Vec<f64>> = HashMap::new();
+            let mut pool: Vec<WorkerId> = platform.worker_ids();
+            for round in 1..=3 {
+                match round {
+                    2 => {
+                        platform.remove_worker(5).unwrap();
+                        pool.retain(|&w| w < 14 && w != 5);
+                        for spec in &ds.workers[..2] {
+                            pool.push(platform.add_worker(spec).unwrap());
+                        }
+                        assert_eq!(pool[pool.len() - 2..], [27, 28]);
+                    }
+                    3 => {
+                        platform.remove_worker(27).unwrap();
+                        pool.retain(|&w| w < 7 || w == 28);
+                    }
+                    _ => {}
+                }
+                let tasks = (cumulative[round] - cumulative[round - 1]) as usize;
+                let sheets = platform.assign_learning_batch(&pool, tasks).unwrap().sheets;
+                let profiles: Vec<&HistoricalProfile> = sheets
+                    .iter()
+                    .map(|s| platform.profile(s.worker).unwrap())
+                    .collect();
+                let scores = pipeline
+                    .score_round(&round_input(round, &sheets, &profiles, &cumulative))
+                    .unwrap();
+                for ((sheet, profile), &score) in sheets.iter().zip(&profiles).zip(scores.last()) {
+                    let history = histories.entry(sheet.worker).or_default();
+                    history.push(sheet.accuracy());
+                    let expected = if held && history.len() == 1 {
+                        sheet.accuracy()
+                    } else {
+                        let input = crate::LgeWorkerInput::from_profile(
+                            profile,
+                            history.clone(),
+                            cumulative[..history.len()].to_vec(),
+                            cumulative[round],
+                        );
+                        estimator.estimate(&input).unwrap().predicted_accuracy
+                    };
+                    assert_eq!(
+                        score.to_bits(),
+                        expected.to_bits(),
+                        "{:?} round {round} worker {}",
+                        pipeline.stage_names(),
+                        sheet.worker
+                    );
+                }
+            }
+            // Worker 28 joined in round 2 and was scored twice.
+            assert_eq!(histories[&28].len(), 2);
+        }
+    }
+
+    #[test]
+    fn a_worker_id_far_beyond_the_pool_is_an_error() {
+        let (mut pipeline, platform, mut sheets) =
+            pipeline_and_round(StagePipeline::rasch_calibrated(), 4);
+        let profiles: Vec<&HistoricalProfile> = sheets
+            .iter()
+            .map(|s| platform.profile(s.worker).unwrap())
+            .collect();
+        sheets[3] = AnswerSheet::from_correctness(usize::MAX, vec![true; 4]);
+        let cumulative = [0.0, 4.0];
+        let scored = pipeline.score_round(&round_input(1, &sheets, &profiles, &cumulative));
+        assert!(
+            matches!(scored, Err(SelectionError::InvalidConfig { .. })),
+            "{scored:?}"
+        );
     }
 
     #[test]
