@@ -315,8 +315,7 @@ fn config_key(config: &DatasetConfig) -> String {
 /// Sound because generation is deterministic in `config.seed` (the same
 /// configuration always yields the same dataset) and evaluation never mutates
 /// the dataset — every trial builds its own `Platform` on top. The memo lives
-/// for the process, which matches the bench targets' lifetime; tests can
-/// observe it via [`dataset_cache_len`].
+/// for the process, which matches the bench targets' lifetime.
 pub fn cached_generate(config: &DatasetConfig) -> Result<Arc<Dataset>, SimError> {
     // Two-level locking: the map lock is held only long enough to fetch or
     // insert the per-key slot, and generation happens under the slot lock —
@@ -334,16 +333,6 @@ pub fn cached_generate(config: &DatasetConfig) -> Result<Arc<Dataset>, SimError>
     let dataset = Arc::new(generate(config)?);
     *guard = Some(Arc::clone(&dataset));
     Ok(dataset)
-}
-
-/// Number of distinct dataset configurations currently memoised (filled slots).
-pub fn dataset_cache_len() -> usize {
-    dataset_cache()
-        .lock()
-        .expect("dataset cache lock")
-        .values()
-        .filter(|slot| slot.lock().expect("dataset slot lock").is_some())
-        .count()
 }
 
 /// Evaluates one cell on an already-generated dataset, with the Sec. V-C
@@ -602,7 +591,6 @@ mod tests {
         let c = cached_generate(&config.with_seed(config.seed.wrapping_add(1))).unwrap();
         assert!(!Arc::ptr_eq(&a, &c));
         assert_ne!(config_key(&config), config_key(&config.with_seed(1)));
-        assert!(dataset_cache_len() >= 2);
     }
 
     #[test]

@@ -90,11 +90,6 @@ impl ScenarioConfig {
         Self::default()
     }
 
-    /// Whether this is the identity scenario (no adversaries, no drift, no churn).
-    pub fn is_closed_world(&self) -> bool {
-        self == &Self::default()
-    }
-
     /// Validates the scenario parameters.
     pub fn validate(&self) -> Result<(), SimError> {
         for (what, value) in [
@@ -235,15 +230,6 @@ impl DatasetConfig {
         (1usize << self.rounds()).saturating_sub(1)
     }
 
-    /// A copy of this configuration with a different number of selected workers
-    /// (used by the Figure 6 sensitivity sweep).
-    pub fn with_select_k(&self, k: usize) -> Self {
-        Self {
-            select_k: k,
-            ..self.clone()
-        }
-    }
-
     /// A copy of this configuration with a different per-batch task count (used by
     /// the Figure 7 sensitivity sweep).
     pub fn with_tasks_per_batch(&self, q: usize) -> Self {
@@ -258,15 +244,6 @@ impl DatasetConfig {
     pub fn with_seed(&self, seed: u64) -> Self {
         Self {
             seed,
-            ..self.clone()
-        }
-    }
-
-    /// A copy of this configuration with a different robustness scenario (used
-    /// by the robustness sweep).
-    pub fn with_scenario(&self, scenario: ScenarioConfig) -> Self {
-        Self {
-            scenario,
             ..self.clone()
         }
     }
@@ -605,12 +582,10 @@ mod tests {
     #[test]
     fn sweep_helpers_change_only_one_field() {
         let base = DatasetConfig::s1();
-        let k10 = base.with_select_k(10);
-        assert_eq!(k10.select_k, 10);
-        assert_eq!(k10.pool_size, base.pool_size);
         let q30 = base.with_tasks_per_batch(30);
         assert_eq!(q30.tasks_per_batch, 30);
         assert_eq!(q30.select_k, base.select_k);
+        assert_eq!(q30.pool_size, base.pool_size);
         let s = base.with_seed(42);
         assert_eq!(s.seed, 42);
         assert_eq!(s.name, base.name);
@@ -635,7 +610,6 @@ mod tests {
     #[test]
     fn scenario_validation_rejects_out_of_range_values() {
         assert!(ScenarioConfig::none().validate().is_ok());
-        assert!(ScenarioConfig::none().is_closed_world());
         let bad = [
             (1.0, 0.0, 0.0),
             (-0.1, 0.0, 0.0),
@@ -654,7 +628,11 @@ mod tests {
                 ..ScenarioConfig::none()
             };
             assert!(s.validate().is_err(), "{s:?}");
-            assert!(DatasetConfig::rw1().with_scenario(s).validate().is_err());
+            let config = DatasetConfig {
+                scenario: s,
+                ..DatasetConfig::rw1()
+            };
+            assert!(config.validate().is_err());
         }
     }
 
@@ -663,13 +641,16 @@ mod tests {
         let base = DatasetConfig::rw1();
         let all = DatasetConfig::robustness_scenarios();
         assert_eq!(all.len(), 5);
-        assert!(all[0].scenario.is_closed_world());
+        assert_eq!(all[0].scenario, ScenarioConfig::none());
         for c in &all[1..] {
             c.validate().unwrap();
-            assert!(!c.scenario.is_closed_world(), "{}", c.name);
+            assert_ne!(c.scenario, ScenarioConfig::none(), "{}", c.name);
             assert_ne!(c.name, base.name);
-            let mut reset = c.with_scenario(ScenarioConfig::none());
-            reset.name = base.name.clone();
+            let reset = DatasetConfig {
+                name: base.name.clone(),
+                scenario: ScenarioConfig::none(),
+                ..c.clone()
+            };
             assert_eq!(reset, base);
         }
     }

@@ -110,7 +110,7 @@ mod tests {
         let ds = generate(&DatasetConfig::s1()).unwrap();
         let h = target_accuracy_histogram(&ds, DEFAULT_BUCKETS).unwrap();
         assert_eq!(h.total(), ds.pool_size());
-        assert_eq!(h.bins(), DEFAULT_BUCKETS);
+        assert_eq!(h.counts().len(), DEFAULT_BUCKETS);
     }
 
     #[test]
@@ -165,7 +165,7 @@ mod tests {
     fn zero_buckets_are_clamped_to_one() {
         let ds = generate(&DatasetConfig::rw1()).unwrap();
         let h = target_accuracy_histogram(&ds, 0).unwrap();
-        assert_eq!(h.bins(), 1);
+        assert_eq!(h.counts().len(), 1);
         assert_eq!(h.total(), ds.pool_size());
     }
 

@@ -18,22 +18,6 @@ pub enum Domain {
     Target,
 }
 
-impl Domain {
-    /// Index of this domain inside a `(D+1)`-dimensional accuracy vector in which the
-    /// prior domains occupy positions `0..D` and the target occupies position `D`.
-    pub fn vector_index(&self, num_prior_domains: usize) -> usize {
-        match self {
-            Domain::Prior(i) => *i,
-            Domain::Target => num_prior_domains,
-        }
-    }
-
-    /// Whether this is the target domain.
-    pub fn is_target(&self) -> bool {
-        matches!(self, Domain::Target)
-    }
-}
-
 impl fmt::Display for Domain {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -102,15 +86,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn vector_index_layout() {
-        assert_eq!(Domain::Prior(0).vector_index(3), 0);
-        assert_eq!(Domain::Prior(2).vector_index(3), 2);
-        assert_eq!(Domain::Target.vector_index(3), 3);
-        assert!(Domain::Target.is_target());
-        assert!(!Domain::Prior(1).is_target());
-    }
-
-    #[test]
     fn display_formats() {
         assert_eq!(Domain::Prior(0).to_string(), "prior-1");
         assert_eq!(Domain::Target.to_string(), "target");
@@ -143,6 +118,5 @@ mod tests {
         assert_eq!(FeatureKind::Color.to_string(), "Color");
         assert_eq!(FeatureKind::Shape.to_string(), "Shape");
         assert_eq!(Domain::Prior(9).to_string(), "prior-10");
-        assert_eq!(Domain::Target.vector_index(0), 0);
     }
 }

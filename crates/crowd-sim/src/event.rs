@@ -54,13 +54,8 @@ impl RoundEvents {
         self.joins.is_empty() && self.leaves.is_empty()
     }
 
-    /// Adds a joining worker (builder style).
-    pub fn with_join(mut self, spec: WorkerSpec) -> Self {
-        self.joins.push(spec);
-        self
-    }
-
     /// Adds a departing worker (builder style).
+    // c4u-lint: allow(unused-pub-fn, reason = "README's doctested open-world campaign example calls it")
     pub fn with_leave(mut self, id: WorkerId) -> Self {
         self.leaves.push(id);
         self
@@ -124,6 +119,7 @@ impl CampaignSchedule {
     }
 
     /// Builder-style [`CampaignSchedule::insert`].
+    // c4u-lint: allow(unused-pub-fn, reason = "README's doctested open-world campaign example calls it")
     pub fn with_round(mut self, round: usize, events: RoundEvents) -> Self {
         self.insert(round, events);
         self
@@ -202,7 +198,11 @@ mod tests {
     #[test]
     fn insert_merges_events_per_round() {
         let mut s = CampaignSchedule::empty();
-        s.insert(2, RoundEvents::none().with_join(spec()));
+        let join = RoundEvents {
+            joins: vec![spec()],
+            ..RoundEvents::none()
+        };
+        s.insert(2, join);
         s.insert(2, RoundEvents::none().with_leave(4));
         let events = s.events_for(2).unwrap();
         assert_eq!(events.joins.len(), 1);
@@ -231,7 +231,10 @@ mod tests {
 
     #[test]
     fn closed_world_scenario_yields_an_empty_churn_schedule() {
-        let config = DatasetConfig::rw1().with_scenario(ScenarioConfig::none());
+        let config = DatasetConfig {
+            scenario: ScenarioConfig::none(),
+            ..DatasetConfig::rw1()
+        };
         let s = CampaignSchedule::churn(&config, 8).unwrap();
         assert!(s.is_empty());
     }
@@ -242,8 +245,11 @@ mod tests {
         let s = CampaignSchedule::churn(&config, 4).unwrap();
         let events = s.events_for(2).unwrap();
         for join in &events.joins {
-            assert!(join.profile.is_complete());
             assert_eq!(join.profile.num_domains(), config.num_prior_domains());
+            assert_eq!(
+                join.profile.observed_accuracies().len(),
+                config.num_prior_domains()
+            );
             assert!((0.0..=1.0).contains(&join.initial_target_accuracy));
         }
         // Independent stream: enabling churn must not perturb the initial pool.

@@ -213,7 +213,10 @@ mod tests {
             // Every worker profile covers every prior domain.
             for w in &ds.workers {
                 assert_eq!(w.profile.num_domains(), config.num_prior_domains());
-                assert!(w.profile.is_complete());
+                assert_eq!(
+                    w.profile.observed_accuracies().len(),
+                    config.num_prior_domains()
+                );
                 assert!((0.0..=1.0).contains(&w.initial_target_accuracy));
             }
         }
@@ -303,7 +306,11 @@ mod tests {
     fn closed_world_scenario_is_bit_identical_to_plain_generation() {
         use crate::config::ScenarioConfig;
         let plain = generate(&DatasetConfig::rw1()).unwrap();
-        let scoped = generate(&DatasetConfig::rw1().with_scenario(ScenarioConfig::none())).unwrap();
+        let scoped = generate(&DatasetConfig {
+            scenario: ScenarioConfig::none(),
+            ..DatasetConfig::rw1()
+        })
+        .unwrap();
         assert_eq!(plain.workers, scoped.workers);
     }
 

@@ -107,16 +107,6 @@ pub struct RoundRecord {
     pub sheets: Vec<AnswerSheet>,
 }
 
-impl RoundRecord {
-    /// Observed accuracy of a specific worker in this round, if they participated.
-    pub fn accuracy_of(&self, worker: WorkerId) -> Option<f64> {
-        self.sheets
-            .iter()
-            .find(|s| s.worker == worker)
-            .map(|s| s.accuracy())
-    }
-}
-
 /// The running state of a simulated crowdsourcing platform.
 #[derive(Debug, Clone)]
 pub struct Platform {
@@ -293,24 +283,6 @@ impl Platform {
         Ok(id)
     }
 
-    /// Marks a worker as departed. Its id is retired, never reused: historical
-    /// records stay valid and the survivors' answer streams are untouched.
-    ///
-    /// Errors on an unknown id or on a worker that has already left.
-    pub fn remove_worker(&mut self, worker: WorkerId) -> Result<(), SimError> {
-        match self.active.get_mut(worker) {
-            None => Err(SimError::UnknownWorker { id: worker }),
-            Some(active) if !*active => Err(SimError::InvalidConfig {
-                what: "worker has already left the platform",
-                value: worker as f64,
-            }),
-            Some(active) => {
-                *active = false;
-                Ok(())
-            }
-        }
-    }
-
     /// Applies one round's worth of [`RoundEvents`]: joins first (in event
     /// order, so the allocated ids are deterministic), then departures.
     ///
@@ -372,8 +344,7 @@ impl Platform {
     /// after which the learning updates are applied.
     ///
     /// `shards` must partition exactly `worker_ids.len()` positions
-    /// ([`WorkerShards::by_count`] / [`WorkerShards::by_size`] over the same
-    /// length always do). Passing the same worker id twice in one round draws
+    /// ([`WorkerShards::by_count`] over the same length always does). Passing the same worker id twice in one round draws
     /// the same answer stream twice — worker streams are keyed by (round,
     /// worker id), not by list position.
     ///
@@ -602,7 +573,8 @@ mod tests {
         // Departed ids are rejected the same way, before any state changes.
         let departed = || {
             let mut p = platform();
-            p.remove_worker(3).unwrap();
+            let leave = crate::event::RoundEvents::none().with_leave(3);
+            p.apply_events(&leave).unwrap();
             p
         };
         let mut p = departed();
@@ -632,9 +604,6 @@ mod tests {
         for &id in &ids {
             assert_eq!(p.cumulative_learning_tasks(id).unwrap(), 10);
         }
-        // Accuracy lookup per worker from the record.
-        assert!(record.accuracy_of(0).is_some());
-        assert!(record.accuracy_of(999).is_none());
     }
 
     #[test]
@@ -836,12 +805,10 @@ mod tests {
         let n = p.pool_size();
         let spec = ds.workers[0].clone();
         let applied = p
-            .apply_events(
-                &RoundEvents::none()
-                    .with_join(spec.clone())
-                    .with_join(spec.clone())
-                    .with_leave(3),
-            )
+            .apply_events(&RoundEvents {
+                joins: vec![spec.clone(), spec],
+                leaves: vec![3],
+            })
             .unwrap();
         assert_eq!(applied.joined, vec![n, n + 1]);
         assert_eq!(applied.departed, vec![3]);
@@ -863,18 +830,14 @@ mod tests {
         ));
         // ...their history stays queryable...
         assert!(p.profile(3).is_ok());
-        // ...a second departure errors directly but is skipped in a batch...
-        assert!(p.remove_worker(3).is_err());
+        // ...a second departure is skipped...
         let applied = p.apply_events(&RoundEvents::none().with_leave(3)).unwrap();
         assert!(applied.is_empty());
-        // ...and unknown ids are always hard errors.
+        // ...and unknown ids are hard errors.
         assert!(matches!(
-            p.remove_worker(999),
-            Err(SimError::UnknownWorker { .. })
+            p.apply_events(&RoundEvents::none().with_leave(999)),
+            Err(SimError::UnknownWorker { id: 999 })
         ));
-        assert!(p
-            .apply_events(&RoundEvents::none().with_leave(999))
-            .is_err());
     }
 
     #[test]
@@ -889,11 +852,10 @@ mod tests {
         // Same round, but with a join and a departure applied first: every
         // surviving original worker must produce the exact same sheet.
         let mut p = Platform::from_dataset(&ds, 11).unwrap();
-        p.apply_events(
-            &RoundEvents::none()
-                .with_join(ds.workers[0].clone())
-                .with_leave(5),
-        )
+        p.apply_events(&RoundEvents {
+            joins: vec![ds.workers[0].clone()],
+            leaves: vec![5],
+        })
         .unwrap();
         let record = p.assign_learning_batch(&p.active_worker_ids(), 10).unwrap();
         for sheet in &reference.sheets {

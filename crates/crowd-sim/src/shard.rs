@@ -27,13 +27,12 @@
 //!
 //! // 10 workers over 4 shards: balanced, contiguous, ragged tail allowed.
 //! let shards = WorkerShards::by_count(10, 4);
-//! let ranges: Vec<_> = shards.ranges().collect();
+//! let ranges: Vec<_> = (0..shards.num_shards()).map(|s| shards.range(s)).collect();
 //! assert_eq!(ranges, vec![0..3, 3..6, 6..8, 8..10]);
 //!
-//! // Sizing by shard capacity instead of shard count (then re-balanced).
-//! let shards = WorkerShards::by_size(10, 4);
-//! assert_eq!(shards.num_shards(), 3);
-//! assert_eq!(shards.range(2), 7..10);
+//! // `map` runs one job per non-empty range and concatenates in worker order.
+//! let doubled = shards.map(|range| Ok::<_, ()>(range.map(|i| 2 * i).collect()));
+//! assert_eq!(doubled, Ok((0..10).map(|i| 2 * i).collect::<Vec<_>>()));
 //! ```
 
 use crate::parallel::{available_threads, run_indexed_jobs};
@@ -41,9 +40,8 @@ use std::ops::Range;
 
 /// A partition of `0..len` into contiguous, ordered, non-overlapping ranges.
 ///
-/// Shards are balanced to within one element ([`WorkerShards::by_count`]) or
-/// capped at a fixed capacity ([`WorkerShards::by_size`]); a shard may be empty
-/// when there are more shards than workers. Concatenating the ranges in shard
+/// Shards are balanced to within one element ([`WorkerShards::by_count`]); a
+/// shard may be empty when there are more shards than workers. Concatenating the ranges in shard
 /// order always reproduces `0..len` exactly, which is what lets sharded
 /// consumers merge per-shard results back into worker order without any
 /// bookkeeping.
@@ -65,14 +63,6 @@ impl WorkerShards {
             len,
             num_shards: num_shards.max(1),
         }
-    }
-
-    /// Splits `len` items into `ceil(len / shard_size)` contiguous ranges of at
-    /// most `shard_size` items each (the last shard may be ragged).
-    /// `shard_size` is clamped to at least 1; zero items yield one empty shard.
-    pub fn by_size(len: usize, shard_size: usize) -> Self {
-        let shard_size = shard_size.max(1);
-        Self::by_count(len, len.div_ceil(shard_size).max(1))
     }
 
     /// The trivial partition: one shard covering everything (the sequential,
@@ -118,11 +108,6 @@ impl WorkerShards {
         self.start(shard)..self.start(shard + 1)
     }
 
-    /// The shard ranges in order; concatenated they cover `0..len` exactly.
-    pub fn ranges(&self) -> impl Iterator<Item = Range<usize>> + '_ {
-        (0..self.num_shards()).map(|s| self.range(s))
-    }
-
     /// Runs `job` on every shard's range and concatenates the results in
     /// shard order, which is item order, into one `Vec` of exactly
     /// [`len`](Self::len) capacity when every job returns one item per index
@@ -159,8 +144,12 @@ impl WorkerShards {
 mod tests {
     use super::*;
 
+    fn ranges(shards: &WorkerShards) -> Vec<Range<usize>> {
+        (0..shards.num_shards()).map(|s| shards.range(s)).collect()
+    }
+
     fn flatten(shards: &WorkerShards) -> Vec<usize> {
-        shards.ranges().flatten().collect()
+        ranges(shards).into_iter().flatten().collect()
     }
 
     #[test]
@@ -168,15 +157,14 @@ mod tests {
         let shards = WorkerShards::by_count(10, 3);
         assert_eq!(shards.num_shards(), 3);
         assert_eq!(shards.len(), 10);
-        let ranges: Vec<_> = shards.ranges().collect();
-        assert_eq!(ranges, vec![0..4, 4..7, 7..10]);
+        assert_eq!(ranges(&shards), vec![0..4, 4..7, 7..10]);
         assert_eq!(flatten(&shards), (0..10).collect::<Vec<_>>());
     }
 
     #[test]
     fn exact_division_gives_equal_shards() {
         let shards = WorkerShards::by_count(12, 4);
-        assert!(shards.ranges().all(|r| r.len() == 3));
+        assert!(ranges(&shards).iter().all(|r| r.len() == 3));
     }
 
     #[test]
@@ -203,26 +191,15 @@ mod tests {
         let shards = WorkerShards::by_count(0, 3);
         assert!(shards.is_empty());
         assert_eq!(shards.num_shards(), 3);
-        assert!(shards.ranges().all(|r| r.is_empty()));
+        assert!(ranges(&shards).iter().all(|r| r.is_empty()));
         assert!(!WorkerShards::single(1).is_empty());
-    }
-
-    #[test]
-    fn by_size_caps_shard_capacity() {
-        let shards = WorkerShards::by_size(10, 4);
-        assert_eq!(shards.num_shards(), 3);
-        assert!(shards.ranges().all(|r| r.len() <= 4));
-        assert_eq!(flatten(&shards), (0..10).collect::<Vec<_>>());
-        // Zero capacity is clamped; zero items yield one empty shard.
-        assert_eq!(WorkerShards::by_size(10, 0).num_shards(), 10);
-        assert_eq!(WorkerShards::by_size(0, 5).num_shards(), 1);
     }
 
     #[test]
     fn ranges_slice_a_list_back_together() {
         let items: Vec<char> = "abcdefghij".chars().collect();
         let shards = WorkerShards::by_count(items.len(), 4);
-        let slices: Vec<&[char]> = shards.ranges().map(|r| &items[r]).collect();
+        let slices: Vec<&[char]> = ranges(&shards).into_iter().map(|r| &items[r]).collect();
         assert_eq!(slices.len(), 4);
         assert_eq!(slices[0], &['a', 'b', 'c']);
         assert_eq!(slices[3], &['i', 'j']);
@@ -232,14 +209,10 @@ mod tests {
 
     #[test]
     fn single_and_oversized_shards_hold_everything() {
-        for shards in [WorkerShards::single(5), WorkerShards::by_size(5, 100)] {
+        for shards in [WorkerShards::single(5), WorkerShards::by_count(5, 1)] {
             assert_eq!(shards.num_shards(), 1);
             assert_eq!(shards.range(0), 0..5);
         }
-        let zero = WorkerShards::by_size(5, 0);
-        assert_eq!(zero.num_shards(), 5);
-        assert!(zero.ranges().all(|r| r.len() == 1));
-        assert_eq!(WorkerShards::by_size(0, 3).num_shards(), 1);
     }
 
     #[test]

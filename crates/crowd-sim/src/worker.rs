@@ -71,6 +71,7 @@ impl HistoricalProfile {
     }
 
     /// Creates a complete profile (a record on every prior domain).
+    // c4u-lint: allow(unused-pub-fn, reason = "README's doctested EM-update example calls it")
     pub fn complete(accuracies: Vec<f64>, task_counts: Vec<usize>) -> Result<Self, SimError> {
         Self::new(accuracies.into_iter().map(Some).collect(), task_counts)
     }
@@ -90,16 +91,7 @@ impl HistoricalProfile {
         self.task_counts.get(d).copied().unwrap_or(0)
     }
 
-    /// Indices of the prior domains the worker actually has a record on.
-    pub fn observed_domains(&self) -> Vec<usize> {
-        self.accuracies
-            .iter()
-            .enumerate()
-            .filter_map(|(d, a)| a.map(|_| d))
-            .collect()
-    }
-
-    /// Accuracies of the observed domains, aligned with [`Self::observed_domains`].
+    /// Accuracies of the observed domains, in domain order.
     pub fn observed_accuracies(&self) -> Vec<f64> {
         self.accuracies.iter().filter_map(|a| *a).collect()
     }
@@ -107,11 +99,6 @@ impl HistoricalProfile {
     /// Dense accuracy vector with gaps filled by `fill`.
     pub fn dense_accuracies(&self, fill: f64) -> Vec<f64> {
         self.accuracies.iter().map(|a| a.unwrap_or(fill)).collect()
-    }
-
-    /// Whether the worker has a record on every prior domain.
-    pub fn is_complete(&self) -> bool {
-        self.accuracies.iter().all(|a| a.is_some())
     }
 }
 
@@ -266,11 +253,6 @@ impl SimulatedWorker {
         self.cumulative_learning_tasks
     }
 
-    /// The worker's latent learning parameter `alpha`.
-    pub fn learning_alpha(&self) -> f64 {
-        self.learning.alpha()
-    }
-
     /// The target-domain difficulty parameter driving the worker's learning curve.
     pub fn target_difficulty(&self) -> f64 {
         self.target_difficulty
@@ -352,13 +334,10 @@ mod tests {
         assert_eq!(p.accuracy(9), None);
         assert_eq!(p.task_count(0), 10);
         assert_eq!(p.task_count(9), 0);
-        assert_eq!(p.observed_domains(), vec![0, 2]);
         assert_eq!(p.observed_accuracies(), vec![0.7, 0.6]);
         assert_eq!(p.dense_accuracies(0.5), vec![0.7, 0.5, 0.6]);
-        assert!(!p.is_complete());
-        assert!(HistoricalProfile::complete(vec![0.5], vec![3])
-            .unwrap()
-            .is_complete());
+        let complete = HistoricalProfile::complete(vec![0.5], vec![3]).unwrap();
+        assert_eq!(complete.observed_accuracies(), vec![0.5]);
     }
 
     #[test]
@@ -371,7 +350,7 @@ mod tests {
         assert_eq!(w.current_accuracy(), 0.55);
         assert_eq!(w.cumulative_learning_tasks(), 0);
         // The latent alpha is anchored so that g(alpha, 0, 10) = 0.55 > 0.5 => positive.
-        assert!(w.learning_alpha() > 0.0);
+        assert!(w.learning.proficiency(1.0) > 0.0);
     }
 
     #[test]
@@ -409,7 +388,7 @@ mod tests {
         let mut w = SimulatedWorker::new(0, &spec(0.25), 0.0, 10).unwrap();
         w.learn_from_batch(&batch(20)).unwrap();
         assert!(w.current_accuracy() < 0.5);
-        assert!(w.learning_alpha() < 0.0);
+        assert!(w.learning.proficiency(1.0) < 0.0);
     }
 
     #[test]
@@ -434,7 +413,7 @@ mod tests {
             slow.learn_from_batch(&batch(10)).unwrap();
         }
         assert!(fast.current_accuracy() > slow.current_accuracy());
-        assert!(fast.learning_alpha() > slow.learning_alpha());
+        assert!(fast.learning.proficiency(1.0) > slow.learning.proficiency(1.0));
     }
 
     #[test]
@@ -480,7 +459,7 @@ mod tests {
     fn boundary_initial_accuracies_get_a_finite_curve() {
         for initial in [0.0, 1.0] {
             let w = SimulatedWorker::new(3, &spec(initial), 0.5, 20).unwrap();
-            assert!(w.learning_alpha().is_finite());
+            assert!(w.learning.proficiency(1.0).is_finite());
             assert_eq!(w.current_accuracy(), initial);
             assert_eq!(w.target_difficulty(), 0.5);
             assert_eq!(w.accuracy_drift(), 0.0);

@@ -161,11 +161,6 @@ impl BktModel {
         }
         self.predicted_accuracy()
     }
-
-    /// Resets the tracker to the prior.
-    pub fn reset(&mut self) {
-        self.mastery = self.params.p_init;
-    }
 }
 
 #[cfg(test)]
@@ -277,14 +272,6 @@ mod tests {
             params.mastery_for_accuracy(f64::NAN),
             BktParams::default().p_init
         );
-    }
-
-    #[test]
-    fn reset_restores_prior() {
-        let mut m = BktModel::new(BktParams::default()).unwrap();
-        m.observe_batch(&[true, true, true]);
-        m.reset();
-        assert!((m.mastery() - BktParams::default().p_init).abs() < 1e-12);
     }
 
     #[test]

@@ -148,6 +148,7 @@ pub struct CalibratedAlpha {
 ///
 /// This is the reference form over observations; the fit evaluates the same sum,
 /// in the same order (priors, then stages), over a [`LearningTerm`] table.
+// c4u-lint: allow(unused-pub-fn, reason = "test oracle: the Eq. 11 objective over observations that the fit is checked against")
 pub fn objective(
     alpha: f64,
     target_difficulty: f64,
@@ -172,6 +173,7 @@ pub fn objective(
 ///
 /// At least one observation (prior-domain anchor or target-domain stage) is required;
 /// with none the parameter is unidentifiable and an error is returned.
+// c4u-lint: allow(unused-pub-fn, reason = "paper-facing: Eq. 11 fitted over observations, shown in the crate docs")
 pub fn calibrate_alpha(
     target_difficulty: f64,
     priors: &[PriorDomainObservation],

@@ -43,11 +43,6 @@ impl LearningGainModel {
         Ok(Self { alpha, difficulty })
     }
 
-    /// The learning parameter `alpha`.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
-
     /// The difficulty parameter `beta`.
     pub fn difficulty(&self) -> f64 {
         self.difficulty
@@ -68,12 +63,6 @@ impl LearningGainModel {
     /// requested cumulative task count).
     pub fn trajectory(&self, cumulative_tasks: &[f64]) -> Vec<f64> {
         cumulative_tasks.iter().map(|&k| self.accuracy(k)).collect()
-    }
-
-    /// Learning gain between two points of the trajectory:
-    /// `accuracy(k_after) - accuracy(k_before)`.
-    pub fn gain(&self, k_before: f64, k_after: f64) -> f64 {
-        self.accuracy(k_after) - self.accuracy(k_before)
     }
 
     /// Solves for the `alpha` that makes the model pass exactly through one observed
@@ -169,8 +158,8 @@ mod tests {
             assert!(pair[1] > pair[0], "trajectory must increase: {traj:?}");
         }
         // Gains are positive but shrink (diminishing returns of ln).
-        let g1 = m.gain(0.0, 10.0);
-        let g2 = m.gain(10.0, 20.0);
+        let g1 = m.accuracy(10.0) - m.accuracy(0.0);
+        let g2 = m.accuracy(20.0) - m.accuracy(10.0);
         assert!(g1 > 0.0 && g2 > 0.0 && g1 > g2);
     }
 
@@ -178,7 +167,6 @@ mod tests {
     fn negative_alpha_means_decline() {
         let m = LearningGainModel::new(-0.5, 0.0).unwrap();
         assert!(m.accuracy(20.0) < m.accuracy(0.0));
-        assert!(m.gain(0.0, 20.0) < 0.0);
     }
 
     #[test]
@@ -231,7 +219,9 @@ mod tests {
         let slow = LearningGainModel::new(0.2, 0.0).unwrap();
         let fast = LearningGainModel::new(1.0, 0.0).unwrap();
         assert!(fast.accuracy(30.0) > slow.accuracy(30.0));
-        assert!(fast.gain(0.0, 30.0) > slow.gain(0.0, 30.0));
+        assert!(
+            fast.accuracy(30.0) - fast.accuracy(0.0) > slow.accuracy(30.0) - slow.accuracy(0.0)
+        );
     }
 
     #[test]
@@ -241,7 +231,7 @@ mod tests {
         assert!(log_tasks(f64::NAN).is_nan());
         assert!((log_tasks(std::f64::consts::E - 1.0) - 1.0).abs() < 1e-15);
         let m = LearningGainModel::new(0.6, -0.2).unwrap();
-        assert_eq!((m.alpha(), m.difficulty()), (0.6, -0.2));
+        assert_eq!((m.alpha, m.difficulty()), (0.6, -0.2));
         assert_eq!(m.proficiency(9.0), 0.6 * log_tasks(9.0));
     }
 

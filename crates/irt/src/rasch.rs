@@ -56,11 +56,6 @@ impl RaschItem {
         self.difficulty
     }
 
-    /// The accuracy a proficiency-zero worker achieves on this item.
-    pub fn baseline_accuracy(&self) -> f64 {
-        sigmoid(-self.difficulty)
-    }
-
     /// Probability that a worker of proficiency `theta` answers correctly (Eq. 9).
     pub fn probability_correct(&self, theta: f64) -> f64 {
         sigmoid(theta - self.difficulty)
@@ -74,23 +69,6 @@ impl RaschItem {
             .iter()
             .map(|&r| if r { p.ln() } else { (1.0 - p).ln() })
             .sum()
-    }
-
-    /// Maximum-likelihood estimate of `theta` from `correct` successes out of
-    /// `total` attempts on this item: `theta = beta + logit(correct/total)`.
-    pub fn estimate_proficiency(&self, correct: usize, total: usize) -> Result<f64, IrtError> {
-        if total == 0 {
-            return Err(IrtError::Calibration(
-                "cannot estimate proficiency from zero attempts".to_string(),
-            ));
-        }
-        if correct > total {
-            return Err(IrtError::InvalidParameter {
-                what: "correct answers cannot exceed total attempts",
-                value: correct as f64,
-            });
-        }
-        Ok(self.difficulty + logit(correct as f64 / total as f64))
     }
 }
 
@@ -119,7 +97,7 @@ mod tests {
                 "a={a}: {} vs {expected}",
                 item.difficulty()
             );
-            assert!((item.baseline_accuracy() - a).abs() < 1e-9);
+            assert!((item.probability_correct(0.0) - a).abs() < 1e-9);
         }
         // a_T = 0.5 => beta_T = 0.
         assert!(
@@ -161,17 +139,6 @@ mod tests {
         assert!(item.log_likelihood(1.5, &responses) > item.log_likelihood(-1.5, &responses));
         // Empty responses give zero log-likelihood.
         assert_eq!(item.log_likelihood(0.3, &[]), 0.0);
-    }
-
-    #[test]
-    fn proficiency_estimation_inverts_probability() {
-        let item = RaschItem::new(0.7).unwrap();
-        let theta = item.estimate_proficiency(8, 10).unwrap();
-        assert!((item.probability_correct(theta) - 0.8).abs() < 1e-9);
-        assert!(item.estimate_proficiency(0, 0).is_err());
-        assert!(item.estimate_proficiency(5, 3).is_err());
-        // Degenerate all-correct record stays finite.
-        assert!(item.estimate_proficiency(10, 10).unwrap().is_finite());
     }
 
     #[test]

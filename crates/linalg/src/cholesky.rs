@@ -8,10 +8,12 @@
 
 use crate::error::{LinalgError, Result};
 use crate::matrix::Matrix;
-use crate::triangular::{solve_lower_triangular, SINGULARITY_TOLERANCE};
 use crate::vector::Vector;
 
-/// A substitution pivot, or the error the triangular solvers report for it.
+/// Smallest pivot magnitude treated as non-singular during substitution.
+const SINGULARITY_TOLERANCE: f64 = 1e-300;
+
+/// A substitution pivot, or the error a triangular solve reports for it.
 fn checked_pivot(pivot: f64, index: usize) -> Result<f64> {
     if pivot.abs() < SINGULARITY_TOLERANCE {
         return Err(LinalgError::Singular { pivot: index });
@@ -139,11 +141,10 @@ impl Cholesky {
     /// Solves `A x = b` in place: `x` holds `b` on entry and the solution on
     /// return. Allocation-free.
     ///
-    /// The forward pass is [`solve_lower_triangular`] on `L`, the backward pass
-    /// [`solve_upper_triangular`](crate::triangular::solve_upper_triangular)
-    /// on `L^T` read through `L[(j, i)]` instead of a
+    /// The forward pass is forward substitution on `L`, the backward pass
+    /// backward substitution on `L^T` read through `L[(j, i)]` instead of a
     /// transposed copy, so every floating-point operation happens in the same
-    /// order and the result is bit-identical to solving through both routines.
+    /// order as substituting through an explicit `L^T`.
     pub fn solve_in_place(&self, x: &mut [f64]) -> Result<()> {
         let n = self.dim();
         if x.len() != n {
@@ -170,52 +171,22 @@ impl Cholesky {
         }
         Ok(())
     }
-
-    /// Solves `A X = B` column by column.
-    pub fn solve_matrix(&self, b: &Matrix) -> Result<Matrix> {
-        if b.nrows() != self.dim() {
-            return Err(LinalgError::DimensionMismatch {
-                op: "cholesky solve_matrix",
-                left: (self.dim(), self.dim()),
-                right: b.shape(),
-            });
-        }
-        let mut out = Matrix::zeros(b.nrows(), b.ncols());
-        for j in 0..b.ncols() {
-            let col = b.column(j)?;
-            let x = self.solve(&col)?;
-            for i in 0..b.nrows() {
-                out[(i, j)] = x[i];
-            }
-        }
-        Ok(out)
-    }
-
-    /// Explicit inverse `A^{-1}` (use [`Cholesky::solve`] when only a product with a
-    /// vector is needed).
-    pub fn inverse(&self) -> Result<Matrix> {
-        self.solve_matrix(&Matrix::identity(self.dim()))
-    }
-
-    /// Computes the Mahalanobis-style quadratic form `d^T A^{-1} d`.
-    pub fn mahalanobis_squared(&self, d: &Vector) -> Result<f64> {
-        // d^T A^{-1} d = || L^{-1} d ||^2
-        let y = solve_lower_triangular(&self.l, d)?;
-        y.dot(&y)
-    }
-
-    /// Reconstructs `A = L L^T` (mostly for testing and diagnostics).
-    pub fn reconstruct(&self) -> Matrix {
-        self.l
-            .matmul(&self.l.transpose())
-            // c4u-lint: allow(no-unwrap-in-lib, reason = "L and L^T conform by construction of the factorisation")
-            .expect("L and L^T always conform")
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn max_abs_diff(a: &Matrix, b: &Matrix) -> f64 {
+        assert_eq!(a.shape(), b.shape());
+        let pairs = a.as_slice().iter().zip(b.as_slice());
+        pairs.fold(0.0, |acc, (x, y)| acc.max((x - y).abs()))
+    }
+
+    /// `L L^T` from the factor.
+    fn reconstruct(chol: &Cholesky) -> Matrix {
+        chol.l().matmul(&chol.l().transpose()).unwrap()
+    }
 
     fn spd3() -> Matrix {
         // A = B^T B + I for a well-conditioned SPD matrix.
@@ -231,8 +202,7 @@ mod tests {
     fn factorise_and_reconstruct() {
         let a = spd3();
         let chol = Cholesky::new(&a).unwrap();
-        let back = chol.reconstruct();
-        assert!(a.max_abs_diff(&back).unwrap() < 1e-10);
+        assert!(max_abs_diff(&a, &reconstruct(&chol)) < 1e-10);
         assert_eq!(chol.jitter_used(), 0.0);
     }
 
@@ -265,7 +235,7 @@ mod tests {
         assert!(chol.jitter_used() > 0.9);
         // The repaired matrix is close to A + jitter*I.
         let repaired = a.add_diagonal(chol.jitter_used()).unwrap();
-        assert!(chol.reconstruct().max_abs_diff(&repaired).unwrap() < 1e-8);
+        assert!(max_abs_diff(&reconstruct(&chol), &repaired) < 1e-8);
     }
 
     #[test]
@@ -282,12 +252,37 @@ mod tests {
         let b = Vector::from_slice(&[1.0, -2.0, 0.5]);
         let x = chol.solve(&b).unwrap();
         let back = a.matvec(&x).unwrap();
-        assert!(back.max_abs_diff(&b).unwrap() < 1e-10);
+        for (got, want) in back.iter().zip(b.iter()) {
+            assert!((got - want).abs() < 1e-10);
+        }
+    }
+
+    /// Forward substitution on `L`, then backward substitution on an explicit
+    /// transposed copy `U = L^T`.
+    fn solve_through_transposed_copy(l: &Matrix, b: &Vector) -> Vector {
+        let n = b.len();
+        let mut y = Vector::zeros(n);
+        for i in 0..n {
+            let mut sum = b[i];
+            for j in 0..i {
+                sum -= l[(i, j)] * y[j];
+            }
+            y[i] = sum / l[(i, i)];
+        }
+        let u = l.transpose();
+        let mut x = Vector::zeros(n);
+        for i in (0..n).rev() {
+            let mut sum = y[i];
+            for j in (i + 1)..n {
+                sum -= u[(i, j)] * x[j];
+            }
+            x[i] = sum / u[(i, i)];
+        }
+        x
     }
 
     #[test]
     fn in_place_solve_is_bit_identical_to_the_transposed_copy_route() {
-        use crate::triangular::solve_upper_triangular;
         let a = Matrix::from_rows(&[
             vec![0.031, 0.012, -0.004, 0.007],
             vec![0.012, 0.027, 0.003, -0.001],
@@ -300,8 +295,7 @@ mod tests {
             let n = chol.dim();
             for seed in 0..5 {
                 let b = Vector::from_fn(n, |i| ((seed * 7 + i * 3) % 11) as f64 * 0.137 - 0.61);
-                let y = solve_lower_triangular(chol.l(), &b).unwrap();
-                let expected = solve_upper_triangular(&chol.l().transpose(), &y).unwrap();
+                let expected = solve_through_transposed_copy(chol.l(), &b);
                 let mut x = b.as_slice().to_vec();
                 chol.solve_in_place(&mut x).unwrap();
                 assert_eq!(x, expected.as_slice());
@@ -316,49 +310,13 @@ mod tests {
     }
 
     #[test]
-    fn inverse_times_matrix_is_identity() {
-        let a = spd3();
-        let inv = Cholesky::new(&a).unwrap().inverse().unwrap();
-        let prod = a.matmul(&inv).unwrap();
-        assert!(prod.max_abs_diff(&Matrix::identity(3)).unwrap() < 1e-10);
-    }
-
-    #[test]
-    fn mahalanobis_identity_is_squared_norm() {
-        let chol = Cholesky::new(&Matrix::identity(3)).unwrap();
-        let d = Vector::from_slice(&[1.0, 2.0, 2.0]);
-        assert!((chol.mahalanobis_squared(&d).unwrap() - 9.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn matrix_handles_match_direct_construction() {
         let a = spd3();
-        assert!(
-            a.cholesky()
-                .unwrap()
-                .reconstruct()
-                .max_abs_diff(&a)
-                .unwrap()
-                < 1e-10
-        );
+        let chol = a.cholesky_with_jitter(1e-6, 20).unwrap();
+        assert_eq!(chol.jitter_used(), 0.0);
+        assert!(max_abs_diff(&reconstruct(&chol), &a) < 1e-10);
         let indefinite = Matrix::from_rows(&[vec![1.0, 2.0], vec![2.0, 1.0]]).unwrap();
-        assert!(indefinite.cholesky().is_err());
         assert!(indefinite.cholesky_with_jitter(1e-6, 20).is_ok());
-    }
-
-    #[test]
-    fn solve_matrix_dimension_check() {
-        let chol = Cholesky::new(&Matrix::identity(3)).unwrap();
-        assert!(chol.solve_matrix(&Matrix::zeros(2, 2)).is_err());
-    }
-
-    #[test]
-    fn mahalanobis_is_the_quadratic_form_of_the_solve() {
-        let chol = Cholesky::new(&spd3()).unwrap();
-        let d = Vector::from_slice(&[0.5, -1.0, 2.0]);
-        let via_solve = d.dot(&chol.solve(&d).unwrap()).unwrap();
-        assert!((chol.mahalanobis_squared(&d).unwrap() - via_solve).abs() < 1e-12);
-        assert_eq!((chol.dim(), chol.jitter_used()), (3, 0.0));
     }
 
     #[test]
@@ -366,7 +324,6 @@ mod tests {
         let chol = Cholesky::new(&spd3()).unwrap();
         assert!(chol.solve_in_place(&mut [1.0, 2.0]).is_err());
         assert!(chol.solve(&Vector::zeros(4)).is_err());
-        assert!(chol.mahalanobis_squared(&Vector::zeros(2)).is_err());
     }
 
     #[test]

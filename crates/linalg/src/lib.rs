@@ -8,12 +8,11 @@
 //! a small but reliable set of dense operations on `f64` vectors and matrices:
 //!
 //! * [`Vector`] and [`Matrix`] — storage plus the usual arithmetic, products,
-//!   sub-block extraction and symmetry helpers;
-//! * [`Cholesky`] — factorisation of SPD covariance matrices, with a diagonal-jitter
-//!   repair loop ([`Cholesky::new_with_jitter`]) because rounding can push a
-//!   covariance iterate slightly outside the PSD cone;
-//! * [`Lu`] — general square solver used by the ordinary-least-squares baseline;
-//! * triangular solves ([`solve_lower_triangular`], [`solve_upper_triangular`]).
+//!   sub-block extraction and symmetrisation;
+//! * [`Cholesky`] — factorisation of SPD matrices (the CPE covariance blocks and
+//!   the Li et al. baseline's Gram matrix), with a diagonal-jitter repair loop
+//!   ([`Cholesky::new_with_jitter`]) because rounding can push a covariance
+//!   iterate slightly outside the PSD cone.
 //!
 //! Everything is implemented from scratch on top of `std`; the crate has no runtime
 //! dependencies.
@@ -34,14 +33,10 @@
 
 mod cholesky;
 mod error;
-mod lu;
 mod matrix;
-mod triangular;
 mod vector;
 
 pub use cholesky::Cholesky;
 pub use error::{LinalgError, Result};
-pub use lu::{inverse, solve, Lu};
 pub use matrix::Matrix;
-pub use triangular::{solve_lower_triangular, solve_upper_triangular, SINGULARITY_TOLERANCE};
 pub use vector::Vector;

@@ -27,15 +27,6 @@ impl Matrix {
         }
     }
 
-    /// Creates a matrix filled with `value`.
-    pub fn filled(rows: usize, cols: usize, value: f64) -> Self {
-        Self {
-            rows,
-            cols,
-            data: vec![value; rows * cols],
-        }
-    }
-
     /// Creates the `n x n` identity matrix.
     pub fn identity(n: usize) -> Self {
         let mut m = Self::zeros(n, n);
@@ -45,23 +36,10 @@ impl Matrix {
         m
     }
 
-    /// Creates a matrix from a row-major data vector.
-    ///
-    /// Returns a dimension-mismatch error when `data.len() != rows * cols`.
-    pub fn from_row_major(rows: usize, cols: usize, data: Vec<f64>) -> Result<Self> {
-        if data.len() != rows * cols {
-            return Err(LinalgError::DimensionMismatch {
-                op: "from_row_major",
-                left: (rows, cols),
-                right: (data.len(), 1),
-            });
-        }
-        Ok(Self { rows, cols, data })
-    }
-
     /// Creates a matrix from a slice of rows.
     ///
     /// Every row must have the same length. An empty slice yields [`LinalgError::Empty`].
+    // c4u-lint: allow(unused-pub-fn, reason = "the crate-doc and cpe::kernel doctests and the tests write matrices row by row with it")
     pub fn from_rows(rows: &[Vec<f64>]) -> Result<Self> {
         if rows.is_empty() {
             return Err(LinalgError::Empty);
@@ -92,16 +70,6 @@ impl Matrix {
             for j in 0..cols {
                 m[(i, j)] = f(i, j);
             }
-        }
-        m
-    }
-
-    /// Creates a diagonal matrix from the given diagonal entries.
-    pub fn from_diagonal(diag: &[f64]) -> Self {
-        let n = diag.len();
-        let mut m = Self::zeros(n, n);
-        for (i, &d) in diag.iter().enumerate() {
-            m[(i, i)] = d;
         }
         m
     }
@@ -155,36 +123,6 @@ impl Matrix {
         Ok(())
     }
 
-    /// Returns row `i` as a [`Vector`].
-    pub fn row(&self, i: usize) -> Result<Vector> {
-        if i >= self.rows {
-            return Err(LinalgError::OutOfBounds {
-                index: i,
-                len: self.rows,
-            });
-        }
-        Ok(Vector::from_slice(
-            &self.data[i * self.cols..(i + 1) * self.cols],
-        ))
-    }
-
-    /// Returns column `j` as a [`Vector`].
-    pub fn column(&self, j: usize) -> Result<Vector> {
-        if j >= self.cols {
-            return Err(LinalgError::OutOfBounds {
-                index: j,
-                len: self.cols,
-            });
-        }
-        Ok(Vector::from_fn(self.rows, |i| self.data[i * self.cols + j]))
-    }
-
-    /// Returns the main diagonal as a [`Vector`].
-    pub fn diagonal(&self) -> Vector {
-        let n = self.rows.min(self.cols);
-        Vector::from_fn(n, |i| self[(i, i)])
-    }
-
     /// Transposed copy.
     pub fn transpose(&self) -> Self {
         Self::from_fn(self.cols, self.rows, |i, j| self[(j, i)])
@@ -212,21 +150,6 @@ impl Matrix {
                 .iter()
                 .zip(other.data.iter())
                 .map(|(a, b)| a + b)
-                .collect(),
-        })
-    }
-
-    /// Element-wise subtraction (`self - other`).
-    pub fn sub(&self, other: &Self) -> Result<Self> {
-        self.check_same_shape(other, "sub")?;
-        Ok(Self {
-            rows: self.rows,
-            cols: self.cols,
-            data: self
-                .data
-                .iter()
-                .zip(other.data.iter())
-                .map(|(a, b)| a - b)
                 .collect(),
         })
     }
@@ -284,12 +207,6 @@ impl Matrix {
         }))
     }
 
-    /// Computes `vᵀ * self * v` (the quadratic form) for a square matrix.
-    pub fn quadratic_form(&self, v: &Vector) -> Result<f64> {
-        let mv = self.matvec(v)?;
-        v.dot(&mv)
-    }
-
     /// Extracts the sub-matrix with the given row and column indices (in order).
     ///
     /// This is the primitive behind conditioning a multivariate normal on a subset of
@@ -302,36 +219,6 @@ impl Matrix {
             }
         }
         Ok(out)
-    }
-
-    /// Maximum absolute difference to another matrix of the same shape.
-    pub fn max_abs_diff(&self, other: &Self) -> Result<f64> {
-        self.check_same_shape(other, "max_abs_diff")?;
-        Ok(self
-            .data
-            .iter()
-            .zip(other.data.iter())
-            .fold(0.0_f64, |acc, (a, b)| acc.max((a - b).abs())))
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
-
-    /// Whether the matrix is symmetric up to `tol`.
-    pub fn is_symmetric(&self, tol: f64) -> bool {
-        if !self.is_square() {
-            return false;
-        }
-        for i in 0..self.rows {
-            for j in (i + 1)..self.cols {
-                if (self[(i, j)] - self[(j, i)]).abs() > tol {
-                    return false;
-                }
-            }
-        }
-        true
     }
 
     /// Returns `(self + selfᵀ) / 2`, the nearest symmetric matrix in Frobenius norm.
@@ -387,22 +274,13 @@ impl Matrix {
         Ok((0..self.rows).map(|i| self[(i, i)]).sum())
     }
 
-    /// Outer product `u * vᵀ`.
-    pub fn outer(u: &Vector, v: &Vector) -> Self {
-        Self::from_fn(u.len(), v.len(), |i, j| u[i] * v[j])
-    }
-
-    /// Factorises the matrix once into a reusable [`Cholesky`](crate::Cholesky) handle.
-    ///
-    /// The handle amortises the `O(n^3)` factorisation over arbitrarily many
-    /// `O(n^2)` [`Cholesky::solve`](crate::Cholesky::solve) applications ("factorise once, solve
-    /// many").
-    pub fn cholesky(&self) -> Result<crate::Cholesky> {
-        crate::Cholesky::new(self)
-    }
-
-    /// Like [`Matrix::cholesky`], with the diagonal-jitter repair loop of
-    /// [`Cholesky::new_with_jitter`](crate::Cholesky::new_with_jitter) for matrices sitting on the PSD boundary.
+    /// Factorises the matrix once into a reusable [`Cholesky`](crate::Cholesky)
+    /// handle, with the diagonal-jitter repair loop of
+    /// [`Cholesky::new_with_jitter`](crate::Cholesky::new_with_jitter) for
+    /// matrices sitting on the PSD boundary. The handle amortises the
+    /// `O(n^3)` factorisation over arbitrarily many `O(n^2)`
+    /// [`Cholesky::solve`](crate::Cholesky::solve) applications ("factorise
+    /// once, solve many").
     ///
     /// This is how `c4u_stats::Conditioner` builds its cached observed-block
     /// factor, which the batched CPE kernel then applies to every worker
@@ -438,6 +316,10 @@ mod tests {
         (a - b).abs() < 1e-12
     }
 
+    fn close_all(a: &[f64], b: &[f64]) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(&x, &y)| close(x, y))
+    }
+
     #[test]
     fn construction() {
         let m = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
@@ -446,22 +328,15 @@ mod tests {
         let id = Matrix::identity(3);
         assert!(close(id[(2, 2)], 1.0));
         assert!(close(id[(0, 1)], 0.0));
-        let d = Matrix::from_diagonal(&[2.0, 5.0]);
-        assert!(close(d[(1, 1)], 5.0));
-        assert!(close(d[(0, 1)], 0.0));
         assert!(Matrix::from_rows(&[]).is_err());
         assert!(Matrix::from_rows(&[vec![1.0], vec![1.0, 2.0]]).is_err());
-        assert!(Matrix::from_row_major(2, 2, vec![1.0]).is_err());
     }
 
     #[test]
     fn rows_columns_diagonal() {
         let m = Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]).unwrap();
-        assert_eq!(m.row(1).unwrap().as_slice(), &[4.0, 5.0, 6.0]);
-        assert_eq!(m.column(2).unwrap().as_slice(), &[3.0, 6.0]);
-        assert_eq!(m.diagonal().as_slice(), &[1.0, 5.0]);
-        assert!(m.row(5).is_err());
-        assert!(m.column(5).is_err());
+        assert_eq!((m[(0, 0)], m[(1, 1)], m[(1, 2)]), (1.0, 5.0, 6.0));
+        assert!(m.get(2, 0).is_err());
     }
 
     #[test]
@@ -478,7 +353,6 @@ mod tests {
         let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
         let b = Matrix::identity(2);
         assert!(close(a.add(&b).unwrap()[(0, 0)], 2.0));
-        assert!(close(a.sub(&b).unwrap()[(1, 1)], 3.0));
         assert!(close(a.scale(2.0)[(1, 0)], 6.0));
         assert!(a.add(&Matrix::zeros(3, 3)).is_err());
     }
@@ -508,7 +382,7 @@ mod tests {
         let a = Matrix::from_rows(&[vec![2.0, 0.0], vec![0.0, 3.0]]).unwrap();
         let v = Vector::from_slice(&[1.0, 2.0]);
         assert_eq!(a.matvec(&v).unwrap().as_slice(), &[2.0, 6.0]);
-        assert!(close(a.quadratic_form(&v).unwrap(), 2.0 + 12.0));
+        assert!(close(v.dot(&a.matvec(&v).unwrap()).unwrap(), 2.0 + 12.0));
         assert!(a.matvec(&Vector::zeros(3)).is_err());
     }
 
@@ -524,14 +398,10 @@ mod tests {
 
     #[test]
     fn symmetry_helpers() {
-        let m = Matrix::from_rows(&[vec![1.0, 2.0], vec![2.0, 5.0]]).unwrap();
-        assert!(m.is_symmetric(1e-12));
         let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![4.0, 5.0]]).unwrap();
-        assert!(!a.is_symmetric(1e-12));
         let s = a.symmetrize().unwrap();
-        assert!(s.is_symmetric(1e-12));
+        assert_eq!(s, s.transpose());
         assert!(close(s[(0, 1)], 3.0));
-        assert!(!Matrix::zeros(2, 3).is_symmetric(1e-12));
         assert!(Matrix::zeros(2, 3).symmetrize().is_err());
     }
 
@@ -541,21 +411,9 @@ mod tests {
         assert!(close(m[(0, 0)], 1.5));
         assert!(close(m.trace().unwrap(), 3.0));
         assert!(Matrix::zeros(2, 3).trace().is_err());
-        let o = Matrix::outer(
-            &Vector::from_slice(&[1.0, 2.0]),
-            &Vector::from_slice(&[3.0, 4.0]),
-        );
-        assert!(close(o[(1, 0)], 6.0));
-        assert!(close(o[(1, 1)], 8.0));
-    }
-
-    #[test]
-    fn norms_and_diff() {
-        let a = Matrix::identity(2);
-        let b = Matrix::zeros(2, 2);
-        assert!(close(a.frobenius_norm(), (2.0_f64).sqrt()));
-        assert!(close(a.max_abs_diff(&b).unwrap(), 1.0));
-        assert!(a.max_abs_diff(&Matrix::zeros(3, 3)).is_err());
+        let u = Matrix::from_fn(2, 1, |i, _| (i + 1) as f64);
+        let v = Matrix::from_fn(1, 2, |_, j| (j + 3) as f64);
+        assert_eq!(u.matmul(&v).unwrap().as_slice(), &[3.0, 4.0, 6.0, 8.0]);
     }
 
     #[test]
@@ -580,10 +438,10 @@ mod tests {
 
     #[test]
     fn storage_is_row_major() {
-        let m = Matrix::from_row_major(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]).unwrap();
+        let m = Matrix::from_fn(2, 3, |i, j| (3 * i + j + 1) as f64);
+        assert_eq!(m.as_slice(), &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         assert_eq!(m[(1, 0)], 4.0);
         assert_eq!(m.transpose().as_slice(), &[1.0, 4.0, 2.0, 5.0, 3.0, 6.0]);
-        assert_eq!(Matrix::filled(2, 2, 0.5).as_slice(), &[0.5; 4]);
         assert!(!m.is_square() && Matrix::zeros(3, 3).is_square());
     }
 
@@ -599,10 +457,11 @@ mod tests {
     #[test]
     fn cholesky_handles_factor_and_repair() {
         let spd = Matrix::from_rows(&[vec![4.0, 1.0], vec![1.0, 3.0]]).unwrap();
-        let chol = spd.cholesky().unwrap();
-        assert!(chol.reconstruct().max_abs_diff(&spd).unwrap() < 1e-12);
+        let l = crate::Cholesky::new(&spd).unwrap().l().clone();
+        let back = l.matmul(&l.transpose()).unwrap();
+        assert!(close_all(back.as_slice(), spd.as_slice()));
         let indefinite = Matrix::from_rows(&[vec![1.0, 2.0], vec![2.0, 1.0]]).unwrap();
-        assert!(indefinite.cholesky().is_err());
+        assert!(indefinite.cholesky_with_jitter(1e-3, 0).is_err());
         assert!(
             indefinite
                 .cholesky_with_jitter(1e-3, 20)
@@ -615,12 +474,11 @@ mod tests {
     #[test]
     fn shape_errors_are_reported() {
         let a = Matrix::identity(2);
-        assert!(a.sub(&Matrix::zeros(2, 3)).is_err());
-        assert!(a.quadratic_form(&Vector::zeros(3)).is_err());
+        assert!(a.add(&Matrix::zeros(2, 3)).is_err());
         assert!(a.submatrix(&[0], &[2]).is_err());
         assert!(Matrix::zeros(2, 3).add_diagonal(1.0).is_err());
         assert!(matches!(
-            Matrix::zeros(2, 3).cholesky(),
+            Matrix::zeros(2, 3).cholesky_with_jitter(1e-3, 20),
             Err(crate::LinalgError::NotSquare { rows: 2, cols: 3 })
         ));
     }

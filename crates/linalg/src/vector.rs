@@ -1,7 +1,7 @@
 //! Dense, heap-allocated `f64` vectors.
 //!
 //! [`Vector`] is a thin wrapper around `Vec<f64>` with the numeric operations the
-//! statistical code needs: dot products, norms, element-wise arithmetic, and a few
+//! statistical code needs: dot products, element-wise arithmetic, and a few
 //! reductions. All binary operations validate dimensions and return
 //! [`LinalgError::DimensionMismatch`] rather than panicking.
 
@@ -32,18 +32,6 @@ impl Vector {
         Self { data: vec![0.0; n] }
     }
 
-    /// Creates a vector of length `n` filled with `value`.
-    pub fn filled(n: usize, value: f64) -> Self {
-        Self {
-            data: vec![value; n],
-        }
-    }
-
-    /// Creates a vector of length `n` filled with ones.
-    pub fn ones(n: usize) -> Self {
-        Self::filled(n, 1.0)
-    }
-
     /// Builds a vector by evaluating `f` at indices `0..n`.
     pub fn from_fn(n: usize, f: impl FnMut(usize) -> f64) -> Self {
         Self {
@@ -69,11 +57,6 @@ impl Vector {
     /// Mutable view of the underlying storage.
     pub fn as_mut_slice(&mut self) -> &mut [f64] {
         &mut self.data
-    }
-
-    /// Consumes the vector and returns the underlying storage.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
     }
 
     /// Returns element `i`, or an error if out of bounds.
@@ -123,21 +106,6 @@ impl Vector {
             .sum())
     }
 
-    /// Euclidean (L2) norm.
-    pub fn norm(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
-
-    /// L1 norm (sum of absolute values).
-    pub fn norm_l1(&self) -> f64 {
-        self.data.iter().map(|x| x.abs()).sum()
-    }
-
-    /// Maximum absolute value; zero for the empty vector.
-    pub fn norm_inf(&self) -> f64 {
-        self.data.iter().fold(0.0_f64, |acc, x| acc.max(x.abs()))
-    }
-
     /// Element-wise addition.
     pub fn add(&self, other: &Self) -> Result<Self> {
         self.check_same_len(other, "add")?;
@@ -150,42 +118,9 @@ impl Vector {
         ))
     }
 
-    /// Element-wise subtraction (`self - other`).
-    pub fn sub(&self, other: &Self) -> Result<Self> {
-        self.check_same_len(other, "sub")?;
-        Ok(Self::from_vec(
-            self.data
-                .iter()
-                .zip(other.data.iter())
-                .map(|(a, b)| a - b)
-                .collect(),
-        ))
-    }
-
-    /// Element-wise (Hadamard) product.
-    pub fn hadamard(&self, other: &Self) -> Result<Self> {
-        self.check_same_len(other, "hadamard")?;
-        Ok(Self::from_vec(
-            self.data
-                .iter()
-                .zip(other.data.iter())
-                .map(|(a, b)| a * b)
-                .collect(),
-        ))
-    }
-
     /// Multiplies every element by a scalar, returning a new vector.
     pub fn scale(&self, s: f64) -> Self {
         Self::from_vec(self.data.iter().map(|x| x * s).collect())
-    }
-
-    /// In-place `self += alpha * other` (the BLAS `axpy` operation).
-    pub fn axpy(&mut self, alpha: f64, other: &Self) -> Result<()> {
-        self.check_same_len(other, "axpy")?;
-        for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
-            *a += alpha * b;
-        }
-        Ok(())
     }
 
     /// Sum of all elements.
@@ -235,17 +170,6 @@ impl Vector {
     pub fn has_non_finite(&self) -> bool {
         self.data.iter().any(|x| !x.is_finite())
     }
-
-    /// Maximum absolute difference to another vector (useful in tests and
-    /// convergence checks).
-    pub fn max_abs_diff(&self, other: &Self) -> Result<f64> {
-        self.check_same_len(other, "max_abs_diff")?;
-        Ok(self
-            .data
-            .iter()
-            .zip(other.data.iter())
-            .fold(0.0_f64, |acc, (a, b)| acc.max((a - b).abs())))
-    }
 }
 
 impl Index<usize> for Vector {
@@ -294,8 +218,6 @@ mod tests {
         assert_eq!(v.len(), 3);
         assert!(!v.is_empty());
         assert_eq!(Vector::zeros(4).as_slice(), &[0.0; 4]);
-        assert_eq!(Vector::ones(2).as_slice(), &[1.0, 1.0]);
-        assert_eq!(Vector::filled(2, 7.5).as_slice(), &[7.5, 7.5]);
         let f = Vector::from_fn(3, |i| i as f64 * 2.0);
         assert_eq!(f.as_slice(), &[0.0, 2.0, 4.0]);
     }
@@ -314,9 +236,6 @@ mod tests {
         let a = Vector::from_slice(&[1.0, 2.0, 3.0]);
         let b = Vector::from_slice(&[4.0, -5.0, 6.0]);
         assert!(close(a.dot(&b).unwrap(), 4.0 - 10.0 + 18.0));
-        assert!(close(a.norm(), (14.0_f64).sqrt()));
-        assert!(close(b.norm_l1(), 15.0));
-        assert!(close(b.norm_inf(), 6.0));
     }
 
     #[test]
@@ -334,19 +253,7 @@ mod tests {
         let a = Vector::from_slice(&[1.0, 2.0]);
         let b = Vector::from_slice(&[3.0, 5.0]);
         assert_eq!(a.add(&b).unwrap().as_slice(), &[4.0, 7.0]);
-        assert_eq!(a.sub(&b).unwrap().as_slice(), &[-2.0, -3.0]);
-        assert_eq!(a.hadamard(&b).unwrap().as_slice(), &[3.0, 10.0]);
         assert_eq!(a.scale(2.0).as_slice(), &[2.0, 4.0]);
-    }
-
-    #[test]
-    fn axpy_accumulates() {
-        let mut a = Vector::from_slice(&[1.0, 1.0]);
-        let b = Vector::from_slice(&[2.0, 3.0]);
-        a.axpy(0.5, &b).unwrap();
-        assert_eq!(a.as_slice(), &[2.0, 2.5]);
-        let c = Vector::zeros(3);
-        assert!(a.axpy(1.0, &c).is_err());
     }
 
     #[test]
@@ -383,13 +290,6 @@ mod tests {
     }
 
     #[test]
-    fn max_abs_diff_works() {
-        let a = Vector::from_slice(&[1.0, 2.0]);
-        let b = Vector::from_slice(&[1.5, 1.0]);
-        assert!(close(a.max_abs_diff(&b).unwrap(), 1.0));
-    }
-
-    #[test]
     fn indexing_and_from_iter() {
         let mut v: Vector = vec![1.0, 2.0, 3.0].into();
         v[0] = 9.0;
@@ -403,9 +303,6 @@ mod tests {
         let a = Vector::zeros(2);
         let b = Vector::zeros(3);
         assert!(a.add(&b).is_err());
-        assert!(a.sub(&b).is_err());
-        assert!(a.hadamard(&b).is_err());
-        assert!(a.max_abs_diff(&b).is_err());
     }
 
     #[test]
@@ -414,7 +311,6 @@ mod tests {
         v.as_mut_slice()[1] = -2.0;
         assert_eq!(v.iter().copied().collect::<Vec<_>>(), vec![1.0, -2.0, 3.0]);
         assert_eq!(Vector::from(&[1.0, -2.0, 3.0][..]), v);
-        assert_eq!(v.into_vec(), vec![1.0, -2.0, 3.0]);
         assert!(Vector::zeros(0).is_empty());
     }
 }

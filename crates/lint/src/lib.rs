@@ -6,8 +6,10 @@
 //! no wall-clock reads, no unordered-map iteration reaching results), the
 //! hot-path contract (marked sweep regions stay on the vectorised
 //! `c4u_stats::vmath` layer rather than scalar libm), the no-panic
-//! discipline of the numerical library crates, and crate-root hygiene
-//! (`#![forbid(unsafe_code)]` + a seam-naming `//!` overview).
+//! discipline of the numerical library crates, crate-root hygiene
+//! (`#![forbid(unsafe_code)]` + a seam-naming `//!` overview), and a
+//! workspace-wide pass that fails on a library `pub fn` no non-test code
+//! calls.
 //!
 //! The pipeline is [`lexer`] (a lossless hand-rolled Rust lexer — raw
 //! strings, nested block comments, lifetime/char disambiguation) feeding
@@ -32,15 +34,18 @@ use std::path::Path;
 /// Lints every lintable file under `root`, returning `(rel_path, source,
 /// diagnostics)` for each file that produced findings, in sorted path order.
 pub fn run_workspace(root: &Path) -> Vec<(String, String, Vec<Diagnostic>)> {
-    let mut out = Vec::new();
-    for rel in walk::lintable_files(root) {
-        let Ok(source) = std::fs::read_to_string(root.join(&rel)) else {
-            continue;
-        };
-        let diags = rules::lint_file(&rel, &source);
-        if !diags.is_empty() {
-            out.push((rel, source, diags));
-        }
-    }
-    out
+    let files: Vec<(String, String)> = walk::lintable_files(root)
+        .into_iter()
+        .filter_map(|rel| {
+            let source = std::fs::read_to_string(root.join(&rel)).ok()?;
+            Some((rel, source))
+        })
+        .collect();
+    let diags = rules::lint_files(&files);
+    files
+        .into_iter()
+        .zip(diags)
+        .filter(|(_, diags)| !diags.is_empty())
+        .map(|((rel, source), diags)| (rel, source, diags))
+        .collect()
 }

@@ -1,6 +1,7 @@
 //! The token-stream rule engine: file classification, `c4u-lint` comment
 //! directives (suppressions and hot-path markers), `#[cfg(test)]` region
-//! tracking, and the six invariant rules.
+//! tracking, the six per-file invariant rules, and the workspace-wide
+//! `unused-pub-fn` pass.
 //!
 //! Every rule is grounded in a contract the workspace enforces dynamically
 //! elsewhere (see ARCHITECTURE.md, "Static invariants"):
@@ -13,6 +14,7 @@
 //! | `scalar-libm-in-hot-path` | math modes: marked hot regions stay on the vectorised `vmath` layer |
 //! | `no-unwrap-in-lib` | error discipline: numerical library code returns typed errors, never panics |
 //! | `crate-hygiene` | every crate root carries `#![forbid(unsafe_code)]` and a `//!` overview naming its seam |
+//! | `unused-pub-fn` | less code: every library `pub fn` has a caller outside test code |
 
 use crate::diag::{Diagnostic, Severity};
 use crate::lexer::{lex, Lexed, Token, TokenKind};
@@ -30,18 +32,21 @@ pub const SCALAR_LIBM_IN_HOT_PATH: &str = "scalar-libm-in-hot-path";
 pub const NO_UNWRAP_IN_LIB: &str = "no-unwrap-in-lib";
 /// Rule: crate roots carry `#![forbid(unsafe_code)]` and a `//!` doc comment.
 pub const CRATE_HYGIENE: &str = "crate-hygiene";
+/// Rule: a library `pub fn` whose name no non-test code mentions.
+pub const UNUSED_PUB_FN: &str = "unused-pub-fn";
 /// Meta-rule for malformed, unmatched or unused `c4u-lint` directives
 /// themselves; not suppressible.
 pub const LINT_DIRECTIVE: &str = "lint-directive";
 
 /// Every suppressible rule, in diagnostic-table order.
-pub const ALL_RULES: [&str; 6] = [
+pub const ALL_RULES: [&str; 7] = [
     NO_AMBIENT_RNG,
     NO_WALLCLOCK,
     HASHMAP_ITER_ORDER,
     SCALAR_LIBM_IN_HOT_PATH,
     NO_UNWRAP_IN_LIB,
     CRATE_HYGIENE,
+    UNUSED_PUB_FN,
 ];
 
 /// Identifiers that pull randomness from the OS instead of the seed seam.
@@ -283,20 +288,33 @@ fn parse_directives(lexed: &Lexed<'_>, path: &str, diags: &mut Vec<Diagnostic>) 
     }
 }
 
-/// Runs every rule over one file and returns its findings, sorted by
+/// Runs every rule, the workspace-wide `unused-pub-fn` pass included, over
+/// a set of `(rel_path, source)` files that stands for the whole tree, and
+/// returns each file's findings in input order.
+pub fn lint_files(files: &[(String, String)]) -> Vec<Vec<Diagnostic>> {
+    unused_pub_fns(files)
+        .into_iter()
+        .zip(files)
+        .map(|(found, (rel, source))| lint_file(rel, source, found))
+        .collect()
+}
+
+/// Runs every per-file rule over one file, adds `workspace_findings` (this
+/// file's share of the workspace pass; empty when a file is linted on its
+/// own), and returns the findings left after allow directives, sorted by
 /// position. `rel_path` must be workspace-relative with `/` separators —
 /// rules are scoped by crate and directory.
-pub fn lint_file(rel_path: &str, source: &str) -> Vec<Diagnostic> {
+pub fn lint_file(
+    rel_path: &str,
+    source: &str,
+    workspace_findings: Vec<Diagnostic>,
+) -> Vec<Diagnostic> {
     let class = classify(rel_path);
     let lexed = lex(source);
-    let mut diags: Vec<Diagnostic> = Vec::new();
+    let mut diags = workspace_findings;
     let directives = parse_directives(&lexed, rel_path, &mut diags);
 
-    let code: Vec<&Token> = lexed
-        .tokens
-        .iter()
-        .filter(|t| !matches!(t.kind, TokenKind::LineComment | TokenKind::BlockComment))
-        .collect();
+    let code = code_tokens(&lexed);
     let test_regions = cfg_test_regions(&lexed, &code);
     let in_test = |line: u32| test_regions.iter().any(|&(a, b)| (a..=b).contains(&line));
     let in_hot = |line: u32| {
@@ -535,6 +553,74 @@ pub fn lint_file(rel_path: &str, source: &str) -> Vec<Diagnostic> {
     diags.retain(|d| d.rule == LINT_DIRECTIVE || !directives.is_allowed(d.rule, d.line));
     diags.sort_by(|a, b| (a.line, a.col, a.rule).cmp(&(b.line, b.col, b.rule)));
     diags
+}
+
+/// The non-comment tokens of `lexed`.
+fn code_tokens<'t>(lexed: &'t Lexed<'_>) -> Vec<&'t Token> {
+    lexed
+        .tokens
+        .iter()
+        .filter(|t| !matches!(t.kind, TokenKind::LineComment | TokenKind::BlockComment))
+        .collect()
+}
+
+/// `unused-pub-fn`: one finding per `pub fn` in library code (`crates/*/src`
+/// and `src/`, outside `#[cfg(test)]`) whose name no caller mentions. The
+/// index is textual: a caller is any identifier with that name in non-test
+/// code of any file outside a `tests/` directory — so benches, examples and
+/// `perfbench/src` count — except `fn <name>` definitions and `pub use`
+/// re-exports. Returns one list per file, in input order.
+fn unused_pub_fns(files: &[(String, String)]) -> Vec<Vec<Diagnostic>> {
+    let mut mentioned = BTreeSet::new();
+    let mut defs = Vec::new();
+    for (file, (rel, source)) in files.iter().enumerate() {
+        let parts: Vec<&str> = rel.split('/').collect();
+        let caller = !parts[..parts.len() - 1].contains(&"tests");
+        let library = parts[0] == "src" || (parts[0] == "crates" && parts.get(2) == Some(&"src"));
+        let lexed = lex(source);
+        let code = code_tokens(&lexed);
+        let test_regions = cfg_test_regions(&lexed, &code);
+        let mut in_pub_use = false;
+        for (i, t) in code.iter().enumerate() {
+            // A `pub use …;` item re-exports a name; it calls nothing.
+            in_pub_use |= lexed.text(t) == "use" && i >= 1 && lexed.text(code[i - 1]) == "pub";
+            if in_pub_use {
+                in_pub_use = lexed.text(t) != ";";
+                continue;
+            }
+            if t.kind != TokenKind::Ident
+                || test_regions.iter().any(|&(a, b)| (a..=b).contains(&t.line))
+            {
+                continue;
+            }
+            let name = &source[t.start..t.end];
+            if i >= 1 && lexed.text(code[i - 1]) == "fn" {
+                if library && i >= 2 && lexed.text(code[i - 2]) == "pub" {
+                    defs.push((file, name, **t));
+                }
+            } else if caller {
+                mentioned.insert(name);
+            }
+        }
+    }
+    let mut out = vec![Vec::new(); files.len()];
+    for (file, name, t) in defs {
+        if !mentioned.contains(name) {
+            out[file].push(Diagnostic {
+                rule: UNUSED_PUB_FN,
+                severity: Severity::Deny,
+                path: files[file].0.clone(),
+                line: t.line,
+                col: t.col,
+                len: (t.end - t.start) as u32,
+                message: format!("`pub fn {name}` has no caller outside test code"),
+                help: "delete it (and whatever only it uses); a test oracle or paper-facing \
+                       item can stay with `// c4u-lint: allow(unused-pub-fn, reason = \"…\")`"
+                    .to_string(),
+            });
+        }
+    }
+    out
 }
 
 /// Inclusive line ranges gated by `#[cfg(test)]` (the conventional

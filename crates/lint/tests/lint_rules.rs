@@ -1,7 +1,8 @@
 //! Fixture-driven integration tests: every rule is demonstrated by a
 //! violating fixture (with exact file:line:col span assertions), a
 //! conforming fixture, and a suppressed fixture; plus directive-error
-//! (malformed and unused directives) and workspace-cleanliness checks.
+//! (malformed and unused directives) and workspace-cleanliness checks. The
+//! workspace-wide `unused-pub-fn` rule runs over in-memory file sets.
 
 use c4u_lint::diag::Diagnostic;
 use c4u_lint::rules::{self, lint_file};
@@ -17,7 +18,7 @@ fn lint_fixture(rule_dir: &str, file: &str, virtual_path: &str) -> Vec<Diagnosti
         .join(file);
     let source = fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("fixture {} unreadable: {e}", path.display()));
-    lint_file(virtual_path, &source)
+    lint_file(virtual_path, &source, Vec::new())
 }
 
 fn rules_of(diags: &[Diagnostic]) -> Vec<&'static str> {
@@ -311,6 +312,90 @@ fn an_allow_that_suppresses_nothing_is_an_unsuppressible_error() {
         diags[1].message,
         "`allow(no-unwrap-in-lib)` suppresses no finding"
     );
+}
+
+// --- unused-pub-fn ----------------------------------------------------------
+
+/// Lints in-memory files as a whole workspace (the rule needs every file).
+fn lint_tree(files: &[(&str, &str)]) -> Vec<Vec<Diagnostic>> {
+    let files: Vec<(String, String)> = files
+        .iter()
+        .map(|(p, s)| (p.to_string(), s.to_string()))
+        .collect();
+    rules::lint_files(&files)
+}
+
+fn fixture_source(rule_dir: &str, file: &str) -> String {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(rule_dir)
+        .join(file);
+    fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("fixture {} unreadable: {e}", path.display()))
+}
+
+#[test]
+fn pub_fns_called_only_by_tests_or_named_only_by_pub_use_are_flagged() {
+    let source = fixture_source("unused-pub-fn", "violation.rs");
+    let diags = lint_tree(&[("crates/foo/src/stage.rs", &source)]).remove(0);
+    assert_eq!(
+        rules_of(&diags),
+        vec![rules::UNUSED_PUB_FN; 2],
+        "got: {diags:?}"
+    );
+    // `only_tested` is called only inside `#[cfg(test)]`.
+    assert_eq!((diags[0].line, diags[0].col), (3, 8));
+    assert_eq!(diags[0].len, "only_tested".len() as u32);
+    // `only_reexported` is named only by a `pub use`.
+    assert_eq!((diags[1].line, diags[1].col), (9, 12));
+    assert_eq!(
+        diags[1].message,
+        "`pub fn only_reexported` has no caller outside test code"
+    );
+}
+
+#[test]
+fn pub_fns_with_callers_and_trait_methods_through_dyn_are_clean() {
+    let source = fixture_source("unused-pub-fn", "conform.rs");
+    let diags = lint_tree(&[("crates/foo/src/stage.rs", &source)]).remove(0);
+    assert!(diags.is_empty(), "got: {diags:?}");
+}
+
+#[test]
+fn unused_pub_fn_allow_keeps_an_oracle_and_a_stale_allow_is_an_error() {
+    let source = fixture_source("unused-pub-fn", "suppressed.rs");
+    let diags = lint_tree(&[("crates/foo/src/stage.rs", &source)]).remove(0);
+    assert_eq!(
+        rules_of(&diags),
+        vec![rules::LINT_DIRECTIVE],
+        "got: {diags:?}"
+    );
+    assert_eq!((diags[0].line, diags[0].col), (8, 1));
+    assert_eq!(
+        diags[0].message,
+        "`allow(unused-pub-fn)` suppresses no finding"
+    );
+}
+
+#[test]
+fn benches_examples_and_other_crates_call_but_tests_directories_do_not() {
+    let library = "pub fn measured() -> u8 {\n    1\n}\n";
+    let caller = "fn main() {\n    let _ = measured();\n}\n";
+    for (path, counts) in [
+        ("crates/foo/benches/b.rs", true),
+        ("examples/e.rs", true),
+        ("perfbench/src/main.rs", true),
+        ("crates/bar/src/report.rs", true),
+        ("crates/foo/tests/t.rs", false),
+        ("tests/t.rs", false),
+    ] {
+        let diags = lint_tree(&[("crates/foo/src/stage.rs", library), (path, caller)]);
+        let flagged = diags[0].iter().any(|d| d.rule == rules::UNUSED_PUB_FN);
+        assert_eq!(flagged, !counts, "caller in {path}: {diags:?}");
+    }
+    // Only library code is checked: a bench's own `pub fn` is not.
+    let diags = lint_tree(&[("crates/foo/benches/b.rs", library)]);
+    assert!(diags[0].is_empty(), "got: {diags:?}");
 }
 
 // --- whole workspace --------------------------------------------------------

@@ -110,7 +110,8 @@ mod tests {
             .unwrap();
         replay::assert_replayed(&platform, &twin);
         for (w, score) in outcome.selected.iter().zip(&outcome.scores) {
-            assert_eq!(record.accuracy_of(*w), Some(*score));
+            let sheet = record.sheets.iter().find(|s| s.worker == *w).unwrap();
+            assert_eq!(sheet.accuracy(), *score);
         }
         let cutoff = outcome.scores[4];
         for sheet in &record.sheets {

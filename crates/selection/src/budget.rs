@@ -85,7 +85,8 @@ impl BudgetPlan {
 
     /// Expected number of workers remaining at the *start* of round `c` (1-based)
     /// under repeated halving.
-    pub fn workers_at_round(&self, round: usize) -> usize {
+    #[cfg(test)]
+    pub(crate) fn workers_at_round(&self, round: usize) -> usize {
         let mut remaining = self.pool_size;
         for _ in 1..round {
             remaining = remaining.div_ceil(2);
@@ -94,8 +95,10 @@ impl BudgetPlan {
     }
 
     /// Total number of tasks the halving schedule will actually assign (never more
-    /// than the total budget).
-    pub fn planned_spend(&self) -> usize {
+    /// than the total budget): the figure the baselines' tests check their spend
+    /// against.
+    #[cfg(test)]
+    pub(crate) fn planned_spend(&self) -> usize {
         let mut spend = 0;
         for c in 1..=self.rounds {
             let remaining = self.workers_at_round(c);

@@ -292,6 +292,7 @@ impl CpeLikelihoodKernel {
     /// Marginal log-likelihood of every observation under `model` (one `log Z`
     /// of Eq. 5 per observation, in original observation order), read from
     /// the [`e_step`](Self::e_step).
+    // c4u-lint: allow(unused-pub-fn, reason = "test oracle: pins the E-step's fused log-likelihood observation by observation")
     pub fn per_observation_log_likelihood(
         &self,
         model: &MultivariateNormal,

@@ -87,6 +87,7 @@ pub fn evaluate_strategy_with_k(
 /// [`run_indexed_jobs`]. That queue returns the trials in seed order and
 /// reports the lowest-indexed error, and the aggregation consumes them in that
 /// order, so the result is identical to a sequential run at any thread count.
+// c4u-lint: allow(unused-pub-fn, reason = "README's doctested evaluation-protocol example calls it")
 pub fn evaluate_over_trials(
     dataset: &Dataset,
     strategy: &dyn WorkerSelector,

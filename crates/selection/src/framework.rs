@@ -89,12 +89,6 @@ impl Default for SelectorConfig {
 }
 
 impl SelectorConfig {
-    /// Sets the initial target-domain accuracy `a_T` (used by both CPE and LGE).
-    pub fn with_initial_target_accuracy(mut self, a_t: f64) -> Self {
-        self.cpe.initial_target_accuracy = a_t;
-        self
-    }
-
     /// Switches the pipeline into the ME-CPE ablation (no LGE).
     pub fn cpe_only(mut self) -> Self {
         self.mode = EstimationMode::CpeOnly;
@@ -200,6 +194,7 @@ impl CrossDomainSelector {
     /// fallbacks). If a stage carries its own `CpeConfig`, build it from the
     /// same value — e.g. `StagePipeline::cpe_and_lge(config.cpe)` — or the
     /// stage-level and pipeline-level `a_T` will silently disagree.
+    // c4u-lint: allow(unused-pub-fn, reason = "README's doctested stage-architecture example calls it")
     pub fn with_pipeline(
         config: SelectorConfig,
         pipeline: StagePipeline,
@@ -213,13 +208,9 @@ impl CrossDomainSelector {
     }
 
     /// Creates the full method with default configuration.
+    // c4u-lint: allow(unused-pub-fn, reason = "README's doctested stage-architecture example calls it")
     pub fn with_defaults() -> Self {
         Self::new(SelectorConfig::default())
-    }
-
-    /// Creates the ME-CPE ablation with default configuration.
-    pub fn cpe_only() -> Self {
-        Self::new(SelectorConfig::default().cpe_only())
     }
 
     /// The configuration in use.
@@ -555,13 +546,11 @@ mod tests {
 
     #[test]
     fn config_builders() {
-        let c = SelectorConfig::default().with_initial_target_accuracy(0.3);
-        assert!((c.cpe.initial_target_accuracy - 0.3).abs() < 1e-12);
-        let c = c.cpe_only();
+        let c = SelectorConfig::default().cpe_only();
         assert_eq!(c.mode, EstimationMode::CpeOnly);
         let s = CrossDomainSelector::with_defaults();
         assert_eq!(s.name(), "Ours");
-        let s = CrossDomainSelector::cpe_only();
+        let s = CrossDomainSelector::new(c);
         assert_eq!(s.name(), "ME-CPE");
         assert_eq!(s.config().mode, EstimationMode::CpeOnly);
     }
@@ -596,10 +585,10 @@ mod tests {
         // Two workers join before round 2; worker 0 departs at the same time.
         let schedule = CampaignSchedule::empty().with_round(
             2,
-            RoundEvents::none()
-                .with_join(ds.workers[1].clone())
-                .with_join(ds.workers[2].clone())
-                .with_leave(0),
+            RoundEvents {
+                joins: vec![ds.workers[1].clone(), ds.workers[2].clone()],
+                leaves: vec![0],
+            },
         );
         let report = CrossDomainSelector::new(fast_config())
             .run_with_events(&mut platform, 7, &schedule)

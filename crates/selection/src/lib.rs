@@ -25,7 +25,7 @@
 //!
 //! Baselines: [`UniformSampling`], [`MedianEliminationBaseline`], [`LiEtAl`],
 //! the [`GroundTruthOracle`], and the ME-CPE ablation
-//! ([`CrossDomainSelector::cpe_only`]).
+//! ([`SelectorConfig::cpe_only`]).
 //!
 //! Beyond the paper's line-up, the stage zoo composes alternative estimation
 //! pipelines on the [`EstimationStage`] seam — [`BktStage`], [`RaschStage`],
@@ -83,7 +83,7 @@ pub use framework::{
     CrossDomainSelector, EstimationMode, PipelineReport, RoundDiagnostics, SelectorConfig,
 };
 pub use lge::{LearningGainEstimator, LgeConfig, LgeEstimate, LgeWorkerInput};
-pub use me::{median_eliminate, rounds_until_at_most, sort_by_score, top_k, ScoredWorker};
+pub use me::{median_eliminate, rounds_until_at_most, top_k, ScoredWorker};
 pub use selector::{SelectionOutcome, WorkerSelector};
 pub use stage::{
     num_prior_domains, BktStage, CpeStage, EnsembleStage, EstimationStage, LgeStage, RaschStage,

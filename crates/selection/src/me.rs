@@ -43,16 +43,9 @@ fn by_rank(a: &ScoredWorker, b: &ScoredWorker) -> Ordering {
         .then_with(|| a.worker.cmp(&b.worker))
 }
 
-/// Sorts workers in non-increasing score order (ties broken by worker id so that the
-/// process is fully deterministic; NaN scores last).
-pub fn sort_by_score(scored: &[ScoredWorker]) -> Vec<ScoredWorker> {
-    let mut sorted = scored.to_vec();
-    sorted.sort_by(by_rank);
-    sorted
-}
-
-/// The first `keep` workers of [`sort_by_score`]'s order, without sorting the
-/// rest: a partition puts the best `keep` first, and only they are sorted.
+/// The first `keep` workers in rank order (non-increasing score, ties broken
+/// by worker id, NaN scores last), without sorting the rest: a partition puts
+/// the best `keep` first, and only they are sorted.
 fn best_ids(scored: &[ScoredWorker], keep: usize) -> Vec<WorkerId> {
     if keep == 0 {
         return Vec::new();
@@ -99,6 +92,13 @@ pub fn rounds_until_at_most(pool: usize, k: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every worker in rank order: the full sort [`best_ids`] must agree with.
+    fn sort_by_score(scored: &[ScoredWorker]) -> Vec<ScoredWorker> {
+        let mut sorted = scored.to_vec();
+        sorted.sort_by(by_rank);
+        sorted
+    }
 
     fn scored(values: &[f64]) -> Vec<ScoredWorker> {
         values

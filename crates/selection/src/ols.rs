@@ -5,12 +5,13 @@
 //! multiple features of workers and then selects workers based on the regressed
 //! values", with the historical per-domain accuracies as features. This module
 //! implements that regression: an intercept plus one coefficient per feature, fitted
-//! by solving the normal equations with a ridge fallback when the design matrix is
+//! by solving the normal equations with a Cholesky factorisation of the Gram matrix
+//! (symmetric by construction) and a ridge fallback when the design matrix is
 //! (near-)rank-deficient — which happens routinely when every recruited worker has a
 //! similar profile.
 
 use crate::SelectionError;
-use c4u_linalg::{Lu, Matrix, Vector};
+use c4u_linalg::{Cholesky, Matrix, Vector};
 
 /// A fitted ordinary-least-squares model `y ≈ intercept + x · coefficients`.
 #[derive(Debug, Clone, PartialEq)]
@@ -25,8 +26,9 @@ impl LinearRegression {
     /// * `features` — one row per observation, all rows the same length;
     /// * `targets` — one response per observation.
     ///
-    /// A tiny ridge penalty (`1e-8` on the diagonal of the Gram matrix) is added
-    /// automatically if the plain normal equations are singular.
+    /// A tiny ridge penalty (`1e-8` times the mean diagonal of the Gram matrix,
+    /// growing tenfold for up to three tries) is added automatically if the
+    /// Gram matrix is not numerically positive definite.
     pub(crate) fn fit(features: &[Vec<f64>], targets: &[f64]) -> Result<Self, SelectionError> {
         if features.len() != targets.len() {
             return Err(dimension_mismatch(
@@ -67,18 +69,11 @@ impl LinearRegression {
         let gram = xt.matmul(&x)?;
         let rhs = xt.matvec(&y)?;
 
-        let beta = match Lu::new(&gram).and_then(|lu| lu.solve(&rhs)) {
-            Ok(beta) => beta,
-            Err(_) => {
-                // Ridge fallback for rank-deficient designs.
-                let ridged = gram.add_diagonal(1e-8)?;
-                Lu::new(&ridged)
-                    .and_then(|lu| lu.solve(&rhs))
-                    .map_err(|_| {
-                        SelectionError::Numerical("design matrix is rank deficient".to_string())
-                    })?
-            }
-        };
+        let beta = Cholesky::new_with_jitter(&gram, 1e-8, 3)
+            .and_then(|chol| chol.solve(&rhs))
+            .map_err(|_| {
+                SelectionError::Numerical("design matrix is rank deficient".to_string())
+            })?;
 
         let intercept = beta[0];
         let coefficients: Vec<f64> = (1..=p).map(|j| beta[j]).collect();

@@ -58,12 +58,7 @@ impl EnsembleStage {
         Ok(Self { children, weights })
     }
 
-    /// Names of the child stages, in combination order.
-    pub fn child_names(&self) -> Vec<&str> {
-        self.children.iter().map(|c| c.name()).collect()
-    }
-
-    /// The (unnormalised) child weights, aligned with [`Self::child_names`].
+    /// The (unnormalised) child weights, in combination order.
     pub fn weights(&self) -> &[f64] {
         &self.weights
     }
@@ -164,7 +159,8 @@ mod tests {
         )
         .unwrap();
         assert_eq!(ok.name(), "ensemble");
-        assert_eq!(ok.child_names(), vec!["cpe", "bkt"]);
+        let names: Vec<&str> = ok.children.iter().map(|c| c.name()).collect();
+        assert_eq!(names, vec!["cpe", "bkt"]);
         assert_eq!(ok.weights(), &[0.7, 0.3]);
     }
 

@@ -63,11 +63,6 @@ impl BktStage {
         &self.params
     }
 
-    /// The current tracker of a worker, if the worker has been scored.
-    pub fn tracker(&self, worker: WorkerId) -> Option<&BktModel> {
-        self.trackers.get(&worker)
-    }
-
     /// A fresh tracker for a first-seen worker: prior mastery from the mean
     /// accuracy over the worker's observed prior domains (falling back to
     /// `a_T` for an empty history).
@@ -162,11 +157,6 @@ impl RaschStage {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// The observed per-round sheet accuracies recorded for a worker so far.
-    pub fn observed(&self, worker: WorkerId) -> Option<&[f64]> {
-        self.curves.as_ref()?.trajectory(worker)
-    }
 }
 
 impl EstimationStage for RaschStage {
@@ -202,6 +192,12 @@ mod tests {
     use super::*;
     use crate::stage::num_prior_domains;
     use c4u_crowd_sim::{generate, DatasetConfig, Platform};
+
+    /// The per-round sheet accuracies the stage recorded for a worker.
+    fn observed(stage: &RaschStage, worker: WorkerId) -> Option<&[f64]> {
+        let curve = stage.curves.as_ref()?.workers.get(worker)?;
+        (!curve.trajectory.is_empty()).then_some(curve.trajectory.as_slice())
+    }
 
     fn rw1_round(seed: u64) -> (Platform, Vec<AnswerSheet>) {
         let ds = generate(&DatasetConfig::rw1()).unwrap();
@@ -287,9 +283,13 @@ mod tests {
             assert!(s >= slip_guess.1 - 1e-12 && s <= 1.0 - slip_guess.0 + 1e-12);
         }
         // Every scored worker now holds a tracker, and re-initialising clears them.
-        assert!(sheets.iter().all(|s| stage.tracker(s.worker).is_some()));
+        assert!(sheets
+            .iter()
+            .all(|s| stage.trackers.contains_key(&s.worker)));
         stage.initialize(&init).unwrap();
-        assert!(sheets.iter().all(|s| stage.tracker(s.worker).is_none()));
+        assert!(sheets
+            .iter()
+            .all(|s| !stage.trackers.contains_key(&s.worker)));
     }
 
     #[test]
@@ -355,7 +355,7 @@ mod tests {
         // One observation per worker after round 1, two after a second round.
         assert!(sheets
             .iter()
-            .all(|s| stage.observed(s.worker).map(<[f64]>::len) == Some(1)));
+            .all(|s| observed(&stage, s.worker).map(<[f64]>::len) == Some(1)));
         let ctx2 = RoundContext {
             header: crate::stage::RoundHeader {
                 round: 2,
@@ -368,7 +368,7 @@ mod tests {
         assert_eq!(second.len(), sheets.len());
         assert!(sheets
             .iter()
-            .all(|s| stage.observed(s.worker).map(<[f64]>::len) == Some(2)));
+            .all(|s| observed(&stage, s.worker).map(<[f64]>::len) == Some(2)));
     }
 
     #[test]
@@ -399,7 +399,7 @@ mod tests {
             })
             .unwrap();
             assert_eq!(expected.observe_batch(sheet.correctness()), score);
-            assert_eq!(stage.tracker(sheet.worker), Some(&expected));
+            assert_eq!(stage.trackers.get(&sheet.worker), Some(&expected));
         }
     }
 
@@ -422,11 +422,14 @@ mod tests {
             .estimate(&ctx_of(&sheets, &profiles, &[0.0, 6.0], 2), &[])
             .unwrap();
         for sheet in &sheets {
-            assert_eq!(stage.observed(sheet.worker), Some(&[sheet.accuracy()][..]));
+            assert_eq!(
+                observed(&stage, sheet.worker),
+                Some(&[sheet.accuracy()][..])
+            );
         }
-        assert!(stage.observed(999).is_none());
+        assert!(observed(&stage, 999).is_none());
         stage.initialize(&init).unwrap();
-        assert!(stage.observed(sheets[0].worker).is_none());
+        assert!(observed(&stage, sheets[0].worker).is_none());
     }
 
     #[test]

@@ -62,7 +62,7 @@ pub use irt::{BktStage, RaschStage};
 use crate::cpe::{CpeConfig, CpeObservation, CrossDomainEstimator};
 use crate::lge::{profile_anchors, LearningGainEstimator, LgeConfig};
 use crate::SelectionError;
-use c4u_crowd_sim::{AnswerSheet, HistoricalProfile, WorkerId, WorkerShards};
+use c4u_crowd_sim::{AnswerSheet, HistoricalProfile, WorkerShards};
 use c4u_irt::{log_tasks, BktParams, LearningTerm};
 use std::fmt;
 use std::ops::Range;
@@ -227,15 +227,6 @@ impl LearningCurves {
             workers: vec![WorkerCurve::default(); init.profiles.len()],
             anchor_terms: Vec::new(),
         })
-    }
-
-    /// The values recorded for `worker` so far, in round order; `None` for a
-    /// worker never scored.
-    pub(crate) fn trajectory(&self, worker: WorkerId) -> Option<&[f64]> {
-        self.workers
-            .get(worker)
-            .filter(|curve| !curve.trajectory.is_empty())
-            .map(|curve| curve.trajectory.as_slice())
     }
 
     /// Fits each worker's trajectory plus this round's value (`values`,
@@ -669,16 +660,8 @@ impl StagePipeline {
         Self::new(vec![Box::new(stage)]).expect("one stage")
     }
 
-    /// A pipeline consisting of a single [`EnsembleStage`] over arbitrary
-    /// children (see [`EnsembleStage::new`] for the weight requirements).
-    pub fn ensemble(
-        children: Vec<Box<dyn EstimationStage>>,
-        weights: Vec<f64>,
-    ) -> Result<Self, SelectionError> {
-        Self::new(vec![Box::new(EnsembleStage::new(children, weights)?)])
-    }
-
     /// Stage names in pipeline order.
+    // c4u-lint: allow(unused-pub-fn, reason = "README's doctested stage-architecture example calls it")
     pub fn stage_names(&self) -> Vec<&str> {
         self.stages.iter().map(|s| s.name()).collect()
     }
@@ -742,7 +725,7 @@ impl StagePipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use c4u_crowd_sim::{generate, DatasetConfig, Platform};
+    use c4u_crowd_sim::{generate, DatasetConfig, Platform, WorkerId};
     use std::collections::HashMap;
 
     fn fast_cpe() -> CpeConfig {
@@ -1184,7 +1167,9 @@ mod tests {
             for round in 1..=3 {
                 match round {
                     2 => {
-                        platform.remove_worker(5).unwrap();
+                        platform
+                            .apply_events(&c4u_crowd_sim::RoundEvents::none().with_leave(5))
+                            .unwrap();
                         pool.retain(|&w| w < 14 && w != 5);
                         for spec in &ds.workers[..2] {
                             pool.push(platform.add_worker(spec).unwrap());
@@ -1192,7 +1177,9 @@ mod tests {
                         assert_eq!(pool[pool.len() - 2..], [27, 28]);
                     }
                     3 => {
-                        platform.remove_worker(27).unwrap();
+                        platform
+                            .apply_events(&c4u_crowd_sim::RoundEvents::none().with_leave(27))
+                            .unwrap();
                         pool.retain(|&w| w < 7 || w == 28);
                     }
                     _ => {}

@@ -191,5 +191,8 @@ fn triangle_packing_roundtrip() {
     let tri = lower_triangle(&m);
     assert_eq!(tri.len(), 6);
     let back = from_lower_triangle(&tri, 3);
-    assert!(back.max_abs_diff(&m).unwrap() < 1e-12);
+    for (a, b) in back.as_slice().iter().zip(m.as_slice()) {
+        assert!((a - b).abs() < 1e-12);
+    }
+    assert_eq!(back.shape(), m.shape());
 }

@@ -88,6 +88,7 @@ pub fn binomial_normal_moments(
 /// the posterior-mean integral halves the quadrature work per evaluation. The
 /// returned value is bit-identical to `binomial_normal_moments(...).0` (the
 /// two integrals are independent).
+// c4u-lint: allow(unused-pub-fn, reason = "test oracle: the scalar Eq. 5 normaliser the batched sweep is pinned against")
 pub fn binomial_normal_log_z(
     quadrature: &GaussLegendre,
     mu: f64,

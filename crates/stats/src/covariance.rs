@@ -84,7 +84,9 @@ mod tests {
     fn nearest_psd_is_noop_for_valid_covariance() {
         let good = Matrix::from_rows(&[vec![0.04, 0.01], vec![0.01, 0.09]]).unwrap();
         let fixed = nearest_positive_definite(&good, 1e-9).unwrap();
-        assert!(fixed.max_abs_diff(&good).unwrap() < 1e-9);
+        for (got, want) in fixed.as_slice().iter().zip(good.as_slice()) {
+            assert!((got - want).abs() < 1e-9);
+        }
         assert!(nearest_positive_definite(&Matrix::zeros(2, 3), 1e-9).is_err());
     }
 
@@ -112,7 +114,7 @@ mod tests {
     fn asymmetric_input_is_symmetrised() {
         let m = Matrix::from_rows(&[vec![0.04, 0.02], vec![0.0, 0.09]]).unwrap();
         let fixed = nearest_positive_definite(&m, 1e-9).unwrap();
-        assert!(fixed.is_symmetric(0.0));
+        assert_eq!(fixed, fixed.transpose());
         assert!((fixed[(0, 1)] - 0.01).abs() < 1e-15);
         // A negative variance is floored before the correlations are rebuilt.
         let neg = Matrix::from_rows(&[vec![-1.0, 0.0], vec![0.0, 1.0]]).unwrap();

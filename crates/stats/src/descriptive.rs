@@ -170,11 +170,6 @@ impl Histogram {
         })
     }
 
-    /// Number of buckets.
-    pub fn bins(&self) -> usize {
-        self.counts.len()
-    }
-
     /// Raw counts per bucket.
     pub fn counts(&self) -> &[usize] {
         &self.counts
@@ -192,47 +187,9 @@ impl Histogram {
             .collect()
     }
 
-    /// Midpoint of bucket `i`.
-    pub fn bin_center(&self, i: usize) -> f64 {
-        let width = (self.upper - self.lower) / self.bins() as f64;
-        self.lower + (i as f64 + 0.5) * width
-    }
-
     /// Total number of observations.
     pub fn total(&self) -> usize {
         self.counts.iter().sum()
-    }
-}
-
-/// Summary of a sample: count, mean, standard deviation, min, max, median.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Summary {
-    /// Number of observations.
-    pub count: usize,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Unbiased sample standard deviation.
-    pub std_dev: f64,
-    /// Minimum observation.
-    pub min: f64,
-    /// Maximum observation.
-    pub max: f64,
-    /// Median observation.
-    pub median: f64,
-}
-
-impl Summary {
-    /// Computes the summary of `data`; returns an error for an empty slice.
-    pub fn of(data: &[f64]) -> Result<Self, StatsError> {
-        let empty = || StatsError::NotEnoughData { needed: 1, got: 0 };
-        Ok(Self {
-            count: data.len(),
-            mean: mean(data),
-            std_dev: std_dev(data),
-            min: min(data).ok_or_else(empty)?,
-            max: max(data).ok_or_else(empty)?,
-            median: median(data).ok_or_else(empty)?,
-        })
     }
 }
 
@@ -304,15 +261,13 @@ mod tests {
     fn histogram_bucketing() {
         let data = [0.05, 0.15, 0.15, 0.95, 1.2, -0.3];
         let h = Histogram::new(&data, 10, 0.0, 1.0).unwrap();
-        assert_eq!(h.bins(), 10);
+        assert_eq!(h.counts().len(), 10);
         assert_eq!(h.total(), 6);
         assert_eq!(h.counts()[0], 2); // 0.05 and the clamped -0.3
         assert_eq!(h.counts()[1], 2); // both 0.15
         assert_eq!(h.counts()[9], 2); // 0.95 and the clamped 1.2
         let freq = h.frequencies();
         assert!((freq.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-        assert!((h.bin_center(0) - 0.05).abs() < 1e-12);
-        assert!((h.bin_center(9) - 0.95).abs() < 1e-12);
     }
 
     #[test]
@@ -322,17 +277,6 @@ mod tests {
         let h = Histogram::new(&[], 4, 0.0, 1.0).unwrap();
         assert_eq!(h.total(), 0);
         assert_eq!(h.frequencies(), vec![0.0; 4]);
-    }
-
-    #[test]
-    fn summary_reports_all_fields() {
-        let s = Summary::of(&DATA).unwrap();
-        assert_eq!(s.count, 6);
-        assert!((s.mean - 26.0 / 6.0).abs() < 1e-12);
-        assert_eq!(s.min, 2.0);
-        assert_eq!(s.max, 7.0);
-        assert_eq!(s.median, 4.0);
-        assert!(Summary::of(&[]).is_err());
     }
 
     #[test]
@@ -359,13 +303,6 @@ mod tests {
         assert!(Histogram::new(&[], 3, f64::NAN, 1.0).is_err());
         assert!(Histogram::new(&[], 3, 0.0, f64::NAN).is_err());
         assert!(Histogram::new(&[], 3, 1.0, 1.0).is_err());
-    }
-
-    #[test]
-    fn summary_of_one_value() {
-        let s = Summary::of(&[0.42]).unwrap();
-        assert_eq!((s.count, s.mean, s.std_dev), (1, 0.42, 0.0));
-        assert_eq!((s.min, s.max, s.median), (0.42, 0.42, 0.42));
     }
 
     #[test]

@@ -91,30 +91,13 @@ impl GaussLegendre {
         self.nodes.len()
     }
 
-    /// The rule's nodes and weights mapped onto `[a, b]`, in node order.
-    ///
-    /// Summing `w * f(x)` over the returned `(x, w)` pairs reproduces
-    /// [`GaussLegendre::integrate`] up to rounding (the interval scaling is
-    /// folded into the weights). Exposed so batched callers can share per-node
-    /// work —
-    /// the CPE sweeps tabulate `ln x` / `ln(1 - x)` once per node for
-    /// a whole group of integrands.
-    pub fn points(&self, a: f64, b: f64) -> impl Iterator<Item = (f64, f64)> + '_ {
-        let half = 0.5 * (b - a);
-        let mid = 0.5 * (a + b);
-        self.nodes
-            .iter()
-            .zip(self.weights.iter())
-            .map(move |(&x, &w)| (mid + half * x, w * half))
-    }
-
     /// The rule's raw nodes and weights on the canonical interval `[-1, 1]`,
     /// in node order.
     ///
     /// [`GaussLegendre::integrate`] folds the interval half-width into the
     /// *final sum* rather than into the weights, so a caller replicating its
     /// arithmetic bit for bit (the batched binomial×normal kernel) needs the
-    /// raw weights; [`GaussLegendre::points`] only exposes the folded form.
+    /// raw weights.
     pub fn raw_points(&self) -> impl Iterator<Item = (f64, f64)> + '_ {
         self.nodes.iter().copied().zip(self.weights.iter().copied())
     }
@@ -128,11 +111,6 @@ impl GaussLegendre {
             sum += w * f(mid + half * x);
         }
         sum * half
-    }
-
-    /// Integrates `x * f(x)` over `[a, b]` — convenience for first moments.
-    pub fn integrate_moment(&self, a: f64, b: f64, mut f: impl FnMut(f64) -> f64) -> f64 {
-        self.integrate(a, b, |x| x * f(x))
     }
 }
 
@@ -180,7 +158,7 @@ mod tests {
         let mass = gl.integrate(-8.0, 8.0, std_normal_pdf);
         assert!((mass - 1.0).abs() < 1e-9, "mass {mass}");
         // First moment of the standard normal over a symmetric interval is 0.
-        let moment = gl.integrate_moment(-8.0, 8.0, std_normal_pdf);
+        let moment = gl.integrate(-8.0, 8.0, |x| x * std_normal_pdf(x));
         assert!(moment.abs() < 1e-10);
     }
 
@@ -207,8 +185,6 @@ mod tests {
     fn points_reproduce_integrate() {
         let gl = GaussLegendre::new(12);
         let f = |x: f64| (x * x + 1.0).ln();
-        let via_points: f64 = gl.points(0.5, 2.0).map(|(x, w)| w * f(x)).sum();
-        assert!((via_points - gl.integrate(0.5, 2.0, f)).abs() < 1e-14);
         let raw: f64 = gl.raw_points().map(|(x, w)| w * f(1.25 + 0.75 * x)).sum();
         assert_eq!(raw * 0.75, gl.integrate(0.5, 2.0, f));
     }
@@ -221,9 +197,6 @@ mod tests {
                 let (mx, mw) = raw[n - 1 - i];
                 assert!((x + mx).abs() < 1e-14 && (w - mw).abs() < 1e-14, "{n}/{i}");
                 assert!(x.abs() < 1.0 && w > 0.0);
-            }
-            for (x, _) in GaussLegendre::new(n).points(2.0, 3.0) {
-                assert!(x > 2.0 && x < 3.0);
             }
         }
     }

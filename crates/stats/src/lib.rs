@@ -11,7 +11,7 @@
 //! provides every one of those primitives, built from scratch on `rand` +
 //! `c4u-linalg`:
 //!
-//! * the logistic link functions [`sigmoid`], [`logit`] and [`log1p_exp`];
+//! * the logistic link functions [`sigmoid`] and [`logit`];
 //! * the [`Bernoulli`] answer draw and the [`Uniform`] distribution;
 //! * the [`MultivariateNormal`] with conditioning ([`Conditional1D`]), sampling and
 //!   box-truncated sampling;
@@ -23,7 +23,7 @@
 //!   the second moment about the conditional mean per worker
 //!   ([`BinomialNormalMoments`]), bit-identical to the scalar forms;
 //! * descriptive statistics: [`mean`], [`std_dev`], [`quantile`],
-//!   [`pearson_correlation`], [`Histogram`], [`Summary`];
+//!   [`pearson_correlation`], [`Histogram`];
 //! * the PSD projection of covariance iterates, [`nearest_positive_definite`].
 //!
 //! ## Example
@@ -64,13 +64,12 @@ pub use batch::{
 pub use binomial_normal::{binomial_normal_log_z, binomial_normal_moments};
 pub use covariance::nearest_positive_definite;
 pub use descriptive::{
-    covariance, max, mean, median, min, pearson_correlation, quantile, std_dev, variance,
-    Histogram, Summary,
+    covariance, max, mean, median, min, pearson_correlation, quantile, std_dev, variance, Histogram,
 };
 pub use error::StatsError;
 pub use integrate::GaussLegendre;
 pub use mvn::{conditioning_factorizations, Conditional1D, Conditioner, MultivariateNormal};
-pub use special::{log1p_exp, logit, sigmoid};
+pub use special::{logit, sigmoid};
 pub use univariate::{Bernoulli, Uniform};
 pub use vmath::{vexp, vexp_scalar, VEXP_LANES};
 

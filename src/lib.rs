@@ -6,14 +6,13 @@
 //!
 //! The actual implementation lives in the per-layer crates, re-exported here:
 //!
-//! * [`linalg`] — dense vectors/matrices, LU, Cholesky;
+//! * [`linalg`] — dense vectors/matrices, Cholesky;
 //! * [`stats`] — descriptive stats, quadrature, (truncated) multivariate normals;
-//! * [`irt`] — Rasch items, learning-gain curves, alpha calibration and its
-//!   scalar minimiser;
+//! * [`irt`] — Rasch items, learning-gain curves, BKT, and the Eq. 11 alpha
+//!   calibration;
 //! * [`crowd_sim`] — dataset generator and the simulated crowdsourcing platform;
-//! * [`selection`] — CPE/LGE/ME stages, the stage pipeline, the
-//!   central-difference gradient cross-check, baselines, and the evaluation
-//!   protocol (`evaluate_over_trials` fans trials out over threads).
+//! * [`selection`] — CPE/LGE/ME stages, the stage pipeline, baselines, and the
+//!   evaluation protocol (`evaluate_over_trials` fans trials out over threads).
 //!
 //! The `examples/` directory holds runnable end-to-end walkthroughs and the
 //! `tests/` directory the cross-crate integration suite; see the workspace

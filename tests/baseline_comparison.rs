@@ -4,7 +4,7 @@
 //! method at least as good as the static baselines on average — without asserting
 //! any absolute accuracy values, which depend on the simulator's noise.
 
-use c4u_crowd_sim::{generate, DatasetConfig};
+use c4u_crowd_sim::{generate, DatasetConfig, Platform};
 use c4u_selection::{
     evaluate_over_trials, evaluate_strategy, CrossDomainSelector, GroundTruthOracle, LiEtAl,
     MedianEliminationBaseline, SelectorConfig, UniformSampling, WorkerSelector,
@@ -145,4 +145,108 @@ fn me_cpe_ablation_sits_between_me_and_full_method_in_structure() {
     assert_eq!(me_cpe.rounds, ours.rounds);
     assert_eq!(me.budget_spent, me_cpe.budget_spent);
     assert_eq!(me_cpe.budget_spent, ours.budget_spent);
+}
+
+#[test]
+fn li_et_al_selections_are_pinned_on_every_paper_preset() {
+    // Li et al.'s selections and regressed scores at platform seed 7, one row
+    // per paper preset. The regression solves its Gram matrix by Cholesky;
+    // these values were captured while it was still solved by LU with partial
+    // pivoting, so the pin also bounds what the factorisation change may move:
+    // the same workers in the same order, every score within 1e-12 relative.
+    let pins: [(&str, DatasetConfig, &[usize], &[f64]); 6] = [
+        (
+            "RW-1",
+            DatasetConfig::rw1(),
+            &[16, 12, 20, 10, 11, 22, 15],
+            &[
+                0.7556844004636656,
+                0.7214147011479071,
+                0.7091032089538747,
+                0.6978551003977059,
+                0.6855436082036737,
+                0.682878830937335,
+                0.6811754583084537,
+            ],
+        ),
+        (
+            "RW-2",
+            DatasetConfig::rw2(),
+            &[33, 1, 31, 21, 16, 23, 15, 27, 25],
+            &[
+                0.8498663724037666,
+                0.8391014923422662,
+                0.8373587530472488,
+                0.8265917082907505,
+                0.7890688502211972,
+                0.7854776706073665,
+                0.7675325960132026,
+                0.7549149462428928,
+                0.737295633500109,
+            ],
+        ),
+        (
+            "S-1",
+            DatasetConfig::s1(),
+            &[36, 34, 33, 22, 6],
+            &[
+                0.5212698198413757,
+                0.5204487542582142,
+                0.5203571222204769,
+                0.5191766314047268,
+                0.5126644345412565,
+            ],
+        ),
+        (
+            "S-2",
+            DatasetConfig::s2(),
+            &[11, 25, 23, 32, 39],
+            &[
+                0.6350178113462003,
+                0.6313410574813286,
+                0.6244739558447819,
+                0.6108854446240448,
+                0.6104965495250902,
+            ],
+        ),
+        (
+            "S-3",
+            DatasetConfig::s3(),
+            &[60, 6, 10, 4, 46],
+            &[
+                0.5930798132761551,
+                0.5903814095259924,
+                0.588826941491403,
+                0.5880497074741083,
+                0.586700505599027,
+            ],
+        ),
+        (
+            "S-4",
+            DatasetConfig::s4(),
+            &[15, 72, 3, 53, 96],
+            &[
+                0.6433729008130004,
+                0.6428744858745997,
+                0.6377200907751971,
+                0.630275640966872,
+                0.6215379663264258,
+            ],
+        ),
+    ];
+    for (preset, config, selected, scores) in pins {
+        let dataset = generate(&config).unwrap();
+        let mut platform = Platform::from_dataset(&dataset, 7).unwrap();
+        let outcome = LiEtAl::new()
+            .select(&mut platform, dataset.config.select_k)
+            .unwrap();
+        assert_eq!(outcome.selected, selected, "{preset}");
+        assert_eq!(outcome.scores.len(), scores.len(), "{preset}");
+        for (got, want) in outcome.scores.iter().zip(scores) {
+            assert!(
+                (got - want).abs() <= 1e-12 * want.abs(),
+                "{preset}: score {got} moved from {want}"
+            );
+        }
+    }
 }

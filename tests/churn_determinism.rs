@@ -38,11 +38,10 @@ fn fast_config(mode: EstimationMode) -> SelectorConfig {
 fn fixed_schedule(dataset: &c4u_crowd_sim::Dataset) -> CampaignSchedule {
     CampaignSchedule::empty().with_round(
         2,
-        RoundEvents::none()
-            .with_join(dataset.workers[1].clone())
-            .with_join(dataset.workers[4].clone())
-            .with_leave(0)
-            .with_leave(3),
+        RoundEvents {
+            joins: vec![dataset.workers[1].clone(), dataset.workers[4].clone()],
+            leaves: vec![0, 3],
+        },
     )
 }
 
@@ -151,9 +150,8 @@ proptest! {
         let mut churned = Platform::from_dataset(&dataset, 47).unwrap();
         let mut events = RoundEvents::none();
         for &w in &departures {
-            events = events
-                .with_leave(w)
-                .with_join(dataset.workers[w].clone());
+            events.leaves.push(w);
+            events.joins.push(dataset.workers[w].clone());
         }
         let applied = churned.apply_events(&events).unwrap();
         prop_assert_eq!(applied.departed.len(), departures.len());

@@ -10,8 +10,8 @@
 //! only if it exists relative to the workspace root, a `C4U_*` variable only
 //! if it is registered in `c4u_bench::env::KNOBS`, a `c4u_<crate>::<item>`
 //! path only if `<item>` is public at that crate's root, and a
-//! `CpeConfig::<name>` or `SelectorConfig::<name>` only if `<name>` is a
-//! field, associated const or method of that type.
+//! `Type::<name>` for any `pub struct Type` of the workspace only if `<name>`
+//! is a field, associated const or method of that type.
 //!
 //! Scanned: every `.rs` file of the workspace, plus the root `README.md` and
 //! `ARCHITECTURE.md` (and, for bench names, source paths and knobs, the verify
@@ -389,9 +389,6 @@ fn the_path_and_knob_scanners_find_what_they_should() {
     assert_eq!(cited_knobs(text), ["C4U_TRIALS", "C4U_QUAD_MATH"]);
 }
 
-/// The types whose members prose may cite as `Type::member`.
-const CITED_TYPES: &[&str] = &["CpeConfig", "SelectorConfig"];
-
 /// The identifier at the start of `text`.
 fn leading_ident(text: &str) -> &str {
     let len = text
@@ -454,17 +451,55 @@ fn public_root_names(lib: &str) -> Vec<String> {
     names
 }
 
+/// The names of the `pub struct`s declared in `source`, the types whose
+/// members prose may cite as `Type::member`.
+fn pub_structs(source: &str) -> Vec<String> {
+    source
+        .lines()
+        .filter_map(|line| line.trim_start().strip_prefix("pub struct "))
+        .map(|rest| leading_ident(rest).to_string())
+        .collect()
+}
+
+/// The type an `impl` header line (`impl<..> T<..> {` or
+/// `impl<..> Trait<..> for T<..> {`) implements, without its path and
+/// generic arguments.
+fn impl_self_type(line: &str) -> Option<&str> {
+    let mut header = line.strip_prefix("impl")?.strip_suffix(" {")?;
+    if header.starts_with('<') {
+        // Skip the impl's own generic parameters (`->` is not a bracket).
+        let mut depth = 0usize;
+        let bytes = header.as_bytes();
+        let close = (0..bytes.len()).find(|&i| {
+            match bytes[i] {
+                b'<' => depth += 1,
+                b'>' if i == 0 || bytes[i - 1] != b'-' => depth -= 1,
+                _ => {}
+            }
+            depth == 0
+        })?;
+        header = &header[close + 1..];
+    }
+    let self_type = header.rsplit_once(" for ").map_or(header, |(_, ty)| ty);
+    let self_type = self_type.trim().split('<').next()?;
+    self_type.rsplit("::").next()
+}
+
 /// The fields, associated consts and methods of the type `name` declared in
 /// `source`: the `pub` fields of its `struct` body and every `fn`/`const` of
-/// its `impl` blocks (inherent or trait), as rustfmt lays them out.
+/// its `impl` blocks (inherent or trait, generic or not), as rustfmt lays
+/// them out.
 fn type_members(source: &str, name: &str) -> Vec<String> {
     let mut members = Vec::new();
     let mut in_struct = false;
     let mut in_impl = false;
     for line in source.lines() {
-        if line.starts_with("pub struct ") && line == format!("pub struct {name} {{") {
+        let struct_header = line
+            .strip_prefix("pub struct ")
+            .is_some_and(|rest| leading_ident(rest) == name && line.ends_with(" {"));
+        if struct_header {
             in_struct = true;
-        } else if line.starts_with("impl") && line.ends_with(&format!(" {name} {{")) {
+        } else if impl_self_type(line) == Some(name) {
             in_impl = true;
         } else if line == "}" {
             (in_struct, in_impl) = (false, false);
@@ -476,7 +511,11 @@ fn type_members(source: &str, name: &str) -> Vec<String> {
             let Some(member) = line.strip_prefix("    ") else {
                 continue;
             };
-            let member = member.strip_prefix("pub ").unwrap_or(member);
+            // Any visibility: prose may cite crate-private methods too.
+            let member = match member.strip_prefix("pub(") {
+                Some(restricted) => restricted.split_once(") ").map_or(member, |(_, m)| m),
+                None => member.strip_prefix("pub ").unwrap_or(member),
+            };
             for keyword in ["fn ", "const "] {
                 if let Some(declared) = member.strip_prefix(keyword) {
                     members.push(leading_ident(declared).to_string());
@@ -491,20 +530,31 @@ fn type_members(source: &str, name: &str) -> Vec<String> {
 fn cited_api_names_exist() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut crate_names = Vec::new();
-    let mut member_names: Vec<(&str, Vec<String>)> =
-        CITED_TYPES.iter().map(|&ty| (ty, Vec::new())).collect();
+    let mut library_sources = Vec::new();
     for (package, dir) in workspace_packages(root) {
         let mut sources = Vec::new();
         rust_sources(&dir.join("src"), &mut sources);
-        for source in &sources {
-            let text = fs::read_to_string(source).unwrap();
-            for (ty, members) in &mut member_names {
-                members.extend(type_members(&text, ty));
-            }
-        }
+        library_sources.extend(sources.iter().map(|s| fs::read_to_string(s).unwrap()));
         let lib = fs::read_to_string(dir.join("src/lib.rs")).unwrap_or_default();
         crate_names.push((package.replace('-', "_"), public_root_names(&lib)));
     }
+    let mut types: Vec<String> = library_sources
+        .iter()
+        .flat_map(|t| pub_structs(t))
+        .collect();
+    types.sort();
+    types.dedup();
+    let member_names: Vec<(&str, Vec<String>)> = types
+        .iter()
+        .map(|ty| {
+            let members = library_sources.iter().flat_map(|t| type_members(t, ty));
+            (ty.as_str(), members.collect())
+        })
+        .collect();
+    assert!(
+        member_names.iter().any(|(ty, _)| *ty == "SelectorConfig"),
+        "the struct scan found no SelectorConfig"
+    );
     let mut unknown = Vec::new();
     for document in prose_documents(root) {
         let shown = document.strip_prefix(root).unwrap_or(&document).display();
@@ -519,8 +569,10 @@ fn cited_api_names_exist() {
             }
         }
         for (ty, members) in &member_names {
-            for (_, member) in cited_paths(&text, ty) {
-                if !members.contains(&member) {
+            for (cited, member) in cited_paths(&text, ty) {
+                // `cited_paths` extends a match to a longer identifier
+                // (`PlatformConfig` for `Platform`); that is another type.
+                if cited == *ty && !members.contains(&member) {
                     unknown.push(format!("{shown}: {ty}::{member}"));
                 }
             }
@@ -549,6 +601,16 @@ fn the_api_scanners_find_what_they_should() {
     let source = "pub struct T {\n    /// Doc.\n    pub a: usize,\n    b: f64,\n}\n\
                   impl Default for T {\n    fn default() -> Self {\n        todo!()\n    }\n}\n\
                   impl T {\n    pub const N: usize = 1;\n    pub fn with(self) {}\n}\n\
-                  impl U {\n    pub fn other() {}\n}\n";
-    assert_eq!(type_members(source, "T"), ["a", "default", "N", "with"]);
+                  impl U {\n    pub fn other() {}\n}\n\
+                  impl<'a, F: Fn() -> u8> Tr<'a> for crate::T<F> {\n    fn generic(&self) {}\n\
+                  \x20   pub(crate) fn private(&self) {}\n}\n";
+    assert_eq!(
+        type_members(source, "T"),
+        ["a", "default", "N", "with", "generic", "private"]
+    );
+    assert_eq!(pub_structs(source), ["T"]);
+    assert_eq!(impl_self_type("impl<T> Wrapper<T> {"), Some("Wrapper"));
+    assert_eq!(impl_self_type("impl Display for Domain {"), Some("Domain"));
+    assert_eq!(impl_self_type("impl<'a> Lexed<'a> {"), Some("Lexed"));
+    assert_eq!(impl_self_type("fn impl_like() {"), None);
 }

@@ -69,13 +69,15 @@ fn pipeline_respects_the_budget_plan_schedule() {
 
     let plan = BudgetPlan::new(config.pool_size, config.select_k, config.budget()).unwrap();
     assert_eq!(report.rounds.len(), plan.rounds);
-    for (i, round) in report.rounds.iter().enumerate() {
-        let expected_workers = plan.workers_at_round(i + 1);
+    // Repeated halving: round `i + 1` starts with `ceil(|W| / 2^i)` workers.
+    let mut expected_workers = config.pool_size;
+    for round in &report.rounds {
         assert_eq!(round.entered.len(), expected_workers);
         assert_eq!(
             round.tasks_per_worker,
             plan.tasks_per_worker(expected_workers)
         );
+        expected_workers = expected_workers.div_ceil(2);
     }
     assert!(platform.budget_spent() <= platform.budget_total());
 }

@@ -78,8 +78,9 @@ fn platform_rounds_are_identical_for_every_shard_layout() {
 #[test]
 fn ragged_and_empty_shards_change_nothing() {
     // 27 workers over 16 shards: eleven 2-element shards + five 1-element
-    // shards. Over 40 shards: 27 singletons + 13 empty shards. By-size with a
-    // ragged tail. All must equal the single-shard layout.
+    // shards. Over 40 shards: 27 singletons + 13 empty shards. Over 7 and 2
+    // shards: unequal shard sizes (4/3 and 14/13). All must equal the
+    // single-shard layout.
     let reference = {
         let mut platform = rw1_platform(23);
         let ids = platform.worker_ids();
@@ -88,8 +89,8 @@ fn ragged_and_empty_shards_change_nothing() {
     let layouts: Vec<WorkerShards> = vec![
         WorkerShards::by_count(27, 16),
         WorkerShards::by_count(27, 40),
-        WorkerShards::by_size(27, 4),
-        WorkerShards::by_size(27, 26),
+        WorkerShards::by_count(27, 7),
+        WorkerShards::by_count(27, 2),
     ];
     for shards in layouts {
         let mut platform = rw1_platform(23);

@@ -82,6 +82,13 @@ fn lge_only_runs_the_exact_lge_half_of_cpe_and_lge() {
     }
 }
 
+/// A pipeline of one ensemble stage whose only child is a default BKT stage.
+fn lone_bkt_ensemble(weight: f64) -> StagePipeline {
+    let child = c4u_selection::BktStage::new(c4u_selection::BktParams::default());
+    let ensemble = c4u_selection::EnsembleStage::new(vec![Box::new(child)], vec![weight]);
+    StagePipeline::new(vec![Box::new(ensemble.unwrap())]).unwrap()
+}
+
 #[test]
 fn unit_weight_ensemble_equals_its_child_end_to_end() {
     let dataset = generate(&DatasetConfig::rw1()).unwrap();
@@ -94,13 +101,7 @@ fn unit_weight_ensemble_equals_its_child_end_to_end() {
             .unwrap()
     };
     let ensemble_report = {
-        let pipeline = StagePipeline::ensemble(
-            vec![Box::new(c4u_selection::BktStage::new(
-                c4u_selection::BktParams::default(),
-            ))],
-            vec![1.0],
-        )
-        .unwrap();
+        let pipeline = lone_bkt_ensemble(1.0);
         let mut platform = Platform::from_dataset(&dataset, 29).unwrap();
         CrossDomainSelector::with_pipeline(config.clone(), pipeline, "ensemble(bkt)")
             .run(&mut platform, 7)
@@ -117,13 +118,7 @@ fn unit_weight_ensemble_equals_its_child_end_to_end() {
     // The same holds for a weight that is not 1.0: a lone child is passed
     // through verbatim, no weight arithmetic touches the scores.
     let reweighted = {
-        let pipeline = StagePipeline::ensemble(
-            vec![Box::new(c4u_selection::BktStage::new(
-                c4u_selection::BktParams::default(),
-            ))],
-            vec![0.3],
-        )
-        .unwrap();
+        let pipeline = lone_bkt_ensemble(0.3);
         let mut platform = Platform::from_dataset(&dataset, 29).unwrap();
         CrossDomainSelector::with_pipeline(config, pipeline, "ensemble(bkt)")
             .run(&mut platform, 7)
