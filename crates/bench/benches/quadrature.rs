@@ -1,7 +1,7 @@
 //! Roofline-style micro-benchmark of the batched SoA quadrature kernel.
 //!
 //! Sweeps mask-group sizes (`workers`) against Gauss–Legendre orders
-//! (`nodes`) and fold-pass math modes and, for every cell, times one batched
+//! (`nodes`) and sweep math modes and, for every cell, times one batched
 //! [`BinomialNormalBatch::moments`] sweep against the equivalent per-worker
 //! scalar [`binomial_normal_moments`] loop — the exact pair of paths the CPE
 //! hot paths switched between. The scalar loop is timed **once** per
@@ -10,8 +10,8 @@
 //!
 //! * median wall-clock of each path (self-timed; medians are robust to
 //!   scheduling noise),
-//! * batched **ns per worker-node** — the roofline quantity: a node-major
-//!   fused multiply-add plus one `exp` per worker-node,
+//! * batched **ns per worker-node** — the roofline quantity: the fill
+//!   arithmetic plus one `exp` per worker-node,
 //! * **effective GB/s** of the batched sweep under the traffic model
 //!   documented on [`Cell::effective_gb_per_s`],
 //! * the **speedup** over the scalar loop (the scalar path re-derives every
@@ -150,7 +150,7 @@ fn main() {
 
     for &nodes in &nodes_sweep {
         let quadrature = GaussLegendre::new(nodes);
-        let exact = BinomialNormalBatch::new(&quadrature);
+        let exact = BinomialNormalBatch::new_with_math(&quadrature, QuadratureMath::Exact);
         for &workers in &workers_sweep {
             let (mu, c, x) = make_group(workers);
             let mut out = vec![BinomialNormalMoments::default(); workers];

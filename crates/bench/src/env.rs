@@ -34,7 +34,7 @@ pub mod names {
     pub const CPE_EPOCHS: &str = "C4U_CPE_EPOCHS";
     /// Answering-noise seeds averaged per experiment cell.
     pub const TRIALS: &str = "C4U_TRIALS";
-    /// Quadrature fold-pass math mode (`exact`, `fast_vector`, `both`).
+    /// Quadrature sweep math mode (`exact`, `fast_vector`, `both`).
     pub const QUAD_MATH: &str = "C4U_QUAD_MATH";
     /// Mask-group sizes swept by the `quadrature` roofline bench.
     pub const QUAD_WORKERS: &str = "C4U_QUAD_WORKERS";
@@ -114,8 +114,8 @@ pub const KNOBS: &[Knob] = &[
     Knob {
         name: names::QUAD_MATH,
         kind: KnobKind::Mode,
-        default: "exact (tables) / both (roofline bench)",
-        doc: "Quadrature fold-pass math: `exact`, `fast_vector`, or `both`.",
+        default: "fast_vector (tables) / both (roofline bench)",
+        doc: "Quadrature sweep math: `exact`, `fast_vector`, or `both`.",
     },
     Knob {
         name: names::QUAD_WORKERS,
@@ -217,9 +217,9 @@ pub fn warn_unknown() -> Vec<String> {
 pub enum QuadMathKnob {
     /// Unset or unrecognised: the call site's documented default applies.
     Default,
-    /// Force the bit-identical scalar-equivalent fold.
+    /// Force the sweep that is bit-identical to the scalar oracle.
     Exact,
-    /// Force the lane-chunked polynomial-`exp` fold.
+    /// Force the worker-major polynomial-`exp` sweep.
     FastVector,
     /// Time both modes side by side (only the roofline bench distinguishes).
     Both,
@@ -275,7 +275,7 @@ pub struct C4uEnv {
     pub cpe_epochs: usize,
     /// `C4U_TRIALS` — answering-noise seeds averaged per cell.
     pub trials: usize,
-    /// `C4U_QUAD_MATH` — the quadrature fold-pass math mode.
+    /// `C4U_QUAD_MATH` — the quadrature sweep math mode.
     pub quad_math: QuadMathKnob,
     /// `C4U_QUAD_WORKERS` — quadrature-bench mask-group sizes.
     pub quad_workers: Vec<usize>,

@@ -20,10 +20,11 @@
 //! * `C4U_TRIALS` — number of answering-noise seeds averaged per cell (default 2);
 //! * `C4U_QUAD_WORKERS` / `C4U_QUAD_NODES` / `C4U_QUAD_SAMPLES` — the
 //!   `quadrature` bench's sweep cells and sample count;
-//! * `C4U_QUAD_MATH` — the quadrature fold-pass math mode: `exact` (the
-//!   bit-identical default for the table/figure benches), `fast_vector` (the
-//!   lane-chunked polynomial `exp`), or `both` (the `quadrature` bench's
-//!   default, timing the two modes side by side).
+//! * `C4U_QUAD_MATH` — the quadrature sweep math mode: `exact` (bit-identical
+//!   to the scalar oracle), `fast_vector` (the worker-major polynomial-`exp`
+//!   sweep, the library default and so the table/figure benches' default),
+//!   or `both` (the `quadrature` bench's default, timing the two modes side
+//!   by side).
 //!
 //! Dataset generation is memoised process-wide ([`cached_generate`]): sweep
 //! cells sharing a configuration share one generated dataset, so a table that
@@ -63,16 +64,16 @@ pub fn trials() -> usize {
     C4uEnv::from_env().trials
 }
 
-/// Reads `C4U_QUAD_MATH` as a single fold-pass mode for the table/figure
-/// benches (default [`QuadratureMath::Exact`], keeping every reported number
-/// bit-identical to the scalar oracle unless explicitly opted out).
-/// `fast_vector` selects the lane-chunked polynomial-`exp` fold; anything
-/// else — including `both`, which only the roofline bench distinguishes —
-/// stays `Exact`.
+/// Reads `C4U_QUAD_MATH` as a single sweep math mode for the table/figure
+/// benches: `exact` or `fast_vector` selects that mode, and anything else —
+/// unset, or `both`, which only the roofline bench distinguishes — is the
+/// library default ([`QuadratureMath::default`]), so the tables report what
+/// the library computes.
 pub fn quad_math() -> QuadratureMath {
     match C4uEnv::from_env().quad_math {
+        QuadMathKnob::Exact => QuadratureMath::Exact,
         QuadMathKnob::FastVector => QuadratureMath::FastVector,
-        _ => QuadratureMath::Exact,
+        _ => QuadratureMath::default(),
     }
 }
 
@@ -541,9 +542,9 @@ mod tests {
         assert_eq!(trial_seeds(3).len(), 3);
         assert_ne!(trial_seeds(2)[0], trial_seeds(2)[1]);
         if std::env::var("C4U_QUAD_MATH").is_err() {
-            // Table/figure benches default to the bit-identical mode; the
+            // Table/figure benches default to the library's mode; the
             // roofline bench times both.
-            assert_eq!(quad_math(), QuadratureMath::Exact);
+            assert_eq!(quad_math(), QuadratureMath::default());
             assert_eq!(
                 quad_math_modes(),
                 vec![QuadratureMath::Exact, QuadratureMath::FastVector]

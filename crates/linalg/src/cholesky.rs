@@ -171,6 +171,56 @@ impl Cholesky {
         }
         Ok(())
     }
+
+    /// [`Cholesky::solve_in_place`] for `len` systems at once, stored as
+    /// columns: `x[i * len + j]` is entry `i` of system `j`. Allocation-free.
+    ///
+    /// Each system goes through exactly `solve_in_place`'s operations, in its
+    /// order, so every solution carries the bits `solve_in_place` gives it;
+    /// the innermost loops run across the systems, which lets them vectorise.
+    pub fn solve_columns_in_place(&self, x: &mut [f64], len: usize) -> Result<()> {
+        let n = self.dim();
+        if x.len() != n * len {
+            return Err(LinalgError::DimensionMismatch {
+                op: "cholesky column solve",
+                left: (n, n),
+                right: (x.len(), len),
+            });
+        }
+        if len == 0 {
+            return Ok(());
+        }
+        let l = &self.l;
+        for i in 0..n {
+            let (solved, rest) = x.split_at_mut(i * len);
+            let xi = &mut rest[..len];
+            for (j, xj) in solved.chunks_exact(len).enumerate() {
+                let lij = l[(i, j)];
+                for (sum, &v) in xi.iter_mut().zip(xj) {
+                    *sum -= lij * v;
+                }
+            }
+            let pivot = checked_pivot(l[(i, i)], i)?;
+            for sum in xi {
+                *sum /= pivot;
+            }
+        }
+        for i in (0..n).rev() {
+            let (head, solved) = x.split_at_mut((i + 1) * len);
+            let xi = &mut head[i * len..];
+            for (j, xj) in solved.chunks_exact(len).enumerate() {
+                let lji = l[(i + 1 + j, i)];
+                for (sum, &v) in xi.iter_mut().zip(xj) {
+                    *sum -= lji * v;
+                }
+            }
+            let pivot = checked_pivot(l[(i, i)], i)?;
+            for sum in xi {
+                *sum /= pivot;
+            }
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -307,6 +357,34 @@ mod tests {
             chol.solve_in_place(&mut [1.0, 2.0]),
             Err(LinalgError::DimensionMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn column_solve_is_bit_identical_to_solving_each_system() {
+        let chol = Cholesky::new(&spd3()).unwrap();
+        let n = chol.dim();
+        for len in [1, 3, 9] {
+            let systems: Vec<Vec<f64>> = (0..len)
+                .map(|j| {
+                    (0..n)
+                        .map(|i| ((j * 7 + i * 3) % 11) as f64 * 0.137 - 0.61)
+                        .collect()
+                })
+                .collect();
+            let mut columns: Vec<f64> = (0..n * len).map(|e| systems[e % len][e / len]).collect();
+            chol.solve_columns_in_place(&mut columns, len).unwrap();
+            for (j, system) in systems.iter().enumerate() {
+                let mut x = system.clone();
+                chol.solve_in_place(&mut x).unwrap();
+                let column: Vec<f64> = (0..n).map(|i| columns[i * len + j]).collect();
+                assert_eq!(column, x, "system {j} of {len}");
+            }
+        }
+        assert!(matches!(
+            chol.solve_columns_in_place(&mut [1.0, 2.0], 1),
+            Err(LinalgError::DimensionMismatch { .. })
+        ));
+        assert!(chol.solve_columns_in_place(&mut [], 0).is_ok());
     }
 
     #[test]

@@ -455,7 +455,7 @@ pub fn lint_file(
                      hot sweeps must stay on the vectorised `c4u_stats::vmath` layer",
                     text(t)
                 ),
-                "use `vexp`/`vexp_scalar` (or hoist the call out of the region); \
+                "use `vexp_scalar` (or hoist the call out of the region); \
                  or `// c4u-lint: allow(scalar-libm-in-hot-path, reason = \"…\")`",
             ));
         }

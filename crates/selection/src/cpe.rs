@@ -90,11 +90,11 @@ pub struct CpeConfig {
     pub epochs: usize,
     /// Initial mean accuracy assumed for the target domain (`a_T`; paper default 0.5).
     pub initial_target_accuracy: f64,
-    /// Fold-pass arithmetic of the batched quadrature sweeps
-    /// ([`c4u_stats::QuadratureMath`]). The default `Exact` mode is
-    /// bit-identical to the scalar oracle; `FastVector` swaps the fold onto
-    /// the lane-chunked polynomial `exp` (deterministic, ~1e-12 relative of
-    /// `Exact` per cell) for throughput.
+    /// Arithmetic of the batched quadrature sweeps
+    /// ([`c4u_stats::QuadratureMath`]). The default `FastVector` mode runs
+    /// the worker-major polynomial-`exp` sweep (deterministic, ~1e-12
+    /// relative of `Exact` per cell); `Exact` is bit-identical to the scalar
+    /// oracle.
     pub quadrature_math: QuadratureMath,
 }
 
@@ -449,7 +449,8 @@ impl CrossDomainEstimator {
 ///
 /// A mask with missing domains costs one conditioner per missing domain
 /// (its regression on the observed domains and `h`); the sums run over
-/// groups in first-occurrence order and members in member order.
+/// groups in first-occurrence order and members in member order, reading
+/// each group's observed-value columns.
 fn m_step(
     kernel: &CpeLikelihoodKernel,
     model: &MultivariateNormal,
@@ -462,7 +463,9 @@ fn m_step(
     // Sums of the completed vectors' offsets from the current mean, of their
     // outer products (lower triangle) and of the completion variances.
     let mut sum = vec![0.0; dim];
-    let mut scatter = Matrix::zeros(dim, dim);
+    // The lower triangle row by row: `(i, k)` with `k <= i` at
+    // `i * (i + 1) / 2 + k`.
+    let mut scatter = vec![0.0; dim * (dim + 1) / 2];
     let mut completion = Matrix::zeros(dim, dim);
     let mut count = 0usize;
     let mut offset = vec![0.0; dim];
@@ -478,9 +481,10 @@ fn m_step(
             .map(|&j| Ok(model.conditioner(j, &given)?.weights().to_vec()))
             .collect::<Result<Vec<_>, SelectionError>>()?;
 
+        let columns: Vec<&[f64]> = (0..observed.len()).map(|k| group.column(k)).collect();
         let mut members = 0usize;
         let mut posterior_variance = 0.0;
-        for (values, &position) in group.values().iter().zip(group.members()) {
+        for (j, &position) in group.members().iter().enumerate() {
             let m = moments[position];
             if !(m.log_z.is_finite() && m.mean.is_finite() && m.variance.is_finite()) {
                 continue;
@@ -488,8 +492,8 @@ fn m_step(
             members += 1;
             posterior_variance += m.variance;
             offset.fill(0.0);
-            for (&d, &x) in observed.iter().zip(values) {
-                offset[d] = x - mean[d];
+            for (&d, column) in observed.iter().zip(&columns) {
+                offset[d] = column[j] - mean[d];
             }
             offset[target] = m.mean - mean[target];
             for (&j, weights) in missing.iter().zip(&regressions) {
@@ -499,10 +503,11 @@ fn m_step(
                     .map(|(&d, w)| w * offset[d])
                     .sum::<f64>();
             }
-            for i in 0..dim {
-                sum[i] += offset[i];
-                for k in 0..=i {
-                    scatter[(i, k)] += offset[i] * offset[k];
+            let mut pair = scatter.iter_mut();
+            for (i, &o) in offset.iter().enumerate() {
+                sum[i] += o;
+                for (&ok, s) in offset[..=i].iter().zip(&mut pair) {
+                    *s += o * ok;
                 }
             }
         }
@@ -555,7 +560,8 @@ fn m_step(
         .collect();
     let covariance = Matrix::from_fn(dim, dim, |i, k| {
         let (i, k) = (i.max(k), i.min(k));
-        (scatter[(i, k)] + completion[(i, k)]) / n - shift[i] * shift[k] + clamp[i] * clamp[k]
+        (scatter[i * (i + 1) / 2 + k] + completion[(i, k)]) / n - shift[i] * shift[k]
+            + clamp[i] * clamp[k]
     });
     let covariance = nearest_positive_definite(&covariance, CpeConfig::MIN_VARIANCE)?;
     Ok(Some(MultivariateNormal::new(

@@ -13,12 +13,13 @@
 //!
 //! 1. [`MaskGroups`] — built once per `update()`/`predict_batch()` entry, it
 //!    partitions the observations by observed-domain mask (first-occurrence
-//!    order, so everything stays deterministic) and caches each member's
-//!    observed values;
+//!    order, so everything stays deterministic) and caches the members'
+//!    observed values as one flat column per observed domain;
 //! 2. per model evaluation, the kernel asks the model for **one**
 //!    [`Conditioner`](c4u_stats::Conditioner) per unique mask and applies it to
-//!    every member of the group — an `O(g^2)` triangular solve per worker
-//!    instead of an `O(g^3)` factorisation per worker;
+//!    every member of the group — an `O(g^2)` triangular solve per worker,
+//!    run worker-major over the columns, instead of an `O(g^3)`
+//!    factorisation per worker;
 //! 3. the Eq. 5 normalisers, Eq. 8 posterior means and posterior variances
 //!    of a whole group are computed by **one** batched structure-of-arrays
 //!    quadrature sweep per unique mask ([`c4u_stats::BinomialNormalBatch`],
@@ -90,6 +91,7 @@ use c4u_stats::{
 };
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Mutex;
 
 /// The observations sharing one observed-domain mask.
@@ -97,7 +99,10 @@ use std::sync::Mutex;
 pub struct MaskGroup {
     observed_idx: Vec<usize>,
     members: Vec<usize>,
-    values: Vec<Vec<f64>>,
+    /// The members' observed accuracies as flat columns, one per observed
+    /// domain: column `k` (`observed_idx[k]`) fills
+    /// `values[k * members.len()..(k + 1) * members.len()]`, in member order.
+    values: Vec<f64>,
 }
 
 impl MaskGroup {
@@ -111,10 +116,17 @@ impl MaskGroup {
         &self.members
     }
 
-    /// The members' observed accuracies, aligned with [`MaskGroup::members`];
-    /// each inner vector is aligned with [`MaskGroup::observed_idx`].
-    pub fn values(&self) -> &[Vec<f64>] {
-        &self.values
+    /// Every member's accuracy on the `k`-th observed domain
+    /// (`observed_idx()[k]`), aligned with [`MaskGroup::members`].
+    pub fn column(&self, k: usize) -> &[f64] {
+        let n = self.members.len();
+        &self.values[k * n..(k + 1) * n]
+    }
+
+    /// The observed columns restricted to the members at `range`, in
+    /// observed-domain order.
+    fn block_columns(&self, range: Range<usize>) -> impl Iterator<Item = &[f64]> {
+        (0..self.observed_idx.len()).map(move |k| &self.column(k)[range.clone()])
     }
 }
 
@@ -130,21 +142,56 @@ impl MaskGroups {
     ///
     /// Groups appear in order of first occurrence, and members keep their
     /// original relative order, so downstream iteration is deterministic.
+    /// Groups are keyed by a bitmask of the observed domains, and each
+    /// group's values are written straight into its columns: no allocation
+    /// per observation.
     pub fn build(observations: &[CpeObservation], num_domains: usize) -> Self {
         let mut groups: Vec<MaskGroup> = Vec::new();
-        let mut index_of: HashMap<Vec<usize>, usize> = HashMap::new();
+        let mut index_of: HashMap<Box<[u64]>, usize> = HashMap::new();
+        let mut mask = vec![0u64; num_domains.div_ceil(64)];
+        // The previous observation's mask: runs of one mask skip the lookup.
+        let mut previous = mask.clone();
+        let mut group_of: Vec<usize> = Vec::with_capacity(observations.len());
         for (position, obs) in observations.iter().enumerate() {
-            let (idx, values) = observed_domains(obs, num_domains);
-            let group = *index_of.entry(idx).or_insert_with_key(|idx| {
-                groups.push(MaskGroup {
-                    observed_idx: idx.clone(),
-                    members: Vec::new(),
-                    values: Vec::new(),
-                });
-                groups.len() - 1
-            });
+            mask.fill(0);
+            for (d, value) in obs.prior_accuracies.iter().take(num_domains).enumerate() {
+                if value.is_some() {
+                    mask[d / 64] |= 1 << (d % 64);
+                }
+            }
+            let group = match group_of.last() {
+                Some(&last) if mask == previous => last,
+                _ => match index_of.get(mask.as_slice()) {
+                    Some(&group) => group,
+                    None => {
+                        index_of.insert(mask.clone().into_boxed_slice(), groups.len());
+                        groups.push(MaskGroup {
+                            observed_idx: (0..num_domains)
+                                .filter(|&d| mask[d / 64] >> (d % 64) & 1 == 1)
+                                .collect(),
+                            members: Vec::new(),
+                            values: Vec::new(),
+                        });
+                        groups.len() - 1
+                    }
+                },
+            };
             groups[group].members.push(position);
-            groups[group].values.push(values);
+            group_of.push(group);
+            std::mem::swap(&mut mask, &mut previous);
+        }
+        for group in &mut groups {
+            group.values = vec![0.0; group.observed_idx.len() * group.members.len()];
+        }
+        let mut filled = vec![0; groups.len()];
+        for (obs, &group) in observations.iter().zip(&group_of) {
+            let (group, j) = (&mut groups[group], &mut filled[group]);
+            let n = group.members.len();
+            let observed = obs.prior_accuracies.iter().take(num_domains).flatten();
+            for (k, &value) in observed.enumerate() {
+                group.values[k * n + *j] = value;
+            }
+            *j += 1;
         }
         Self {
             groups,
@@ -210,13 +257,13 @@ const SWEEP_BLOCK: usize = 1024;
 /// by every subsequent group sweep and model evaluation.
 #[derive(Debug, Default)]
 struct BlockScratch {
-    /// Node-sized scratch of the block's quadrature sweep.
+    /// Scratch of the block's quadrature sweep.
     quad: QuadratureScratch,
     /// Per-member conditional means.
     mu: Vec<f64>,
     /// Per-member sweep output.
     out: Vec<BinomialNormalMoments>,
-    /// One member's observed-block solve.
+    /// The block's observed-block solves, one column per observed domain.
     w: Vec<f64>,
 }
 
@@ -230,9 +277,8 @@ struct GroupCounts {
 
 impl CpeLikelihoodKernel {
     /// Builds the kernel, grouping the observations by observed-domain mask
-    /// and tabulating the shared quadrature node tables. The fold passes run
-    /// in the default [`QuadratureMath::Exact`] mode — bit-identical to the
-    /// scalar oracle.
+    /// and tabulating the shared quadrature node tables. The sweeps run in
+    /// the default [`QuadratureMath`] mode, `FastVector`.
     pub fn new(
         observations: &[CpeObservation],
         num_prior_domains: usize,
@@ -242,16 +288,17 @@ impl CpeLikelihoodKernel {
             observations,
             num_prior_domains,
             quadrature,
-            QuadratureMath::Exact,
+            QuadratureMath::default(),
         )
     }
 
-    /// Builds the kernel with an explicit fold-pass math mode.
+    /// Builds the kernel with an explicit sweep math mode.
     ///
+    /// [`QuadratureMath::FastVector`] runs the worker-major polynomial-`exp`
+    /// sweep (deterministic, within ~1e-12 relative of `Exact` per cell —
+    /// see the `c4u_stats::batch` math-mode contract);
     /// [`QuadratureMath::Exact`] keeps every sweep bit-identical to the scalar
-    /// oracle; [`QuadratureMath::FastVector`] runs the lane-chunked polynomial
-    /// `exp` fold (deterministic, within ~1e-12 relative of `Exact` per cell —
-    /// see the `c4u_stats::batch` math-mode contract).
+    /// oracle.
     pub fn new_with_math(
         observations: &[CpeObservation],
         num_prior_domains: usize,
@@ -325,6 +372,7 @@ impl CpeLikelihoodKernel {
 
 /// Splits an observation into the indices and values of the domains that are
 /// present (ascending domain order).
+// c4u-lint: allow(unused-pub-fn, reason = "test oracle: the per-observation split the reference transcription and the mask-group column checks condition on")
 pub fn observed_domains(obs: &CpeObservation, num_domains: usize) -> (Vec<usize>, Vec<f64>) {
     let mut idx = Vec::new();
     let mut values = Vec::new();
@@ -381,9 +429,11 @@ mod tests {
         // Members keep their original order and values.
         assert_eq!(groups.groups()[0].members(), &[0, 2]);
         assert_eq!(groups.groups()[1].members(), &[1, 4]);
-        assert_eq!(groups.groups()[1].values()[1], vec![0.2, 0.3]);
+        assert_eq!(groups.groups()[1].column(0), &[0.5, 0.2]);
+        assert_eq!(groups.groups()[1].column(1), &[0.4, 0.3]);
+        assert_eq!(groups.groups()[0].column(1), &[0.8, 0.7]);
         assert_eq!(groups.groups()[2].members(), &[3]);
-        assert!(groups.groups()[2].values()[0].is_empty());
+        assert!(groups.groups()[2].values.is_empty());
     }
 
     #[test]

@@ -115,12 +115,11 @@ impl CpeLikelihoodKernel {
             // 1e-6, which the conditioner's 1e-12 variance floor already
             // guarantees).
             let v = sigma * sigma;
-            let g = group.observed_idx().len();
 
-            // Per-member phase, one job per block: conditional means staged
-            // into the block's reused buffers, then one vectorised sweep
-            // (log Z, E[h], E[(h - m)^2]) over the kernel's shared SoA node
-            // tables.
+            // Per-member phase, one job per block: the block's conditional
+            // means, worker-major over the group's observed columns, then
+            // one vectorised sweep (log Z, E[h], E[(h - m)^2]) over the
+            // kernel's shared SoA node tables.
             let members = group.members().len();
             let num_blocks = members.div_ceil(SWEEP_BLOCK);
             if blocks.len() < num_blocks {
@@ -129,19 +128,18 @@ impl CpeLikelihoodKernel {
             let blocks = &blocks[..num_blocks];
             let threads = if num_blocks > 1 { threads() } else { 1 };
             // The jobs borrow fields, not `self`: the kernel is `!Sync`.
-            let (batch, values, conditioner) = (&self.batch, group.values(), &conditioner);
+            let (batch, conditioner) = (&self.batch, &conditioner);
             run_indexed_jobs(threads, num_blocks, |b| -> Result<(), SelectionError> {
                 let range = b * SWEEP_BLOCK..((b + 1) * SWEEP_BLOCK).min(members);
                 let mut block = lock(&blocks[b]);
                 let block = &mut *block;
-                block.w.clear();
-                block.w.resize(g, 0.0);
                 block.mu.clear();
-                for values in &values[range.clone()] {
-                    block
-                        .mu
-                        .push(conditioner.condition_into(values, &mut block.w)?);
-                }
+                block.mu.resize(range.len(), 0.0);
+                conditioner.condition_columns(
+                    group.block_columns(range.clone()),
+                    &mut block.w,
+                    &mut block.mu,
+                )?;
                 block.out.clear();
                 block
                     .out
@@ -203,7 +201,9 @@ mod tests {
     use super::*;
     use crate::cpe::CpeObservation;
     use c4u_linalg::{Matrix, Vector};
-    use c4u_stats::{binomial_normal_moments, nearest_positive_definite, GaussLegendre};
+    use c4u_stats::{
+        binomial_normal_moments, nearest_positive_definite, GaussLegendre, QuadratureMath,
+    };
 
     fn observations() -> Vec<CpeObservation> {
         vec![
@@ -247,6 +247,11 @@ mod tests {
             .collect()
     }
 
+    /// The kernel in the math that is bit-identical to the scalar oracle.
+    fn exact_kernel(obs: &[CpeObservation], quadrature: &GaussLegendre) -> CpeLikelihoodKernel {
+        CpeLikelihoodKernel::new_with_math(obs, 2, quadrature, QuadratureMath::Exact)
+    }
+
     /// The scalar oracle's `(log Z, E[h])` of one observation, conditioned
     /// per observation.
     fn scalar_moments(
@@ -270,7 +275,7 @@ mod tests {
         let quadrature = GaussLegendre::new(32);
         let model = fixture();
         for obs in [observations(), multi_block_observations()] {
-            let kernel = CpeLikelihoodKernel::new(&obs, 2, &quadrature);
+            let kernel = exact_kernel(&obs, &quadrature);
             let e_step = kernel.e_step(&model).unwrap();
             assert_eq!(
                 e_step.log_likelihood,
@@ -295,7 +300,7 @@ mod tests {
         // scalar oracle integrates, bit for bit.
         let obs = observations();
         let quadrature = GaussLegendre::new(32);
-        let kernel = CpeLikelihoodKernel::new(&obs, 2, &quadrature);
+        let kernel = exact_kernel(&obs, &quadrature);
         let model = fixture();
         let e_step = kernel.e_step(&model).unwrap();
         for (o, moments) in obs.iter().zip(&e_step.moments) {
@@ -341,5 +346,28 @@ mod tests {
             assert_eq!(kernel.e_step_on(&model, || threads).unwrap(), serial);
         }
         assert_eq!(kernel.e_step(&model).unwrap(), serial);
+    }
+
+    #[test]
+    fn members_match_their_lone_sweep_under_every_thread_count() {
+        // Each member's moments carry the bits of an E-step over that member
+        // alone, wherever its block and its lane put it, for every thread
+        // count of the blocked fan-out.
+        let obs = multi_block_observations();
+        let quadrature = GaussLegendre::new(32);
+        let model = fixture();
+        let kernel = CpeLikelihoodKernel::new(&obs, 2, &quadrature);
+        for threads in 1..=4 {
+            let e_step = kernel.e_step_on(&model, || threads).unwrap();
+            for (position, o) in obs.iter().enumerate().step_by(7) {
+                let alone = CpeLikelihoodKernel::new(std::slice::from_ref(o), 2, &quadrature)
+                    .e_step(&model)
+                    .unwrap();
+                assert_eq!(
+                    e_step.moments[position], alone.moments[0],
+                    "member {position} under {threads} threads"
+                );
+            }
+        }
     }
 }

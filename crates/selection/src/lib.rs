@@ -71,7 +71,7 @@ pub use cpe::kernel::{
     MaskGroup, MaskGroups,
 };
 pub use cpe::{CpeConfig, CpeFitSummary, CpeObservation, CrossDomainEstimator};
-// The fold-pass math mode of the batched quadrature sweeps, re-exported so
+// The math mode of the batched quadrature sweeps, re-exported so
 // `CpeConfig::quadrature_math` can be set without importing `c4u_stats`.
 pub use c4u_stats::QuadratureMath;
 pub use error::SelectionError;

@@ -8,7 +8,9 @@
 //! equality of the log-likelihood and `predict_batch` on observation sets that
 //! mix fully-observed, partially-missing, and all-missing masks. The E-step
 //! is pinned against the same transcription: its posterior means are the
-//! Eq. 8 predictions and its log-likelihood is Eq. 5's, bit for bit.
+//! Eq. 8 predictions and its log-likelihood is Eq. 5's, bit for bit. The
+//! transcription integrates with the scalar oracle, so these tests run the
+//! kernel in `QuadratureMath::Exact`, the mode that is bit-identical to it.
 //!
 //! A further test pins the *factorisation count*: one observed-block Cholesky
 //! per unique non-empty mask per objective evaluation — one E-step per EM
@@ -18,7 +20,8 @@
 //!
 //! The last test pins the blocked E-step sweep on a pool whose largest mask
 //! group spans several blocks: every posterior moment and the log-likelihood
-//! must equal a transcription of the serial per-member loop, bit for bit,
+//! must equal a transcription of the serial per-member loop, in the default
+//! math and bit for bit,
 //! whatever the machine's thread count (the kernel's unit tests pin thread
 //! counts 1–8 against each other).
 
@@ -27,7 +30,7 @@ mod reference;
 use c4u_crowd_sim::HistoricalProfile;
 use c4u_selection::{
     observed_domains, CpeConfig, CpeLikelihoodKernel, CpeObservation, CrossDomainEstimator, EStep,
-    PosteriorMoments,
+    PosteriorMoments, QuadratureMath,
 };
 use c4u_stats::{
     conditioning_factorizations, BinomialNormalBatch, BinomialNormalMoments, GaussLegendre,
@@ -75,6 +78,15 @@ fn fast_config() -> CpeConfig {
     }
 }
 
+/// [`fast_config`] in the math the scalar reference transcription matches
+/// bit for bit.
+fn exact_config() -> CpeConfig {
+    CpeConfig {
+        quadrature_math: QuadratureMath::Exact,
+        ..fast_config()
+    }
+}
+
 fn estimator(config: CpeConfig) -> CrossDomainEstimator {
     let profiles = profiles();
     let refs: Vec<&HistoricalProfile> = profiles.iter().collect();
@@ -83,7 +95,7 @@ fn estimator(config: CpeConfig) -> CrossDomainEstimator {
 
 #[test]
 fn log_likelihood_matches_reference_bit_for_bit() {
-    let config = fast_config();
+    let config = exact_config();
     let est = estimator(config);
     let reference = ReferenceEstimator::from_estimator(&est, ReferenceConfig::fast(config.epochs));
     let observations = mixed_observations();
@@ -96,7 +108,7 @@ fn log_likelihood_matches_reference_bit_for_bit() {
 
 #[test]
 fn predict_batch_matches_reference_bit_for_bit() {
-    let config = fast_config();
+    let config = exact_config();
     let mut est = estimator(config);
     let observations = mixed_observations();
     // Exercise the post-update model, not just the initial one.
@@ -114,10 +126,11 @@ fn predict_batch_matches_reference_bit_for_bit() {
 
 #[test]
 fn e_step_means_are_the_eq8_predictions_bit_for_bit() {
-    let mut est = estimator(fast_config());
+    let mut est = estimator(exact_config());
     let observations = mixed_observations();
     let quadrature = GaussLegendre::new(CpeConfig::QUADRATURE_ORDER);
-    let kernel = CpeLikelihoodKernel::new(&observations, 3, &quadrature);
+    let kernel =
+        CpeLikelihoodKernel::new_with_math(&observations, 3, &quadrature, QuadratureMath::Exact);
     let initial = est.model().clone();
     est.update(&observations).unwrap();
     for model in [&initial, est.model()] {

@@ -11,12 +11,16 @@
 //!   packed-parameter objective (the quantity the historical Eq. 6–7 update
 //!   consumed), and
 //! * the batch predictions (Eq. 8).
+//!
+//! The reference integrates with the scalar oracle, so the kernel runs in
+//! `QuadratureMath::Exact`, the mode that is bit-identical to it.
 
 mod reference;
 
 use c4u_crowd_sim::HistoricalProfile;
 use c4u_selection::{
     observed_domains, CpeConfig, CpeLikelihoodKernel, CpeObservation, CrossDomainEstimator,
+    QuadratureMath,
 };
 use c4u_stats::{nearest_positive_definite, GaussLegendre, MultivariateNormal, Vector};
 use proptest::prelude::*;
@@ -86,7 +90,12 @@ proptest! {
         let est = estimator();
         let model = est.model().clone();
         let quadrature = GaussLegendre::new(CpeConfig::QUADRATURE_ORDER);
-        let kernel = CpeLikelihoodKernel::new(&observations, NUM_DOMAINS, &quadrature);
+        let kernel = CpeLikelihoodKernel::new_with_math(
+            &observations,
+            NUM_DOMAINS,
+            &quadrature,
+            QuadratureMath::Exact,
+        );
 
         let batched = kernel.log_likelihood(&model).unwrap();
         let expected = reference_log_likelihood(&model, &quadrature, NUM_DOMAINS, &observations);
@@ -109,7 +118,12 @@ proptest! {
         let observations = with_boundary_masks(observations);
         let est = estimator();
         let quadrature = GaussLegendre::new(CpeConfig::QUADRATURE_ORDER);
-        let kernel = CpeLikelihoodKernel::new(&observations, NUM_DOMAINS, &quadrature);
+        let kernel = CpeLikelihoodKernel::new_with_math(
+            &observations,
+            NUM_DOMAINS,
+            &quadrature,
+            QuadratureMath::Exact,
+        );
 
         let mut params = est.mean().to_vec();
         params.extend(lower_triangle(est.covariance()));
@@ -144,7 +158,12 @@ proptest! {
         let est = estimator();
         let model = est.model().clone();
         let quadrature = GaussLegendre::new(CpeConfig::QUADRATURE_ORDER);
-        let kernel = CpeLikelihoodKernel::new(&observations, NUM_DOMAINS, &quadrature);
+        let kernel = CpeLikelihoodKernel::new_with_math(
+            &observations,
+            NUM_DOMAINS,
+            &quadrature,
+            QuadratureMath::Exact,
+        );
 
         let batched = kernel.predict(&model).unwrap();
         let expected = reference_predict(&model, &quadrature, NUM_DOMAINS, &observations);
@@ -161,12 +180,13 @@ proptest! {
         // Every observation appears exactly once, in the group whose mask it has.
         let mut seen = vec![false; observations.len()];
         for group in groups.groups() {
-            for (&member, values) in group.members().iter().zip(group.values()) {
+            for (j, &member) in group.members().iter().enumerate() {
                 prop_assert!(!seen[member]);
                 seen[member] = true;
                 let (idx, vals) = observed_domains(&observations[member], NUM_DOMAINS);
                 prop_assert_eq!(group.observed_idx(), idx.as_slice());
-                prop_assert_eq!(values.as_slice(), vals.as_slice());
+                let values: Vec<f64> = (0..idx.len()).map(|k| group.column(k)[j]).collect();
+                prop_assert_eq!(values, vals);
             }
         }
         prop_assert!(seen.iter().all(|&s| s));

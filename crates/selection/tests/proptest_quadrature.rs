@@ -16,13 +16,16 @@
 //! the member's conditional mean clamped to `[0, 1]` (the `sigma -> 0` limit
 //! of the Eq. 8 posterior mean), and every other prediction matches the
 //! oracle bit for bit.
+//!
+//! The reference integrates with the scalar oracle, so the kernel runs in
+//! `QuadratureMath::Exact`, the mode that is bit-identical to it.
 
 mod reference;
 
 use c4u_crowd_sim::HistoricalProfile;
 use c4u_selection::{
     binomial_normal_moments, observed_domains, CpeConfig, CpeLikelihoodKernel, CpeObservation,
-    CrossDomainEstimator,
+    CrossDomainEstimator, QuadratureMath,
 };
 use c4u_stats::{GaussLegendre, MultivariateNormal};
 use proptest::prelude::*;
@@ -110,7 +113,12 @@ proptest! {
         let est = estimator();
         let model = est.model().clone();
         let quadrature = GaussLegendre::new(CpeConfig::QUADRATURE_ORDER);
-        let kernel = CpeLikelihoodKernel::new(&observations, NUM_DOMAINS, &quadrature);
+        let kernel = CpeLikelihoodKernel::new_with_math(
+            &observations,
+            NUM_DOMAINS,
+            &quadrature,
+            QuadratureMath::Exact,
+        );
 
         let per_obs = kernel.per_observation_log_likelihood(&model).unwrap();
         prop_assert_eq!(per_obs.len(), observations.len());
@@ -136,7 +144,12 @@ proptest! {
         let est = estimator();
         let model = est.model().clone();
         let quadrature = GaussLegendre::new(CpeConfig::QUADRATURE_ORDER);
-        let kernel = CpeLikelihoodKernel::new(&observations, NUM_DOMAINS, &quadrature);
+        let kernel = CpeLikelihoodKernel::new_with_math(
+            &observations,
+            NUM_DOMAINS,
+            &quadrature,
+            QuadratureMath::Exact,
+        );
 
         let predictions = kernel.predict(&model).unwrap();
         prop_assert_eq!(predictions.len(), observations.len());

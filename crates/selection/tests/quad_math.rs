@@ -64,13 +64,14 @@ proptest! {
         let est = estimator();
         let model = est.model().clone();
         let quadrature = GaussLegendre::new(order);
-        let exact = CpeLikelihoodKernel::new(&observations, NUM_DOMAINS, &quadrature);
-        let fast = CpeLikelihoodKernel::new_with_math(
+        let exact = CpeLikelihoodKernel::new_with_math(
             &observations,
             NUM_DOMAINS,
             &quadrature,
-            QuadratureMath::FastVector,
+            QuadratureMath::Exact,
         );
+        let fast = CpeLikelihoodKernel::new(&observations, NUM_DOMAINS, &quadrature);
+        prop_assert_eq!(QuadratureMath::default(), QuadratureMath::FastVector);
 
         // Per-observation log-likelihood: these cells are well inside the
         // dynamic range (bounded counts, clamped accuracies), so plain

@@ -17,7 +17,7 @@ mod reference;
 use c4u_crowd_sim::{generate, DatasetConfig, HistoricalProfile, Platform};
 use c4u_selection::{
     num_prior_domains, CpeConfig, CpeObservation, CpeStage, CrossDomainEstimator, EstimationStage,
-    MaskGroups, RoundContext, RoundHeader, StageInit,
+    MaskGroups, QuadratureMath, RoundContext, RoundHeader, StageInit,
 };
 use c4u_stats::{batched_quadrature_sweeps, scalar_quadrature_evaluations};
 use reference::{ReferenceConfig, ReferenceEstimator};
@@ -184,8 +184,12 @@ fn analytic_update_costs_one_batched_sweep_per_mask_per_epoch() {
 fn batched_outputs_equal_scalar_reference_bit_for_bit() {
     // The batched path's counter discipline would be worthless if it bought
     // speed with drift: re-pin exact equality against the per-observation
-    // scalar transcription right next to the counter pins.
-    let config = CpeConfig::default();
+    // scalar transcription right next to the counter pins, in the math that
+    // is bit-identical to the scalar oracle.
+    let config = CpeConfig {
+        quadrature_math: QuadratureMath::Exact,
+        ..CpeConfig::default()
+    };
     let est = estimator(config);
     let observations = mixed_observations();
     let reference = ReferenceEstimator::from_estimator(&est, ReferenceConfig::PAPER);

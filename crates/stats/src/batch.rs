@@ -7,35 +7,41 @@
 //! scalar functions in [`crate::binomial_normal`] recompute the node
 //! logarithms `ln h` / `ln(1-h)` and the peak-bracketing grid once per
 //! worker; [`BinomialNormalBatch`] tabulates them once per rule into flat
-//! contiguous buffers and then sweeps a whole `(mu, c, x)` batch over them in
-//! node-major inner loops.
+//! contiguous buffers and then sweeps a whole `(mu, c, x)` batch over them.
 //!
-//! There is one sweep, [`BinomialNormalBatch::moments`]. Per worker its fold
+//! There is one sweep, [`BinomialNormalBatch::moments`]. Per worker it
 //! accumulates three sums over the shifted integrand `e`: the normaliser
 //! `Σ w·e`, the first moment `Σ w·h·e` and the second moment about the
 //! conditional mean `Σ w·(h − mu)²·e`. It returns `log Z`, `E[h]` (the Eq. 8
 //! posterior mean) and `E[(h − mu)²]`, from which the E-step reads the
 //! posterior variance directly.
 //!
-//! Per worker the `Exact` sweep is two passes over the node tables:
-//!
-//! 1. the shifted log-integrand values land in a contiguous scratch buffer —
-//!    a pure mul/add loop over `node_lh`/`node_l1h`/`node_hc` that the
-//!    autovectoriser turns into f64 lanes;
-//! 2. exponentiation and accumulation fold the scratch buffer into the three
-//!    sums.
-//!
-//! The `FastVector` sweep fuses the two passes: each [`VEXP_LANES`]-wide node
-//! chunk is filled, exponentiated, and accumulated while still in registers
-//! and a stack staging buffer, skipping the scratch round-trip entirely.
-//!
 //! # Math modes
 //!
-//! The fold pass runs under one of two [`QuadratureMath`] contracts, fixed at
+//! The sweep runs under one of two [`QuadratureMath`] contracts, fixed at
 //! construction:
 //!
-//! * [`QuadratureMath::Exact`] (the default) exponentiates with libm's
-//!   `f64::exp` in node order, preserving the exact summation order of
+//! * [`QuadratureMath::FastVector`] (the default) runs worker-major over
+//!   chunks of eight members: one pass over the peak-bracketing grid and two
+//!   over the nodes, each an inner loop across the chunk's member lanes.
+//!   Per element it evaluates the division-free fill (a reciprocal multiply
+//!   and fused multiply-adds; the grid scan expands the Gaussian exponent to
+//!   a quadratic in `h`), the polynomial [`vexp_scalar`] (≤2 ULP of libm, see
+//!   [`crate::vmath`]) and the three sums, which each member accumulates in
+//!   node order. Terms are exponentiated relative to the member's largest
+//!   node term, so none that counts is subnormal (x86 runs subnormal results
+//!   through a slow microcode assist); the underflow fallback is taken where
+//!   the `Exact` sweep's shifted mass would round to zero. Members never
+//!   share a sum, so a member's result does not
+//!   depend on the batch it is swept in, nor on its position there: a short
+//!   batch, or the tail of a long one, is padded to the chunk width and stays
+//!   on the vector path. The results are not bit-identical to the scalar
+//!   oracle — the contract is tolerance-based instead: per-cell
+//!   `log_z`/moments within ~1e-12 relative of the `Exact` path on
+//!   well-scaled cells, pinned by property tests at this layer and by
+//!   selection-equivalence tests at the estimator layer.
+//! * [`QuadratureMath::Exact`] exponentiates with libm's `f64::exp` in node
+//!   order, preserving the exact summation order of
 //!   [`GaussLegendre::integrate`]. Every arithmetic expression replicates the
 //!   scalar path operation for operation (same clamp, same subtraction order,
 //!   same fold of the interval half-width into the final sum), so `log Z`
@@ -45,31 +51,18 @@
 //!   moment is bit-identical to the same `integrate` call over
 //!   `(h − mu)² · e` — the scalar forms remain the pinned cross-check oracle,
 //!   enforced by the equivalence and property suites rather than by an
-//!   epsilon.
-//! * [`QuadratureMath::FastVector`] replaces the per-node division with a
-//!   reciprocal multiply and fused multiply-adds, exponentiates with the
-//!   lane-chunked polynomial [`vexp`] (≤2 ULP per element, see
-//!   [`crate::vmath`]), and accumulates in chunk-wide partial sums, which
-//!   breaks the serial add chain so the autovectoriser can keep the whole
-//!   fused sweep in packed lanes. The accumulation is still deterministic (a
-//!   fixed chunking, not threads), but it is **not** bit-identical to the
-//!   scalar oracle — the contract is tolerance-based instead: per-cell
-//!   `log_z`/moments within ~1e-12 relative of the `Exact` path on
-//!   well-scaled cells, pinned by property tests at this layer and
-//!   selection-equivalence tests at the estimator layer. Rules shorter than
-//!   the fold lanes simply take the remainder path — results are
-//!   position-independent either way.
+//!   epsilon. Per worker it makes two passes over the node tables: the
+//!   shifted log-integrand values land in a scratch buffer, then
+//!   exponentiation and accumulation fold the buffer into the three sums.
 //!
-//! The peak-bracketing `log_max` grid scan is chunked into lane-wide max
-//! accumulators in both modes (floating-point `max` is insensitive to fold
-//! order for the non-`NaN` values the grid produces), but its *arithmetic*
-//! splits by mode: `Exact` evaluates every grid term with the oracle's
-//! `/ sigma` division so the scan stays bit-identical, while `FastVector`
-//! expands the Gaussian exponent to a division-free quadratic in `hc` (see
-//! `grid_max_approx`). The approximate peak only shifts the integrand before
-//! the exponential and is added back through `log_z`, so the perturbation
-//! cancels out of every returned quantity up to ordinary rounding — well
-//! inside the `FastVector` tolerance contract.
+//! The `FastVector` grid scan's quadratic form carries an absolute error of
+//! order `eps / sigma²` (≲1e-4 at the `SIGMA_FLOOR` extreme) in the peak it
+//! finds. That peak only shifts the integrand before the exponential and is
+//! added back through `log Z`, and the moments are ratios of sums that scale
+//! by the same `exp(-peak)`, so the perturbation cancels out of every
+//! returned quantity up to ordinary rounding (only a cell balanced on the
+//! absolute underflow cutoff could flip its `NEG_INFINITY` fallback). The
+//! per-node fill must not use that expansion: its errors do not cancel.
 //!
 //! The module also owns the thread-local diagnostic counters that let tests pin
 //! the batching contract: an E-step, a likelihood evaluation or a
@@ -78,10 +71,13 @@
 //! counter in [`crate::mvn`]).
 //!
 //! ```
-//! use c4u_stats::{binomial_normal_moments, BinomialNormalBatch, BinomialNormalMoments, GaussLegendre};
+//! use c4u_stats::{
+//!     binomial_normal_moments, BinomialNormalBatch, BinomialNormalMoments, GaussLegendre,
+//!     QuadratureMath,
+//! };
 //!
 //! let quadrature = GaussLegendre::new(32);
-//! let batch = BinomialNormalBatch::new(&quadrature);
+//! let exact = BinomialNormalBatch::new_with_math(&quadrature, QuadratureMath::Exact);
 //!
 //! // One mask group: three workers sharing a conditional sigma.
 //! let sigma = 0.12;
@@ -89,7 +85,7 @@
 //! let c = [7.0, 0.0, 2.0];
 //! let x = [3.0, 0.0, 8.0];
 //! let mut out = [BinomialNormalMoments::default(); 3];
-//! batch.moments(sigma, &mu, &c, &x, &mut out);
+//! exact.moments(sigma, &mu, &c, &x, &mut out);
 //!
 //! // Bit-identical to the scalar oracle, worker by worker.
 //! for i in 0..3 {
@@ -100,11 +96,18 @@
 //!     let variance = out[i].second - (out[i].mean - mu[i]).powi(2);
 //!     assert!(0.0 < variance && variance < sigma * sigma);
 //! }
+//!
+//! // The default sweep tracks it within its tolerance contract.
+//! let mut fast = [BinomialNormalMoments::default(); 3];
+//! BinomialNormalBatch::new(&quadrature).moments(sigma, &mu, &c, &x, &mut fast);
+//! for (f, e) in fast.iter().zip(&out) {
+//!     assert!((f.log_z - e.log_z).abs() < 1e-12 && (f.mean - e.mean).abs() < 1e-12);
+//! }
 //! ```
 
 use crate::binomial_normal::{bracketing_points, SIGMA_FLOOR};
 use crate::integrate::GaussLegendre;
-use crate::vmath::{vexp, vexp_scalar, VEXP_LANES};
+use crate::vmath::vexp_scalar;
 use std::cell::Cell;
 
 thread_local! {
@@ -161,40 +164,56 @@ pub struct BinomialNormalMoments {
     pub second: f64,
 }
 
-/// Arithmetic contract of the batched fold passes — see the
+/// Arithmetic contract of the batched sweep — see the
 /// [`BinomialNormalBatch`] docs for the full accuracy contract of each mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum QuadratureMath {
     /// libm `f64::exp` in the scalar summation order: bit-identical to the
-    /// scalar oracle functions. The pinned default.
-    #[default]
+    /// scalar oracle functions.
     Exact,
-    /// Fused register-resident sweeps over [`VEXP_LANES`]-wide node chunks —
-    /// division-free fill arithmetic, the lane-chunked polynomial
-    /// [`vexp`], and chunk-wide partial-sum accumulation in one
-    /// pass: deterministic, but validated by tolerance (~1e-12 relative per
-    /// cell) rather than bit equality.
+    /// The worker-major sweep over eight-member chunks — division-free fill
+    /// arithmetic, the polynomial [`vexp_scalar`], and node-order sums per
+    /// member: deterministic and independent of a member's batch, but
+    /// validated by tolerance (~1e-12 relative per cell) rather than bit
+    /// equality. The default.
+    #[default]
     FastVector,
 }
 
-/// Width of the partial-sum / max-reduce accumulators in the `Exact`-mode
-/// fold passes. Rules (or the bracketing grid tail) shorter than this fall
-/// back to the scalar remainder path, which computes identical per-element
-/// values. (The `FastVector` sweeps chunk by [`VEXP_LANES`] instead.)
+/// Width of the max-reduce accumulators of the `Exact` grid scan. A grid
+/// tail shorter than this takes the scalar remainder path, which computes
+/// identical per-element values.
 const FOLD_LANES: usize = 4;
+
+/// Members per chunk of the `FastVector` sweep: the lane count of its inner
+/// loops. A partial chunk is padded to this width.
+const MEMBER_LANES: usize = 8;
+
+/// Node terms below `e^NEGLIGIBLE` of a member's largest node term count as
+/// zero in the `FastVector` sums: they sit some 260 orders of magnitude
+/// below the sum's last digit, and every term above the cut stays far from
+/// the subnormal range after its weight and moment factors.
+const NEGLIGIBLE: f64 = -600.0;
+
+/// `ln` of the smallest positive subnormal and of the largest finite `f64`:
+/// outside this range the `Exact` sweep's shifted mass rounds to zero or
+/// overflows, and the `FastVector` sweep takes the same underflow fallback.
+const MASS_RANGE: std::ops::RangeInclusive<f64> = -744.440_071_921_381_2..=709.782_712_893_384;
 
 /// Reusable scratch for the batched sweep.
 ///
-/// The `Exact`-mode per-worker passes need one `num_nodes`-sized buffer for
-/// the shifted log-integrand; [`BinomialNormalBatch::moments_with_scratch`]
-/// borrows it from here instead of allocating per call, so a caller that
-/// loops over mask groups and epochs performs **zero** heap allocations in
-/// the sweep (the `FastVector` sweep stages through a fixed stack buffer and
-/// never touches it). The buffer only ever grows; sharing one scratch across batches
-/// of different rule sizes is fine.
+/// The sweeps stage the shifted log-integrand at every node before
+/// exponentiating it: the `Exact` sweep one worker at a time, the
+/// `FastVector` sweep one member chunk at a time.
+/// [`BinomialNormalBatch::moments_with_scratch`] borrows the buffers from
+/// here instead of allocating per call, so a caller that loops over mask
+/// groups and epochs performs **zero** heap allocations in the sweep. The
+/// buffers only ever grow; sharing one scratch across batches of different
+/// rule sizes is fine.
 #[derive(Debug, Clone, Default)]
 pub struct QuadratureScratch {
     buf: Vec<f64>,
+    lanes: Vec<[f64; MEMBER_LANES]>,
 }
 
 impl QuadratureScratch {
@@ -210,6 +229,14 @@ impl QuadratureScratch {
         }
         &mut self.buf[..n]
     }
+
+    /// One member chunk's lanes per node, growing the buffer if needed.
+    fn lanes(&mut self, n: usize) -> &mut [[f64; MEMBER_LANES]] {
+        if self.lanes.len() < n {
+            self.lanes.resize(n, [0.0; MEMBER_LANES]);
+        }
+        &mut self.lanes[..n]
+    }
 }
 
 /// Structure-of-arrays tables for batched binomial×normal quadrature over one
@@ -217,9 +244,8 @@ impl QuadratureScratch {
 ///
 /// Built once per rule (cheap: one `ln` pair per node and grid point) and
 /// reused for every mask group and every model evaluation. All buffers are
-/// flat and contiguous; the per-worker inner loops index them node-major.
-/// The fold arithmetic is fixed at construction by [`QuadratureMath`]
-/// ([`new`](Self::new) pins the bit-identical `Exact` mode).
+/// flat and contiguous. The sweep arithmetic is fixed at construction by
+/// [`QuadratureMath`] ([`new`](Self::new) takes the default, `FastVector`).
 #[derive(Debug, Clone)]
 pub struct BinomialNormalBatch {
     /// Mapped node positions `mid + half * x` on `[0, 1]`, unclamped — the
@@ -238,13 +264,12 @@ pub struct BinomialNormalBatch {
     /// `ln(1 - h)` at the clamped nodes.
     node_l1h: Vec<f64>,
     /// The peak-bracketing grid (clamped) and its log tables, in
-    /// `bracketing_points()` order so the `log_max` fold visits grid points in
-    /// the scalar order — padded to a multiple of [`VEXP_LANES`] by repeating
-    /// the last point (a no-op under `max`) so the scans have no scalar tail.
+    /// `bracketing_points()` order so the `Exact` scan visits grid points in
+    /// the scalar order.
     grid_hc: Vec<f64>,
     grid_lh: Vec<f64>,
     grid_l1h: Vec<f64>,
-    /// Fold arithmetic contract, fixed at construction.
+    /// Sweep arithmetic contract, fixed at construction.
     math: QuadratureMath,
 }
 
@@ -255,14 +280,14 @@ const HALF: f64 = 0.5 * (1.0 - 0.0);
 const MID: f64 = 0.5 * (0.0 + 1.0);
 
 impl BinomialNormalBatch {
-    /// Tabulates the SoA buffers for `quadrature` on `[0, 1]`, in the pinned
-    /// bit-identical [`QuadratureMath::Exact`] mode.
+    /// Tabulates the SoA buffers for `quadrature` on `[0, 1]`, in the default
+    /// [`QuadratureMath`] mode.
     pub fn new(quadrature: &GaussLegendre) -> Self {
-        Self::new_with_math(quadrature, QuadratureMath::Exact)
+        Self::new_with_math(quadrature, QuadratureMath::default())
     }
 
     /// Tabulates the SoA buffers for `quadrature` on `[0, 1]` with an explicit
-    /// fold-arithmetic contract.
+    /// sweep arithmetic contract.
     pub fn new_with_math(quadrature: &GaussLegendre, math: QuadratureMath) -> Self {
         let n = quadrature.order();
         // `GaussLegendre::new` clamps its order to >= 2, so an empty rule is
@@ -295,19 +320,6 @@ impl BinomialNormalBatch {
             grid_lh.push(hc.ln());
             grid_l1h.push((1.0 - hc).ln());
         }
-        // Pad the grid tables to a whole number of scan chunks by repeating
-        // the last grid point. A `max` fold over duplicates of an element it
-        // already visits returns the identical value in both math modes, and
-        // the padding lets the per-worker `log_max` scans run lane chunks
-        // only — no serial scalar-remainder dependency chain at the tail.
-        while !grid_hc.len().is_multiple_of(VEXP_LANES) {
-            // c4u-lint: allow(no-unwrap-in-lib, reason = "the bracketing grid was just checked non-empty")
-            grid_hc.push(*grid_hc.last().expect("bracketing grid is non-empty"));
-            // c4u-lint: allow(no-unwrap-in-lib, reason = "the bracketing grid was just checked non-empty")
-            grid_lh.push(*grid_lh.last().expect("bracketing grid is non-empty"));
-            // c4u-lint: allow(no-unwrap-in-lib, reason = "the bracketing grid was just checked non-empty")
-            grid_l1h.push(*grid_l1h.last().expect("bracketing grid is non-empty"));
-        }
         Self {
             node_h,
             node_hc,
@@ -321,21 +333,19 @@ impl BinomialNormalBatch {
         }
     }
 
-    /// Number of quadrature nodes in the tables (always at least 2; rules
-    /// shorter than the chunk widths run entirely on the scalar remainder
-    /// paths, with identical per-element arithmetic).
+    /// Number of quadrature nodes in the tables (always at least 2).
     pub fn num_nodes(&self) -> usize {
         self.node_h.len()
     }
 
-    /// The fold-arithmetic contract this batch was built with.
+    /// The sweep arithmetic contract this batch was built with.
     pub fn math(&self) -> QuadratureMath {
         self.math
     }
 
     /// `(log Z, E[h], E[(h − mu)²])` of Eq. 5/8 for a whole shared-`sigma`
-    /// batch: one sweep over the node tables per worker, one counter tick for
-    /// the whole call.
+    /// batch: one sweep over the node tables, one counter tick for the whole
+    /// call.
     ///
     /// `mu`, `c`, `x` and `out` must have equal lengths. In
     /// [`QuadratureMath::Exact`] mode `log_z` and `mean` are bit-identical to
@@ -343,7 +353,8 @@ impl BinomialNormalBatch {
     /// `(mu, sigma, c, x)`, including the underflow fallback
     /// `(NEG_INFINITY, mu.clamp(0, 1))`, and `second` is the integral of
     /// `(h − mu)²` times the integrand over the same nodes and shift,
-    /// divided by the same `Z`.
+    /// divided by the same `Z`. In either mode a worker's output depends only
+    /// on its own `(mu, c, x)` and `sigma`.
     ///
     /// Allocates a fresh scratch buffer; hot loops should hold a
     /// [`QuadratureScratch`] and call
@@ -377,61 +388,75 @@ impl BinomialNormalBatch {
         let sigma = sigma.max(SIGMA_FLOOR);
         let ln_sigma = sigma.ln();
         let half_ln_2pi = 0.5 * (2.0 * std::f64::consts::PI).ln();
-        let scratch = scratch.nodes(self.num_nodes());
-        for (i, out) in out.iter_mut().enumerate() {
-            let (mu_i, c_i, x_i) = (mu[i], c[i], x[i]);
-            let underflow = BinomialNormalMoments {
-                log_z: f64::NEG_INFINITY,
-                mean: mu_i.clamp(0.0, 1.0),
-                second: sigma * sigma,
-            };
-            let log_max = self.log_max(sigma, ln_sigma, half_ln_2pi, mu_i, c_i, x_i);
-            if !log_max.is_finite() {
-                *out = underflow;
-                continue;
+        match self.math {
+            QuadratureMath::Exact => {
+                let scratch = scratch.nodes(self.num_nodes());
+                for (i, out) in out.iter_mut().enumerate() {
+                    let (mu_i, c_i, x_i) = (mu[i], c[i], x[i]);
+                    let log_max = self.log_max(sigma, ln_sigma, half_ln_2pi, mu_i, c_i, x_i);
+                    *out = if log_max.is_finite() {
+                        // The scalar path runs the normaliser and the moment
+                        // as two independent `integrate` calls over the same
+                        // integrand values; one fused node-order pass
+                        // reproduces both sums bit for bit because each
+                        // accumulator sees the same terms in the same order.
+                        self.fill_shifted_log_integrand(
+                            sigma,
+                            ln_sigma,
+                            half_ln_2pi,
+                            mu_i,
+                            c_i,
+                            x_i,
+                            log_max,
+                            scratch,
+                        );
+                        finish(sigma, mu_i, log_max, self.fold_exact(scratch, mu_i))
+                    } else {
+                        underflow(sigma, mu_i)
+                    };
+                }
             }
-            // The scalar path runs the normaliser and the moment as two
-            // independent `integrate` calls over the same integrand values;
-            // one fused node-order pass reproduces both sums bit for bit
-            // because each accumulator sees the same terms in the same order.
-            let (sum_z, sum_m, sum_2) = match self.math {
-                QuadratureMath::Exact => {
-                    self.fill_shifted_log_integrand(
-                        sigma,
-                        ln_sigma,
-                        half_ln_2pi,
-                        mu_i,
-                        c_i,
-                        x_i,
-                        log_max,
-                        scratch,
+            QuadratureMath::FastVector => {
+                let (inv_sigma, k) = (1.0 / sigma, ln_sigma + half_ln_2pi);
+                let terms = scratch.lanes(self.num_nodes());
+                let chunks = out
+                    .chunks_mut(MEMBER_LANES)
+                    .zip(mu.chunks(MEMBER_LANES))
+                    .zip(c.chunks(MEMBER_LANES))
+                    .zip(x.chunks(MEMBER_LANES));
+                for (((out, mu), c), x) in chunks {
+                    // Padding lanes hold a well-scaled cell whose results
+                    // are dropped.
+                    let sums = self.sweep_fast(
+                        inv_sigma,
+                        k,
+                        &padded(mu, 0.5),
+                        &padded(c, 0.0),
+                        &padded(x, 0.0),
+                        terms,
                     );
-                    self.fold_exact(scratch, mu_i)
+                    for (j, (out, &mu)) in out.iter_mut().zip(mu).enumerate() {
+                        let (log_max, peak) = (sums.log_max[j], sums.node_max[j]);
+                        let (z, m, s) = (sums.z[j], sums.m[j], sums.s[j]);
+                        // The mass relative to the grid peak, `ln(z) + peak`,
+                        // takes the underflow fallback where the `Exact`
+                        // sweep's shifted mass would round to zero or
+                        // overflow.
+                        let log_mass = (z * HALF).ln() + peak;
+                        *out = if log_max.is_finite() && MASS_RANGE.contains(&log_mass) {
+                            finish(sigma, mu, log_max + peak, (z, m, s))
+                        } else {
+                            underflow(sigma, mu)
+                        };
+                    }
                 }
-                QuadratureMath::FastVector => self.sweep_fast(
-                    1.0 / sigma,
-                    ln_sigma + half_ln_2pi + log_max,
-                    mu_i,
-                    c_i,
-                    x_i,
-                ),
-            };
-            let z = sum_z * HALF;
-            *out = if z <= 0.0 || !z.is_finite() {
-                underflow
-            } else {
-                BinomialNormalMoments {
-                    log_z: z.ln() + log_max,
-                    mean: sum_m * HALF / z,
-                    second: sum_2 * HALF / z,
-                }
-            };
+            }
         }
     }
 
-    /// The peak-bracketing grid's log-integrand maximum for one cell — the
-    /// stable-exponentiation shift every evaluation path (scalar and batched)
-    /// normalises by before exponentiating.
+    /// The `Exact` peak-bracketing grid's log-integrand maximum for one cell
+    /// — the stable-exponentiation shift the scalar oracle and the `Exact`
+    /// sweep normalise by before exponentiating.
     ///
     /// Exposed as a diagnostic so equivalence suites can reason about the
     /// *shifted* mass `exp(log_z - peak)`: when that mass lands in subnormal
@@ -445,91 +470,19 @@ impl BinomialNormalBatch {
         self.log_max(sigma, sigma.ln(), half_ln_2pi, mu, c, x)
     }
 
-    /// `log_max` over the peak-bracketing grid (`- ln_sigma - half_ln_2pi`,
-    /// matching the scalar closure's subtraction order bit for bit in
-    /// [`QuadratureMath::Exact`] mode).
-    fn log_max(&self, sigma: f64, ln_sigma: f64, half_ln_2pi: f64, mu: f64, c: f64, x: f64) -> f64 {
-        match self.math {
-            QuadratureMath::Exact => self.grid_max(|hc, lh, l1h| {
-                let z = (hc - mu) / sigma;
-                c * lh + x * l1h - 0.5 * z * z - ln_sigma - half_ln_2pi
-            }),
-            QuadratureMath::FastVector => {
-                self.grid_max_approx(mu, c, x, 1.0 / sigma, ln_sigma + half_ln_2pi)
-            }
-        }
-    }
-
-    /// Division-free `log_max` of the [`QuadratureMath::FastVector`] path:
-    /// the Gaussian exponent is expanded to the quadratic
-    /// `alpha·hc² + beta·hc + gamma` (`alpha = −1/(2 sigma²)`, constants
-    /// folded per worker), so every grid point costs four fused
-    /// multiply-adds and a compare — no division, no `f64::max` libcall —
-    /// in one 8-lane chunked max pass.
-    ///
-    /// Expanding the square trades the exact form's `~2^-48` relative error
-    /// for a cancellation-amplified **absolute** error of order
-    /// `eps · |alpha|` (≲1e-4 at the `SIGMA_FLOOR` extreme). That is fine
-    /// *here* — and only here — because the stabilisation peak **cancels
-    /// mathematically** in everything the sweeps return: `log Z` adds the
-    /// same `log_max` it subtracted inside the exponent, and the
-    /// moment outputs are ratios of sums that scale by the
-    /// identical `exp(-log_max)`. Any finite shift within the exp
-    /// over/underflow budget (~±700 nats of the true peak) produces the same
-    /// results up to ordinary rounding, well inside the FastVector ~1e-12
-    /// tolerance contract (only a cell balanced on the absolute underflow
-    /// cutoff could flip its `NEG_INFINITY` fallback, which that contract
-    /// already treats as a boundary). The per-node *fill* arithmetic must
-    /// NOT use this expansion — its errors do not cancel.
-    ///
-    /// `NaN` grid terms (an edge point's `0 · ln 0`) are skipped by the
-    /// `t > a` compare-select exactly as the exact scan's `f64::max` skips
-    /// them, and a non-finite result still falls back the same way: the
-    /// caller replaces the whole cell with the underflow value.
-    ///
-    /// Marked `#[inline]` for the same reason as [`vexp`]: one call per
-    /// worker from the hot batch loops, where the call boundary would spill
-    /// the loop's live vector registers.
-    // c4u-lint: hot-path
-    #[inline]
-    fn grid_max_approx(&self, mu: f64, c: f64, x: f64, inv_sigma: f64, k: f64) -> f64 {
-        let alpha = -0.5 * inv_sigma * inv_sigma;
-        let beta = -2.0 * alpha * mu;
-        let gamma = alpha * mu * mu - k;
-        let mut acc = [f64::NEG_INFINITY; VEXP_LANES];
-        let mut hc_it = self.grid_hc.chunks_exact(VEXP_LANES);
-        let mut lh_it = self.grid_lh.chunks_exact(VEXP_LANES);
-        let mut l1h_it = self.grid_l1h.chunks_exact(VEXP_LANES);
-        for ((hc, lh), l1h) in (&mut hc_it).zip(&mut lh_it).zip(&mut l1h_it) {
-            for (a, ((&hc, &lh), &l1h)) in acc.iter_mut().zip(hc.iter().zip(lh).zip(l1h)) {
-                let t = hc.mul_add(hc.mul_add(alpha, beta), gamma);
-                let t = lh.mul_add(c, t);
-                let t = l1h.mul_add(x, t);
-                *a = if t > *a { t } else { *a };
-            }
-        }
-        for ((&hc, &lh), &l1h) in hc_it
-            .remainder()
-            .iter()
-            .zip(lh_it.remainder())
-            .zip(l1h_it.remainder())
-        {
-            let t = hc.mul_add(hc.mul_add(alpha, beta), gamma);
-            let t = lh.mul_add(c, t);
-            let t = l1h.mul_add(x, t);
-            acc[0] = if t > acc[0] { t } else { acc[0] };
-        }
-        acc.into_iter().fold(f64::NEG_INFINITY, f64::max)
-    }
-
-    /// Chunked max-reduce of `term` over the bracketing-grid tables: 4-lane
-    /// max accumulators over the chunks, scalar tail, lanes folded at the
-    /// end. Bit-identical to a sequential scan for every fold order —
+    /// `log_max` over the peak-bracketing grid with the scalar closure's
+    /// `/ sigma` division and subtraction order, bit for bit: 4-lane max
+    /// accumulators over the chunks, scalar tail, lanes folded at the end.
+    /// Bit-identical to a sequential scan for every fold order —
     /// floating-point `max` is commutative and associative on the non-`NaN`
     /// values the grid produces (and an all-`-inf` scan still yields
     /// `-inf`) — while letting the autovectoriser keep the grid scan in
-    /// packed lanes. The [`QuadratureMath::Exact`] grid path.
-    fn grid_max(&self, term: impl Fn(f64, f64, f64) -> f64) -> f64 {
+    /// packed lanes.
+    fn log_max(&self, sigma: f64, ln_sigma: f64, half_ln_2pi: f64, mu: f64, c: f64, x: f64) -> f64 {
+        let term = |hc: f64, lh: f64, l1h: f64| {
+            let z = (hc - mu) / sigma;
+            c * lh + x * l1h - 0.5 * z * z - ln_sigma - half_ln_2pi
+        };
         let mut acc = [f64::NEG_INFINITY; FOLD_LANES];
         let mut hc_it = self.grid_hc.chunks_exact(FOLD_LANES);
         let mut lh_it = self.grid_lh.chunks_exact(FOLD_LANES);
@@ -553,8 +506,7 @@ impl BinomialNormalBatch {
     /// Pass 1 of the [`QuadratureMath::Exact`] per-worker sweep: the shifted
     /// log-integrand value at every node into `scratch`, preserving the
     /// scalar oracle's `/ sigma` division and constant-subtraction order bit
-    /// for bit. The `FastVector` sweep never stages through `scratch` — see
-    /// [`sweep_fast`](Self::sweep_fast).
+    /// for bit.
     #[allow(clippy::too_many_arguments)]
     fn fill_shifted_log_integrand(
         &self,
@@ -578,27 +530,10 @@ impl BinomialNormalBatch {
         }
     }
 
-    /// Pairwise tree reduction of a lane accumulator: `log2(LANES)` rounds of
-    /// halving instead of a serial left fold. The serial fold is a
-    /// latency-chained `LANES - 1` additions (~4 cycles each) per worker; the
-    /// tree is `log2(LANES)` dependent rounds. Fast-sweep accumulators only —
-    /// the Exact fold keeps the pinned node-order serial sum.
-    #[inline]
-    fn hsum_lanes(mut acc: [f64; VEXP_LANES]) -> f64 {
-        const { assert!(VEXP_LANES.is_power_of_two()) };
-        let mut half = VEXP_LANES / 2;
-        while half >= 1 {
-            for i in 0..half {
-                acc[i] += acc[i + half];
-            }
-            half /= 2;
-        }
-        acc[0]
-    }
-
-    /// Exact-mode fold of the three sums `Σ w·e`, `Σ w·h·e` and
-    /// `Σ w·(h − mu)²·e`: libm `exp`, node-order serial sums, each in the
-    /// summation order of `GaussLegendre::integrate`, bit for bit.
+    // c4u-lint: hot-path
+    /// Pass 2 of the [`QuadratureMath::Exact`] per-worker sweep: the three
+    /// sums `Σ w·e`, `Σ w·h·e` and `Σ w·(h − mu)²·e` with libm `exp`, each in
+    /// the node-order summation of `GaussLegendre::integrate`, bit for bit.
     fn fold_exact(&self, scratch: &[f64], mu: f64) -> (f64, f64, f64) {
         let (mut sum_z, mut sum_m, mut sum_2) = (0.0, 0.0, 0.0);
         for ((t, w), h) in scratch.iter().zip(&self.node_w).zip(&self.node_h) {
@@ -612,80 +547,132 @@ impl BinomialNormalBatch {
         (sum_z, sum_m, sum_2)
     }
 
-    /// FastVector sweep: fill, exponentiate, and accumulate one
-    /// [`VEXP_LANES`]-wide node chunk at a time, entirely in registers and a
-    /// stack staging buffer — no scratch round-trip. The per-node arithmetic
-    /// is the division-free fill form (`u = (hc − mu)·(1/sigma)`, constants
-    /// folded per worker into `k`) followed by [`vexp`] on the staged chunk;
-    /// the remainder (and any rule shorter than one chunk) runs the
-    /// identical [`vexp_scalar`] math, so results stay position-independent.
-    /// The three sums of [`fold_exact`](Self::fold_exact) accumulate in
-    /// chunk-wide partial sums.
-    fn sweep_fast(&self, inv_sigma: f64, k: f64, mu: f64, c: f64, x: f64) -> (f64, f64, f64) {
-        let mut acc_z = [0.0f64; VEXP_LANES];
-        let mut acc_m = [0.0f64; VEXP_LANES];
-        let mut acc_2 = [0.0f64; VEXP_LANES];
-        let mut buf = [0.0f64; VEXP_LANES];
-        let mut hc_it = self.node_hc.chunks_exact(VEXP_LANES);
-        let mut lh_it = self.node_lh.chunks_exact(VEXP_LANES);
-        let mut l1h_it = self.node_l1h.chunks_exact(VEXP_LANES);
-        let mut w_it = self.node_w.chunks_exact(VEXP_LANES);
-        let mut h_it = self.node_h.chunks_exact(VEXP_LANES);
-        for ((((hc, lh), l1h), w), h) in (&mut hc_it)
-            .zip(&mut lh_it)
-            .zip(&mut l1h_it)
-            .zip(&mut w_it)
-            .zip(&mut h_it)
-        {
-            for (b, ((&hc, &lh), &l1h)) in buf.iter_mut().zip(hc.iter().zip(lh).zip(l1h)) {
-                let u = (hc - mu) * inv_sigma;
-                *b = x.mul_add(l1h, c * lh) - u.mul_add(0.5 * u, k);
-            }
-            vexp(&mut buf);
-            // Fixed-size chunk views: `[f64; VEXP_LANES]` (rather than
-            // length-8 slices) is the shape LLVM widens into clean packed
-            // multiply-adds across the chunk instead of pairing the
-            // accumulators per node into element shuffles.
-            // c4u-lint: allow(no-unwrap-in-lib, reason = "chunks_exact yields slices of exactly the requested width")
-            let w: &[f64; VEXP_LANES] = w.try_into().expect("chunks_exact width");
-            // c4u-lint: allow(no-unwrap-in-lib, reason = "chunks_exact yields slices of exactly the requested width")
-            let h: &[f64; VEXP_LANES] = h.try_into().expect("chunks_exact width");
-            for j in 0..VEXP_LANES {
-                buf[j] *= w[j];
-            }
-            for j in 0..VEXP_LANES {
-                acc_z[j] += buf[j];
-            }
-            for j in 0..VEXP_LANES {
-                acc_m[j] += h[j] * buf[j];
-            }
-            for j in 0..VEXP_LANES {
-                let d = h[j] - mu;
-                acc_2[j] += d * d * buf[j];
+    /// The [`QuadratureMath::FastVector`] sweep of one member chunk,
+    /// worker-major: every loop below runs across the chunk's member lanes
+    /// with the same per-lane arithmetic, so a lane's result never depends
+    /// on its neighbours.
+    ///
+    /// 1. The grid pass takes each member's `log_max` with the Gaussian
+    ///    exponent expanded to `alpha·hc² + beta·hc + gamma` (`alpha =
+    ///    −1/(2 sigma²)`, constants folded per member, `k` = `ln sigma +
+    ///    ln √(2π)`): four fused multiply-adds and a compare-select per grid
+    ///    point. A `NaN` term (an edge point's `0 · ln 0`) is skipped by the
+    ///    `t > max` select, as the exact scan's `f64::max` skips it.
+    /// 2. The fill pass stages the shifted log-integrand at every node in
+    ///    `terms`, with the division-free form `u = (hc − mu)·(1/sigma)`,
+    ///    and takes its maximum over the nodes, `node_max`.
+    /// 3. The sum pass exponentiates each term relative to `node_max` with
+    ///    [`vexp_scalar`] and adds the three weighted terms to the member's
+    ///    sums in node order. Shifting by the node maximum keeps every term
+    ///    that counts in the normal range even when every node lies far
+    ///    below the grid peak (a narrow integrand), and a term below
+    ///    `e^NEGLIGIBLE` of the largest is a zero: producing subnormal or
+    ///    underflowing values costs a microcode assist per element on x86,
+    ///    several times the rest of the sweep.
+    fn sweep_fast(
+        &self,
+        inv_sigma: f64,
+        k: f64,
+        mu: &[f64; MEMBER_LANES],
+        c: &[f64; MEMBER_LANES],
+        x: &[f64; MEMBER_LANES],
+        terms: &mut [[f64; MEMBER_LANES]],
+    ) -> ChunkSums {
+        let alpha = -0.5 * inv_sigma * inv_sigma;
+        let mut beta = [0.0; MEMBER_LANES];
+        let mut gamma = [0.0; MEMBER_LANES];
+        for j in 0..MEMBER_LANES {
+            beta[j] = -2.0 * alpha * mu[j];
+            gamma[j] = alpha * mu[j] * mu[j] - k;
+        }
+        let mut log_max = [f64::NEG_INFINITY; MEMBER_LANES];
+        for ((&hc, &lh), &l1h) in self.grid_hc.iter().zip(&self.grid_lh).zip(&self.grid_l1h) {
+            for j in 0..MEMBER_LANES {
+                let t = hc.mul_add(hc.mul_add(alpha, beta[j]), gamma[j]);
+                let t = lh.mul_add(c[j], t);
+                let t = l1h.mul_add(x[j], t);
+                log_max[j] = if t > log_max[j] { t } else { log_max[j] };
             }
         }
-        for ((((&hc, &lh), &l1h), &w), &h) in hc_it
-            .remainder()
-            .iter()
-            .zip(lh_it.remainder())
-            .zip(l1h_it.remainder())
-            .zip(w_it.remainder())
-            .zip(h_it.remainder())
-        {
-            let u = (hc - mu) * inv_sigma;
-            let e = w * vexp_scalar(x.mul_add(l1h, c * lh) - u.mul_add(0.5 * u, k));
-            let d = h - mu;
-            acc_z[0] += e;
-            acc_m[0] += h * e;
-            acc_2[0] += d * d * e;
+        let mut shift = [0.0; MEMBER_LANES];
+        for j in 0..MEMBER_LANES {
+            shift[j] = k + log_max[j];
         }
-        (
-            Self::hsum_lanes(acc_z),
-            Self::hsum_lanes(acc_m),
-            Self::hsum_lanes(acc_2),
-        )
+        let mut node_max = [f64::NEG_INFINITY; MEMBER_LANES];
+        let nodes = self.node_hc.iter().zip(&self.node_lh).zip(&self.node_l1h);
+        for (t, ((&hc, &lh), &l1h)) in terms.iter_mut().zip(nodes) {
+            for j in 0..MEMBER_LANES {
+                let u = (hc - mu[j]) * inv_sigma;
+                let v = x[j].mul_add(l1h, c[j] * lh) - u.mul_add(0.5 * u, shift[j]);
+                node_max[j] = if v > node_max[j] { v } else { node_max[j] };
+                t[j] = v;
+            }
+        }
+        let mut sums = ChunkSums {
+            log_max,
+            node_max,
+            z: [0.0; MEMBER_LANES],
+            m: [0.0; MEMBER_LANES],
+            s: [0.0; MEMBER_LANES],
+        };
+        for (t, (&w, &h)) in terms.iter().zip(self.node_w.iter().zip(&self.node_h)) {
+            for j in 0..MEMBER_LANES {
+                let r = t[j] - node_max[j];
+                let e = w * vexp_scalar(r.max(NEGLIGIBLE));
+                let e = if r < NEGLIGIBLE { 0.0 } else { e };
+                let d = h - mu[j];
+                sums.z[j] += e;
+                sums.m[j] += h * e;
+                sums.s[j] += d * d * e;
+            }
+        }
+        sums
     }
     // c4u-lint: end-hot-path
+}
+
+/// Per-member peak shifts and node sums of one `FastVector` chunk: the
+/// grid peak, the largest node term relative to it, and the sums relative
+/// to that node term.
+struct ChunkSums {
+    log_max: [f64; MEMBER_LANES],
+    node_max: [f64; MEMBER_LANES],
+    z: [f64; MEMBER_LANES],
+    m: [f64; MEMBER_LANES],
+    s: [f64; MEMBER_LANES],
+}
+
+/// One chunk of a member column, its tail padded with `fill`.
+fn padded(values: &[f64], fill: f64) -> [f64; MEMBER_LANES] {
+    let mut lanes = [fill; MEMBER_LANES];
+    lanes[..values.len()].copy_from_slice(values);
+    lanes
+}
+
+/// The underflow fallback of one cell: `log Z = -inf`, the conditional
+/// prior's mean (clamped to `[0, 1]`) and variance.
+fn underflow(sigma: f64, mu: f64) -> BinomialNormalMoments {
+    BinomialNormalMoments {
+        log_z: f64::NEG_INFINITY,
+        mean: mu.clamp(0.0, 1.0),
+        second: sigma * sigma,
+    }
+}
+
+/// One cell's moments from its peak shift and its three node sums, which
+/// carry raw weights: the interval half-width is folded in here, as
+/// `GaussLegendre::integrate` folds it into its final sum.
+fn finish(sigma: f64, mu: f64, log_max: f64, sums: (f64, f64, f64)) -> BinomialNormalMoments {
+    let (sum_z, sum_m, sum_2) = sums;
+    let z = sum_z * HALF;
+    if z <= 0.0 || !z.is_finite() {
+        return underflow(sigma, mu);
+    }
+    BinomialNormalMoments {
+        log_z: z.ln() + log_max,
+        mean: sum_m * HALF / z,
+        second: sum_2 * HALF / z,
+    }
 }
 
 #[cfg(test)]
@@ -717,6 +704,18 @@ mod tests {
         let mut out = vec![BinomialNormalMoments::default(); mu.len()];
         batch.moments(sigma, &mu, &c, &x, &mut out);
         out
+    }
+
+    fn sweep_one(
+        batch: &BinomialNormalBatch,
+        mu: f64,
+        sigma: f64,
+        c: f64,
+        x: f64,
+    ) -> BinomialNormalMoments {
+        let mut out = [BinomialNormalMoments::default()];
+        batch.moments(sigma, &[mu], &[c], &[x], &mut out);
+        out[0]
     }
 
     /// `E[(h − mu)²]` the scalar way: the integrand, shift and `integrate`
@@ -755,7 +754,7 @@ mod tests {
     fn batched_moments_bit_identical_to_scalar() {
         for order in [2usize, 16, 32, 64] {
             let quadrature = GaussLegendre::new(order);
-            let batch = BinomialNormalBatch::new(&quadrature);
+            let batch = BinomialNormalBatch::new_with_math(&quadrature, QuadratureMath::Exact);
             for sigma in [0.0, 0.02, 0.12, 0.3] {
                 for (i, (out, &(mu, _, c, x))) in
                     sweep(&batch, sigma).iter().zip(&CELLS).enumerate()
@@ -777,7 +776,7 @@ mod tests {
     fn batched_second_moment_bit_identical_to_scalar_integral() {
         for order in [2usize, 16, 32, 64] {
             let quadrature = GaussLegendre::new(order);
-            let batch = BinomialNormalBatch::new(&quadrature);
+            let batch = BinomialNormalBatch::new_with_math(&quadrature, QuadratureMath::Exact);
             for sigma in [0.0, 0.02, 0.12, 0.3] {
                 for (i, (out, &(mu, _, c, x))) in
                     sweep(&batch, sigma).iter().zip(&CELLS).enumerate()
@@ -822,8 +821,8 @@ mod tests {
     fn fast_vector_tracks_exact_within_tolerance() {
         for order in [2usize, 5, 16, 32, 64] {
             let quadrature = GaussLegendre::new(order);
-            let exact = BinomialNormalBatch::new(&quadrature);
-            let fast = BinomialNormalBatch::new_with_math(&quadrature, QuadratureMath::FastVector);
+            let exact = BinomialNormalBatch::new_with_math(&quadrature, QuadratureMath::Exact);
+            let fast = BinomialNormalBatch::new(&quadrature);
             assert_eq!(fast.math(), QuadratureMath::FastVector);
             for sigma in [0.02, 0.12, 0.3] {
                 let (e, f) = (sweep(&exact, sigma), sweep(&fast, sigma));
@@ -864,7 +863,7 @@ mod tests {
     #[test]
     fn underflow_fallbacks_match_scalar() {
         let quadrature = GaussLegendre::new(32);
-        let batch = BinomialNormalBatch::new(&quadrature);
+        let batch = BinomialNormalBatch::new_with_math(&quadrature, QuadratureMath::Exact);
         // Counts so large that the integrand's mass lies entirely between
         // quadrature nodes: the normaliser underflows to zero.
         let (mu, sigma, c, x) = (0.5, 0.15, 500_000.0, 500_000.0);
@@ -881,6 +880,23 @@ mod tests {
                 second: sigma * sigma,
             }
         );
+    }
+
+    #[test]
+    fn fast_vector_falls_back_where_exact_does() {
+        // Both ends of the `Exact` shifted mass: a grid peak far above every
+        // node (the mass rounds to zero) and a node far above the grid peak
+        // (a conditional narrower than the grid spacing, centred on a node:
+        // the mass overflows).
+        let quadrature = GaussLegendre::new(32);
+        let exact = BinomialNormalBatch::new_with_math(&quadrature, QuadratureMath::Exact);
+        let fast = BinomialNormalBatch::new(&quadrature);
+        let node = exact.node_h[9];
+        for (mu, sigma, c, x) in [(0.5, 0.15, 500_000.0, 500_000.0), (node, 2e-5, 0.0, 0.0)] {
+            let e = sweep_one(&exact, mu, sigma, c, x);
+            assert_eq!(e, underflow(sigma, mu), "exact at mu {mu}");
+            assert_eq!(sweep_one(&fast, mu, sigma, c, x), e, "fast at mu {mu}");
+        }
     }
 
     #[test]
@@ -927,9 +943,11 @@ mod tests {
         let batch = BinomialNormalBatch::new(&quadrature);
         assert_eq!(batch.num_nodes(), 12);
         assert_eq!(batch.math(), QuadratureMath::default());
-        let fast = BinomialNormalBatch::new_with_math(&quadrature, QuadratureMath::FastVector);
-        assert_eq!(fast.math(), QuadratureMath::FastVector);
-        // An empty batch is a valid (no-op) sweep.
+        assert_eq!(QuadratureMath::default(), QuadratureMath::FastVector);
+        let exact = BinomialNormalBatch::new_with_math(&quadrature, QuadratureMath::Exact);
+        assert_eq!(exact.math(), QuadratureMath::Exact);
+        // An empty batch is a valid (no-op) sweep in both modes.
         batch.moments(0.1, &[], &[], &[], &mut []);
+        exact.moments(0.1, &[], &[], &[], &mut []);
     }
 }

@@ -141,7 +141,7 @@ fn moments_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BinomialNormalBatch, BinomialNormalMoments};
+    use crate::{BinomialNormalBatch, BinomialNormalMoments, QuadratureMath};
 
     #[test]
     fn log_z_only_variant_matches_full_moments() {
@@ -204,7 +204,8 @@ mod tests {
         let c: Vec<f64> = cells.iter().map(|c| c.1).collect();
         let x: Vec<f64> = cells.iter().map(|c| c.2).collect();
         let mut out = vec![BinomialNormalMoments::default(); cells.len()];
-        BinomialNormalBatch::new(quadrature).moments(sigma, &mu, &c, &x, &mut out);
+        BinomialNormalBatch::new_with_math(quadrature, QuadratureMath::Exact)
+            .moments(sigma, &mu, &c, &x, &mut out);
         out
     }
 

@@ -71,7 +71,7 @@ pub use integrate::GaussLegendre;
 pub use mvn::{conditioning_factorizations, Conditional1D, Conditioner, MultivariateNormal};
 pub use special::{logit, sigmoid};
 pub use univariate::{Bernoulli, Uniform};
-pub use vmath::{vexp, vexp_scalar, VEXP_LANES};
+pub use vmath::vexp_scalar;
 
 // Re-export the linear-algebra types used in this crate's public API so downstream
 // crates do not need a direct `c4u-linalg` dependency just to construct inputs.

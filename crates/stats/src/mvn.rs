@@ -431,6 +431,69 @@ impl Conditioner {
             .sum();
         Ok(self.target_mean + dot)
     }
+
+    /// [`Conditioner::condition_into`] for a block of members, worker-major:
+    /// `given_columns` yields one column per given coordinate, in the order
+    /// the conditioner was built with, each holding one value per member, and
+    /// `means` receives each member's conditional mean.
+    ///
+    /// Every mean carries the bits `condition_into` returns on that member's
+    /// values: the observed-block solve runs in the columns of `w` (resized
+    /// to `num_given() * means.len()`) through
+    /// `Cholesky::solve_columns_in_place`, which repeats the single-system
+    /// solve's operations in its order, and each member's dot product folds
+    /// from `Iterator::sum`'s start value in coordinate order.
+    pub fn condition_columns<'a>(
+        &self,
+        given_columns: impl IntoIterator<Item = &'a [f64]>,
+        w: &mut Vec<f64>,
+        means: &mut [f64],
+    ) -> Result<(), StatsError> {
+        let len = means.len();
+        w.clear();
+        let mut columns = 0;
+        for (column, &m) in given_columns.into_iter().zip(&self.given_means) {
+            if column.len() != len {
+                return Err(StatsError::DimensionMismatch {
+                    what: "every given column must hold one value per member",
+                    left: len,
+                    right: column.len(),
+                });
+            }
+            w.extend(column.iter().map(|&x| x - m));
+            columns += 1;
+        }
+        if columns != self.num_given() {
+            return Err(StatsError::DimensionMismatch {
+                what: "one column per given index",
+                left: self.num_given(),
+                right: columns,
+            });
+        }
+        let Some(chol_gg) = &self.chol_gg else {
+            means.fill(self.target_mean);
+            return Ok(());
+        };
+        if len == 0 {
+            return Ok(());
+        }
+        chol_gg
+            .solve_columns_in_place(w, len)
+            .map_err(|e| StatsError::Numerical(e.to_string()))?;
+        // `Iterator::sum`'s start value for `f64` (its empty sum), so each
+        // member's dot product folds exactly as `condition_into`'s does.
+        let start: f64 = std::iter::empty::<f64>().sum();
+        means.fill(start);
+        for (&a, column) in self.sigma_tg.as_slice().iter().zip(w.chunks_exact(len)) {
+            for (dot, &wj) in means.iter_mut().zip(column) {
+                *dot += a * wj;
+            }
+        }
+        for mean in means {
+            *mean += self.target_mean;
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -719,6 +782,57 @@ mod tests {
             marginal.condition_into(&[], &mut []).unwrap(),
             mvn.mean()[3]
         );
+    }
+
+    #[test]
+    fn condition_columns_match_condition_into_bit_for_bit() {
+        let mvn = example_mvn();
+        for given in [&[0usize, 1, 2][..], &[0, 2], &[1], &[]] {
+            let conditioner = mvn.conditioner(3, given).unwrap();
+            for len in [0usize, 1, 5, 13] {
+                // Member j's values; the first member sits at the prior means
+                // (a zero dot product) and one value is NaN.
+                let member = |j: usize| -> Vec<f64> {
+                    given
+                        .iter()
+                        .map(|&i| match j {
+                            0 => mvn.mean()[i],
+                            7 if i == given[0] => f64::NAN,
+                            _ => 0.05 + 0.9 * ((j * 37 + i * 11) % 101) as f64 / 100.0,
+                        })
+                        .collect()
+                };
+                let columns: Vec<Vec<f64>> = (0..given.len())
+                    .map(|k| (0..len).map(|j| member(j)[k]).collect())
+                    .collect();
+                let mut means = vec![f64::NAN; len];
+                let mut w = Vec::new();
+                conditioner
+                    .condition_columns(columns.iter().map(Vec::as_slice), &mut w, &mut means)
+                    .unwrap();
+                for (j, &mean) in means.iter().enumerate() {
+                    let mut single = vec![0.0; given.len()];
+                    let expected = conditioner.condition_into(&member(j), &mut single).unwrap();
+                    assert_eq!(
+                        mean.to_bits(),
+                        expected.to_bits(),
+                        "given {given:?}: member {j} of {len}"
+                    );
+                }
+            }
+            // A short column or a missing one is a typed error.
+            if let Some((_, rest)) = given.split_first() {
+                let short = vec![vec![0.5; 2]; given.len()];
+                let mut means = [0.0; 3];
+                assert!(conditioner
+                    .condition_columns(short.iter().map(Vec::as_slice), &mut Vec::new(), &mut means)
+                    .is_err());
+                let fewer = vec![vec![0.5; 3]; rest.len()];
+                assert!(conditioner
+                    .condition_columns(fewer.iter().map(Vec::as_slice), &mut Vec::new(), &mut means)
+                    .is_err());
+            }
+        }
     }
 
     #[test]

@@ -1,14 +1,12 @@
-//! Lane-chunked vectorisable elementary math for the quadrature fold passes.
+//! Vectorisable elementary math for the quadrature sweep.
 //!
-//! The SoA sweep in [`BinomialNormalBatch`](crate::BinomialNormalBatch)
-//! stages shifted log-integrand values (a
-//! pure mul/add pass the autovectoriser already widens to f64 lanes) and
-//! then exponentiates-and-accumulates. With libm's scalar `f64::exp` in the
-//! fold, that second step is a serial call per node and dominates the sweep.
-//! This module provides [`vexp`], a polynomial `exp` written as
-//! straight-line arithmetic over `[f64; 8]` chunks — no libm call, no
-//! data-dependent branch — so the stable-Rust autovectoriser can turn the
-//! fold pass into packed lanes too.
+//! The `FastVector` sweep of [`BinomialNormalBatch`](crate::BinomialNormalBatch)
+//! exponentiates one shifted log-integrand value per member and node. With
+//! libm's scalar `f64::exp` that is a serial call per element and dominates
+//! the sweep. This module provides [`vexp_scalar`], a polynomial `exp`
+//! written as straight-line arithmetic — no libm call, no data-dependent
+//! branch — so the stable-Rust autovectoriser can widen the sweep's loops
+//! across member lanes with the exponential inlined.
 //!
 //! # Algorithm
 //!
@@ -37,38 +35,26 @@
 //!
 //! # Accuracy contract
 //!
-//! Over the shifted-log domain the fold pass feeds it — `(-inf, 0]` plus the
-//! small positive spill-over a coarse bracketing peak allows — [`vexp`] is
+//! Over the shifted-log domain the sweep feeds it — `(-inf, 0]` plus the
+//! small positive spill-over a coarse bracketing peak allows — [`vexp_scalar`] is
 //! within **≤2 ULP** of libm's `f64::exp`, including results in the subnormal
 //! range and the flush-to-zero cutoff below `x ≈ −745.2`. Edge cases follow
 //! IEEE semantics: `±0 → 1`, `-inf → 0`, `+inf → +inf`, `NaN → NaN` (the
 //! canonical quiet NaN; payloads are not propagated). The
 //! bound is pinned by the `vexp_edges` exhaustive-edge tests and a ULP
 //! proptest against libm. Inputs above `x ≈ +709.5` saturate to `+inf` (the
-//! clamp constant sits marginally above the true overflow threshold; the fold
-//! pass never feeds large positive values).
-//!
-//! Results are **position-independent**: the chunked lanes and the scalar
-//! remainder run the identical [`vexp_scalar`] arithmetic, so an element's
-//! output never depends on where it lands in the buffer. Buffers shorter than
-//! one chunk ([`VEXP_LANES`]) — e.g. quadrature rules below 8 nodes — take
-//! the scalar remainder path wholesale; the empty buffer is a no-op.
+//! clamp constant sits marginally above the true overflow threshold; the sweep
+//! never feeds large positive values).
 //!
 //! ```
-//! use c4u_stats::{vexp, vexp_scalar};
+//! use c4u_stats::vexp_scalar;
 //!
-//! let mut buf = [0.0, -1.0, -708.4, f64::NEG_INFINITY];
-//! vexp(&mut buf);
-//! assert_eq!(buf[0], 1.0);
-//! assert_eq!(buf[1], vexp_scalar(-1.0));
-//! assert!((buf[1] - (-1.0f64).exp()).abs() < 1e-16);
-//! assert_eq!(buf[3], 0.0);
+//! assert_eq!(vexp_scalar(0.0), 1.0);
+//! assert!((vexp_scalar(-1.0) - (-1.0f64).exp()).abs() < 1e-16);
+//! // Subnormal results round once, like libm's.
+//! assert!(vexp_scalar(-708.4) > 0.0 && vexp_scalar(-708.4) < f64::MIN_POSITIVE);
+//! assert_eq!(vexp_scalar(f64::NEG_INFINITY), 0.0);
 //! ```
-
-/// Chunk width of the lane-chunked [`vexp`] pass. The hot loop processes
-/// `[f64; 8]` blocks (two AVX lanes, four SSE2 lanes) and hands the remainder
-/// to the identical scalar arithmetic.
-pub const VEXP_LANES: usize = 8;
 
 /// `log2(e)`, the range-reduction multiplier.
 const LOG2_E: f64 = std::f64::consts::LOG2_E;
@@ -111,12 +97,11 @@ const OVERFLOW_CLAMP: f64 = 710.0;
 const UNDERFLOW_CLAMP: f64 = -746.0;
 
 // c4u-lint: hot-path
-/// Scalar reference arithmetic of the lane-chunked [`vexp`] — every element
-/// of a chunked buffer produces exactly this value (see the module docs for
-/// the ≤2 ULP contract and edge-case semantics).
+/// Polynomial `exp` within ≤2 ULP of libm over the sweep's domain (see the
+/// module docs for the contract and edge-case semantics).
 ///
-/// Exposed so tests and callers can reason about single values without
-/// staging a buffer.
+/// Marked `#[inline]` so the sweep's member-lane loops carry it inline
+/// instead of spilling their vector registers around a call.
 #[inline]
 #[must_use]
 pub fn vexp_scalar(x: f64) -> f64 {
@@ -167,11 +152,9 @@ pub fn vexp_scalar(x: f64) -> f64 {
     let s2 = f64::from_bits(((1023 + k2) as u64) << 52);
     let r = y * s1 * s2;
     // Canonical-NaN restore: the clamp above quietly replaced NaN, so select
-    // it back in the value domain. Returning a *canonical* NaN (rather than
-    // `x` itself) matters for the in-place chunk loop: with `x`, the select's
-    // else-value equals the old buffer element, and LLVM turns the store into
-    // a masked store (`vmaskmovpd`) that blocks store-to-load forwarding into
-    // the accumulate pass that reads the buffer right back.
+    // it back in the value domain. A *canonical* NaN (rather than `x`
+    // itself) keeps the select free of the input: an in-place loop over a
+    // buffer would otherwise be lowered to a masked store.
     if x.is_nan() {
         f64::NAN
     } else {
@@ -179,33 +162,6 @@ pub fn vexp_scalar(x: f64) -> f64 {
     }
 }
 
-/// Exponentiates a buffer in place with the lane-chunked polynomial `exp`.
-///
-/// Processes [`VEXP_LANES`]-wide chunks with straight-line, branch-free
-/// arithmetic the autovectoriser widens to packed f64 lanes; the remainder
-/// (and any buffer shorter than one chunk) runs the identical
-/// [`vexp_scalar`] math, so results do not depend on element position or
-/// buffer length. See the module docs for the ≤2 ULP accuracy contract.
-///
-/// Marked `#[inline]` so the fused chunk sweeps of [`BinomialNormalBatch`]
-/// (`crate::batch`, private) can keep the staging buffer in registers instead
-/// of spilling it around a call.
-///
-/// [`BinomialNormalBatch`]: crate::BinomialNormalBatch
-#[inline]
-pub fn vexp(values: &mut [f64]) {
-    let mut chunks = values.chunks_exact_mut(VEXP_LANES);
-    for chunk in &mut chunks {
-        // Fixed-width inner loop over straight-line arithmetic: this is the
-        // shape LLVM unrolls and widens into packed lanes on stable Rust.
-        for v in chunk.iter_mut() {
-            *v = vexp_scalar(*v);
-        }
-    }
-    for v in chunks.into_remainder() {
-        *v = vexp_scalar(*v);
-    }
-}
 // c4u-lint: end-hot-path
 
 #[cfg(test)]
@@ -220,7 +176,7 @@ mod tests {
 
     #[test]
     fn matches_libm_closely_on_the_core_domain() {
-        // Dense deterministic sweep over the fold-pass domain.
+        // Dense deterministic sweep over the sweep's input domain.
         let mut worst = 0u64;
         let mut x = -745.5;
         while x <= 1.0 {
@@ -248,17 +204,6 @@ mod tests {
         for x in [-746.0, -800.0, -1e6, -1e308] {
             assert_eq!(vexp_scalar(x), 0.0, "x={x}");
             assert_eq!(x.exp(), 0.0, "libm disagrees at x={x}");
-        }
-    }
-
-    #[test]
-    fn slice_form_matches_the_scalar_for_every_remainder_length() {
-        for n in 0..=2 * VEXP_LANES + 1 {
-            let input: Vec<f64> = (0..n).map(|i| -0.37 * i as f64 + 0.5).collect();
-            let mut values = input.clone();
-            vexp(&mut values);
-            let expected: Vec<f64> = input.iter().map(|&x| vexp_scalar(x)).collect();
-            assert_eq!(values, expected, "n={n}");
         }
     }
 }

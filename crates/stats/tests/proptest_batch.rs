@@ -99,7 +99,7 @@ proptest! {
         let mut cells = cells;
         cells.extend(edge_cells());
         let quadrature = GaussLegendre::new(order);
-        let batch = BinomialNormalBatch::new(&quadrature);
+        let batch = BinomialNormalBatch::new_with_math(&quadrature, QuadratureMath::Exact);
         prop_assert_eq!(batch.num_nodes(), quadrature.order());
 
         for (i, (out, &(mu, c, x))) in sweep(&batch, sigma, &cells).iter().zip(&cells).enumerate() {
@@ -147,8 +147,8 @@ proptest! {
         let mut cells = cells;
         cells.extend(edge_cells());
         let quadrature = GaussLegendre::new(order);
-        let exact = BinomialNormalBatch::new(&quadrature);
-        let fast = BinomialNormalBatch::new_with_math(&quadrature, QuadratureMath::FastVector);
+        let exact = BinomialNormalBatch::new_with_math(&quadrature, QuadratureMath::Exact);
+        let fast = BinomialNormalBatch::new(&quadrature);
         let (out_e, out_f) = (sweep(&exact, sigma, &cells), sweep(&fast, sigma, &cells));
 
         for (i, ((e, f), &(mu, c, x))) in out_e.iter().zip(&out_f).zip(&cells).enumerate() {

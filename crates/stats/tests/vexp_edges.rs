@@ -1,12 +1,12 @@
-//! Exhaustive-edge and ULP-bound tests for the lane-chunked polynomial `exp`.
+//! Exhaustive-edge and ULP-bound tests for the polynomial `exp`.
 //!
-//! The [`vexp`] contract (see `c4u_stats::vmath`) is ≤2 ULP against libm over
-//! the shifted-log domain the quadrature fold pass feeds it — `(-inf, 0]`
+//! The [`vexp_scalar`] contract (see `c4u_stats::vmath`) is ≤2 ULP against
+//! libm over the shifted-log domain the quadrature sweep feeds it — `(-inf, 0]`
 //! plus a small positive spill-over — including results in the subnormal
 //! range, the flush-to-zero cutoff, and the IEEE edge cases. This suite pins
 //! the edges deterministically and the ULP bound by property test.
 
-use c4u_stats::{vexp, vexp_scalar, VEXP_LANES};
+use c4u_stats::vexp_scalar;
 use proptest::prelude::*;
 
 /// ULP distance between two non-negative doubles (`exp` never returns a
@@ -81,62 +81,10 @@ fn deep_underflow_flushes_to_zero() {
     }
 }
 
-#[test]
-fn chunk_remainder_lengths_match_the_scalar_path() {
-    // Results must be position-independent: for every remainder length 0–7
-    // (and a couple of full-chunk sizes) the in-place buffer pass must equal
-    // element-wise `vexp_scalar` exactly.
-    let pool: Vec<f64> = vec![
-        0.0,
-        -0.5,
-        -1.0,
-        -7.25,
-        -100.0,
-        -708.4,
-        -745.0,
-        f64::NEG_INFINITY,
-        0.3,
-        -1e-12,
-        -300.7,
-        -42.0,
-        -0.0,
-        -650.1,
-        -13.37,
-        -2.5,
-        -555.5,
-        -1e-300,
-        -99.99,
-        -708.396,
-        -0.125,
-        -17.0,
-        -3.5,
-    ];
-    for len in (0..=VEXP_LANES - 1).chain([VEXP_LANES, 2 * VEXP_LANES, pool.len()]) {
-        let mut buf: Vec<f64> = pool.iter().copied().take(len).collect();
-        let want: Vec<f64> = buf.iter().map(|&v| vexp_scalar(v)).collect();
-        vexp(&mut buf);
-        assert_eq!(
-            buf.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            "length {len}"
-        );
-    }
-}
-
-#[test]
-fn nan_stays_nan_inside_a_chunk() {
-    let mut buf = [-1.0, f64::NAN, -2.0, 0.0, f64::NAN, -708.4, -0.5, -3.0];
-    vexp(&mut buf);
-    assert!(buf[1].is_nan());
-    assert!(buf[4].is_nan());
-    assert_eq!(buf[0], vexp_scalar(-1.0));
-    assert_eq!(buf[5], vexp_scalar(-708.4));
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// The ≤2 ULP bound over the fold-pass input domain: the shifted
+    /// The ≤2 ULP bound over the sweep's input domain: the shifted
     /// log-integrand is ≤ 0 up to the coarse-bracketing spill-over, and its
     /// useful dynamic range runs down to the flush-to-zero cutoff. Sample
     /// both linearly (the common near-peak regime) and log-magnitude
@@ -156,7 +104,7 @@ proptest! {
         );
 
         // Magnitude sweep: |x| from 1e-30 up to ~e^9.6 ≈ 745, mostly negative
-        // (the fold-pass domain) with an occasional small positive.
+        // (the sweep's domain) with an occasional small positive.
         let mag = log_mag.exp();
         let x = if sign_bias == 0 { mag.min(0.9) } else { -mag };
         let got = vexp_scalar(x);

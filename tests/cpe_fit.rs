@@ -37,6 +37,9 @@ struct Update {
 #[derive(Debug, Clone)]
 struct RecordingCpe {
     inner: CpeStage,
+    /// The stage's CPE configuration: the recorded likelihood is taken in
+    /// its quadrature math, the one the fit compares its iterates in.
+    config: CpeConfig,
     updates: Arc<Mutex<Vec<Update>>>,
 }
 
@@ -67,8 +70,12 @@ impl EstimationStage for RecordingCpe {
         // The update's predictions are those of the model it kept.
         assert_eq!(scores, estimator.predict_batch(&observations)?);
         let quadrature = GaussLegendre::new(CpeConfig::QUADRATURE_ORDER);
-        let kernel =
-            CpeLikelihoodKernel::new(&observations, estimator.num_prior_domains(), &quadrature);
+        let kernel = CpeLikelihoodKernel::new_with_math(
+            &observations,
+            estimator.num_prior_domains(),
+            &quadrature,
+            self.config.quadrature_math,
+        );
         self.updates.lock().unwrap().push(Update {
             fit: *estimator.last_fit().expect("every round updates"),
             mean: estimator.mean().to_vec(),
@@ -93,6 +100,7 @@ fn updates(dataset: &Dataset, num_shards: usize) -> Vec<Update> {
     let updates = Arc::new(Mutex::new(Vec::new()));
     let cpe = RecordingCpe {
         inner: CpeStage::new(config.cpe),
+        config: config.cpe,
         updates: updates.clone(),
     };
     let pipeline = StagePipeline::new(vec![Box::new(cpe), Box::new(LgeStage::new())]).unwrap();

@@ -1,19 +1,19 @@
 //! End-to-end equivalence of the quadrature math modes at the estimator and
 //! selection layers.
 //!
-//! `QuadratureMath::FastVector` perturbs each quadrature cell by ~1e-12
-//! relative against the pinned `Exact` path. At the selection layer that
-//! perturbation must be invisible: the CPE strategy run on the reproduction
-//! datasets must select the **same workers in the same order** under both
-//! modes (scores are separated by far more than the fold-pass drift), and the
+//! `QuadratureMath::FastVector`, the default, perturbs each quadrature cell
+//! by ~1e-12 relative against the pinned `Exact` path. At the selection
+//! layer that perturbation must be invisible: the CPE strategy run on the
+//! reproduction datasets must select the **same workers in the same order**
+//! under both modes (scores are separated by far more than the sweep drift),
+//! and the
 //! Table-4-style accuracy metrics must agree exactly once the selections
 //! agree. Batch predictions agree to the propagated cell tolerance.
 //!
-//! The selection-level equality is pinned at 5 CPE epochs only. At the
-//! paper's 50 epochs the fit amplifies the cell drift into visibly different
-//! estimates, and the two contracts can select differently: S-1 with platform
-//! seed 3 and k = 5 selects worker 16 under `Exact` and worker 28 under
-//! `FastVector`, one of 30 preset × seed cells probed.
+//! The selection-level equality is pinned at 5 CPE epochs on RW-1 and RW-2,
+//! and at the paper's 50 epochs by a census of the six presets × platform
+//! seeds 1–5: it pins the number of cells whose selections differ between
+//! `Exact` and the default math, which is 0 of 30.
 
 use c4u_crowd_sim::{generate, DatasetConfig, Platform};
 use c4u_selection::{
@@ -93,4 +93,48 @@ fn fast_vector_estimator_predictions_track_exact() {
             "worker {w}: prediction {e} vs {f} diverged beyond the math-mode drift"
         );
     }
+}
+
+/// Cells of the paper-epoch census whose selections differ between `Exact`
+/// and the default math.
+const CENSUS_DIFFERING_CELLS: usize = 0;
+
+/// The paper-epoch census: the six presets × platform seeds 1–5, each run at
+/// the paper's 50 EM epochs under `Exact` and under the default math. The
+/// count of cells whose selections differ is pinned, and every other cell
+/// must agree on its accuracy metrics too.
+#[test]
+fn census_at_the_paper_epochs() {
+    let mut differing = Vec::new();
+    for dataset_config in [
+        DatasetConfig::rw1(),
+        DatasetConfig::rw2(),
+        DatasetConfig::s1(),
+        DatasetConfig::s2(),
+        DatasetConfig::s3(),
+        DatasetConfig::s4(),
+    ] {
+        let dataset = generate(&dataset_config).unwrap();
+        for seed in 1u64..=5 {
+            let [exact, default] = [QuadratureMath::Exact, QuadratureMath::default()].map(|math| {
+                let mut config = SelectorConfig::default();
+                config.cpe.quadrature_math = math;
+                evaluate_strategy(&dataset, &CrossDomainSelector::new(config), seed).unwrap()
+            });
+            if exact.selected == default.selected {
+                assert_eq!(exact.working_accuracy, default.working_accuracy);
+                assert_eq!(exact.expected_accuracy, default.expected_accuracy);
+            } else {
+                differing.push(format!(
+                    "{} seed {seed}: {:?} vs {:?}",
+                    dataset_config.name, exact.selected, default.selected
+                ));
+            }
+        }
+    }
+    assert_eq!(
+        differing.len(),
+        CENSUS_DIFFERING_CELLS,
+        "cells selecting differently: {differing:#?}"
+    );
 }
