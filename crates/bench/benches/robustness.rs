@@ -1,15 +1,16 @@
-//! Table-IV-style robustness sweep: the stage zoo under adversarial and
-//! open-world scenario presets.
+//! Table-IV-style robustness sweep: the three estimation pipelines under
+//! adversarial and open-world scenario presets.
 //!
 //! Rows are the RW-1 scenario family ([`DatasetConfig::robustness_scenarios`]):
 //! the closed-world baseline, a 20% spammer tail (deceptively ordinary
 //! profiles, chance-level target accuracy), a 20% colluder group (one shared
 //! fabricated profile), fatigue-style accuracy drift, and worker churn (two
 //! joins and one departure per mid-campaign round, run as an open-world
-//! campaign through `run_with_events`). Columns are the stage-zoo estimation
-//! pipelines; every cell is the mean working accuracy of the selected workers
-//! over the answering-noise seeds, evaluated by `c4u_bench::evaluate_cells`
-//! like every other table (a cell with no successful trial prints as `-`).
+//! campaign through `run_with_events`). Columns are the estimation pipelines
+//! Ours (CPE → LGE), ME-CPE and LGE-only ([`StrategyKind::stage_pipelines`]);
+//! every cell is the mean working accuracy of the selected workers over the
+//! answering-noise seeds, evaluated by `c4u_bench::evaluate_cells` like every
+//! other table (a cell with no successful trial prints as `-`).
 //!
 //! ```bash
 //! cargo bench -p c4u-bench --bench robustness

@@ -110,12 +110,6 @@ pub enum StrategyKind {
     GroundTruth,
     /// LGE driven by raw observed sheet accuracies (no CPE model).
     LgeOnly,
-    /// Per-worker Bayesian Knowledge Tracing posteriors.
-    BktOnly,
-    /// The learning-curve calibration refit from raw observed accuracies.
-    RaschCalibrated,
-    /// A weighted CPE + BKT ensemble as the estimation stage.
-    CpeBktEnsemble,
 }
 
 impl StrategyKind {
@@ -131,9 +125,9 @@ impl StrategyKind {
         ]
     }
 
-    /// The stage zoo: every [`StagePipeline`]-backed estimation pipeline, from
-    /// the full method down to the single-model ablations (the
-    /// `examples/stage_ablation.rs` line-up).
+    /// Every [`StagePipeline`]-backed estimation pipeline: the full method and
+    /// its two ablations (the `examples/stage_ablation.rs` and `robustness`
+    /// line-up).
     ///
     /// [`StagePipeline`]: c4u_selection::StagePipeline
     pub fn stage_pipelines() -> Vec<StrategyKind> {
@@ -141,9 +135,6 @@ impl StrategyKind {
             StrategyKind::Ours,
             StrategyKind::MeCpe,
             StrategyKind::LgeOnly,
-            StrategyKind::BktOnly,
-            StrategyKind::RaschCalibrated,
-            StrategyKind::CpeBktEnsemble,
         ]
     }
 
@@ -157,24 +148,20 @@ impl StrategyKind {
             StrategyKind::Ours => "Ours",
             StrategyKind::GroundTruth => "Ground Truth",
             StrategyKind::LgeOnly => "LGE-only",
-            StrategyKind::BktOnly => "BKT",
-            StrategyKind::RaschCalibrated => "Rasch",
-            StrategyKind::CpeBktEnsemble => "CPE+BKT",
         }
     }
 
     /// Relative evaluation cost of the strategy (higher = more expensive),
     /// used by [`sweep_schedule`] to start the slowest cells first. The ranks
-    /// order the per-round work: a full CPE EM fit dominates
-    /// everything, the single-model IRT/LGE stages cost a fraction of it, and
-    /// the non-learning baselines are near-free.
+    /// order the per-round work: a full CPE EM fit dominates everything, the
+    /// LGE fits on raw accuracies cost a fraction of it, and the non-learning
+    /// baselines are near-free.
     pub fn cost_rank(self) -> u8 {
         match self {
             StrategyKind::Ours => 5,
-            StrategyKind::CpeBktEnsemble => 4,
             StrategyKind::MeCpe => 3,
-            StrategyKind::LgeOnly | StrategyKind::RaschCalibrated => 2,
-            StrategyKind::BktOnly | StrategyKind::LiEtAl => 1,
+            StrategyKind::LgeOnly => 2,
+            StrategyKind::LiEtAl => 1,
             StrategyKind::UniformSampling
             | StrategyKind::MedianElimination
             | StrategyKind::GroundTruth => 0,
@@ -193,11 +180,11 @@ impl StrategyKind {
             StrategyKind::LiEtAl => Box::new(LiEtAl::new()),
             StrategyKind::GroundTruth => Box::new(GroundTruthOracle::new()),
             // zoo_selector covered every stage-pipeline kind above.
-            _ => unreachable!("stage-zoo kinds are built by zoo_selector"),
+            _ => unreachable!("stage-pipeline kinds are built by zoo_selector"),
         }
     }
 
-    /// Builds the concrete [`CrossDomainSelector`] for a stage-zoo kind, or
+    /// Builds the concrete [`CrossDomainSelector`] for a stage-pipeline kind, or
     /// `None` for the non-pipeline baselines (US, ME, Li et al., oracle).
     ///
     /// [`evaluate_cell_on`] needs the concrete type: an open-world (churn)
@@ -217,15 +204,6 @@ impl StrategyKind {
             StrategyKind::Ours => CrossDomainSelector::new(config),
             StrategyKind::LgeOnly => {
                 CrossDomainSelector::new(config.with_mode(EstimationMode::LgeOnly))
-            }
-            StrategyKind::BktOnly => {
-                CrossDomainSelector::new(config.with_mode(EstimationMode::BktOnly))
-            }
-            StrategyKind::RaschCalibrated => {
-                CrossDomainSelector::new(config.with_mode(EstimationMode::RaschCalibrated))
-            }
-            StrategyKind::CpeBktEnsemble => {
-                CrossDomainSelector::new(config.with_mode(EstimationMode::CpeBktEnsemble))
             }
             StrategyKind::UniformSampling
             | StrategyKind::MedianElimination
@@ -341,7 +319,7 @@ pub fn cached_generate(config: &DatasetConfig) -> Result<Arc<Dataset>, SimError>
 /// [`Platform`], and the cell averages the working accuracy of the selected
 /// workers over the seeds.
 ///
-/// A stage-zoo strategy ([`StrategyKind::zoo_selector`]) runs through
+/// A stage-pipeline strategy ([`StrategyKind::zoo_selector`]) runs through
 /// [`CrossDomainSelector::run_with_events`] with the configuration's churn
 /// schedule ([`CampaignSchedule::churn`]). That schedule is empty unless the
 /// scenario has churn, and an empty schedule is exactly the closed-world
@@ -380,7 +358,7 @@ pub fn evaluate_cell_on(dataset: &Dataset, spec: &CellSpec) -> Cell {
 /// answering-noise seed.
 type Trial<'a> = Box<dyn Fn(u64) -> Result<f64, SelectionError> + 'a>;
 
-/// Builds the cell's strategy (and, for a stage-zoo kind, its campaign
+/// Builds the cell's strategy (and, for a stage-pipeline kind, its campaign
 /// schedule) once, and returns the per-seed trial.
 fn trial_runner<'a>(dataset: &'a Dataset, spec: &'a CellSpec) -> Result<Trial<'a>, SelectionError> {
     let Some(selector) = spec
@@ -567,12 +545,9 @@ mod tests {
     #[test]
     fn stage_pipeline_lineup_covers_the_zoo() {
         let zoo = StrategyKind::stage_pipelines();
-        assert_eq!(zoo.len(), 6);
+        assert_eq!(zoo.len(), 3);
         let names: Vec<&str> = zoo.iter().map(StrategyKind::name).collect();
-        assert_eq!(
-            names,
-            vec!["Ours", "ME-CPE", "LGE-only", "BKT", "Rasch", "CPE+BKT"]
-        );
+        assert_eq!(names, vec!["Ours", "ME-CPE", "LGE-only"]);
         for kind in zoo {
             let strategy = kind.build(2, 0.5);
             assert_eq!(strategy.name(), kind.name());
@@ -627,7 +602,7 @@ mod tests {
     #[test]
     fn a_cell_whose_trials_all_fail_has_a_nan_mean() {
         // k above the pool size fails every trial, for a baseline and for a
-        // stage-zoo strategy alike; the cell must not read as accuracy 0.
+        // stage-pipeline strategy alike; the cell must not read as accuracy 0.
         let mut config = DatasetConfig::rw1();
         config.pool_size = 6;
         config.select_k = 2;
@@ -749,9 +724,9 @@ mod tests {
         let specs: Vec<CellSpec> = [
             StrategyKind::UniformSampling,
             StrategyKind::Ours,
-            StrategyKind::BktOnly,
+            StrategyKind::LiEtAl,
             StrategyKind::Ours,
-            StrategyKind::CpeBktEnsemble,
+            StrategyKind::MeCpe,
         ]
         .iter()
         .map(|&s| CellSpec::standard(config.clone(), s, 1, vec![1]))

@@ -1,6 +1,6 @@
 //! The sweep harness's one evaluation path: `evaluate_cells` schedules the
-//! costly cells first without changing its output, and a stage-zoo cell runs
-//! exactly the campaign the Sec. V-C protocol describes: the open-world loop
+//! costly cells first without changing its output, and a stage-pipeline cell
+//! runs exactly the campaign the Sec. V-C protocol describes: the open-world loop
 //! with the preset's churn schedule on a churn scenario, and the
 //! `WorkerSelector` seam's closed-world run everywhere else.
 
@@ -41,11 +41,11 @@ fn sweep_schedule_starts_expensive_strategies_first() {
     .map(|&s| CellSpec::standard(config.clone(), s, 2, vec![5]))
     .collect();
     assert_eq!(sweep_schedule(&specs), vec![1, 4, 3, 5, 0, 2]);
-    // Ranks are ordered as documented: full method > ensemble > ablation >
-    // single-model stages > baselines.
-    assert!(StrategyKind::Ours.cost_rank() > StrategyKind::CpeBktEnsemble.cost_rank());
-    assert!(StrategyKind::CpeBktEnsemble.cost_rank() > StrategyKind::MeCpe.cost_rank());
-    assert!(StrategyKind::MeCpe.cost_rank() > StrategyKind::LiEtAl.cost_rank());
+    // Ranks are ordered as documented: full method > CPE ablation > LGE
+    // ablation > regression baseline > the near-free baselines.
+    assert!(StrategyKind::Ours.cost_rank() > StrategyKind::MeCpe.cost_rank());
+    assert!(StrategyKind::MeCpe.cost_rank() > StrategyKind::LgeOnly.cost_rank());
+    assert!(StrategyKind::LgeOnly.cost_rank() > StrategyKind::LiEtAl.cost_rank());
     assert!(StrategyKind::LiEtAl.cost_rank() > StrategyKind::UniformSampling.cost_rank());
 }
 
@@ -112,7 +112,7 @@ fn zoo_cells_on_a_churn_scenario_replay_its_schedule() {
 fn zoo_cells_on_a_closed_world_config_match_the_selector_seam() {
     let config = DatasetConfig::rw1();
     let dataset = cached_generate(&config).unwrap();
-    for kind in [StrategyKind::Ours, StrategyKind::BktOnly] {
+    for kind in [StrategyKind::Ours, StrategyKind::MeCpe] {
         let strategy = kind.build(2, 0.5);
         let accuracies: Vec<f64> = SEEDS
             .iter()

@@ -50,7 +50,7 @@ use crate::dataset::Dataset;
 use crate::event::{AppliedRoundEvents, RoundEvents};
 use crate::shard::WorkerShards;
 use crate::task::AnswerSheet;
-use crate::worker::{draw_correctness, HistoricalProfile, SimulatedWorker, WorkerId, WorkerSpec};
+use crate::worker::{draw_correct, HistoricalProfile, SimulatedWorker, WorkerId, WorkerSpec};
 use crate::SimError;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -491,7 +491,7 @@ impl Platform {
             let mut rng =
                 StdRng::seed_from_u64(worker_stream_seed(self.seed, tag, epoch, id as u64));
             let accuracy = self.workers[id].current_accuracy();
-            AnswerSheet::from_correctness(id, draw_correctness(&mut rng, accuracy, tasks))
+            AnswerSheet::new(id, tasks, draw_correct(&mut rng, accuracy, tasks))
         })
     }
 

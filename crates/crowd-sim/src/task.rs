@@ -9,38 +9,39 @@
 //! label). So tasks are counts: no gold label is stored anywhere, and an
 //! [`AnswerSheet`] is the whole record of a worker's batch.
 
-/// One worker's graded answers to a batch of tasks. Correctness is what every
-/// estimator in the paper consumes (Eq. 3–4), so that is all a sheet keeps: one
-/// flag per task plus their count.
+/// One worker's graded answers to a batch of tasks. Every estimator in the
+/// paper consumes a batch only through its counts of correct and wrong answers
+/// (Eq. 3–4), so that is all a sheet keeps: no per-task record, and no heap
+/// allocation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AnswerSheet {
     /// Identifier of the worker who produced the answers.
     pub worker: usize,
-    /// Whether each answer matched its gold label, in task order.
-    correctness: Vec<bool>,
-    /// Number of `true` entries of `correctness`.
+    /// Number of answered tasks.
+    len: usize,
+    /// Number of correct answers, at most `len`.
     correct: usize,
 }
 
 impl AnswerSheet {
-    /// Creates a sheet from per-task correctness flags, in task order.
-    pub fn from_correctness(worker: usize, correctness: Vec<bool>) -> Self {
-        let correct = correctness.iter().filter(|&&c| c).count();
+    /// Creates a sheet of `len` answers, `correct` of them correct (clamped to
+    /// `len`).
+    pub fn new(worker: usize, len: usize, correct: usize) -> Self {
         Self {
             worker,
-            correctness,
-            correct,
+            len,
+            correct: correct.min(len),
         }
     }
 
     /// Number of answered tasks.
     pub fn len(&self) -> usize {
-        self.correctness.len()
+        self.len
     }
 
     /// Whether the sheet is empty.
     pub fn is_empty(&self) -> bool {
-        self.correctness.is_empty()
+        self.len == 0
     }
 
     /// Number of correct answers (`C_{i,c}` of Eq. 3).
@@ -50,7 +51,7 @@ impl AnswerSheet {
 
     /// Number of wrong answers (`X_{i,c}` of Eq. 4).
     pub fn wrong(&self) -> usize {
-        self.len() - self.correct
+        self.len - self.correct
     }
 
     /// Fraction of correct answers; `0.0` for an empty sheet.
@@ -58,13 +59,8 @@ impl AnswerSheet {
         if self.is_empty() {
             0.0
         } else {
-            self.correct as f64 / self.len() as f64
+            self.correct as f64 / self.len as f64
         }
-    }
-
-    /// Per-task correctness flags.
-    pub fn correctness(&self) -> &[bool] {
-        &self.correctness
     }
 }
 
@@ -74,18 +70,19 @@ mod tests {
 
     #[test]
     fn answer_sheet_counts() {
-        let sheet = AnswerSheet::from_correctness(3, vec![true, false, true, false]);
+        let sheet = AnswerSheet::new(3, 4, 2);
         assert_eq!(sheet.worker, 3);
         assert_eq!(sheet.len(), 4);
         assert_eq!(sheet.correct(), 2);
         assert_eq!(sheet.wrong(), 2);
         assert!((sheet.accuracy() - 0.5).abs() < 1e-12);
-        assert_eq!(sheet.correctness(), vec![true, false, true, false]);
+        // More correct answers than tasks clamp to the task count.
+        assert_eq!(AnswerSheet::new(3, 4, 9), AnswerSheet::new(3, 4, 4));
     }
 
     #[test]
     fn empty_sheet_has_zero_accuracy() {
-        let empty = AnswerSheet::from_correctness(0, vec![]);
+        let empty = AnswerSheet::new(0, 0, 0);
         assert!(empty.is_empty());
         assert_eq!(empty.accuracy(), 0.0);
         assert_eq!((empty.correct(), empty.wrong()), (0, 0));
@@ -93,12 +90,11 @@ mod tests {
 
     #[test]
     fn perfect_and_inverted_sheets() {
-        let perfect = AnswerSheet::from_correctness(1, vec![true; 5]);
+        let perfect = AnswerSheet::new(1, 5, 5);
         assert_eq!((perfect.correct(), perfect.wrong()), (5, 0));
         assert_eq!(perfect.accuracy(), 1.0);
-        let wrong = AnswerSheet::from_correctness(1, vec![false; 5]);
+        let wrong = AnswerSheet::new(1, 5, 0);
         assert_eq!((wrong.correct(), wrong.wrong()), (0, 5));
         assert_eq!(wrong.accuracy(), 0.0);
-        assert!(wrong.correctness().iter().all(|c| !c));
     }
 }

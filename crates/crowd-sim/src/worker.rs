@@ -16,21 +16,20 @@ use rand::Rng;
 /// Identifier of a worker inside a pool (dense, 0-based).
 pub type WorkerId = usize;
 
-/// Draws whether each of `tasks` answers is correct: one uniform float per
-/// task, correct when it falls below `accuracy`.
+/// Draws `tasks` answers at `accuracy` and returns how many are correct: one
+/// uniform float per task, correct when it falls below `accuracy`.
 ///
 /// This is the single answering draw of the whole simulator: the platform's
 /// answer sheets, learning and working alike, sharded or not, are made of it,
 /// so every execution path draws the same floats in the same order and agrees
-/// bit for bit. No gold label enters: a task is one more draw.
-pub(crate) fn draw_correctness<R: Rng + ?Sized>(
-    rng: &mut R,
-    accuracy: f64,
-    tasks: usize,
-) -> Vec<bool> {
-    // A range collects through the exact-length fast path; the same draw
-    // written as `repeat_with(..).take(tasks)` answered about 2x slower.
-    (0..tasks).map(|_| rng.gen::<f64>() < accuracy).collect()
+/// bit for bit. No gold label enters, and no per-task record is kept: a task
+/// is one more draw, and a sheet is its count.
+// Out of line on purpose: inlined next to `StdRng::seed_from_u64`, LLVM kept
+// the vectorised seeding's four state words in one vector register and paid
+// lane shuffles on every draw, which doubled the platform's answering time.
+#[inline(never)]
+pub(crate) fn draw_correct<R: Rng + ?Sized>(rng: &mut R, accuracy: f64, tasks: usize) -> usize {
+    (0..tasks).filter(|_| rng.gen::<f64>() < accuracy).count()
 }
 
 /// How strongly a worker's cross-domain learning aptitude (one standard deviation of
@@ -92,7 +91,8 @@ impl HistoricalProfile {
     }
 
     /// Accuracies of the observed domains, in domain order.
-    pub fn observed_accuracies(&self) -> Vec<f64> {
+    #[cfg(test)]
+    pub(crate) fn observed_accuracies(&self) -> Vec<f64> {
         self.accuracies.iter().filter_map(|a| *a).collect()
     }
 
@@ -291,7 +291,7 @@ mod tests {
 
     /// A revealed batch of `tasks` learning tasks; learning reads only its length.
     fn batch(tasks: usize) -> AnswerSheet {
-        AnswerSheet::from_correctness(0, vec![true; tasks])
+        AnswerSheet::new(0, tasks, tasks)
     }
 
     fn spec(initial: f64) -> WorkerSpec {
@@ -357,8 +357,7 @@ mod tests {
     fn answering_matches_accuracy_statistically() {
         let w = SimulatedWorker::new(0, &spec(0.8), 0.0, 10).unwrap();
         let mut rng = StdRng::seed_from_u64(11);
-        let correct = draw_correctness(&mut rng, w.current_accuracy(), 5_000);
-        let rate = correct.iter().filter(|&&c| c).count() as f64 / correct.len() as f64;
+        let rate = draw_correct(&mut rng, w.current_accuracy(), 5_000) as f64 / 5_000.0;
         assert!((rate - 0.8).abs() < 0.02, "rate {rate}");
     }
 
@@ -394,7 +393,7 @@ mod tests {
     #[test]
     fn empty_batch_is_a_noop() {
         let mut w = SimulatedWorker::new(0, &spec(0.6), 0.0, 10).unwrap();
-        let sheet = AnswerSheet::from_correctness(0, vec![]);
+        let sheet = AnswerSheet::new(0, 0, 0);
         w.learn_from_batch(&sheet).unwrap();
         assert_eq!(w.cumulative_learning_tasks(), 0);
         assert_eq!(w.current_accuracy(), 0.6);
@@ -423,10 +422,8 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut trace = vec![];
             for _ in 0..3 {
-                let sheet = AnswerSheet::from_correctness(
-                    0,
-                    draw_correctness(&mut rng, w.current_accuracy(), 10),
-                );
+                let correct = draw_correct(&mut rng, w.current_accuracy(), 10);
+                let sheet = AnswerSheet::new(0, 10, correct);
                 w.learn_from_batch(&sheet).unwrap();
                 trace.push((sheet, w.current_accuracy()));
             }
@@ -436,10 +433,28 @@ mod tests {
     }
 
     #[test]
-    fn extreme_accuracies_are_exact() {
-        let mut rng = StdRng::seed_from_u64(7);
-        assert_eq!(draw_correctness(&mut rng, 1.0, 4), vec![true; 4]);
-        assert_eq!(draw_correctness(&mut rng, 0.0, 4), vec![false; 4]);
+    fn the_counted_draw_matches_a_per_task_reference() {
+        // The sheet is a count, but the stream is the per-task one: each task
+        // consumes one uniform float, so the count and the generator's end
+        // state both equal a task-by-task draw's. p = 0 and p = 1 are exact.
+        for seed in [0, 7, 42, 0xC4C4] {
+            for tasks in [0, 1, 110] {
+                for accuracy in [0.0, 0.37, 1.0] {
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    let mut reference = rng.clone();
+                    let counted = draw_correct(&mut rng, accuracy, tasks);
+                    let expected = (0..tasks)
+                        .filter(|_| reference.gen::<f64>() < accuracy)
+                        .count();
+                    let case = format!("seed {seed}, {tasks} tasks at {accuracy}");
+                    assert_eq!(counted, expected, "{case}");
+                    assert_eq!(rng, reference, "{case}");
+                    if accuracy == 0.0 || accuracy == 1.0 {
+                        assert_eq!(counted as f64, accuracy * tasks as f64, "{case}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -473,7 +488,7 @@ mod tests {
         w.set_accuracy_drift(0.9).unwrap();
         w.learn_from_batch(&batch(10)).unwrap();
         assert_eq!(w.current_accuracy(), 0.0);
-        let correct = draw_correctness(&mut StdRng::seed_from_u64(2), w.current_accuracy(), 2);
-        assert_eq!(correct, vec![false, false]);
+        let correct = draw_correct(&mut StdRng::seed_from_u64(2), w.current_accuracy(), 2);
+        assert_eq!(correct, 0);
     }
 }

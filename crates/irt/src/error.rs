@@ -1,4 +1,4 @@
-//! Error type for the IRT / knowledge-tracing crate.
+//! Error type for the IRT crate.
 
 use std::fmt;
 

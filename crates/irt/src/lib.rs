@@ -1,7 +1,7 @@
 //! # c4u-irt
 //!
-//! Item Response Theory and knowledge-tracing models for the C4U (cross-domain-aware
-//! worker selection with training) workspace.
+//! Item Response Theory models for the C4U (cross-domain-aware worker
+//! selection with training) workspace.
 //!
 //! The Learning Gain Estimation step of the paper (Sec. IV-C2) models how a crowd
 //! worker's accuracy on the target domain improves as ground-truth answers of
@@ -16,20 +16,12 @@
 //!   parameter (Eq. 11), a thin wrapper over [`calibrate_terms`], the one fit
 //!   over a precomputed [`LearningTerm`] table: a scan of the analytic
 //!   derivative across the range that holds every stationary point, then a
-//!   bracketed Newton iteration in each interval where it turns positive;
-//! * [`BktModel`] — a Bayesian Knowledge Tracing tracker; the selection layer's
-//!   `BktStage` runs one per worker as an ablation of the learner-model choice,
-//!   seeded through [`BktParams::mastery_for_accuracy`].
+//!   bracketed Newton iteration in each interval where it turns positive.
 //!
-//! Everything here reaches the pipeline through the **stage seam**
-//! (`EstimationStage` in `c4u-selection`, per ARCHITECTURE.md): `LgeStage`,
-//! `BktStage`, and `RaschStage` wrap these models as stages, so this crate
-//! stays a pure model library with no selection-loop dependencies.
-//!
-//! The Learning Gain Estimation consumes the calibration through
-//! `c4u_selection::LgeStage` (fitting against the CPE estimate history) and
-//! `c4u_selection::RaschStage` (fitting against raw observed sheet accuracies);
-//! both pipelines are one-line compositions in `c4u_selection::StagePipeline`.
+//! The selection layer's `LgeStage` (`c4u-selection`) runs these fits once
+//! per worker and round, against the trajectory of the static estimates it is
+//! handed; this crate stays a pure model library with no selection-loop
+//! dependencies.
 //!
 //! ## Example
 //!
@@ -50,13 +42,11 @@
 
 #![forbid(unsafe_code)]
 
-mod bkt;
 mod calibration;
 mod error;
 mod learning;
 mod rasch;
 
-pub use bkt::{BktModel, BktParams};
 pub use calibration::{
     calibrate_alpha, calibrate_terms, objective as learning_objective, CalibratedAlpha,
     LearningTerm, PriorDomainObservation, TargetStageObservation,

@@ -22,17 +22,14 @@ use crate::selector::{SelectionOutcome, WorkerSelector};
 use crate::stage::{num_prior_domains, RoundHeader, StageInit, StagePipeline, StageRoundInput};
 use crate::SelectionError;
 use c4u_crowd_sim::{CampaignSchedule, HistoricalProfile, Platform, WorkerId, WorkerShards};
-use c4u_irt::BktParams;
 use std::collections::HashMap;
 
 /// Which estimation components the pipeline uses.
 ///
-/// Every preset maps to a canonical [`StagePipeline`] composition (the stage
-/// zoo: [`StagePipeline::cpe_and_lge`], [`StagePipeline::cpe_only`],
-/// [`StagePipeline::lge_only`], [`StagePipeline::bkt_only`],
-/// [`StagePipeline::rasch_calibrated`],
-/// [`StagePipeline::cpe_bkt_ensemble`]); arbitrary stage compositions go
-/// through [`CrossDomainSelector::with_pipeline`].
+/// Every preset maps to a canonical [`StagePipeline`] composition
+/// ([`StagePipeline::cpe_and_lge`], [`StagePipeline::cpe_only`],
+/// [`StagePipeline::lge_only`]); arbitrary stage compositions go through
+/// [`CrossDomainSelector::with_pipeline`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EstimationMode {
     /// CPE + LGE (the full method, "Ours" in the paper's tables).
@@ -41,17 +38,6 @@ pub enum EstimationMode {
     CpeOnly,
     /// LGE driven by raw observed sheet accuracies (no cross-domain model).
     LgeOnly,
-    /// Per-worker Bayesian Knowledge Tracing posteriors (default
-    /// [`c4u_irt::BktParams`]; other parameters go through
-    /// [`StagePipeline::bkt_only`] and [`CrossDomainSelector::with_pipeline`]).
-    BktOnly,
-    /// The Eq. 10–11 learning-curve calibration refit per round from raw
-    /// observed accuracies.
-    RaschCalibrated,
-    /// An equal-weight CPE + BKT ensemble (other weights go through
-    /// [`StagePipeline::cpe_bkt_ensemble`] and
-    /// [`CrossDomainSelector::with_pipeline`]).
-    CpeBktEnsemble,
 }
 
 /// Configuration of the full pipeline.
@@ -95,7 +81,7 @@ impl SelectorConfig {
         self
     }
 
-    /// Switches the pipeline into an arbitrary preset of the stage zoo.
+    /// Switches the pipeline into one of the [`EstimationMode`] presets.
     pub fn with_mode(mut self, mode: EstimationMode) -> Self {
         self.mode = mode;
         self
@@ -164,19 +150,13 @@ pub struct CrossDomainSelector {
 
 impl CrossDomainSelector {
     /// Creates the selector for the preset named by `config.mode` (the full
-    /// method by default; every stage-zoo ablation is one
-    /// [`SelectorConfig::with_mode`] away).
+    /// method by default; each ablation is one [`SelectorConfig::with_mode`]
+    /// away).
     pub fn new(config: SelectorConfig) -> Self {
         let (name, pipeline) = match config.mode {
             EstimationMode::CpeAndLge => ("Ours", StagePipeline::cpe_and_lge(config.cpe)),
             EstimationMode::CpeOnly => ("ME-CPE", StagePipeline::cpe_only(config.cpe)),
             EstimationMode::LgeOnly => ("LGE-only", StagePipeline::lge_only()),
-            EstimationMode::BktOnly => ("BKT", StagePipeline::bkt_only(BktParams::default())),
-            EstimationMode::RaschCalibrated => ("Rasch", StagePipeline::rasch_calibrated()),
-            EstimationMode::CpeBktEnsemble => (
-                "CPE+BKT",
-                StagePipeline::cpe_bkt_ensemble(config.cpe, BktParams::default(), 0.5),
-            ),
         };
         Self {
             config,
@@ -185,8 +165,8 @@ impl CrossDomainSelector {
         }
     }
 
-    /// Creates a selector with a custom estimation-stage composition (new
-    /// ablations — LGE-only, IRT-backed stages, ... — are one-line pipelines).
+    /// Creates a selector with a custom estimation-stage composition (a new
+    /// ablation is a one-line pipeline).
     /// `config.mode` is ignored; the supplied pipeline decides the stages.
     ///
     /// `config.cpe.initial_target_accuracy` is the `a_T` handed to **every**
@@ -661,9 +641,6 @@ mod tests {
                 "LGE-only",
                 vec!["empirical", "lge"],
             ),
-            (EstimationMode::BktOnly, "BKT", vec!["bkt"]),
-            (EstimationMode::RaschCalibrated, "Rasch", vec!["rasch"]),
-            (EstimationMode::CpeBktEnsemble, "CPE+BKT", vec!["ensemble"]),
         ] {
             let selector = CrossDomainSelector::new(SelectorConfig::default().with_mode(mode));
             assert_eq!(selector.name(), name);

@@ -14,12 +14,12 @@
 //! which is exactly what lets the elimination keep fast learners that a static
 //! method would discard.
 //!
-//! Every fit — [`LearningGainEstimator::estimate`], `LgeStage` and `RaschStage` —
-//! fills one worker's Eq. 11 [`LearningTerm`] table through the same builders and
-//! fits it with [`calibrate_terms`]. Work is done once at the widest scope it
-//! allows: the difficulties `beta_T` and `beta_d` once per estimator, a worker's
+//! Every fit — [`LearningGainEstimator::estimate`] and `LgeStage` — fills one
+//! worker's Eq. 11 [`LearningTerm`] table through the same builders and fits it
+//! with [`calibrate_terms`]. Work is done once at the widest scope it allows:
+//! the difficulties `beta_T` and `beta_d` once per estimator, a worker's
 //! prior-domain anchor terms (with their `ln(n_{i,d} + 1)`) once per worker —
-//! the stages keep them across rounds — and the stages' `ln(K_j + 1)` table
+//! the stage keeps them across rounds — and the stage's `ln(K_j + 1)` table
 //! once per round.
 
 use crate::SelectionError;

@@ -27,10 +27,11 @@
 //! the [`GroundTruthOracle`], and the ME-CPE ablation
 //! ([`SelectorConfig::cpe_only`]).
 //!
-//! Beyond the paper's line-up, the stage zoo composes alternative estimation
-//! pipelines on the [`EstimationStage`] seam — [`BktStage`], [`RaschStage`],
-//! [`EnsembleStage`], [`SheetAccuracyStage`] — all selectable as one-line
-//! presets through [`EstimationMode`] / [`SelectorConfig::with_mode`].
+//! The estimation steps are stages on the [`EstimationStage`] seam
+//! ([`CpeStage`], [`LgeStage`], and the [`SheetAccuracyStage`] that feeds LGE
+//! raw sheet accuracies in the LGE-only ablation), composed by a
+//! [`StagePipeline`]; the three pipelines (Ours, ME-CPE, LGE-only) are the
+//! [`EstimationMode`] presets of [`SelectorConfig::with_mode`].
 //!
 //! ## Quickstart
 //!
@@ -86,17 +87,14 @@ pub use lge::{LearningGainEstimator, LgeConfig, LgeEstimate, LgeWorkerInput};
 pub use me::{median_eliminate, rounds_until_at_most, top_k, ScoredWorker};
 pub use selector::{SelectionOutcome, WorkerSelector};
 pub use stage::{
-    num_prior_domains, BktStage, CpeStage, EnsembleStage, EstimationStage, LgeStage, RaschStage,
-    RoundContext, RoundEstimates, RoundHeader, SheetAccuracyStage, StageInit, StagePipeline,
-    StageRoundInput,
+    num_prior_domains, CpeStage, EstimationStage, LgeStage, RoundContext, RoundEstimates,
+    RoundHeader, SheetAccuracyStage, StageInit, StagePipeline, StageRoundInput,
 };
 
 // Re-export the simulator types that appear in this crate's public API
 // (AnswerSheet/HistoricalProfile are part of the stage-context types;
-// WorkerShards parameterises the sharded scoring paths), plus the IRT types
-// the stage zoo is parameterised by (SelectorConfig::bkt, BktStage::new).
+// WorkerShards parameterises the sharded scoring paths).
 pub use c4u_crowd_sim::{
     AnswerSheet, AppliedRoundEvents, CampaignSchedule, Dataset, DatasetConfig, HistoricalProfile,
     Platform, RoundEvents, ScenarioConfig, WorkerId, WorkerShards, WorkerSpec,
 };
-pub use c4u_irt::{BktModel, BktParams};

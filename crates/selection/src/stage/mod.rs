@@ -9,24 +9,21 @@
 //!   round's answer sheets and emits the static estimate `p_{c,i}`;
 //! * [`LgeStage`] — Algorithm 2: refines the preceding stage's estimates into
 //!   the dynamic estimate `p_hat_{c,i,T}` by fitting each worker's learning
-//!   curve to that worker's trajectory of those estimates across rounds.
+//!   curve to that worker's trajectory of those estimates across rounds;
+//! * [`SheetAccuracyStage`] — each worker's observed sheet accuracy, the
+//!   static estimate of the LGE-only ablation.
 //!
 //! Every stage owns its cross-round state: CPE its model, LGE the static
-//! estimates it has been handed, BKT its trackers, Rasch its observed sheet
-//! accuracies. LGE and Rasch keep theirs in dense per-worker columns indexed
-//! by worker id, next to each worker's prior-domain anchor terms (built once,
-//! so no round recomputes an `ln(n_{i,d} + 1)`). The pipeline only threads one
+//! estimates it has been handed, in dense per-worker columns indexed by
+//! worker id next to each worker's prior-domain anchor terms (built once, so
+//! no round recomputes an `ln(n_{i,d} + 1)`). The pipeline only threads one
 //! round's scores from each stage to the next (that is how LGE sees the CPE
 //! estimates without the two being coupled).
 //!
-//! Beyond the two canonical stages, the module hosts the **stage zoo**:
-//! IRT-backed stages ([`BktStage`], [`RaschStage`]), the [`EnsembleStage`]
-//! combinator, and the [`SheetAccuracyStage`] prior used by the LGE-only
-//! ablation. New ablations are one-line compositions:
+//! Three pipelines ship, one per [`EstimationMode`](crate::EstimationMode):
 //!
 //! ```
 //! use c4u_selection::{CpeConfig, CpeStage, LgeStage, StagePipeline};
-//! use c4u_irt::BktParams;
 //!
 //! // The full method (CPE + LGE)…
 //! let full = StagePipeline::new(vec![
@@ -34,36 +31,20 @@
 //!     Box::new(LgeStage::new()),
 //! ])
 //! .unwrap();
-//! // …and the canonical ablations of the zoo.
 //! assert_eq!(full.stage_names(), vec!["cpe", "lge"]);
+//! // …and its two ablations.
 //! assert_eq!(
 //!     StagePipeline::cpe_only(CpeConfig::default()).stage_names(),
 //!     vec!["cpe"]
 //! );
 //! assert_eq!(StagePipeline::lge_only().stage_names(), vec!["empirical", "lge"]);
-//! assert_eq!(
-//!     StagePipeline::bkt_only(BktParams::default()).stage_names(),
-//!     vec!["bkt"]
-//! );
-//! assert_eq!(StagePipeline::rasch_calibrated().stage_names(), vec!["rasch"]);
-//! assert_eq!(
-//!     StagePipeline::cpe_bkt_ensemble(CpeConfig::default(), BktParams::default(), 0.5)
-//!         .stage_names(),
-//!     vec!["ensemble"]
-//! );
 //! ```
-
-mod ensemble;
-mod irt;
-
-pub use ensemble::EnsembleStage;
-pub use irt::{BktStage, RaschStage};
 
 use crate::cpe::{CpeConfig, CpeObservation, CrossDomainEstimator};
 use crate::lge::{profile_anchors, LearningGainEstimator, LgeConfig};
 use crate::SelectionError;
 use c4u_crowd_sim::{AnswerSheet, HistoricalProfile, WorkerShards};
-use c4u_irt::{log_tasks, BktParams, LearningTerm};
+use c4u_irt::{log_tasks, LearningTerm};
 use std::fmt;
 use std::ops::Range;
 
@@ -183,155 +164,37 @@ impl Clone for Box<dyn EstimationStage> {
     }
 }
 
-/// The Eq. 10–11 learning-curve core shared by [`LgeStage`] and
-/// [`RaschStage`]: one [`LearningGainEstimator`] plus every worker's state
-/// in a dense column indexed by worker id — its prior-domain anchor terms,
-/// built the first round it is fitted, and its trajectory of the values the
-/// stage has been handed.
-///
-/// The two stages differ only in the values they fit (LGE the preceding
-/// stage's scores, Rasch the sheet accuracies) and in whether a worker is
-/// held at its value until training has started; each fixes both in code.
-#[derive(Debug, Clone)]
-pub(crate) struct LearningCurves {
-    estimator: LearningGainEstimator,
-    /// Entry `w` is worker `w`'s state. Sized to the pool at initialisation;
-    /// a worker that joins later with a larger id grows it.
-    workers: Vec<WorkerCurve>,
-    /// Every fitted worker's anchor terms, one worker's after another
-    /// ([`WorkerCurve::anchors`] indexes them).
-    anchor_terms: Vec<LearningTerm>,
-}
-
-/// One worker's learning-curve state.
+/// One worker's learning-curve state in [`LgeStage`].
 #[derive(Debug, Clone, Default)]
 struct WorkerCurve {
-    /// Its anchor terms in [`LearningCurves::anchor_terms`]; `None` until it
-    /// is first fitted (anchors come from the worker's historical profile,
-    /// which does not change between rounds).
+    /// Its anchor terms in [`LgeStage::anchor_terms`]; `None` until it is
+    /// first fitted (anchors come from the worker's historical profile, which
+    /// does not change between rounds).
     anchors: Option<Range<usize>>,
     /// Its values of the earlier rounds, in round order; empty until it is
     /// first scored.
     trajectory: Vec<f64>,
 }
 
-impl LearningCurves {
-    /// The core for a fresh run: difficulties from the pool's prior-domain
-    /// averages (the Sec. V-C initialisation), no trajectories.
-    pub(crate) fn new(init: &StageInit<'_>) -> Result<Self, SelectionError> {
-        Ok(Self {
-            estimator: LearningGainEstimator::new(LgeConfig::new(
-                init.initial_target_accuracy,
-                pool_prior_means(init),
-            )?),
-            workers: vec![WorkerCurve::default(); init.profiles.len()],
-            anchor_terms: Vec::new(),
-        })
-    }
-
-    /// Fits each worker's trajectory plus this round's value (`values`,
-    /// aligned with `ctx.sheets`) and returns the Eq. 10 predictions at the
-    /// round's cumulative training count, in worker order; `values` are
-    /// appended to the trajectories afterwards, in worker order, so the
-    /// state never depends on the shard layout.
-    ///
-    /// With `hold_untrained`, a worker whose trajectory has not yet reached
-    /// the first stage with `K_j > 0` scores its value unchanged: at `K_0 =
-    /// 0` the learning-gain curve is independent of alpha, so the fitted
-    /// extrapolation would ignore the only target-domain evidence there is.
-    ///
-    /// Worker ids index the state, so they must be dense, as the platform
-    /// allocates them: a round with an id of at least twice the state's size
-    /// plus the round's worker count is an error, not an allocation.
-    pub(crate) fn score(
-        &mut self,
-        ctx: &RoundContext<'_>,
-        values: &[f64],
-        hold_untrained: bool,
-    ) -> Result<Vec<f64>, SelectionError> {
-        let tasks_now = ctx
-            .cumulative_tasks
-            .get(ctx.round)
-            .copied()
-            .ok_or_else(|| schedule_too_short(ctx.round + 1))?;
-        // `ln(K_j + 1)` for every entry `K_j` of the cumulative schedule.
-        let log_tasks: Vec<f64> = ctx.cumulative_tasks.iter().map(|&k| log_tasks(k)).collect();
-        // Trajectories of at most this length are held.
-        let held_through = if hold_untrained {
-            ctx.cumulative_tasks
-                .iter()
-                .position(|&k| k > 0.0)
-                .unwrap_or(usize::MAX)
-        } else {
-            0
-        };
-        self.grow_to(ctx.sheets)?;
-        // Anchor terms of the workers fitted for the first time.
-        for (sheet, profile) in ctx.sheets.iter().zip(ctx.profiles) {
-            let curve = &mut self.workers[sheet.worker];
-            if curve.anchors.is_none() && curve.trajectory.len() + 1 > held_through {
-                let start = self.anchor_terms.len();
-                self.anchor_terms
-                    .extend(self.estimator.anchor_terms(profile_anchors(profile)));
-                curve.anchors = Some(start..self.anchor_terms.len());
-            }
+/// Grows `workers` to cover every worker of the round's `sheets`.
+///
+/// Worker ids index the state, so they must be dense, as the platform
+/// allocates them: a round with an id of at least twice the state's size plus
+/// the round's worker count is an error, not an allocation.
+fn grow_to(workers: &mut Vec<WorkerCurve>, sheets: &[AnswerSheet]) -> Result<(), SelectionError> {
+    let Some(largest) = sheets.iter().map(|sheet| sheet.worker).max() else {
+        return Ok(());
+    };
+    if largest >= workers.len() {
+        if largest / 2 >= workers.len() + sheets.len() {
+            return Err(SelectionError::InvalidConfig {
+                what: "worker ids must be dense: an id lies far beyond the pool",
+                value: largest as f64,
+            });
         }
-        // Per-worker scoring: each worker's fit depends only on its own
-        // state plus this round's value, so the pass fans out over the
-        // round's worker shards.
-        let (estimator, workers, anchor_terms) =
-            (&self.estimator, &self.workers, &self.anchor_terms);
-        let score_worker = |i: usize, terms: &mut Vec<LearningTerm>| {
-            let curve = &workers[ctx.sheets[i].worker];
-            let len = curve.trajectory.len() + 1;
-            // The value of stage j reflects a worker trained with only j-1
-            // rounds (Eq. 11), so it pairs with K_{j-1}. An error, not a
-            // panic, if the trajectory outgrew the schedule.
-            let stage_log_tasks = log_tasks
-                .get(..len)
-                .ok_or_else(|| schedule_too_short(len))?;
-            let Some(anchors) = curve.anchors.clone().filter(|_| len > held_through) else {
-                return Ok(values[i]);
-            };
-            let stages = stage_log_tasks.iter().copied().zip(
-                curve
-                    .trajectory
-                    .iter()
-                    .copied()
-                    .chain(std::iter::once(values[i])),
-            );
-            terms.clear();
-            terms.extend_from_slice(&anchor_terms[anchors]);
-            Ok(estimator.fit(terms, stages, tasks_now)?.predicted_accuracy)
-        };
-        let scores = ctx.worker_shards().map(|range| {
-            let mut terms = Vec::new();
-            range
-                .map(|i| score_worker(i, &mut terms))
-                .collect::<Result<_, SelectionError>>()
-        })?;
-        for (sheet, &value) in ctx.sheets.iter().zip(values) {
-            self.workers[sheet.worker].trajectory.push(value);
-        }
-        Ok(scores)
+        workers.resize_with(largest + 1, WorkerCurve::default);
     }
-
-    /// Grows the state to cover every worker of the round's `sheets`.
-    fn grow_to(&mut self, sheets: &[AnswerSheet]) -> Result<(), SelectionError> {
-        let Some(largest) = sheets.iter().map(|sheet| sheet.worker).max() else {
-            return Ok(());
-        };
-        if largest >= self.workers.len() {
-            if largest / 2 >= self.workers.len() + sheets.len() {
-                return Err(SelectionError::InvalidConfig {
-                    what: "worker ids must be dense: an id lies far beyond the pool",
-                    value: largest as f64,
-                });
-            }
-            self.workers.resize_with(largest + 1, WorkerCurve::default);
-        }
-        Ok(())
-    }
+    Ok(())
 }
 
 fn schedule_too_short(needed: usize) -> SelectionError {
@@ -341,7 +204,7 @@ fn schedule_too_short(needed: usize) -> SelectionError {
     }
 }
 
-pub(crate) fn uninitialized(stage: &'static str) -> SelectionError {
+fn uninitialized(stage: &'static str) -> SelectionError {
     SelectionError::InvalidConfig {
         what: stage,
         value: 0.0,
@@ -350,7 +213,7 @@ pub(crate) fn uninitialized(stage: &'static str) -> SelectionError {
 
 /// Per-prior-domain average accuracy over the pool's profiles, clamped away
 /// from the degenerate 0/1 endpoints — the Sec. V-C difficulty initialisation
-/// of the [`LearningCurves`] core. Domains nobody has worked on fall back to
+/// of [`LgeStage`]. Domains nobody has worked on fall back to
 /// `a_T`.
 fn pool_prior_means(init: &StageInit<'_>) -> Vec<f64> {
     (0..init.num_prior_domains)
@@ -464,9 +327,21 @@ impl EstimationStage for CpeStage {
 /// that trajectory itself. Must be placed after a stage that produces one
 /// score per worker — it rejects a run in which `prior` is not aligned with
 /// the sheets.
+///
+/// The stage holds one [`LearningGainEstimator`] plus every worker's state in
+/// a dense column indexed by worker id: its prior-domain anchor terms, built
+/// the first round it is fitted, and its trajectory of static estimates.
 #[derive(Debug, Clone, Default)]
 pub struct LgeStage {
-    curves: Option<LearningCurves>,
+    /// The Eq. 10–11 fit, with difficulties from the pool's prior-domain
+    /// averages; `None` until `initialize`.
+    estimator: Option<LearningGainEstimator>,
+    /// Entry `w` is worker `w`'s state. Sized to the pool at initialisation;
+    /// a worker that joins later with a larger id grows it.
+    workers: Vec<WorkerCurve>,
+    /// Every fitted worker's anchor terms, one worker's after another
+    /// ([`WorkerCurve::anchors`] indexes them).
+    anchor_terms: Vec<LearningTerm>,
 }
 
 impl LgeStage {
@@ -483,18 +358,35 @@ impl EstimationStage for LgeStage {
     }
 
     fn initialize(&mut self, init: &StageInit<'_>) -> Result<(), SelectionError> {
-        self.curves = Some(LearningCurves::new(init)?);
+        *self = Self {
+            estimator: Some(LearningGainEstimator::new(LgeConfig::new(
+                init.initial_target_accuracy,
+                pool_prior_means(init),
+            )?)),
+            workers: vec![WorkerCurve::default(); init.profiles.len()],
+            anchor_terms: Vec::new(),
+        };
         Ok(())
     }
 
+    /// Fits each worker's trajectory plus this round's static estimate
+    /// (`prior`, aligned with `ctx.sheets`) and returns the Eq. 10
+    /// predictions at the round's cumulative training count, in worker order;
+    /// `prior` is appended to the trajectories afterwards, in worker order, so
+    /// the state never depends on the shard layout.
+    ///
+    /// A worker whose trajectory has not yet reached the first stage with
+    /// `K_j > 0` scores its static estimate unchanged: at `K_0 = 0` the
+    /// learning-gain curve is independent of alpha, so the fitted
+    /// extrapolation would ignore the only target-domain evidence there is.
     fn estimate(
         &mut self,
         ctx: &RoundContext<'_>,
         prior: &[f64],
     ) -> Result<Vec<f64>, SelectionError> {
-        let curves = self
-            .curves
-            .as_mut()
+        let estimator = self
+            .estimator
+            .as_ref()
             .ok_or_else(|| uninitialized("LGE stage used before initialize"))?;
         if prior.len() != ctx.sheets.len() {
             return Err(SelectionError::InvalidConfig {
@@ -502,9 +394,67 @@ impl EstimationStage for LgeStage {
                 value: prior.len() as f64,
             });
         }
-        // Until training has started, rank by the preceding estimate (the
-        // dynamic and static estimates coincide there).
-        curves.score(ctx, prior, true)
+        let tasks_now = ctx
+            .cumulative_tasks
+            .get(ctx.round)
+            .copied()
+            .ok_or_else(|| schedule_too_short(ctx.round + 1))?;
+        // `ln(K_j + 1)` for every entry `K_j` of the cumulative schedule.
+        let log_tasks: Vec<f64> = ctx.cumulative_tasks.iter().map(|&k| log_tasks(k)).collect();
+        // Trajectories of at most this length are held.
+        let held_through = ctx
+            .cumulative_tasks
+            .iter()
+            .position(|&k| k > 0.0)
+            .unwrap_or(usize::MAX);
+        grow_to(&mut self.workers, ctx.sheets)?;
+        // Anchor terms of the workers fitted for the first time.
+        for (sheet, profile) in ctx.sheets.iter().zip(ctx.profiles) {
+            let curve = &mut self.workers[sheet.worker];
+            if curve.anchors.is_none() && curve.trajectory.len() + 1 > held_through {
+                let start = self.anchor_terms.len();
+                self.anchor_terms
+                    .extend(estimator.anchor_terms(profile_anchors(profile)));
+                curve.anchors = Some(start..self.anchor_terms.len());
+            }
+        }
+        // Per-worker scoring: each worker's fit depends only on its own
+        // state plus this round's value, so the pass fans out over the
+        // round's worker shards.
+        let (workers, anchor_terms) = (&self.workers, &self.anchor_terms);
+        let score_worker = |i: usize, terms: &mut Vec<LearningTerm>| {
+            let curve = &workers[ctx.sheets[i].worker];
+            let len = curve.trajectory.len() + 1;
+            // The value of stage j reflects a worker trained with only j-1
+            // rounds (Eq. 11), so it pairs with K_{j-1}. An error, not a
+            // panic, if the trajectory outgrew the schedule.
+            let stage_log_tasks = log_tasks
+                .get(..len)
+                .ok_or_else(|| schedule_too_short(len))?;
+            let Some(anchors) = curve.anchors.clone().filter(|_| len > held_through) else {
+                return Ok(prior[i]);
+            };
+            let stages = stage_log_tasks.iter().copied().zip(
+                curve
+                    .trajectory
+                    .iter()
+                    .copied()
+                    .chain(std::iter::once(prior[i])),
+            );
+            terms.clear();
+            terms.extend_from_slice(&anchor_terms[anchors]);
+            Ok(estimator.fit(terms, stages, tasks_now)?.predicted_accuracy)
+        };
+        let scores = ctx.worker_shards().map(|range| {
+            let mut terms = Vec::new();
+            range
+                .map(|i| score_worker(i, &mut terms))
+                .collect::<Result<_, SelectionError>>()
+        })?;
+        for (sheet, &value) in ctx.sheets.iter().zip(prior) {
+            self.workers[sheet.worker].trajectory.push(value);
+        }
+        Ok(scores)
     }
 
     fn boxed_clone(&self) -> Box<dyn EstimationStage> {
@@ -515,8 +465,8 @@ impl EstimationStage for LgeStage {
 /// The raw empirical prior: emits each worker's observed accuracy on the
 /// round's answer sheet, untouched.
 ///
-/// On its own this is just the per-round sample mean; its role in the zoo is
-/// to feed [`LgeStage`] in the LGE-only ablation
+/// On its own this is just the per-round sample mean; its role is to feed
+/// [`LgeStage`] in the LGE-only ablation
 /// ([`StagePipeline::lge_only`]), replacing the CPE model with the weakest
 /// defensible static estimate so the learning-gain machinery's contribution
 /// can be isolated. Stateless, so sharding and cloning are trivial.
@@ -623,43 +573,6 @@ impl StagePipeline {
         .expect("two stages")
     }
 
-    /// The BKT ablation: per-worker Bayesian Knowledge Tracing posteriors
-    /// ([`BktStage`]) replace the whole CPE + LGE estimation.
-    pub fn bkt_only(params: BktParams) -> Self {
-        // c4u-lint: allow(no-unwrap-in-lib, reason = "a one-element literal stage list is never empty")
-        Self::new(vec![Box::new(BktStage::new(params))]).expect("one stage")
-    }
-
-    /// The Rasch-calibrated ablation: the Eq. 10–11 learning-curve calibration
-    /// refit per round from raw observed accuracies ([`RaschStage`]), with no
-    /// cross-domain model in the loop.
-    pub fn rasch_calibrated() -> Self {
-        // c4u-lint: allow(no-unwrap-in-lib, reason = "a one-element literal stage list is never empty")
-        Self::new(vec![Box::new(RaschStage::new())]).expect("one stage")
-    }
-
-    /// A CPE + BKT ensemble: one [`EnsembleStage`] whose children are a
-    /// [`CpeStage`] (weight `cpe_weight`, clamped to `[0.05, 0.95]`) and a
-    /// [`BktStage`] (the complementary weight).
-    pub fn cpe_bkt_ensemble(config: CpeConfig, params: BktParams, cpe_weight: f64) -> Self {
-        let w = if cpe_weight.is_nan() {
-            0.5
-        } else {
-            cpe_weight.clamp(0.05, 0.95)
-        };
-        let stage = EnsembleStage::new(
-            vec![
-                Box::new(CpeStage::new(config)),
-                Box::new(BktStage::new(params)),
-            ],
-            vec![w, 1.0 - w],
-        )
-        // c4u-lint: allow(no-unwrap-in-lib, reason = "literal weights 'w' and '1-w' are validated positive above")
-        .expect("two positively weighted children");
-        // c4u-lint: allow(no-unwrap-in-lib, reason = "a one-element literal stage list is never empty")
-        Self::new(vec![Box::new(stage)]).expect("one stage")
-    }
-
     /// Stage names in pipeline order.
     // c4u-lint: allow(unused-pub-fn, reason = "README's doctested stage-architecture example calls it")
     pub fn stage_names(&self) -> Vec<&str> {
@@ -749,14 +662,11 @@ mod tests {
     }
 
     /// The pipelines whose stages keep cross-round state of every kind: the
-    /// CPE model, LGE's static-estimate trajectories, Rasch observations and
-    /// BKT trackers.
-    fn stateful_pipelines() -> [StagePipeline; 4] {
+    /// CPE model and LGE's static-estimate trajectories.
+    fn stateful_pipelines() -> [StagePipeline; 2] {
         [
             StagePipeline::cpe_and_lge(fast_cpe()),
             StagePipeline::lge_only(),
-            StagePipeline::rasch_calibrated(),
-            StagePipeline::bkt_only(BktParams::default()),
         ]
     }
 
@@ -989,32 +899,30 @@ mod tests {
 
     #[test]
     fn short_training_schedule_is_an_error_not_a_panic() {
-        for pipeline in [StagePipeline::lge_only(), StagePipeline::rasch_calibrated()] {
-            let (mut pipeline, platform, sheets) = pipeline_and_round(pipeline, 2);
-            let profiles: Vec<&HistoricalProfile> = sheets
-                .iter()
-                .map(|s| platform.profile(s.worker).unwrap())
-                .collect();
-            // The schedule has no entry K_2 for round 2.
-            for _ in 0..2 {
-                let err = pipeline
-                    .score_round(&round_input(2, &sheets, &profiles, &[0.0]))
-                    .unwrap_err();
-                assert!(matches!(err, SelectionError::InvalidConfig { .. }), "{err}");
-            }
-            // A schedule that covers the round but not a history scored more
-            // often than it has entries.
-            let cumulative = [0.0, 2.0];
-            for _ in 0..2 {
-                pipeline
-                    .score_round(&round_input(1, &sheets, &profiles, &cumulative))
-                    .unwrap();
-            }
+        let (mut pipeline, platform, sheets) = pipeline_and_round(StagePipeline::lge_only(), 2);
+        let profiles: Vec<&HistoricalProfile> = sheets
+            .iter()
+            .map(|s| platform.profile(s.worker).unwrap())
+            .collect();
+        // The schedule has no entry K_2 for round 2.
+        for _ in 0..2 {
             let err = pipeline
-                .score_round(&round_input(1, &sheets, &profiles, &cumulative))
+                .score_round(&round_input(2, &sheets, &profiles, &[0.0]))
                 .unwrap_err();
             assert!(matches!(err, SelectionError::InvalidConfig { .. }), "{err}");
         }
+        // A schedule that covers the round but not a history scored more
+        // often than it has entries.
+        let cumulative = [0.0, 2.0];
+        for _ in 0..2 {
+            pipeline
+                .score_round(&round_input(1, &sheets, &profiles, &cumulative))
+                .unwrap();
+        }
+        let err = pipeline
+            .score_round(&round_input(1, &sheets, &profiles, &cumulative))
+            .unwrap_err();
+        assert!(matches!(err, SelectionError::InvalidConfig { .. }), "{err}");
     }
 
     /// A user stage that scores the workers at `nan` and `inf` non-finite.
@@ -1144,111 +1052,93 @@ mod tests {
         // leaves after round 2. Every score equals the one-worker estimate
         // over that worker's own history.
         let ds = generate(&DatasetConfig::rw1()).unwrap();
-        for template in [StagePipeline::lge_only(), StagePipeline::rasch_calibrated()] {
-            let held = template.stage_names() == ["empirical", "lge"];
-            let mut platform = Platform::from_dataset(&ds, 5).unwrap();
-            let mut pipeline = template.clone();
-            let estimator;
-            {
-                let profiles = platform.profiles();
-                let init = StageInit {
-                    profiles: &profiles,
-                    num_prior_domains: num_prior_domains(&profiles),
-                    initial_target_accuracy: 0.5,
+        let mut platform = Platform::from_dataset(&ds, 5).unwrap();
+        let mut pipeline = StagePipeline::lge_only();
+        let estimator;
+        {
+            let profiles = platform.profiles();
+            let init = StageInit {
+                profiles: &profiles,
+                num_prior_domains: num_prior_domains(&profiles),
+                initial_target_accuracy: 0.5,
+            };
+            pipeline.initialize(&init).unwrap();
+            estimator =
+                LearningGainEstimator::new(LgeConfig::new(0.5, pool_prior_means(&init)).unwrap());
+        }
+        let cumulative = [0.0, 4.0, 12.0, 28.0];
+        let mut histories: HashMap<WorkerId, Vec<f64>> = HashMap::new();
+        let mut pool: Vec<WorkerId> = platform.worker_ids();
+        for round in 1..=3 {
+            match round {
+                2 => {
+                    platform
+                        .apply_events(&c4u_crowd_sim::RoundEvents::none().with_leave(5))
+                        .unwrap();
+                    pool.retain(|&w| w < 14 && w != 5);
+                    for spec in &ds.workers[..2] {
+                        pool.push(platform.add_worker(spec).unwrap());
+                    }
+                    assert_eq!(pool[pool.len() - 2..], [27, 28]);
+                }
+                3 => {
+                    platform
+                        .apply_events(&c4u_crowd_sim::RoundEvents::none().with_leave(27))
+                        .unwrap();
+                    pool.retain(|&w| w < 7 || w == 28);
+                }
+                _ => {}
+            }
+            let tasks = (cumulative[round] - cumulative[round - 1]) as usize;
+            let sheets = platform.assign_learning_batch(&pool, tasks).unwrap().sheets;
+            let profiles: Vec<&HistoricalProfile> = sheets
+                .iter()
+                .map(|s| platform.profile(s.worker).unwrap())
+                .collect();
+            let scores = pipeline
+                .score_round(&round_input(round, &sheets, &profiles, &cumulative))
+                .unwrap();
+            for ((sheet, profile), &score) in sheets.iter().zip(&profiles).zip(scores.last()) {
+                let history = histories.entry(sheet.worker).or_default();
+                history.push(sheet.accuracy());
+                // A worker's first round is held at its sheet accuracy.
+                let expected = if history.len() == 1 {
+                    sheet.accuracy()
+                } else {
+                    let input = crate::LgeWorkerInput::from_profile(
+                        profile,
+                        history.clone(),
+                        cumulative[..history.len()].to_vec(),
+                        cumulative[round],
+                    );
+                    estimator.estimate(&input).unwrap().predicted_accuracy
                 };
-                pipeline.initialize(&init).unwrap();
-                estimator = LearningGainEstimator::new(
-                    LgeConfig::new(0.5, pool_prior_means(&init)).unwrap(),
+                assert_eq!(
+                    score.to_bits(),
+                    expected.to_bits(),
+                    "round {round} worker {}",
+                    sheet.worker
                 );
             }
-            let cumulative = [0.0, 4.0, 12.0, 28.0];
-            let mut histories: HashMap<WorkerId, Vec<f64>> = HashMap::new();
-            let mut pool: Vec<WorkerId> = platform.worker_ids();
-            for round in 1..=3 {
-                match round {
-                    2 => {
-                        platform
-                            .apply_events(&c4u_crowd_sim::RoundEvents::none().with_leave(5))
-                            .unwrap();
-                        pool.retain(|&w| w < 14 && w != 5);
-                        for spec in &ds.workers[..2] {
-                            pool.push(platform.add_worker(spec).unwrap());
-                        }
-                        assert_eq!(pool[pool.len() - 2..], [27, 28]);
-                    }
-                    3 => {
-                        platform
-                            .apply_events(&c4u_crowd_sim::RoundEvents::none().with_leave(27))
-                            .unwrap();
-                        pool.retain(|&w| w < 7 || w == 28);
-                    }
-                    _ => {}
-                }
-                let tasks = (cumulative[round] - cumulative[round - 1]) as usize;
-                let sheets = platform.assign_learning_batch(&pool, tasks).unwrap().sheets;
-                let profiles: Vec<&HistoricalProfile> = sheets
-                    .iter()
-                    .map(|s| platform.profile(s.worker).unwrap())
-                    .collect();
-                let scores = pipeline
-                    .score_round(&round_input(round, &sheets, &profiles, &cumulative))
-                    .unwrap();
-                for ((sheet, profile), &score) in sheets.iter().zip(&profiles).zip(scores.last()) {
-                    let history = histories.entry(sheet.worker).or_default();
-                    history.push(sheet.accuracy());
-                    let expected = if held && history.len() == 1 {
-                        sheet.accuracy()
-                    } else {
-                        let input = crate::LgeWorkerInput::from_profile(
-                            profile,
-                            history.clone(),
-                            cumulative[..history.len()].to_vec(),
-                            cumulative[round],
-                        );
-                        estimator.estimate(&input).unwrap().predicted_accuracy
-                    };
-                    assert_eq!(
-                        score.to_bits(),
-                        expected.to_bits(),
-                        "{:?} round {round} worker {}",
-                        pipeline.stage_names(),
-                        sheet.worker
-                    );
-                }
-            }
-            // Worker 28 joined in round 2 and was scored twice.
-            assert_eq!(histories[&28].len(), 2);
         }
+        // Worker 28 joined in round 2 and was scored twice.
+        assert_eq!(histories[&28].len(), 2);
     }
 
     #[test]
     fn a_worker_id_far_beyond_the_pool_is_an_error() {
-        let (mut pipeline, platform, mut sheets) =
-            pipeline_and_round(StagePipeline::rasch_calibrated(), 4);
+        let (mut pipeline, platform, mut sheets) = pipeline_and_round(StagePipeline::lge_only(), 4);
         let profiles: Vec<&HistoricalProfile> = sheets
             .iter()
             .map(|s| platform.profile(s.worker).unwrap())
             .collect();
-        sheets[3] = AnswerSheet::from_correctness(usize::MAX, vec![true; 4]);
+        sheets[3] = AnswerSheet::new(usize::MAX, 4, 4);
         let cumulative = [0.0, 4.0];
         let scored = pipeline.score_round(&round_input(1, &sheets, &profiles, &cumulative));
         assert!(
             matches!(scored, Err(SelectionError::InvalidConfig { .. })),
             "{scored:?}"
         );
-    }
-
-    #[test]
-    fn lge_and_rasch_share_one_learning_curve_fit() {
-        // The LGE-only pipeline hands LGE the sheet accuracies Rasch fits, so
-        // the two differ only in LGE's hold before training has started.
-        let lge = campaign(&mut initialized(StagePipeline::lge_only()), 5).unwrap();
-        let rasch = campaign(&mut initialized(StagePipeline::rasch_calibrated()), 5).unwrap();
-        let bits = |scores: &[f64]| scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
-        assert_ne!(bits(lge[0].last()), bits(rasch[0].last()));
-        for (round, (lge, rasch)) in lge.iter().zip(&rasch).enumerate().skip(1) {
-            assert_eq!(bits(lge.last()), bits(rasch.last()), "round {}", round + 1);
-        }
     }
 
     #[test]

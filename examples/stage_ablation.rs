@@ -1,8 +1,7 @@
-//! Stage-zoo ablation: a Table-5-style comparison of every estimation pipeline
-//! the [`c4u_selection::StagePipeline`] seam composes — the full method, the
-//! CPE-only and LGE-only halves, the two IRT-backed single-model ablations,
-//! and the CPE + BKT ensemble — answering "how much does each modelling choice
-//! buy?" in one run.
+//! Stage ablation: a Table-5-style comparison of the three estimation
+//! pipelines the [`c4u_selection::StagePipeline`] seam composes — the full
+//! method (CPE → LGE) and its CPE-only and LGE-only halves — answering "how
+//! much does each half of the method buy?" in one run.
 //!
 //! ```bash
 //! cargo run --release --example stage_ablation
@@ -19,7 +18,7 @@ fn main() {
     let epochs = cpe_epochs();
     let seeds = trial_seeds(trials());
     println!(
-        "Stage zoo — every estimation pipeline on the RW datasets (CPE epochs = {epochs}, trials = {})\n",
+        "Stage ablation — every estimation pipeline on the RW datasets (CPE epochs = {epochs}, trials = {})\n",
         seeds.len()
     );
 
@@ -43,11 +42,10 @@ fn main() {
     print!("{}", format_accuracy_table(&datasets, &strategies, &cells));
 
     println!("\nPipelines: Ours = CPE + LGE (the paper's method); ME-CPE drops the learning");
-    println!("curve; LGE-only replaces the CPE model with raw per-round sample means; BKT and");
-    println!("Rasch swap the whole estimation for a single classic learner model; CPE+BKT");
-    println!("blends the cross-domain model with BKT posteriors. The gap between the");
-    println!("CPE-backed rows (Ours, ME-CPE, CPE+BKT) and the model-free ablations is what");
-    println!("the cross-domain information is worth — visible at paper-fidelity epoch");
-    println!("budgets (C4U_CPE_EPOCHS=50); in quick mode the CPE model is deliberately");
-    println!("undertrained and the single-model ablations can tie or lead.");
+    println!("curve and ranks by the cross-domain model's static estimate; LGE-only keeps the");
+    println!("learning curve but feeds it raw per-round sample means instead of the CPE");
+    println!("model. Ours minus ME-CPE is what the learning curve is worth, Ours minus");
+    println!("LGE-only what the cross-domain information is worth — visible at paper-fidelity");
+    println!("epoch budgets (C4U_CPE_EPOCHS=50); in quick mode the CPE model is deliberately");
+    println!("undertrained and LGE-only can tie or lead.");
 }

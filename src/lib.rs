@@ -8,7 +8,7 @@
 //!
 //! * [`linalg`] — dense vectors/matrices, Cholesky;
 //! * [`stats`] — descriptive stats, quadrature, (truncated) multivariate normals;
-//! * [`irt`] — Rasch items, learning-gain curves, BKT, and the Eq. 11 alpha
+//! * [`irt`] — Rasch items, learning-gain curves, and the Eq. 11 alpha
 //!   calibration;
 //! * [`crowd_sim`] — dataset generator and the simulated crowdsourcing platform;
 //! * [`selection`] — CPE/LGE/ME stages, the stage pipeline, baselines, and the

@@ -2,10 +2,9 @@
 //!
 //! * one fixed join/leave schedule, replayed at worker-range shard counts
 //!   {1, 3, 16}, produces **bit-for-bit identical** selector reports for every
-//!   preset of the stage zoo — churn does not break the shard-count invariance
-//!   the closed-world suite pins, nor the cross-round state each stage keeps
-//!   per worker (CPE model, LGE trajectories, Rasch observations, BKT
-//!   trackers) across joins and leaves;
+//!   estimation preset — churn does not break the shard-count invariance the
+//!   closed-world suite pins, nor the cross-round state each stage keeps (the
+//!   CPE model, LGE's per-worker trajectories) across joins and leaves;
 //! * the same replay is deterministic run-to-run;
 //! * removing a worker and re-adding its spec (as a fresh id) leaves every
 //!   *other* worker's answer stream untouched, property-tested over fuzzed
@@ -16,14 +15,11 @@ use c4u_crowd_sim::{generate, CampaignSchedule, DatasetConfig, Platform, RoundEv
 use c4u_selection::{CrossDomainSelector, EstimationMode, PipelineReport, SelectorConfig};
 use proptest::prelude::*;
 
-/// Every preset of the stage zoo.
-const MODES: [EstimationMode; 6] = [
+/// Every estimation preset: the full method and its two ablations.
+const MODES: [EstimationMode; 3] = [
     EstimationMode::CpeAndLge,
     EstimationMode::CpeOnly,
     EstimationMode::LgeOnly,
-    EstimationMode::BktOnly,
-    EstimationMode::RaschCalibrated,
-    EstimationMode::CpeBktEnsemble,
 ];
 
 fn fast_config(mode: EstimationMode) -> SelectorConfig {

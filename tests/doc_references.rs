@@ -10,8 +10,10 @@
 //! only if it exists relative to the workspace root, a `C4U_*` variable only
 //! if it is registered in `c4u_bench::env::KNOBS`, a `c4u_<crate>::<item>`
 //! path only if `<item>` is public at that crate's root, and a
-//! `Type::<name>` for any `pub struct Type` of the workspace only if `<name>`
-//! is a field, associated const or method of that type.
+//! `Type::<name>` for any `pub struct` or `pub enum Type` of the workspace
+//! only if `<name>` is a field, enum variant, associated const or method of
+//! that type (so `EstimationMode::X` and `StrategyKind::X` must name a
+//! variant the enum's source declares, or one of its methods).
 //!
 //! Scanned: every `.rs` file of the workspace, plus the root `README.md` and
 //! `ARCHITECTURE.md` (and, for bench names, source paths and knobs, the verify
@@ -451,12 +453,16 @@ fn public_root_names(lib: &str) -> Vec<String> {
     names
 }
 
-/// The names of the `pub struct`s declared in `source`, the types whose
-/// members prose may cite as `Type::member`.
-fn pub_structs(source: &str) -> Vec<String> {
+/// The names of the `pub struct`s and `pub enum`s declared in `source`, the
+/// types whose members prose may cite as `Type::member`.
+fn pub_types(source: &str) -> Vec<String> {
     source
         .lines()
-        .filter_map(|line| line.trim_start().strip_prefix("pub struct "))
+        .filter_map(|line| {
+            let line = line.trim_start();
+            line.strip_prefix("pub struct ")
+                .or_else(|| line.strip_prefix("pub enum "))
+        })
         .map(|rest| leading_ident(rest).to_string())
         .collect()
 }
@@ -485,27 +491,37 @@ fn impl_self_type(line: &str) -> Option<&str> {
     self_type.rsplit("::").next()
 }
 
-/// The fields, associated consts and methods of the type `name` declared in
-/// `source`: the `pub` fields of its `struct` body and every `fn`/`const` of
+/// The fields, variants, associated consts and methods of the type `name`
+/// declared in `source`: the `pub` fields of its `struct` body, the variants
+/// of its `enum` body (unit, tuple or struct-like), and every `fn`/`const` of
 /// its `impl` blocks (inherent or trait, generic or not), as rustfmt lays
 /// them out.
 fn type_members(source: &str, name: &str) -> Vec<String> {
     let mut members = Vec::new();
-    let mut in_struct = false;
-    let mut in_impl = false;
+    let (mut in_struct, mut in_enum, mut in_impl) = (false, false, false);
+    let header_of = |line: &str, keyword: &str| {
+        line.strip_prefix(keyword)
+            .is_some_and(|rest| leading_ident(rest) == name && line.ends_with(" {"))
+    };
     for line in source.lines() {
-        let struct_header = line
-            .strip_prefix("pub struct ")
-            .is_some_and(|rest| leading_ident(rest) == name && line.ends_with(" {"));
-        if struct_header {
+        if header_of(line, "pub struct ") {
             in_struct = true;
+        } else if header_of(line, "pub enum ") {
+            in_enum = true;
         } else if impl_self_type(line) == Some(name) {
             in_impl = true;
         } else if line == "}" {
-            (in_struct, in_impl) = (false, false);
+            (in_struct, in_enum, in_impl) = (false, false, false);
         } else if in_struct {
             if let Some(field) = line.trim_start().strip_prefix("pub ") {
                 members.push(leading_ident(field).to_string());
+            }
+        } else if in_enum {
+            // A variant starts at the body's indentation; doc comments,
+            // attributes, fields and closing braces start with no identifier.
+            let variant = line.strip_prefix("    ").map_or("", leading_ident);
+            if !variant.is_empty() {
+                members.push(variant.to_string());
             }
         } else if in_impl {
             let Some(member) = line.strip_prefix("    ") else {
@@ -538,10 +554,7 @@ fn cited_api_names_exist() {
         let lib = fs::read_to_string(dir.join("src/lib.rs")).unwrap_or_default();
         crate_names.push((package.replace('-', "_"), public_root_names(&lib)));
     }
-    let mut types: Vec<String> = library_sources
-        .iter()
-        .flat_map(|t| pub_structs(t))
-        .collect();
+    let mut types: Vec<String> = library_sources.iter().flat_map(|t| pub_types(t)).collect();
     types.sort();
     types.dedup();
     let member_names: Vec<(&str, Vec<String>)> = types
@@ -555,6 +568,19 @@ fn cited_api_names_exist() {
         member_names.iter().any(|(ty, _)| *ty == "SelectorConfig"),
         "the struct scan found no SelectorConfig"
     );
+    // The two enums whose variants the documents cite most: the scan must
+    // see every preset and every strategy.
+    for (ty, variant) in [
+        ("EstimationMode", "LgeOnly"),
+        ("StrategyKind", "GroundTruth"),
+    ] {
+        assert!(
+            member_names
+                .iter()
+                .any(|(name, members)| *name == ty && members.iter().any(|m| m == variant)),
+            "the enum scan found no {ty}::{variant}"
+        );
+    }
     let mut unknown = Vec::new();
     for document in prose_documents(root) {
         let shown = document.strip_prefix(root).unwrap_or(&document).display();
@@ -608,9 +634,34 @@ fn the_api_scanners_find_what_they_should() {
         type_members(source, "T"),
         ["a", "default", "N", "with", "generic", "private"]
     );
-    assert_eq!(pub_structs(source), ["T"]);
+    assert_eq!(pub_types(source), ["T"]);
     assert_eq!(impl_self_type("impl<T> Wrapper<T> {"), Some("Wrapper"));
     assert_eq!(impl_self_type("impl Display for Domain {"), Some("Domain"));
     assert_eq!(impl_self_type("impl<'a> Lexed<'a> {"), Some("Lexed"));
     assert_eq!(impl_self_type("fn impl_like() {"), None);
+}
+
+#[test]
+fn the_enum_scanner_finds_every_variant_shape() {
+    let source = "/// Doc.\n#[derive(Debug)]\npub enum Mode {\n    /// Unit.\n    Unit,\n\
+                  \x20   #[allow(dead_code)]\n    Tuple(usize),\n    Struct {\n        /// Field.\n\
+                  \x20       what: usize,\n    },\n}\n\
+                  pub enum Other {\n    Elsewhere,\n}\n\
+                  impl Mode {\n    pub fn all() -> Vec<Mode> {\n        vec![Mode::Unit]\n    }\n}\n";
+    assert_eq!(pub_types(source), ["Mode", "Other"]);
+    assert_eq!(
+        type_members(source, "Mode"),
+        ["Unit", "Tuple", "Struct", "all"]
+    );
+    assert_eq!(type_members(source, "Other"), ["Elsewhere"]);
+    // A variant the source no longer declares is not a member.
+    let text = "`Mode::Unit`, Mode::all() and Mode::Gone";
+    let cited: Vec<(String, String)> = cited_paths(text, "Mode");
+    let members = type_members(source, "Mode");
+    let unknown: Vec<&str> = cited
+        .iter()
+        .filter(|(_, member)| !members.contains(member))
+        .map(|(_, member)| member.as_str())
+        .collect();
+    assert_eq!(unknown, ["Gone"]);
 }

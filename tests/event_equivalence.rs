@@ -2,8 +2,8 @@
 //! ([`CrossDomainSelector::run_with_events`]):
 //!
 //! * an **empty** event stream reproduces the batch `run` **bit-for-bit** —
-//!   same selection, same scores, same per-round diagnostics — across the
-//!   stage zoo;
+//!   same selection, same scores, same per-round diagnostics — for the full
+//!   method and both of its ablations;
 //! * a schedule of explicit **no-op** events (present rounds, empty
 //!   join/leave lists) is the same closed world;
 //! * the equivalence survives the end-to-end evaluation (working-phase
@@ -46,8 +46,8 @@ fn empty_event_stream_reproduces_the_closed_world_batch_run() {
     let dataset = generate(&DatasetConfig::rw1()).unwrap();
     let modes = [
         (EstimationMode::CpeAndLge, "Ours"),
-        (EstimationMode::BktOnly, "BKT"),
-        (EstimationMode::CpeBktEnsemble, "CPE+BKT"),
+        (EstimationMode::CpeOnly, "ME-CPE"),
+        (EstimationMode::LgeOnly, "LGE-only"),
     ];
     for (mode, name) in modes {
         let selector = CrossDomainSelector::new(fast_config(mode));

@@ -172,14 +172,15 @@ fn selector_output_is_identical_for_every_shard_count() {
 }
 
 #[test]
-fn irt_backed_pipeline_is_identical_for_every_shard_count() {
-    // The stage zoo's per-worker scoring passes (BKT trackers, Rasch
-    // calibration) fan out over the same worker-range shards as the canonical
-    // stages; their merge order is pinned to worker order, so an IRT-backed
-    // selector must be bit-for-bit shard-layout independent too.
+fn ablation_pipelines_are_identical_for_every_shard_count() {
+    // The two ablations fan their per-worker passes out over the same
+    // worker-range shards as the full method: LGE-only's LGE fits on raw
+    // sheet accuracies (the `lge_only_10k` path) and ME-CPE's CPE update
+    // without LGE. Their merge order is pinned to worker order, so each must
+    // be bit-for-bit shard-layout independent too.
     use c4u_selection::EstimationMode;
     let dataset = generate(&DatasetConfig::rw1()).unwrap();
-    for mode in [EstimationMode::BktOnly, EstimationMode::RaschCalibrated] {
+    for mode in [EstimationMode::LgeOnly, EstimationMode::CpeOnly] {
         let run = |num_shards: usize| {
             let mut platform = Platform::from_dataset(&dataset, 13).unwrap();
             CrossDomainSelector::new(fast_config(num_shards).with_mode(mode))

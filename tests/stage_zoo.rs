@@ -1,12 +1,10 @@
-//! Equivalence and determinism coverage for the stage zoo (the IRT-backed and
-//! ensemble pipelines layered on the `EstimationStage` seam):
+//! Equivalence and determinism coverage for the three estimation pipelines
+//! on the `EstimationStage` seam (Ours, ME-CPE, LGE-only):
 //!
 //! * the LGE half of `cpe_and_lge` is exactly the `LgeStage` the LGE-only
 //!   pipeline runs — fed the same static estimates each round, it reproduces
 //!   the full pipeline's second-stage outputs **bit-for-bit**;
-//! * an ensemble with all weight on a single child is **bit-for-bit** equal to
-//!   running that child alone, end to end through the selector;
-//! * every zoo pipeline is deterministic: two runs from the same dataset and
+//! * every pipeline is deterministic: two runs from the same dataset and
 //!   platform seed produce identical reports.
 
 use c4u_crowd_sim::{generate, DatasetConfig, Platform};
@@ -82,51 +80,6 @@ fn lge_only_runs_the_exact_lge_half_of_cpe_and_lge() {
     }
 }
 
-/// A pipeline of one ensemble stage whose only child is a default BKT stage.
-fn lone_bkt_ensemble(weight: f64) -> StagePipeline {
-    let child = c4u_selection::BktStage::new(c4u_selection::BktParams::default());
-    let ensemble = c4u_selection::EnsembleStage::new(vec![Box::new(child)], vec![weight]);
-    StagePipeline::new(vec![Box::new(ensemble.unwrap())]).unwrap()
-}
-
-#[test]
-fn unit_weight_ensemble_equals_its_child_end_to_end() {
-    let dataset = generate(&DatasetConfig::rw1()).unwrap();
-    let config = fast_config(EstimationMode::BktOnly);
-
-    let child_report = {
-        let mut platform = Platform::from_dataset(&dataset, 29).unwrap();
-        CrossDomainSelector::new(config.clone())
-            .run(&mut platform, 7)
-            .unwrap()
-    };
-    let ensemble_report = {
-        let pipeline = lone_bkt_ensemble(1.0);
-        let mut platform = Platform::from_dataset(&dataset, 29).unwrap();
-        CrossDomainSelector::with_pipeline(config.clone(), pipeline, "ensemble(bkt)")
-            .run(&mut platform, 7)
-            .unwrap()
-    };
-    // Selection, scores, and every per-round estimate: exact.
-    assert_eq!(
-        ensemble_report.outcome.selected,
-        child_report.outcome.selected
-    );
-    assert_eq!(ensemble_report.outcome.scores, child_report.outcome.scores);
-    assert_eq!(ensemble_report.rounds, child_report.rounds);
-
-    // The same holds for a weight that is not 1.0: a lone child is passed
-    // through verbatim, no weight arithmetic touches the scores.
-    let reweighted = {
-        let pipeline = lone_bkt_ensemble(0.3);
-        let mut platform = Platform::from_dataset(&dataset, 29).unwrap();
-        CrossDomainSelector::with_pipeline(config, pipeline, "ensemble(bkt)")
-            .run(&mut platform, 7)
-            .unwrap()
-    };
-    assert_eq!(reweighted.rounds, child_report.rounds);
-}
-
 #[test]
 fn every_zoo_pipeline_selects_k_workers_deterministically() {
     let dataset = generate(&DatasetConfig::rw1()).unwrap();
@@ -134,9 +87,6 @@ fn every_zoo_pipeline_selects_k_workers_deterministically() {
         (EstimationMode::CpeAndLge, "Ours"),
         (EstimationMode::CpeOnly, "ME-CPE"),
         (EstimationMode::LgeOnly, "LGE-only"),
-        (EstimationMode::BktOnly, "BKT"),
-        (EstimationMode::RaschCalibrated, "Rasch"),
-        (EstimationMode::CpeBktEnsemble, "CPE+BKT"),
     ];
     for (mode, name) in modes {
         let selector = CrossDomainSelector::new(fast_config(mode));
@@ -173,7 +123,4 @@ fn zoo_pipelines_have_the_documented_stage_compositions() {
     expect(EstimationMode::CpeAndLge, &["cpe", "lge"]);
     expect(EstimationMode::CpeOnly, &["cpe"]);
     expect(EstimationMode::LgeOnly, &["empirical", "lge"]);
-    expect(EstimationMode::BktOnly, &["bkt"]);
-    expect(EstimationMode::RaschCalibrated, &["rasch"]);
-    expect(EstimationMode::CpeBktEnsemble, &["ensemble"]);
 }
