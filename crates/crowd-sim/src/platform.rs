@@ -30,10 +30,14 @@
 //! ## Randomness: one deterministic stream per worker event
 //!
 //! The answering noise is **not** drawn from one shared generator. Every
-//! (round, worker) pair derives its own [`StdRng`] stream from the platform
-//! seed via a SplitMix64-style key derivation ([`Platform::new`]'s `seed`,
-//! a stream tag separating learning from working answers, the round/evaluation
-//! counter, and the worker id). Consequences:
+//! (round, worker) pair derives its own xoshiro256++ stream (the vendored
+//! `StdRng`'s) from the platform seed via a SplitMix64-style key derivation
+//! ([`Platform::new`]'s `seed`, a stream tag separating learning from working
+//! answers, the round/evaluation counter, and the worker id). Eight workers'
+//! streams are stepped side by side, and a task is correct when its draw is
+//! below an integer threshold that the accuracy fixes, which is the float
+//! test `StdRng::gen::<f64>() < accuracy` made exact in integers.
+//! Consequences:
 //!
 //! * a fixed seed reproduces every answer exactly, on every platform;
 //! * answers are independent of the *order* in which workers are processed and
@@ -50,10 +54,10 @@ use crate::dataset::Dataset;
 use crate::event::{AppliedRoundEvents, RoundEvents};
 use crate::shard::WorkerShards;
 use crate::task::AnswerSheet;
-use crate::worker::{draw_correct, HistoricalProfile, SimulatedWorker, WorkerId, WorkerSpec};
+use crate::worker::{
+    mix64, threshold, AnswerLanes, HistoricalProfile, SimulatedWorker, WorkerId, WorkerSpec, LANES,
+};
 use crate::SimError;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// Stream tag of the learning-task answering noise (one stream family per
 /// training round).
@@ -62,24 +66,13 @@ const STREAM_LEARNING: u64 = 0x4C45_4152;
 /// evaluation call).
 const STREAM_WORKING: u64 = 0x574F_524B;
 
-/// SplitMix64 finaliser: the bijective avalanche mix of Steele et al., also
-/// used by the vendored `StdRng`'s seeding.
-#[inline]
-fn mix64(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Derives the answering seed of one (stream family, epoch, worker) event from
-/// the platform seed: each component is absorbed through a SplitMix64 step, so
-/// distinct events get statistically independent `StdRng` streams.
-fn worker_stream_seed(base: u64, tag: u64, epoch: u64, worker: u64) -> u64 {
-    let mut acc = base;
-    for part in [tag, epoch, worker] {
-        acc = mix64(acc.wrapping_add(0x9E37_79B9_7F4A_7C15).wrapping_add(part));
-    }
-    acc
+/// One step of the answering-seed derivation: absorbs `part` into `acc`
+/// through a SplitMix64 step. The seed of a (stream family, epoch, worker)
+/// event absorbs the tag, the epoch and the worker id into the platform seed
+/// in that order, so distinct events get statistically independent streams,
+/// and the first two steps are shared by every worker of a call.
+fn absorb(acc: u64, part: u64) -> u64 {
+    mix64(acc.wrapping_add(0x9E37_79B9_7F4A_7C15).wrapping_add(part))
 }
 
 /// Errors unless `shards` partitions exactly the positions of `worker_ids`.
@@ -380,15 +373,13 @@ impl Platform {
             // line 5); sheets come back in shard == worker order.
             let epoch = record.round as u64;
             record.sheets = shards.map(|range| {
-                Ok::<_, SimError>(
-                    self.answer_sheets(
-                        STREAM_LEARNING,
-                        epoch,
-                        &worker_ids[range],
-                        tasks_per_worker,
-                    )
-                    .collect(),
-                )
+                Ok::<_, SimError>(self.answer_sheets(
+                    STREAM_LEARNING,
+                    epoch,
+                    &worker_ids[range],
+                    tasks_per_worker,
+                    |sheet| sheet,
+                ))
             })?;
 
             // Learning phase: reveal the ground truth and move every
@@ -440,16 +431,13 @@ impl Platform {
         let epoch = self.evaluations_run as u64;
         self.evaluations_run += 1;
         let accuracies = shards.map(|range| {
-            Ok::<_, SimError>(
-                self.answer_sheets(
-                    STREAM_WORKING,
-                    epoch,
-                    &worker_ids[range],
-                    self.working_tasks,
-                )
-                .map(|sheet| sheet.accuracy())
-                .collect(),
-            )
+            Ok::<_, SimError>(self.answer_sheets(
+                STREAM_WORKING,
+                epoch,
+                &worker_ids[range],
+                self.working_tasks,
+                |sheet| sheet.accuracy(),
+            ))
         })?;
         // Accumulate in worker order (shard order == worker order), so the
         // sum is the same float expression for every shard layout.
@@ -476,23 +464,40 @@ impl Platform {
         Ok(())
     }
 
-    /// The answer sheets of `worker_ids` on `tasks` tasks, in list order: each
-    /// worker answers at its current accuracy from its own
-    /// `(seed, tag, epoch, id)` stream, so a sheet never depends on which shard
-    /// or thread drew it.
-    fn answer_sheets<'a>(
-        &'a self,
+    /// The answer sheets of `worker_ids` on `tasks` tasks, passed through
+    /// `finish`, in list order: each worker answers at its current accuracy
+    /// from its own `(seed, tag, epoch, id)` stream, so a sheet never depends
+    /// on which shard or thread drew it.
+    ///
+    /// Workers answer [`LANES`] at a time through [`AnswerLanes`]; the last
+    /// block is padded with lanes that no draw can pass, whose counts are
+    /// dropped.
+    fn answer_sheets<T>(
+        &self,
         tag: u64,
         epoch: u64,
-        worker_ids: &'a [WorkerId],
+        worker_ids: &[WorkerId],
         tasks: usize,
-    ) -> impl Iterator<Item = AnswerSheet> + 'a {
-        worker_ids.iter().map(move |&id| {
-            let mut rng =
-                StdRng::seed_from_u64(worker_stream_seed(self.seed, tag, epoch, id as u64));
-            let accuracy = self.workers[id].current_accuracy();
-            AnswerSheet::new(id, tasks, draw_correct(&mut rng, accuracy, tasks))
-        })
+        finish: impl Fn(AnswerSheet) -> T,
+    ) -> Vec<T> {
+        let family = absorb(absorb(self.seed, tag), epoch);
+        let mut out = Vec::with_capacity(worker_ids.len());
+        for block in worker_ids.chunks(LANES) {
+            let mut seeds = [0; LANES];
+            let mut thresholds = [0; LANES];
+            for (lane, &id) in block.iter().enumerate() {
+                seeds[lane] = absorb(family, id as u64);
+                thresholds[lane] = threshold(self.workers[id].current_accuracy());
+            }
+            let counts = AnswerLanes::seed_from_u64(seeds).count_correct(thresholds, tasks);
+            out.extend(
+                block
+                    .iter()
+                    .zip(counts)
+                    .map(|(&id, correct)| finish(AnswerSheet::new(id, tasks, correct as usize))),
+            );
+        }
+        out
     }
 
     /// Average *true* (noise-free) accuracy of the listed workers — a lower-variance
@@ -514,6 +519,9 @@ mod tests {
     use super::*;
     use crate::config::DatasetConfig;
     use crate::generator::generate;
+    use crate::worker::draw_correct;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn platform() -> Platform {
         let ds = generate(&DatasetConfig::rw1()).unwrap();
@@ -914,6 +922,42 @@ mod tests {
                 .find(|s| s.worker == sheet.worker)
                 .unwrap();
             assert_eq!(sheet, mirrored);
+        }
+    }
+
+    #[test]
+    fn lane_blocks_equal_the_per_worker_float_reference() {
+        // Every list length from 0 to 17 covers each remainder mod LANES (and
+        // so every padded last block); ids run in a scrambled order, with
+        // workers at accuracy 0 and 1 among them.
+        let ds = generate(&DatasetConfig::rw1()).unwrap();
+        let mut p = Platform::from_dataset(&ds, 13).unwrap();
+        for accuracy in [0.0, 1.0] {
+            let mut spec = ds.workers[0].clone();
+            spec.initial_target_accuracy = accuracy;
+            p.add_worker(&spec).unwrap();
+        }
+        let scrambled: Vec<WorkerId> = [20, 27, 3, 28].into_iter().chain((0..20).rev()).collect();
+        for len in 0..=17 {
+            let ids = &scrambled[..len];
+            for tasks in [0, 1, 110] {
+                for (tag, epoch) in [(STREAM_LEARNING, 1), (STREAM_WORKING, 0)] {
+                    let sheets = p.answer_sheets(tag, epoch, ids, tasks, |sheet| sheet);
+                    let reference: Vec<AnswerSheet> = ids
+                        .iter()
+                        .map(|&id| {
+                            let seed = absorb(absorb(absorb(p.seed, tag), epoch), id as u64);
+                            let mut rng = StdRng::seed_from_u64(seed);
+                            let accuracy = p.workers[id].current_accuracy();
+                            AnswerSheet::new(id, tasks, draw_correct(&mut rng, accuracy, tasks))
+                        })
+                        .collect();
+                    assert_eq!(
+                        sheets, reference,
+                        "{len} workers, {tasks} tasks, tag {tag:x}"
+                    );
+                }
+            }
         }
     }
 

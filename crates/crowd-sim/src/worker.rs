@@ -11,23 +11,119 @@
 use crate::task::AnswerSheet;
 use crate::SimError;
 use c4u_irt::LearningGainModel;
+#[cfg(test)]
 use rand::Rng;
 
 /// Identifier of a worker inside a pool (dense, 0-based).
 pub type WorkerId = usize;
 
-/// Draws `tasks` answers at `accuracy` and returns how many are correct: one
-/// uniform float per task, correct when it falls below `accuracy`.
+/// SplitMix64 finaliser: the bijective avalanche mix of Steele et al., also
+/// used by the vendored `StdRng`'s seeding.
+#[inline]
+pub(crate) fn mix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Number of answer streams [`AnswerLanes`] steps side by side. Eight `u64`
+/// lanes fill two 256-bit registers per state word under the x86-64-v3
+/// codegen pin; four lanes ran slower than one scalar stream.
+pub(crate) const LANES: usize = 8;
+
+/// The integer form of the answering test: a draw `x` is correct exactly when
+/// `x >> 11 < threshold(accuracy)`.
 ///
-/// This is the single answering draw of the whole simulator: the platform's
-/// answer sheets, learning and working alike, sharded or not, are made of it,
-/// so every execution path draws the same floats in the same order and agrees
-/// bit for bit. No gold label enters, and no per-task record is kept: a task
-/// is one more draw, and a sheet is its count.
-// Out of line on purpose: inlined next to `StdRng::seed_from_u64`, LLVM kept
-// the vectorised seeding's four state words in one vector register and paid
-// lane shuffles on every draw, which doubled the platform's answering time.
-#[inline(never)]
+/// The vendored `StdRng` turns `x` into the float `(x >> 11) * 2^-53`, which is
+/// exact, and a task is correct when that float is below the accuracy `p`. For
+/// an integer `u < 2^53`, `u * 2^-53 < p` holds exactly when `u < ceil(p *
+/// 2^53)`, and `p * 2^53` is exact for `p` in `(0, 1)`. So the threshold is
+/// that ceiling, `0` when no draw can pass (`p <= 0` or NaN), and `2^53` when
+/// every draw passes (`p >= 1`).
+pub(crate) fn threshold(accuracy: f64) -> u64 {
+    const SCALE: f64 = (1u64 << 53) as f64;
+    if accuracy >= 1.0 {
+        1 << 53
+    } else if accuracy > 0.0 {
+        (accuracy * SCALE).ceil() as u64
+    } else {
+        // `accuracy <= 0` or NaN.
+        0
+    }
+}
+
+/// [`LANES`] xoshiro256++ streams stepped together, each seeded and stepped
+/// exactly as the vendored `StdRng::seed_from_u64` (SplitMix64 expansion of
+/// `seed ^ 4`) and `next_u64` do, so lane `l` yields stream `l`'s draws bit
+/// for bit.
+///
+/// The state is held word-major, one `[u64; LANES]` column per xoshiro state
+/// word, so every step is a handful of whole-column integer operations.
+pub(crate) struct AnswerLanes {
+    state: [[u64; LANES]; 4],
+}
+
+impl AnswerLanes {
+    /// Seeds lane `l` from `seeds[l]`.
+    pub(crate) fn seed_from_u64(seeds: [u64; LANES]) -> Self {
+        // SplitMix64 expands `seed ^ 4` into word `w` as the finaliser of
+        // `(seed ^ 4) + (w + 1) * golden`: computed column by column, every
+        // lane's words are independent.
+        let mut state = [[0; LANES]; 4];
+        for (w, word) in state.iter_mut().enumerate() {
+            let step = 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(w as u64 + 1);
+            for lane in 0..LANES {
+                word[lane] = mix64((seeds[lane] ^ 4).wrapping_add(step));
+            }
+        }
+        Self { state }
+    }
+
+    /// One xoshiro256++ step of every lane: each lane's next `u64`.
+    #[inline(always)]
+    fn next_u64(&mut self) -> [u64; LANES] {
+        let [s0, s1, s2, s3] = &mut self.state;
+        let mut out = [0; LANES];
+        for lane in 0..LANES {
+            out[lane] = s0[lane]
+                .wrapping_add(s3[lane])
+                .rotate_left(23)
+                .wrapping_add(s0[lane]);
+            let t = s1[lane] << 17;
+            s2[lane] ^= s0[lane];
+            s3[lane] ^= s1[lane];
+            s1[lane] ^= s2[lane];
+            s0[lane] ^= s3[lane];
+            s2[lane] ^= t;
+            s3[lane] = s3[lane].rotate_left(45);
+        }
+        out
+    }
+
+    /// Draws `tasks` answers in every lane and counts, per lane, the draws
+    /// below that lane's [`threshold`]: the number of correct answers of a
+    /// worker whose accuracy gave the threshold.
+    ///
+    /// This is the single answering draw of the whole simulator: the
+    /// platform's answer sheets, learning and working alike, sharded or not,
+    /// are made of it, and a task is one more draw of its worker's stream.
+    pub(crate) fn count_correct(mut self, thresholds: [u64; LANES], tasks: usize) -> [u64; LANES] {
+        let mut counts = [0; LANES];
+        for _ in 0..tasks {
+            let draws = self.next_u64();
+            for lane in 0..LANES {
+                counts[lane] += u64::from(draws[lane] >> 11 < thresholds[lane]);
+            }
+        }
+        counts
+    }
+}
+
+/// Draws `tasks` answers at `accuracy` from one stream and returns how many
+/// are correct: one uniform float per task, correct when it falls below
+/// `accuracy`. The float reference that [`AnswerLanes::count_correct`] must
+/// equal bit for bit.
+#[cfg(test)]
 pub(crate) fn draw_correct<R: Rng + ?Sized>(rng: &mut R, accuracy: f64, tasks: usize) -> usize {
     (0..tasks).filter(|_| rng.gen::<f64>() < accuracy).count()
 }
@@ -434,27 +530,75 @@ mod tests {
 
     #[test]
     fn the_counted_draw_matches_a_per_task_reference() {
-        // The sheet is a count, but the stream is the per-task one: each task
-        // consumes one uniform float, so the count and the generator's end
-        // state both equal a task-by-task draw's. p = 0 and p = 1 are exact.
-        for seed in [0, 7, 42, 0xC4C4] {
-            for tasks in [0, 1, 110] {
-                for accuracy in [0.0, 0.37, 1.0] {
-                    let mut rng = StdRng::seed_from_u64(seed);
-                    let mut reference = rng.clone();
-                    let counted = draw_correct(&mut rng, accuracy, tasks);
-                    let expected = (0..tasks)
-                        .filter(|_| reference.gen::<f64>() < accuracy)
-                        .count();
-                    let case = format!("seed {seed}, {tasks} tasks at {accuracy}");
-                    assert_eq!(counted, expected, "{case}");
-                    assert_eq!(rng, reference, "{case}");
+        // The sheet is a count, but the stream is the per-task one: every
+        // lane counts what one `StdRng` stream counts task by task, whatever
+        // the other lanes hold. p = 0 and p = 1 are exact, and NaN counts
+        // nothing.
+        let accuracies = [0.0, 5e-324, 0.37, 0.5, 0.9, 1.0, f64::NAN, 0.25];
+        for seeds in [[0, 7, 42, 0xC4C4, 3, 1, 4, 1], [5, 9, 2, 6, 5, 3, 5, 8]] {
+            for tasks in [0, 1, 2, 110, 5_000] {
+                let counts = AnswerLanes::seed_from_u64(seeds)
+                    .count_correct(accuracies.map(threshold), tasks);
+                for (lane, &accuracy) in accuracies.iter().enumerate() {
+                    let mut rng = StdRng::seed_from_u64(seeds[lane]);
+                    let expected = draw_correct(&mut rng, accuracy, tasks);
+                    let case = format!("seed {}, {tasks} tasks at {accuracy}", seeds[lane]);
+                    assert_eq!(counts[lane] as usize, expected, "{case}");
                     if accuracy == 0.0 || accuracy == 1.0 {
-                        assert_eq!(counted as f64, accuracy * tasks as f64, "{case}");
+                        assert_eq!(expected as f64, accuracy * tasks as f64, "{case}");
                     }
                 }
             }
         }
+    }
+
+    #[test]
+    fn every_lane_yields_the_vendored_generators_stream() {
+        // Pins the lane generator to `StdRng` bit for bit: a change to the
+        // vendored seeding or step fails here, not as a silent stream shift.
+        let seeds = [0, 1, 4, 7, 42, 0xC4C4, u64::MAX, 0x9E37_79B9_7F4A_7C15];
+        let mut lanes = AnswerLanes::seed_from_u64(seeds);
+        let mut references = seeds.map(StdRng::seed_from_u64);
+        for step in 0..64 {
+            let draws = lanes.next_u64();
+            for (lane, reference) in references.iter_mut().enumerate() {
+                assert_eq!(
+                    draws[lane],
+                    reference.next_u64(),
+                    "lane {lane}, step {step}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn the_integer_threshold_is_the_float_test() {
+        // `u < threshold(p)` must equal `u * 2^-53 < p` on both sides of the
+        // threshold, for the edge accuracies and a few interior ones.
+        let scale = 1.0 / (1u64 << 53) as f64;
+        let accuracies = [
+            0.0,
+            5e-324,
+            0.25,
+            0.37,
+            0.5,
+            1.0 - f64::EPSILON / 2.0,
+            1.0,
+            f64::NAN,
+        ];
+        for p in accuracies {
+            let t = threshold(p);
+            for u in [t.saturating_sub(1), t, t + 1] {
+                let u = u.min((1 << 53) - 1);
+                assert_eq!(u < t, (u as f64) * scale < p, "p = {p:e}, u = {u}, t = {t}");
+            }
+        }
+        assert_eq!(threshold(f64::NAN), 0);
+        assert_eq!(threshold(-0.5), 0);
+        assert_eq!(threshold(5e-324), 1);
+        assert_eq!(threshold(1.0 - f64::EPSILON / 2.0), (1 << 53) - 1);
+        assert_eq!(threshold(1.0), 1 << 53);
+        assert_eq!(threshold(f64::INFINITY), 1 << 53);
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! Pins the allocation budget of one learning round with a counting global
-//! allocator: a round's allocations do not grow with its worker count.
+//! Pins the allocation budget of one learning round, and of one working
+//! evaluation, with a counting global allocator: their allocations do not
+//! grow with the worker count.
 //!
 //! A sheet owns no heap allocation (it is a worker id and two counts, graded
 //! as it is drawn: a round stores no gold labels and no per-task record), and
@@ -56,8 +57,9 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
-/// Allocations a round may make in all: the list of per-shard results, the
-/// one shard's sheet list and the merged list.
+/// Allocations a round or an evaluation may make in all: the list of
+/// per-shard results, the one shard's sheet (or accuracy) list and the merged
+/// list.
 const ROUND_OVERHEAD: u64 = 3;
 
 #[test]
@@ -67,18 +69,40 @@ fn a_learning_round_allocates_a_fixed_number_of_times() {
     let dataset = generate(&config).unwrap();
     let mut platform = Platform::from_dataset(&dataset, 3).unwrap();
     let ids = platform.worker_ids();
-    let n = ids.len() as u64;
-    for _ in 0..2 {
+    // The full pool, then a list shorter than one block of answer lanes, so
+    // the padded last block is counted too.
+    for round_ids in [&ids[..], &ids[..], &ids[3..8]] {
+        let n = round_ids.len();
         let before = thread_allocations();
         let record = platform
-            .assign_learning_batch(&ids, config.tasks_per_batch)
+            .assign_learning_batch(round_ids, config.tasks_per_batch)
             .unwrap();
         let allocations = thread_allocations() - before;
-        assert_eq!(record.sheets.len(), ids.len());
+        assert_eq!(record.sheets.len(), n);
         assert!(
             allocations <= ROUND_OVERHEAD,
             "round {}: {allocations} allocations for {n} sheets",
             record.round
+        );
+    }
+}
+
+#[test]
+fn a_working_evaluation_allocates_a_fixed_number_of_times() {
+    let mut config = DatasetConfig::s4();
+    config.pool_size = 500;
+    let dataset = generate(&config).unwrap();
+    let mut platform = Platform::from_dataset(&dataset, 3).unwrap();
+    let ids = platform.worker_ids();
+    for eval_ids in [&ids[..], &ids[..5]] {
+        let n = eval_ids.len();
+        let before = thread_allocations();
+        let accuracy = platform.evaluate_working_accuracy(eval_ids).unwrap();
+        let allocations = thread_allocations() - before;
+        assert!((0.0..=1.0).contains(&accuracy));
+        assert!(
+            allocations <= ROUND_OVERHEAD,
+            "evaluation: {allocations} allocations for {n} workers"
         );
     }
 }

@@ -12,15 +12,6 @@ pub enum IrtError {
         /// The offending value.
         value: f64,
     },
-    /// Two inputs that must agree in length did not.
-    DimensionMismatch {
-        /// Description of the mismatch.
-        what: &'static str,
-        /// Left-hand extent.
-        left: usize,
-        /// Right-hand extent.
-        right: usize,
-    },
     /// Calibration failed (no observations, or the optimiser reported an error).
     Calibration(String),
 }
@@ -30,9 +21,6 @@ impl fmt::Display for IrtError {
         match self {
             IrtError::InvalidParameter { what, value } => {
                 write!(f, "invalid IRT parameter: {what} (got {value})")
-            }
-            IrtError::DimensionMismatch { what, left, right } => {
-                write!(f, "dimension mismatch: {what} ({left} vs {right})")
             }
             IrtError::Calibration(msg) => write!(f, "calibration failed: {msg}"),
         }
@@ -53,13 +41,6 @@ mod tests {
         }
         .to_string()
         .contains("beta"));
-        assert!(IrtError::DimensionMismatch {
-            what: "profiles",
-            left: 3,
-            right: 4
-        }
-        .to_string()
-        .contains("3 vs 4"));
         assert!(IrtError::Calibration("empty".into())
             .to_string()
             .contains("empty"));

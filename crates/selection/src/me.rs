@@ -2,12 +2,12 @@
 //!
 //! Given the predicted accuracy of every remaining worker, one elimination round
 //! keeps the top `ceil(|W_c| / 2)` in non-increasing order of their prediction.
-//! It partitions the round around the cut and sorts only the kept half. The
-//! same scoring machinery also implements the final top-`k`
-//! extraction of Algorithm 4 line 17.
+//! The whole ranking order (score descending, worker id ascending, NaN last) is
+//! one `u128` key per worker, so a round partitions plain integers around the
+//! cut and sorts only the kept half. The same machinery also implements the
+//! final top-`k` extraction of Algorithm 4 line 17.
 
 use c4u_crowd_sim::WorkerId;
-use std::cmp::Ordering;
 
 /// A worker together with its predicted accuracy for the current round.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -25,38 +25,49 @@ impl ScoredWorker {
     }
 }
 
-/// The ranking order: non-increasing score, ties broken by worker id so that
-/// the process is fully deterministic.
+/// The ranking order as one integer: sorting keys ascending ranks workers by
+/// non-increasing score, ties broken by worker id so that the process is fully
+/// deterministic, NaN scores last (among themselves by worker id).
 ///
-/// NaN scores rank last (among themselves by worker id). Every other score
-/// compares by value, so `-0.0` and `0.0` tie and fall to the id tie-break.
-/// This is a total order, which the standard sort requires: comparing NaN as
-/// "equal" to everything is not, and the sort may panic on it.
-fn by_rank(a: &ScoredWorker, b: &ScoredWorker) -> Ordering {
-    a.score
-        .is_nan()
-        .cmp(&b.score.is_nan())
-        .then_with(|| {
-            // Only reached with both scores NaN (Equal) or both not NaN.
-            b.score.partial_cmp(&a.score).unwrap_or(Ordering::Equal)
-        })
-        .then_with(|| a.worker.cmp(&b.worker))
+/// The high word orders the score: `u64::MAX` for NaN, otherwise the bitwise
+/// NOT of the IEEE bits mapped to an order-preserving unsigned integer (sign
+/// bit set flips the rest, sign bit clear sets it), with `-0.0` first mapped to
+/// `0.0` so the two zeros tie. No finite or infinite score maps to `u64::MAX`.
+/// The low word is the worker id, so the key of every worker is distinct and
+/// an unstable sort is deterministic.
+fn rank_key(s: &ScoredWorker) -> u128 {
+    let high = if s.score.is_nan() {
+        u64::MAX
+    } else {
+        // `+ 0.0` turns `-0.0` into `0.0` and changes no other value.
+        let bits = (s.score + 0.0).to_bits();
+        let ordered = if bits >> 63 == 1 {
+            !bits
+        } else {
+            bits | 1 << 63
+        };
+        !ordered
+    };
+    (u128::from(high) << 64) | s.worker as u128
 }
 
 /// The first `keep` workers in rank order (non-increasing score, ties broken
-/// by worker id, NaN scores last), without sorting the rest: a partition puts
-/// the best `keep` first, and only they are sorted.
+/// by worker id, NaN scores last), without sorting the rest: a partition of
+/// the [`rank_key`]s puts the best `keep` first, and only they are sorted.
 fn best_ids(scored: &[ScoredWorker], keep: usize) -> Vec<WorkerId> {
     if keep == 0 {
         return Vec::new();
     }
-    let mut ranked = scored.to_vec();
+    let mut ranked: Vec<u128> = scored.iter().map(rank_key).collect();
     if keep < ranked.len() {
-        ranked.select_nth_unstable_by(keep - 1, by_rank);
+        ranked.select_nth_unstable(keep - 1);
         ranked.truncate(keep);
     }
-    ranked.sort_unstable_by(by_rank);
-    ranked.into_iter().map(|s| s.worker).collect()
+    ranked.sort_unstable();
+    ranked
+        .into_iter()
+        .map(|key| key as u64 as WorkerId)
+        .collect()
 }
 
 /// One median-elimination round: keeps the best `ceil(n / 2)` workers
@@ -92,6 +103,21 @@ pub fn rounds_until_at_most(pool: usize, k: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cmp::Ordering;
+
+    /// The ranking order as a comparator: non-increasing score, ties broken by
+    /// worker id, NaN scores last (among themselves by worker id), `-0.0` and
+    /// `0.0` tied: the test oracle that [`rank_key`] must order the same way.
+    fn by_rank(a: &ScoredWorker, b: &ScoredWorker) -> Ordering {
+        a.score
+            .is_nan()
+            .cmp(&b.score.is_nan())
+            .then_with(|| {
+                // Only reached with both scores NaN (Equal) or both not NaN.
+                b.score.partial_cmp(&a.score).unwrap_or(Ordering::Equal)
+            })
+            .then_with(|| a.worker.cmp(&b.worker))
+    }
 
     /// Every worker in rank order: the full sort [`best_ids`] must agree with.
     fn sort_by_score(scored: &[ScoredWorker]) -> Vec<ScoredWorker> {
@@ -233,6 +259,65 @@ mod tests {
             assert_eq!(median_eliminate(&s), full[..n.div_ceil(2)]);
             for k in [0, 1, n / 3, n.saturating_sub(1), n, n + 1] {
                 assert_eq!(top_k(&s, k), full[..k.min(n)]);
+            }
+        }
+    }
+
+    /// Scores from the corners of the ranking order: both NaN signs, both
+    /// zeros, both infinities, the extreme subnormals and normals, a repeated
+    /// value, and plain values of either sign.
+    fn edge_score(pick: u8, plain: f64) -> f64 {
+        match pick {
+            0 => f64::NAN,
+            1 => -f64::NAN,
+            2 => 0.0,
+            3 => -0.0,
+            4 => f64::INFINITY,
+            5 => f64::NEG_INFINITY,
+            6 => 5e-324,
+            7 => -5e-324,
+            8 => f64::MIN_POSITIVE,
+            9 => f64::MAX,
+            10 => f64::MIN,
+            11 => 0.5,
+            _ => plain,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(2000))]
+
+        #[test]
+        fn rank_keys_order_as_the_comparator(
+            picks in proptest::collection::vec((0u8..16, -1.0..1.0f64), 0..50),
+            shuffle in 0u64..u64::MAX,
+            id_base in 0usize..4,
+        ) {
+            // Ids are distinct but shuffled and sparse, and may sit at the top
+            // of the id range, so the key's low word is fully exercised.
+            let n = picks.len();
+            let mut ids: Vec<WorkerId> = (0..n)
+                .map(|i| match id_base {
+                    0 => i,
+                    1 => 3 * i + 1,
+                    2 => usize::MAX - i,
+                    _ => i << 40,
+                })
+                .collect();
+            let mut state = shuffle;
+            for i in (1..n).rev() {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                ids.swap(i, (state >> 33) as usize % (i + 1));
+            }
+            let s: Vec<ScoredWorker> = picks
+                .iter()
+                .zip(&ids)
+                .map(|(&(pick, plain), &id)| ScoredWorker::new(id, edge_score(pick, plain)))
+                .collect();
+            let full: Vec<WorkerId> = sort_by_score(&s).iter().map(|w| w.worker).collect();
+            proptest::prop_assert_eq!(median_eliminate(&s), full[..n.div_ceil(2)].to_vec());
+            for k in [0, 1, n / 3, n / 2, n.saturating_sub(1), n, n + 1] {
+                proptest::prop_assert_eq!(top_k(&s, k), full[..k.min(n)].to_vec());
             }
         }
     }
